@@ -12,7 +12,8 @@ class DomainError(MorphoscopeError):
 
 
 class GeometryError(MorphoscopeError):
-    """Metric data is invalid at a point (not symmetric positive definite)."""
+    """Metric or map data is invalid at a point: a metric that is not
+    symmetric positive definite, or non-finite values."""
 
 
 class DegenerateFrameError(MorphoscopeError):

@@ -271,8 +271,11 @@ def pullback_metric(base: ChartMetric, diffeo: Sequence[Poly], domain: Box) -> C
 def christoffel(metric: ChartMetric, m: Sequence[float]) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] = Gamma^k_{ij} at m."""
     metric.require_inside(m)
-    g = metric.matrix_checked(m)
-    dg = metric.first_derivatives(m)
+    return connection(metric.matrix_checked(m), metric.first_derivatives(m))
+
+
+def connection(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols from the metric matrix and its first derivatives."""
     ginv = np.linalg.inv(g)
     # S[m, i, j] = d_i g_{mj} + d_j g_{mi} - d_m g_{ij}
     S = (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg)
@@ -342,25 +345,28 @@ class Frame:
         return self.vectors.T
 
 
-def metric_inner(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    return float(u @ g @ v)
-
-
 def metric_norm(g: np.ndarray, u: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, u @ g @ u)))
 
 
 def orthonormalize(metric: ChartMetric, m, seeds: Sequence[np.ndarray],
                    complete: bool = False) -> Frame:
-    """Gram-Schmidt in the metric at m, processing seeds in order.
+    """Gram-Schmidt in the metric at m, processing seeds in order; see
+    gram_schmidt."""
+    metric.require_inside(m)
+    m = np.asarray(m, dtype=float)
+    return Frame(point=m, vectors=gram_schmidt(metric.matrix_checked(m), seeds,
+                                               complete))
+
+
+def gram_schmidt(g: np.ndarray, seeds: Sequence[np.ndarray],
+                 complete: bool = False) -> np.ndarray:
+    """Rows of a g-orthonormal frame built from the seeds in order.
 
     A seed whose residual after projection has norm below FRAME_RANK_TOL is
     skipped. With complete=True the frame is extended to four vectors using
     coordinate basis vectors, in index order, under the same skip rule.
     """
-    metric.require_inside(m)
-    m = np.asarray(m, dtype=float)
-    g = metric.matrix_checked(m)
     out: list[np.ndarray] = []
 
     def try_add(v: np.ndarray) -> None:
@@ -382,7 +388,7 @@ def orthonormalize(metric: ChartMetric, m, seeds: Sequence[np.ndarray],
             try_add(e)
         if len(out) < 4:
             raise DegenerateFrameError("could not complete an orthonormal frame")
-    return Frame(point=m, vectors=np.array(out))
+    return np.array(out)
 
 
 def orientation_sign(metric: ChartMetric, m, frame: Frame | np.ndarray,
@@ -413,6 +419,58 @@ def oriented_frame(metric: ChartMetric, m, orientation: int = 1) -> Frame:
 # ------------------------------------------------- covariant differentiation
 
 
+@dataclass
+class Stencil:
+    """Richardson-extrapolated central stencil along a straight coordinate line.
+
+    Nodes are m + s X for s = t, -t, t/2, -t/2, in that order; every node is
+    checked to lie inside the chart domain when the stencil is built.
+    """
+
+    point: np.ndarray
+    direction: np.ndarray
+    t: float
+    nodes: tuple
+
+    def derivative(self, values: Sequence[np.ndarray], value: np.ndarray,
+                   gamma: np.ndarray) -> np.ndarray:
+        """Covariant derivative from field values at the nodes and at m.
+
+        gamma holds the Christoffel symbols at m; the field must be a vector
+        or a (1,1)-tensor.
+        """
+        f_p, f_m, f_hp, f_hm = (np.asarray(v, dtype=float) for v in values)
+        t = self.t
+        X = self.direction
+        d_full = (f_p - f_m) / (2.0 * t)
+        d_half = (f_hp - f_hm) / t
+        partial = (4.0 * d_half - d_full) / 3.0
+
+        val = np.asarray(value, dtype=float)
+        if val.ndim == 1:
+            return partial + np.einsum("kij,i,j->k", gamma, X, val)
+        if val.shape == (4, 4):
+            corr = (np.einsum("ikm,k,mj->ij", gamma, X, val)
+                    - np.einsum("mkj,k,im->ij", gamma, X, val))
+            return partial + corr
+        raise ValueError("field must produce a vector or a (1,1) tensor")
+
+
+def stencil(metric: ChartMetric, m, direction, step: float | None = None) -> Stencil:
+    """The derivative stencil through m along a nonzero direction."""
+    m = np.asarray(m, dtype=float)
+    X = np.asarray(direction, dtype=float)
+    h = step if step is not None else DEFAULT_FD_STEP * max(1.0, float(np.max(np.abs(m))))
+    xn = float(np.linalg.norm(X))
+    if xn == 0:
+        raise ValueError("direction must be nonzero")
+    t = h / max(1.0, xn)
+    nodes = tuple(m + s * X for s in (t, -t, 0.5 * t, -0.5 * t))
+    for x in nodes:
+        metric.require_inside(x)
+    return Stencil(point=m, direction=X, t=t, nodes=nodes)
+
+
 def covariant_derivative(metric: ChartMetric, field: Callable[[np.ndarray], np.ndarray],
                          m, direction, step: float | None = None) -> np.ndarray:
     """Covariant derivative of a vector or (1,1)-tensor field along a vector.
@@ -421,29 +479,6 @@ def covariant_derivative(metric: ChartMetric, field: Callable[[np.ndarray], np.n
     the straight coordinate line through m; Christoffel corrections use exact
     metric derivatives when the metric provides them.
     """
-    m = np.asarray(m, dtype=float)
-    X = np.asarray(direction, dtype=float)
-    h = step if step is not None else DEFAULT_FD_STEP * max(1.0, float(np.max(np.abs(m))))
-    xn = float(np.linalg.norm(X))
-    if xn == 0:
-        raise ValueError("direction must be nonzero")
-    t = h / max(1.0, xn)
-    for s in (t, -t, 0.5 * t, -0.5 * t):
-        metric.require_inside(m + s * X)
-    f_p = np.asarray(field(m + t * X), dtype=float)
-    f_m = np.asarray(field(m - t * X), dtype=float)
-    f_hp = np.asarray(field(m + 0.5 * t * X), dtype=float)
-    f_hm = np.asarray(field(m - 0.5 * t * X), dtype=float)
-    d_full = (f_p - f_m) / (2.0 * t)
-    d_half = (f_hp - f_hm) / t
-    partial = (4.0 * d_half - d_full) / 3.0
-
-    val = np.asarray(field(m), dtype=float)
-    gamma = christoffel(metric, m)
-    if val.ndim == 1:
-        return partial + np.einsum("kij,i,j->k", gamma, X, val)
-    if val.shape == (4, 4):
-        corr = (np.einsum("ikm,k,mj->ij", gamma, X, val)
-                - np.einsum("mkj,k,im->ij", gamma, X, val))
-        return partial + corr
-    raise ValueError("field must produce a vector or a (1,1) tensor")
+    st = stencil(metric, m, direction, step)
+    return st.derivative([field(x) for x in st.nodes], field(st.point),
+                         christoffel(metric, st.point))

@@ -19,43 +19,17 @@ from ._linalg import minimize_affine_on_sphere
 from .calculus import MorphismScenario, NormalChart
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
 from .geometry import oriented_frame
-from .morphism import PointSplit, classify_point, splitting
+from .morphism import HermitianPair, PointGeometry, point_geometry
 from .ratefit import RateFit, default_radii, fit_rate
-from .structures import K_MINUS, K_PLUS, structure_basis
-from .symbol import SymbolCandidate, _seeded_directions, symbol_polynomial
+from .structures import structure_basis
+from .symbol import SymbolCandidate, seeded_directions, symbol_polynomial
 
 MAX_DIRECTION_SUBSTITUTIONS = 25
 
 
-@dataclass
-class HermitianPair:
-    """The two adapted structures at a regular point."""
-
-    point: np.ndarray
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    split: PointSplit
-
-    def structure(self, orientation: int) -> np.ndarray:
-        return self.j_plus if orientation == 1 else self.j_minus
-
-
 def hermitian_pair(scenario: MorphismScenario, m) -> HermitianPair:
-    sp = splitting(scenario, m)
-    B = np.column_stack([sp.horizontal[0], sp.horizontal[1],
-                         sp.vertical[0], sp.vertical[1]])
-    Binv = np.linalg.inv(B)
-    return HermitianPair(point=sp.point, j_plus=B @ K_PLUS @ Binv,
-                         j_minus=B @ K_MINUS @ Binv, split=sp)
-
-
-def structure_field(scenario: MorphismScenario, orientation: int = 1):
-    """Pointwise structure evaluator, a (1,1)-tensor field on regular points."""
-
-    def field(x: np.ndarray) -> np.ndarray:
-        return hermitian_pair(scenario, x).structure(orientation)
-
-    return field
+    """J+ and J- at a regular point, from the point's geometry."""
+    return point_geometry(scenario, m).pair
 
 
 def pseudo_holomorphy_residual(scenario: MorphismScenario, m, J: np.ndarray) -> float:
@@ -140,9 +114,10 @@ def reference_field(scenario: MorphismScenario, m0, orientation: int = 1) -> Ref
 def _direction_values(sc: MorphismScenario, dirs: np.ndarray, radii, evaluate, seed: int):
     """max of `evaluate` over directions per radius, with critical substitution.
 
-    A direction whose ray meets a critical sample at any radius is replaced
-    by a deterministic jittered direction; substitutions are reported as
-    (direction index, attempts used).
+    `evaluate` reads the point geometry of each sample. A direction whose ray
+    meets a critical sample at any radius is replaced by a deterministic
+    jittered direction; substitutions are reported as (direction index,
+    attempts used).
     """
     rng = np.random.default_rng(seed + 7919)
     substitutions = []
@@ -153,11 +128,11 @@ def _direction_values(sc: MorphismScenario, dirs: np.ndarray, radii, evaluate, s
             ok = True
             row = np.zeros(len(radii))
             for j, r in enumerate(radii):
-                y = r * d
-                if classify_point(sc, y).status != "regular":
+                geo = point_geometry(sc, r * d)
+                if not geo.classification.is_regular:
                     ok = False
                     break
-                row[j] = evaluate(y)
+                row[j] = evaluate(geo)
             if ok:
                 if attempt > 0:
                     substitutions.append((i, attempt))
@@ -197,16 +172,16 @@ def structure_deviation_rate(scenario: MorphismScenario, m0, orientation: int = 
     ref = reference_field(scenario, m0, orientation)
     sc = ref.chart.scenario
     radii = tuple(radii) if radii is not None else default_radii(sc.domain.size())
-    dirs = _seeded_directions(n_directions, seed)
+    dirs = seeded_directions(n_directions, seed)
     J0 = ref.matrix
 
-    def deviation(y):
-        J = hermitian_pair(sc, y).structure(orientation)
+    def deviation(geo: PointGeometry) -> float:
+        J = geo.pair.structure(orientation)
         return float(np.linalg.norm(J - J0, ord="fro"))
 
     dev_vals, subs = _direction_values(sc, dirs, radii, deviation, seed)
 
-    xs = list(np.eye(4)) + list(_seeded_directions(4, seed + 2000))
+    xs = list(np.eye(4)) + list(seeded_directions(4, seed + 2000))
 
     def orth_defect(y):
         g = sc.metric.matrix(y)
@@ -254,18 +229,19 @@ def isolated_extension(scenario: MorphismScenario, m0, orientation: int = 1,
     ref = reference_field(scenario, m0, orientation)
     sc = ref.chart.scenario
     radii = tuple(radii) if radii is not None else default_radii(sc.domain.size())
-    dirs = _seeded_directions(n_directions, seed, include_axes=True)
+    dirs = seeded_directions(n_directions, seed, include_axes=True)
     J0 = ref.matrix
     sups = []
     for r in radii:
         worst = 0.0
         for d in dirs:
             y = r * d
-            if classify_point(sc, y).status != "regular":
+            geo = point_geometry(sc, y)
+            if not geo.classification.is_regular:
                 raise NonIsolatedCriticalError(
                     f"critical sample on the shell of radius {r:.3e}",
                     point=ref.chart.to_original(y))
-            J = hermitian_pair(sc, y).structure(orientation)
+            J = geo.pair.structure(orientation)
             worst = max(worst, float(np.linalg.norm(J - J0, ord="fro")))
         sups.append(worst)
     fit = fit_rate(radii, sups)

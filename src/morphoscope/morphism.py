@@ -4,47 +4,28 @@ The gauge-normalized differential M = h^{1/2} dF g^{-1/2} drives everything:
 its singular values give the pointwise dilation, its rows test horizontal
 conformality, and its kernel is the vertical space. Frames are constructed
 deterministically so repeated runs and neighbouring points agree.
+
+All of it comes from one construction per point, `PointGeometry`, built by
+`point_geometry`. The splitting, the structure pair and the Christoffel
+symbols are derived on first use and then kept on the geometry, which lives
+only as long as the evaluation that built it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._linalg import spd_sqrt_pair
 from .calculus import MorphismScenario
-from .errors import ClassificationError, DegenerateFrameError
-from .geometry import christoffel, covariant_derivative, orientation_sign, orthonormalize
+from .errors import ClassificationError, DegenerateFrameError, GeometryError
+from .geometry import Stencil, connection, gram_schmidt, orientation_sign, stencil
+from .structures import K_MINUS, K_PLUS
 
 EPS_CRITICAL = 1e-9
-
-
-@dataclass
-class _Gauges:
-    point: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray
-    gsqrt: np.ndarray
-    ginvsqrt: np.ndarray
-    jac: np.ndarray
-    gauge: np.ndarray        # h^{1/2} dF g^{-1/2}
-    singular_values: np.ndarray
-    right_vectors: np.ndarray  # rows of V^T from the full SVD
-
-
-def _gauges(scenario: MorphismScenario, m) -> _Gauges:
-    m = np.asarray(m, dtype=float)
-    scenario.metric.require_inside(m)
-    g = scenario.metric.matrix_checked(m)
-    gsqrt, ginvsqrt = spd_sqrt_pair(g)
-    jac = scenario.jacobian(m)
-    gauge = scenario.target.sqrt @ jac @ ginvsqrt
-    _, s, vt = np.linalg.svd(gauge, full_matrices=True)
-    return _Gauges(point=m, g=g, ginv=ginvsqrt @ ginvsqrt, gsqrt=gsqrt,
-                   ginvsqrt=ginvsqrt, jac=jac, gauge=gauge,
-                   singular_values=s, right_vectors=vt)
 
 
 @dataclass
@@ -61,19 +42,6 @@ class HwcData:
         return float(np.sqrt(max(0.0, self.squared_dilation)))
 
 
-def hwc_residual(scenario: MorphismScenario, m) -> HwcData:
-    ga = _gauges(scenario, m)
-    conf = ga.gauge @ ga.gauge.T
-    lam2 = 0.5 * float(np.trace(conf))
-    defect = float(np.linalg.norm(conf - lam2 * np.eye(2), ord="fro"))
-    return HwcData(point=ga.point, conformal=conf, squared_dilation=lam2, defect=defect)
-
-
-def dilation_sup(scenario: MorphismScenario, m) -> float:
-    """Largest stretch of the differential between the two metrics."""
-    return float(_gauges(scenario, m).singular_values[0])
-
-
 @dataclass
 class Classification:
     point: np.ndarray
@@ -83,14 +51,6 @@ class Classification:
     @property
     def is_regular(self) -> bool:
         return self.status == "regular"
-
-
-def classify_point(scenario: MorphismScenario, m,
-                   eps: float = EPS_CRITICAL) -> Classification:
-    s = dilation_sup(scenario, m)
-    status = "regular" if s >= eps else "critical"
-    return Classification(point=np.asarray(m, dtype=float), status=status,
-                          dilation_sup=s)
 
 
 @dataclass
@@ -114,75 +74,206 @@ class PointSplit:
     horizontal_projector: np.ndarray
 
 
-def splitting(scenario: MorphismScenario, m,
-              eps: float = EPS_CRITICAL) -> PointSplit:
-    ga = _gauges(scenario, m)
-    if ga.singular_values[0] < eps:
-        raise ClassificationError(
-            f"splitting needs a regular point; dilation {ga.singular_values[0]:.3e} "
-            f"at {ga.point.tolist()}")
-    conf = ga.gauge @ ga.gauge.T
-    lam2 = 0.5 * float(np.trace(conf))
-    lam = float(np.sqrt(max(0.0, lam2)))
-    defect = float(np.linalg.norm(conf - lam2 * np.eye(2), ord="fro"))
+@dataclass
+class HermitianPair:
+    """The two adapted structures at a regular point."""
 
-    h = scenario.target.matrix
-    eps1 = np.array([1.0, 0.0]) / np.sqrt(h[0, 0])
-    eps2 = scenario.target.complex_structure() @ eps1
-    graw = ga.jac @ ga.ginv @ ga.jac.T
-    try:
-        c1 = np.linalg.solve(graw, lam * eps1)
-        c2 = np.linalg.solve(graw, lam * eps2)
-    except np.linalg.LinAlgError:
-        raise DegenerateFrameError("horizontal Gram matrix is singular") from None
-    e1 = ga.ginv @ ga.jac.T @ c1
-    e2 = ga.ginv @ ga.jac.T @ c2
+    point: np.ndarray
+    j_plus: np.ndarray
+    j_minus: np.ndarray
+    split: PointSplit
 
-    # kernel of the gauge matrix: the two bottom right-singular directions
-    k1 = ga.ginvsqrt @ ga.right_vectors[2]
-    k2 = ga.ginvsqrt @ ga.right_vectors[3]
-    p_vert = (np.outer(k1, k1) + np.outer(k2, k2)) @ ga.g
-    p_hor = np.eye(4) - p_vert
+    def structure(self, orientation: int) -> np.ndarray:
+        return self.j_plus if orientation == 1 else self.j_minus
 
-    seeds = [p_vert @ basis for basis in np.eye(4)]
-    fr = orthonormalize(scenario.metric, ga.point, seeds)
-    if fr.vectors.shape[0] < 2:
-        raise DegenerateFrameError("vertical frame construction lost rank")
-    v1, v2 = fr.vectors[0], fr.vectors[1]
-    frame = np.array([e1, e2, v1, v2])
-    if orientation_sign(scenario.metric, ga.point, frame,
-                        reference=scenario.orientation) < 0:
-        v2 = -v2
+
+@dataclass(eq=False)
+class PointGeometry:
+    """The map's pointwise geometry at one chart point, built once.
+
+    The metric, its square roots, the differential and the SVD of the gauge
+    matrix are computed when the geometry is built; the properties below are
+    derived from them on first use. `split` and `pair` need a regular point
+    and raise ClassificationError otherwise.
+    """
+
+    scenario: MorphismScenario
+    point: np.ndarray
+    g: np.ndarray
+    ginv: np.ndarray
+    gsqrt: np.ndarray
+    ginvsqrt: np.ndarray
+    jac: np.ndarray
+    gauge: np.ndarray        # h^{1/2} dF g^{-1/2}
+    singular_values: np.ndarray
+    right_vectors: np.ndarray  # rows of V^T from the full SVD
+    classification: Classification
+
+    @cached_property
+    def hwc(self) -> HwcData:
+        conf = self.gauge @ self.gauge.T
+        lam2 = 0.5 * float(np.trace(conf))
+        defect = float(np.linalg.norm(conf - lam2 * np.eye(2), ord="fro"))
+        return HwcData(point=self.point, conformal=conf, squared_dilation=lam2,
+                       defect=defect)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Christoffel symbols Gamma[k, i, j] of the chart metric."""
+        return connection(self.g, self.scenario.metric.first_derivatives(self.point))
+
+    @cached_property
+    def tension(self) -> np.ndarray:
+        """Tension of the map, exact from polynomial jets.
+
+        Target Christoffel symbols vanish because target metrics are
+        constant, so the tension is the metric trace of the chart Hessian
+        corrected by the domain connection.
+        """
+        hess = self.scenario.hessians(self.point)
+        contracted = np.einsum("ij,kij->k", self.ginv, self.gamma)
+        tau = np.empty(2)
+        for a in range(2):
+            tau[a] = float(np.einsum("ij,ij->", self.ginv, hess[a])
+                           - contracted @ self.jac[a])
+        return tau
+
+    @cached_property
+    def tension_norm(self) -> float:
+        tau = self.tension
+        return float(np.sqrt(max(0.0, tau @ self.scenario.target.matrix @ tau)))
+
+    @cached_property
+    def split(self) -> PointSplit:
+        if not self.classification.is_regular:
+            raise ClassificationError(
+                f"splitting needs a regular point; dilation "
+                f"{self.singular_values[0]:.3e} at {self.point.tolist()}")
+        sc = self.scenario
+        hwc = self.hwc
+        lam2 = hwc.squared_dilation
+        lam = float(np.sqrt(max(0.0, lam2)))
+
+        h = sc.target.matrix
+        eps1 = np.array([1.0, 0.0]) / np.sqrt(h[0, 0])
+        eps2 = sc.target.complex_structure() @ eps1
+        graw = self.jac @ self.ginv @ self.jac.T
+        try:
+            c1 = np.linalg.solve(graw, lam * eps1)
+            c2 = np.linalg.solve(graw, lam * eps2)
+        except np.linalg.LinAlgError:
+            raise DegenerateFrameError("horizontal Gram matrix is singular") from None
+        e1 = self.ginv @ self.jac.T @ c1
+        e2 = self.ginv @ self.jac.T @ c2
+
+        # kernel of the gauge matrix: the two bottom right-singular directions
+        k1 = self.ginvsqrt @ self.right_vectors[2]
+        k2 = self.ginvsqrt @ self.right_vectors[3]
+        p_vert = (np.outer(k1, k1) + np.outer(k2, k2)) @ self.g
+        p_hor = np.eye(4) - p_vert
+
+        seeds = [p_vert @ basis for basis in np.eye(4)]
+        vectors = gram_schmidt(self.g, seeds)
+        if vectors.shape[0] < 2:
+            raise DegenerateFrameError("vertical frame construction lost rank")
+        v1, v2 = vectors[0], vectors[1]
         frame = np.array([e1, e2, v1, v2])
+        if orientation_sign(sc.metric, self.point, frame,
+                            reference=sc.orientation) < 0:
+            v2 = -v2
 
-    return PointSplit(point=ga.point, dilation=lam, squared_dilation=lam2,
-                      defect=defect, horizontal=np.array([e1, e2]),
-                      vertical=np.array([v1, v2]),
-                      target_frame=np.array([eps1, eps2]),
-                      vertical_projector=p_vert, horizontal_projector=p_hor)
+        return PointSplit(point=self.point, dilation=lam, squared_dilation=lam2,
+                          defect=hwc.defect, horizontal=np.array([e1, e2]),
+                          vertical=np.array([v1, v2]),
+                          target_frame=np.array([eps1, eps2]),
+                          vertical_projector=p_vert, horizontal_projector=p_hor)
+
+    @cached_property
+    def pair(self) -> HermitianPair:
+        """J+ and J-: the standard structures K+ and K- carried by the frame
+        (e1, e2, v1, v2)."""
+        sp = self.split
+        B = np.column_stack([sp.horizontal[0], sp.horizontal[1],
+                             sp.vertical[0], sp.vertical[1]])
+        Binv = np.linalg.inv(B)
+        return HermitianPair(point=self.point, j_plus=B @ K_PLUS @ Binv,
+                             j_minus=B @ K_MINUS @ Binv, split=sp)
+
+
+def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
+    """Build the geometry at m, checking the domain, the metric and the gauge.
+
+    Non-finite metric or differential entries and failed decompositions
+    raise GeometryError, so no input reaches the callers as a bare
+    numerical failure.
+    """
+    m = np.asarray(m, dtype=float)
+    scenario.metric.require_inside(m)
+    g = scenario.metric.matrix_checked(m)
+    jac = scenario.jacobian(m)
+    try:
+        gsqrt, ginvsqrt = spd_sqrt_pair(g)
+        gauge = scenario.target.sqrt @ jac @ ginvsqrt
+        if not np.all(np.isfinite(gauge)):
+            raise GeometryError(f"differential is not finite at {m.tolist()}")
+        _, s, vt = np.linalg.svd(gauge, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise GeometryError(f"gauge decomposition failed at {m.tolist()}: {exc}") from None
+    status = "regular" if s[0] >= EPS_CRITICAL else "critical"
+    return PointGeometry(
+        scenario=scenario, point=m, g=g, ginv=ginvsqrt @ ginvsqrt, gsqrt=gsqrt,
+        ginvsqrt=ginvsqrt, jac=jac, gauge=gauge, singular_values=s,
+        right_vectors=vt,
+        classification=Classification(point=m, status=status,
+                                      dilation_sup=float(s[0])))
+
+
+@dataclass
+class GeometryStencil:
+    """Point geometries at the nodes of a derivative stencil through a point."""
+
+    center: PointGeometry
+    stencil: Stencil
+    nodes: tuple
+
+    def derivative(self, field: Callable[[PointGeometry], np.ndarray]) -> np.ndarray:
+        """Covariant derivative of a vector or (1,1)-tensor field read off
+        each geometry."""
+        return self.stencil.derivative([field(n) for n in self.nodes],
+                                       field(self.center), self.center.gamma)
+
+
+def geometry_stencil(center: PointGeometry, direction,
+                     step: float | None = None) -> GeometryStencil:
+    st = stencil(center.scenario.metric, center.point, direction, step)
+    return GeometryStencil(center=center, stencil=st,
+                           nodes=tuple(point_geometry(center.scenario, x)
+                                       for x in st.nodes))
+
+
+def hwc_residual(scenario: MorphismScenario, m) -> HwcData:
+    return point_geometry(scenario, m).hwc
+
+
+def dilation_sup(scenario: MorphismScenario, m) -> float:
+    """Largest stretch of the differential between the two metrics."""
+    return point_geometry(scenario, m).classification.dilation_sup
+
+
+def classify_point(scenario: MorphismScenario, m) -> Classification:
+    return point_geometry(scenario, m).classification
+
+
+def splitting(scenario: MorphismScenario, m) -> PointSplit:
+    return point_geometry(scenario, m).split
 
 
 def tension_field(scenario: MorphismScenario, m) -> np.ndarray:
-    """Tension of the map at m, exact from polynomial jets.
-
-    Target Christoffel symbols vanish because target metrics are constant,
-    so the tension is the metric trace of the chart Hessian corrected by the
-    domain connection.
-    """
-    ga = _gauges(scenario, m)
-    gamma = christoffel(scenario.metric, ga.point)
-    hess = scenario.hessians(ga.point)
-    contracted = np.einsum("ij,kij->k", ga.ginv, gamma)
-    tau = np.empty(2)
-    for a in range(2):
-        tau[a] = float(np.einsum("ij,ij->", ga.ginv, hess[a]) - contracted @ ga.jac[a])
-    return tau
+    return point_geometry(scenario, m).tension
 
 
 def tension_norm(scenario: MorphismScenario, m) -> float:
-    tau = tension_field(scenario, m)
-    h = scenario.target.matrix
-    return float(np.sqrt(max(0.0, tau @ h @ tau)))
+    return point_geometry(scenario, m).tension_norm
 
 
 def fiber_mean_curvature(scenario: MorphismScenario, m,
@@ -193,18 +284,13 @@ def fiber_mean_curvature(scenario: MorphismScenario, m,
     vertical frame fields along themselves. The result is frame independent
     because the vertical frame is orthonormal.
     """
-    base = splitting(scenario, m)
-
-    def vfield(i):
-        def field(x):
-            return splitting(scenario, x).vertical[i]
-        return field
-
+    base = point_geometry(scenario, m)
+    sp = base.split
     total = np.zeros(4)
     for i in range(2):
-        d = covariant_derivative(scenario.metric, vfield(i), base.point,
-                                 base.vertical[i], step=step)
-        total = total + base.horizontal_projector @ d
+        nodes = geometry_stencil(base, sp.vertical[i], step)
+        d = nodes.derivative(lambda geo: geo.split.vertical[i])
+        total = total + sp.horizontal_projector @ d
     return total
 
 
@@ -243,11 +329,12 @@ def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray],
     max_defect = 0.0
     max_tension = 0.0
     for p in points:
-        cls = classify_point(scenario, p)
-        hwc = hwc_residual(scenario, p)
-        tnorm = tension_norm(scenario, p)
+        geo = point_geometry(scenario, p)
+        cls = geo.classification
+        hwc = geo.hwc
+        tnorm = geo.tension_norm
         records.append(ValidationRecord(
-            point=np.asarray(p, dtype=float), status=cls.status,
+            point=geo.point, status=cls.status,
             dilation_sup=cls.dilation_sup, squared_dilation=hwc.squared_dilation,
             defect=hwc.defect, tension=tnorm))
         if cls.is_regular:

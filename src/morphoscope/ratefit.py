@@ -17,6 +17,9 @@ class RateFit:
     When every sampled value sits below the zero threshold the quantity is
     treated as identically zero: slope and constant are None and zero_branch
     is set. Callers interpret a zero branch as the strongest possible decay.
+    Otherwise exact zeros have no logarithm and are left out of the fit;
+    `censored` counts them. With fewer than two positive values left there
+    is no fit: slope and constant are None and both slope gates fail.
     """
 
     radii: tuple
@@ -26,6 +29,7 @@ class RateFit:
     log_residual: float | None
     zero_branch: bool
     threshold: float
+    censored: int = 0
 
     def meets_lower_slope(self, bound: float) -> bool:
         return self.zero_branch or (self.slope is not None and self.slope >= bound)
@@ -47,15 +51,21 @@ def fit_rate(radii: Sequence[float], values: Sequence[float],
     if np.all(v <= zero_threshold):
         return RateFit(radii=tuple(r), values=tuple(v), slope=None, constant=None,
                        log_residual=None, zero_branch=True, threshold=zero_threshold)
-    logs = np.log(np.maximum(v, 1e-300))
-    logr = np.log(r)
+    positive = v > 0
+    censored = int(v.size - np.count_nonzero(positive))
+    if v.size - censored < 2:
+        return RateFit(radii=tuple(r), values=tuple(v), slope=None, constant=None,
+                       log_residual=None, zero_branch=False, threshold=zero_threshold,
+                       censored=censored)
+    logs = np.log(v[positive])
+    logr = np.log(r[positive])
     A = np.column_stack([logr, np.ones_like(logr)])
     coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
     resid = float(np.sqrt(np.mean((A @ coef - logs) ** 2)))
     return RateFit(radii=tuple(r), values=tuple(v), slope=slope,
                    constant=float(np.exp(intercept)), log_residual=resid,
-                   zero_branch=False, threshold=zero_threshold)
+                   zero_branch=False, threshold=zero_threshold, censored=censored)
 
 
 def default_radii(box_size: float, count: int = 8, fraction: float = 0.1) -> tuple:

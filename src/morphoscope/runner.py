@@ -15,15 +15,13 @@ from .catalog import catalog_configs, catalog_patch, patch_grid
 from .config import ScenarioConfig, build_scenario
 from .errors import ConfigError
 from .geometry import curvature_data
-from .hermitian import (hermitian_pair, pseudo_holomorphy_residual,
-                        structure_deviation_rate)
-from .morphism import classify_point, splitting, validate_morphism
+from .hermitian import pseudo_holomorphy_residual, structure_deviation_rate
+from .morphism import point_geometry, validate_morphism
 from .parallel import ordered_map
 from .report import build_report, check, fingerprint
 from .symbol import dilation_lower_rate, remainder_rates, symbol_polynomial
 from .twistor import sample_lift
-from .weingarten import (commutator_defect, identity_scale,
-                         product_bound_scan, weingarten_report)
+from .weingarten import identity_scale, product_bound_scan, weingarten_report
 
 EINSTEIN_GATE = 1e-8
 
@@ -96,11 +94,12 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
                 point, seed: int, workers: int):
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
-    cls = classify_point(scenario, m)
+    geo = point_geometry(scenario, m)
+    cls = geo.classification
     record = {"point": m, "status": cls.status, "dilation_sup": cls.dilation_sup}
     if cls.is_regular:
-        split = splitting(scenario, m)
-        pair = hermitian_pair(scenario, m)
+        split = geo.split
+        pair = geo.pair
         res_plus = pseudo_holomorphy_residual(scenario, m, pair.j_plus)
         res_minus = pseudo_holomorphy_residual(scenario, m, pair.j_minus)
         record.update({
@@ -249,9 +248,7 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
     if einstein <= EINSTEIN_GATE:
         # the commutation identity for the shape product only holds on
         # Einstein charts, so the check is gated on the pointwise defect
-        cdef = float(np.linalg.norm(commutator_defect(
-            scenario, m, angle=config.analysis["angle"],
-            step=config.analysis["fd_step"])))
+        cdef = float(np.linalg.norm(rep.commutator))
         record["commutator_defect"] = cdef
         checks.append(check("einstein_commutation", cdef <= tol["commutator"],
                             commutator_defect=cdef, einstein_defect=einstein,

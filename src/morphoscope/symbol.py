@@ -206,7 +206,11 @@ def symbol_polynomial(scenario: MorphismScenario, m0,
 # ------------------------------------------------------------------- rates
 
 
-def _seeded_directions(count: int, seed: int, include_axes: bool = False) -> np.ndarray:
+def seeded_directions(count: int, seed: int, include_axes: bool = False) -> np.ndarray:
+    """`count` unit directions in R^4 drawn from the seed, one per row.
+
+    With include_axes the eight signed coordinate axes come first.
+    """
     rng = np.random.default_rng(seed)
     dirs = []
     if include_axes:
@@ -241,7 +245,7 @@ def remainder_rates(scenario: MorphismScenario, m0, radii: Sequence[float] | Non
     k = data.order
     box = data.chart.scenario.domain
     radii = tuple(radii) if radii is not None else default_radii(box.size())
-    dirs = _seeded_directions(n_directions, seed)
+    dirs = seeded_directions(n_directions, seed)
     psi = data.remainder
     dpsi = [psi.diff(j) for j in range(4)]
     vals = []
@@ -294,7 +298,7 @@ def dilation_lower_rate(scenario: MorphismScenario, m0,
     box = sc.domain
     radii = tuple(radii) if radii is not None else default_radii(box.size())
     if directions is None:
-        dirs = _seeded_directions(n_directions, seed, include_axes=True)
+        dirs = seeded_directions(n_directions, seed, include_axes=True)
     else:
         dirs = np.array([np.asarray(d, dtype=float) / np.linalg.norm(d)
                          for d in directions])

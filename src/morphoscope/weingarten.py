@@ -18,10 +18,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .calculus import MorphismScenario
-from .geometry import covariant_derivative
-from .hermitian import hermitian_pair
-from .morphism import classify_point, splitting
-from .symbol import _seeded_directions
+from .morphism import PointGeometry, geometry_stencil, point_geometry
+from .symbol import seeded_directions
 
 PRODUCT_FLOOR = 1e-8
 SCAN_STEP_FRACTION = 1e-3
@@ -77,14 +75,39 @@ def product_polar(r1: float, r2: float, theta: float, alpha: float) -> float:
 # -------------------------------------------------------------- coefficients
 
 
-def _adapted_frames(scenario: MorphismScenario, m, angle: float):
-    sp = splitting(scenario, m)
-    ca, sa = math.cos(angle), math.sin(angle)
-    T = ca * sp.vertical[0] + sa * sp.vertical[1]
-    e2 = ca * sp.vertical[1] - sa * sp.vertical[0]   # positive vertical rotation
-    e3 = sp.horizontal[0]
-    e4 = sp.horizontal[1]                            # positive rotation of e3
-    return sp, T, e2, e3, e4
+class _FiberShape:
+    """One evaluation of the fiber shape at a regular point.
+
+    Holds the adapted frame (T, e2, e3, e4) at the point and the geometries
+    on the stencil along T. Every derivative of the evaluation (of T, of the
+    rotated field J+ T and of both structures) reads the same node
+    geometries, and the shape coefficients are computed once.
+    """
+
+    def __init__(self, geometry: PointGeometry, angle: float, step: float | None):
+        sp = geometry.split
+        self.ca, self.sa = math.cos(angle), math.sin(angle)
+        self.T = self.t_field(geometry)
+        e2 = self.ca * sp.vertical[1] - self.sa * sp.vertical[0]  # positive vertical rotation
+        e3, e4 = sp.horizontal                                   # e4: positive rotation of e3
+        self.frame = np.array([self.T, e2, e3, e4])
+        self.g = g = geometry.g
+        self.nodes = geometry_stencil(geometry, self.T, step)
+        dT = self.nodes.derivative(self.t_field)
+        dE2 = self.nodes.derivative(lambda geo: geo.pair.j_plus @ self.t_field(geo))
+        self.coefficients = (-float(dT @ g @ e3), -float(dT @ g @ e4),
+                             -float(dE2 @ g @ e3), -float(dE2 @ g @ e4))
+
+    def t_field(self, geo: PointGeometry) -> np.ndarray:
+        return self.ca * geo.split.vertical[0] + self.sa * geo.split.vertical[1]
+
+    def direct_norms(self) -> Tuple[float, float]:
+        """Full squared frame component sums of the derivatives of J+ and J-."""
+        full = []
+        for orientation in (1, -1):
+            dJ = self.nodes.derivative(lambda geo: geo.pair.structure(orientation))
+            full.append(frame_component_sums(dJ, self.g, self.frame)[0])
+        return full[0], full[1]
 
 
 def weingarten_matrix(scenario: MorphismScenario, m, angle: float = 0.0,
@@ -96,26 +119,7 @@ def weingarten_matrix(scenario: MorphismScenario, m, angle: float = 0.0,
     The vertical fields come from the canonical splitting, so the numbers
     are reproducible; `angle` rotates T inside the vertical plane.
     """
-    m = np.asarray(m, dtype=float)
-    sp, T, e2, e3, e4 = _adapted_frames(scenario, m, angle)
-    g = scenario.metric.matrix(m)
-    ca, sa = math.cos(angle), math.sin(angle)
-
-    def t_field(x):
-        s = splitting(scenario, x)
-        return ca * s.vertical[0] + sa * s.vertical[1]
-
-    def e2_field(x):
-        pair = hermitian_pair(scenario, x)
-        return pair.j_plus @ t_field(x)
-
-    dT = covariant_derivative(scenario.metric, t_field, m, T, step=step)
-    dE2 = covariant_derivative(scenario.metric, e2_field, m, T, step=step)
-    a = -float(dT @ g @ e3)
-    b = -float(dT @ g @ e4)
-    c = -float(dE2 @ g @ e3)
-    d = -float(dE2 @ g @ e4)
-    return a, b, c, d
+    return _FiberShape(point_geometry(scenario, m), angle, step).coefficients
 
 
 def commutator_defect(scenario: MorphismScenario, m, angle: float = 0.0,
@@ -131,12 +135,8 @@ def commutator_defect(scenario: MorphismScenario, m, angle: float = 0.0,
 def structure_derivative(scenario: MorphismScenario, m, orientation: int,
                          direction, step: float | None = None) -> np.ndarray:
     """Covariant derivative of the structure field along a direction."""
-
-    def j_field(x):
-        return hermitian_pair(scenario, x).structure(orientation)
-
-    return covariant_derivative(scenario.metric, j_field, m,
-                                np.asarray(direction, dtype=float), step=step)
+    nodes = geometry_stencil(point_geometry(scenario, m), direction, step)
+    return nodes.derivative(lambda geo: geo.pair.structure(orientation))
 
 
 def frame_component_sums(dJ: np.ndarray, g: np.ndarray,
@@ -169,18 +169,9 @@ def nabla_J_norms(scenario: MorphismScenario, m, angle: float = 0.0,
     squared frame components; it stacks two finite difference layers, so
     agreement is expected at the 1e-3 relative level, not machine precision.
     """
-    m = np.asarray(m, dtype=float)
-    a, b, c, d = weingarten_matrix(scenario, m, angle, step)
-    _, T, e2, e3, e4 = _adapted_frames(scenario, m, angle)
-    g = scenario.metric.matrix(m)
-    frame = np.array([T, e2, e3, e4])
-    direct = []
-    for orientation in (1, -1):
-        dJ = structure_derivative(scenario, m, orientation, T, step=step)
-        full, _ = frame_component_sums(dJ, g, frame)
-        direct.append(full)
-    return NablaJNorms(closed=closed_norm_pair(a, b, c, d),
-                       direct=(direct[0], direct[1]))
+    shape = _FiberShape(point_geometry(scenario, m), angle, step)
+    return NablaJNorms(closed=closed_norm_pair(*shape.coefficients),
+                       direct=shape.direct_norms())
 
 
 # ------------------------------------------------------------------ reports
@@ -210,20 +201,15 @@ class WeingartenReport:
     product_polar: float
 
 
-def weingarten_report(scenario: MorphismScenario, m, angle: float = 0.0,
-                      step: float | None = None,
-                      include_direct: bool = True) -> WeingartenReport:
-    m = np.asarray(m, dtype=float)
-    a, b, c, d = weingarten_matrix(scenario, m, angle, step)
-    _, T, _, _, _ = _adapted_frames(scenario, m, angle)
+def _shape_report(shape: _FiberShape, include_direct: bool) -> WeingartenReport:
+    a, b, c, d = shape.coefficients
     r1, r2, theta, alpha = polar_form(a, b, c, d)
     np_closed, nm_closed = closed_norm_pair(a, b, c, d)
     np_direct = nm_direct = None
     if include_direct:
-        norms = nabla_J_norms(scenario, m, angle, step)
-        np_direct, nm_direct = norms.direct
+        np_direct, nm_direct = shape.direct_norms()
     return WeingartenReport(
-        point=m, vertical_unit=T, a=a, b=b, c=c, d=d,
+        point=shape.nodes.center.point, vertical_unit=shape.T, a=a, b=b, c=c, d=d,
         r1=r1, r2=r2, theta=theta, alpha=alpha,
         commutator=commutator_matrix(a, b, c, d),
         norm_plus_closed=np_closed, norm_minus_closed=nm_closed,
@@ -231,6 +217,13 @@ def weingarten_report(scenario: MorphismScenario, m, angle: float = 0.0,
         product=np_closed * nm_closed,
         product_expanded=product_identity(a, b, c, d),
         product_polar=product_polar(r1, r2, theta, alpha))
+
+
+def weingarten_report(scenario: MorphismScenario, m, angle: float = 0.0,
+                      step: float | None = None,
+                      include_direct: bool = True) -> WeingartenReport:
+    shape = _FiberShape(point_geometry(scenario, m), angle, step)
+    return _shape_report(shape, include_direct)
 
 
 @dataclass
@@ -266,7 +259,7 @@ def product_bound_scan(scenario: MorphismScenario, center,
         r0 = min(0.1, 0.5 * reach)
         radii = tuple(r0 * 0.5 ** i for i in range(7))
     radii = tuple(radii)
-    dirs = _seeded_directions(n_directions, seed)
+    dirs = seeded_directions(n_directions, seed)
     annulus_max = []
     skipped = []
     identity_gap = 0.0
@@ -278,12 +271,12 @@ def product_bound_scan(scenario: MorphismScenario, center,
             if not scenario.domain.contains(y):
                 miss += 1
                 continue
-            if classify_point(scenario, y).status != "regular":
+            geo = point_geometry(scenario, y)
+            if not geo.classification.is_regular:
                 miss += 1
                 continue
-            rep = weingarten_report(scenario, y, angle=angle,
-                                    step=SCAN_STEP_FRACTION * r,
-                                    include_direct=False)
+            rep = _shape_report(_FiberShape(geo, angle, SCAN_STEP_FRACTION * r),
+                                include_direct=False)
             scale = identity_scale(rep.a, rep.b, rep.c, rep.d)
             identity_gap = max(identity_gap,
                                abs(rep.product_expanded - rep.product_polar) / scale)

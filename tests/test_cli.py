@@ -220,3 +220,22 @@ def test_invalid_json_reports_location(tmp_path, capsys):
     path.write_text('{"name": "x",}')
     assert run(tmp_path, "validate", "--config", str(path)) == 2
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_differential_exits_two(tmp_path, capsys):
+    # z1^3 z2^3 on a box of size 1e200: the differential overflows at every
+    # sample point, which must be a rejected input, not a traceback
+    config = {
+        "name": "huge",
+        "metric": {"kind": "flat",
+                   "box": {"lo": [-1e200] * 4, "hi": [1e200] * 4}},
+        "map": {"kind": "holomorphic",
+                "coefficients": [{"i": 3, "j": 3, "re": 1.0, "im": 0.0}]},
+        "analysis": {},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    assert run(tmp_path, "validate", "--config", str(path)) == 2
+    assert "GeometryError" in capsys.readouterr().err
+    assert not (tmp_path / "huge_validate.json").exists()

@@ -12,16 +12,19 @@ Frozen expected values are spelled out at their tests.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphoscope.calculus import holomorphic_scenario, pullback_scenario, real_scenario
-from morphoscope.errors import ClassificationError
+from morphoscope.errors import ClassificationError, GeometryError
 from morphoscope.geometry import Box, FlatMetric
+from morphoscope import morphism
 from morphoscope.morphism import (
     EPS_CRITICAL, classify_point, dilation_sup, fiber_mean_curvature, hwc_residual,
-    splitting, tension_field, tension_norm, validate_morphism,
+    point_geometry, splitting, tension_field, tension_norm, validate_morphism,
 )
 from morphoscope.polynomials import Poly
 
@@ -56,6 +59,25 @@ def pullback_diffeo():
 def scenario_pullback_product():
     return pullback_scenario(scenario_product(), pullback_diffeo(), Box.cube(0.8),
                              "prodmap_pulled", critical_hints=(np.zeros(4),))
+
+
+def count_geometry_builds(monkeypatch) -> list:
+    """Count point_geometry builds through every module that binds it.
+
+    Returns a list that grows by one entry, the point, per build.
+    """
+    builds = []
+    original = morphism.point_geometry
+
+    def counted(scenario, m):
+        builds.append(np.array(m, dtype=float))
+        return original(scenario, m)
+
+    for name, module in list(sys.modules.items()):
+        if name == "morphoscope" or name.startswith("morphoscope."):
+            if getattr(module, "point_geometry", None) is original:
+                monkeypatch.setattr(module, "point_geometry", counted)
+    return builds
 
 
 def sampled_dilation(scenario, m, n=4000, seed=0):
@@ -270,3 +292,33 @@ def test_hwc_defect_nonnegative_and_gauge_consistent(m):
     assert data.defect >= 0.0
     assert data.squared_dilation >= 0.0
     assert dilation_sup(sc, m) <= np.sqrt(2.0 * data.squared_dilation) + 1e-12
+
+
+def test_validation_builds_one_geometry_per_point(monkeypatch):
+    rng = np.random.default_rng(5)
+    pts = [rng.uniform(-0.7, 0.7, size=4) for _ in range(12)]
+    builds = count_geometry_builds(monkeypatch)
+    report = validate_morphism(scenario_pullback_product(), pts)
+    assert len(builds) == len(pts)
+    assert len(report.records) == len(pts)
+
+
+def test_point_functions_read_one_geometry():
+    sc = scenario_pullback_product()
+    m = np.array([0.3, 0.1, 0.25, -0.2])
+    geo = point_geometry(sc, m)
+    cls = classify_point(sc, m)
+    assert (cls.status, cls.dilation_sup) == (geo.classification.status,
+                                              geo.classification.dilation_sup)
+    assert hwc_residual(sc, m).defect == geo.hwc.defect
+    assert tension_norm(sc, m) == geo.tension_norm
+    assert np.array_equal(splitting(sc, m).vertical, geo.split.vertical)
+    assert geo.split is geo.split  # derived once per geometry
+
+
+def test_geometry_rejects_a_non_finite_differential():
+    x = Poly.variable(0)
+    big = real_scenario("big", x * x * x * x, Poly.variable(1),
+                        FlatMetric(Box.cube(1e200)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GeometryError):
+        point_geometry(big, np.array([1e150, 0.0, 0.0, 0.0]))

@@ -23,8 +23,8 @@ from morphoscope.weingarten import (closed_norm_pair, commutator_defect,
                                     product_polar, structure_derivative,
                                     weingarten_matrix, weingarten_report)
 
-from test_morphism import (scenario_product, scenario_proj,
-                           scenario_pullback_product)
+from test_morphism import (count_geometry_builds, scenario_product,
+                           scenario_proj, scenario_pullback_product)
 
 COEFF = st.floats(min_value=-10.0, max_value=10.0,
                   allow_nan=False, allow_infinity=False)
@@ -255,3 +255,51 @@ def test_product_scan_pullback():
     scan = product_bound_scan(scenario_pullback_product(), np.zeros(4))
     assert scan.verdict == "PASS"
     assert scan.identity_gap <= 1e-10
+
+
+# ------------------------------------------------------------ call budget
+
+
+def test_report_builds_each_stencil_geometry_once(monkeypatch):
+    sc = scenario_pullback_product()
+    m = np.array([0.3, 0.1, 0.25, -0.2])
+    builds = count_geometry_builds(monkeypatch)
+    weingarten_report(sc, m, angle=0.3, include_direct=True)
+    # the point and the four nodes m +- t T, m +- t/2 T
+    assert len(builds) <= 5
+    assert len({b.tobytes() for b in builds}) == len(builds)
+
+
+def test_scan_builds_at_most_five_geometries_per_sample(monkeypatch):
+    builds = count_geometry_builds(monkeypatch)
+    scan = product_bound_scan(scenario_pullback_product(), np.zeros(4),
+                              n_directions=4, seed=2)
+    samples = len(scan.radii) * 4
+    assert 0 < len(builds) <= 5 * samples
+
+
+def test_report_matches_the_standalone_functions_bitwise():
+    sc = scenario_pullback_product()
+    m = np.array([0.3, 0.1, 0.25, -0.2])
+    rep = weingarten_report(sc, m, angle=0.4, step=2e-5)
+    assert np.array_equal(rep.commutator,
+                          commutator_defect(sc, m, angle=0.4, step=2e-5))
+    norms = nabla_J_norms(sc, m, angle=0.4, step=2e-5)
+    assert norms.closed == (rep.norm_plus_closed, rep.norm_minus_closed)
+    assert norms.direct == (rep.norm_plus_direct, rep.norm_minus_direct)
+    assert (rep.a, rep.b, rep.c, rep.d) == weingarten_matrix(sc, m, angle=0.4,
+                                                             step=2e-5)
+
+
+def test_no_state_leaks_between_scenarios_at_one_point():
+    m = np.array([0.3, 0.1, 0.25, -0.2])
+    flat, pulled = scenario_product(), scenario_pullback_product()
+    first = weingarten_report(flat, m)
+    second = weingarten_report(pulled, m)
+    again = weingarten_report(flat, m)
+    assert (first.a, first.b, first.c, first.d) != (second.a, second.b,
+                                                     second.c, second.d)
+    assert (second.a, second.b, second.c, second.d) == weingarten_matrix(pulled, m)
+    assert (again.a, again.b, again.c, again.d) == (first.a, first.b,
+                                                    first.c, first.d)
+    assert again.norm_minus_direct == first.norm_minus_direct
