@@ -98,7 +98,3 @@ def minimize_affine_on_sphere(rho0: np.ndarray, R: np.ndarray) -> tuple[np.ndarr
     u = u / n
     return u, float(np.linalg.norm(rho0 + R @ u))
 
-
-def gauge_frobenius(A: np.ndarray, g_sqrt: np.ndarray, g_inv_sqrt: np.ndarray) -> float:
-    """Frobenius norm of a (1,1) tensor in g-orthonormal gauge."""
-    return float(np.linalg.norm(g_sqrt @ A @ g_inv_sqrt, ord="fro"))

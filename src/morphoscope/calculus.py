@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import check_spd, spd_sqrt_pair, surface_complex_structure
 from .errors import DomainError, UnsupportedOrderError
-from .geometry import Box, ChartMetric, christoffel, pullback_metric
+from .geometry import Box, ChartMetric, connection, pullback_metric
 from .polynomials import Exponents, Poly, from_complex_pair
 
 MAX_JET_ORDER = 6
@@ -36,12 +36,6 @@ class TargetSurface:
         self.orientation = int(orientation)
         self.sqrt, self.inv_sqrt = spd_sqrt_pair(h)
         self._j = surface_complex_structure(h, orientation)
-
-    def metric(self, u: Sequence[float] | None = None) -> np.ndarray:
-        return self.matrix
-
-    def christoffel(self, u: Sequence[float] | None = None) -> np.ndarray:
-        return np.zeros((2, 2, 2))
 
     def complex_structure(self, u: Sequence[float] | None = None) -> np.ndarray:
         return self._j
@@ -94,10 +88,6 @@ class MorphismScenario:
 
     def value(self, m: Sequence[float]) -> complex:
         return self.component.eval(m)
-
-    def target_point(self, m: Sequence[float]) -> np.ndarray:
-        v = self.value(m)
-        return np.array([v.real, v.imag])
 
     def jacobian(self, m: Sequence[float]) -> np.ndarray:
         out = np.zeros((2, 4))
@@ -204,7 +194,7 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
     m0 = np.asarray(m0, dtype=float)
     scenario.metric.require_inside(m0)
     g0 = scenario.metric.matrix_checked(m0)
-    gamma0 = christoffel(scenario.metric, m0)
+    gamma0 = connection(g0, scenario.metric.first_derivatives(m0))
     ident = (np.allclose(m0, 0.0, atol=1e-300)
              and np.max(np.abs(g0 - np.eye(4))) < 1e-15
              and np.max(np.abs(gamma0)) < 1e-15)

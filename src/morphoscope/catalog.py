@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ScenarioConfig
 from .errors import ConfigError
 from .geometry import Box
 from .twistor import SurfacePatch
@@ -89,14 +88,6 @@ def catalog_configs() -> dict:
                                    [_mono((0, 0, 0, 1), 1.0)]]},
         },
     }
-
-
-def catalog_entry(name: str) -> ScenarioConfig:
-    configs = catalog_configs()
-    if name not in configs:
-        known = ", ".join(sorted(configs))
-        raise ConfigError(f"unknown catalog scenario {name!r}; known: {known}")
-    return ScenarioConfig.from_dict(configs[name])
 
 
 # ------------------------------------------------------------------ patches

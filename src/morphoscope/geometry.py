@@ -62,7 +62,6 @@ class ChartMetric:
     """Base class: a metric tensor field over a coordinate box."""
 
     kind = "base"
-    exact_derivatives = False
 
     def __init__(self, domain: Box):
         self.domain = domain
@@ -86,14 +85,9 @@ class ChartMetric:
     def first_derivatives(self, m: Sequence[float]) -> np.ndarray:
         m = np.asarray(m, dtype=float)
         h = _METRIC_FD_STEP * max(1.0, float(np.max(np.abs(m))))
-        out = np.zeros((4, 4, 4))
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = 1.0
-            d1 = (self.matrix(m + h * e) - self.matrix(m - h * e)) / (2 * h)
-            d2 = (self.matrix(m + 0.5 * h * e) - self.matrix(m - 0.5 * h * e)) / h
-            out[k] = (4.0 * d2 - d1) / 3.0
-        return out
+        return np.array([
+            central_difference([self.matrix(x) for x in central_nodes(m, e, h)], h)
+            for e in np.eye(4)])
 
     def second_derivatives(self, m: Sequence[float]) -> np.ndarray:
         m = np.asarray(m, dtype=float)
@@ -119,7 +113,6 @@ class FlatMetric(ChartMetric):
     """Identity metric on the box."""
 
     kind = "flat"
-    exact_derivatives = True
 
     def matrix(self, m):
         return np.eye(4)
@@ -135,7 +128,6 @@ class PolynomialMetric(ChartMetric):
     """Metric whose entries are exact polynomials in the chart coordinates."""
 
     kind = "polynomial"
-    exact_derivatives = True
 
     def __init__(self, entries: Sequence[Sequence[Poly]], domain: Box):
         super().__init__(domain)
@@ -185,7 +177,6 @@ class ProductSphereMetric(ChartMetric):
     """
 
     kind = "product_sphere"
-    exact_derivatives = True
 
     def __init__(self, radius: float, domain: Box):
         super().__init__(domain)
@@ -212,7 +203,6 @@ class CallableMetric(ChartMetric):
     """Metric given by an arbitrary callable; derivatives by differencing."""
 
     kind = "callable"
-    exact_derivatives = False
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], domain: Box):
         super().__init__(domain)
@@ -322,6 +312,16 @@ def curvature_data(metric: ChartMetric, m: Sequence[float]) -> CurvatureData:
     return CurvatureData(point=m, metric_matrix=g, gamma=gamma, lowered=lowered)
 
 
+def einstein_defect(metric: ChartMetric, m: Sequence[float]) -> float:
+    """Pointwise deviation of the Ricci tensor from a multiple of the metric."""
+    cd = curvature_data(metric, m)
+    g = cd.metric_matrix
+    ginv = np.linalg.inv(g)
+    ric = np.einsum("ip,ijkp->jk", ginv, cd.lowered)
+    scalar = float(np.einsum("jk,jk->", ginv, ric))
+    return float(np.max(np.abs(ric - 0.25 * scalar * g)))
+
+
 def riemann_pairing(metric: ChartMetric, m, X, Y, Z, W) -> float:
     """<R(X, Y)Z, W> at m."""
     return curvature_data(metric, m).pairing(np.asarray(X, dtype=float),
@@ -399,6 +399,8 @@ def orientation_sign(metric: ChartMetric, m, frame: Frame | np.ndarray,
     if vectors.shape != (4, 4):
         raise DegenerateFrameError("orientation needs exactly four vectors")
     det = float(np.linalg.det(vectors.T))
+    if not np.isfinite(det):
+        raise DegenerateFrameError("frame determinant is not finite")
     if abs(det) < ORIENTATION_DET_TOL:
         raise DegenerateFrameError("frame determinant is numerically zero")
     return int(np.sign(det)) * int(reference)
@@ -419,11 +421,25 @@ def oriented_frame(metric: ChartMetric, m, orientation: int = 1) -> Frame:
 # ------------------------------------------------- covariant differentiation
 
 
+def central_nodes(x: np.ndarray, X: np.ndarray, t: float) -> tuple:
+    """Nodes x + s X of the central stencil, for s = t, -t, t/2, -t/2 in that order."""
+    return tuple(x + s * X for s in (t, -t, 0.5 * t, -0.5 * t))
+
+
+def central_difference(values: Sequence[np.ndarray], t: float) -> np.ndarray:
+    """Richardson-extrapolated central difference from the values at the
+    central_nodes with step t: the derivative along X, error O(t^4)."""
+    f_p, f_m, f_hp, f_hm = (np.asarray(v, dtype=float) for v in values)
+    d_full = (f_p - f_m) / (2.0 * t)
+    d_half = (f_hp - f_hm) / t
+    return (4.0 * d_half - d_full) / 3.0
+
+
 @dataclass
 class Stencil:
-    """Richardson-extrapolated central stencil along a straight coordinate line.
+    """Central stencil for a covariant derivative along a straight coordinate line.
 
-    Nodes are m + s X for s = t, -t, t/2, -t/2, in that order; every node is
+    The nodes are the central_nodes of m along the direction; every node is
     checked to lie inside the chart domain when the stencil is built.
     """
 
@@ -439,13 +455,8 @@ class Stencil:
         gamma holds the Christoffel symbols at m; the field must be a vector
         or a (1,1)-tensor.
         """
-        f_p, f_m, f_hp, f_hm = (np.asarray(v, dtype=float) for v in values)
-        t = self.t
+        partial = central_difference(values, self.t)
         X = self.direction
-        d_full = (f_p - f_m) / (2.0 * t)
-        d_half = (f_hp - f_hm) / t
-        partial = (4.0 * d_half - d_full) / 3.0
-
         val = np.asarray(value, dtype=float)
         if val.ndim == 1:
             return partial + np.einsum("kij,i,j->k", gamma, X, val)
@@ -465,7 +476,7 @@ def stencil(metric: ChartMetric, m, direction, step: float | None = None) -> Ste
     if xn == 0:
         raise ValueError("direction must be nonzero")
     t = h / max(1.0, xn)
-    nodes = tuple(m + s * X for s in (t, -t, 0.5 * t, -0.5 * t))
+    nodes = central_nodes(m, X, t)
     for x in nodes:
         metric.require_inside(x)
     return Stencil(point=m, direction=X, t=t, nodes=nodes)

@@ -20,9 +20,9 @@ from .calculus import MorphismScenario, NormalChart
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
 from .geometry import oriented_frame
 from .morphism import HermitianPair, PointGeometry, point_geometry
-from .ratefit import RateFit, default_radii, fit_rate
+from .ratefit import RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
-from .symbol import SymbolCandidate, seeded_directions, symbol_polynomial
+from .symbol import SymbolCandidate, symbol_polynomial
 
 MAX_DIRECTION_SUBSTITUTIONS = 25
 
@@ -111,40 +111,47 @@ def reference_field(scenario: MorphismScenario, m0, orientation: int = 1) -> Ref
 # ------------------------------------------------------------------ rates
 
 
-def _direction_values(sc: MorphismScenario, dirs: np.ndarray, radii, evaluate, seed: int):
-    """max of `evaluate` over directions per radius, with critical substitution.
+def _deviation(geo: PointGeometry, orientation: int, J0: np.ndarray) -> float:
+    return float(np.linalg.norm(geo.pair.structure(orientation) - J0, ord="fro"))
 
-    `evaluate` reads the point geometry of each sample. A direction whose ray
+
+def _ray_until_critical(sc: MorphismScenario, points) -> list:
+    """Geometries along a ray, up to and including its first critical sample."""
+    ray = []
+    for y in points:
+        ray.append(point_geometry(sc, y))
+        if not ray[-1].classification.is_regular:
+            break
+    return ray
+
+
+def _regular_rays(sc: MorphismScenario, dirs: np.ndarray, radii, shells, seed: int):
+    """Geometries along one regular ray per direction, with critical substitution.
+
+    shells[j][i] is the geometry at radii[j] * dirs[i]. A direction whose ray
     meets a critical sample at any radius is replaced by a deterministic
     jittered direction; substitutions are reported as (direction index,
     attempts used).
     """
     rng = np.random.default_rng(seed + 7919)
+    rays = []
     substitutions = []
-    table = np.zeros((len(dirs), len(radii)))
     for i in range(len(dirs)):
-        d = dirs[i]
-        for attempt in range(MAX_DIRECTION_SUBSTITUTIONS + 1):
-            ok = True
-            row = np.zeros(len(radii))
-            for j, r in enumerate(radii):
-                geo = point_geometry(sc, r * d)
-                if not geo.classification.is_regular:
-                    ok = False
-                    break
-                row[j] = evaluate(geo)
-            if ok:
-                if attempt > 0:
-                    substitutions.append((i, attempt))
-                table[i] = row
-                break
-            d = dirs[i] + 0.05 * (attempt + 1) * rng.standard_normal(4)
+        ray = [shell[i] for shell in shells]
+        attempt = 0
+        while not all(geo.classification.is_regular for geo in ray):
+            if attempt == MAX_DIRECTION_SUBSTITUTIONS:
+                raise ClassificationError(
+                    "could not steer a sample ray off the critical set after "
+                    f"{MAX_DIRECTION_SUBSTITUTIONS} substitutions")
+            attempt += 1
+            d = dirs[i] + 0.05 * attempt * rng.standard_normal(4)
             d = d / np.linalg.norm(d)
-        else:
-            raise ClassificationError(
-                "could not steer a sample ray off the critical set after "
-                f"{MAX_DIRECTION_SUBSTITUTIONS} substitutions")
-    return np.max(table, axis=0), tuple(substitutions)
+            ray = _ray_until_critical(sc, shell_samples(d[None], radii)[1][:, 0])
+        if attempt > 0:
+            substitutions.append((i, attempt))
+        rays.append(ray)
+    return rays, tuple(substitutions)
 
 
 @dataclass
@@ -171,28 +178,25 @@ def structure_deviation_rate(scenario: MorphismScenario, m0, orientation: int = 
     """
     ref = reference_field(scenario, m0, orientation)
     sc = ref.chart.scenario
-    radii = tuple(radii) if radii is not None else default_radii(sc.domain.size())
     dirs = seeded_directions(n_directions, seed)
+    radii, points = shell_samples(dirs, radii, sc.domain.size())
     J0 = ref.matrix
+    shells = [[point_geometry(sc, y) for y in shell] for shell in points]
+    rays, subs = _regular_rays(sc, dirs, radii, shells, seed)
+    dev_vals = np.max([[_deviation(geo, orientation, J0) for geo in ray] for ray in rays],
+                      axis=0)
 
-    def deviation(geo: PointGeometry) -> float:
-        J = geo.pair.structure(orientation)
-        return float(np.linalg.norm(J - J0, ord="fro"))
-
-    dev_vals, subs = _direction_values(sc, dirs, radii, deviation, seed)
-
+    # the metric defects of J0 are read at the unsubstituted samples
     xs = list(np.eye(4)) + list(seeded_directions(4, seed + 2000))
 
-    def orth_defect(y):
-        g = sc.metric.matrix(y)
+    def orth_defect(g):
         return max(abs(float((J0 @ x) @ g @ (J0 @ x) - x @ g @ x)) for x in xs)
 
-    def skew_defect(y):
-        g = sc.metric.matrix(y)
+    def skew_defect(g):
         return max(abs(float((J0 @ x) @ g @ x)) for x in xs)
 
-    orth_vals = np.array([max(orth_defect(r * d) for d in dirs) for r in radii])
-    skew_vals = np.array([max(skew_defect(r * d) for d in dirs) for r in radii])
+    orth_vals = np.array([max(orth_defect(geo.g) for geo in shell) for shell in shells])
+    skew_vals = np.array([max(skew_defect(geo.g) for geo in shell) for shell in shells])
 
     deviation_fit = fit_rate(radii, dev_vals)
     orth_fit = fit_rate(radii, orth_vals)
@@ -228,21 +232,18 @@ def isolated_extension(scenario: MorphismScenario, m0, orientation: int = 1,
     """
     ref = reference_field(scenario, m0, orientation)
     sc = ref.chart.scenario
-    radii = tuple(radii) if radii is not None else default_radii(sc.domain.size())
-    dirs = seeded_directions(n_directions, seed, include_axes=True)
-    J0 = ref.matrix
+    radii, points = shell_samples(seeded_directions(n_directions, seed, include_axes=True),
+                                  radii, sc.domain.size())
     sups = []
-    for r in radii:
+    for r, shell in zip(radii, points):
         worst = 0.0
-        for d in dirs:
-            y = r * d
+        for y in shell:
             geo = point_geometry(sc, y)
             if not geo.classification.is_regular:
                 raise NonIsolatedCriticalError(
                     f"critical sample on the shell of radius {r:.3e}",
                     point=ref.chart.to_original(y))
-            J = geo.pair.structure(orientation)
-            worst = max(worst, float(np.linalg.norm(J - J0, ord="fro")))
+            worst = max(worst, _deviation(geo, orientation, ref.matrix))
         sups.append(worst)
     fit = fit_rate(radii, sups)
     monotone = all(sups[i + 1] <= sups[i] * 1.05 for i in range(len(sups) - 1))

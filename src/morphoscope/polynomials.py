@@ -9,8 +9,7 @@ the real part where realness is guaranteed by construction.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 Exponents = Tuple[int, int, int, int]
 
@@ -50,11 +49,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
 
     def __add__(self, other: "Poly | complex") -> "Poly":
         if not isinstance(other, Poly):
@@ -102,16 +96,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.coeffs = {e: c.conjugate() for e, c in self.coeffs.items()}
-        return p
-
     def real_poly(self) -> "Poly":
         return Poly({e: complex(c.real) for e, c in self.coeffs.items()})
-
-    def imag_poly(self) -> "Poly":
-        return Poly({e: complex(c.imag) for e, c in self.coeffs.items()})
 
     # ------------------------------------------------------------- calculus
 
@@ -233,16 +219,3 @@ def from_complex_pair(coeffs_w: Mapping[Tuple[int, int], complex]) -> Poly:
         total = total + pow1[a] * pow2[b] * c
     return total
 
-
-def taylor_coefficients(poly: Poly, order: int) -> Dict[Exponents, complex]:
-    """Coefficients of the Taylor expansion at 0 up to total degree `order`.
-
-    For a polynomial these are just its monomial coefficients; returned as a
-    plain dict restricted to total degree <= order.
-    """
-    return {e: c for e, c in poly.coeffs.items() if sum(e) <= order}
-
-
-def multi_factorial(e: Exponents) -> float:
-    return float(math.factorial(e[0]) * math.factorial(e[1])
-                 * math.factorial(e[2]) * math.factorial(e[3]))

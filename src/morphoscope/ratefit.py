@@ -1,4 +1,5 @@
-"""Log-log rate fitting over shrinking radii, with an identically-zero branch."""
+"""Shell sampling around a center and log-log rate fitting over shrinking
+radii, with an identically-zero branch."""
 
 from __future__ import annotations
 
@@ -72,3 +73,41 @@ def default_radii(box_size: float, count: int = 8, fraction: float = 0.1) -> tup
     """Geometric ladder r0 * 2^-i with r0 a fraction of the domain size."""
     r0 = fraction * box_size
     return tuple(r0 * 2.0 ** (-i) for i in range(count))
+
+
+def seeded_directions(count: int, seed: int, include_axes: bool = False) -> np.ndarray:
+    """`count` unit directions in R^4 drawn from the seed, one per row.
+
+    With include_axes the eight signed coordinate axes come first.
+    """
+    rng = np.random.default_rng(seed)
+    dirs = []
+    if include_axes:
+        for k in range(4):
+            for s in (1.0, -1.0):
+                e = np.zeros(4)
+                e[k] = s
+                dirs.append(e)
+    while len(dirs) < count + (8 if include_axes else 0):
+        v = rng.standard_normal(4)
+        n = np.linalg.norm(v)
+        if n > 1e-8:
+            dirs.append(v / n)
+    return np.array(dirs)
+
+
+def shell_samples(directions: np.ndarray, radii: Sequence[float] | None = None,
+                  box_size: float | None = None,
+                  center: np.ndarray | None = None) -> tuple[tuple, np.ndarray]:
+    """Sample points on shells of shrinking radius, radius-major.
+
+    Returns (radii, points) with points[i, j] = radii[i] * directions[j], or
+    center + radii[i] * directions[j] when a center is given. Radii default
+    to default_radii(box_size).
+    """
+    radii = tuple(radii) if radii is not None else default_radii(box_size)
+    points = (np.asarray(radii, dtype=float)[:, None, None]
+              * np.asarray(directions, dtype=float).reshape(1, -1, 4))
+    if center is not None:
+        points = center + points
+    return radii, points

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import GeometryError
 from .twistor import VERTICAL_ROTATION_SIGN
 
 VERSION = "0.1.0"
@@ -40,7 +41,7 @@ def sanitize(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         if not np.isfinite(v):
-            raise ValueError("report values must be finite")
+            raise GeometryError("report values must be finite")
         return v
     if isinstance(obj, (np.integer, int)):
         return int(obj)

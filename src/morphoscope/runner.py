@@ -12,9 +12,9 @@ import numpy as np
 
 from .calculus import MorphismScenario
 from .catalog import catalog_configs, catalog_patch, patch_grid
-from .config import ScenarioConfig, build_scenario
+from .config import ScenarioConfig
 from .errors import ConfigError
-from .geometry import curvature_data
+from .geometry import einstein_defect
 from .hermitian import pseudo_holomorphy_residual, structure_deviation_rate
 from .morphism import point_geometry, validate_morphism
 from .parallel import ordered_map
@@ -50,16 +50,6 @@ def _critical_centers(config: ScenarioConfig, command: str) -> list:
         raise ConfigError(
             f"config.critical_points: {command} needs at least one center")
     return [np.asarray(p, dtype=float) for p in config.critical_points]
-
-
-def _einstein_defect(scenario: MorphismScenario, m) -> float:
-    """Pointwise deviation of the Ricci tensor from a multiple of the metric."""
-    cd = curvature_data(scenario.metric, m)
-    g = cd.metric_matrix
-    ginv = np.linalg.inv(g)
-    ric = np.einsum("ip,ijkp->jk", ginv, cd.lowered)
-    scalar = float(np.einsum("jk,jk->", ginv, ric))
-    return float(np.max(np.abs(ric - 0.25 * scalar * g)))
 
 
 # ----------------------------------------------------------------- commands
@@ -243,7 +233,7 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
               rel_plus=rel_plus, rel_minus=rel_minus,
               tolerance=tol["direct_rel"]),
     ]
-    einstein = _einstein_defect(scenario, m)
+    einstein = einstein_defect(scenario.metric, m)
     record["einstein_defect"] = einstein
     if einstein <= EINSTEIN_GATE:
         # the commutation identity for the shape product only holds on

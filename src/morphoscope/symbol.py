@@ -23,7 +23,7 @@ from .calculus import MAX_JET_ORDER, MorphismScenario, NormalChart, normalized_s
 from .errors import SymbolError, UnsupportedOrderError
 from .morphism import EPS_CRITICAL, dilation_sup
 from .polynomials import Poly
-from .ratefit import RateFit, default_radii, fit_rate
+from .ratefit import RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
 
 COEFF_CHOP_REL = 1e-12
@@ -206,27 +206,6 @@ def symbol_polynomial(scenario: MorphismScenario, m0,
 # ------------------------------------------------------------------- rates
 
 
-def seeded_directions(count: int, seed: int, include_axes: bool = False) -> np.ndarray:
-    """`count` unit directions in R^4 drawn from the seed, one per row.
-
-    With include_axes the eight signed coordinate axes come first.
-    """
-    rng = np.random.default_rng(seed)
-    dirs = []
-    if include_axes:
-        for k in range(4):
-            for s in (1.0, -1.0):
-                e = np.zeros(4)
-                e[k] = s
-                dirs.append(e)
-    while len(dirs) < count + (8 if include_axes else 0):
-        v = rng.standard_normal(4)
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            dirs.append(v / n)
-    return np.array(dirs)
-
-
 @dataclass
 class RemainderRates:
     """Decay fits for the symbol remainder and its differential."""
@@ -243,18 +222,16 @@ def remainder_rates(scenario: MorphismScenario, m0, radii: Sequence[float] | Non
     """Measure |Psi| and ||dPsi|| decay against the expected symbol order."""
     data = symbol_polynomial(scenario, m0)
     k = data.order
-    box = data.chart.scenario.domain
-    radii = tuple(radii) if radii is not None else default_radii(box.size())
-    dirs = seeded_directions(n_directions, seed)
+    radii, points = shell_samples(seeded_directions(n_directions, seed), radii,
+                                  data.chart.scenario.domain.size())
     psi = data.remainder
     dpsi = [psi.diff(j) for j in range(4)]
     vals = []
     dvals = []
-    for r in radii:
+    for shell in points:
         best_v = 0.0
         best_d = 0.0
-        for d in dirs:
-            y = r * d
+        for y in shell:
             best_v = max(best_v, abs(psi.eval(y)))
             row = [dpsi[j].eval(y) for j in range(4)]
             jac = np.array([[c.real for c in row], [c.imag for c in row]])
@@ -295,17 +272,15 @@ def dilation_lower_rate(scenario: MorphismScenario, m0,
     data_chart = normalized_scenario(scenario, m0)
     sc = data_chart.scenario
     k = order_at(scenario, m0)
-    box = sc.domain
-    radii = tuple(radii) if radii is not None else default_radii(box.size())
     if directions is None:
         dirs = seeded_directions(n_directions, seed, include_axes=True)
     else:
         dirs = np.array([np.asarray(d, dtype=float) / np.linalg.norm(d)
                          for d in directions])
-    table = np.zeros((len(dirs), len(radii)))
-    for i, d in enumerate(dirs):
-        for j, r in enumerate(radii):
-            table[i, j] = dilation_sup(sc, r * d)
+    radii, points = shell_samples(dirs, radii, sc.domain.size())
+    # rows are directions: a ray is excluded as a whole
+    table = np.array([[dilation_sup(sc, y) for y in ray]
+                      for ray in points.swapaxes(0, 1)])
     excluded = [i for i in range(len(dirs)) if np.all(table[i] < EPS_CRITICAL)]
     keep = [i for i in range(len(dirs)) if i not in excluded]
     if not keep:

@@ -16,15 +16,16 @@ on the unit 2-sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._linalg import spd_sqrt_pair, surface_complex_structure
 from .calculus import MorphismScenario
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .geometry import (Box, ChartMetric, christoffel, curvature_data,
-                       orientation_sign, oriented_frame, orthonormalize)
+from .geometry import (Box, ChartMetric, central_difference, central_nodes,
+                       christoffel, curvature_data, orientation_sign, oriented_frame,
+                       orthonormalize)
 from .structures import K_MINUS, K_PLUS, fiber_from_structure
 
 VERTICAL_ROTATION_SIGN = -1
@@ -52,15 +53,10 @@ class SurfacePatch:
         p = np.asarray(p, dtype=float)
         if self.jacobian is not None:
             return np.asarray(self.jacobian(p[0], p[1]), dtype=float)
-        cols = []
         h = PATCH_FD_STEP
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = 1.0
-            full = (self.point(p + h * e) - self.point(p - h * e)) / (2 * h)
-            half = (self.point(p + 0.5 * h * e) - self.point(p - 0.5 * h * e)) / h
-            cols.append((4.0 * half - full) / 3.0)
-        return np.column_stack(cols)
+        return np.column_stack([
+            central_difference([self.point(q) for q in central_nodes(p, e, h)], h)
+            for e in np.eye(2)])
 
     def induced_metric(self, metric: ChartMetric, p) -> np.ndarray:
         d = self.dpsi(p)
@@ -175,10 +171,7 @@ def _vertical_derivative(scenario: MorphismScenario, patch: SurfacePatch, p,
     def lifted(q):
         return surface_lift(scenario, patch, q, orientation).matrix
 
-    def central(t):
-        return (lifted(p + t * X) - lifted(p - t * X)) / (2 * t)
-
-    raw = (4.0 * central(0.5 * h) - central(h)) / 3.0
+    raw = central_difference([lifted(q) for q in central_nodes(p, X, h)], h)
     m = patch.point(p)
     v = patch.dpsi(p) @ X
     gamma = christoffel(scenario.metric, m)

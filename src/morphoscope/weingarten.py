@@ -19,7 +19,7 @@ import numpy as np
 
 from .calculus import MorphismScenario
 from .morphism import PointGeometry, geometry_stencil, point_geometry
-from .symbol import seeded_directions
+from .ratefit import seeded_directions, shell_samples
 
 PRODUCT_FLOOR = 1e-8
 SCAN_STEP_FRACTION = 1e-3
@@ -258,16 +258,15 @@ def product_bound_scan(scenario: MorphismScenario, center,
         reach = scenario.domain.boundary_distance(center)
         r0 = min(0.1, 0.5 * reach)
         radii = tuple(r0 * 0.5 ** i for i in range(7))
-    radii = tuple(radii)
-    dirs = seeded_directions(n_directions, seed)
+    radii, points = shell_samples(seeded_directions(n_directions, seed), radii,
+                                  center=center)
     annulus_max = []
     skipped = []
     identity_gap = 0.0
-    for r in radii:
+    for r, shell in zip(radii, points):
         worst = 0.0
         miss = 0
-        for d in dirs:
-            y = center + r * d
+        for y in shell:
             if not scenario.domain.contains(y):
                 miss += 1
                 continue

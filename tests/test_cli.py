@@ -1,9 +1,12 @@
 """End-to-end command line tests over the built-in catalog."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphoscope.catalog import catalog_configs
 from morphoscope.cli import main
@@ -222,20 +225,67 @@ def test_invalid_json_reports_location(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_overflowing_differential_exits_two(tmp_path, capsys):
-    # z1^3 z2^3 on a box of size 1e200: the differential overflows at every
-    # sample point, which must be a rejected input, not a traceback
-    config = {
+def flat_monomial_config(half_width, i, j, **analysis):
+    return {
         "name": "huge",
         "metric": {"kind": "flat",
-                   "box": {"lo": [-1e200] * 4, "hi": [1e200] * 4}},
+                   "box": {"lo": [-half_width] * 4, "hi": [half_width] * 4}},
         "map": {"kind": "holomorphic",
-                "coefficients": [{"i": 3, "j": 3, "re": 1.0, "im": 0.0}]},
-        "analysis": {},
+                "coefficients": [{"i": i, "j": j, "re": 1.0, "im": 0.0}]},
+        "analysis": analysis,
     }
+
+
+def command_argv(command, path, half_width, fractions=(0.3, -0.2, 0.1, 0.4)):
+    if command == "validate":
+        return ["validate", "--config", str(path)]
+    point = ",".join(repr(f * half_width) for f in fractions)
+    return [command, "--config", str(path), f"--point={point}"]
+
+
+OVERFLOW_CASES = [
+    # the differential itself overflows at every sample point
+    (1e200, "validate", "GeometryError", "huge_validate"),
+    # the differential is finite but the defect or the tension overflows
+    (1e20, "validate", "GeometryError", "huge_validate"),
+    (1e20, "analyze", "GeometryError", "huge_analyze"),
+    (1e50, "validate", "GeometryError", "huge_validate"),
+    (1e60, "validate", "GeometryError", "huge_validate"),
+    # the splitting frame has a non-finite determinant
+    (1e50, "analyze", "DegenerateFrameError", "huge_analyze"),
+    (1e50, "weingarten", "DegenerateFrameError", "huge_weingarten_point"),
+    (1e60, "analyze", "DegenerateFrameError", "huge_analyze"),
+    (1e60, "weingarten", "DegenerateFrameError", "huge_weingarten_point"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("half_width,command,error,stem", OVERFLOW_CASES,
+                         ids=[f"{h:g}-{c}" for h, c, _, _ in OVERFLOW_CASES])
+def test_overflowing_differential_exits_two(tmp_path, capsys, half_width, command,
+                                            error, stem):
+    # z1^3 z2^3 on a huge box: an overflow anywhere in the pipeline must be
+    # a rejected input with a named error, not a traceback
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(config))
-    assert run(tmp_path, "validate", "--config", str(path)) == 2
-    assert "GeometryError" in capsys.readouterr().err
-    assert not (tmp_path / "huge_validate.json").exists()
+    path.write_text(json.dumps(flat_monomial_config(half_width, 3, 3)))
+    assert run(tmp_path, *command_argv(command, path, half_width)) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / f"{stem}.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(exponent=st.integers(-3, 300), i=st.integers(0, 3), j=st.integers(0, 3),
+       n_points=st.integers(1, 3),
+       command=st.sampled_from(["validate", "analyze", "weingarten"]),
+       fractions=st.lists(st.floats(-0.9, 0.9), min_size=4, max_size=4))
+def test_exit_code_contract_holds_for_flat_monomials(exponent, i, j, n_points, command,
+                                                     fractions):
+    # every config within the schema ends in 0, 1 or 2, never in a traceback
+    half_width = 10.0 ** exponent
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "probe.json"
+        path.write_text(json.dumps(flat_monomial_config(half_width, i, j,
+                                                        n_points=n_points)))
+        argv = command_argv(command, path, half_width, fractions)
+        assert main([*argv, "--out", tmp]) in (0, 1, 2)

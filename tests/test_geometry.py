@@ -17,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import (
-    Box, CallableMetric, FlatMetric, Frame, PolynomialMetric, ProductSphereMetric,
-    ChartMetric, christoffel, covariant_derivative, curvature_data, oriented_frame,
-    orientation_sign, orthonormalize, pullback_metric, riemann_pairing,
+    _METRIC_FD_STEP, Box, CallableMetric, FlatMetric, Frame, PolynomialMetric,
+    ProductSphereMetric, ChartMetric, central_difference, central_nodes, christoffel,
+    covariant_derivative, curvature_data, oriented_frame, orientation_sign,
+    orthonormalize, pullback_metric, riemann_pairing,
 )
 from morphoscope.polynomials import Poly
+from morphoscope.twistor import PATCH_FD_STEP, SurfacePatch
 
 # frozen closed forms for the round sphere chart at theta = pi/3
 GAMMA_THETA_PHIPHI_PI3 = -0.4330127018922193  # -sin(pi/3) cos(pi/3)
@@ -311,6 +313,42 @@ def test_covariant_derivative_tensor_leibniz():
     lhs = covariant_derivative(metric, Tv, m, X)
     rhs = covariant_derivative(metric, T, m, X) @ v0 + T0 @ covariant_derivative(metric, v, m, X)
     assert np.max(np.abs(lhs - rhs)) < 1e-7
+
+
+def written_out_richardson(f, x, e, h):
+    """The Richardson central difference spelled out along e with step h."""
+    d1 = (f(x + h * e) - f(x - h * e)) / (2 * h)
+    d2 = (f(x + 0.5 * h * e) - f(x - 0.5 * h * e)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def test_difference_fallbacks_share_the_central_difference_rule():
+    def wavy(x):
+        return (np.eye(4) + 0.1 * np.outer(np.sin(x), np.cos(x))
+                + 0.1 * np.outer(np.cos(x), np.sin(x)))
+
+    metric = CallableMetric(wavy, Box.cube(2.0))
+    m = np.array([0.3, -0.9, 0.7, 0.2])  # max |m| < 1, so the step is the base step
+    h = _METRIC_FD_STEP
+    shared = np.array([
+        central_difference([metric.matrix(x) for x in central_nodes(m, e, h)], h)
+        for e in np.eye(4)])
+    written = np.array([written_out_richardson(metric.matrix, m, e, h)
+                        for e in np.eye(4)])
+    assert np.array_equal(metric.first_derivatives(m), shared)
+    assert np.array_equal(shared, written)
+
+    patch = SurfacePatch(psi=lambda s, t: np.array([s, t, np.sin(s * t), s * s - t]),
+                         param_box=Box((-1.0, -1.0), (1.0, 1.0)))
+    p = np.array([0.4, -0.35])
+    h = PATCH_FD_STEP
+    shared = np.column_stack([
+        central_difference([patch.point(q) for q in central_nodes(p, e, h)], h)
+        for e in np.eye(2)])
+    written = np.column_stack([written_out_richardson(patch.point, p, e, h)
+                               for e in np.eye(2)])
+    assert np.array_equal(patch.dpsi(p), shared)
+    assert np.array_equal(shared, written)
 
 
 def test_domain_errors():

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from morphoscope.calculus import pullback_scenario
+from morphoscope.catalog import catalog_configs
+from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import NonIsolatedCriticalError, SymbolError
 from morphoscope.hermitian import (best_compatible_structure, hermitian_pair,
                                    isolated_extension, pseudo_holomorphy_residual,
                                    reference_field, structure_deviation_rate)
-from morphoscope.geometry import orientation_sign
+from morphoscope.geometry import PolynomialMetric, orientation_sign
 from morphoscope.structures import K_MINUS, K_PLUS
 
 from test_morphism import (pullback_diffeo, scenario_anisotropic, scenario_product,
@@ -176,6 +178,30 @@ def test_deviation_rate_pullback_slopes():
     assert rates.metric_orth_fit.slope >= 1.9
     assert rates.metric_skew_fit.slope >= 1.9
     assert rates.verdict == "PASS"
+
+
+def test_deviation_rate_evaluates_the_metric_once_per_point(monkeypatch):
+    # the catalog's pulled-back chart at its own radii, directions and seed;
+    # the deviation and both metric defects read one geometry per sample, so
+    # no metric is evaluated twice at one point
+    config = ScenarioConfig.from_dict(catalog_configs()["pullback_z1z2"])
+    scenario = build_scenario(config)
+    points = []
+    original = PolynomialMetric.matrix
+
+    def counted(self, m):
+        points.append((id(self), *(float(v) for v in m)))
+        return original(self, m)
+
+    monkeypatch.setattr(PolynomialMetric, "matrix", counted)
+    analysis = config.analysis
+    rates = structure_deviation_rate(scenario, config.critical_points[0],
+                                     radii=analysis["radii"],
+                                     n_directions=analysis["n_directions"],
+                                     seed=analysis["seed"])
+    assert rates.substitutions == ()
+    assert len(points) == len(set(points))
+    assert len(points) <= len(rates.radii) * analysis["n_directions"] + 1
 
 
 def test_isolated_extension_flat_product():

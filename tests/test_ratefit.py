@@ -1,10 +1,12 @@
-"""Rate fits: exact zeros are censored, never fitted against a floor."""
+"""Shell samples, and rate fits: exact zeros are censored, never fitted
+against a floor."""
 
 import math
 
+import numpy as np
 import pytest
 
-from morphoscope.ratefit import fit_rate
+from morphoscope.ratefit import default_radii, fit_rate, seeded_directions, shell_samples
 
 RADII = (0.1, 0.05, 0.025, 0.0125)
 
@@ -41,3 +43,19 @@ def test_all_below_threshold_is_the_zero_branch():
     assert fit.zero_branch and fit.slope is None
     assert fit.meets_lower_slope(0.9)
     assert not fit.meets_upper_slope(1e9)
+
+
+def test_shell_samples_are_the_radius_major_products():
+    # reference: the per-sample loop every shell estimate used to write out
+    dirs = seeded_directions(5, 3, include_axes=True)
+    radii, points = shell_samples(dirs, box_size=3.0)
+    assert radii == default_radii(3.0)
+    assert points.shape == (len(radii), 13, 4)
+    center = np.array([0.1, -0.2, 0.3, 0.05])
+    _, shifted = shell_samples(dirs, RADII, center=center)
+    for i, r in enumerate(radii):
+        for j, d in enumerate(dirs):
+            assert np.array_equal(points[i, j], r * d)
+    for i, r in enumerate(RADII):
+        for j, d in enumerate(dirs):
+            assert np.array_equal(shifted[i, j], center + r * d)
