@@ -14,7 +14,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ._linalg import check_spd, spd_sqrt_pair, surface_complex_structure
-from .errors import DomainError, UnsupportedOrderError
+from .errors import DomainError, GeometryError, UnsupportedOrderError
 from .geometry import Box, ChartMetric, connection, pullback_metric
 from .polynomials import Exponents, Poly, from_complex_pair
 
@@ -231,7 +231,10 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
     rho = 0.9 * reach / ainv_norm
     for _ in range(200):
         # ||y - q(y)||_inf <= rho + gmax rho^2 / 2 on the cube of half-width rho
-        spread = ainv_norm * (rho + 0.5 * gmax * rho ** 2)
+        try:
+            spread = ainv_norm * (rho + 0.5 * gmax * rho ** 2)
+        except OverflowError:
+            raise GeometryError(f"normal chart at {m0.tolist()} overflows") from None
         if spread <= 0.95 * reach:
             break
         rho *= 0.9

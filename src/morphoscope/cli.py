@@ -3,7 +3,7 @@
 morphoscope <command> --config FILE [options]
 
 Commands: validate, analyze, symbol, rate, weingarten, twistor, catalog.
-Reports are written as JSON always; scan commands also write a CSV table.
+Reports are written as JSON; validate, rate, weingarten --scan, twistor add a CSV.
 Exit code 0 means every check passed, 1 means at least one check failed
 with its numeric evidence in the report, 2 means the configuration or the
 requested domain operation was invalid.
@@ -22,8 +22,6 @@ from .config import ScenarioConfig, build_scenario
 from .errors import ConfigError, MorphoscopeError
 from .report import exit_code, verdict_lines, write_csv, write_json
 
-SCAN_COMMANDS = {"validate", "rate", "twistor"}
-
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -39,9 +37,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="run the annulus scan instead of a point report "
                         "(weingarten)")
     p.add_argument("--out", default=".", help="directory for report files")
-    p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="csv additionally writes the record table for "
-                        "non-scan commands")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     p.add_argument("--fd-step", type=float, default=None,
@@ -61,43 +56,40 @@ def _parse_point(text: str) -> np.ndarray:
         raise ConfigError(f"--point: {exc}") from exc
 
 
-def _dispatch(args, config, scenario, seed, workers):
+def _dispatch(args, config, scenario, seed, workers) -> runner.Findings:
     if args.command == "validate":
-        return runner.run_validate(config, scenario, seed, workers)
+        return runner.run_validate(config, scenario, seed)
     if args.command == "analyze":
         if args.point is None:
             raise ConfigError("analyze requires --point")
-        return runner.run_analyze(config, scenario, _parse_point(args.point),
-                                  seed, workers)
+        return runner.run_analyze(config, scenario, _parse_point(args.point))
     if args.command == "symbol":
-        return runner.run_symbol(config, scenario, seed, workers)
+        return runner.run_symbol(config, scenario)
     if args.command == "rate":
-        return runner.run_rate(config, scenario, seed, workers)
+        return runner.run_rate(config, scenario, seed)
     if args.command == "weingarten":
         if args.scan:
             point = _parse_point(args.point) if args.point else None
-            return runner.run_weingarten_scan(config, scenario, point,
-                                              seed, workers)
+            return runner.run_weingarten_scan(config, scenario, point, seed)
         if args.point is None:
             raise ConfigError("weingarten requires --point or --scan")
-        return runner.run_weingarten_point(
-            config, scenario, _parse_point(args.point), seed, workers)
+        return runner.run_weingarten_point(config, scenario,
+                                           _parse_point(args.point))
     if args.command == "twistor":
         if args.patch is None:
             raise ConfigError("twistor requires --patch")
-        return runner.run_twistor(config, scenario, args.patch, seed, workers)
+        return runner.run_twistor(config, scenario, args.patch, workers)
     raise ConfigError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out_dir = Path(args.out)
+    table = None
     try:
         if args.command == "catalog":
-            report, table = runner.run_catalog(args.seed or 0,
-                                               args.workers or 1)
+            report = runner.run_catalog(args.seed or 0, args.workers or 1)
             stem = "catalog"
-            config = None
         else:
             if args.config is None:
                 raise ConfigError(f"{args.command} requires --config")
@@ -111,7 +103,10 @@ def main(argv=None) -> int:
             seed = config.analysis["seed"]
             workers = config.analysis["workers"]
             scenario = build_scenario(config)
-            report, table = _dispatch(args, config, scenario, seed, workers)
+            found = _dispatch(args, config, scenario, seed, workers)
+            report = runner.scenario_report(args.command, config, found,
+                                            seed, workers)
+            table = found.table
             stem = f"{config.name}_{args.command}"
             if args.command == "weingarten":
                 stem += "_scan" if args.scan else "_point"
@@ -128,12 +123,8 @@ def main(argv=None) -> int:
     for line in verdict_lines(report["checks"]):
         print(line)
     print(f"report: {json_path}")
-    wants_csv = (args.command in SCAN_COMMANDS
-                 or (args.command == "weingarten" and args.scan)
-                 or args.format == "csv")
-    if table is not None and wants_csv:
-        rows, fields = table
-        csv_path = write_csv(rows, fields, out_dir / f"{stem}.csv")
+    if table is not None:
+        csv_path = write_csv(table, out_dir / f"{stem}.csv")
         print(f"table: {csv_path}")
     return exit_code(report["checks"])
 

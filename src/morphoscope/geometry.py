@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._linalg import check_spd
-from .errors import DegenerateFrameError, DomainError
+from .errors import DegenerateFrameError, DomainError, GeometryError
 from .polynomials import Poly
 
 DEFAULT_FD_STEP = 1e-5
@@ -266,7 +266,10 @@ def christoffel(metric: ChartMetric, m: Sequence[float]) -> np.ndarray:
 
 def connection(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Christoffel symbols from the metric matrix and its first derivatives."""
-    ginv = np.linalg.inv(g)
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise GeometryError("metric matrix is numerically singular") from None
     # S[m, i, j] = d_i g_{mj} + d_j g_{mi} - d_m g_{ij}
     S = (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg)
          - np.einsum("mij->mij", dg))

@@ -181,6 +181,8 @@ class PointGeometry:
         if orientation_sign(sc.metric, self.point, frame,
                             reference=sc.orientation) < 0:
             v2 = -v2
+        if not np.isfinite(hwc.defect):
+            raise GeometryError(f"conformality defect overflows at {self.point.tolist()}")
 
         return PointSplit(point=self.point, dilation=lam, squared_dilation=lam2,
                           defect=hwc.defect, horizontal=np.array([e1, e2]),

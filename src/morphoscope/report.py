@@ -50,23 +50,26 @@ def sanitize(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(sanitize(obj), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+def _digest(plain) -> str:
+    """Hash of already sanitized data in canonical JSON."""
+    text = json.dumps(plain, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 def fingerprint(obj) -> str:
-    return "sha256:" + hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+    return _digest(sanitize(obj))
 
 
 def check(name: str, passed: bool, **evidence) -> dict:
+    """A verdict with its evidence, sanitized when the report is built."""
     return {"name": name, "verdict": "PASS" if passed else "FAIL",
-            "evidence": sanitize(evidence)}
+            "evidence": evidence}
 
 
 def build_report(command: str, scenario_name: str, scenario_fingerprint: str,
-                 checks: list, records=None, rates=None, seed: int = 0,
-                 workers: int = 1, extras: dict | None = None) -> dict:
+                 checks: list, records: list, seed: int, workers: int,
+                 rates: dict | None = None, extras: dict | None = None) -> dict:
     body = {
         "command": command,
         "scenario": scenario_name,
@@ -74,34 +77,36 @@ def build_report(command: str, scenario_name: str, scenario_fingerprint: str,
         "version": VERSION,
         "seed": int(seed),
         "conventions": CONVENTIONS,
-        "checks": sanitize(checks),
-        "records": sanitize(records if records is not None else []),
-        "rates": sanitize(rates if rates is not None else {}),
+        "checks": checks,
+        "records": records,
+        "rates": rates or {},
+        **(extras or {}),
     }
-    if extras:
-        body.update(sanitize(extras))
+    # the one sanitizing pass: everything below reads plain data
+    body = sanitize(body)
     # worker count and timestamp describe the run, not the result, so the
     # fingerprint is taken before they are attached
-    body["fingerprint"] = fingerprint(body)
+    body["fingerprint"] = _digest(body)
     body["workers"] = int(workers)
     body["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return body
 
 
 def write_json(report: dict, path: Path) -> Path:
+    """Write a report from build_report, which is plain data already."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(sanitize(report), indent=2, sort_keys=True,
+    path.write_text(json.dumps(report, indent=2, sort_keys=True,
                                allow_nan=False) + "\n")
     return path
 
 
-def write_csv(rows: list, fieldnames: list, path: Path) -> Path:
+def write_csv(rows: list, path: Path) -> Path:
+    """Write nonempty rows; the first row's keys are the header."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fieldnames})
+        writer.writerows(rows)
     return path
 
 

@@ -1,17 +1,19 @@
 """Command implementations behind the CLI.
 
-Each command returns a report dict plus the CSV rows it wants written for
-scan output. All verdicts come with the numbers that produced them, and
-every sampling decision flows from the configured seed so reruns with the
-same config are byte-identical up to the timestamp.
+Each scenario command returns its `Findings`, and `scenario_report` turns
+them into the report. All verdicts come with the numbers that produced
+them, and every sampling decision flows from the configured seed so reruns
+with the same config are byte-identical up to the timestamp.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .calculus import MorphismScenario
-from .catalog import catalog_configs, catalog_patch, patch_grid
+from .catalog import CATALOG_PATCHES, catalog_configs, catalog_patch, patch_grid
 from .config import ScenarioConfig
 from .errors import ConfigError
 from .geometry import einstein_defect
@@ -24,10 +26,31 @@ from .twistor import sample_lift
 from .weingarten import identity_scale, product_bound_scan, weingarten_report
 
 EINSTEIN_GATE = 1e-8
+# the rate table's label of a fit, where it differs from the fit's rates key
+RATE_TABLE_LABELS = {"remainder_differential": "remainder_diff",
+                     "dilation_lower": "dilation_min"}
+
+
+@dataclass
+class Findings:
+    """What one scenario command found; `table` holds its CSV rows, if any."""
+
+    checks: list
+    records: list
+    rates: dict | None = None
+    extras: dict | None = None
+    table: list | None = None
 
 
 def scenario_fingerprint(config: ScenarioConfig) -> str:
     return fingerprint(config.to_canonical())
+
+
+def scenario_report(command: str, config: ScenarioConfig, found: Findings,
+                    seed: int, workers: int) -> dict:
+    return build_report(command, config.name, scenario_fingerprint(config),
+                        found.checks, records=found.records, rates=found.rates,
+                        seed=seed, workers=workers, extras=found.extras)
 
 
 def _sample_points(scenario: MorphismScenario, n: int, seed: int) -> list:
@@ -38,11 +61,12 @@ def _sample_points(scenario: MorphismScenario, n: int, seed: int) -> list:
     return [rng.uniform(lo + margin, hi - margin) for _ in range(n)]
 
 
-def _fit_dict(fit) -> dict:
-    return {"slope": fit.slope, "constant": fit.constant,
-            "zero_branch": fit.zero_branch, "log_residual": fit.log_residual,
-            "threshold": fit.threshold, "radii": list(fit.radii),
-            "values": list(fit.values)}
+def _record_table(records: list, key: str, columns: tuple, drop: tuple = ()) -> list:
+    """CSV rows of records, with records[key] spread into `columns` and the
+    keys in `drop` left out."""
+    return [{**dict(zip(columns, r[key])),
+             **{k: v for k, v in r.items() if k != key and k not in drop}}
+            for r in records]
 
 
 def _critical_centers(config: ScenarioConfig, command: str) -> list:
@@ -56,7 +80,7 @@ def _critical_centers(config: ScenarioConfig, command: str) -> list:
 
 
 def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
-                 seed: int, workers: int):
+                 seed: int) -> Findings:
     tol = config.analysis["tolerances"]
     points = _sample_points(scenario, config.analysis["n_points"], seed)
     result = validate_morphism(scenario, points, tol=tol["defect"])
@@ -71,17 +95,12 @@ def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
               max_tension=result.max_tension, tolerance=tol["tension"],
               n_points=len(points)),
     ]
-    report = build_report("validate", config.name, scenario_fingerprint(config),
-                          checks, records=records, seed=seed, workers=workers)
-    rows = [{"x1": r.point[0], "x2": r.point[1], "x3": r.point[2],
-             "x4": r.point[3], "status": r.status, "dilation_sup": r.dilation_sup,
-             "defect": r.defect, "tension": r.tension} for r in result.records]
-    fields = ["x1", "x2", "x3", "x4", "status", "dilation_sup", "defect", "tension"]
-    return report, (rows, fields)
+    return Findings(checks, records, table=_record_table(
+        records, "point", ("x1", "x2", "x3", "x4")))
 
 
 def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
-                point, seed: int, workers: int):
+                point) -> Findings:
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
     geo = point_geometry(scenario, m)
@@ -110,13 +129,10 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
     else:
         checks = [check("classification", True, status=cls.status,
                         dilation_sup=cls.dilation_sup)]
-    report = build_report("analyze", config.name, scenario_fingerprint(config),
-                          checks, records=[record], seed=seed, workers=workers)
-    return report, None
+    return Findings(checks, [record])
 
 
-def run_symbol(config: ScenarioConfig, scenario: MorphismScenario,
-               seed: int, workers: int):
+def run_symbol(config: ScenarioConfig, scenario: MorphismScenario) -> Findings:
     records = []
     checks = []
     for idx, center in enumerate(_critical_centers(config, "symbol")):
@@ -129,19 +145,17 @@ def run_symbol(config: ScenarioConfig, scenario: MorphismScenario,
                        for e, c in sorted(data.homogeneous.coeffs.items())]
         records.append({"center": center, "order": data.order,
                         "candidates": cands, "homogeneous": homogeneous})
-        worst = max(c.residual for c in data.candidates)
+        worst = ({"max_residual": max(c.residual for c in data.candidates)}
+                 if data.candidates else {})
         checks.append(check(
-            f"symbol_certified[{idx}]", True, order=data.order,
+            f"symbol_certified[{idx}]", bool(data.candidates), order=data.order,
             n_candidates=len(data.candidates),
-            orientations=[c.orientation for c in data.candidates],
-            max_residual=worst))
-    report = build_report("symbol", config.name, scenario_fingerprint(config),
-                          checks, records=records, seed=seed, workers=workers)
-    return report, None
+            orientations=[c.orientation for c in data.candidates], **worst))
+    return Findings(checks, records)
 
 
 def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
-             seed: int, workers: int):
+             seed: int) -> Findings:
     analysis = config.analysis
     radii = analysis["radii"]
     n_dirs = analysis["n_directions"]
@@ -156,20 +170,23 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
             scenario, center, radii=radii, n_directions=n_dirs, seed=seed)
         dilation = dilation_lower_rate(
             scenario, center, radii=radii, n_directions=n_dirs, seed=seed)
+        fits = {"deviation": deviation.deviation_fit,
+                "metric_orth": deviation.metric_orth_fit,
+                "metric_skew": deviation.metric_skew_fit,
+                "remainder_value": remainder.value_fit,
+                "remainder_differential": remainder.differential_fit,
+                "dilation_lower": dilation.fit}
         rates[f"center[{idx}]"] = {
-            "deviation": _fit_dict(deviation.deviation_fit),
-            "metric_orth": _fit_dict(deviation.metric_orth_fit),
-            "metric_skew": _fit_dict(deviation.metric_skew_fit),
-            "remainder_value": _fit_dict(remainder.value_fit),
-            "remainder_differential": _fit_dict(remainder.differential_fit),
-            "dilation_lower": _fit_dict(dilation.fit),
-        }
+            key: {"slope": fit.slope, "constant": fit.constant,
+                  "zero_branch": fit.zero_branch,
+                  "log_residual": fit.log_residual, "threshold": fit.threshold,
+                  "radii": fit.radii, "values": fit.values}
+            for key, fit in fits.items()}
         records.append({
             "center": center, "order": remainder.symbol.order,
             "envelope_constant": dilation.envelope_constant,
-            "substitutions": list(deviation.substitutions),
-            "excluded_directions": [list(map(float, d))
-                                    for d in dilation.excluded_directions],
+            "substitutions": deviation.substitutions,
+            "excluded_directions": dilation.excluded_directions,
         })
         checks.extend([
             check(f"structure_deviation[{idx}]", deviation.verdict == "PASS",
@@ -185,22 +202,15 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
                   slope=dilation.fit.slope,
                   envelope_constant=dilation.envelope_constant),
         ])
-        for label, fit in ((f"deviation[{idx}]", deviation.deviation_fit),
-                           (f"metric_orth[{idx}]", deviation.metric_orth_fit),
-                           (f"metric_skew[{idx}]", deviation.metric_skew_fit),
-                           (f"remainder_value[{idx}]", remainder.value_fit),
-                           (f"remainder_diff[{idx}]", remainder.differential_fit),
-                           (f"dilation_min[{idx}]", dilation.fit)):
-            for r, v in zip(fit.radii, fit.values):
-                rows.append({"quantity": label, "radius": r, "value": v})
-    report = build_report("rate", config.name, scenario_fingerprint(config),
-                          checks, records=records, rates=rates, seed=seed,
-                          workers=workers)
-    return report, (rows, ["quantity", "radius", "value"])
+        rows.extend({"quantity": f"{RATE_TABLE_LABELS.get(key, key)}[{idx}]",
+                     "radius": r, "value": v}
+                    for key, fit in fits.items()
+                    for r, v in zip(fit.radii, fit.values))
+    return Findings(checks, records, rates=rates, table=rows)
 
 
 def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
-                         point, seed: int, workers: int):
+                         point) -> Findings:
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
     rep = weingarten_report(scenario, m, angle=config.analysis["angle"],
@@ -243,14 +253,11 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
         checks.append(check("einstein_commutation", cdef <= tol["commutator"],
                             commutator_defect=cdef, einstein_defect=einstein,
                             tolerance=tol["commutator"]))
-    report = build_report("weingarten", config.name,
-                          scenario_fingerprint(config), checks,
-                          records=[record], seed=seed, workers=workers)
-    return report, None
+    return Findings(checks, [record])
 
 
 def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
-                        point, seed: int, workers: int):
+                        point, seed: int) -> Findings:
     tol = config.analysis["tolerances"]
     if point is not None:
         center = np.asarray(point, dtype=float)
@@ -260,10 +267,10 @@ def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
                               radii=config.analysis["scan_radii"],
                               n_directions=config.analysis["n_directions"],
                               seed=seed, angle=config.analysis["angle"])
-    record = {"center": scan.center, "radii": list(scan.radii),
-              "annulus_max": list(scan.annulus_max),
-              "skipped": list(scan.skipped), "plateau": scan.plateau,
-              "bound": scan.bound, "identity_gap": scan.identity_gap}
+    record = {"center": scan.center, "radii": scan.radii,
+              "annulus_max": scan.annulus_max, "skipped": scan.skipped,
+              "plateau": scan.plateau, "bound": scan.bound,
+              "identity_gap": scan.identity_gap}
     checks = [
         check("product_bounded", scan.verdict == "PASS",
               plateau=scan.plateau, bound=scan.bound,
@@ -271,16 +278,13 @@ def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
         check("product_identity", scan.identity_gap <= tol["identity_gap"],
               identity_gap=scan.identity_gap, tolerance=tol["identity_gap"]),
     ]
-    report = build_report("weingarten", config.name,
-                          scenario_fingerprint(config), checks,
-                          records=[record], seed=seed, workers=workers)
     rows = [{"radius": r, "annulus_max": v, "skipped": s}
             for r, v, s in zip(scan.radii, scan.annulus_max, scan.skipped)]
-    return report, (rows, ["radius", "annulus_max", "skipped"])
+    return Findings(checks, [record], table=rows)
 
 
 def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
-                patch_name: str, seed: int, workers: int):
+                patch_name: str, workers: int) -> Findings:
     tol = config.analysis["tolerances"]
     spec = catalog_patch(patch_name)
     patch = spec["patch"]
@@ -320,20 +324,13 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
             tangent_error=worst_t, normal_error=worst_n,
             expected_tangent_abs=spec["omega"]["tangent_abs"],
             tolerance=tol["curvature"]))
-    report = build_report("twistor", config.name, scenario_fingerprint(config),
-                          checks, records=records, seed=seed, workers=workers,
-                          extras={"patch": patch_name, "orientation": tag})
-    rows = [{"s": r["parameter"][0], "t": r["parameter"][1],
-             "residual": r["residual"], "energy": r["energy"],
-             "area_element": r["area_element"],
-             "omega_tangent": r["omega_tangent"],
-             "omega_normal": r["omega_normal"]} for r in records]
-    fields = ["s", "t", "residual", "energy", "area_element",
-              "omega_tangent", "omega_normal"]
-    return report, (rows, fields)
+    return Findings(checks, records,
+                    extras={"patch": patch_name, "orientation": tag},
+                    table=_record_table(records, "parameter", ("s", "t"),
+                                        drop=("fiber",)))
 
 
-def run_catalog(seed: int, workers: int):
+def run_catalog(seed: int, workers: int) -> dict:
     entries = []
     for name, raw in sorted(catalog_configs().items()):
         cfg = ScenarioConfig.from_dict(raw)
@@ -345,14 +342,12 @@ def run_catalog(seed: int, workers: int):
             "critical_points": cfg.critical_points,
             "scenario_fingerprint": scenario_fingerprint(cfg),
         })
-    from .catalog import CATALOG_PATCHES
     patches = [{"name": name, "classification": spec["classification"],
                 "scenario": spec["scenario"]}
                for name, spec in sorted(CATALOG_PATCHES.items())]
     checks = [check("catalog_listed", True, n_scenarios=len(entries),
                     n_patches=len(patches))]
-    report = build_report("catalog", "catalog", fingerprint(
+    return build_report("catalog", "catalog", fingerprint(
         {"builtin": [e["name"] for e in entries]}), checks,
         records=entries, seed=seed, workers=workers,
         extras={"patches": patches})
-    return report, None

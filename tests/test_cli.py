@@ -1,13 +1,15 @@
 """End-to-end command line tests over the built-in catalog."""
 
+import csv
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from morphoscope import report as report_module
 from morphoscope.catalog import catalog_configs
 from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig
@@ -30,6 +32,24 @@ def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
 
 
+def assert_table_matches_records(csv_path, records, key, columns, drop=()):
+    # the CSV is the records with records[key] spread into `columns`
+    with csv_path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        # report keys come back sorted, so only the spread columns have an order
+        rest = reader.fieldnames[len(columns):]
+        assert reader.fieldnames[:len(columns)] == list(columns)
+        assert sorted(rest) == sorted(k for k in records[0]
+                                      if k != key and k not in drop)
+        rows = list(reader)
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert [float(row[c]) for c in columns] == record[key]
+        for k in rest:
+            value = record[k]
+            assert (row[k] if isinstance(value, str) else float(row[k])) == value, k
+
+
 def test_validate_catalog_scenario(tmp_path):
     cfg = write_config(tmp_path, "z1z2")
     assert run(tmp_path, "validate", "--config", str(cfg)) == 0
@@ -38,7 +58,39 @@ def test_validate_catalog_scenario(tmp_path):
     assert by_name["hwc_defect"]["evidence"]["max_defect"] <= 1e-8
     assert by_name["tension"]["evidence"]["max_tension"] <= 1e-8
     assert len(report["records"]) == 100
-    assert (tmp_path / "z1z2_validate.csv").exists()
+    assert_table_matches_records(tmp_path / "z1z2_validate.csv", report["records"],
+                                 "point", ("x1", "x2", "x3", "x4"))
+
+
+def count_nodes(obj) -> int:
+    if isinstance(obj, dict):
+        return 1 + sum(count_nodes(v) for v in obj.values())
+    if isinstance(obj, list):
+        return 1 + sum(count_nodes(v) for v in obj)
+    return 1
+
+
+def test_report_is_sanitized_once(tmp_path, monkeypatch):
+    raw = catalog_configs()["pullback_z1z2"]
+    raw["analysis"] = {"n_points": 400}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+    calls = 0
+    sanitize = report_module.sanitize
+
+    def counting(obj):
+        nonlocal calls
+        calls += 1
+        return sanitize(obj)
+
+    # sanitize recurses through the module global, so every node is counted
+    monkeypatch.setattr(report_module, "sanitize", counting)
+    assert run(tmp_path, "validate", "--config", str(path)) == 0
+    report = read_report(tmp_path, "pullback_z1z2_validate")
+    assert len(report["records"]) == 400
+    # one pass over the report and one over the config for its fingerprint
+    config_nodes = count_nodes(ScenarioConfig.from_dict(raw).to_canonical())
+    assert calls <= count_nodes(report) + config_nodes
 
 
 def test_validate_negative_control(tmp_path):
@@ -65,6 +117,7 @@ def test_analyze_regular_point(tmp_path):
                "--point", "1,0,0,0") == 0
     record = read_report(tmp_path, "z1z2_analyze")["records"][0]
     assert record["status"] == "regular"
+    assert not (tmp_path / "z1z2_analyze.csv").exists()
     assert abs(record["dilation_sup"] - 1.0) < 1e-12
     assert np.allclose(record["j_plus"], K_PLUS, atol=1e-12)
 
@@ -130,6 +183,10 @@ def test_twistor_patches(tmp_path):
                        ("sphere_factor", sphere), ("flat_factor", sphere)):
         assert run(tmp_path, "twistor", "--config", str(cfg),
                    "--patch", patch) == 0, patch
+        stem = f"{cfg.stem}_twistor_{patch}"
+        assert_table_matches_records(tmp_path / f"{stem}.csv",
+                                     read_report(tmp_path, stem)["records"],
+                                     "parameter", ("s", "t"), drop=("fiber",))
     report = read_report(tmp_path, "product_sphere_twistor_sphere_factor")
     curvature = {c["name"]: c for c in report["checks"]}["curvature_densities"]
     assert curvature["evidence"]["tangent_error"] <= 1e-4
@@ -236,9 +293,39 @@ def flat_monomial_config(half_width, i, j, **analysis):
     }
 
 
+def cube(half_width):
+    return {"lo": [-half_width] * 4, "hi": [half_width] * 4}
+
+
+def chart_config(chart, half_width, coefficient, i, j, **analysis):
+    """z1^i z2^j with a center at the origin on a flat chart, on the catalog
+    pullback diffeo with both quadratic coefficients set to `coefficient`
+    (base box three times as wide), or on the metric 1 + c x1^2 times the
+    identity."""
+    config = flat_monomial_config(half_width, i, j, **analysis)
+    config["critical_points"] = [[0.0, 0.0, 0.0, 0.0]]
+    if chart == "pullback":
+        def mono(exponents, value):
+            return {"exponents": exponents, "value": value}
+        config["metric"]["box"] = cube(3.0 * half_width)
+        config["diffeo"] = {"box": cube(half_width), "components": [
+            [mono([1, 0, 0, 0], 1.0), mono([0, 2, 0, 0], coefficient)],
+            [mono([0, 1, 0, 0], 1.0)],
+            [mono([0, 0, 1, 0], 1.0)],
+            [mono([0, 0, 0, 1], 1.0), mono([1, 0, 1, 0], coefficient)]]}
+    elif chart == "polynomial":
+        diagonal = [{"exponents": [0, 0, 0, 0], "value": 1.0},
+                    {"exponents": [2, 0, 0, 0], "value": coefficient}]
+        zero = [{"exponents": [0, 0, 0, 0], "value": 0.0}]
+        config["metric"] = {"kind": "polynomial", "box": cube(half_width),
+                            "entries": [[diagonal if a == b else zero
+                                         for b in range(4)] for a in range(4)]}
+    return config
+
+
 def command_argv(command, path, half_width, fractions=(0.3, -0.2, 0.1, 0.4)):
-    if command == "validate":
-        return ["validate", "--config", str(path)]
+    if command in ("validate", "symbol", "rate"):
+        return [command, "--config", str(path)]
     point = ",".join(repr(f * half_width) for f in fractions)
     return [command, "--config", str(path), f"--point={point}"]
 
@@ -251,6 +338,8 @@ OVERFLOW_CASES = [
     (1e20, "analyze", "GeometryError", "huge_analyze"),
     (1e50, "validate", "GeometryError", "huge_validate"),
     (1e60, "validate", "GeometryError", "huge_validate"),
+    # the splitting frame is finite but the conformality defect overflows
+    (1e20, "weingarten", "GeometryError", "huge_weingarten_point"),
     # the splitting frame has a non-finite determinant
     (1e50, "analyze", "DegenerateFrameError", "huge_analyze"),
     (1e50, "weingarten", "DegenerateFrameError", "huge_weingarten_point"),
@@ -274,18 +363,50 @@ def test_overflowing_differential_exits_two(tmp_path, capsys, half_width, comman
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,i,j", [("symbol", 2, 2), ("rate", 0, 1)])
+def test_normal_chart_overflow_exits_two(tmp_path, capsys, command, i, j):
+    # a pulled-back chart of half-width 1e200: the normal chart's safe cube
+    # overflows, which is a rejected input, not a traceback
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(chart_config("pullback", 1e200, 0.1, i, j)))
+    assert run(tmp_path, command, "--config", str(path)) == 2
+    assert "GeometryError" in capsys.readouterr().err
+    assert not (tmp_path / f"huge_{command}.json").exists()
+
+
+def test_symbol_without_candidates_fails_with_evidence(tmp_path):
+    # large diffeo coefficients leave the leading symbol of z1^2 z2^2 with no
+    # compatible structure: the check fails, it does not crash or pass
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(chart_config("pullback", 1.0, 1000.0, 2, 2)))
+    assert run(tmp_path, "symbol", "--config", str(path)) == 1
+    (certified,) = read_report(tmp_path, "huge_symbol")["checks"]
+    assert certified["name"] == "symbol_certified[0]"
+    assert certified["verdict"] == "FAIL"
+    assert certified["evidence"]["n_candidates"] == 0
+    assert "max_residual" not in certified["evidence"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(exponent=st.integers(-3, 300), i=st.integers(0, 3), j=st.integers(0, 3),
        n_points=st.integers(1, 3),
-       command=st.sampled_from(["validate", "analyze", "weingarten"]),
+       chart=st.sampled_from(["flat", "pullback", "polynomial"]),
+       coefficient=st.floats(0.0, 1e3),
+       command=st.sampled_from(["validate", "analyze", "weingarten",
+                                "symbol", "rate"]),
        fractions=st.lists(st.floats(-0.9, 0.9), min_size=4, max_size=4))
-def test_exit_code_contract_holds_for_flat_monomials(exponent, i, j, n_points, command,
-                                                     fractions):
+# a pulled-back metric that passes the positive-definiteness checks but is
+# numerically singular for the Christoffel solve
+@example(exponent=2, i=0, j=0, n_points=1, chart="pullback", coefficient=734.671875,
+         command="validate", fractions=[0.0] * 4)
+def test_exit_code_contract_holds_across_charts(exponent, i, j, n_points, chart,
+                                                coefficient, command, fractions):
     # every config within the schema ends in 0, 1 or 2, never in a traceback
     half_width = 10.0 ** exponent
+    config = chart_config(chart, half_width, coefficient, i, j, n_points=n_points)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "probe.json"
-        path.write_text(json.dumps(flat_monomial_config(half_width, i, j,
-                                                        n_points=n_points)))
+        path.write_text(json.dumps(config))
         argv = command_argv(command, path, half_width, fractions)
         assert main([*argv, "--out", tmp]) in (0, 1, 2)
