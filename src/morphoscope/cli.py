@@ -56,7 +56,7 @@ def _parse_point(text: str) -> np.ndarray:
         raise ConfigError(f"--point: {exc}") from exc
 
 
-def _dispatch(args, config, scenario, seed, workers) -> runner.Findings:
+def _dispatch(args, config, scenario, seed) -> runner.Findings:
     if args.command == "validate":
         return runner.run_validate(config, scenario, seed)
     if args.command == "analyze":
@@ -78,7 +78,7 @@ def _dispatch(args, config, scenario, seed, workers) -> runner.Findings:
     if args.command == "twistor":
         if args.patch is None:
             raise ConfigError("twistor requires --patch")
-        return runner.run_twistor(config, scenario, args.patch, workers)
+        return runner.run_twistor(config, scenario, args.patch)
     raise ConfigError(f"unknown command {args.command!r}")
 
 
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
             seed = config.analysis["seed"]
             workers = config.analysis["workers"]
             scenario = build_scenario(config)
-            found = _dispatch(args, config, scenario, seed, workers)
+            found = _dispatch(args, config, scenario, seed)
             report = runner.scenario_report(args.command, config, found,
                                             seed, workers)
             table = found.table

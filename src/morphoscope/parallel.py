@@ -1,16 +1,11 @@
-"""Deterministic fan-out for independent point evaluations."""
-
-from concurrent.futures import ThreadPoolExecutor
+"""The ordered map that twistor evaluates its parameter grid through."""
 
 
-def ordered_map(fn, items, workers: int = 1) -> list:
-    """Map fn over items, preserving order regardless of worker count.
+def ordered_map(fn, items) -> list:
+    """Map fn over items on the calling thread, in input order.
 
-    Results are gathered in input order, so any later reduction sees the
-    same sequence whether the work ran on one thread or many.
+    A plain map, kept as a function of its own because the benchmark
+    tracer (perfbench/tracer.py) wraps it as its fan-out point;
+    tests/test_tracer_targets.py checks that the name resolves.
     """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

@@ -22,7 +22,8 @@ from .morphism import point_geometry, validate_morphism
 from .parallel import ordered_map
 from .report import build_report, check, fingerprint
 from .symbol import dilation_lower_rate, remainder_rates, symbol_polynomial
-from .twistor import sample_lift
+from .twistor import (LiftGeometry, curvature_densities, script_J_residual,
+                      vertical_energy_density)
 from .weingarten import identity_scale, product_bound_scan, weingarten_report
 
 EINSTEIN_GATE = 1e-8
@@ -284,7 +285,7 @@ def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
 
 
 def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
-                patch_name: str, workers: int) -> Findings:
+                patch_name: str) -> Findings:
     tol = config.analysis["tolerances"]
     spec = catalog_patch(patch_name)
     patch = spec["patch"]
@@ -293,15 +294,17 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
     grid = patch_grid(patch)
 
     def one(p):
-        return sample_lift(scenario, patch, p, orientation=tag, step=step)
+        geo = LiftGeometry(scenario, patch, p, orientation=tag, step=step)
+        residual = script_J_residual(geo)
+        energy = vertical_energy_density(geo)
+        omega_t, omega_n = curvature_densities(geo)
+        return {"parameter": geo.parameter, "fiber": geo.lift.fiber,
+                "residual": residual, "energy": energy.value,
+                "area_element": energy.area_element,
+                "omega_tangent": omega_t, "omega_normal": omega_n}
 
-    samples = ordered_map(one, grid, workers)
-    records = [{"parameter": s.parameter, "fiber": s.twistor.fiber,
-                "residual": s.residual, "energy": s.energy,
-                "area_element": s.area_element,
-                "omega_tangent": s.omega_tangent,
-                "omega_normal": s.omega_normal} for s in samples]
-    residuals = [s.residual for s in samples]
+    records = ordered_map(one, grid)
+    residuals = [r["residual"] for r in records]
     checks = []
     if spec["classification"] == "minimal":
         checks.append(check(
@@ -314,10 +317,10 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
             min_residual=min(residuals), patch=patch_name,
             floor=tol["residual_control"]))
     if spec["omega"] is not None:
-        worst_t = max(abs(abs(s.omega_tangent) - spec["omega"]["tangent_abs"])
-                      for s in samples)
-        worst_n = max(abs(abs(s.omega_normal) - spec["omega"]["normal_abs"])
-                      for s in samples)
+        worst_t = max(abs(abs(r["omega_tangent"]) - spec["omega"]["tangent_abs"])
+                      for r in records)
+        worst_n = max(abs(abs(r["omega_normal"]) - spec["omega"]["normal_abs"])
+                      for r in records)
         checks.append(check(
             "curvature_densities",
             max(worst_t, worst_n) <= tol["curvature"],

@@ -11,11 +11,16 @@ fails with the opposite sign.
 Fiber tangent norms carry a factor 1/2 relative to the gauged Frobenius norm
 so that vertical speeds agree with the speed of the fiber-coordinate curve
 on the unit 2-sphere.
+
+One `LiftGeometry` per parameter point holds everything the residual, the
+vertical energy and the curvature densities read; `surface_lift` is its lift
+alone, taken at the stencil nodes of the vertical derivatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,15 +63,6 @@ class SurfacePatch:
             central_difference([self.point(q) for q in central_nodes(p, e, h)], h)
             for e in np.eye(2)])
 
-    def induced_metric(self, metric: ChartMetric, p) -> np.ndarray:
-        d = self.dpsi(p)
-        g = metric.matrix_checked(self.point(p))
-        return d.T @ g @ d
-
-    def induced_structure(self, metric: ChartMetric, p) -> np.ndarray:
-        """Positive rotation of the parameter plane in the induced metric."""
-        return surface_complex_structure(self.induced_metric(metric, p), 1)
-
 
 @dataclass
 class TwistorPoint:
@@ -76,20 +72,6 @@ class TwistorPoint:
     orientation: int
     matrix: np.ndarray
     fiber: np.ndarray
-
-
-@dataclass
-class LiftSample:
-    """Everything the lift machinery reports at one surface parameter."""
-
-    parameter: np.ndarray
-    twistor: TwistorPoint
-    sign: int
-    residual: float
-    energy: float
-    area_element: float
-    omega_tangent: float
-    omega_normal: float
 
 
 @dataclass
@@ -138,46 +120,75 @@ def _lift_frames(scenario: MorphismScenario, patch: SurfacePatch, p):
     t1, t2, n1, n2 = fr.vectors
     if orientation_sign(metric, m, fr, reference=scenario.orientation) < 0:
         n2 = -n2
-    return m, t1, t2, n1, n2
+    return m, d, t1, t2, n1, n2
+
+
+class LiftGeometry:
+    """The lift of a surface patch at one parameter point, built once.
+
+    The point psi(p), the patch differential d, the adapted frame
+    (t1, t2, n1, n2) and the lift are computed when the geometry is built;
+    the properties below are derived from them on first use.
+    """
+
+    def __init__(self, scenario: MorphismScenario, patch: SurfacePatch, p,
+                 orientation: int = 1, step: float | None = None):
+        self.scenario = scenario
+        self.patch = patch
+        self.parameter = np.asarray(p, dtype=float)
+        self.orientation = orientation
+        self.step = step
+        self.point, self.d, self.t1, self.t2, self.n1, self.n2 = _lift_frames(
+            scenario, patch, self.parameter)
+        B = np.column_stack([self.t1, self.t2, self.n1, self.n2])
+        K = K_PLUS if orientation == 1 else K_MINUS
+        J = B @ K @ np.linalg.inv(B)
+        fiber = fiber_coordinates(scenario.metric, self.point, J,
+                                  orientation * scenario.orientation)
+        self.lift = TwistorPoint(base=self.point, orientation=orientation,
+                                 matrix=J, fiber=fiber)
+
+    @cached_property
+    def tangent_coordinates(self) -> tuple:
+        """Parameter-plane vectors x1, x2 mapping to the orthonormal tangent pair."""
+        x1, *_ = np.linalg.lstsq(self.d, self.t1, rcond=None)
+        x2, *_ = np.linalg.lstsq(self.d, self.t2, rcond=None)
+        return x1, x2
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return self.scenario.metric.matrix(self.point)
+
+    @cached_property
+    def g_sqrt_pair(self) -> tuple:
+        """(g^{1/2}, g^{-1/2})."""
+        return spd_sqrt_pair(self.g)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Christoffel symbols of the chart metric at psi(p)."""
+        return christoffel(self.scenario.metric, self.point)
+
+    @cached_property
+    def vertical(self) -> tuple:
+        """Covariant derivatives of the lift field along x1 and x2, each from
+        the node lifts of one central stencil."""
+        J = self.lift.matrix
+        out = []
+        for X in self.tangent_coordinates:
+            h = (self.step or LIFT_FD_STEP) / max(1.0, float(np.max(np.abs(X))))
+            raw = central_difference(
+                [surface_lift(self.scenario, self.patch, q, self.orientation).matrix
+                 for q in central_nodes(self.parameter, X, h)], h)
+            gv = np.einsum("mij,i->mj", self.gamma, self.d @ X)
+            out.append(raw + gv @ J - J @ gv)
+        return tuple(out)
 
 
 def surface_lift(scenario: MorphismScenario, patch: SurfacePatch, p,
                  orientation: int = 1) -> TwistorPoint:
     """The structure of the tagged class whose complex lines contain T_pS."""
-    m, t1, t2, n1, n2 = _lift_frames(scenario, patch, p)
-    B = np.column_stack([t1, t2, n1, n2])
-    K = K_PLUS if orientation == 1 else K_MINUS
-    J = B @ K @ np.linalg.inv(B)
-    fiber = fiber_coordinates(scenario.metric, m, J,
-                              orientation * scenario.orientation)
-    return TwistorPoint(base=m, orientation=orientation, matrix=J, fiber=fiber)
-
-
-def _tangent_coordinates(patch: SurfacePatch, p, t1, t2):
-    """Parameter-plane vectors mapping to the orthonormal tangent pair."""
-    d = patch.dpsi(p)
-    x1, *_ = np.linalg.lstsq(d, t1, rcond=None)
-    x2, *_ = np.linalg.lstsq(d, t2, rcond=None)
-    return x1, x2
-
-
-def _vertical_derivative(scenario: MorphismScenario, patch: SurfacePatch, p,
-                         X, orientation: int, step: float | None = None) -> np.ndarray:
-    """Covariant derivative of the lift field along a parameter direction."""
-    p = np.asarray(p, dtype=float)
-    X = np.asarray(X, dtype=float)
-    h = (step or LIFT_FD_STEP) / max(1.0, float(np.max(np.abs(X))))
-
-    def lifted(q):
-        return surface_lift(scenario, patch, q, orientation).matrix
-
-    raw = central_difference([lifted(q) for q in central_nodes(p, X, h)], h)
-    m = patch.point(p)
-    v = patch.dpsi(p) @ X
-    gamma = christoffel(scenario.metric, m)
-    gv = np.einsum("mij,i->mj", gamma, v)
-    J = lifted(p)
-    return raw + gv @ J - J @ gv
+    return LiftGeometry(scenario, patch, p, orientation).lift
 
 
 def _fiber_inner(A: np.ndarray, B: np.ndarray, gs: np.ndarray, gis: np.ndarray) -> float:
@@ -187,8 +198,7 @@ def _fiber_inner(A: np.ndarray, B: np.ndarray, gs: np.ndarray, gis: np.ndarray) 
     return 0.25 * float(np.sum(ga * gb))
 
 
-def script_J_residual(scenario: MorphismScenario, patch: SurfacePatch, p,
-                      orientation: int = 1, step: float | None = None) -> float:
+def script_J_residual(geo: LiftGeometry) -> float:
     """Holomorphicity defect of the lift at p.
 
     Compares the lift differential applied to the rotated tangent directions
@@ -196,15 +206,14 @@ def script_J_residual(scenario: MorphismScenario, patch: SurfacePatch, p,
     parts in the chart metric and vertical parts in the fiber norm. Vanishes
     exactly when the lift is a holomorphic curve of the bundle structure.
     """
-    m, t1, t2, n1, n2 = _lift_frames(scenario, patch, p)
-    J = surface_lift(scenario, patch, p, orientation).matrix
-    g = scenario.metric.matrix(m)
-    gs, gis = spd_sqrt_pair(g)
-    d = patch.dpsi(p)
-    x1, x2 = _tangent_coordinates(patch, p, t1, t2)
-    j_s = patch.induced_structure(scenario.metric, p)
-    v1 = _vertical_derivative(scenario, patch, p, x1, orientation, step)
-    v2 = _vertical_derivative(scenario, patch, p, x2, orientation, step)
+    J = geo.lift.matrix
+    g = geo.g
+    gs, gis = geo.g_sqrt_pair
+    d = geo.d
+    x1, x2 = geo.tangent_coordinates
+    # positive rotation of the parameter plane in the induced metric
+    j_s = surface_complex_structure(d.T @ g @ d, 1)
+    v1, v2 = geo.vertical
     basis = np.column_stack([x1, x2])
     total = 0.0
     for x, vx in ((x1, v1), (x2, v2)):
@@ -218,20 +227,14 @@ def script_J_residual(scenario: MorphismScenario, patch: SurfacePatch, p,
     return float(np.sqrt(total))
 
 
-def vertical_energy_density(scenario: MorphismScenario, patch: SurfacePatch, p,
-                            orientation: int = 1,
-                            step: float | None = None) -> VerticalEnergy:
+def vertical_energy_density(geo: LiftGeometry) -> VerticalEnergy:
     """Squared vertical speed of the lift over an orthonormal tangent pair.
 
     The Gram matrix of the vertical derivatives and the induced area element
     of the lifted surface are returned alongside for diagnostics.
     """
-    m, t1, t2, _, _ = _lift_frames(scenario, patch, p)
-    g = scenario.metric.matrix(m)
-    gs, gis = spd_sqrt_pair(g)
-    x1, x2 = _tangent_coordinates(patch, p, t1, t2)
-    v1 = _vertical_derivative(scenario, patch, p, x1, orientation, step)
-    v2 = _vertical_derivative(scenario, patch, p, x2, orientation, step)
+    gs, gis = geo.g_sqrt_pair
+    v1, v2 = geo.vertical
     q = np.array([[_fiber_inner(v1, v1, gs, gis), _fiber_inner(v1, v2, gs, gis)],
                   [_fiber_inner(v2, v1, gs, gis), _fiber_inner(v2, v2, gs, gis)]])
     value = float(q[0, 0] + q[1, 1])
@@ -239,24 +242,9 @@ def vertical_energy_density(scenario: MorphismScenario, patch: SurfacePatch, p,
     return VerticalEnergy(value=value, gram=q, area_element=area)
 
 
-def curvature_densities(scenario: MorphismScenario, patch: SurfacePatch, p):
+def curvature_densities(geo: LiftGeometry):
     """Tangent and normal curvature pairings of the surface at psi(p)."""
-    m, t1, t2, n1, n2 = _lift_frames(scenario, patch, p)
-    cd = curvature_data(scenario.metric, m)
-    omega_t = cd.pairing(t1, t2, t1, t2)
-    omega_n = cd.pairing(t1, t2, n1, n2)
+    cd = curvature_data(geo.scenario.metric, geo.point)
+    omega_t = cd.pairing(geo.t1, geo.t2, geo.t1, geo.t2)
+    omega_n = cd.pairing(geo.t1, geo.t2, geo.n1, geo.n2)
     return float(omega_t), float(omega_n)
-
-
-def sample_lift(scenario: MorphismScenario, patch: SurfacePatch, p,
-                orientation: int = 1, step: float | None = None) -> LiftSample:
-    """Full lift record at one parameter point."""
-    p = np.asarray(p, dtype=float)
-    tw = surface_lift(scenario, patch, p, orientation)
-    residual = script_J_residual(scenario, patch, p, orientation, step)
-    energy = vertical_energy_density(scenario, patch, p, orientation, step)
-    omega_t, omega_n = curvature_densities(scenario, patch, p)
-    return LiftSample(parameter=p, twistor=tw, sign=VERTICAL_ROTATION_SIGN,
-                      residual=residual, energy=energy.value,
-                      area_element=energy.area_element,
-                      omega_tangent=omega_t, omega_normal=omega_n)

@@ -23,7 +23,7 @@ from morphoscope.morphism import (classify_point, dilation_sup, hwc_residual,
 from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.symbol import (dilation_lower_rate, remainder_rates,
                                 symbol_polynomial)
-from morphoscope.twistor import (SurfacePatch, curvature_densities,
+from morphoscope.twistor import (LiftGeometry, SurfacePatch, curvature_densities,
                                  script_J_residual)
 from morphoscope.weingarten import (commutator_defect, nabla_J_norms,
                                     product_bound_scan, product_identity,
@@ -176,24 +176,25 @@ def test_criterion_6_lift_residuals_and_curvature():
     for patch_name, sc in (("plane", proj), ("reciprocal", proj)):
         spec = catalog_patch(patch_name)
         for p in patch_grid(spec["patch"]):
-            r = script_J_residual(sc, spec["patch"], p,
-                                  orientation=spec["orientation"])
+            r = script_J_residual(LiftGeometry(sc, spec["patch"], p,
+                                               orientation=spec["orientation"]))
             if r > 1e-5:
                 failures.append((patch_name, r))
     assert not failures
 
     bowl = catalog_patch("bowl")
-    bowl_min = min(script_J_residual(proj, bowl["patch"], p)
+    bowl_min = min(script_J_residual(LiftGeometry(proj, bowl["patch"], p))
                    for p in patch_grid(bowl["patch"]))
     assert bowl_min >= 1e-2
 
     sph = catalog_patch("sphere_factor")
     flat = catalog_patch("flat_factor")
-    worst_t = max(abs(abs(curvature_densities(sphere, sph["patch"], p)[0]) - 1.0)
+    worst_t = max(abs(abs(curvature_densities(
+                      LiftGeometry(sphere, sph["patch"], p))[0]) - 1.0)
                   for p in patch_grid(sph["patch"]))
     assert worst_t <= 1e-4
     worst_flat = max(max(abs(v) for v in
-                         curvature_densities(sphere, flat["patch"], p))
+                         curvature_densities(LiftGeometry(sphere, flat["patch"], p)))
                      for p in patch_grid(flat["patch"]))
     assert worst_flat <= 1e-4
     _verdict("criterion 6 lifts: minimal patches within 1e-5, control min "
@@ -251,11 +252,12 @@ def test_criterion_7_metamorphic_invariance():
     worst_lift = 0.0
     for _ in range(50):
         p = rng.uniform(-0.35, 0.35, 2)
-        worst_lift = max(worst_lift, abs(
-            script_J_residual(pulled, patch_pulled, p)
-            - script_J_residual(base, patch_base, p)))
-        om_p = curvature_densities(pulled, patch_pulled, p)
-        om_b = curvature_densities(base, patch_base, p)
+        geo_pulled = LiftGeometry(pulled, patch_pulled, p)
+        geo_base = LiftGeometry(base, patch_base, p)
+        worst_lift = max(worst_lift, abs(script_J_residual(geo_pulled)
+                                         - script_J_residual(geo_base)))
+        om_p = curvature_densities(geo_pulled)
+        om_b = curvature_densities(geo_base)
         worst_lift = max(worst_lift, abs(om_p[0] - om_b[0]),
                          abs(om_p[1] - om_b[1]))
     assert worst_lift <= 1e-4

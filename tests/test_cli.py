@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morphoscope import report as report_module
-from morphoscope.catalog import catalog_configs
+from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
 from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig
 from morphoscope.report import fingerprint
@@ -323,9 +323,12 @@ def chart_config(chart, half_width, coefficient, i, j, **analysis):
     return config
 
 
-def command_argv(command, path, half_width, fractions=(0.3, -0.2, 0.1, 0.4)):
+def command_argv(command, path, half_width, fractions=(0.3, -0.2, 0.1, 0.4),
+                 patch="plane"):
     if command in ("validate", "symbol", "rate"):
         return [command, "--config", str(path)]
+    if command == "twistor":
+        return [command, "--config", str(path), "--patch", patch]
     point = ",".join(repr(f * half_width) for f in fractions)
     return [command, "--config", str(path), f"--point={point}"]
 
@@ -394,19 +397,21 @@ def test_symbol_without_candidates_fails_with_evidence(tmp_path):
        chart=st.sampled_from(["flat", "pullback", "polynomial"]),
        coefficient=st.floats(0.0, 1e3),
        command=st.sampled_from(["validate", "analyze", "weingarten",
-                                "symbol", "rate"]),
-       fractions=st.lists(st.floats(-0.9, 0.9), min_size=4, max_size=4))
+                                "symbol", "rate", "twistor"]),
+       fractions=st.lists(st.floats(-0.9, 0.9), min_size=4, max_size=4),
+       patch=st.sampled_from(sorted(CATALOG_PATCHES)))
 # a pulled-back metric that passes the positive-definiteness checks but is
 # numerically singular for the Christoffel solve
 @example(exponent=2, i=0, j=0, n_points=1, chart="pullback", coefficient=734.671875,
-         command="validate", fractions=[0.0] * 4)
+         command="validate", fractions=[0.0] * 4, patch="plane")
 def test_exit_code_contract_holds_across_charts(exponent, i, j, n_points, chart,
-                                                coefficient, command, fractions):
+                                                coefficient, command, fractions,
+                                                patch):
     # every config within the schema ends in 0, 1 or 2, never in a traceback
     half_width = 10.0 ** exponent
     config = chart_config(chart, half_width, coefficient, i, j, n_points=n_points)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "probe.json"
         path.write_text(json.dumps(config))
-        argv = command_argv(command, path, half_width, fractions)
+        argv = command_argv(command, path, half_width, fractions, patch)
         assert main([*argv, "--out", tmp]) in (0, 1, 2)

@@ -12,14 +12,15 @@ import pytest
 
 import morphoscope.twistor as tw
 from morphoscope.calculus import holomorphic_scenario, pullback_scenario
+from morphoscope.catalog import catalog_configs, catalog_patch, patch_grid
+from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import Box, FlatMetric, ProductSphereMetric
 from morphoscope.polynomials import Poly
 from morphoscope.structures import K_MINUS, K_PLUS, structure_from_fiber
-from morphoscope.twistor import (LiftSample, SurfacePatch, curvature_densities,
-                                 fiber_coordinates, sample_lift,
-                                 script_J_residual, surface_lift,
-                                 vertical_energy_density)
+from morphoscope.twistor import (LiftGeometry, SurfacePatch, curvature_densities,
+                                 fiber_coordinates, script_J_residual,
+                                 surface_lift, vertical_energy_density)
 
 from test_morphism import pullback_diffeo
 
@@ -130,12 +131,13 @@ def test_plane_lift_is_constant_standard_structure():
     sc = flat_scenario()
     patch = plane_patch()
     for p in [(0.3, -0.2), (-0.5, 0.1)]:
-        smp = sample_lift(sc, patch, p, orientation=1)
-        assert np.allclose(smp.twistor.matrix, K_PLUS, atol=1e-12)
-        assert np.allclose(smp.twistor.fiber, [0.0, 0.0, 1.0], atol=1e-12)
-        assert smp.residual <= 1e-10
-        assert smp.energy <= 1e-12
-        assert abs(smp.omega_tangent) < 1e-12 and abs(smp.omega_normal) < 1e-12
+        geo = LiftGeometry(sc, patch, p, orientation=1)
+        assert np.allclose(geo.lift.matrix, K_PLUS, atol=1e-12)
+        assert np.allclose(geo.lift.fiber, [0.0, 0.0, 1.0], atol=1e-12)
+        assert script_J_residual(geo) <= 1e-10
+        assert vertical_energy_density(geo).value <= 1e-12
+        omega_tangent, omega_normal = curvature_densities(geo)
+        assert abs(omega_tangent) < 1e-12 and abs(omega_normal) < 1e-12
 
 
 def test_lift_rotates_tangent_plane():
@@ -143,10 +145,10 @@ def test_lift_rotates_tangent_plane():
     for patch in (reciprocal_patch(), catenoid_patch()):
         p = (0.55, 0.2) if patch.name == "reciprocal" else (0.1, 0.2)
         for tag in (1, -1):
-            tp = surface_lift(sc, patch, p, orientation=tag)
-            m, t1, t2, _, _ = tw._lift_frames(sc, patch, p)
-            assert np.max(np.abs(tp.matrix @ t1 - t2)) < 1e-12
-            assert np.max(np.abs(tp.matrix @ t2 + t1)) < 1e-12
+            geo = LiftGeometry(sc, patch, p, orientation=tag)
+            tp = geo.lift
+            assert np.max(np.abs(tp.matrix @ geo.t1 - geo.t2)) < 1e-12
+            assert np.max(np.abs(tp.matrix @ geo.t2 + geo.t1)) < 1e-12
             assert tp.orientation == tag
 
 
@@ -156,10 +158,10 @@ def test_holomorphic_graph_positive_lift_constant():
     sc = flat_scenario()
     patch = reciprocal_patch()
     for p in [(1.0, 0.0), (1.2, 0.3), (0.7, -0.5)]:
-        smp = sample_lift(sc, patch, p, orientation=1)
-        assert np.allclose(smp.twistor.fiber, [0.0, 0.0, 1.0], atol=1e-10)
-        assert smp.residual <= 1e-5
-        assert smp.energy <= 1e-8
+        geo = LiftGeometry(sc, patch, p, orientation=1)
+        assert np.allclose(geo.lift.fiber, [0.0, 0.0, 1.0], atol=1e-10)
+        assert script_J_residual(geo) <= 1e-5
+        assert vertical_energy_density(geo).value <= 1e-8
 
 
 def test_holomorphic_graph_negative_lift_varies_but_is_holomorphic():
@@ -172,7 +174,7 @@ def test_holomorphic_graph_negative_lift_varies_but_is_holomorphic():
     away = surface_lift(sc, patch, (1.2, 0.3), orientation=-1)
     assert np.linalg.norm(away.fiber - at_one.fiber) > 0.5
     for p in [(1.0, 0.0), (1.2, 0.3)]:
-        assert script_J_residual(sc, patch, p, orientation=-1) <= 1e-5
+        assert script_J_residual(LiftGeometry(sc, patch, p, orientation=-1)) <= 1e-5
 
 
 def test_catenoid_pins_vertical_rotation_sign(monkeypatch):
@@ -184,10 +186,10 @@ def test_catenoid_pins_vertical_rotation_sign(monkeypatch):
     points = [(0.1, 0.2), (-0.3, 0.4), (0.25, -0.15)]
     for tag in (1, -1):
         for p in points:
-            assert script_J_residual(sc, patch, p, orientation=tag) <= 1e-5
+            assert script_J_residual(LiftGeometry(sc, patch, p, orientation=tag)) <= 1e-5
     monkeypatch.setattr(tw, "VERTICAL_ROTATION_SIGN", -tw.VERTICAL_ROTATION_SIGN)
     for p in points:
-        assert script_J_residual(sc, patch, p, orientation=1) >= 1e-2
+        assert script_J_residual(LiftGeometry(sc, patch, p, orientation=1)) >= 1e-2
 
 
 def test_nonminimal_graph_has_large_residual():
@@ -195,7 +197,7 @@ def test_nonminimal_graph_has_large_residual():
     patch = bowl_patch()
     for p in [(0.4, 0.1), (0.2, -0.3)]:
         for tag in (1, -1):
-            assert script_J_residual(sc, patch, p, orientation=tag) >= 1e-2
+            assert script_J_residual(LiftGeometry(sc, patch, p, orientation=tag)) >= 1e-2
 
 
 def test_antipody_under_parameter_swap():
@@ -229,10 +231,10 @@ def test_curvature_densities_product_metric():
     for radius in (1.0, 2.0):
         sc = holomorphic_scenario(
             "ps", {(1, 0): 1.0}, ProductSphereMetric(radius, box))
-        ot, on = curvature_densities(sc, sphere_patch, (np.pi / 3, 0.2))
+        ot, on = curvature_densities(LiftGeometry(sc, sphere_patch, (np.pi / 3, 0.2)))
         assert abs(ot + 1.0 / radius ** 2) < 1e-9
         assert abs(on) < 1e-12
-        ot2, on2 = curvature_densities(sc, flat_patch, (0.1, -0.2))
+        ot2, on2 = curvature_densities(LiftGeometry(sc, flat_patch, (0.1, -0.2)))
         assert abs(ot2) < 1e-12 and abs(on2) < 1e-12
 
 
@@ -245,13 +247,13 @@ def test_vertical_energy_matches_fiber_speed_oracle():
     sc = flat_scenario()
     patch = reciprocal_patch()
     p0 = np.array([1.0, 0.0])
-    energy = vertical_energy_density(sc, patch, p0, orientation=-1)
+    geo = LiftGeometry(sc, patch, p0, orientation=-1)
+    energy = vertical_energy_density(geo)
     assert abs(energy.value - 4.0) < 1e-6
     assert np.allclose(energy.gram, 2.0 * np.eye(2), atol=1e-6)
     assert abs(energy.area_element - 3.0) < 1e-6
 
-    m, t1, t2, _, _ = tw._lift_frames(sc, patch, p0)
-    x1, x2 = tw._tangent_coordinates(patch, p0, t1, t2)
+    x1, x2 = geo.tangent_coordinates
     h = 1e-5
     oracle = 0.0
     for x in (x1, x2):
@@ -292,11 +294,13 @@ def test_energy_and_residual_invariant_under_chart_isometry():
 
     for p in [(0.1, 0.2), (-0.25, 0.05), (0.3, -0.3)]:
         for tag in (1, -1):
-            e_base = vertical_energy_density(base, patch_base, p, orientation=tag)
-            e_new = vertical_energy_density(pulled, patch_new, p, orientation=tag)
+            geo_base = LiftGeometry(base, patch_base, p, orientation=tag)
+            geo_new = LiftGeometry(pulled, patch_new, p, orientation=tag)
+            e_base = vertical_energy_density(geo_base)
+            e_new = vertical_energy_density(geo_new)
             assert abs(e_base.value - e_new.value) < 1e-4
-            r_base = script_J_residual(base, patch_base, p, orientation=tag)
-            r_new = script_J_residual(pulled, patch_new, p, orientation=tag)
+            r_base = script_J_residual(geo_base)
+            r_new = script_J_residual(geo_new)
             assert abs(r_base - r_new) < 1e-4
 
 
@@ -325,3 +329,53 @@ def test_finite_difference_jacobian_agrees_with_exact():
     fd_patch = SurfacePatch(psi=patch.psi, param_box=patch.param_box)
     p = (0.9, 0.25)
     assert np.max(np.abs(patch.dpsi(p) - fd_patch.dpsi(p))) < 1e-9
+
+
+# ------------------------------------------------------------- call budget
+
+
+CALL_BUDGET = {"_lift_frames": 9, "surface_lift": 8, "dpsi": 9,
+               "christoffel": 1, "curvature_data": 1}
+
+
+def count_lift_calls(monkeypatch) -> dict:
+    """Count the lift layer's calls; returns a dict that the calls update."""
+    counts = dict.fromkeys(CALL_BUDGET, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_lift_frames", "surface_lift", "christoffel", "curvature_data"):
+        monkeypatch.setattr(tw, name, counted(name, getattr(tw, name)))
+    monkeypatch.setattr(SurfacePatch, "dpsi", counted("dpsi", SurfacePatch.dpsi))
+    return counts
+
+
+@pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
+def test_lift_geometry_call_budget(monkeypatch, patch_name):
+    # one geometry per parameter point: the point's frames, the 8 node lifts
+    # of the two vertical stencils, one Christoffel and one curvature build
+    spec = catalog_patch(patch_name)
+    sc = build_scenario(ScenarioConfig.from_dict(
+        catalog_configs()[spec["scenario"]]))
+    counts = count_lift_calls(monkeypatch)
+    for p in patch_grid(spec["patch"]):
+        counts.update(dict.fromkeys(counts, 0))
+        geo = LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
+        energy = vertical_energy_density(geo)
+        residual = script_J_residual(geo)
+        omegas = curvature_densities(geo)
+        assert all(1 <= counts[k] <= CALL_BUDGET[k] for k in counts), counts
+        # the cache changes no number: the residual read after the energy
+        # equals, bit for bit, each quantity read off a fresh geometry
+        def fresh():
+            return LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
+
+        assert script_J_residual(fresh()) == residual
+        alone = vertical_energy_density(fresh())
+        assert (alone.value, alone.area_element) == (energy.value, energy.area_element)
+        assert np.array_equal(alone.gram, energy.gram)
+        assert curvature_densities(fresh()) == omegas
