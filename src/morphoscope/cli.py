@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import runner
-from .config import ScenarioConfig, build_scenario
+from .config import DEFAULT_ANALYSIS, ScenarioConfig, build_scenario, with_overrides
 from .errors import ConfigError, MorphoscopeError
 from .report import exit_code, verdict_lines, write_csv, write_json
 
@@ -86,20 +86,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out_dir = Path(args.out)
     table = None
+    overrides = {"seed": args.seed, "fd_step": args.fd_step, "workers": args.workers}
     try:
         if args.command == "catalog":
-            report = runner.run_catalog(args.seed or 0, args.workers or 1)
+            analysis = with_overrides(DEFAULT_ANALYSIS, overrides)
+            report = runner.run_catalog(analysis["seed"], analysis["workers"])
             stem = "catalog"
         else:
             if args.config is None:
                 raise ConfigError(f"{args.command} requires --config")
             config = ScenarioConfig.from_file(args.config)
-            if args.seed is not None:
-                config.analysis["seed"] = args.seed
-            if args.fd_step is not None:
-                config.analysis["fd_step"] = args.fd_step
-            if args.workers is not None:
-                config.analysis["workers"] = args.workers
+            config.analysis = with_overrides(config.analysis, overrides)
             seed = config.analysis["seed"]
             workers = config.analysis["workers"]
             scenario = build_scenario(config)

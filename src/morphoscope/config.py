@@ -190,6 +190,41 @@ def _diffeo_spec(data, path: str) -> dict:
             "box": _box(_require(data, "box", path), f"{path}.box")}
 
 
+def _analysis_value(key: str, value, path: str):
+    if key == "seed":
+        return _integer(value, path, minimum=0)
+    if key == "n_points":
+        return _integer(value, path, minimum=1)
+    if key == "n_directions":
+        return _integer(value, path, minimum=4)
+    if key == "workers":
+        return _integer(value, path, minimum=1)
+    if key in ("radii", "scan_radii"):
+        if value is None:
+            return None
+        if not isinstance(value, list) or len(value) < 3:
+            _fail(path, "expected a list of at least three radii")
+        radii = [_number(v, f"{path}[{n}]", positive=True)
+                 for n, v in enumerate(value)]
+        if any(radii[n] <= radii[n + 1] for n in range(len(radii) - 1)):
+            _fail(path, "radii must be strictly decreasing")
+        return radii
+    if key == "fd_step":
+        return None if value is None else _number(value, path, positive=True)
+    if key == "angle":
+        return _number(value, path)
+    if key == "tolerances":
+        if not isinstance(value, dict):
+            _fail(path, "expected an object of named tolerances")
+        tolerances = dict(DEFAULT_TOLERANCES)
+        for name, tol in value.items():
+            if name not in DEFAULT_TOLERANCES:
+                _fail(f"{path}.{name}", "unknown tolerance name")
+            tolerances[name] = _number(tol, f"{path}.{name}", positive=True)
+        return tolerances
+    _fail(path, "unknown analysis parameter")
+
+
 def _analysis_spec(data, path: str) -> dict:
     out = dict(DEFAULT_ANALYSIS)
     out["tolerances"] = dict(DEFAULT_TOLERANCES)
@@ -198,39 +233,15 @@ def _analysis_spec(data, path: str) -> dict:
     if not isinstance(data, dict):
         _fail(path, "expected an object")
     for key, value in data.items():
-        kp = f"{path}.{key}"
-        if key == "seed":
-            out["seed"] = _integer(value, kp, minimum=0)
-        elif key == "n_points":
-            out["n_points"] = _integer(value, kp, minimum=1)
-        elif key == "n_directions":
-            out["n_directions"] = _integer(value, kp, minimum=4)
-        elif key == "workers":
-            out["workers"] = _integer(value, kp, minimum=1)
-        elif key in ("radii", "scan_radii"):
-            if value is None:
-                continue
-            if not isinstance(value, list) or len(value) < 3:
-                _fail(kp, "expected a list of at least three radii")
-            radii = [_number(v, f"{kp}[{n}]", positive=True)
-                     for n, v in enumerate(value)]
-            if any(radii[n] <= radii[n + 1] for n in range(len(radii) - 1)):
-                _fail(kp, "radii must be strictly decreasing")
-            out[key] = radii
-        elif key == "fd_step":
-            out["fd_step"] = None if value is None else _number(value, kp, positive=True)
-        elif key == "angle":
-            out["angle"] = _number(value, kp)
-        elif key == "tolerances":
-            if not isinstance(value, dict):
-                _fail(kp, "expected an object of named tolerances")
-            for name, tol in value.items():
-                if name not in DEFAULT_TOLERANCES:
-                    _fail(f"{kp}.{name}", "unknown tolerance name")
-                out["tolerances"][name] = _number(tol, f"{kp}.{name}", positive=True)
-        else:
-            _fail(kp, "unknown analysis parameter")
+        out[key] = _analysis_value(key, value, f"{path}.{key}")
     return out
+
+
+def with_overrides(analysis: dict, overrides: dict) -> dict:
+    """`analysis` with each command line override that is not None checked by
+    the config file's rule for its key (an error names the flag) and put in place."""
+    return {**analysis, **{key: _analysis_value(key, value, "--" + key.replace("_", "-"))
+                           for key, value in overrides.items() if value is not None}}
 
 
 @dataclass

@@ -11,18 +11,17 @@ second order normal chart, where Frobenius norms are the natural gauge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._linalg import minimize_affine_on_sphere
-from .calculus import MorphismScenario, NormalChart
+from .calculus import MorphismScenario
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
 from .geometry import oriented_frame
 from .morphism import HermitianPair, PointGeometry, point_geometry
-from .ratefit import RateFit, fit_rate, seeded_directions, shell_samples
+from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
-from .symbol import SymbolCandidate, symbol_polynomial
+from .symbol import CenterSample, SymbolCandidate, SymbolData
 
 MAX_DIRECTION_SUBSTITUTIONS = 25
 
@@ -66,46 +65,19 @@ def best_compatible_structure(scenario: MorphismScenario, m, orientation: int = 
 # ------------------------------------------------------------- references
 
 
-@dataclass
-class ReferenceStructure:
-    """Constant reference structure of the leading symbol at a center."""
-
-    center: np.ndarray
-    orientation: int
-    order: int
-    chart: NormalChart
-    matrix: np.ndarray
-    fiber: np.ndarray
-    candidate: SymbolCandidate
-
-    def extended(self, y) -> np.ndarray:
-        """The parallel extension in normalized coordinates: constant."""
-        return self.matrix
-
-    def original_chart_matrix(self, y) -> np.ndarray:
-        """The extension pushed to original coordinates at the image of y."""
-        jac = np.array([[p.diff(a).eval_real(y) for a in range(4)]
-                        for p in self.chart.chart_map])
-        return jac @ self.matrix @ np.linalg.inv(jac)
-
-
-def reference_field(scenario: MorphismScenario, m0, orientation: int = 1) -> ReferenceStructure:
-    """Reference structure for the requested orientation at a center.
+def reference_field(data: SymbolData, orientation: int) -> SymbolCandidate:
+    """The symbol's constant reference structure for the requested orientation.
 
     Raises SymbolError when the leading symbol admits no compatible structure
     of that orientation. If several exist the one with the smallest residual
     (ties broken by fiber coordinates) is chosen deterministically.
     """
-    data = symbol_polynomial(scenario, m0)
     matches = [c for c in data.candidates if c.orientation == orientation]
     if not matches:
         raise SymbolError(
             f"leading symbol admits no compatible structure with orientation {orientation:+d}")
     matches.sort(key=lambda c: (c.residual, tuple(np.round(c.fiber, 12))))
-    cand = matches[0]
-    return ReferenceStructure(center=data.center, orientation=orientation,
-                              order=data.order, chart=data.chart,
-                              matrix=cand.matrix, fiber=cand.fiber, candidate=cand)
+    return matches[0]
 
 
 # ------------------------------------------------------------------ rates
@@ -158,7 +130,6 @@ def _regular_rays(sc: MorphismScenario, dirs: np.ndarray, radii, shells, seed: i
 class DeviationRates:
     """Decay of the structure deviation and of the reference metric defects."""
 
-    reference: ReferenceStructure
     radii: tuple
     deviation_fit: RateFit
     metric_orth_fit: RateFit
@@ -167,27 +138,24 @@ class DeviationRates:
     verdict: str
 
 
-def structure_deviation_rate(scenario: MorphismScenario, m0, orientation: int = 1,
-                             radii: Sequence[float] | None = None,
-                             n_directions: int = 16, seed: int = 0) -> DeviationRates:
+def structure_deviation_rate(sample: CenterSample, orientation: int = 1) -> DeviationRates:
     """Fit ||J(m) - J0|| and the compatibility defects of J0 near the center.
 
-    Everything is evaluated in the normalized chart. Expected behaviour: the
-    deviation decays at least linearly, both metric defects at least
-    quadratically; identically zero quantities take the zero branch.
+    Everything is evaluated in the normalized chart, on the sample's seeded
+    directions. Expected behaviour: the deviation decays at least linearly,
+    both metric defects at least quadratically; identically zero quantities
+    take the zero branch.
     """
-    ref = reference_field(scenario, m0, orientation)
-    sc = ref.chart.scenario
-    dirs = seeded_directions(n_directions, seed)
-    radii, points = shell_samples(dirs, radii, sc.domain.size())
-    J0 = ref.matrix
-    shells = [[point_geometry(sc, y) for y in shell] for shell in points]
-    rays, subs = _regular_rays(sc, dirs, radii, shells, seed)
+    J0 = reference_field(sample.symbol, orientation).matrix
+    radii = sample.radii
+    shells = [shell[N_AXES:] for shell in sample.geometries]
+    rays, subs = _regular_rays(sample.symbol.chart.scenario, sample.directions[N_AXES:],
+                               radii, shells, sample.seed)
     dev_vals = np.max([[_deviation(geo, orientation, J0) for geo in ray] for ray in rays],
                       axis=0)
 
     # the metric defects of J0 are read at the unsubstituted samples
-    xs = list(np.eye(4)) + list(seeded_directions(4, seed + 2000))
+    xs = list(np.eye(4)) + list(seeded_directions(4, sample.seed + 2000))
 
     def orth_defect(g):
         return max(abs(float((J0 @ x) @ g @ (J0 @ x) - x @ g @ x)) for x in xs)
@@ -204,7 +172,7 @@ def structure_deviation_rate(scenario: MorphismScenario, m0, orientation: int = 
     ok = (deviation_fit.meets_lower_slope(0.9)
           and orth_fit.meets_lower_slope(1.9)
           and skew_fit.meets_lower_slope(1.9))
-    return DeviationRates(reference=ref, radii=radii, deviation_fit=deviation_fit,
+    return DeviationRates(radii=radii, deviation_fit=deviation_fit,
                           metric_orth_fit=orth_fit, metric_skew_fit=skew_fit,
                           substitutions=subs, verdict="PASS" if ok else "FAIL")
 
@@ -213,16 +181,13 @@ def structure_deviation_rate(scenario: MorphismScenario, m0, orientation: int = 
 class IsolatedExtension:
     """Shell sups of the structure deviation around an isolated center."""
 
-    reference: ReferenceStructure
     radii: tuple
     sups: tuple
     fit: RateFit
     verdict: str
 
 
-def isolated_extension(scenario: MorphismScenario, m0, orientation: int = 1,
-                       radii: Sequence[float] | None = None,
-                       n_directions: int = 24, seed: int = 0) -> IsolatedExtension:
+def isolated_extension(sample: CenterSample, orientation: int = 1) -> IsolatedExtension:
     """Certify the isolated-center picture on shrinking shells.
 
     Every sampled shell point must be regular; hitting a critical sample
@@ -230,23 +195,19 @@ def isolated_extension(scenario: MorphismScenario, m0, orientation: int = 1,
     point. Shell sups of the deviation must then decrease with at least
     linear rate (or vanish identically).
     """
-    ref = reference_field(scenario, m0, orientation)
-    sc = ref.chart.scenario
-    radii, points = shell_samples(seeded_directions(n_directions, seed, include_axes=True),
-                                  radii, sc.domain.size())
+    J0 = reference_field(sample.symbol, orientation).matrix
     sups = []
-    for r, shell in zip(radii, points):
+    for r, shell in zip(sample.radii, sample.geometries):
         worst = 0.0
-        for y in shell:
-            geo = point_geometry(sc, y)
+        for geo in shell:
             if not geo.classification.is_regular:
                 raise NonIsolatedCriticalError(
                     f"critical sample on the shell of radius {r:.3e}",
-                    point=ref.chart.to_original(y))
-            worst = max(worst, _deviation(geo, orientation, ref.matrix))
+                    point=sample.symbol.chart.to_original(geo.point))
+            worst = max(worst, _deviation(geo, orientation, J0))
         sups.append(worst)
-    fit = fit_rate(radii, sups)
+    fit = fit_rate(sample.radii, sups)
     monotone = all(sups[i + 1] <= sups[i] * 1.05 for i in range(len(sups) - 1))
     ok = fit.zero_branch or (fit.meets_lower_slope(0.9) and monotone)
-    return IsolatedExtension(reference=ref, radii=radii, sups=tuple(sups), fit=fit,
+    return IsolatedExtension(radii=sample.radii, sups=tuple(sups), fit=fit,
                              verdict="PASS" if ok else "FAIL")

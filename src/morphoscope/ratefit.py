@@ -9,6 +9,8 @@ from typing import Sequence
 import numpy as np
 
 ZERO_BRANCH_THRESHOLD = 1e-12
+# the signed coordinate axes that lead seeded_directions(..., include_axes=True)
+N_AXES = 8
 
 
 @dataclass
@@ -88,7 +90,7 @@ def seeded_directions(count: int, seed: int, include_axes: bool = False) -> np.n
                 e = np.zeros(4)
                 e[k] = s
                 dirs.append(e)
-    while len(dirs) < count + (8 if include_axes else 0):
+    while len(dirs) < count + (N_AXES if include_axes else 0):
         v = rng.standard_normal(4)
         n = np.linalg.norm(v)
         if n > 1e-8:

@@ -21,7 +21,8 @@ from .hermitian import pseudo_holomorphy_residual, structure_deviation_rate
 from .morphism import point_geometry, validate_morphism
 from .parallel import ordered_map
 from .report import build_report, check, fingerprint
-from .symbol import dilation_lower_rate, remainder_rates, symbol_polynomial
+from .symbol import (center_sample, dilation_lower_rate, remainder_rates,
+                     symbol_polynomial)
 from .twistor import (LiftGeometry, curvature_densities, script_J_residual,
                       vertical_energy_density)
 from .weingarten import identity_scale, product_bound_scan, weingarten_report
@@ -157,20 +158,16 @@ def run_symbol(config: ScenarioConfig, scenario: MorphismScenario) -> Findings:
 
 def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
              seed: int) -> Findings:
-    analysis = config.analysis
-    radii = analysis["radii"]
-    n_dirs = analysis["n_directions"]
     records = []
     checks = []
     rates = {}
     rows = []
     for idx, center in enumerate(_critical_centers(config, "rate")):
-        deviation = structure_deviation_rate(
-            scenario, center, radii=radii, n_directions=n_dirs, seed=seed)
-        remainder = remainder_rates(
-            scenario, center, radii=radii, n_directions=n_dirs, seed=seed)
-        dilation = dilation_lower_rate(
-            scenario, center, radii=radii, n_directions=n_dirs, seed=seed)
+        sample = center_sample(scenario, center, radii=config.analysis["radii"],
+                               n_directions=config.analysis["n_directions"], seed=seed)
+        deviation = structure_deviation_rate(sample)
+        remainder = remainder_rates(sample)
+        dilation = dilation_lower_rate(sample)
         fits = {"deviation": deviation.deviation_fit,
                 "metric_orth": deviation.metric_orth_fit,
                 "metric_skew": deviation.metric_skew_fit,
@@ -184,7 +181,7 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
                   "radii": fit.radii, "values": fit.values}
             for key, fit in fits.items()}
         records.append({
-            "center": center, "order": remainder.symbol.order,
+            "center": center, "order": sample.symbol.order,
             "envelope_constant": dilation.envelope_constant,
             "substitutions": deviation.substitutions,
             "excluded_directions": dilation.excluded_directions,
@@ -196,7 +193,7 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
                   orth_slope=deviation.metric_orth_fit.slope,
                   skew_slope=deviation.metric_skew_fit.slope),
             check(f"remainder_decay[{idx}]", remainder.verdict == "PASS",
-                  order=remainder.symbol.order,
+                  order=sample.symbol.order,
                   value_slope=remainder.value_fit.slope,
                   differential_slope=remainder.differential_fit.slope),
             check(f"dilation_lower[{idx}]", dilation.verdict == "PASS",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -21,9 +22,9 @@ import numpy as np
 from ._linalg import minimize_affine_on_sphere
 from .calculus import MAX_JET_ORDER, MorphismScenario, NormalChart, normalized_scenario
 from .errors import SymbolError, UnsupportedOrderError
-from .morphism import EPS_CRITICAL, dilation_sup
+from .morphism import EPS_CRITICAL, point_geometry
 from .polynomials import Poly
-from .ratefit import RateFit, fit_rate, seeded_directions, shell_samples
+from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
 
 COEFF_CHOP_REL = 1e-12
@@ -38,16 +39,6 @@ def _recentred_difference(scenario: MorphismScenario, m0) -> Poly:
     if scale == 0.0:
         raise SymbolError("map is constant near the center")
     return diff.chop(COEFF_CHOP_REL * scale)
-
-
-def order_at(scenario: MorphismScenario, m0) -> int:
-    """Vanishing order of the centred map: lowest surviving total degree."""
-    scenario.metric.require_inside(m0)
-    k = _recentred_difference(scenario, m0).lowest_order()
-    if k > MAX_JET_ORDER:
-        raise UnsupportedOrderError(
-            f"vanishing order {k} exceeds the supported jet order {MAX_JET_ORDER}")
-    return k
 
 
 def _wirtinger_pair(p: Poly, axis: int) -> Tuple[Poly, Poly]:
@@ -206,29 +197,57 @@ def symbol_polynomial(scenario: MorphismScenario, m0,
 # ------------------------------------------------------------------- rates
 
 
+@dataclass(eq=False)
+class CenterSample:
+    """What the rate fits read at one center, built once.
+
+    The leading symbol with its normal chart, the directions (the signed
+    axes, then the seeded ones) and the radius-major (n_radii, n_dirs, 4)
+    stack of shell samples in the chart. The point geometries at the samples
+    are built on first use, so a fit that reads only the symbol builds none.
+    """
+
+    symbol: SymbolData
+    seed: int
+    directions: np.ndarray
+    radii: tuple
+    points: np.ndarray
+
+    @cached_property
+    def geometries(self) -> list:
+        """geometries[j][i] is the geometry at radii[j] * directions[i]."""
+        sc = self.symbol.chart.scenario
+        return [[point_geometry(sc, y) for y in shell] for shell in self.points]
+
+
+def center_sample(scenario: MorphismScenario, m0, radii: Sequence[float] | None = None,
+                  n_directions: int = 16, seed: int = 0) -> CenterSample:
+    """Symbol, directions and shell samples at m0 for every rate fit."""
+    data = symbol_polynomial(scenario, m0)
+    directions = seeded_directions(n_directions, seed, include_axes=True)
+    radii, points = shell_samples(directions, radii, data.chart.scenario.domain.size())
+    return CenterSample(symbol=data, seed=seed, directions=directions, radii=radii,
+                        points=points)
+
+
 @dataclass
 class RemainderRates:
     """Decay fits for the symbol remainder and its differential."""
 
-    symbol: SymbolData
     radii: tuple
     value_fit: RateFit
     differential_fit: RateFit
     verdict: str
 
 
-def remainder_rates(scenario: MorphismScenario, m0, radii: Sequence[float] | None = None,
-                    n_directions: int = 16, seed: int = 0) -> RemainderRates:
+def remainder_rates(sample: CenterSample) -> RemainderRates:
     """Measure |Psi| and ||dPsi|| decay against the expected symbol order."""
-    data = symbol_polynomial(scenario, m0)
-    k = data.order
-    radii, points = shell_samples(seeded_directions(n_directions, seed), radii,
-                                  data.chart.scenario.domain.size())
-    psi = data.remainder
+    k = sample.symbol.order
+    psi = sample.symbol.remainder
     dpsi = [psi.diff(j) for j in range(4)]
     vals = []
     dvals = []
-    for shell in points:
+    for shell in sample.points[:, N_AXES:]:
         best_v = 0.0
         best_d = 0.0
         for y in shell:
@@ -238,10 +257,10 @@ def remainder_rates(scenario: MorphismScenario, m0, radii: Sequence[float] | Non
             best_d = max(best_d, float(np.linalg.svd(jac, compute_uv=False)[0]))
         vals.append(best_v)
         dvals.append(best_d)
-    value_fit = fit_rate(radii, vals)
-    differential_fit = fit_rate(radii, dvals)
+    value_fit = fit_rate(sample.radii, vals)
+    differential_fit = fit_rate(sample.radii, dvals)
     ok = value_fit.meets_lower_slope(k + 0.9) and differential_fit.meets_lower_slope(k - 0.1)
-    return RemainderRates(symbol=data, radii=radii, value_fit=value_fit,
+    return RemainderRates(radii=sample.radii, value_fit=value_fit,
                           differential_fit=differential_fit,
                           verdict="PASS" if ok else "FAIL")
 
@@ -259,28 +278,19 @@ class DilationLowerRate:
     verdict: str
 
 
-def dilation_lower_rate(scenario: MorphismScenario, m0,
-                        radii: Sequence[float] | None = None,
-                        directions: Sequence[np.ndarray] | None = None,
-                        n_directions: int = 16, seed: int = 0) -> DilationLowerRate:
+def dilation_lower_rate(sample: CenterSample) -> DilationLowerRate:
     """Fit the minimal dilation over shells; critical rays are excluded.
 
     A direction is excluded only when the dilation falls below the critical
     threshold at every sampled radius, which is the signature of a ray inside
     the critical set; exclusions are reported, not silently dropped.
     """
-    data_chart = normalized_scenario(scenario, m0)
-    sc = data_chart.scenario
-    k = order_at(scenario, m0)
-    if directions is None:
-        dirs = seeded_directions(n_directions, seed, include_axes=True)
-    else:
-        dirs = np.array([np.asarray(d, dtype=float) / np.linalg.norm(d)
-                         for d in directions])
-    radii, points = shell_samples(dirs, radii, sc.domain.size())
+    k = sample.symbol.order
+    dirs = sample.directions
+    radii = sample.radii
     # rows are directions: a ray is excluded as a whole
-    table = np.array([[dilation_sup(sc, y) for y in ray]
-                      for ray in points.swapaxes(0, 1)])
+    table = np.array([[geo.classification.dilation_sup for geo in shell]
+                      for shell in sample.geometries]).T
     excluded = [i for i in range(len(dirs)) if np.all(table[i] < EPS_CRITICAL)]
     keep = [i for i in range(len(dirs)) if i not in excluded]
     if not keep:

@@ -21,8 +21,8 @@ from morphoscope.hermitian import structure_deviation_rate
 from morphoscope.morphism import (classify_point, dilation_sup, hwc_residual,
                                   tension_norm, validate_morphism)
 from morphoscope.polynomials import Poly, from_complex_pair
-from morphoscope.symbol import (dilation_lower_rate, remainder_rates,
-                                symbol_polynomial)
+from morphoscope.symbol import (center_sample, dilation_lower_rate,
+                                remainder_rates, symbol_polynomial)
 from morphoscope.twistor import (LiftGeometry, SurfacePatch, curvature_densities,
                                  script_J_residual)
 from morphoscope.weingarten import (commutator_defect, nabla_J_norms,
@@ -89,7 +89,7 @@ def test_criterion_2_symbol_extraction():
     assert max((abs(c) for c in diff.coeffs.values()), default=0.0) < 1e-12
 
     radii = [0.1 * 2.0 ** (-i) for i in range(8)]
-    rates = remainder_rates(cubic, zero, radii=radii)
+    rates = remainder_rates(center_sample(cubic, zero, radii=radii))
     assert rates.value_fit.slope >= 2.9
     assert rates.differential_fit.slope >= 1.9
     _verdict("criterion 2 symbol: z1z2 unique, z1sq twin tags, cubic "
@@ -98,14 +98,14 @@ def test_criterion_2_symbol_extraction():
 
 def test_criterion_3_structure_deviation_rate():
     zero = np.zeros(4)
-    pulled = structure_deviation_rate(_scenario("pullback_z1z2"), zero)
+    pulled = structure_deviation_rate(center_sample(_scenario("pullback_z1z2"), zero))
     assert pulled.deviation_fit.slope is not None
     assert pulled.deviation_fit.slope >= 0.9
     assert np.isfinite(pulled.deviation_fit.constant)
     assert pulled.metric_orth_fit.meets_lower_slope(1.9)
     assert pulled.metric_skew_fit.meets_lower_slope(1.9)
 
-    flat = structure_deviation_rate(_scenario("z1z2"), zero)
+    flat = structure_deviation_rate(center_sample(_scenario("z1z2"), zero))
     assert flat.deviation_fit.zero_branch
     assert max(flat.deviation_fit.values) < 1e-12
     _verdict("criterion 3 deviation rate: pullback slope "
@@ -117,14 +117,14 @@ def test_criterion_3_structure_deviation_rate():
 def test_criterion_4_dilation_lower_bound():
     radii = (1e-1, 1e-2, 1e-3)
     zero = np.zeros(4)
-    prod = dilation_lower_rate(_scenario("z1z2"), zero, radii=radii)
+    prod = dilation_lower_rate(center_sample(_scenario("z1z2"), zero, radii=radii))
     ratios = [v / r for v, r in zip(prod.values, radii)]
     assert all(0.999 <= q <= 1.001 for q in ratios)
 
-    ray = [np.array([1.0, 0.0, 0.0, 0.0])]
-    sq = dilation_lower_rate(_scenario("z1sq"), zero, radii=radii,
-                             directions=ray)
-    ratios_sq = [v / (2.0 * r) for v, r in zip(sq.values, radii)]
+    # the +x1 axis leads the sample's directions
+    sq = center_sample(_scenario("z1sq"), zero, radii=radii)
+    ray = [shell[0].classification.dilation_sup for shell in sq.geometries]
+    ratios_sq = [v / (2.0 * r) for v, r in zip(ray, radii)]
     assert all(0.999 <= q <= 1.001 for q in ratios_sq)
     _verdict("criterion 4 dilation: z1z2 ratios "
              f"{min(ratios):.6f}..{max(ratios):.6f}, z1sq ray "

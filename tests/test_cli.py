@@ -264,6 +264,25 @@ def test_malformed_configs_exit_two(tmp_path, capsys, mutate, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["validate", "--seed", "-1"], "--seed: must be at least 0"),
+    (["validate", "--workers", "0"], "--workers: must be at least 1"),
+    (["validate", "--fd-step", "0"], "--fd-step: must be positive"),
+    (["validate", "--fd-step", "nan"], "--fd-step: must be finite"),
+    (["weingarten", "--point", "0.3,-0.2,0.1,0.4", "--fd-step", "0"],
+     "--fd-step: must be positive"),
+    (["catalog", "--seed", "-1"], "--seed: must be at least 0"),
+    (["catalog", "--workers", "0"], "--workers: must be at least 1"),
+], ids=["validate-seed", "validate-workers", "validate-fd-step", "validate-fd-step-nan",
+        "weingarten-fd-step", "catalog-seed", "catalog-workers"])
+def test_invalid_overrides_exit_two(tmp_path, capsys, argv, fragment):
+    # command line overrides obey the config file's rule for the same key
+    cfg = write_config(tmp_path, "z1z2")
+    assert run(tmp_path, *argv, "--config", str(cfg)) == 2
+    assert fragment in capsys.readouterr().err
+    assert [p.name for p in tmp_path.glob("*.json")] == ["z1z2.json"]
+
+
 def test_missing_arguments_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path, "z1z2")
     assert run(tmp_path, "analyze", "--config", str(cfg)) == 2

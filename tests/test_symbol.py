@@ -9,18 +9,24 @@ one candidate per orientation).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from morphoscope import calculus, symbol
 from morphoscope.calculus import holomorphic_scenario, pullback_scenario, real_scenario
+from morphoscope.catalog import catalog_configs
+from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import SymbolError, UnsupportedOrderError
-from morphoscope.geometry import Box, FlatMetric
+from morphoscope.geometry import Box, FlatMetric, PolynomialMetric
+from morphoscope.runner import run_rate
 from morphoscope.polynomials import Poly
 from morphoscope.structures import (
     K_MINUS, K_PLUS, fiber_from_structure, structure_basis, structure_from_fiber,
 )
 from morphoscope.symbol import (
-    dilation_lower_rate, order_at, remainder_rates, symbol_polynomial,
+    center_sample, dilation_lower_rate, remainder_rates, symbol_polynomial,
 )
 
 from test_morphism import pullback_diffeo, scenario_product, scenario_square
@@ -65,21 +71,22 @@ def test_standard_structures_frozen():
 
 
 def test_order_at_catalog_values():
-    assert order_at(scenario_product(), np.zeros(4)) == 2
-    assert order_at(scenario_square(), np.zeros(4)) == 2
-    assert order_at(scenario_cubic(), np.zeros(4)) == 2
-    assert order_at(scenario_product(), np.array([1.0, 0, 0, 0])) == 1
+    # the vanishing order of the centred map, as the symbol reads it
+    assert symbol_polynomial(scenario_product(), np.zeros(4)).order == 2
+    assert symbol_polynomial(scenario_square(), np.zeros(4)).order == 2
+    assert symbol_polynomial(scenario_cubic(), np.zeros(4)).order == 2
+    assert symbol_polynomial(scenario_product(), np.array([1.0, 0, 0, 0])).order == 1
     cub = holomorphic_scenario("pure3", {(3, 0): 1.0}, FlatMetric(Box.cube(1.5)))
-    assert order_at(cub, np.zeros(4)) == 3
+    assert symbol_polynomial(cub, np.zeros(4)).order == 3
 
 
 def test_order_at_errors():
     const = holomorphic_scenario("const", {(0, 0): 2.0}, FlatMetric(Box.cube(1.5)))
     with pytest.raises(SymbolError):
-        order_at(const, np.zeros(4))
+        symbol_polynomial(const, np.zeros(4))
     deep = holomorphic_scenario("deep", {(7, 0): 1.0}, FlatMetric(Box.cube(1.5)))
     with pytest.raises(UnsupportedOrderError):
-        order_at(deep, np.zeros(4))
+        symbol_polynomial(deep, np.zeros(4))
 
 
 def test_symbol_product_map_unique_positive_candidate():
@@ -157,19 +164,19 @@ def test_symbol_pullback_scenario_recovers_flat_candidate():
 
 
 def test_remainder_rates_zero_branch_and_cubic():
-    rr0 = remainder_rates(scenario_product(), np.zeros(4))
+    rr0 = remainder_rates(center_sample(scenario_product(), np.zeros(4)))
     assert rr0.value_fit.zero_branch
     assert rr0.differential_fit.zero_branch
     assert rr0.verdict == "PASS"
 
-    rr = remainder_rates(scenario_cubic(), np.zeros(4))
+    rr = remainder_rates(center_sample(scenario_cubic(), np.zeros(4)))
     assert rr.verdict == "PASS"
     assert rr.value_fit.slope == pytest.approx(3.0, abs=0.05)
     assert rr.differential_fit.slope == pytest.approx(2.0, abs=0.05)
 
 
 def test_dilation_lower_rate_product_map_exact_linear():
-    out = dilation_lower_rate(scenario_product(), np.zeros(4))
+    out = dilation_lower_rate(center_sample(scenario_product(), np.zeros(4)))
     assert out.order == 2
     assert out.verdict == "PASS"
     assert out.excluded_directions == ()
@@ -180,15 +187,58 @@ def test_dilation_lower_rate_product_map_exact_linear():
 
 
 def test_dilation_lower_rate_square_map_excludes_critical_rays():
-    out = dilation_lower_rate(scenario_square(), np.zeros(4), seed=3)
+    sample = center_sample(scenario_square(), np.zeros(4), seed=3)
+    out = dilation_lower_rate(sample)
     assert out.verdict == "PASS"
     # the plane spanned by the second complex coordinate is critical:
     # all four of its signed axes must be excluded
     assert len(out.excluded_directions) == 4
     for d in out.excluded_directions:
         assert abs(d[0]) < 1e-12 and abs(d[1]) < 1e-12
-    # along the first coordinate axis the dilation is exactly 2r
-    explicit = dilation_lower_rate(scenario_square(), np.zeros(4),
-                                   directions=[np.array([1.0, 0, 0, 0])])
-    for r, v in zip(explicit.radii, explicit.values):
+    # along the first coordinate axis, the sample's first direction, the
+    # dilation is exactly 2r
+    for r, shell in zip(sample.radii, sample.geometries):
+        v = shell[0].classification.dilation_sup
         assert v / (2.0 * r) == pytest.approx(1.0, abs=1e-12)
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Count calls of module.name through every package module that binds it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("morphoscope") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["pullback_z1z2", "z1z2_cubic"])
+def test_rate_builds_one_sample_per_center(monkeypatch, name):
+    # the three rate fits read one normal chart, one symbol and one shell of
+    # point geometries at each center; the metric is evaluated at most once
+    # per shell sample, plus once at the center for the normal chart
+    config = ScenarioConfig.from_dict(catalog_configs()[name])
+    scenario = build_scenario(config)
+    charts = count_calls(monkeypatch, calculus, "normalized_scenario")
+    symbols = count_calls(monkeypatch, symbol, "symbol_polynomial")
+    points = []
+    matrix = PolynomialMetric.matrix
+
+    def counted(self, m):
+        points.append((id(self), *(float(v) for v in m)))
+        return matrix(self, m)
+
+    monkeypatch.setattr(PolynomialMetric, "matrix", counted)
+    found = run_rate(config, scenario, config.analysis["seed"])
+    n_centers = len(config.critical_points)
+    n_radii = len(found.rates["center[0]"]["deviation"]["radii"])
+    assert all(record["substitutions"] == () for record in found.records)
+    assert len(charts) == n_centers
+    assert len(symbols) == n_centers
+    assert len(points) == len(set(points))
+    assert len(points) <= n_centers * (n_radii * (8 + config.analysis["n_directions"]) + 1)
