@@ -19,11 +19,11 @@ def check_spd(g: np.ndarray, context: str = "metric") -> None:
         raise GeometryError(f"{context} is not positive definite") from None
 
 
-def spd_sqrt_pair(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spd_sqrt_pair(g: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Return (g^{1/2}, g^{-1/2}) via an eigendecomposition."""
     w, q = np.linalg.eigh(0.5 * (g + g.T))
     if w[0] <= 0:
-        raise GeometryError("matrix is not positive definite")
+        raise GeometryError(f"{context} is not positive definite")
     s = np.sqrt(w)
     return (q * s) @ q.T, (q / s) @ q.T
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._linalg import check_spd, spd_sqrt_pair, surface_complex_structure
 from .errors import DomainError, GeometryError, UnsupportedOrderError
-from .geometry import Box, ChartMetric, connection, pullback_metric
+from .geometry import Box, ChartMetric, metric_point, pullback_metric
 from .polynomials import Exponents, Poly, from_complex_pair
 
 MAX_JET_ORDER = 6
@@ -116,10 +116,6 @@ class MorphismScenario:
         return MapJet(center=m, order=order, coefficients=dict(shifted.coeffs))
 
 
-def jet(scenario: MorphismScenario, m, order: int) -> MapJet:
-    return scenario.jet(m, order)
-
-
 def differential(scenario: MorphismScenario, m) -> np.ndarray:
     """Differential of the map at m as a real 2x4 matrix."""
     scenario.metric.require_inside(m)
@@ -191,10 +187,8 @@ class NormalChart:
 
 def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
     """Rewrite a scenario in second order normal coordinates at m0."""
-    m0 = np.asarray(m0, dtype=float)
-    scenario.metric.require_inside(m0)
-    g0 = scenario.metric.matrix_checked(m0)
-    gamma0 = connection(g0, scenario.metric.first_derivatives(m0))
+    mp = metric_point(scenario.metric, m0)
+    m0, g0, gamma0 = mp.point, mp.g, mp.gamma
     ident = (np.allclose(m0, 0.0, atol=1e-300)
              and np.max(np.abs(g0 - np.eye(4))) < 1e-15
              and np.max(np.abs(gamma0)) < 1e-15)
@@ -202,7 +196,7 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
         chart_map = [Poly.variable(k) for k in range(4)]
         return NormalChart(center=m0, linear=np.eye(4), chart_map=chart_map,
                            scenario=scenario, identity=True)
-    A, Ainv = spd_sqrt_pair(g0)
+    A, Ainv = mp.sqrt_pair
     # Christoffel symbols after the linear change y = A (x - m0)
     gamma_z = np.einsum("ck,ia,jb,kij->cab", A, Ainv, Ainv, gamma0)
     y = [Poly.variable(k) for k in range(4)]

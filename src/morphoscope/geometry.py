@@ -13,11 +13,12 @@ frame (e1, e2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import check_spd
+from ._linalg import check_spd, spd_sqrt_pair
 from .errors import DegenerateFrameError, DomainError, GeometryError
 from .polynomials import Poly
 
@@ -255,115 +256,115 @@ def pullback_metric(base: ChartMetric, diffeo: Sequence[Poly], domain: Box) -> C
     return CallableMetric(fn, domain)
 
 
-# --------------------------------------------------------------- curvature
+# ------------------------------------------------------------ metric point
+
+
+@dataclass(eq=False)
+class MetricPoint:
+    """The chart metric at one point, evaluated once.
+
+    `metric_point` checks the domain and the matrix when it builds one. The
+    first derivatives, the inverse, the Christoffel symbols, the square
+    roots and the curvature are derived on first use and then kept. Every
+    rejection of the matrix raises GeometryError naming the point.
+    """
+
+    metric: ChartMetric
+    point: np.ndarray
+    g: np.ndarray
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        """First derivatives, dg[k] = d_k g."""
+        return self.metric.first_derivatives(self.point)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """g^{-1} by np.linalg.inv, as the connection and the curvature use it."""
+        try:
+            return np.linalg.inv(self.g)
+        except np.linalg.LinAlgError:
+            raise GeometryError(
+                f"metric matrix is numerically singular at {self.point.tolist()}") from None
+
+    @cached_property
+    def _sums(self) -> np.ndarray:
+        # S[m, i, j] = d_i g_{mj} + d_j g_{mi} - d_m g_{ij}
+        dg = self.dg
+        return (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg)
+                - np.einsum("mij->mij", dg))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Christoffel symbols Gamma[k, i, j] = Gamma^k_{ij}."""
+        return 0.5 * np.einsum("km,mij->kij", self.inverse, self._sums)
+
+    @cached_property
+    def sqrt_pair(self) -> tuple:
+        """(g^{1/2}, g^{-1/2})."""
+        return _naming(self.point, spd_sqrt_pair, self.g, "chart metric")
+
+    @cached_property
+    def lowered(self) -> np.ndarray:
+        """Curvature with all indices lowered, R[i, j, k, p] = <R(d_i, d_j) d_k, d_p>."""
+        dg = self.dg
+        d2g = self.metric.second_derivatives(self.point)
+        ginv, S, gamma = self.inverse, self._sums, self.gamma
+        # dS[i, m, j, k] = d_i S[m, j, k]
+        dS = (np.einsum("ijmk->imjk", d2g) + np.einsum("ikmj->imjk", d2g)
+              - np.einsum("imjk->imjk", d2g))
+        dginv = -np.einsum("la,iab,bm->ilm", ginv, dg, ginv)
+        dgamma = 0.5 * (np.einsum("ilm,mjk->iljk", dginv, S)
+                        + np.einsum("lm,imjk->iljk", ginv, dS))
+        # R^l_{ijk}: curvature of the stated sign convention
+        upper = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
+                 + np.einsum("lim,mjk->lijk", gamma, gamma)
+                 - np.einsum("ljm,mik->lijk", gamma, gamma))
+        return np.einsum("lijk,lp->ijkp", upper, self.g)
+
+    def pairing(self, X, Y, Z, W) -> float:
+        """<R(X, Y)Z, W>."""
+        return float(np.einsum("ijkp,i,j,k,p->", self.lowered, X, Y, Z, W))
+
+
+def _naming(m: np.ndarray, rule: Callable, *args):
+    """rule(*args), re-raising its GeometryError with the point m named."""
+    try:
+        return rule(*args)
+    except GeometryError as exc:
+        raise GeometryError(f"{exc} at {m.tolist()}") from None
+
+
+def metric_point(metric: ChartMetric, m: Sequence[float]) -> MetricPoint:
+    """The metric at m, which must lie in the chart and be positive definite."""
+    m = np.asarray(m, dtype=float)
+    metric.require_inside(m)
+    return MetricPoint(metric=metric, point=m, g=_naming(m, metric.matrix_checked, m))
 
 
 def christoffel(metric: ChartMetric, m: Sequence[float]) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] = Gamma^k_{ij} at m."""
-    metric.require_inside(m)
-    return connection(metric.matrix_checked(m), metric.first_derivatives(m))
+    return metric_point(metric, m).gamma
 
 
-def connection(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols from the metric matrix and its first derivatives."""
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        raise GeometryError("metric matrix is numerically singular") from None
-    # S[m, i, j] = d_i g_{mj} + d_j g_{mi} - d_m g_{ij}
-    S = (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg)
-         - np.einsum("mij->mij", dg))
-    return 0.5 * np.einsum("km,mij->kij", ginv, S)
+def curvature_data(metric: ChartMetric, m: Sequence[float]) -> MetricPoint:
+    """The metric point at m, read for its curvature."""
+    return metric_point(metric, m)
 
 
-@dataclass
-class CurvatureData:
-    """Curvature tensor at a point, stored with all indices lowered."""
-
-    point: np.ndarray
-    metric_matrix: np.ndarray
-    gamma: np.ndarray
-    lowered: np.ndarray  # R[i, j, k, p] = <R(d_i, d_j) d_k, d_p>
-
-    def pairing(self, X, Y, Z, W) -> float:
-        return float(np.einsum("ijkp,i,j,k,p->", self.lowered, X, Y, Z, W))
-
-
-def curvature_data(metric: ChartMetric, m: Sequence[float]) -> CurvatureData:
-    """Assemble the curvature tensor at m from exact metric derivatives."""
-    metric.require_inside(m)
-    m = np.asarray(m, dtype=float)
-    g = metric.matrix_checked(m)
-    dg = metric.first_derivatives(m)
-    d2g = metric.second_derivatives(m)
-    ginv = np.linalg.inv(g)
-
-    S = (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg)
-         - np.einsum("mij->mij", dg))
-    gamma = 0.5 * np.einsum("km,mij->kij", ginv, S)
-    # dS[i, m, j, k] = d_i S[m, j, k]
-    dS = (np.einsum("ijmk->imjk", d2g) + np.einsum("ikmj->imjk", d2g)
-          - np.einsum("imjk->imjk", d2g))
-    dginv = -np.einsum("la,iab,bm->ilm", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("ilm,mjk->iljk", dginv, S)
-                    + np.einsum("lm,imjk->iljk", ginv, dS))
-    # R^l_{ijk}: curvature of the stated sign convention
-    upper = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-             + np.einsum("lim,mjk->lijk", gamma, gamma)
-             - np.einsum("ljm,mik->lijk", gamma, gamma))
-    lowered = np.einsum("lijk,lp->ijkp", upper, g)
-    return CurvatureData(point=m, metric_matrix=g, gamma=gamma, lowered=lowered)
-
-
-def einstein_defect(metric: ChartMetric, m: Sequence[float]) -> float:
+def einstein_defect(mp: MetricPoint) -> float:
     """Pointwise deviation of the Ricci tensor from a multiple of the metric."""
-    cd = curvature_data(metric, m)
-    g = cd.metric_matrix
-    ginv = np.linalg.inv(g)
-    ric = np.einsum("ip,ijkp->jk", ginv, cd.lowered)
+    ginv = mp.inverse
+    ric = np.einsum("ip,ijkp->jk", ginv, mp.lowered)
     scalar = float(np.einsum("jk,jk->", ginv, ric))
-    return float(np.max(np.abs(ric - 0.25 * scalar * g)))
-
-
-def riemann_pairing(metric: ChartMetric, m, X, Y, Z, W) -> float:
-    """<R(X, Y)Z, W> at m."""
-    return curvature_data(metric, m).pairing(np.asarray(X, dtype=float),
-                                             np.asarray(Y, dtype=float),
-                                             np.asarray(Z, dtype=float),
-                                             np.asarray(W, dtype=float))
+    return float(np.max(np.abs(ric - 0.25 * scalar * mp.g)))
 
 
 # ------------------------------------------------------------------ frames
 
 
-@dataclass
-class Frame:
-    """Ordered list of tangent vectors at a point, rows of `vectors`."""
-
-    point: np.ndarray
-    vectors: np.ndarray
-
-    def basis_matrix(self) -> np.ndarray:
-        """Matrix whose columns are the frame vectors."""
-        return self.vectors.T
-
-
-def metric_norm(g: np.ndarray, u: np.ndarray) -> float:
-    return float(np.sqrt(max(0.0, u @ g @ u)))
-
-
-def orthonormalize(metric: ChartMetric, m, seeds: Sequence[np.ndarray],
-                   complete: bool = False) -> Frame:
-    """Gram-Schmidt in the metric at m, processing seeds in order; see
-    gram_schmidt."""
-    metric.require_inside(m)
-    m = np.asarray(m, dtype=float)
-    return Frame(point=m, vectors=gram_schmidt(metric.matrix_checked(m), seeds,
-                                               complete))
-
-
-def gram_schmidt(g: np.ndarray, seeds: Sequence[np.ndarray],
-                 complete: bool = False) -> np.ndarray:
+def orthonormalize(g: np.ndarray, seeds: Sequence[np.ndarray],
+                   complete: bool = False) -> np.ndarray:
     """Rows of a g-orthonormal frame built from the seeds in order.
 
     A seed whose residual after projection has norm below FRAME_RANK_TOL is
@@ -376,7 +377,7 @@ def gram_schmidt(g: np.ndarray, seeds: Sequence[np.ndarray],
         w = np.asarray(v, dtype=float).copy()
         for u in out:
             w = w - (w @ g @ u) * u
-        n = metric_norm(g, w)
+        n = float(np.sqrt(max(0.0, w @ g @ w)))
         if n >= FRAME_RANK_TOL:
             out.append(w / n)
 
@@ -394,11 +395,9 @@ def gram_schmidt(g: np.ndarray, seeds: Sequence[np.ndarray],
     return np.array(out)
 
 
-def orientation_sign(metric: ChartMetric, m, frame: Frame | np.ndarray,
-                     reference: int = 1) -> int:
-    """Sign of a 4-frame against the reference chart orientation."""
-    metric.require_inside(m)
-    vectors = frame.vectors if isinstance(frame, Frame) else np.asarray(frame, dtype=float)
+def orientation_sign(frame: np.ndarray, reference: int = 1) -> int:
+    """Sign of a 4-frame, given as rows, against the reference chart orientation."""
+    vectors = np.asarray(frame, dtype=float)
     if vectors.shape != (4, 4):
         raise DegenerateFrameError("orientation needs exactly four vectors")
     det = float(np.linalg.det(vectors.T))
@@ -409,16 +408,16 @@ def orientation_sign(metric: ChartMetric, m, frame: Frame | np.ndarray,
     return int(np.sign(det)) * int(reference)
 
 
-def oriented_frame(metric: ChartMetric, m, orientation: int = 1) -> Frame:
-    """Deterministic orthonormal frame at m with the requested orientation.
+def oriented_frame(g: np.ndarray, orientation: int = 1) -> np.ndarray:
+    """Rows of a deterministic g-orthonormal frame with the requested orientation.
 
     Coordinate basis vectors are orthonormalized in index order; the last
     vector is flipped if needed. Reproducible across runs by construction.
     """
-    fr = orthonormalize(metric, m, [], complete=True)
-    if orientation_sign(metric, m, fr) != orientation:
-        fr.vectors[3] = -fr.vectors[3]
-    return fr
+    frame = orthonormalize(g, [], complete=True)
+    if orientation_sign(frame) != orientation:
+        frame[3] = -frame[3]
+    return frame
 
 
 # ------------------------------------------------- covariant differentiation

@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import minimize_affine_on_sphere
 from .calculus import MorphismScenario
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
-from .geometry import oriented_frame
+from .geometry import metric_point, oriented_frame
 from .morphism import HermitianPair, PointGeometry, point_geometry
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
@@ -48,9 +48,7 @@ def best_compatible_structure(scenario: MorphismScenario, m, orientation: int = 
     (structure, fiber coordinates, residual). Independent of the splitting
     construction, so it serves as a cross check on hermitian_pair.
     """
-    scenario.metric.require_inside(m)
-    frame = oriented_frame(scenario.metric, m, orientation=1)
-    B = frame.basis_matrix()
+    B = oriented_frame(metric_point(scenario.metric, m).g).T
     Binv = np.linalg.inv(B)
     jac = scenario.jacobian(m)
     j_target = scenario.target.complex_structure()

@@ -6,9 +6,9 @@ conformality, and its kernel is the vertical space. Frames are constructed
 deterministically so repeated runs and neighbouring points agree.
 
 All of it comes from one construction per point, `PointGeometry`, built by
-`point_geometry`. The splitting, the structure pair and the Christoffel
-symbols are derived on first use and then kept on the geometry, which lives
-only as long as the evaluation that built it.
+`point_geometry` on the point's `MetricPoint`. The splitting and the
+structure pair are derived on first use and then kept on the geometry, which
+lives only as long as the evaluation that built it.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import spd_sqrt_pair
 from .calculus import MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, GeometryError
-from .geometry import Stencil, connection, gram_schmidt, orientation_sign, stencil
+from .geometry import (MetricPoint, Stencil, metric_point, orientation_sign,
+                       orthonormalize, stencil)
 from .structures import K_MINUS, K_PLUS
 
 EPS_CRITICAL = 1e-9
@@ -91,17 +91,15 @@ class HermitianPair:
 class PointGeometry:
     """The map's pointwise geometry at one chart point, built once.
 
-    The metric, its square roots, the differential and the SVD of the gauge
-    matrix are computed when the geometry is built; the properties below are
-    derived from them on first use. `split` and `pair` need a regular point
-    and raise ClassificationError otherwise.
+    The metric point, the differential and the SVD of the gauge matrix are
+    computed when the geometry is built; the properties below are derived
+    from them on first use. `split` and `pair` need a regular point and
+    raise ClassificationError otherwise.
     """
 
     scenario: MorphismScenario
-    point: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray
-    gsqrt: np.ndarray
+    metric_point: MetricPoint
+    ginv: np.ndarray         # g^{-1/2} g^{-1/2}
     ginvsqrt: np.ndarray
     jac: np.ndarray
     gauge: np.ndarray        # h^{1/2} dF g^{-1/2}
@@ -117,10 +115,18 @@ class PointGeometry:
         return HwcData(point=self.point, conformal=conf, squared_dilation=lam2,
                        defect=defect)
 
-    @cached_property
+    @property
+    def point(self) -> np.ndarray:
+        return self.metric_point.point
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.metric_point.g
+
+    @property
     def gamma(self) -> np.ndarray:
         """Christoffel symbols Gamma[k, i, j] of the chart metric."""
-        return connection(self.g, self.scenario.metric.first_derivatives(self.point))
+        return self.metric_point.gamma
 
     @cached_property
     def tension(self) -> np.ndarray:
@@ -173,13 +179,12 @@ class PointGeometry:
         p_hor = np.eye(4) - p_vert
 
         seeds = [p_vert @ basis for basis in np.eye(4)]
-        vectors = gram_schmidt(self.g, seeds)
+        vectors = orthonormalize(self.g, seeds)
         if vectors.shape[0] < 2:
             raise DegenerateFrameError("vertical frame construction lost rank")
         v1, v2 = vectors[0], vectors[1]
         frame = np.array([e1, e2, v1, v2])
-        if orientation_sign(sc.metric, self.point, frame,
-                            reference=sc.orientation) < 0:
+        if orientation_sign(frame, reference=sc.orientation) < 0:
             v2 = -v2
         if not np.isfinite(hwc.defect):
             raise GeometryError(f"conformality defect overflows at {self.point.tolist()}")
@@ -209,12 +214,11 @@ def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
     raise GeometryError, so no input reaches the callers as a bare
     numerical failure.
     """
-    m = np.asarray(m, dtype=float)
-    scenario.metric.require_inside(m)
-    g = scenario.metric.matrix_checked(m)
+    mp = metric_point(scenario.metric, m)
+    m = mp.point
     jac = scenario.jacobian(m)
     try:
-        gsqrt, ginvsqrt = spd_sqrt_pair(g)
+        ginvsqrt = mp.sqrt_pair[1]
         gauge = scenario.target.sqrt @ jac @ ginvsqrt
         if not np.all(np.isfinite(gauge)):
             raise GeometryError(f"differential is not finite at {m.tolist()}")
@@ -223,9 +227,8 @@ def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
         raise GeometryError(f"gauge decomposition failed at {m.tolist()}: {exc}") from None
     status = "regular" if s[0] >= EPS_CRITICAL else "critical"
     return PointGeometry(
-        scenario=scenario, point=m, g=g, ginv=ginvsqrt @ ginvsqrt, gsqrt=gsqrt,
-        ginvsqrt=ginvsqrt, jac=jac, gauge=gauge, singular_values=s,
-        right_vectors=vt,
+        scenario=scenario, metric_point=mp, ginv=ginvsqrt @ ginvsqrt,
+        ginvsqrt=ginvsqrt, jac=jac, gauge=gauge, singular_values=s, right_vectors=vt,
         classification=Classification(point=m, status=status,
                                       dilation_sup=float(s[0])))
 
@@ -257,21 +260,12 @@ def hwc_residual(scenario: MorphismScenario, m) -> HwcData:
     return point_geometry(scenario, m).hwc
 
 
-def dilation_sup(scenario: MorphismScenario, m) -> float:
-    """Largest stretch of the differential between the two metrics."""
-    return point_geometry(scenario, m).classification.dilation_sup
-
-
 def classify_point(scenario: MorphismScenario, m) -> Classification:
     return point_geometry(scenario, m).classification
 
 
 def splitting(scenario: MorphismScenario, m) -> PointSplit:
     return point_geometry(scenario, m).split
-
-
-def tension_field(scenario: MorphismScenario, m) -> np.ndarray:
-    return point_geometry(scenario, m).tension
 
 
 def tension_norm(scenario: MorphismScenario, m) -> float:

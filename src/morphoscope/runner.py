@@ -241,7 +241,7 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
               rel_plus=rel_plus, rel_minus=rel_minus,
               tolerance=tol["direct_rel"]),
     ]
-    einstein = einstein_defect(scenario.metric, m)
+    einstein = einstein_defect(rep.geometry.metric_point)
     record["einstein_defect"] = einstein
     if einstein <= EINSTEIN_GATE:
         # the commutation identity for the shape product only holds on

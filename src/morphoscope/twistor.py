@@ -13,8 +13,9 @@ so that vertical speeds agree with the speed of the fiber-coordinate curve
 on the unit 2-sphere.
 
 One `LiftGeometry` per parameter point holds everything the residual, the
-vertical energy and the curvature densities read; `surface_lift` is its lift
-alone, taken at the stencil nodes of the vertical derivatives.
+vertical energy and the curvature densities read, the chart metric at the
+point included; `surface_lift` is its lift alone, taken at the stencil nodes
+of the vertical derivatives.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import spd_sqrt_pair, surface_complex_structure
+from ._linalg import surface_complex_structure
 from .calculus import MorphismScenario
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .geometry import (Box, ChartMetric, central_difference, central_nodes,
-                       christoffel, curvature_data, orientation_sign, oriented_frame,
-                       orthonormalize)
+from .geometry import (Box, central_difference, central_nodes, metric_point,
+                       orientation_sign, oriented_frame, orthonormalize)
 from .structures import K_MINUS, K_PLUS, fiber_from_structure
 
 VERTICAL_ROTATION_SIGN = -1
@@ -83,22 +83,19 @@ class VerticalEnergy:
     area_element: float
 
 
-def fiber_coordinates(metric: ChartMetric, m, J: np.ndarray,
-                      orientation: int = 1) -> np.ndarray:
-    """Unit coordinates of a structure over the deterministic frame at m.
+def fiber_coordinates(g: np.ndarray, J: np.ndarray, orientation: int = 1) -> np.ndarray:
+    """Unit coordinates of a structure over the deterministic frame of g.
 
     The orientation tag selects which three-dimensional component family is
     extracted; a structure of the opposite class has vanishing components
     there, which is reported as an error rather than a zero vector.
     """
-    m = np.asarray(m, dtype=float)
-    g = metric.matrix_checked(m)
     J = np.asarray(J, dtype=float)
     if np.max(np.abs(J @ J + np.eye(4))) > 1e-9:
         raise GeometryError("structure squared is not minus the identity")
     if np.max(np.abs(J.T @ g @ J - g)) > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
         raise GeometryError("structure does not preserve the metric")
-    B = oriented_frame(metric, m, orientation=1).basis_matrix()
+    B = oriented_frame(g).T
     u = fiber_from_structure(np.linalg.solve(B, J @ B), orientation)
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > 1e-6:
@@ -109,24 +106,24 @@ def fiber_coordinates(metric: ChartMetric, m, J: np.ndarray,
 
 
 def _lift_frames(scenario: MorphismScenario, patch: SurfacePatch, p):
-    metric = scenario.metric
     m = patch.point(p)
     d = patch.dpsi(p)
     sv = np.linalg.svd(d, compute_uv=False)
     if sv[-1] <= PATCH_RANK_TOL:
         raise DegenerateFrameError(
             f"patch differential is rank deficient at {np.asarray(p).tolist()}")
-    fr = orthonormalize(metric, m, [d[:, 0], d[:, 1]], complete=True)
-    t1, t2, n1, n2 = fr.vectors
-    if orientation_sign(metric, m, fr, reference=scenario.orientation) < 0:
+    mp = metric_point(scenario.metric, m)
+    frame = orthonormalize(mp.g, [d[:, 0], d[:, 1]], complete=True)
+    t1, t2, n1, n2 = frame
+    if orientation_sign(frame, reference=scenario.orientation) < 0:
         n2 = -n2
-    return m, d, t1, t2, n1, n2
+    return mp, d, t1, t2, n1, n2
 
 
 class LiftGeometry:
     """The lift of a surface patch at one parameter point, built once.
 
-    The point psi(p), the patch differential d, the adapted frame
+    The metric point at psi(p), the patch differential d, the adapted frame
     (t1, t2, n1, n2) and the lift are computed when the geometry is built;
     the properties below are derived from them on first use.
     """
@@ -138,12 +135,13 @@ class LiftGeometry:
         self.parameter = np.asarray(p, dtype=float)
         self.orientation = orientation
         self.step = step
-        self.point, self.d, self.t1, self.t2, self.n1, self.n2 = _lift_frames(
+        self.metric_point, self.d, self.t1, self.t2, self.n1, self.n2 = _lift_frames(
             scenario, patch, self.parameter)
+        self.point = self.metric_point.point
         B = np.column_stack([self.t1, self.t2, self.n1, self.n2])
         K = K_PLUS if orientation == 1 else K_MINUS
         J = B @ K @ np.linalg.inv(B)
-        fiber = fiber_coordinates(scenario.metric, self.point, J,
+        fiber = fiber_coordinates(self.metric_point.g, J,
                                   orientation * scenario.orientation)
         self.lift = TwistorPoint(base=self.point, orientation=orientation,
                                  matrix=J, fiber=fiber)
@@ -156,20 +154,6 @@ class LiftGeometry:
         return x1, x2
 
     @cached_property
-    def g(self) -> np.ndarray:
-        return self.scenario.metric.matrix(self.point)
-
-    @cached_property
-    def g_sqrt_pair(self) -> tuple:
-        """(g^{1/2}, g^{-1/2})."""
-        return spd_sqrt_pair(self.g)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """Christoffel symbols of the chart metric at psi(p)."""
-        return christoffel(self.scenario.metric, self.point)
-
-    @cached_property
     def vertical(self) -> tuple:
         """Covariant derivatives of the lift field along x1 and x2, each from
         the node lifts of one central stencil."""
@@ -180,7 +164,7 @@ class LiftGeometry:
             raw = central_difference(
                 [surface_lift(self.scenario, self.patch, q, self.orientation).matrix
                  for q in central_nodes(self.parameter, X, h)], h)
-            gv = np.einsum("mij,i->mj", self.gamma, self.d @ X)
+            gv = np.einsum("mij,i->mj", self.metric_point.gamma, self.d @ X)
             out.append(raw + gv @ J - J @ gv)
         return tuple(out)
 
@@ -207,8 +191,8 @@ def script_J_residual(geo: LiftGeometry) -> float:
     exactly when the lift is a holomorphic curve of the bundle structure.
     """
     J = geo.lift.matrix
-    g = geo.g
-    gs, gis = geo.g_sqrt_pair
+    g = geo.metric_point.g
+    gs, gis = geo.metric_point.sqrt_pair
     d = geo.d
     x1, x2 = geo.tangent_coordinates
     # positive rotation of the parameter plane in the induced metric
@@ -233,7 +217,7 @@ def vertical_energy_density(geo: LiftGeometry) -> VerticalEnergy:
     The Gram matrix of the vertical derivatives and the induced area element
     of the lifted surface are returned alongside for diagnostics.
     """
-    gs, gis = geo.g_sqrt_pair
+    gs, gis = geo.metric_point.sqrt_pair
     v1, v2 = geo.vertical
     q = np.array([[_fiber_inner(v1, v1, gs, gis), _fiber_inner(v1, v2, gs, gis)],
                   [_fiber_inner(v2, v1, gs, gis), _fiber_inner(v2, v2, gs, gis)]])
@@ -244,7 +228,7 @@ def vertical_energy_density(geo: LiftGeometry) -> VerticalEnergy:
 
 def curvature_densities(geo: LiftGeometry):
     """Tangent and normal curvature pairings of the surface at psi(p)."""
-    cd = curvature_data(geo.scenario.metric, geo.point)
-    omega_t = cd.pairing(geo.t1, geo.t2, geo.t1, geo.t2)
-    omega_n = cd.pairing(geo.t1, geo.t2, geo.n1, geo.n2)
+    mp = geo.metric_point
+    omega_t = mp.pairing(geo.t1, geo.t2, geo.t1, geo.t2)
+    omega_n = mp.pairing(geo.t1, geo.t2, geo.n1, geo.n2)
     return float(omega_t), float(omega_n)

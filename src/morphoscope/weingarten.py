@@ -181,7 +181,7 @@ def nabla_J_norms(scenario: MorphismScenario, m, angle: float = 0.0,
 class WeingartenReport:
     """Everything the shape coefficients determine at one point."""
 
-    point: np.ndarray
+    geometry: PointGeometry
     vertical_unit: np.ndarray
     a: float
     b: float
@@ -209,7 +209,7 @@ def _shape_report(shape: _FiberShape, include_direct: bool) -> WeingartenReport:
     if include_direct:
         np_direct, nm_direct = shape.direct_norms()
     return WeingartenReport(
-        point=shape.nodes.center.point, vertical_unit=shape.T, a=a, b=b, c=c, d=d,
+        geometry=shape.nodes.center, vertical_unit=shape.T, a=a, b=b, c=c, d=d,
         r1=r1, r2=r2, theta=theta, alpha=alpha,
         commutator=commutator_matrix(a, b, c, d),
         norm_plus_closed=np_closed, norm_minus_closed=nm_closed,

@@ -18,7 +18,7 @@ from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.geometry import Box, FlatMetric
 from morphoscope.hermitian import structure_deviation_rate
-from morphoscope.morphism import (classify_point, dilation_sup, hwc_residual,
+from morphoscope.morphism import (classify_point, hwc_residual, point_geometry,
                                   tension_norm, validate_morphism)
 from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.symbol import (center_sample, dilation_lower_rate,
@@ -221,7 +221,8 @@ def test_criterion_7_metamorphic_invariance():
         if not classify_point(pulled, y).is_regular:
             continue
         x = phi(y)
-        worst = max(worst, abs(dilation_sup(pulled, y) - dilation_sup(base, x)))
+        worst = max(worst, abs(point_geometry(pulled, y).classification.dilation_sup
+                               - point_geometry(base, x).classification.dilation_sup))
         worst = max(worst, abs(hwc_residual(pulled, y).defect
                                - hwc_residual(base, x).defect))
         worst = max(worst, abs(tension_norm(pulled, y) - tension_norm(base, x)))

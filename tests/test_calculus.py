@@ -12,7 +12,7 @@ import pytest
 
 from morphoscope.calculus import (
     MAX_JET_ORDER, MorphismScenario, NormalChart, TargetSurface, differential,
-    holomorphic_scenario, jet, normalized_scenario, pullback_scenario, real_scenario,
+    holomorphic_scenario, normalized_scenario, pullback_scenario, real_scenario,
 )
 from morphoscope.errors import UnsupportedOrderError
 from morphoscope.geometry import Box, FlatMetric, PolynomialMetric, christoffel
@@ -106,7 +106,7 @@ def test_jet_truncation_and_order_cap():
         sc.jet(np.zeros(4), MAX_JET_ORDER + 1)
     with pytest.raises(UnsupportedOrderError):
         sc.jet(np.zeros(4), -1)
-    assert jet(sc, np.zeros(4), 3).coefficients[(3, 0, 0, 0)] == pytest.approx(1.0 + 0j)
+    assert sc.jet(np.zeros(4), 3).coefficients[(3, 0, 0, 0)] == pytest.approx(1.0 + 0j)
 
 
 def test_target_surface_structure():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -394,6 +395,49 @@ def test_normal_chart_overflow_exits_two(tmp_path, capsys, command, i, j):
     assert run(tmp_path, command, "--config", str(path)) == 2
     assert "GeometryError" in capsys.readouterr().err
     assert not (tmp_path / f"huge_{command}.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rejected_chart_metric_names_the_point(tmp_path, capsys):
+    # a pulled-back chart of half-width 3e53: the metric of the normal chart
+    # at the first shell sample fails the square-root rule
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(chart_config("pullback", 3e53, 0.1, 1, 1)))
+    assert run(tmp_path, "rate", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"GeometryError: chart metric is not positive definite at \[.+\]", err)
+    assert not (tmp_path / "huge_rate.json").exists()
+
+
+# the four catalog maps with a critical center
+CRITICAL_CONFIGS = ("z1z2", "z1sq", "z1z2_cubic", "pullback_z1z2")
+REGULAR_POINT = "--point=0.5,0.2,0.1,-0.2"
+
+
+def metric_battery() -> list:
+    """(config, command arguments) of the catalog battery."""
+    configs = sorted(catalog_configs())
+    return ([(name, ["validate"]) for name in configs]
+            + [(name, ["analyze", REGULAR_POINT]) for name in configs]
+            + [(name, ["weingarten", REGULAR_POINT]) for name in configs]
+            + [(name, ["weingarten", "--scan"]) for name in CRITICAL_CONFIGS]
+            + [(name, ["rate"]) for name in CRITICAL_CONFIGS]
+            + [(spec["scenario"], ["twistor", "--patch", patch])
+               for patch, spec in sorted(CATALOG_PATCHES.items())])
+
+
+@pytest.mark.parametrize("name,args", metric_battery(),
+                         ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_metric_is_evaluated_once_per_point(tmp_path, metric_calls, name, args):
+    # every command reads one metric point per chart point: the matrix is
+    # evaluated once per distinct point, and each derivative at most once
+    cfg = write_config(tmp_path, name)
+    assert run(tmp_path, args[0], "--config", str(cfg), *args[1:]) == 0
+    points = metric_calls["matrix"]
+    assert points and len(points) == len(set(points))
+    for derivative in ("first_derivatives", "second_derivatives"):
+        at = metric_calls[derivative]
+        assert len(at) == len(set(at)) and set(at) <= set(points), derivative
 
 
 def test_symbol_without_candidates_fails_with_evidence(tmp_path):

@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import (
-    _METRIC_FD_STEP, Box, CallableMetric, FlatMetric, Frame, PolynomialMetric,
+    _METRIC_FD_STEP, Box, CallableMetric, FlatMetric, PolynomialMetric,
     ProductSphereMetric, ChartMetric, central_difference, central_nodes, christoffel,
-    covariant_derivative, curvature_data, oriented_frame, orientation_sign,
-    orthonormalize, pullback_metric, riemann_pairing,
+    covariant_derivative, curvature_data, metric_point, oriented_frame, orientation_sign,
+    orthonormalize, pullback_metric,
 )
 from morphoscope.polynomials import Poly
 from morphoscope.twistor import PATCH_FD_STEP, SurfacePatch
@@ -132,12 +132,13 @@ def test_sphere_sectional_curvature_frozen():
         m = np.array([np.pi / 3, 0.4, 0.2, -0.3])
         e1 = np.array([1.0 / radius, 0.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0 / (radius * np.sin(m[0])), 0.0, 0.0])
-        k = riemann_pairing(metric, m, e1, e2, e2, e1)
+        data = curvature_data(metric, m)
+        k = data.pairing(e1, e2, e2, e1)
         assert k == pytest.approx(expected, abs=1e-10)
         # plane factor and mixed blocks are flat
         e3 = np.array([0.0, 0.0, 1.0, 0.0])
-        assert abs(riemann_pairing(metric, m, e1, e3, e3, e1)) < 1e-12
-        assert abs(riemann_pairing(metric, m, e3, e2, e2, e3)) < 1e-12
+        assert abs(data.pairing(e1, e3, e3, e1)) < 1e-12
+        assert abs(data.pairing(e3, e2, e2, e3)) < 1e-12
 
 
 def test_riemann_symmetries_on_curved_metric():
@@ -198,18 +199,18 @@ def test_orthonormalize_sphere_phi_direction_frozen():
     radius = 2.0
     metric = ProductSphereMetric(radius, SPHERE_DOMAIN)
     m = np.array([np.pi / 2, 0.0, 0.0, 0.0])
-    fr = orthonormalize(metric, m, [np.array([0.0, 1.0, 0.0, 0.0])])
-    assert fr.vectors.shape == (1, 4)
-    assert np.allclose(fr.vectors[0], [0.0, 1.0 / radius, 0.0, 0.0], atol=1e-14)
+    fr = orthonormalize(metric_point(metric, m).g, [np.array([0.0, 1.0, 0.0, 0.0])])
+    assert fr.shape == (1, 4)
+    assert np.allclose(fr[0], [0.0, 1.0 / radius, 0.0, 0.0], atol=1e-14)
 
 
 def test_orthonormalize_skips_dependent_seeds_and_completes():
     metric = FlatMetric(Box.cube(1.0))
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    fr = orthonormalize(metric, np.zeros(4), [e1, 2.0 * e1, np.array([1.0, 1.0, 0.0, 0.0])],
-                        complete=True)
-    assert fr.vectors.shape == (4, 4)
-    gram = fr.vectors @ fr.vectors.T
+    fr = orthonormalize(metric_point(metric, np.zeros(4)).g,
+                        [e1, 2.0 * e1, np.array([1.0, 1.0, 0.0, 0.0])], complete=True)
+    assert fr.shape == (4, 4)
+    gram = fr @ fr.T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
 
@@ -217,33 +218,31 @@ def test_orthonormalize_rejects_singular_metric():
     # a rank-degenerate metric is a geometry failure, caught before framing
     bad = CallableMetric(lambda m: np.diag([1.0, 1.0, 1.0, 0.0]), Box.cube(1.0))
     with pytest.raises(GeometryError):
-        orthonormalize(bad, np.zeros(4), [], complete=True)
+        orthonormalize(metric_point(bad, np.zeros(4)).g, [], complete=True)
 
 
 def test_orientation_sign_and_degenerate_frame():
-    metric = FlatMetric(Box.cube(1.0))
-    m = np.zeros(4)
-    fr = Frame(point=m, vectors=np.eye(4))
-    assert orientation_sign(metric, m, fr) == 1
+    fr = np.eye(4)
+    assert orientation_sign(fr) == 1
     swapped = np.eye(4)[[1, 0, 2, 3]]
-    assert orientation_sign(metric, m, Frame(point=m, vectors=swapped)) == -1
-    assert orientation_sign(metric, m, fr, reference=-1) == -1
+    assert orientation_sign(swapped) == -1
+    assert orientation_sign(fr, reference=-1) == -1
     degenerate = np.eye(4)
     degenerate[3] = degenerate[2]
     with pytest.raises(DegenerateFrameError):
-        orientation_sign(metric, m, Frame(point=m, vectors=degenerate))
+        orientation_sign(degenerate)
 
 
 def test_oriented_frame_curved_metric_is_orthonormal_and_positive():
     metric = quadratic_bump_metric()
     m = np.array([0.3, 0.2, -0.1, 0.4])
-    fr = oriented_frame(metric, m, orientation=1)
-    g = metric.matrix(m)
-    gram = fr.vectors @ g @ fr.vectors.T
+    g = metric_point(metric, m).g
+    fr = oriented_frame(g, orientation=1)
+    gram = fr @ g @ fr.T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-    assert orientation_sign(metric, m, fr) == 1
-    fr_neg = oriented_frame(metric, m, orientation=-1)
-    assert orientation_sign(metric, m, fr_neg) == -1
+    assert orientation_sign(fr) == 1
+    fr_neg = oriented_frame(g, orientation=-1)
+    assert orientation_sign(fr_neg) == -1
 
 
 def test_covariant_derivative_of_transported_field_vanishes():

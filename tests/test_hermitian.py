@@ -16,7 +16,7 @@ from morphoscope.errors import NonIsolatedCriticalError, SymbolError
 from morphoscope.hermitian import (best_compatible_structure, hermitian_pair,
                                    isolated_extension, pseudo_holomorphy_residual,
                                    reference_field, structure_deviation_rate)
-from morphoscope.geometry import PolynomialMetric, orientation_sign
+from morphoscope.geometry import orientation_sign
 from morphoscope.structures import K_MINUS, K_PLUS
 from morphoscope.symbol import center_sample, symbol_polynomial
 
@@ -76,8 +76,8 @@ def test_pair_orientations_are_opposite():
     e1, v1 = hp.split.horizontal[0], hp.split.vertical[0]
     plus_frame = np.array([e1, hp.j_plus @ e1, v1, hp.j_plus @ v1])
     minus_frame = np.array([e1, hp.j_minus @ e1, v1, hp.j_minus @ v1])
-    assert orientation_sign(sc.metric, m, plus_frame, reference=1) == 1
-    assert orientation_sign(sc.metric, m, minus_frame, reference=1) == -1
+    assert orientation_sign(plus_frame, reference=1) == 1
+    assert orientation_sign(minus_frame, reference=1) == -1
 
 
 @pytest.mark.parametrize("factory", [scenario_product, scenario_pullback_product])
@@ -176,21 +176,14 @@ def test_deviation_rate_pullback_slopes():
     assert rates.verdict == "PASS"
 
 
-def test_deviation_rate_evaluates_the_metric_once_per_point(monkeypatch):
+def test_deviation_rate_evaluates_the_metric_once_per_point(metric_calls):
     # the catalog's pulled-back chart at its own radii, directions and seed;
     # the deviation and both metric defects read one geometry per sample, so
     # no metric is evaluated twice at one point (the per-center bound on the
     # number of evaluations is test_symbol's rate call budget)
     config = ScenarioConfig.from_dict(catalog_configs()["pullback_z1z2"])
     scenario = build_scenario(config)
-    points = []
-    original = PolynomialMetric.matrix
-
-    def counted(self, m):
-        points.append((id(self), *(float(v) for v in m)))
-        return original(self, m)
-
-    monkeypatch.setattr(PolynomialMetric, "matrix", counted)
+    points = metric_calls["matrix"]
     analysis = config.analysis
     sample = center_sample(scenario, config.critical_points[0],
                            radii=analysis["radii"],

@@ -23,8 +23,8 @@ from morphoscope.errors import ClassificationError, GeometryError
 from morphoscope.geometry import Box, FlatMetric
 from morphoscope import morphism
 from morphoscope.morphism import (
-    EPS_CRITICAL, classify_point, dilation_sup, fiber_mean_curvature, hwc_residual,
-    point_geometry, splitting, tension_field, tension_norm, validate_morphism,
+    EPS_CRITICAL, classify_point, fiber_mean_curvature, hwc_residual,
+    point_geometry, splitting, tension_norm, validate_morphism,
 )
 from morphoscope.polynomials import Poly
 
@@ -130,18 +130,19 @@ def test_holomorphic_dilation_identity_and_oracle():
         data = hwc_residual(sc, m)
         assert data.squared_dilation == pytest.approx(lam2, abs=1e-13)
         assert data.defect < 1e-13
-        sup = dilation_sup(sc, m)
+        sup = point_geometry(sc, m).classification.dilation_sup
         assert sup ** 2 == pytest.approx(lam2, abs=1e-12)
     m = np.array([0.7, -0.3, 0.4, 0.5])
-    assert sampled_dilation(sc, m) <= dilation_sup(sc, m) + 1e-12
-    assert sampled_dilation(sc, m) >= dilation_sup(sc, m) * 0.999
+    sup = point_geometry(sc, m).classification.dilation_sup
+    assert sampled_dilation(sc, m) <= sup + 1e-12
+    assert sampled_dilation(sc, m) >= sup * 0.999
 
 
 def test_dilation_sup_vs_trace_disagree_off_conformal():
     # for (x1, 2 x2) the sup is 2 while the averaged dilation is sqrt(2.5)
     sc = scenario_anisotropic()
     m = np.zeros(4)
-    assert dilation_sup(sc, m) == pytest.approx(2.0, abs=1e-12)
+    assert point_geometry(sc, m).classification.dilation_sup == pytest.approx(2.0, abs=1e-12)
     assert hwc_residual(sc, m).dilation == pytest.approx(np.sqrt(2.5), abs=1e-12)
     assert sampled_dilation(sc, m) <= 2.0 + 1e-12
 
@@ -181,7 +182,7 @@ def test_splitting_structural_properties(factory):
     checked = 0
     while checked < 12:
         m = rng.uniform(-half, half, size=4)
-        if dilation_sup(sc, m) < 1e-3:
+        if point_geometry(sc, m).classification.dilation_sup < 1e-3:
             continue
         checked += 1
         sp = splitting(sc, m)
@@ -224,7 +225,7 @@ def test_tension_against_divergence_oracle_curved_metric():
     rng = np.random.default_rng(31)
     for _ in range(5):
         m = rng.uniform(-0.5, 0.5, size=4)
-        tau = tension_field(sc, m)
+        tau = point_geometry(sc, m).tension
         oracle = divergence_tension(sc, m)
         assert np.max(np.abs(tau - oracle)) < 1e-8
         assert np.linalg.norm(tau) > 1e-2  # the control is genuinely non-harmonic
@@ -291,7 +292,8 @@ def test_hwc_defect_nonnegative_and_gauge_consistent(m):
     data = hwc_residual(sc, m)
     assert data.defect >= 0.0
     assert data.squared_dilation >= 0.0
-    assert dilation_sup(sc, m) <= np.sqrt(2.0 * data.squared_dilation) + 1e-12
+    sup = point_geometry(sc, m).classification.dilation_sup
+    assert sup <= np.sqrt(2.0 * data.squared_dilation) + 1e-12
 
 
 def test_validation_builds_one_geometry_per_point(monkeypatch):

@@ -19,7 +19,7 @@ from morphoscope.calculus import holomorphic_scenario, pullback_scenario, real_s
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import SymbolError, UnsupportedOrderError
-from morphoscope.geometry import Box, FlatMetric, PolynomialMetric
+from morphoscope.geometry import Box, FlatMetric
 from morphoscope.runner import run_rate
 from morphoscope.polynomials import Poly
 from morphoscope.structures import (
@@ -218,7 +218,7 @@ def count_calls(monkeypatch, module, name) -> list:
 
 
 @pytest.mark.parametrize("name", ["pullback_z1z2", "z1z2_cubic"])
-def test_rate_builds_one_sample_per_center(monkeypatch, name):
+def test_rate_builds_one_sample_per_center(monkeypatch, metric_calls, name):
     # the three rate fits read one normal chart, one symbol and one shell of
     # point geometries at each center; the metric is evaluated at most once
     # per shell sample, plus once at the center for the normal chart
@@ -226,14 +226,7 @@ def test_rate_builds_one_sample_per_center(monkeypatch, name):
     scenario = build_scenario(config)
     charts = count_calls(monkeypatch, calculus, "normalized_scenario")
     symbols = count_calls(monkeypatch, symbol, "symbol_polynomial")
-    points = []
-    matrix = PolynomialMetric.matrix
-
-    def counted(self, m):
-        points.append((id(self), *(float(v) for v in m)))
-        return matrix(self, m)
-
-    monkeypatch.setattr(PolynomialMetric, "matrix", counted)
+    points = metric_calls["matrix"]
     found = run_rate(config, scenario, config.analysis["seed"])
     n_centers = len(config.critical_points)
     n_radii = len(found.rates["center[0]"]["deviation"]["radii"])

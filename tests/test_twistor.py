@@ -7,6 +7,8 @@ the unit sphere, and the curvature densities against the product metric's
 known sectional curvatures.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from morphoscope.calculus import holomorphic_scenario, pullback_scenario
 from morphoscope.catalog import catalog_configs, catalog_patch, patch_grid
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
-from morphoscope.geometry import Box, FlatMetric, ProductSphereMetric
+from morphoscope.geometry import Box, CallableMetric, FlatMetric, ProductSphereMetric
+from morphoscope.morphism import point_geometry
 from morphoscope.polynomials import Poly
 from morphoscope.structures import K_MINUS, K_PLUS, structure_from_fiber
 from morphoscope.twistor import (LiftGeometry, SurfacePatch, curvature_densities,
@@ -91,18 +94,18 @@ def test_fiber_round_trip_both_classes():
         for tag in (1, -1):
             J = structure_from_fiber(u, tag)
             assert np.max(np.abs(J @ J + np.eye(4))) < 1e-12
-            v = fiber_coordinates(metric, np.zeros(4), J, tag)
+            v = fiber_coordinates(metric.matrix(np.zeros(4)), J, tag)
             assert np.max(np.abs(v - u)) < 1e-10
 
 
 def test_fiber_anchor_and_class_rejection():
     metric = FlatMetric(Box.cube(2.0))
-    u = fiber_coordinates(metric, np.zeros(4), K_PLUS, 1)
+    u = fiber_coordinates(metric.matrix(np.zeros(4)), K_PLUS, 1)
     assert np.allclose(u, [0.0, 0.0, 1.0], atol=1e-14)
     with pytest.raises(GeometryError):
-        fiber_coordinates(metric, np.zeros(4), K_MINUS, 1)
+        fiber_coordinates(metric.matrix(np.zeros(4)), K_MINUS, 1)
     with pytest.raises(GeometryError):
-        fiber_coordinates(metric, np.zeros(4), np.eye(4), 1)
+        fiber_coordinates(metric.matrix(np.zeros(4)), np.eye(4), 1)
 
 
 def test_fiber_rotation_in_second_factor_plane():
@@ -120,7 +123,7 @@ def test_fiber_rotation_in_second_factor_plane():
         expected = np.array([c * u[0] - s * u[1], s * u[0] + c * u[1], u[2]])
         for tag in (1, -1):
             J = structure_from_fiber(u, tag)
-            v = fiber_coordinates(metric, np.zeros(4), R @ J @ R.T, tag)
+            v = fiber_coordinates(metric.matrix(np.zeros(4)), R @ J @ R.T, tag)
             assert np.max(np.abs(v - expected)) < 1e-12
 
 
@@ -318,6 +321,18 @@ def test_rank_deficient_patch_rejected():
         surface_lift(sc, patch, (0.1, 0.1))
 
 
+@pytest.mark.parametrize("bad", [np.full((4, 4), np.nan), np.diag([1.0, -1.0, 1.0, 1.0])],
+                         ids=["non_finite", "indefinite"])
+def test_rejected_chart_metric_names_the_point(bad):
+    sc = holomorphic_scenario("probe", {(1, 0): 1.0},
+                              CallableMetric(lambda m: bad, Box.cube(2.0)))
+    named = re.escape(str([0.25, -0.5, 0.0, 0.0]))
+    with pytest.raises(GeometryError, match=named):
+        point_geometry(sc, np.array([0.25, -0.5, 0.0, 0.0]))
+    with pytest.raises(GeometryError, match=named):
+        LiftGeometry(sc, plane_patch(), (0.25, -0.5))
+
+
 def test_parameter_box_guard():
     patch = plane_patch()
     with pytest.raises(DomainError):
@@ -334,8 +349,10 @@ def test_finite_difference_jacobian_agrees_with_exact():
 # ------------------------------------------------------------- call budget
 
 
-CALL_BUDGET = {"_lift_frames": 9, "surface_lift": 8, "dpsi": 9,
-               "christoffel": 1, "curvature_data": 1}
+CALL_BUDGET = {"_lift_frames": 9, "surface_lift": 8, "dpsi": 9}
+# chart-metric evaluations per parameter point: the matrix at psi(p) and at
+# the 8 node lifts, the derivatives at psi(p) alone
+METRIC_BUDGET = {"matrix": 9, "first_derivatives": 1, "second_derivatives": 1}
 
 
 def count_lift_calls(monkeypatch) -> dict:
@@ -348,27 +365,32 @@ def count_lift_calls(monkeypatch) -> dict:
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_lift_frames", "surface_lift", "christoffel", "curvature_data"):
+    for name in ("_lift_frames", "surface_lift"):
         monkeypatch.setattr(tw, name, counted(name, getattr(tw, name)))
     monkeypatch.setattr(SurfacePatch, "dpsi", counted("dpsi", SurfacePatch.dpsi))
     return counts
 
 
 @pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
-def test_lift_geometry_call_budget(monkeypatch, patch_name):
+def test_lift_geometry_call_budget(monkeypatch, metric_calls, patch_name):
     # one geometry per parameter point: the point's frames, the 8 node lifts
-    # of the two vertical stencils, one Christoffel and one curvature build
+    # of the two vertical stencils, and one metric point at each of the 9
+    # chart points, whose Christoffel symbols and curvature only psi(p) reads
     spec = catalog_patch(patch_name)
     sc = build_scenario(ScenarioConfig.from_dict(
         catalog_configs()[spec["scenario"]]))
     counts = count_lift_calls(monkeypatch)
     for p in patch_grid(spec["patch"]):
         counts.update(dict.fromkeys(counts, 0))
+        for log in metric_calls.values():
+            log.clear()
         geo = LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
         energy = vertical_energy_density(geo)
         residual = script_J_residual(geo)
         omegas = curvature_densities(geo)
         assert all(1 <= counts[k] <= CALL_BUDGET[k] for k in counts), counts
+        evaluations = {k: len(log) for k, log in metric_calls.items()}
+        assert all(1 <= evaluations[k] <= METRIC_BUDGET[k] for k in evaluations), evaluations
         # the cache changes no number: the residual read after the energy
         # equals, bit for bit, each quantity read off a fresh geometry
         def fresh():
