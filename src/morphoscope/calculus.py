@@ -1,9 +1,9 @@
-"""Morphism scenarios: polynomial maps from a chart to a surface, with jets.
+"""Morphism scenarios: polynomial maps from a chart to a surface.
 
 A scenario bundles a chart metric, the map to the target surface stored as a
 single complex-coefficient polynomial (first target coordinate plus i times
 the second), the constant target metric, and an orientation flag. Because
-the map is polynomial, differentials, Hessians and recentered jets are exact.
+the map is polynomial, Jacobians and Hessians are exact.
 """
 
 from __future__ import annotations
@@ -14,14 +14,9 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ._linalg import check_spd, spd_sqrt_pair, surface_complex_structure
-from .errors import DomainError, GeometryError, UnsupportedOrderError
+from .errors import DomainError, GeometryError
 from .geometry import Box, ChartMetric, metric_point, pullback_metric
-from .polynomials import Exponents, Poly, from_complex_pair
-
-MAX_JET_ORDER = 6
-
-_UNIT_EXPONENTS: Tuple[Exponents, ...] = (
-    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+from .polynomials import Poly, from_complex_pair
 
 
 class TargetSurface:
@@ -37,31 +32,8 @@ class TargetSurface:
         self.sqrt, self.inv_sqrt = spd_sqrt_pair(h)
         self._j = surface_complex_structure(h, orientation)
 
-    def complex_structure(self, u: Sequence[float] | None = None) -> np.ndarray:
+    def complex_structure(self) -> np.ndarray:
         return self._j
-
-
-@dataclass
-class MapJet:
-    """Exact Taylor data of the map at a center, up to a total order."""
-
-    center: np.ndarray
-    order: int
-    coefficients: Dict[Exponents, complex]
-
-    def value(self) -> complex:
-        return self.coefficients.get((0, 0, 0, 0), 0j)
-
-    def jacobian(self) -> np.ndarray:
-        out = np.zeros((2, 4))
-        for k, e in enumerate(_UNIT_EXPONENTS):
-            c = self.coefficients.get(e, 0j)
-            out[0, k] = c.real
-            out[1, k] = c.imag
-        return out
-
-    def as_poly(self) -> Poly:
-        return Poly(self.coefficients)
 
 
 @dataclass
@@ -105,21 +77,6 @@ class MorphismScenario:
                 out[0, k, l] = out[0, l, k] = c.real
                 out[1, k, l] = out[1, l, k] = c.imag
         return out
-
-    def jet(self, m: Sequence[float], order: int) -> MapJet:
-        if not 0 <= order <= MAX_JET_ORDER:
-            raise UnsupportedOrderError(
-                f"jet order {order} outside supported range 0..{MAX_JET_ORDER}")
-        m = np.asarray(m, dtype=float)
-        self.metric.require_inside(m)
-        shifted = self.component.shift(m).truncate_above(order)
-        return MapJet(center=m, order=order, coefficients=dict(shifted.coeffs))
-
-
-def differential(scenario: MorphismScenario, m) -> np.ndarray:
-    """Differential of the map at m as a real 2x4 matrix."""
-    scenario.metric.require_inside(m)
-    return scenario.jacobian(m)
 
 
 # ----------------------------------------------------------- constructors

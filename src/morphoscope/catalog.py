@@ -13,6 +13,9 @@ from .errors import ConfigError
 from .geometry import Box
 from .twistor import SurfacePatch
 
+# patch_grid samples PATCH_GRID_SIZE x PATCH_GRID_SIZE parameter points
+PATCH_GRID_SIZE = 3
+
 
 def _cube(half):
     return {"lo": [-half] * 4, "hi": [half] * 4}
@@ -200,10 +203,10 @@ def catalog_patch(name: str) -> dict:
     return spec
 
 
-def patch_grid(patch: SurfacePatch, n: int = 3) -> list:
+def patch_grid(patch: SurfacePatch) -> list:
     """Deterministic interior parameter grid, away from the box edges."""
     lo = np.asarray(patch.param_box.lo, dtype=float)
     hi = np.asarray(patch.param_box.hi, dtype=float)
-    fracs = np.linspace(0.3, 0.7, n)
+    fracs = np.linspace(0.3, 0.7, PATCH_GRID_SIZE)
     return [lo + np.array([fs, ft]) * (hi - lo)
             for fs in fracs for ft in fracs]

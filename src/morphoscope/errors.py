@@ -25,7 +25,7 @@ class ClassificationError(MorphoscopeError):
 
 
 class UnsupportedOrderError(MorphoscopeError):
-    """A jet or symbol order outside the supported range was requested."""
+    """A symbol order outside the supported range was found."""
 
 
 class SymbolError(MorphoscopeError):

@@ -12,6 +12,7 @@ frame (e1, e2).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -42,17 +43,12 @@ class Box:
         c = np.asarray(center, dtype=float)
         return cls(tuple(c - half), tuple(c + half))
 
-    def contains(self, m: Sequence[float], margin: float = 0.0) -> bool:
+    def contains(self, m: Sequence[float]) -> bool:
         m = np.asarray(m, dtype=float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return bool(np.all(m >= lo + margin) and np.all(m <= hi - margin))
+        return bool(np.all(m >= np.asarray(self.lo)) and np.all(m <= np.asarray(self.hi)))
 
     def size(self) -> float:
         return float(np.min(np.asarray(self.hi) - np.asarray(self.lo)))
-
-    def center(self) -> np.ndarray:
-        return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
 
     def boundary_distance(self, m: Sequence[float]) -> float:
         m = np.asarray(m, dtype=float)
@@ -67,11 +63,10 @@ class ChartMetric:
     def __init__(self, domain: Box):
         self.domain = domain
 
-    def require_inside(self, m: Sequence[float], margin: float = 0.0) -> None:
-        if not self.domain.contains(m, margin):
+    def require_inside(self, m: Sequence[float]) -> None:
+        if not self.domain.contains(m):
             raise DomainError(
-                f"point {np.asarray(m).tolist()} leaves the chart domain "
-                f"(margin {margin:g})")
+                f"point {np.asarray(m).tolist()} leaves the chart domain (margin 0)")
 
     def matrix(self, m: Sequence[float]) -> np.ndarray:
         raise NotImplementedError
@@ -302,7 +297,8 @@ class MetricPoint:
     @cached_property
     def sqrt_pair(self) -> tuple:
         """(g^{1/2}, g^{-1/2})."""
-        return _naming(self.point, spd_sqrt_pair, self.g, "chart metric")
+        with named_at(self.point):
+            return spd_sqrt_pair(self.g, "chart metric")
 
     @cached_property
     def lowered(self) -> np.ndarray:
@@ -327,19 +323,23 @@ class MetricPoint:
         return float(np.einsum("ijkp,i,j,k,p->", self.lowered, X, Y, Z, W))
 
 
-def _naming(m: np.ndarray, rule: Callable, *args):
-    """rule(*args), re-raising its GeometryError with the point m named."""
+@contextmanager
+def named_at(m: np.ndarray):
+    """Re-raise a GeometryError or DegenerateFrameError of the block with
+    the point m named."""
     try:
-        return rule(*args)
-    except GeometryError as exc:
-        raise GeometryError(f"{exc} at {m.tolist()}") from None
+        yield
+    except (GeometryError, DegenerateFrameError) as exc:
+        raise type(exc)(f"{exc} at {m.tolist()}") from None
 
 
 def metric_point(metric: ChartMetric, m: Sequence[float]) -> MetricPoint:
     """The metric at m, which must lie in the chart and be positive definite."""
     m = np.asarray(m, dtype=float)
     metric.require_inside(m)
-    return MetricPoint(metric=metric, point=m, g=_naming(m, metric.matrix_checked, m))
+    with named_at(m):
+        g = metric.matrix_checked(m)
+    return MetricPoint(metric=metric, point=m, g=g)
 
 
 def christoffel(metric: ChartMetric, m: Sequence[float]) -> np.ndarray:

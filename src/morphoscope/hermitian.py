@@ -31,12 +31,11 @@ def hermitian_pair(scenario: MorphismScenario, m) -> HermitianPair:
     return point_geometry(scenario, m).pair
 
 
-def pseudo_holomorphy_residual(scenario: MorphismScenario, m, J: np.ndarray) -> float:
-    """How far J is from intertwining the differential with the target rotation."""
-    scenario.metric.require_inside(m)
-    jac = scenario.jacobian(m)
-    j_target = scenario.target.complex_structure()
-    return float(np.linalg.norm(jac @ J - j_target @ jac, ord="fro"))
+def pseudo_holomorphy_residual(geo: PointGeometry, J: np.ndarray) -> float:
+    """How far J is from intertwining the differential at the geometry's
+    point with the target rotation."""
+    j_target = geo.scenario.target.complex_structure()
+    return float(np.linalg.norm(geo.jac @ J - j_target @ geo.jac, ord="fro"))
 
 
 def best_compatible_structure(scenario: MorphismScenario, m, orientation: int = 1):

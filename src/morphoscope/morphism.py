@@ -21,8 +21,8 @@ import numpy as np
 
 from .calculus import MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, GeometryError
-from .geometry import (MetricPoint, Stencil, metric_point, orientation_sign,
-                       orthonormalize, stencil)
+from .geometry import (MetricPoint, Stencil, metric_point, named_at,
+                       orientation_sign, orthonormalize, stencil)
 from .structures import K_MINUS, K_PLUS
 
 EPS_CRITICAL = 1e-9
@@ -164,28 +164,29 @@ class PointGeometry:
         eps1 = np.array([1.0, 0.0]) / np.sqrt(h[0, 0])
         eps2 = sc.target.complex_structure() @ eps1
         graw = self.jac @ self.ginv @ self.jac.T
-        try:
-            c1 = np.linalg.solve(graw, lam * eps1)
-            c2 = np.linalg.solve(graw, lam * eps2)
-        except np.linalg.LinAlgError:
-            raise DegenerateFrameError("horizontal Gram matrix is singular") from None
-        e1 = self.ginv @ self.jac.T @ c1
-        e2 = self.ginv @ self.jac.T @ c2
+        with named_at(self.point):
+            try:
+                c1 = np.linalg.solve(graw, lam * eps1)
+                c2 = np.linalg.solve(graw, lam * eps2)
+            except np.linalg.LinAlgError:
+                raise DegenerateFrameError("horizontal Gram matrix is singular") from None
+            e1 = self.ginv @ self.jac.T @ c1
+            e2 = self.ginv @ self.jac.T @ c2
 
-        # kernel of the gauge matrix: the two bottom right-singular directions
-        k1 = self.ginvsqrt @ self.right_vectors[2]
-        k2 = self.ginvsqrt @ self.right_vectors[3]
-        p_vert = (np.outer(k1, k1) + np.outer(k2, k2)) @ self.g
-        p_hor = np.eye(4) - p_vert
+            # kernel of the gauge matrix: the two bottom right-singular directions
+            k1 = self.ginvsqrt @ self.right_vectors[2]
+            k2 = self.ginvsqrt @ self.right_vectors[3]
+            p_vert = (np.outer(k1, k1) + np.outer(k2, k2)) @ self.g
+            p_hor = np.eye(4) - p_vert
 
-        seeds = [p_vert @ basis for basis in np.eye(4)]
-        vectors = orthonormalize(self.g, seeds)
-        if vectors.shape[0] < 2:
-            raise DegenerateFrameError("vertical frame construction lost rank")
-        v1, v2 = vectors[0], vectors[1]
-        frame = np.array([e1, e2, v1, v2])
-        if orientation_sign(frame, reference=sc.orientation) < 0:
-            v2 = -v2
+            seeds = [p_vert @ basis for basis in np.eye(4)]
+            vectors = orthonormalize(self.g, seeds)
+            if vectors.shape[0] < 2:
+                raise DegenerateFrameError("vertical frame construction lost rank")
+            v1, v2 = vectors[0], vectors[1]
+            frame = np.array([e1, e2, v1, v2])
+            if orientation_sign(frame, reference=sc.orientation) < 0:
+                v2 = -v2
         if not np.isfinite(hwc.defect):
             raise GeometryError(f"conformality defect overflows at {self.point.tolist()}")
 

@@ -1,7 +1,7 @@
 """Exact polynomials in the four chart coordinates.
 
 Everything downstream that needs derivatives of maps or metrics to machine
-precision (jets, pullbacks, normal charts, symbol remainders) runs on this
+precision (pullbacks, normal charts, symbol remainders) runs on this
 representation: a dict from exponent 4-tuples to complex coefficients.
 Real-valued polynomials are stored with zero imaginary parts; callers take
 the real part where realness is guaranteed by construction.
@@ -135,11 +135,6 @@ class Poly:
     def eval_real(self, point: Sequence[float]) -> float:
         return self.eval(point).real
 
-    def shift(self, center: Sequence[float]) -> "Poly":
-        """Return q with q(y) = p(center + y), expanded exactly."""
-        comps = [Poly.variable(k) + Poly.constant(center[k]) for k in range(NVARS)]
-        return self.compose(comps)
-
     def compose(self, components: Sequence["Poly"]) -> "Poly":
         """Substitute components[k] for variable k."""
         if len(components) != NVARS:
@@ -169,18 +164,9 @@ class Poly:
     def homogeneous_part(self, n: int) -> "Poly":
         return Poly({e: c for e, c in self.coeffs.items() if sum(e) == n})
 
-    def truncate_above(self, n: int) -> "Poly":
-        return Poly({e: c for e, c in self.coeffs.items() if sum(e) <= n})
-
-    def lowest_order(self, tol: float = 0.0) -> int:
-        """Smallest total degree with a coefficient of magnitude > tol, or -1."""
-        best = -1
-        for e, c in self.coeffs.items():
-            if abs(c) > tol:
-                d = sum(e)
-                if best < 0 or d < best:
-                    best = d
-        return best
+    def lowest_order(self) -> int:
+        """Smallest total degree with a nonzero coefficient, or -1."""
+        return min((sum(e) for e, c in self.coeffs.items() if abs(c) > 0.0), default=-1)
 
     def max_abs_coeff(self) -> float:
         if not self.coeffs:

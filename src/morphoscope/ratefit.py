@@ -9,6 +9,9 @@ from typing import Sequence
 import numpy as np
 
 ZERO_BRANCH_THRESHOLD = 1e-12
+# default_radii: RADII_COUNT radii halving from RADII_FRACTION of the box size
+RADII_COUNT = 8
+RADII_FRACTION = 0.1
 # the signed coordinate axes that lead seeded_directions(..., include_axes=True)
 N_AXES = 8
 
@@ -41,8 +44,7 @@ class RateFit:
         return (not self.zero_branch) and self.slope is not None and self.slope <= bound
 
 
-def fit_rate(radii: Sequence[float], values: Sequence[float],
-             zero_threshold: float = ZERO_BRANCH_THRESHOLD) -> RateFit:
+def fit_rate(radii: Sequence[float], values: Sequence[float]) -> RateFit:
     r = np.asarray(radii, dtype=float)
     v = np.asarray(values, dtype=float)
     if r.ndim != 1 or r.size < 2 or v.shape != r.shape:
@@ -51,14 +53,14 @@ def fit_rate(radii: Sequence[float], values: Sequence[float],
         raise ValueError("radii must be positive and strictly decreasing")
     if np.any(v < 0):
         raise ValueError("rate values must be nonnegative")
-    if np.all(v <= zero_threshold):
+    if np.all(v <= ZERO_BRANCH_THRESHOLD):
         return RateFit(radii=tuple(r), values=tuple(v), slope=None, constant=None,
-                       log_residual=None, zero_branch=True, threshold=zero_threshold)
+                       log_residual=None, zero_branch=True, threshold=ZERO_BRANCH_THRESHOLD)
     positive = v > 0
     censored = int(v.size - np.count_nonzero(positive))
     if v.size - censored < 2:
         return RateFit(radii=tuple(r), values=tuple(v), slope=None, constant=None,
-                       log_residual=None, zero_branch=False, threshold=zero_threshold,
+                       log_residual=None, zero_branch=False, threshold=ZERO_BRANCH_THRESHOLD,
                        censored=censored)
     logs = np.log(v[positive])
     logr = np.log(r[positive])
@@ -68,13 +70,13 @@ def fit_rate(radii: Sequence[float], values: Sequence[float],
     resid = float(np.sqrt(np.mean((A @ coef - logs) ** 2)))
     return RateFit(radii=tuple(r), values=tuple(v), slope=slope,
                    constant=float(np.exp(intercept)), log_residual=resid,
-                   zero_branch=False, threshold=zero_threshold, censored=censored)
+                   zero_branch=False, threshold=ZERO_BRANCH_THRESHOLD, censored=censored)
 
 
-def default_radii(box_size: float, count: int = 8, fraction: float = 0.1) -> tuple:
+def default_radii(box_size: float) -> tuple:
     """Geometric ladder r0 * 2^-i with r0 a fraction of the domain size."""
-    r0 = fraction * box_size
-    return tuple(r0 * 2.0 ** (-i) for i in range(count))
+    r0 = RADII_FRACTION * box_size
+    return tuple(r0 * 2.0 ** (-i) for i in range(RADII_COUNT))
 
 
 def seeded_directions(count: int, seed: int, include_axes: bool = False) -> np.ndarray:

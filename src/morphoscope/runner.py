@@ -25,7 +25,7 @@ from .symbol import (center_sample, dilation_lower_rate, remainder_rates,
                      symbol_polynomial)
 from .twistor import (LiftGeometry, curvature_densities, script_J_residual,
                       vertical_energy_density)
-from .weingarten import identity_scale, product_bound_scan, weingarten_report
+from .weingarten import fiber_shape, identity_scale, product_bound_scan
 
 EINSTEIN_GATE = 1e-8
 # the rate table's label of a fit, where it differs from the fit's rates key
@@ -111,8 +111,8 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
     if cls.is_regular:
         split = geo.split
         pair = geo.pair
-        res_plus = pseudo_holomorphy_residual(scenario, m, pair.j_plus)
-        res_minus = pseudo_holomorphy_residual(scenario, m, pair.j_minus)
+        res_plus = pseudo_holomorphy_residual(geo, pair.j_plus)
+        res_minus = pseudo_holomorphy_residual(geo, pair.j_minus)
         record.update({
             "defect": split.defect,
             "horizontal": split.horizontal, "vertical": split.vertical,
@@ -211,27 +211,26 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
                          point) -> Findings:
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
-    rep = weingarten_report(scenario, m, angle=config.analysis["angle"],
-                            step=config.analysis["fd_step"], include_direct=True)
-    scale = identity_scale(rep.a, rep.b, rep.c, rep.d)
-    gap = abs(rep.product_expanded - rep.product_polar) / scale
-    rel_plus = abs(rep.norm_plus_closed - rep.norm_plus_direct) / max(
-        1.0, rep.norm_plus_closed)
-    rel_minus = abs(rep.norm_minus_closed - rep.norm_minus_direct) / max(
-        1.0, rep.norm_minus_closed)
+    shape = fiber_shape(scenario, m, angle=config.analysis["angle"],
+                        step=config.analysis["fd_step"])
+    a, b, c, d = shape.coefficients
+    (plus_closed, minus_closed), (plus_direct, minus_direct) = shape.closed, shape.direct
+    scale = identity_scale(a, b, c, d)
+    gap = shape.identity_gap
+    rel_plus = abs(plus_closed - plus_direct) / max(1.0, plus_closed)
+    rel_minus = abs(minus_closed - minus_direct) / max(1.0, minus_closed)
     record = {
-        "point": m, "vertical_unit": rep.vertical_unit,
-        "coefficients": {"a": rep.a, "b": rep.b, "c": rep.c, "d": rep.d},
-        "polar": {"r1": rep.r1, "r2": rep.r2,
-                  "theta": rep.theta, "alpha": rep.alpha},
-        "commutator": rep.commutator,
-        "norm_plus_closed": rep.norm_plus_closed,
-        "norm_minus_closed": rep.norm_minus_closed,
-        "norm_plus_direct": rep.norm_plus_direct,
-        "norm_minus_direct": rep.norm_minus_direct,
-        "product": rep.product,
-        "product_expanded": rep.product_expanded,
-        "product_polar": rep.product_polar,
+        "point": m, "vertical_unit": shape.T,
+        "coefficients": {"a": a, "b": b, "c": c, "d": d},
+        "polar": dict(zip(("r1", "r2", "theta", "alpha"), shape.polar)),
+        "commutator": shape.commutator,
+        "norm_plus_closed": plus_closed,
+        "norm_minus_closed": minus_closed,
+        "norm_plus_direct": plus_direct,
+        "norm_minus_direct": minus_direct,
+        "product": shape.product,
+        "product_expanded": shape.product_expanded,
+        "product_polar": shape.product_polar,
     }
     checks = [
         check("product_identity", gap <= tol["identity_gap"],
@@ -241,12 +240,12 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
               rel_plus=rel_plus, rel_minus=rel_minus,
               tolerance=tol["direct_rel"]),
     ]
-    einstein = einstein_defect(rep.geometry.metric_point)
+    einstein = einstein_defect(shape.geometry.metric_point)
     record["einstein_defect"] = einstein
     if einstein <= EINSTEIN_GATE:
         # the commutation identity for the shape product only holds on
         # Einstein charts, so the check is gated on the pointwise defect
-        cdef = float(np.linalg.norm(rep.commutator))
+        cdef = float(np.linalg.norm(shape.commutator))
         record["commutator_defect"] = cdef
         checks.append(check("einstein_commutation", cdef <= tol["commutator"],
                             commutator_defect=cdef, einstein_defect=einstein,

@@ -20,7 +20,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ._linalg import minimize_affine_on_sphere
-from .calculus import MAX_JET_ORDER, MorphismScenario, NormalChart, normalized_scenario
+from .calculus import MorphismScenario, NormalChart, normalized_scenario
 from .errors import SymbolError, UnsupportedOrderError
 from .morphism import EPS_CRITICAL, point_geometry
 from .polynomials import Poly
@@ -30,11 +30,13 @@ from .structures import structure_basis
 COEFF_CHOP_REL = 1e-12
 CANDIDATE_RESIDUAL_REL = 1e-8
 ANTIHOLO_REL = 1e-10
+MAX_JET_ORDER = 6
 
 
-def _recentred_difference(scenario: MorphismScenario, m0) -> Poly:
-    shifted = scenario.component.shift(np.asarray(m0, dtype=float))
-    diff = shifted - Poly.constant(shifted.eval(np.zeros(4)))
+def _recentred_difference(scenario: MorphismScenario) -> Poly:
+    """The map minus its value at the chart origin, small coefficients chopped."""
+    component = scenario.component
+    diff = component - Poly.constant(component.eval(np.zeros(4)))
     scale = diff.max_abs_coeff()
     if scale == 0.0:
         raise SymbolError("map is constant near the center")
@@ -145,12 +147,11 @@ def _certify_candidate(P0: Poly, J: np.ndarray, orientation: int, order: int,
                            coefficients=coeffs, antiholomorphic_max=anti)
 
 
-def symbol_polynomial(scenario: MorphismScenario, m0,
-                      candidate_tol: float = CANDIDATE_RESIDUAL_REL) -> SymbolData:
+def symbol_polynomial(scenario: MorphismScenario, m0) -> SymbolData:
     """Extract the leading symbol and its compatible constant structures."""
     m0 = np.asarray(m0, dtype=float)
     chart = normalized_scenario(scenario, m0)
-    diff = _recentred_difference(chart.scenario, np.zeros(4))
+    diff = _recentred_difference(chart.scenario)
     k = diff.lowest_order()
     if k > MAX_JET_ORDER:
         raise UnsupportedOrderError(
@@ -165,7 +166,7 @@ def symbol_polynomial(scenario: MorphismScenario, m0,
         basis = structure_basis(orientation * chart.scenario.orientation)
         rho0, R, scale = _holomorphy_system(p_diffs, basis)
         u, res = minimize_affine_on_sphere(rho0, R)
-        if res > candidate_tol * max(scale, 1e-300):
+        if res > CANDIDATE_RESIDUAL_REL * max(scale, 1e-300):
             continue
         sols = [u]
         # a rank-deficient system may admit a second sphere solution along
@@ -182,7 +183,7 @@ def symbol_polynomial(scenario: MorphismScenario, m0,
                 u2 = u + shift * w
                 u2 /= np.linalg.norm(u2)
                 res2 = float(np.linalg.norm(rho0 + R @ u2))
-                if res2 <= candidate_tol * max(scale, 1e-300):
+                if res2 <= CANDIDATE_RESIDUAL_REL * max(scale, 1e-300):
                     sols.append(u2)
         for usol in sols:
             J = sum(usol[a] * basis[a] for a in range(3))

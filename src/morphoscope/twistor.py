@@ -30,7 +30,7 @@ from ._linalg import surface_complex_structure
 from .calculus import MorphismScenario
 from .errors import DegenerateFrameError, DomainError, GeometryError
 from .geometry import (Box, central_difference, central_nodes, metric_point,
-                       orientation_sign, oriented_frame, orthonormalize)
+                       named_at, orientation_sign, oriented_frame, orthonormalize)
 from .structures import K_MINUS, K_PLUS, fiber_from_structure
 
 VERTICAL_ROTATION_SIGN = -1
@@ -113,10 +113,11 @@ def _lift_frames(scenario: MorphismScenario, patch: SurfacePatch, p):
         raise DegenerateFrameError(
             f"patch differential is rank deficient at {np.asarray(p).tolist()}")
     mp = metric_point(scenario.metric, m)
-    frame = orthonormalize(mp.g, [d[:, 0], d[:, 1]], complete=True)
-    t1, t2, n1, n2 = frame
-    if orientation_sign(frame, reference=scenario.orientation) < 0:
-        n2 = -n2
+    with named_at(mp.point):
+        frame = orthonormalize(mp.g, [d[:, 0], d[:, 1]], complete=True)
+        t1, t2, n1, n2 = frame
+        if orientation_sign(frame, reference=scenario.orientation) < 0:
+            n2 = -n2
     return mp, d, t1, t2, n1, n2
 
 

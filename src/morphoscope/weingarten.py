@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -75,24 +76,28 @@ def product_polar(r1: float, r2: float, theta: float, alpha: float) -> float:
 # -------------------------------------------------------------- coefficients
 
 
-class _FiberShape:
+class FiberShape:
     """One evaluation of the fiber shape at a regular point.
 
-    Holds the adapted frame (T, e2, e3, e4) at the point and the geometries
-    on the stencil along T. Every derivative of the evaluation (of T, of the
-    rotated field J+ T and of both structures) reads the same node
-    geometries, and the shape coefficients are computed once.
+    Holds the point's geometry, the adapted frame (T, e2, e3, e4) there and
+    the geometries on the stencil along T. Every derivative of the
+    evaluation (of T, of the rotated field J+ T and of both structures)
+    reads the same node geometries, and the shape coefficients are computed
+    when the shape is built. The polar form, the commutator and the closed
+    and direct norms are derived on first use and then kept; the products
+    and the identity gap are read from them.
     """
 
     def __init__(self, geometry: PointGeometry, angle: float, step: float | None):
         sp = geometry.split
+        self.geometry = geometry
         self.ca, self.sa = math.cos(angle), math.sin(angle)
         self.T = self.t_field(geometry)
         e2 = self.ca * sp.vertical[1] - self.sa * sp.vertical[0]  # positive vertical rotation
         e3, e4 = sp.horizontal                                   # e4: positive rotation of e3
         self.frame = np.array([self.T, e2, e3, e4])
-        self.g = g = geometry.g
         self.nodes = geometry_stencil(geometry, self.T, step)
+        g = geometry.g
         dT = self.nodes.derivative(self.t_field)
         dE2 = self.nodes.derivative(lambda geo: geo.pair.j_plus @ self.t_field(geo))
         self.coefficients = (-float(dT @ g @ e3), -float(dT @ g @ e4),
@@ -101,13 +106,62 @@ class _FiberShape:
     def t_field(self, geo: PointGeometry) -> np.ndarray:
         return self.ca * geo.split.vertical[0] + self.sa * geo.split.vertical[1]
 
-    def direct_norms(self) -> Tuple[float, float]:
-        """Full squared frame component sums of the derivatives of J+ and J-."""
+    @cached_property
+    def polar(self) -> Tuple[float, float, float, float]:
+        """(r1, r2, theta, alpha), see polar_form."""
+        return polar_form(*self.coefficients)
+
+    @cached_property
+    def commutator(self) -> np.ndarray:
+        """Vanishes when the ambient metric is Einstein, so its Frobenius
+        norm is the Einstein-defect diagnostic of the report."""
+        return commutator_matrix(*self.coefficients)
+
+    @cached_property
+    def closed(self) -> Tuple[float, float]:
+        """Squared norms of the derivatives of J+ and J- along T, closed form."""
+        return closed_norm_pair(*self.coefficients)
+
+    @cached_property
+    def direct(self) -> Tuple[float, float]:
+        """Full squared frame component sums of the derivatives of J+ and J-.
+
+        The direct route differentiates the structure fields themselves; it
+        stacks two finite difference layers, so agreement with `closed` is
+        expected at the 1e-3 relative level, not machine precision.
+        """
         full = []
         for orientation in (1, -1):
             dJ = self.nodes.derivative(lambda geo: geo.pair.structure(orientation))
-            full.append(frame_component_sums(dJ, self.g, self.frame)[0])
+            full.append(frame_component_sums(dJ, self.geometry.g, self.frame)[0])
         return full[0], full[1]
+
+    @property
+    def product(self) -> float:
+        """Product of the two squared norms, stable: the factored closed norms."""
+        return self.closed[0] * self.closed[1]
+
+    @property
+    def product_expanded(self) -> float:
+        """The identity form of the product, for diagnostics only."""
+        return product_identity(*self.coefficients)
+
+    @property
+    def product_polar(self) -> float:
+        return product_polar(*self.polar)
+
+    @property
+    def identity_gap(self) -> float:
+        """|product_expanded - product_polar| relative to identity_scale."""
+        return (abs(self.product_expanded - self.product_polar)
+                / identity_scale(*self.coefficients))
+
+
+def fiber_shape(scenario: MorphismScenario, m, angle: float = 0.0,
+                step: float | None = None) -> FiberShape:
+    """The fiber shape at a regular point m; `angle` rotates T inside the
+    vertical plane."""
+    return FiberShape(point_geometry(scenario, m), angle, step)
 
 
 def weingarten_matrix(scenario: MorphismScenario, m, angle: float = 0.0,
@@ -119,24 +173,7 @@ def weingarten_matrix(scenario: MorphismScenario, m, angle: float = 0.0,
     The vertical fields come from the canonical splitting, so the numbers
     are reproducible; `angle` rotates T inside the vertical plane.
     """
-    return _FiberShape(point_geometry(scenario, m), angle, step).coefficients
-
-
-def commutator_defect(scenario: MorphismScenario, m, angle: float = 0.0,
-                      step: float | None = None) -> np.ndarray:
-    """Commutator entries from the measured shape coefficients.
-
-    Vanishes when the ambient metric is Einstein, so its Frobenius norm is
-    the Einstein-defect diagnostic of the report.
-    """
-    return commutator_matrix(*weingarten_matrix(scenario, m, angle, step))
-
-
-def structure_derivative(scenario: MorphismScenario, m, orientation: int,
-                         direction, step: float | None = None) -> np.ndarray:
-    """Covariant derivative of the structure field along a direction."""
-    nodes = geometry_stencil(point_geometry(scenario, m), direction, step)
-    return nodes.derivative(lambda geo: geo.pair.structure(orientation))
+    return fiber_shape(scenario, m, angle, step).coefficients
 
 
 def frame_component_sums(dJ: np.ndarray, g: np.ndarray,
@@ -153,77 +190,14 @@ def frame_component_sums(dJ: np.ndarray, g: np.ndarray,
     return full, mixed
 
 
-@dataclass
-class NablaJNorms:
-    """Squared derivative norms along T, closed form and measured."""
-
-    closed: Tuple[float, float]
-    direct: Tuple[float, float]
-
-
 def nabla_J_norms(scenario: MorphismScenario, m, angle: float = 0.0,
-                  step: float | None = None) -> NablaJNorms:
-    """Closed-form norms from (a,b,c,d) next to direct derivative norms.
-
-    The direct route differentiates the structure fields themselves and sums
-    squared frame components; it stacks two finite difference layers, so
-    agreement is expected at the 1e-3 relative level, not machine precision.
-    """
-    shape = _FiberShape(point_geometry(scenario, m), angle, step)
-    return NablaJNorms(closed=closed_norm_pair(*shape.coefficients),
-                       direct=shape.direct_norms())
+                  step: float | None = None) -> FiberShape:
+    """The fiber shape, read for its closed-form norms from (a, b, c, d)
+    next to the direct derivative norms (`closed` and `direct`)."""
+    return fiber_shape(scenario, m, angle, step)
 
 
-# ------------------------------------------------------------------ reports
-
-
-@dataclass
-class WeingartenReport:
-    """Everything the shape coefficients determine at one point."""
-
-    geometry: PointGeometry
-    vertical_unit: np.ndarray
-    a: float
-    b: float
-    c: float
-    d: float
-    r1: float
-    r2: float
-    theta: float
-    alpha: float
-    commutator: np.ndarray
-    norm_plus_closed: float
-    norm_minus_closed: float
-    norm_plus_direct: float | None
-    norm_minus_direct: float | None
-    product: float            # stable: product of the factored norms
-    product_expanded: float   # identity form, for diagnostics only
-    product_polar: float
-
-
-def _shape_report(shape: _FiberShape, include_direct: bool) -> WeingartenReport:
-    a, b, c, d = shape.coefficients
-    r1, r2, theta, alpha = polar_form(a, b, c, d)
-    np_closed, nm_closed = closed_norm_pair(a, b, c, d)
-    np_direct = nm_direct = None
-    if include_direct:
-        np_direct, nm_direct = shape.direct_norms()
-    return WeingartenReport(
-        geometry=shape.nodes.center, vertical_unit=shape.T, a=a, b=b, c=c, d=d,
-        r1=r1, r2=r2, theta=theta, alpha=alpha,
-        commutator=commutator_matrix(a, b, c, d),
-        norm_plus_closed=np_closed, norm_minus_closed=nm_closed,
-        norm_plus_direct=np_direct, norm_minus_direct=nm_direct,
-        product=np_closed * nm_closed,
-        product_expanded=product_identity(a, b, c, d),
-        product_polar=product_polar(r1, r2, theta, alpha))
-
-
-def weingarten_report(scenario: MorphismScenario, m, angle: float = 0.0,
-                      step: float | None = None,
-                      include_direct: bool = True) -> WeingartenReport:
-    shape = _FiberShape(point_geometry(scenario, m), angle, step)
-    return _shape_report(shape, include_direct)
+# ------------------------------------------------------------------- scan
 
 
 @dataclass
@@ -274,12 +248,9 @@ def product_bound_scan(scenario: MorphismScenario, center,
             if not geo.classification.is_regular:
                 miss += 1
                 continue
-            rep = _shape_report(_FiberShape(geo, angle, SCAN_STEP_FRACTION * r),
-                                include_direct=False)
-            scale = identity_scale(rep.a, rep.b, rep.c, rep.d)
-            identity_gap = max(identity_gap,
-                               abs(rep.product_expanded - rep.product_polar) / scale)
-            worst = max(worst, rep.product)
+            shape = FiberShape(geo, angle, SCAN_STEP_FRACTION * r)
+            identity_gap = max(identity_gap, shape.identity_gap)
+            worst = max(worst, shape.product)
         annulus_max.append(worst)
         skipped.append(miss)
     plateau = max(annulus_max[:3])

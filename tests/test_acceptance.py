@@ -18,17 +18,17 @@ from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.geometry import Box, FlatMetric
 from morphoscope.hermitian import structure_deviation_rate
-from morphoscope.morphism import (classify_point, hwc_residual, point_geometry,
-                                  tension_norm, validate_morphism)
+from morphoscope.morphism import (classify_point, geometry_stencil, hwc_residual,
+                                  point_geometry, tension_norm, validate_morphism)
 from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.symbol import (center_sample, dilation_lower_rate,
                                 remainder_rates, symbol_polynomial)
 from morphoscope.twistor import (LiftGeometry, SurfacePatch, curvature_densities,
                                  script_J_residual)
-from morphoscope.weingarten import (commutator_defect, nabla_J_norms,
+from morphoscope.weingarten import (commutator_matrix, nabla_J_norms,
                                     product_bound_scan, product_identity,
                                     product_polar, polar_form,
-                                    structure_derivative)
+                                    weingarten_matrix)
 
 
 def _scenario(name):
@@ -156,7 +156,7 @@ def test_criterion_5_shape_identities():
         sc = _scenario(name)
         for m in _regular_sample(sc, 20, seed=17):
             worst_comm = max(worst_comm, float(np.linalg.norm(
-                commutator_defect(sc, m))))
+                commutator_matrix(*weingarten_matrix(sc, m)))))
     assert worst_comm <= 1e-4
 
     scan = product_bound_scan(_scenario("pullback_z1z2"), np.zeros(4),
@@ -228,8 +228,10 @@ def test_criterion_7_metamorphic_invariance():
         worst = max(worst, abs(tension_norm(pulled, y) - tension_norm(base, x)))
         dx = dphi(y) @ direction
         for orientation in (1, -1):
-            dj_pulled = structure_derivative(pulled, y, orientation, direction)
-            dj_base = structure_derivative(base, x, orientation, dx)
+            dj_pulled = geometry_stencil(point_geometry(pulled, y), direction).derivative(
+                lambda geo: geo.pair.structure(orientation))
+            dj_base = geometry_stencil(point_geometry(base, x), dx).derivative(
+                lambda geo: geo.pair.structure(orientation))
             gs_p, gis_p = spd_sqrt_pair(pulled.metric.matrix(y))
             gs_b, gis_b = spd_sqrt_pair(base.metric.matrix(x))
             n_pulled = float(np.linalg.norm(gs_p @ dj_pulled @ gis_p))

@@ -1,8 +1,7 @@
-"""Scenario and jet tests.
+"""Scenario tests.
 
 Oracle: finite differences of the scenario's complex value function, used to
-certify the exact polynomial differentials and Hessians. Jet recentering is
-checked against a hand-expanded binomial case frozen below.
+certify the exact polynomial differentials and Hessians.
 """
 
 from __future__ import annotations
@@ -11,10 +10,9 @@ import numpy as np
 import pytest
 
 from morphoscope.calculus import (
-    MAX_JET_ORDER, MorphismScenario, NormalChart, TargetSurface, differential,
-    holomorphic_scenario, normalized_scenario, pullback_scenario, real_scenario,
+    MorphismScenario, NormalChart, TargetSurface, holomorphic_scenario,
+    normalized_scenario, pullback_scenario, real_scenario,
 )
-from morphoscope.errors import UnsupportedOrderError
 from morphoscope.geometry import Box, FlatMetric, PolynomialMetric, christoffel
 from morphoscope.polynomials import Poly
 
@@ -72,7 +70,6 @@ def test_jacobian_and_hessian_against_fd_oracle():
         m = rng.uniform(-1.0, 1.0, size=4)
         assert np.max(np.abs(sc.jacobian(m) - fd_jacobian(sc, m))) < 1e-8
         assert np.max(np.abs(sc.hessians(m) - fd_hessians(sc, m))) < 1e-6
-        assert np.max(np.abs(differential(sc, m) - sc.jacobian(m))) == 0.0
 
 
 def test_real_scenario_components():
@@ -81,32 +78,6 @@ def test_real_scenario_components():
     m = np.array([0.2, 0.5, -0.1, 0.9])
     assert sc.value(m) == pytest.approx(complex(0.2, 1.0), abs=1e-15)
     assert np.allclose(sc.jacobian(m), [[1, 0, 0, 0], [0, 2, 0, 0]])
-
-
-def test_jet_recentering_frozen_binomial():
-    # square of the first complex coordinate, recentred at w1 = 1:
-    # (1 + u)^2 = 1 + 2u + u^2 with u = y1 + i y2
-    sc = holomorphic_scenario("sq", {(2, 0): 1.0}, FlatMetric(Box.cube(2.0)))
-    j = sc.jet(np.array([1.0, 0.0, 0.0, 0.0]), 2)
-    c = j.coefficients
-    assert c[(0, 0, 0, 0)] == pytest.approx(1.0 + 0j, abs=1e-15)
-    assert c[(1, 0, 0, 0)] == pytest.approx(2.0 + 0j, abs=1e-15)
-    assert c[(0, 1, 0, 0)] == pytest.approx(2j, abs=1e-15)
-    assert c[(2, 0, 0, 0)] == pytest.approx(1.0 + 0j, abs=1e-15)
-    assert c[(0, 2, 0, 0)] == pytest.approx(-1.0 + 0j, abs=1e-15)
-    assert c[(1, 1, 0, 0)] == pytest.approx(2j, abs=1e-15)
-    assert j.jacobian() == pytest.approx(np.array([[2.0, 0, 0, 0], [0, 2.0, 0, 0]]))
-
-
-def test_jet_truncation_and_order_cap():
-    sc = holomorphic_scenario("cubicterm", {(3, 0): 1.0}, FlatMetric(Box.cube(2.0)))
-    j2 = sc.jet(np.zeros(4), 2)
-    assert j2.as_poly().is_zero()
-    with pytest.raises(UnsupportedOrderError):
-        sc.jet(np.zeros(4), MAX_JET_ORDER + 1)
-    with pytest.raises(UnsupportedOrderError):
-        sc.jet(np.zeros(4), -1)
-    assert sc.jet(np.zeros(4), 3).coefficients[(3, 0, 0, 0)] == pytest.approx(1.0 + 0j)
 
 
 def test_target_surface_structure():

@@ -10,12 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from morphoscope import morphism, weingarten
 from morphoscope import report as report_module
+from morphoscope.calculus import MorphismScenario
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
 from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig
+from morphoscope.polynomials import Poly
 from morphoscope.report import fingerprint
 from morphoscope.structures import K_PLUS
+
+from test_symbol import count_calls
 
 
 def write_config(tmp_path, name):
@@ -381,7 +386,12 @@ def test_overflowing_differential_exits_two(tmp_path, capsys, half_width, comman
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(flat_monomial_config(half_width, 3, 3)))
     assert run(tmp_path, *command_argv(command, path, half_width)) == 2
-    assert error in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert error in err
+    if error == "DegenerateFrameError":
+        # a frame error names the point it was raised at
+        point = [f * half_width for f in (0.3, -0.2, 0.1, 0.4)]
+        assert err.rstrip().endswith(f" at {point}")
     assert not (tmp_path / f"{stem}.json").exists()
 
 
@@ -478,3 +488,42 @@ def test_exit_code_contract_holds_across_charts(exponent, i, j, n_points, chart,
         path.write_text(json.dumps(config))
         argv = command_argv(command, path, half_width, fractions, patch)
         assert main([*argv, "--out", tmp]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("name", ["z1z2", "pullback_z1z2", "product_sphere"])
+def test_weingarten_point_reads_the_direct_norms_once(tmp_path, monkeypatch, name):
+    # the point and its four stencil nodes; the direct norms take one
+    # frame_component_sums call per structure, J+ then J-
+    builds = count_calls(monkeypatch, morphism, "point_geometry")
+    sums = count_calls(monkeypatch, weingarten, "frame_component_sums")
+    cfg = write_config(tmp_path, name)
+    assert run(tmp_path, "weingarten", "--config", str(cfg), REGULAR_POINT) == 0
+    assert len(builds) == 5
+    assert len(sums) == 2
+
+
+def test_weingarten_scan_never_reads_the_direct_norms(tmp_path, monkeypatch):
+    sums = count_calls(monkeypatch, weingarten, "frame_component_sums")
+    cfg = write_config(tmp_path, "pullback_z1z2")
+    assert run(tmp_path, "weingarten", "--config", str(cfg), "--scan") == 0
+    assert sums == []
+
+
+@pytest.mark.parametrize("name", sorted(catalog_configs()))
+def test_analyze_evaluates_the_differential_once(tmp_path, monkeypatch, name):
+    jacobians = count_calls(monkeypatch, MorphismScenario, "jacobian")
+    cfg = write_config(tmp_path, name)
+    assert run(tmp_path, "analyze", "--config", str(cfg), REGULAR_POINT) == 0
+    assert read_report(tmp_path, f"{name}_analyze")["records"][0]["status"] == "regular"
+    assert len(jacobians) == 1
+
+
+@pytest.mark.parametrize("name", ["z1z2", "z1sq"])
+def test_symbol_composes_once_per_candidate(tmp_path, monkeypatch, name):
+    # a flat chart needs no normal chart, and the map at the origin is
+    # recentred as it is: the only compositions certify the candidates
+    composes = count_calls(monkeypatch, Poly, "compose")
+    cfg = write_config(tmp_path, name)
+    assert run(tmp_path, "symbol", "--config", str(cfg)) == 0
+    (certified,) = read_report(tmp_path, f"{name}_symbol")["checks"]
+    assert len(composes) == certified["evidence"]["n_candidates"]

@@ -17,6 +17,7 @@ from morphoscope.hermitian import (best_compatible_structure, hermitian_pair,
                                    isolated_extension, pseudo_holomorphy_residual,
                                    reference_field, structure_deviation_rate)
 from morphoscope.geometry import orientation_sign
+from morphoscope.morphism import point_geometry
 from morphoscope.structures import K_MINUS, K_PLUS
 from morphoscope.symbol import center_sample, symbol_polynomial
 
@@ -87,8 +88,9 @@ def test_both_structures_intertwine_the_differential(factory):
     sc = factory()
     for m in sample_points(sc, 5, seed=37):
         hp = hermitian_pair(sc, m)
-        assert pseudo_holomorphy_residual(sc, m, hp.j_plus) < 1e-8
-        assert pseudo_holomorphy_residual(sc, m, hp.j_minus) < 1e-8
+        geo = point_geometry(sc, m)
+        assert pseudo_holomorphy_residual(geo, hp.j_plus) < 1e-8
+        assert pseudo_holomorphy_residual(geo, hp.j_minus) < 1e-8
 
 
 # -------------------------------------------------------------- minimizer

@@ -1,16 +1,29 @@
-"""Import hygiene of the package sources, checked on their syntax trees.
+"""Import and API hygiene of the package sources, checked on their syntax trees.
 
 Every name a module imports must be used in it, and no module may import a
 private (underscore) name from another module: a private helper that two
-modules need belongs behind a public name.
+modules need belongs behind a public name. Every public module-level
+function and class is used: referenced in the sources outside its own
+definition, wrapped by the benchmark's tracer, or kept on purpose (UNUSED_KEPT).
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from test_tracer_targets import TRACER
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "morphoscope").glob("*.py"))
+
+# public names no command calls, each kept for a stated reason
+UNUSED_KEPT = {
+    "best_compatible_structure": "reference implementation that tests compare against",
+    "structure_from_fiber": "reference implementation that tests compare against",
+    "fiber_mean_curvature": "certifies minimal singular fibres (ROADMAP item 4)",
+    "isolated_extension": "certifies the isolated-center extension in rate (ROADMAP item 5)",
+}
 
 
 def imported_names(tree: ast.Module):
@@ -43,3 +56,42 @@ def test_no_private_name_crosses_modules(path):
     private = [f"{imported} (line {line})" for _, imported, line in imported_names(tree)
                if imported.startswith("_")]
     assert private == []
+
+
+def referenced_names(node) -> Counter:
+    """Names, attribute names and imported names referenced under node."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def public_definitions():
+    """(module, name, node) of every public module-level function and class."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield path.stem, node.name, node
+
+
+def test_every_public_definition_is_used():
+    everywhere = Counter()
+    for path in SOURCES:
+        everywhere.update(referenced_names(ast.parse(path.read_text())))
+    traced = {(module, target.split(".")[0])
+              for _, module, target in TRACER.FUNCTIONS if target is not None}
+    unused = [f"{module}.{name}" for module, name, node in public_definitions()
+              if everywhere[name] - referenced_names(node)[name] == 0
+              and (module, name) not in traced and name not in UNUSED_KEPT]
+    assert unused == []
+
+
+def test_kept_names_still_exist():
+    defined = {name for _, name, _ in public_definitions()}
+    assert set(UNUSED_KEPT) <= defined

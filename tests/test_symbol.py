@@ -202,15 +202,19 @@ def test_dilation_lower_rate_square_map_excludes_critical_rays():
         assert v / (2.0 * r) == pytest.approx(1.0, abs=1e-12)
 
 
-def count_calls(monkeypatch, module, name) -> list:
-    """Count calls of module.name through every package module that binds it."""
+def count_calls(monkeypatch, owner, name) -> list:
+    """Count calls of owner.name: a method when owner is a class, else a
+    module function, through every package module that binds it."""
     calls = []
-    original = getattr(module, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counted)
+        return calls
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("morphoscope") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 from morphoscope.errors import ClassificationError
 from morphoscope.hermitian import hermitian_pair
-from morphoscope.morphism import splitting
-from morphoscope.weingarten import (closed_norm_pair, commutator_defect,
-                                    commutator_matrix, frame_component_sums,
+from morphoscope.morphism import geometry_stencil, point_geometry, splitting
+from morphoscope.weingarten import (closed_norm_pair, commutator_matrix,
+                                    fiber_shape, frame_component_sums,
                                     identity_scale, nabla_J_norms, polar_form,
                                     product_bound_scan, product_identity,
-                                    product_polar, structure_derivative,
-                                    weingarten_matrix, weingarten_report)
+                                    product_polar, weingarten_matrix)
 
 from test_morphism import (count_geometry_builds, scenario_product,
                            scenario_proj, scenario_pullback_product)
@@ -188,10 +187,11 @@ def test_norms_closed_vs_direct_on_pullback():
 
 
 def test_commutator_vanishes_on_flat_and_pullback_charts():
-    flat = commutator_defect(scenario_product(), np.array([1.0, 0.0, 1.0, 0.0]))
+    flat = commutator_matrix(*weingarten_matrix(scenario_product(),
+                                                np.array([1.0, 0.0, 1.0, 0.0])))
     assert np.linalg.norm(flat) <= 1e-6
-    pulled = commutator_defect(scenario_pullback_product(),
-                               np.array([0.3, 0.1, 0.25, -0.2]))
+    pulled = commutator_matrix(*weingarten_matrix(scenario_pullback_product(),
+                                                  np.array([0.3, 0.1, 0.25, -0.2])))
     assert np.linalg.norm(pulled) <= 1e-4
 
 
@@ -202,7 +202,8 @@ def test_direct_norm_is_frame_gauge_invariant():
     pair = hermitian_pair(sc, m)
     T = sp.vertical[0]
     g = sc.metric.matrix(m)
-    dJ = structure_derivative(sc, m, -1, T)
+    dJ = geometry_stencil(point_geometry(sc, m), T).derivative(
+        lambda geo: geo.pair.structure(-1))
     frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
     full_a, _ = frame_component_sums(dJ, g, frame)
     phi = 0.7
@@ -222,7 +223,8 @@ def test_mixed_components_carry_half_the_full_sum():
     T = sp.vertical[0]
     g = sc.metric.matrix(m)
     frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
-    dJ = structure_derivative(sc, m, -1, T)
+    dJ = geometry_stencil(point_geometry(sc, m), T).derivative(
+        lambda geo: geo.pair.structure(-1))
     full, mixed = frame_component_sums(dJ, g, frame)
     assert full > 1.0
     assert abs(full - 2.0 * mixed) <= 1e-6 * full
@@ -233,15 +235,17 @@ def test_mixed_components_carry_half_the_full_sum():
 
 def test_report_is_internally_consistent():
     sc = scenario_product()
-    rep = weingarten_report(sc, np.array([1.0, 0.0, 1.0, 0.0]))
-    assert abs(rep.r1 * math.cos(rep.theta) - rep.a) <= 1e-12
-    assert abs(rep.r2 * math.sin(rep.alpha) - rep.d) <= 1e-12
-    assert np.allclose(rep.commutator, commutator_matrix(rep.a, rep.b, rep.c, rep.d))
-    assert rep.product == rep.norm_plus_closed * rep.norm_minus_closed
-    scale = identity_scale(rep.a, rep.b, rep.c, rep.d)
-    assert abs(rep.product_expanded - rep.product) <= 1e-10 * scale
-    assert abs(rep.product_expanded - rep.product_polar) <= 1e-10 * scale
-    assert rep.norm_plus_direct is not None
+    shape = fiber_shape(sc, np.array([1.0, 0.0, 1.0, 0.0]))
+    a, b, c, d = shape.coefficients
+    r1, r2, theta, alpha = shape.polar
+    assert abs(r1 * math.cos(theta) - a) <= 1e-12
+    assert abs(r2 * math.sin(alpha) - d) <= 1e-12
+    assert np.allclose(shape.commutator, commutator_matrix(a, b, c, d))
+    assert shape.product == shape.closed[0] * shape.closed[1]
+    scale = identity_scale(a, b, c, d)
+    assert abs(shape.product_expanded - shape.product) <= 1e-10 * scale
+    assert abs(shape.product_expanded - shape.product_polar) <= 1e-10 * scale
+    assert shape.direct[0] is not None
 
 
 def test_product_scan_flat_product_map():
@@ -264,7 +268,7 @@ def test_report_builds_each_stencil_geometry_once(monkeypatch):
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
     builds = count_geometry_builds(monkeypatch)
-    weingarten_report(sc, m, angle=0.3, include_direct=True)
+    fiber_shape(sc, m, angle=0.3).direct
     # the point and the four nodes m +- t T, m +- t/2 T
     assert len(builds) <= 5
     assert len({b.tobytes() for b in builds}) == len(builds)
@@ -281,25 +285,22 @@ def test_scan_builds_at_most_five_geometries_per_sample(monkeypatch):
 def test_report_matches_the_standalone_functions_bitwise():
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
-    rep = weingarten_report(sc, m, angle=0.4, step=2e-5)
-    assert np.array_equal(rep.commutator,
-                          commutator_defect(sc, m, angle=0.4, step=2e-5))
+    rep = fiber_shape(sc, m, angle=0.4, step=2e-5)
+    assert np.array_equal(rep.commutator, commutator_matrix(
+        *weingarten_matrix(sc, m, angle=0.4, step=2e-5)))
     norms = nabla_J_norms(sc, m, angle=0.4, step=2e-5)
-    assert norms.closed == (rep.norm_plus_closed, rep.norm_minus_closed)
-    assert norms.direct == (rep.norm_plus_direct, rep.norm_minus_direct)
-    assert (rep.a, rep.b, rep.c, rep.d) == weingarten_matrix(sc, m, angle=0.4,
-                                                             step=2e-5)
+    assert norms.closed == rep.closed
+    assert norms.direct == rep.direct
+    assert rep.coefficients == weingarten_matrix(sc, m, angle=0.4, step=2e-5)
 
 
 def test_no_state_leaks_between_scenarios_at_one_point():
     m = np.array([0.3, 0.1, 0.25, -0.2])
     flat, pulled = scenario_product(), scenario_pullback_product()
-    first = weingarten_report(flat, m)
-    second = weingarten_report(pulled, m)
-    again = weingarten_report(flat, m)
-    assert (first.a, first.b, first.c, first.d) != (second.a, second.b,
-                                                     second.c, second.d)
-    assert (second.a, second.b, second.c, second.d) == weingarten_matrix(pulled, m)
-    assert (again.a, again.b, again.c, again.d) == (first.a, first.b,
-                                                    first.c, first.d)
-    assert again.norm_minus_direct == first.norm_minus_direct
+    first = fiber_shape(flat, m)
+    second = fiber_shape(pulled, m)
+    again = fiber_shape(flat, m)
+    assert first.coefficients != second.coefficients
+    assert second.coefficients == weingarten_matrix(pulled, m)
+    assert again.coefficients == first.coefficients
+    assert again.direct[1] == first.direct[1]
