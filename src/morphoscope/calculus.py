@@ -31,6 +31,9 @@ class TargetSurface:
         self.orientation = int(orientation)
         self.sqrt, self.inv_sqrt = spd_sqrt_pair(h)
         self._j = surface_complex_structure(h, orientation)
+        eps1 = np.array([1.0, 0.0]) / np.sqrt(h[0, 0])
+        # rows eps1, eps2 = J eps1: the conformal frame of the target metric
+        self.frame = np.array([eps1, self._j @ eps1])
 
     def complex_structure(self) -> np.ndarray:
         return self._j
@@ -43,10 +46,8 @@ class MorphismScenario:
     name: str
     metric: ChartMetric
     component: Poly
-    kind: str
     target: TargetSurface = field(default_factory=TargetSurface)
     orientation: int = 1
-    critical_hints: tuple = ()
 
     def __post_init__(self):
         if self.orientation not in (1, -1):
@@ -84,27 +85,25 @@ class MorphismScenario:
 
 def holomorphic_scenario(name: str, w_coeffs: Dict[Tuple[int, int], complex],
                          metric: ChartMetric, target: TargetSurface | None = None,
-                         orientation: int = 1, critical_hints: tuple = ()) -> MorphismScenario:
+                         orientation: int = 1) -> MorphismScenario:
     """Scenario from a polynomial in the two complex chart coordinates."""
     return MorphismScenario(
         name=name, metric=metric, component=from_complex_pair(w_coeffs),
-        kind="holomorphic_poly", target=target or TargetSurface(),
-        orientation=orientation, critical_hints=critical_hints)
+        target=target or TargetSurface(), orientation=orientation)
 
 
 def real_scenario(name: str, first: Poly, second: Poly, metric: ChartMetric,
-                  target: TargetSurface | None = None, orientation: int = 1,
-                  critical_hints: tuple = ()) -> MorphismScenario:
+                  target: TargetSurface | None = None,
+                  orientation: int = 1) -> MorphismScenario:
     """Scenario from two real polynomial components."""
     component = first.real_poly() + Poly({e: 1j * c for e, c in second.real_poly().coeffs.items()})
     return MorphismScenario(
-        name=name, metric=metric, component=component, kind="real_poly",
-        target=target or TargetSurface(), orientation=orientation,
-        critical_hints=critical_hints)
+        name=name, metric=metric, component=component,
+        target=target or TargetSurface(), orientation=orientation)
 
 
 def pullback_scenario(base: MorphismScenario, diffeo: Sequence[Poly], domain: Box,
-                      name: str, critical_hints: tuple = ()) -> MorphismScenario:
+                      name: str) -> MorphismScenario:
     """Precompose a scenario with a polynomial chart change.
 
     diffeo maps the new chart into the base chart; the metric is pulled back
@@ -113,9 +112,8 @@ def pullback_scenario(base: MorphismScenario, diffeo: Sequence[Poly], domain: Bo
     comps = [p.real_poly() for p in diffeo]
     return MorphismScenario(
         name=name, metric=pullback_metric(base.metric, comps, domain),
-        component=base.component.compose(comps), kind="pullback_composed",
-        target=base.target, orientation=base.orientation,
-        critical_hints=critical_hints)
+        component=base.component.compose(comps), target=base.target,
+        orientation=base.orientation)
 
 
 # ------------------------------------------------------------ normal chart
@@ -133,7 +131,6 @@ class NormalChart:
     """
 
     center: np.ndarray
-    linear: np.ndarray
     chart_map: Sequence[Poly]
     scenario: MorphismScenario
     identity: bool
@@ -151,7 +148,7 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
              and np.max(np.abs(gamma0)) < 1e-15)
     if ident:
         chart_map = [Poly.variable(k) for k in range(4)]
-        return NormalChart(center=m0, linear=np.eye(4), chart_map=chart_map,
+        return NormalChart(center=m0, chart_map=chart_map,
                            scenario=scenario, identity=True)
     A, Ainv = mp.sqrt_pair
     # Christoffel symbols after the linear change y = A (x - m0)
@@ -194,7 +191,6 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
     new_component = scenario.component.compose(chart_map)
     new_scenario = MorphismScenario(
         name=f"{scenario.name}#normal", metric=new_metric, component=new_component,
-        kind="pullback_composed", target=scenario.target,
-        orientation=scenario.orientation)
-    return NormalChart(center=m0, linear=A, chart_map=chart_map,
+        target=scenario.target, orientation=scenario.orientation)
+    return NormalChart(center=m0, chart_map=chart_map,
                        scenario=new_scenario, identity=False)

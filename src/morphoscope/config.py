@@ -346,23 +346,19 @@ def build_scenario(config: ScenarioConfig) -> MorphismScenario:
     interpreted in the pulled-back coordinates.
     """
     metric = _build_metric(config.metric)
-    hints = tuple(np.asarray(p, dtype=float) for p in config.critical_points)
-    base_hints = hints if config.diffeo is None else ()
     if config.map["kind"] == "holomorphic":
         coeffs = {}
         for c in config.map["coefficients"]:
             key = (c["i"], c["j"])
             coeffs[key] = coeffs.get(key, 0.0) + complex(c["re"], c["im"])
         base = holomorphic_scenario(config.name, coeffs, metric,
-                                    orientation=config.orientation,
-                                    critical_hints=base_hints)
+                                    orientation=config.orientation)
     else:
         first, second = (_build_poly(c) for c in config.map["components"])
         base = real_scenario(config.name, first, second, metric,
-                             orientation=config.orientation,
-                             critical_hints=base_hints)
+                             orientation=config.orientation)
     if config.diffeo is None:
         return base
     comps = [_build_poly(c) for c in config.diffeo["components"]]
     return pullback_scenario(base, comps, _build_box(config.diffeo["box"]),
-                             config.name, critical_hints=hints)
+                             config.name)

@@ -26,6 +26,7 @@ from .polynomials import Poly
 DEFAULT_FD_STEP = 1e-5
 FRAME_RANK_TOL = 1e-8
 ORIENTATION_DET_TOL = 1e-12
+MACHINE_EPS = float(np.finfo(float).eps)
 
 _METRIC_FD_STEP = 1e-4
 _METRIC_FD_STEP2 = 5e-4
@@ -57,8 +58,6 @@ class Box:
 
 class ChartMetric:
     """Base class: a metric tensor field over a coordinate box."""
-
-    kind = "base"
 
     def __init__(self, domain: Box):
         self.domain = domain
@@ -108,8 +107,6 @@ class ChartMetric:
 class FlatMetric(ChartMetric):
     """Identity metric on the box."""
 
-    kind = "flat"
-
     def matrix(self, m):
         return np.eye(4)
 
@@ -122,8 +119,6 @@ class FlatMetric(ChartMetric):
 
 class PolynomialMetric(ChartMetric):
     """Metric whose entries are exact polynomials in the chart coordinates."""
-
-    kind = "polynomial"
 
     def __init__(self, entries: Sequence[Sequence[Poly]], domain: Box):
         super().__init__(domain)
@@ -172,8 +167,6 @@ class ProductSphereMetric(ChartMetric):
     from the poles so the chart is nondegenerate.
     """
 
-    kind = "product_sphere"
-
     def __init__(self, radius: float, domain: Box):
         super().__init__(domain)
         if radius <= 0:
@@ -197,8 +190,6 @@ class ProductSphereMetric(ChartMetric):
 
 class CallableMetric(ChartMetric):
     """Metric given by an arbitrary callable; derivatives by differencing."""
-
-    kind = "callable"
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], domain: Box):
         super().__init__(domain)
@@ -424,7 +415,17 @@ def oriented_frame(g: np.ndarray, orientation: int = 1) -> np.ndarray:
 
 
 def central_nodes(x: np.ndarray, X: np.ndarray, t: float) -> tuple:
-    """Nodes x + s X of the central stencil, for s = t, -t, t/2, -t/2 in that order."""
+    """Nodes x + s X of the central stencil, for s = t, -t, t/2, -t/2 in that order.
+
+    A difference across nodes within one machine epsilon of the point's
+    scale max(1, |x|) measures rounding only; a node may even coincide
+    with x. So a step whose nearest node moves no further than that raises
+    GeometryError naming the point and the step.
+    """
+    if not 0.5 * t * np.max(np.abs(X)) > MACHINE_EPS * max(1.0, np.max(np.abs(x))):
+        raise GeometryError(
+            f"finite difference step {t:.3e} is below the resolution at "
+            f"{np.asarray(x).tolist()}")
     return tuple(x + s * X for s in (t, -t, 0.5 * t, -0.5 * t))
 
 

@@ -18,7 +18,7 @@ from ._linalg import minimize_affine_on_sphere
 from .calculus import MorphismScenario
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
 from .geometry import metric_point, oriented_frame
-from .morphism import HermitianPair, PointGeometry, point_geometry
+from .morphism import PointGeometry, point_geometry
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
 from .symbol import CenterSample, SymbolCandidate, SymbolData
@@ -26,9 +26,9 @@ from .symbol import CenterSample, SymbolCandidate, SymbolData
 MAX_DIRECTION_SUBSTITUTIONS = 25
 
 
-def hermitian_pair(scenario: MorphismScenario, m) -> HermitianPair:
-    """J+ and J- at a regular point, from the point's geometry."""
-    return point_geometry(scenario, m).pair
+def hermitian_pair(scenario: MorphismScenario, m) -> PointGeometry:
+    """The geometry at m, read for J+ and J-."""
+    return point_geometry(scenario, m)
 
 
 def pseudo_holomorphy_residual(geo: PointGeometry, J: np.ndarray) -> float:
@@ -81,7 +81,7 @@ def reference_field(data: SymbolData, orientation: int) -> SymbolCandidate:
 
 
 def _deviation(geo: PointGeometry, orientation: int, J0: np.ndarray) -> float:
-    return float(np.linalg.norm(geo.pair.structure(orientation) - J0, ord="fro"))
+    return float(np.linalg.norm(geo.structure(orientation) - J0, ord="fro"))
 
 
 def _ray_until_critical(sc: MorphismScenario, points) -> list:
@@ -89,7 +89,7 @@ def _ray_until_critical(sc: MorphismScenario, points) -> list:
     ray = []
     for y in points:
         ray.append(point_geometry(sc, y))
-        if not ray[-1].classification.is_regular:
+        if not ray[-1].is_regular:
             break
     return ray
 
@@ -108,7 +108,7 @@ def _regular_rays(sc: MorphismScenario, dirs: np.ndarray, radii, shells, seed: i
     for i in range(len(dirs)):
         ray = [shell[i] for shell in shells]
         attempt = 0
-        while not all(geo.classification.is_regular for geo in ray):
+        while not all(geo.is_regular for geo in ray):
             if attempt == MAX_DIRECTION_SUBSTITUTIONS:
                 raise ClassificationError(
                     "could not steer a sample ray off the critical set after "
@@ -197,7 +197,7 @@ def isolated_extension(sample: CenterSample, orientation: int = 1) -> IsolatedEx
     for r, shell in zip(sample.radii, sample.geometries):
         worst = 0.0
         for geo in shell:
-            if not geo.classification.is_regular:
+            if not geo.is_regular:
                 raise NonIsolatedCriticalError(
                     f"critical sample on the shell of radius {r:.3e}",
                     point=sample.symbol.chart.to_original(geo.point))

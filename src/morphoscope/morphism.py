@@ -5,10 +5,11 @@ its singular values give the pointwise dilation, its rows test horizontal
 conformality, and its kernel is the vertical space. Frames are constructed
 deterministically so repeated runs and neighbouring points agree.
 
-All of it comes from one construction per point, `PointGeometry`, built by
-`point_geometry` on the point's `MetricPoint`. The splitting and the
-structure pair are derived on first use and then kept on the geometry, which
-lives only as long as the evaluation that built it.
+All of it comes from one record per point, `PointGeometry`, built by
+`point_geometry` on the point's `MetricPoint`. The conformality data, the
+splitting and the structures J+ and J- are derived on first use and then
+kept on the geometry, which lives only as long as the evaluation that built
+it.
 """
 
 from __future__ import annotations
@@ -28,73 +29,15 @@ from .structures import K_MINUS, K_PLUS
 EPS_CRITICAL = 1e-9
 
 
-@dataclass
-class HwcData:
-    """Horizontal conformality data at a point."""
-
-    point: np.ndarray
-    conformal: np.ndarray     # h-gauge Gram matrix of the differential
-    squared_dilation: float   # half trace of `conformal`
-    defect: float             # Frobenius distance to the conformal part
-
-    @property
-    def dilation(self) -> float:
-        return float(np.sqrt(max(0.0, self.squared_dilation)))
-
-
-@dataclass
-class Classification:
-    point: np.ndarray
-    status: str               # "regular" or "critical"
-    dilation_sup: float
-
-    @property
-    def is_regular(self) -> bool:
-        return self.status == "regular"
-
-
-@dataclass
-class PointSplit:
-    """Vertical/horizontal splitting with adapted frames at a regular point.
-
-    horizontal rows (e1, e2) map to the conformal target frame (eps1, eps2)
-    under the differential scaled by the dilation; vertical rows (v1, v2)
-    span the kernel, oriented so (e1, e2, v1, v2) is positive with respect
-    to the scenario orientation.
-    """
-
-    point: np.ndarray
-    dilation: float
-    squared_dilation: float
-    defect: float
-    horizontal: np.ndarray      # (2, 4) rows e1, e2
-    vertical: np.ndarray        # (2, 4) rows v1, v2
-    target_frame: np.ndarray    # (2, 2) rows eps1, eps2
-    vertical_projector: np.ndarray
-    horizontal_projector: np.ndarray
-
-
-@dataclass
-class HermitianPair:
-    """The two adapted structures at a regular point."""
-
-    point: np.ndarray
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    split: PointSplit
-
-    def structure(self, orientation: int) -> np.ndarray:
-        return self.j_plus if orientation == 1 else self.j_minus
-
-
 @dataclass(eq=False)
 class PointGeometry:
     """The map's pointwise geometry at one chart point, built once.
 
     The metric point, the differential and the SVD of the gauge matrix are
     computed when the geometry is built; the properties below are derived
-    from them on first use. `split` and `pair` need a regular point and
-    raise ClassificationError otherwise.
+    from them on first use and then kept. The splitting (`horizontal`,
+    `vertical` and the two projectors) and the structures J+ and J- need a
+    regular point and raise ClassificationError otherwise.
     """
 
     scenario: MorphismScenario
@@ -105,15 +48,6 @@ class PointGeometry:
     gauge: np.ndarray        # h^{1/2} dF g^{-1/2}
     singular_values: np.ndarray
     right_vectors: np.ndarray  # rows of V^T from the full SVD
-    classification: Classification
-
-    @cached_property
-    def hwc(self) -> HwcData:
-        conf = self.gauge @ self.gauge.T
-        lam2 = 0.5 * float(np.trace(conf))
-        defect = float(np.linalg.norm(conf - lam2 * np.eye(2), ord="fro"))
-        return HwcData(point=self.point, conformal=conf, squared_dilation=lam2,
-                       defect=defect)
 
     @property
     def point(self) -> np.ndarray:
@@ -127,6 +61,39 @@ class PointGeometry:
     def gamma(self) -> np.ndarray:
         """Christoffel symbols Gamma[k, i, j] of the chart metric."""
         return self.metric_point.gamma
+
+    @property
+    def dilation_sup(self) -> float:
+        """Largest singular value of the gauge matrix."""
+        return float(self.singular_values[0])
+
+    @property
+    def is_regular(self) -> bool:
+        return bool(self.singular_values[0] >= EPS_CRITICAL)
+
+    @property
+    def status(self) -> str:
+        return "regular" if self.is_regular else "critical"
+
+    @cached_property
+    def conformal(self) -> np.ndarray:
+        """h-gauge Gram matrix of the differential."""
+        return self.gauge @ self.gauge.T
+
+    @cached_property
+    def squared_dilation(self) -> float:
+        """Half the trace of `conformal`."""
+        return 0.5 * float(np.trace(self.conformal))
+
+    @property
+    def dilation(self) -> float:
+        return float(np.sqrt(max(0.0, self.squared_dilation)))
+
+    @cached_property
+    def defect(self) -> float:
+        """Frobenius distance of `conformal` to its conformal part."""
+        return float(np.linalg.norm(self.conformal - self.squared_dilation * np.eye(2),
+                                    ord="fro"))
 
     @cached_property
     def tension(self) -> np.ndarray:
@@ -150,19 +117,20 @@ class PointGeometry:
         return float(np.sqrt(max(0.0, tau @ self.scenario.target.matrix @ tau)))
 
     @cached_property
-    def split(self) -> PointSplit:
-        if not self.classification.is_regular:
+    def _splitting(self) -> tuple:
+        """(horizontal, vertical, vertical projector, horizontal projector).
+
+        Horizontal rows (e1, e2) map to the target frame (eps1, eps2) under
+        the differential scaled by the dilation; vertical rows (v1, v2) span
+        the kernel, oriented so (e1, e2, v1, v2) is positive with respect to
+        the scenario orientation.
+        """
+        if not self.is_regular:
             raise ClassificationError(
                 f"splitting needs a regular point; dilation "
                 f"{self.singular_values[0]:.3e} at {self.point.tolist()}")
-        sc = self.scenario
-        hwc = self.hwc
-        lam2 = hwc.squared_dilation
-        lam = float(np.sqrt(max(0.0, lam2)))
-
-        h = sc.target.matrix
-        eps1 = np.array([1.0, 0.0]) / np.sqrt(h[0, 0])
-        eps2 = sc.target.complex_structure() @ eps1
+        lam = self.dilation
+        eps1, eps2 = self.scenario.target.frame
         graw = self.jac @ self.ginv @ self.jac.T
         with named_at(self.point):
             try:
@@ -185,27 +153,50 @@ class PointGeometry:
                 raise DegenerateFrameError("vertical frame construction lost rank")
             v1, v2 = vectors[0], vectors[1]
             frame = np.array([e1, e2, v1, v2])
-            if orientation_sign(frame, reference=sc.orientation) < 0:
+            if orientation_sign(frame, reference=self.scenario.orientation) < 0:
                 v2 = -v2
-        if not np.isfinite(hwc.defect):
+        if not np.isfinite(self.defect):
             raise GeometryError(f"conformality defect overflows at {self.point.tolist()}")
+        return np.array([e1, e2]), np.array([v1, v2]), p_vert, p_hor
 
-        return PointSplit(point=self.point, dilation=lam, squared_dilation=lam2,
-                          defect=hwc.defect, horizontal=np.array([e1, e2]),
-                          vertical=np.array([v1, v2]),
-                          target_frame=np.array([eps1, eps2]),
-                          vertical_projector=p_vert, horizontal_projector=p_hor)
+    @property
+    def horizontal(self) -> np.ndarray:
+        """(2, 4) rows e1, e2."""
+        return self._splitting[0]
+
+    @property
+    def vertical(self) -> np.ndarray:
+        """(2, 4) rows v1, v2."""
+        return self._splitting[1]
+
+    @property
+    def vertical_projector(self) -> np.ndarray:
+        return self._splitting[2]
+
+    @property
+    def horizontal_projector(self) -> np.ndarray:
+        return self._splitting[3]
 
     @cached_property
-    def pair(self) -> HermitianPair:
-        """J+ and J-: the standard structures K+ and K- carried by the frame
-        (e1, e2, v1, v2)."""
-        sp = self.split
-        B = np.column_stack([sp.horizontal[0], sp.horizontal[1],
-                             sp.vertical[0], sp.vertical[1]])
-        Binv = np.linalg.inv(B)
-        return HermitianPair(point=self.point, j_plus=B @ K_PLUS @ Binv,
-                             j_minus=B @ K_MINUS @ Binv, split=sp)
+    def _adapted_basis(self) -> tuple:
+        """(B, B^{-1}) for the columns (e1, e2, v1, v2)."""
+        B = np.column_stack([*self.horizontal, *self.vertical])
+        return B, np.linalg.inv(B)
+
+    @cached_property
+    def j_plus(self) -> np.ndarray:
+        """The standard structure K+ carried by the frame (e1, e2, v1, v2)."""
+        B, Binv = self._adapted_basis
+        return B @ K_PLUS @ Binv
+
+    @cached_property
+    def j_minus(self) -> np.ndarray:
+        """The standard structure K- carried by the frame (e1, e2, v1, v2)."""
+        B, Binv = self._adapted_basis
+        return B @ K_MINUS @ Binv
+
+    def structure(self, orientation: int) -> np.ndarray:
+        return self.j_plus if orientation == 1 else self.j_minus
 
 
 def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
@@ -226,12 +217,9 @@ def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
         _, s, vt = np.linalg.svd(gauge, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise GeometryError(f"gauge decomposition failed at {m.tolist()}: {exc}") from None
-    status = "regular" if s[0] >= EPS_CRITICAL else "critical"
     return PointGeometry(
         scenario=scenario, metric_point=mp, ginv=ginvsqrt @ ginvsqrt,
-        ginvsqrt=ginvsqrt, jac=jac, gauge=gauge, singular_values=s, right_vectors=vt,
-        classification=Classification(point=m, status=status,
-                                      dilation_sup=float(s[0])))
+        ginvsqrt=ginvsqrt, jac=jac, gauge=gauge, singular_values=s, right_vectors=vt)
 
 
 @dataclass
@@ -257,16 +245,19 @@ def geometry_stencil(center: PointGeometry, direction,
                                        for x in st.nodes))
 
 
-def hwc_residual(scenario: MorphismScenario, m) -> HwcData:
-    return point_geometry(scenario, m).hwc
+def hwc_residual(scenario: MorphismScenario, m) -> PointGeometry:
+    """The geometry at m, read for its conformality defect."""
+    return point_geometry(scenario, m)
 
 
-def classify_point(scenario: MorphismScenario, m) -> Classification:
-    return point_geometry(scenario, m).classification
+def classify_point(scenario: MorphismScenario, m) -> PointGeometry:
+    """The geometry at m, read for its status."""
+    return point_geometry(scenario, m)
 
 
-def splitting(scenario: MorphismScenario, m) -> PointSplit:
-    return point_geometry(scenario, m).split
+def splitting(scenario: MorphismScenario, m) -> PointGeometry:
+    """The geometry at m, read for its splitting."""
+    return point_geometry(scenario, m)
 
 
 def tension_norm(scenario: MorphismScenario, m) -> float:
@@ -282,62 +273,30 @@ def fiber_mean_curvature(scenario: MorphismScenario, m,
     because the vertical frame is orthonormal.
     """
     base = point_geometry(scenario, m)
-    sp = base.split
     total = np.zeros(4)
     for i in range(2):
-        nodes = geometry_stencil(base, sp.vertical[i], step)
-        d = nodes.derivative(lambda geo: geo.split.vertical[i])
-        total = total + sp.horizontal_projector @ d
+        nodes = geometry_stencil(base, base.vertical[i], step)
+        d = nodes.derivative(lambda geo: geo.vertical[i])
+        total = total + base.horizontal_projector @ d
     return total
 
 
-@dataclass
-class ValidationRecord:
-    point: np.ndarray
-    status: str
-    dilation_sup: float
-    squared_dilation: float
-    defect: float
-    tension: float
+def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray]) -> tuple:
+    """The geometries at the points, with the largest conformality defect
+    and the largest tension norm over the regular ones.
 
-
-@dataclass
-class ValidationReport:
-    scenario: str
-    tolerance: float
-    records: list
-    max_defect: float
-    max_tension: float
-    verdict: str
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
-
-
-def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray],
-                      tol: float = 1e-6) -> ValidationReport:
-    """Check horizontal conformality and harmonicity over a point sample.
-
-    The verdict is PASS when both the largest conformality defect and the
-    largest tension norm over the regular sample points stay below tol.
+    Returns (geometries, max_defect, max_tension).
     """
-    records = []
+    geometries = []
     max_defect = 0.0
     max_tension = 0.0
     for p in points:
         geo = point_geometry(scenario, p)
-        cls = geo.classification
-        hwc = geo.hwc
-        tnorm = geo.tension_norm
-        records.append(ValidationRecord(
-            point=geo.point, status=cls.status,
-            dilation_sup=cls.dilation_sup, squared_dilation=hwc.squared_dilation,
-            defect=hwc.defect, tension=tnorm))
-        if cls.is_regular:
-            max_defect = max(max_defect, hwc.defect)
-            max_tension = max(max_tension, tnorm)
-    verdict = "PASS" if (max_defect <= tol and max_tension <= tol) else "FAIL"
-    return ValidationReport(scenario=scenario.name, tolerance=tol, records=records,
-                            max_defect=max_defect, max_tension=max_tension,
-                            verdict=verdict)
+        geometries.append(geo)
+        # the records report the tension at every point, so it is derived
+        # here in sample order
+        tension = geo.tension_norm
+        if geo.is_regular:
+            max_defect = max(max_defect, geo.defect)
+            max_tension = max(max_tension, tension)
+    return geometries, max_defect, max_tension

@@ -85,16 +85,16 @@ def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
                  seed: int) -> Findings:
     tol = config.analysis["tolerances"]
     points = _sample_points(scenario, config.analysis["n_points"], seed)
-    result = validate_morphism(scenario, points, tol=tol["defect"])
-    records = [{"point": r.point, "status": r.status,
-                "dilation_sup": r.dilation_sup, "defect": r.defect,
-                "tension": r.tension} for r in result.records]
+    geometries, max_defect, max_tension = validate_morphism(scenario, points)
+    records = [{"point": geo.point, "status": geo.status,
+                "dilation_sup": geo.dilation_sup, "defect": geo.defect,
+                "tension": geo.tension_norm} for geo in geometries]
     checks = [
-        check("hwc_defect", result.max_defect <= tol["defect"],
-              max_defect=result.max_defect, tolerance=tol["defect"],
+        check("hwc_defect", max_defect <= tol["defect"],
+              max_defect=max_defect, tolerance=tol["defect"],
               n_points=len(points)),
-        check("tension", result.max_tension <= tol["tension"],
-              max_tension=result.max_tension, tolerance=tol["tension"],
+        check("tension", max_tension <= tol["tension"],
+              max_tension=max_tension, tolerance=tol["tension"],
               n_points=len(points)),
     ]
     return Findings(checks, records, table=_record_table(
@@ -106,22 +106,19 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
     geo = point_geometry(scenario, m)
-    cls = geo.classification
-    record = {"point": m, "status": cls.status, "dilation_sup": cls.dilation_sup}
-    if cls.is_regular:
-        split = geo.split
-        pair = geo.pair
-        res_plus = pseudo_holomorphy_residual(geo, pair.j_plus)
-        res_minus = pseudo_holomorphy_residual(geo, pair.j_minus)
+    record = {"point": m, "status": geo.status, "dilation_sup": geo.dilation_sup}
+    if geo.is_regular:
+        res_plus = pseudo_holomorphy_residual(geo, geo.j_plus)
+        res_minus = pseudo_holomorphy_residual(geo, geo.j_minus)
         record.update({
-            "defect": split.defect,
-            "horizontal": split.horizontal, "vertical": split.vertical,
-            "j_plus": pair.j_plus, "j_minus": pair.j_minus,
+            "defect": geo.defect,
+            "horizontal": geo.horizontal, "vertical": geo.vertical,
+            "j_plus": geo.j_plus, "j_minus": geo.j_minus,
             "residual_plus": res_plus, "residual_minus": res_minus,
         })
         checks = [
-            check("hwc_defect", split.defect <= tol["defect"],
-                  defect=split.defect, dilation=cls.dilation_sup,
+            check("hwc_defect", geo.defect <= tol["defect"],
+                  defect=geo.defect, dilation=geo.dilation_sup,
                   tolerance=tol["defect"]),
             check("structure_residual",
                   max(res_plus, res_minus) <= tol["residual"],
@@ -129,8 +126,8 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
                   tolerance=tol["residual"]),
         ]
     else:
-        checks = [check("classification", True, status=cls.status,
-                        dilation_sup=cls.dilation_sup)]
+        checks = [check("classification", True, status=geo.status,
+                        dilation_sup=geo.dilation_sup)]
     return Findings(checks, [record])
 
 
@@ -268,10 +265,11 @@ def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
               "annulus_max": scan.annulus_max, "skipped": scan.skipped,
               "plateau": scan.plateau, "bound": scan.bound,
               "identity_gap": scan.identity_gap}
+    empty = {"empty_annuli": scan.empty} if scan.empty else {}
     checks = [
         check("product_bounded", scan.verdict == "PASS",
               plateau=scan.plateau, bound=scan.bound,
-              worst_annulus=max(scan.annulus_max)),
+              worst_annulus=max(scan.annulus_max), **empty),
         check("product_identity", scan.identity_gap <= tol["identity_gap"],
               identity_gap=scan.identity_gap, tolerance=tol["identity_gap"]),
     ]
@@ -294,7 +292,7 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
         residual = script_J_residual(geo)
         energy = vertical_energy_density(geo)
         omega_t, omega_n = curvature_densities(geo)
-        return {"parameter": geo.parameter, "fiber": geo.lift.fiber,
+        return {"parameter": geo.parameter, "fiber": geo.fiber,
                 "residual": residual, "energy": energy.value,
                 "area_element": energy.area_element,
                 "omega_tangent": omega_t, "omega_normal": omega_n}

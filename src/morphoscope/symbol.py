@@ -76,7 +76,6 @@ class SymbolCandidate:
     fiber: np.ndarray            # unit coordinates over the structure basis
     matrix: np.ndarray           # the structure in normalized chart coordinates
     residual: float              # relative holomorphy residual of the symbol
-    adapted_frame: np.ndarray    # columns: complex frame for the coefficients
     coefficients: Dict[Tuple[int, int], complex]
     antiholomorphic_max: float   # largest stray conjugate coefficient, relative
 
@@ -143,8 +142,8 @@ def _certify_candidate(P0: Poly, J: np.ndarray, orientation: int, order: int,
         if abs(c) > 1e-12 * max(1.0, scale):
             coeffs[(a, b)] = c
     return SymbolCandidate(orientation=orientation, fiber=fiber, matrix=J,
-                           residual=residual, adapted_frame=frame,
-                           coefficients=coeffs, antiholomorphic_max=anti)
+                           residual=residual, coefficients=coeffs,
+                           antiholomorphic_max=anti)
 
 
 def symbol_polynomial(scenario: MorphismScenario, m0) -> SymbolData:
@@ -290,7 +289,7 @@ def dilation_lower_rate(sample: CenterSample) -> DilationLowerRate:
     dirs = sample.directions
     radii = sample.radii
     # rows are directions: a ray is excluded as a whole
-    table = np.array([[geo.classification.dilation_sup for geo in shell]
+    table = np.array([[geo.dilation_sup for geo in shell]
                       for shell in sample.geometries]).T
     excluded = [i for i in range(len(dirs)) if np.all(table[i] < EPS_CRITICAL)]
     keep = [i for i in range(len(dirs)) if i not in excluded]

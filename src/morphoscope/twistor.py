@@ -65,16 +65,6 @@ class SurfacePatch:
 
 
 @dataclass
-class TwistorPoint:
-    """A compatible structure attached to a chart point."""
-
-    base: np.ndarray
-    orientation: int
-    matrix: np.ndarray
-    fiber: np.ndarray
-
-
-@dataclass
 class VerticalEnergy:
     """Vertical speed data of a lift at a parameter point."""
 
@@ -125,8 +115,9 @@ class LiftGeometry:
     """The lift of a surface patch at one parameter point, built once.
 
     The metric point at psi(p), the patch differential d, the adapted frame
-    (t1, t2, n1, n2) and the lift are computed when the geometry is built;
-    the properties below are derived from them on first use.
+    (t1, t2, n1, n2), the lift J and its fiber coordinates are computed when
+    the geometry is built; the properties below are derived from them on
+    first use.
     """
 
     def __init__(self, scenario: MorphismScenario, patch: SurfacePatch, p,
@@ -141,11 +132,9 @@ class LiftGeometry:
         self.point = self.metric_point.point
         B = np.column_stack([self.t1, self.t2, self.n1, self.n2])
         K = K_PLUS if orientation == 1 else K_MINUS
-        J = B @ K @ np.linalg.inv(B)
-        fiber = fiber_coordinates(self.metric_point.g, J,
-                                  orientation * scenario.orientation)
-        self.lift = TwistorPoint(base=self.point, orientation=orientation,
-                                 matrix=J, fiber=fiber)
+        self.J = B @ K @ np.linalg.inv(B)
+        self.fiber = fiber_coordinates(self.metric_point.g, self.J,
+                                       orientation * scenario.orientation)
 
     @cached_property
     def tangent_coordinates(self) -> tuple:
@@ -158,12 +147,12 @@ class LiftGeometry:
     def vertical(self) -> tuple:
         """Covariant derivatives of the lift field along x1 and x2, each from
         the node lifts of one central stencil."""
-        J = self.lift.matrix
+        J = self.J
         out = []
         for X in self.tangent_coordinates:
             h = (self.step or LIFT_FD_STEP) / max(1.0, float(np.max(np.abs(X))))
             raw = central_difference(
-                [surface_lift(self.scenario, self.patch, q, self.orientation).matrix
+                [surface_lift(self.scenario, self.patch, q, self.orientation)
                  for q in central_nodes(self.parameter, X, h)], h)
             gv = np.einsum("mij,i->mj", self.metric_point.gamma, self.d @ X)
             out.append(raw + gv @ J - J @ gv)
@@ -171,9 +160,9 @@ class LiftGeometry:
 
 
 def surface_lift(scenario: MorphismScenario, patch: SurfacePatch, p,
-                 orientation: int = 1) -> TwistorPoint:
+                 orientation: int = 1) -> np.ndarray:
     """The structure of the tagged class whose complex lines contain T_pS."""
-    return LiftGeometry(scenario, patch, p, orientation).lift
+    return LiftGeometry(scenario, patch, p, orientation).J
 
 
 def _fiber_inner(A: np.ndarray, B: np.ndarray, gs: np.ndarray, gis: np.ndarray) -> float:
@@ -191,7 +180,7 @@ def script_J_residual(geo: LiftGeometry) -> float:
     parts in the chart metric and vertical parts in the fiber norm. Vanishes
     exactly when the lift is a holomorphic curve of the bundle structure.
     """
-    J = geo.lift.matrix
+    J = geo.J
     g = geo.metric_point.g
     gs, gis = geo.metric_point.sqrt_pair
     d = geo.d

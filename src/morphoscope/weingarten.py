@@ -19,6 +19,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .calculus import MorphismScenario
+from .errors import DomainError
 from .morphism import PointGeometry, geometry_stencil, point_geometry
 from .ratefit import seeded_directions, shell_samples
 
@@ -89,22 +90,22 @@ class FiberShape:
     """
 
     def __init__(self, geometry: PointGeometry, angle: float, step: float | None):
-        sp = geometry.split
         self.geometry = geometry
         self.ca, self.sa = math.cos(angle), math.sin(angle)
         self.T = self.t_field(geometry)
-        e2 = self.ca * sp.vertical[1] - self.sa * sp.vertical[0]  # positive vertical rotation
-        e3, e4 = sp.horizontal                                   # e4: positive rotation of e3
+        v1, v2 = geometry.vertical
+        e2 = self.ca * v2 - self.sa * v1   # positive vertical rotation
+        e3, e4 = geometry.horizontal       # e4: positive rotation of e3
         self.frame = np.array([self.T, e2, e3, e4])
         self.nodes = geometry_stencil(geometry, self.T, step)
         g = geometry.g
         dT = self.nodes.derivative(self.t_field)
-        dE2 = self.nodes.derivative(lambda geo: geo.pair.j_plus @ self.t_field(geo))
+        dE2 = self.nodes.derivative(lambda geo: geo.j_plus @ self.t_field(geo))
         self.coefficients = (-float(dT @ g @ e3), -float(dT @ g @ e4),
                              -float(dE2 @ g @ e3), -float(dE2 @ g @ e4))
 
     def t_field(self, geo: PointGeometry) -> np.ndarray:
-        return self.ca * geo.split.vertical[0] + self.sa * geo.split.vertical[1]
+        return self.ca * geo.vertical[0] + self.sa * geo.vertical[1]
 
     @cached_property
     def polar(self) -> Tuple[float, float, float, float]:
@@ -132,7 +133,7 @@ class FiberShape:
         """
         full = []
         for orientation in (1, -1):
-            dJ = self.nodes.derivative(lambda geo: geo.pair.structure(orientation))
+            dJ = self.nodes.derivative(lambda geo: geo.structure(orientation))
             full.append(frame_component_sums(dJ, self.geometry.g, self.frame)[0])
         return full[0], full[1]
 
@@ -208,6 +209,7 @@ class ProductScan:
     radii: tuple
     annulus_max: tuple
     skipped: tuple            # per annulus: samples skipped as critical/outside
+    empty: tuple              # radii of the annuli with no certified sample
     plateau: float
     bound: float
     identity_gap: float       # worst |product - product_polar| over the scan
@@ -223,17 +225,22 @@ def product_bound_scan(scenario: MorphismScenario, center,
     The product stays bounded near an isolated critical point even when one
     factor blows up, so the verdict compares the maxima on small annuli to
     the plateau of the three coarsest ones; an absolute floor keeps noise on
-    identically vanishing products from failing the verdict. Derivative
-    steps shrink with the annulus radius because the frame fields vary on
-    that scale.
+    identically vanishing products from failing the verdict. An annulus
+    that certifies no sample bounds nothing, so it fails the verdict too.
+    Derivative steps shrink with the annulus radius because the frame
+    fields vary on that scale. The center must lie strictly inside the
+    chart domain.
     """
     center = np.asarray(center, dtype=float)
+    reach = scenario.domain.boundary_distance(center)
+    if not reach > 0:
+        raise DomainError(
+            f"scan center {center.tolist()} is not strictly inside the chart domain")
     if radii is None:
-        reach = scenario.domain.boundary_distance(center)
         r0 = min(0.1, 0.5 * reach)
         radii = tuple(r0 * 0.5 ** i for i in range(7))
-    radii, points = shell_samples(seeded_directions(n_directions, seed), radii,
-                                  center=center)
+    directions = seeded_directions(n_directions, seed)
+    radii, points = shell_samples(directions, radii, center=center)
     annulus_max = []
     skipped = []
     identity_gap = 0.0
@@ -245,7 +252,7 @@ def product_bound_scan(scenario: MorphismScenario, center,
                 miss += 1
                 continue
             geo = point_geometry(scenario, y)
-            if not geo.classification.is_regular:
+            if not geo.is_regular:
                 miss += 1
                 continue
             shape = FiberShape(geo, angle, SCAN_STEP_FRACTION * r)
@@ -255,8 +262,9 @@ def product_bound_scan(scenario: MorphismScenario, center,
         skipped.append(miss)
     plateau = max(annulus_max[:3])
     bound = max(1.5 * plateau, PRODUCT_FLOOR)
-    ok = all(v <= bound for v in annulus_max)
+    empty = tuple(r for r, miss in zip(radii, skipped) if miss == len(directions))
+    ok = all(v <= bound for v in annulus_max) and not empty
     return ProductScan(center=center, radii=radii, annulus_max=tuple(annulus_max),
-                       skipped=tuple(skipped), plateau=plateau, bound=bound,
-                       identity_gap=identity_gap,
+                       skipped=tuple(skipped), empty=empty, plateau=plateau,
+                       bound=bound, identity_gap=identity_gap,
                        verdict="PASS" if ok else "FAIL")

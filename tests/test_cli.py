@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from morphoscope import morphism, weingarten
 from morphoscope import report as report_module
 from morphoscope.calculus import MorphismScenario
-from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
+from morphoscope.catalog import CATALOG_PATCHES, catalog_configs, catalog_patch, patch_grid
 from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig
 from morphoscope.polynomials import Poly
@@ -348,14 +348,31 @@ def chart_config(chart, half_width, coefficient, i, j, **analysis):
     return config
 
 
+# where a scan center sits: its first coordinate as a fraction of the
+# chart's half-width replaces the drawn one
+SCAN_PLACES = {"inside": None, "boundary": 1.0, "outside": 5.0}
+
+
 def command_argv(command, path, half_width, fractions=(0.3, -0.2, 0.1, 0.4),
-                 patch="plane"):
+                 patch="plane", place="inside"):
     if command in ("validate", "symbol", "rate"):
         return [command, "--config", str(path)]
     if command == "twistor":
         return [command, "--config", str(path), "--patch", patch]
+    if command == "scan":
+        first = SCAN_PLACES[place]
+        fractions = [fractions[0] if first is None else first, *fractions[1:]]
+        point = ",".join(repr(f * half_width) for f in fractions)
+        return ["weingarten", "--config", str(path), "--scan", f"--point={point}"]
     point = ",".join(repr(f * half_width) for f in fractions)
     return [command, "--config", str(path), f"--point={point}"]
+
+
+def below_resolution(step: float, points) -> bool:
+    """Whether a finite difference step moves no stencil node by more than
+    one machine epsilon of some point's scale max(1, |x|)."""
+    eps = np.finfo(float).eps
+    return any(0.5 * step <= eps * max(1.0, float(np.max(np.abs(p)))) for p in points)
 
 
 OVERFLOW_CASES = [
@@ -469,25 +486,74 @@ def test_symbol_without_candidates_fails_with_evidence(tmp_path):
        n_points=st.integers(1, 3),
        chart=st.sampled_from(["flat", "pullback", "polynomial"]),
        coefficient=st.floats(0.0, 1e3),
-       command=st.sampled_from(["validate", "analyze", "weingarten",
+       command=st.sampled_from(["validate", "analyze", "weingarten", "scan",
                                 "symbol", "rate", "twistor"]),
        fractions=st.lists(st.floats(-0.9, 0.9), min_size=4, max_size=4),
-       patch=st.sampled_from(sorted(CATALOG_PATCHES)))
+       patch=st.sampled_from(sorted(CATALOG_PATCHES)),
+       place=st.sampled_from(sorted(SCAN_PLACES)),
+       fd_exponent=st.one_of(st.none(), st.integers(-300, -1)))
 # a pulled-back metric that passes the positive-definiteness checks but is
 # numerically singular for the Christoffel solve
 @example(exponent=2, i=0, j=0, n_points=1, chart="pullback", coefficient=734.671875,
-         command="validate", fractions=[0.0] * 4, patch="plane")
+         command="validate", fractions=[0.0] * 4, patch="plane", place="inside",
+         fd_exponent=None)
+# z1 z2 scanned around a center outside the box, and one on its boundary
+# (zero radii)
+@example(exponent=0, i=1, j=1, n_points=1, chart="flat", coefficient=0.0,
+         command="scan", fractions=[0.0] * 4, patch="plane", place="outside",
+         fd_exponent=None)
+@example(exponent=0, i=1, j=1, n_points=1, chart="flat", coefficient=0.0,
+         command="scan", fractions=[0.0] * 4, patch="plane", place="boundary",
+         fd_exponent=None)
+# a step below the resolution: the shape coefficients of z1 z2 all read -0.0,
+# and the lifts of the catenoid and the bowl stop moving
+@example(exponent=0, i=1, j=1, n_points=1, chart="flat", coefficient=0.0,
+         command="weingarten", fractions=[0.6, 0.2, -0.5, 0.4], patch="plane",
+         place="inside", fd_exponent=-300)
+@example(exponent=1, i=1, j=1, n_points=1, chart="flat", coefficient=0.0,
+         command="twistor", fractions=[0.0] * 4, patch="catenoid", place="inside",
+         fd_exponent=-300)
+@example(exponent=1, i=1, j=1, n_points=1, chart="flat", coefficient=0.0,
+         command="twistor", fractions=[0.0] * 4, patch="bowl", place="inside",
+         fd_exponent=-300)
 def test_exit_code_contract_holds_across_charts(exponent, i, j, n_points, chart,
                                                 coefficient, command, fractions,
-                                                patch):
-    # every config within the schema ends in 0, 1 or 2, never in a traceback
+                                                patch, place, fd_exponent):
+    # every config within the schema ends in 0, 1 or 2, never in a traceback;
+    # a scan center not strictly inside the box and a step below the
+    # resolution are rejected inputs
     half_width = 10.0 ** exponent
     config = chart_config(chart, half_width, coefficient, i, j, n_points=n_points)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "probe.json"
         path.write_text(json.dumps(config))
-        argv = command_argv(command, path, half_width, fractions, patch)
-        assert main([*argv, "--out", tmp]) in (0, 1, 2)
+        argv = command_argv(command, path, half_width, fractions, patch, place)
+        if fd_exponent is not None:
+            argv += ["--fd-step", repr(10.0 ** fd_exponent)]
+        code = main([*argv, "--out", tmp])
+    assert code in (0, 1, 2)
+    if command == "scan" and place != "inside":
+        assert code == 2
+    if fd_exponent is not None and command in ("weingarten", "twistor"):
+        points = ([half_width * np.asarray(fractions)] if command == "weingarten"
+                  else patch_grid(catalog_patch(patch)["patch"]))
+        if below_resolution(10.0 ** fd_exponent, points):
+            assert code == 2
+
+
+def test_scan_fails_an_annulus_without_certified_samples(tmp_path):
+    # every sample at radius 10, 5 or 2.5 around the origin leaves the box
+    # of half-width 1.5, so no annulus bounds the product
+    raw = catalog_configs()["z1z2"]
+    raw["analysis"] = {"scan_radii": [10.0, 5.0, 2.5]}
+    path = tmp_path / "z1z2.json"
+    path.write_text(json.dumps(raw))
+    assert run(tmp_path, "weingarten", "--config", str(path), "--scan") == 1
+    report = read_report(tmp_path, "z1z2_weingarten_scan")
+    bounded = {c["name"]: c for c in report["checks"]}["product_bounded"]
+    assert bounded["verdict"] == "FAIL"
+    assert bounded["evidence"]["empty_annuli"] == [10.0, 5.0, 2.5]
+    assert report["records"][0]["skipped"] == [16, 16, 16]
 
 
 @pytest.mark.parametrize("name", ["z1z2", "pullback_z1z2", "product_sphere"])

@@ -1,0 +1,70 @@
+"""Byte identity of the reports on a fixed catalog battery.
+
+Every report fingerprint, exit code and CSV hash of the battery below is
+pinned in golden_fingerprints.json. A change that moves one must list it and
+say why, then rewrite the file with
+
+    PYTHONPATH=src python tests/test_golden_fingerprints.py
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
+from morphoscope.cli import main
+
+GOLDEN = Path(__file__).resolve().with_name("golden_fingerprints.json")
+
+CRITICAL_CONFIGS = ("z1z2", "z1sq", "z1z2_cubic", "pullback_z1z2")
+REGULAR_POINT = "--point=0.5,0.2,0.1,-0.2"
+
+
+def battery() -> dict:
+    """Case id -> (config name, command arguments)."""
+    cases = []
+    for name in sorted(catalog_configs()):
+        cases += [(name, ["validate"]), (name, ["analyze", REGULAR_POINT]),
+                  (name, ["weingarten", REGULAR_POINT])]
+    for name in CRITICAL_CONFIGS:
+        cases += [(name, ["analyze", "--point=0,0,0,0"]),
+                  (name, ["weingarten", "--scan"]), (name, ["symbol"]),
+                  (name, ["rate"])]
+    cases += [(spec["scenario"], ["twistor", "--patch", patch])
+              for patch, spec in sorted(CATALOG_PATCHES.items())]
+    return {f"{name} {' '.join(args)}": (name, args) for name, args in cases}
+
+
+BATTERY = battery()
+
+
+def run_case(name: str, args: list) -> dict:
+    """Exit code, report fingerprint and CSV hash of one battery case."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        config = out / f"{name}.json"
+        config.write_text(json.dumps(catalog_configs()[name]))
+        code = main([args[0], "--config", str(config), *args[1:], "--out", tmp])
+        (report,) = out.glob(f"{name}_{args[0]}*.json")
+        tables = list(out.glob("*.csv"))
+        return {"exit": code,
+                "fingerprint": json.loads(report.read_text())["fingerprint"],
+                "csv": (hashlib.sha256(tables[0].read_bytes()).hexdigest()
+                        if tables else None)}
+
+
+@pytest.mark.parametrize("case", sorted(BATTERY))
+def test_report_matches_golden(case):
+    assert run_case(*BATTERY[case]) == json.loads(GOLDEN.read_text())[case]
+
+
+def test_golden_covers_the_battery():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(BATTERY)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({case: run_case(*BATTERY[case])
+                                  for case in sorted(BATTERY)}, indent=2) + "\n")

@@ -64,9 +64,9 @@ def test_pair_agrees_horizontally_and_opposes_vertically(factory):
     sc = factory()
     for m in sample_points(sc, 5, seed=23):
         hp = hermitian_pair(sc, m)
-        for e in hp.split.horizontal:
+        for e in hp.horizontal:
             assert np.allclose(hp.j_plus @ e, hp.j_minus @ e, atol=1e-9)
-        for v in hp.split.vertical:
+        for v in hp.vertical:
             assert np.allclose(hp.j_plus @ v, -(hp.j_minus @ v), atol=1e-9)
 
 
@@ -74,7 +74,7 @@ def test_pair_orientations_are_opposite():
     sc = scenario_product()
     m = np.array([0.4, -0.2, 0.3, 0.1])
     hp = hermitian_pair(sc, m)
-    e1, v1 = hp.split.horizontal[0], hp.split.vertical[0]
+    e1, v1 = hp.horizontal[0], hp.vertical[0]
     plus_frame = np.array([e1, hp.j_plus @ e1, v1, hp.j_plus @ v1])
     minus_frame = np.array([e1, hp.j_minus @ e1, v1, hp.j_minus @ v1])
     assert orientation_sign(plus_frame, reference=1) == 1

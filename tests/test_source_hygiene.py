@@ -5,6 +5,7 @@ private (underscore) name from another module: a private helper that two
 modules need belongs behind a public name. Every public module-level
 function and class is used: referenced in the sources outside its own
 definition, wrapped by the benchmark's tracer, or kept on purpose (UNUSED_KEPT).
+Every dataclass field is read as an attribute in the sources or the tests.
 """
 
 import ast
@@ -16,6 +17,9 @@ import pytest
 from test_tracer_targets import TRACER
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "morphoscope").glob("*.py"))
+# the tests, less this file, whose syntax-tree walks read attributes of their own
+TESTS = sorted(p for p in Path(__file__).resolve().parent.glob("*.py")
+               if p.name != Path(__file__).name)
 
 # public names no command calls, each kept for a stated reason
 UNUSED_KEPT = {
@@ -95,3 +99,28 @@ def test_every_public_definition_is_used():
 def test_kept_names_still_exist():
     defined = {name for _, name, _ in public_definitions()}
     assert set(UNUSED_KEPT) <= defined
+
+
+def is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def dataclass_fields():
+    """(class, field) of every field a dataclass in the sources declares."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass,
+                                                          node.decorator_list)):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    read = {node.attr for path in SOURCES + TESTS
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for cls, name in dataclass_fields() if name not in read]
+    assert unread == []

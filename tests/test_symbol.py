@@ -198,7 +198,7 @@ def test_dilation_lower_rate_square_map_excludes_critical_rays():
     # along the first coordinate axis, the sample's first direction, the
     # dilation is exactly 2r
     for r, shell in zip(sample.radii, sample.geometries):
-        v = shell[0].classification.dilation_sup
+        v = shell[0].dilation_sup
         assert v / (2.0 * r) == pytest.approx(1.0, abs=1e-12)
 
 

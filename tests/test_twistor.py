@@ -135,8 +135,8 @@ def test_plane_lift_is_constant_standard_structure():
     patch = plane_patch()
     for p in [(0.3, -0.2), (-0.5, 0.1)]:
         geo = LiftGeometry(sc, patch, p, orientation=1)
-        assert np.allclose(geo.lift.matrix, K_PLUS, atol=1e-12)
-        assert np.allclose(geo.lift.fiber, [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(geo.J, K_PLUS, atol=1e-12)
+        assert np.allclose(geo.fiber, [0.0, 0.0, 1.0], atol=1e-12)
         assert script_J_residual(geo) <= 1e-10
         assert vertical_energy_density(geo).value <= 1e-12
         omega_tangent, omega_normal = curvature_densities(geo)
@@ -149,10 +149,9 @@ def test_lift_rotates_tangent_plane():
         p = (0.55, 0.2) if patch.name == "reciprocal" else (0.1, 0.2)
         for tag in (1, -1):
             geo = LiftGeometry(sc, patch, p, orientation=tag)
-            tp = geo.lift
-            assert np.max(np.abs(tp.matrix @ geo.t1 - geo.t2)) < 1e-12
-            assert np.max(np.abs(tp.matrix @ geo.t2 + geo.t1)) < 1e-12
-            assert tp.orientation == tag
+            assert np.max(np.abs(geo.J @ geo.t1 - geo.t2)) < 1e-12
+            assert np.max(np.abs(geo.J @ geo.t2 + geo.t1)) < 1e-12
+            assert geo.orientation == tag
 
 
 def test_holomorphic_graph_positive_lift_constant():
@@ -162,7 +161,7 @@ def test_holomorphic_graph_positive_lift_constant():
     patch = reciprocal_patch()
     for p in [(1.0, 0.0), (1.2, 0.3), (0.7, -0.5)]:
         geo = LiftGeometry(sc, patch, p, orientation=1)
-        assert np.allclose(geo.lift.fiber, [0.0, 0.0, 1.0], atol=1e-10)
+        assert np.allclose(geo.fiber, [0.0, 0.0, 1.0], atol=1e-10)
         assert script_J_residual(geo) <= 1e-5
         assert vertical_energy_density(geo).value <= 1e-8
 
@@ -172,9 +171,9 @@ def test_holomorphic_graph_negative_lift_varies_but_is_holomorphic():
     # because the underlying surface is minimal
     sc = flat_scenario()
     patch = reciprocal_patch()
-    at_one = surface_lift(sc, patch, (1.0, 0.0), orientation=-1)
+    at_one = LiftGeometry(sc, patch, (1.0, 0.0), orientation=-1)
     assert np.allclose(at_one.fiber, [0.0, -1.0, 0.0], atol=1e-10)
-    away = surface_lift(sc, patch, (1.2, 0.3), orientation=-1)
+    away = LiftGeometry(sc, patch, (1.2, 0.3), orientation=-1)
     assert np.linalg.norm(away.fiber - at_one.fiber) > 0.5
     for p in [(1.0, 0.0), (1.2, 0.3)]:
         assert script_J_residual(LiftGeometry(sc, patch, p, orientation=-1)) <= 1e-5
@@ -215,8 +214,8 @@ def test_antipody_under_parameter_swap():
     patch_swapped = SurfacePatch(psi=swapped,
                                  param_box=Box((-0.8, 0.5), (0.8, 2.0)),
                                  name="reciprocal-swapped")
-    a = surface_lift(sc, patch, (1.1, 0.2), orientation=1)
-    b = surface_lift(sc, patch_swapped, (0.2, 1.1), orientation=1)
+    a = LiftGeometry(sc, patch, (1.1, 0.2), orientation=1)
+    b = LiftGeometry(sc, patch_swapped, (0.2, 1.1), orientation=1)
     assert np.linalg.norm(a.fiber + b.fiber) < 1e-10
 
 
@@ -260,8 +259,8 @@ def test_vertical_energy_matches_fiber_speed_oracle():
     h = 1e-5
     oracle = 0.0
     for x in (x1, x2):
-        up = surface_lift(sc, patch, p0 + h * x, orientation=-1).fiber
-        dn = surface_lift(sc, patch, p0 - h * x, orientation=-1).fiber
+        up = LiftGeometry(sc, patch, p0 + h * x, orientation=-1).fiber
+        dn = LiftGeometry(sc, patch, p0 - h * x, orientation=-1).fiber
         du = (up - dn) / (2 * h)
         oracle += float(du @ du)
     assert abs(energy.value - oracle) < 1e-3
@@ -271,8 +270,7 @@ def test_energy_and_residual_invariant_under_chart_isometry():
     base = holomorphic_scenario("w1w2", {(1, 1): 1.0},
                                 FlatMetric(Box.cube(1.5)))
     diffeo = pullback_diffeo()
-    pulled = pullback_scenario(base, diffeo, Box.cube(0.8), "w1w2_pulled",
-                               critical_hints=(np.zeros(4),))
+    pulled = pullback_scenario(base, diffeo, Box.cube(0.8), "w1w2_pulled")
     comps = [p.real_poly() for p in diffeo]
 
     def phi(y):

@@ -203,7 +203,7 @@ def test_direct_norm_is_frame_gauge_invariant():
     T = sp.vertical[0]
     g = sc.metric.matrix(m)
     dJ = geometry_stencil(point_geometry(sc, m), T).derivative(
-        lambda geo: geo.pair.structure(-1))
+        lambda geo: geo.structure(-1))
     frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
     full_a, _ = frame_component_sums(dJ, g, frame)
     phi = 0.7
@@ -224,7 +224,7 @@ def test_mixed_components_carry_half_the_full_sum():
     g = sc.metric.matrix(m)
     frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
     dJ = geometry_stencil(point_geometry(sc, m), T).derivative(
-        lambda geo: geo.pair.structure(-1))
+        lambda geo: geo.structure(-1))
     full, mixed = frame_component_sums(dJ, g, frame)
     assert full > 1.0
     assert abs(full - 2.0 * mixed) <= 1e-6 * full
