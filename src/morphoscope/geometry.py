@@ -438,40 +438,29 @@ def central_difference(values: Sequence[np.ndarray], t: float) -> np.ndarray:
     return (4.0 * d_half - d_full) / 3.0
 
 
-@dataclass
-class Stencil:
-    """Central stencil for a covariant derivative along a straight coordinate line.
+def covariant_difference(values: Sequence[np.ndarray], value: np.ndarray,
+                         gamma: np.ndarray, X: np.ndarray, t: float) -> np.ndarray:
+    """Covariant derivative along the chart vector X from field values at
+    the central_nodes with step t and at the point.
 
-    The nodes are the central_nodes of m along the direction; every node is
-    checked to lie inside the chart domain when the stencil is built.
+    gamma holds the Christoffel symbols at the point; the field must be a
+    vector or a (1,1)-tensor.
     """
-
-    point: np.ndarray
-    direction: np.ndarray
-    t: float
-    nodes: tuple
-
-    def derivative(self, values: Sequence[np.ndarray], value: np.ndarray,
-                   gamma: np.ndarray) -> np.ndarray:
-        """Covariant derivative from field values at the nodes and at m.
-
-        gamma holds the Christoffel symbols at m; the field must be a vector
-        or a (1,1)-tensor.
-        """
-        partial = central_difference(values, self.t)
-        X = self.direction
-        val = np.asarray(value, dtype=float)
-        if val.ndim == 1:
-            return partial + np.einsum("kij,i,j->k", gamma, X, val)
-        if val.shape == (4, 4):
-            corr = (np.einsum("ikm,k,mj->ij", gamma, X, val)
-                    - np.einsum("mkj,k,im->ij", gamma, X, val))
-            return partial + corr
-        raise ValueError("field must produce a vector or a (1,1) tensor")
+    partial = central_difference(values, t)
+    val = np.asarray(value, dtype=float)
+    if val.ndim == 1:
+        return partial + np.einsum("kij,i,j->k", gamma, X, val)
+    if val.shape == (4, 4):
+        corr = (np.einsum("ikm,k,mj->ij", gamma, X, val)
+                - np.einsum("mkj,k,im->ij", gamma, X, val))
+        return partial + corr
+    raise ValueError("field must produce a vector or a (1,1) tensor")
 
 
-def stencil(metric: ChartMetric, m, direction, step: float | None = None) -> Stencil:
-    """The derivative stencil through m along a nonzero direction."""
+def stencil(metric: ChartMetric, m, direction, step: float | None = None) -> tuple:
+    """(t, nodes): the step and the central_nodes of the derivative stencil
+    through m along a nonzero direction, every node checked to lie inside
+    the chart domain."""
     m = np.asarray(m, dtype=float)
     X = np.asarray(direction, dtype=float)
     h = step if step is not None else DEFAULT_FD_STEP * max(1.0, float(np.max(np.abs(m))))
@@ -482,7 +471,7 @@ def stencil(metric: ChartMetric, m, direction, step: float | None = None) -> Ste
     nodes = central_nodes(m, X, t)
     for x in nodes:
         metric.require_inside(x)
-    return Stencil(point=m, direction=X, t=t, nodes=nodes)
+    return t, nodes
 
 
 def covariant_derivative(metric: ChartMetric, field: Callable[[np.ndarray], np.ndarray],
@@ -493,6 +482,8 @@ def covariant_derivative(metric: ChartMetric, field: Callable[[np.ndarray], np.n
     the straight coordinate line through m; Christoffel corrections use exact
     metric derivatives when the metric provides them.
     """
-    st = stencil(metric, m, direction, step)
-    return st.derivative([field(x) for x in st.nodes], field(st.point),
-                         christoffel(metric, st.point))
+    m = np.asarray(m, dtype=float)
+    X = np.asarray(direction, dtype=float)
+    t, nodes = stencil(metric, m, X, step)
+    return covariant_difference([field(x) for x in nodes], field(m),
+                                christoffel(metric, m), X, t)

@@ -7,14 +7,14 @@ deterministically so repeated runs and neighbouring points agree.
 
 All of it comes from one record per point, `PointGeometry`, built by
 `point_geometry` on the point's `MetricPoint`. The conformality data, the
-splitting and the structures J+ and J- are derived on first use and then
-kept on the geometry, which lives only as long as the evaluation that built
-it.
+splitting, the structures J+ and J- and the node geometries of its
+derivative stencils are derived on first use and then kept on the geometry,
+which lives only as long as the evaluation that built it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .calculus import MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, GeometryError
-from .geometry import (MetricPoint, Stencil, metric_point, named_at,
+from .geometry import (MetricPoint, covariant_difference, metric_point, named_at,
                        orientation_sign, orthonormalize, stencil)
 from .structures import K_MINUS, K_PLUS
 
@@ -48,6 +48,8 @@ class PointGeometry:
     gauge: np.ndarray        # h^{1/2} dF g^{-1/2}
     singular_values: np.ndarray
     right_vectors: np.ndarray  # rows of V^T from the full SVD
+    # (direction, step) -> (t, node geometries) of each derivative stencil
+    _stencils: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def point(self) -> np.ndarray:
@@ -198,6 +200,24 @@ class PointGeometry:
     def structure(self, orientation: int) -> np.ndarray:
         return self.j_plus if orientation == 1 else self.j_minus
 
+    def derivative(self, field: Callable[[PointGeometry], np.ndarray], direction,
+                   step: float | None = None) -> np.ndarray:
+        """Covariant derivative along direction of a vector or (1,1)-tensor
+        field read off each geometry.
+
+        The node geometries of a (direction, step) stencil are built on
+        first use and kept, so every field differentiated along an equal
+        direction with the same step reads the same nodes.
+        """
+        X = np.asarray(direction, dtype=float)
+        key = (tuple(X.tolist()), step)
+        if key not in self._stencils:
+            t, nodes = stencil(self.scenario.metric, self.point, X, step)
+            self._stencils[key] = t, tuple(point_geometry(self.scenario, x) for x in nodes)
+        t, nodes = self._stencils[key]
+        return covariant_difference([field(n) for n in nodes], field(self), self.gamma,
+                                    X, t)
+
 
 def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
     """Build the geometry at m, checking the domain, the metric and the gauge.
@@ -222,29 +242,6 @@ def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
         ginvsqrt=ginvsqrt, jac=jac, gauge=gauge, singular_values=s, right_vectors=vt)
 
 
-@dataclass
-class GeometryStencil:
-    """Point geometries at the nodes of a derivative stencil through a point."""
-
-    center: PointGeometry
-    stencil: Stencil
-    nodes: tuple
-
-    def derivative(self, field: Callable[[PointGeometry], np.ndarray]) -> np.ndarray:
-        """Covariant derivative of a vector or (1,1)-tensor field read off
-        each geometry."""
-        return self.stencil.derivative([field(n) for n in self.nodes],
-                                       field(self.center), self.center.gamma)
-
-
-def geometry_stencil(center: PointGeometry, direction,
-                     step: float | None = None) -> GeometryStencil:
-    st = stencil(center.scenario.metric, center.point, direction, step)
-    return GeometryStencil(center=center, stencil=st,
-                           nodes=tuple(point_geometry(center.scenario, x)
-                                       for x in st.nodes))
-
-
 def hwc_residual(scenario: MorphismScenario, m) -> PointGeometry:
     """The geometry at m, read for its conformality defect."""
     return point_geometry(scenario, m)
@@ -264,20 +261,19 @@ def tension_norm(scenario: MorphismScenario, m) -> float:
     return point_geometry(scenario, m).tension_norm
 
 
-def fiber_mean_curvature(scenario: MorphismScenario, m,
+def fiber_mean_curvature(geometry: PointGeometry,
                          step: float | None = None) -> np.ndarray:
     """Mean curvature vector of the fiber through a regular point.
 
     Sums horizontal projections of covariant derivatives of the deterministic
-    vertical frame fields along themselves. The result is frame independent
-    because the vertical frame is orthonormal.
+    vertical frame fields along themselves, each on the geometry's stencil
+    along that field. The result is frame independent because the vertical
+    frame is orthonormal.
     """
-    base = point_geometry(scenario, m)
     total = np.zeros(4)
     for i in range(2):
-        nodes = geometry_stencil(base, base.vertical[i], step)
-        d = nodes.derivative(lambda geo: geo.vertical[i])
-        total = total + base.horizontal_projector @ d
+        d = geometry.derivative(lambda geo: geo.vertical[i], geometry.vertical[i], step)
+        total = total + geometry.horizontal_projector @ d
     return total
 
 

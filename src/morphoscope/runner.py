@@ -266,12 +266,16 @@ def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
               "plateau": scan.plateau, "bound": scan.bound,
               "identity_gap": scan.identity_gap}
     empty = {"empty_annuli": scan.empty} if scan.empty else {}
+    # with no certified sample the identity gap is never measured
+    unmeasured = empty if len(scan.empty) == len(scan.radii) else {}
     checks = [
         check("product_bounded", scan.verdict == "PASS",
               plateau=scan.plateau, bound=scan.bound,
               worst_annulus=max(scan.annulus_max), **empty),
-        check("product_identity", scan.identity_gap <= tol["identity_gap"],
-              identity_gap=scan.identity_gap, tolerance=tol["identity_gap"]),
+        check("product_identity",
+              scan.identity_gap <= tol["identity_gap"] and not unmeasured,
+              identity_gap=scan.identity_gap, tolerance=tol["identity_gap"],
+              **unmeasured),
     ]
     rows = [{"radius": r, "annulus_max": v, "skipped": s}
             for r, v, s in zip(scan.radii, scan.annulus_max, scan.skipped)]

@@ -15,7 +15,8 @@ on the unit 2-sphere.
 One `LiftGeometry` per parameter point holds everything the residual, the
 vertical energy and the curvature densities read, the chart metric at the
 point included; `surface_lift` is its lift alone, taken at the stencil nodes
-of the vertical derivatives.
+of the vertical derivatives, which take the covariant-difference rule of
+`geometry` along the chart images d X of parameter-plane directions X.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import numpy as np
 from ._linalg import surface_complex_structure
 from .calculus import MorphismScenario
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .geometry import (Box, central_difference, central_nodes, metric_point,
-                       named_at, orientation_sign, oriented_frame, orthonormalize)
+from .geometry import (Box, central_difference, central_nodes, covariant_difference,
+                       metric_point, named_at, orientation_sign, oriented_frame,
+                       orthonormalize)
 from .structures import K_MINUS, K_PLUS, fiber_from_structure
 
 VERTICAL_ROTATION_SIGN = -1
@@ -145,17 +147,16 @@ class LiftGeometry:
 
     @cached_property
     def vertical(self) -> tuple:
-        """Covariant derivatives of the lift field along x1 and x2, each from
-        the node lifts of one central stencil."""
-        J = self.J
+        """Covariant derivatives of the lift field along x1 and x2, each the
+        covariant difference along d X of the node lifts of one central
+        stencil in the parameter plane."""
         out = []
         for X in self.tangent_coordinates:
             h = (self.step or LIFT_FD_STEP) / max(1.0, float(np.max(np.abs(X))))
-            raw = central_difference(
-                [surface_lift(self.scenario, self.patch, q, self.orientation)
-                 for q in central_nodes(self.parameter, X, h)], h)
-            gv = np.einsum("mij,i->mj", self.metric_point.gamma, self.d @ X)
-            out.append(raw + gv @ J - J @ gv)
+            lifts = [surface_lift(self.scenario, self.patch, q, self.orientation)
+                     for q in central_nodes(self.parameter, X, h)]
+            out.append(covariant_difference(lifts, self.J, self.metric_point.gamma,
+                                            self.d @ X, h))
         return tuple(out)
 
 

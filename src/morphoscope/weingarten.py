@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import MorphismScenario
 from .errors import DomainError
-from .morphism import PointGeometry, geometry_stencil, point_geometry
+from .morphism import PointGeometry, point_geometry
 from .ratefit import seeded_directions, shell_samples
 
 PRODUCT_FLOOR = 1e-8
@@ -80,27 +80,27 @@ def product_polar(r1: float, r2: float, theta: float, alpha: float) -> float:
 class FiberShape:
     """One evaluation of the fiber shape at a regular point.
 
-    Holds the point's geometry, the adapted frame (T, e2, e3, e4) there and
-    the geometries on the stencil along T. Every derivative of the
-    evaluation (of T, of the rotated field J+ T and of both structures)
-    reads the same node geometries, and the shape coefficients are computed
-    when the shape is built. The polar form, the commutator and the closed
-    and direct norms are derived on first use and then kept; the products
-    and the identity gap are read from them.
+    Holds the point's geometry and the adapted frame (T, e2, e3, e4) there.
+    Every derivative of the evaluation (of T, of the rotated field J+ T and
+    of both structures) is taken on the geometry's stencil along T, and the
+    shape coefficients are computed when the shape is built. The polar
+    form, the commutator and the closed and direct norms are derived on
+    first use and then kept; the products and the identity gap are read
+    from them.
     """
 
     def __init__(self, geometry: PointGeometry, angle: float, step: float | None):
         self.geometry = geometry
+        self.step = step
         self.ca, self.sa = math.cos(angle), math.sin(angle)
         self.T = self.t_field(geometry)
         v1, v2 = geometry.vertical
         e2 = self.ca * v2 - self.sa * v1   # positive vertical rotation
         e3, e4 = geometry.horizontal       # e4: positive rotation of e3
         self.frame = np.array([self.T, e2, e3, e4])
-        self.nodes = geometry_stencil(geometry, self.T, step)
         g = geometry.g
-        dT = self.nodes.derivative(self.t_field)
-        dE2 = self.nodes.derivative(lambda geo: geo.j_plus @ self.t_field(geo))
+        dT = geometry.derivative(self.t_field, self.T, step)
+        dE2 = geometry.derivative(lambda geo: geo.j_plus @ self.t_field(geo), self.T, step)
         self.coefficients = (-float(dT @ g @ e3), -float(dT @ g @ e4),
                              -float(dE2 @ g @ e3), -float(dE2 @ g @ e4))
 
@@ -133,7 +133,8 @@ class FiberShape:
         """
         full = []
         for orientation in (1, -1):
-            dJ = self.nodes.derivative(lambda geo: geo.structure(orientation))
+            dJ = self.geometry.derivative(lambda geo: geo.structure(orientation),
+                                          self.T, self.step)
             full.append(frame_component_sums(dJ, self.geometry.g, self.frame)[0])
         return full[0], full[1]
 

@@ -18,8 +18,8 @@ from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.geometry import Box, FlatMetric
 from morphoscope.hermitian import structure_deviation_rate
-from morphoscope.morphism import (classify_point, geometry_stencil, hwc_residual,
-                                  point_geometry, tension_norm, validate_morphism)
+from morphoscope.morphism import (classify_point, hwc_residual, point_geometry,
+                                  tension_norm, validate_morphism)
 from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.symbol import (center_sample, dilation_lower_rate,
                                 remainder_rates, symbol_polynomial)
@@ -227,10 +227,10 @@ def test_criterion_7_metamorphic_invariance():
         worst = max(worst, abs(tension_norm(pulled, y) - tension_norm(base, x)))
         dx = dphi(y) @ direction
         for orientation in (1, -1):
-            dj_pulled = geometry_stencil(point_geometry(pulled, y), direction).derivative(
-                lambda geo: geo.structure(orientation))
-            dj_base = geometry_stencil(point_geometry(base, x), dx).derivative(
-                lambda geo: geo.structure(orientation))
+            dj_pulled = point_geometry(pulled, y).derivative(
+                lambda geo: geo.structure(orientation), direction)
+            dj_base = point_geometry(base, x).derivative(
+                lambda geo: geo.structure(orientation), dx)
             gs_p, gis_p = spd_sqrt_pair(pulled.metric.matrix(y))
             gs_b, gis_b = spd_sqrt_pair(base.metric.matrix(x))
             n_pulled = float(np.linalg.norm(gs_p @ dj_pulled @ gis_p))

@@ -550,9 +550,14 @@ def test_scan_fails_an_annulus_without_certified_samples(tmp_path):
     path.write_text(json.dumps(raw))
     assert run(tmp_path, "weingarten", "--config", str(path), "--scan") == 1
     report = read_report(tmp_path, "z1z2_weingarten_scan")
-    bounded = {c["name"]: c for c in report["checks"]}["product_bounded"]
+    checks = {c["name"]: c for c in report["checks"]}
+    bounded = checks["product_bounded"]
     assert bounded["verdict"] == "FAIL"
     assert bounded["evidence"]["empty_annuli"] == [10.0, 5.0, 2.5]
+    # no sample measures the identity gap, so the identity check fails too
+    identity = checks["product_identity"]
+    assert identity["verdict"] == "FAIL"
+    assert identity["evidence"]["empty_annuli"] == [10.0, 5.0, 2.5]
     assert report["records"][0]["skipped"] == [16, 16, 16]
 
 

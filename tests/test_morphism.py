@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from morphoscope.calculus import holomorphic_scenario, pullback_scenario, real_scenario
 from morphoscope.errors import ClassificationError, GeometryError
-from morphoscope.geometry import Box, FlatMetric
+from morphoscope.geometry import Box, FlatMetric, covariant_derivative
 from morphoscope import morphism
 from morphoscope.morphism import (
     EPS_CRITICAL, classify_point, fiber_mean_curvature, hwc_residual,
@@ -234,7 +234,7 @@ def test_tension_against_divergence_oracle_curved_metric():
 def test_fiber_mean_curvature_vanishes_for_product_map():
     sc = scenario_product()
     for m in ([1.0, 0.0, 0.0, 0.0], [0.8, 0.3, -0.4, 0.6]):
-        hvec = fiber_mean_curvature(sc, np.array(m))
+        hvec = fiber_mean_curvature(point_geometry(sc, np.array(m)))
         assert np.linalg.norm(hvec) < 1e-6
 
 
@@ -261,7 +261,7 @@ def test_fiber_mean_curvature_against_parametrized_oracle():
     proj_n = np.eye(4) - proj_t
     # second derivatives phi_st, phi_tt vanish for this parametrization
     oracle = gs_inv[0, 0] * (proj_n @ phi_ss)
-    hvec = fiber_mean_curvature(sc, m)
+    hvec = fiber_mean_curvature(point_geometry(sc, m))
     assert np.max(np.abs(hvec - oracle)) < 1e-6
     assert np.linalg.norm(oracle) > 1e-2  # control fiber is genuinely curved
 
@@ -315,6 +315,36 @@ def test_point_functions_read_one_geometry():
     assert np.array_equal(splitting(sc, m).vertical, geo.vertical)
     # derived once per geometry
     assert geo.vertical is geo.vertical and geo.j_plus is geo.j_plus
+
+
+@pytest.mark.parametrize("field", [lambda geo: geo.vertical[0], lambda geo: geo.j_plus],
+                         ids=["vector", "tensor"])
+def test_geometry_derivative_is_the_covariant_derivative(field):
+    # one rule: the geometry's stencil gives, bit for bit, the covariant
+    # derivative of the same field sampled through fresh geometries
+    sc = scenario_pullback_product()
+    m = np.array([0.3, 0.1, 0.25, -0.2])
+    X = np.array([0.2, -0.1, 0.4, 0.3])
+    expected = covariant_derivative(sc.metric, lambda x: field(point_geometry(sc, x)), m, X)
+    assert np.array_equal(point_geometry(sc, m).derivative(field, X), expected)
+
+
+def test_geometry_keeps_one_stencil_per_direction_and_step():
+    sc = scenario_pullback_product()
+    m = np.array([0.3, 0.1, 0.25, -0.2])
+    X = np.array([0.2, -0.1, 0.4, 0.3])
+    h = 1e-4
+
+    def j_plus(geo):
+        return geo.j_plus
+
+    geo = point_geometry(sc, m)
+    fine = geo.derivative(j_plus, X, h)
+    coarse = geo.derivative(j_plus, X, 2 * h)
+    # no stale stencil: each step reads its own nodes, as a fresh geometry does
+    assert np.array_equal(fine, point_geometry(sc, m).derivative(j_plus, X, h))
+    assert np.array_equal(coarse, point_geometry(sc, m).derivative(j_plus, X, 2 * h))
+    assert not np.array_equal(fine, coarse)
 
 
 def test_geometry_rejects_a_non_finite_differential():

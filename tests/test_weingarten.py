@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from morphoscope.errors import ClassificationError
 from morphoscope.hermitian import hermitian_pair
-from morphoscope.morphism import geometry_stencil, point_geometry, splitting
-from morphoscope.weingarten import (closed_norm_pair, commutator_matrix,
+from morphoscope import morphism
+from morphoscope.morphism import fiber_mean_curvature, point_geometry, splitting
+from morphoscope.weingarten import (FiberShape, closed_norm_pair, commutator_matrix,
                                     fiber_shape, frame_component_sums,
                                     identity_scale, nabla_J_norms, polar_form,
                                     product_bound_scan, product_identity,
@@ -202,8 +203,7 @@ def test_direct_norm_is_frame_gauge_invariant():
     pair = hermitian_pair(sc, m)
     T = sp.vertical[0]
     g = sc.metric.matrix(m)
-    dJ = geometry_stencil(point_geometry(sc, m), T).derivative(
-        lambda geo: geo.structure(-1))
+    dJ = point_geometry(sc, m).derivative(lambda geo: geo.structure(-1), T)
     frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
     full_a, _ = frame_component_sums(dJ, g, frame)
     phi = 0.7
@@ -223,8 +223,7 @@ def test_mixed_components_carry_half_the_full_sum():
     T = sp.vertical[0]
     g = sc.metric.matrix(m)
     frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
-    dJ = geometry_stencil(point_geometry(sc, m), T).derivative(
-        lambda geo: geo.structure(-1))
+    dJ = point_geometry(sc, m).derivative(lambda geo: geo.structure(-1), T)
     full, mixed = frame_component_sums(dJ, g, frame)
     assert full > 1.0
     assert abs(full - 2.0 * mixed) <= 1e-6 * full
@@ -271,6 +270,21 @@ def test_report_builds_each_stencil_geometry_once(monkeypatch):
     fiber_shape(sc, m, angle=0.3).direct
     # the point and the four nodes m +- t T, m +- t/2 T
     assert len(builds) <= 5
+    assert len({b.tobytes() for b in builds}) == len(builds)
+
+
+@pytest.mark.parametrize("angle, expected", [(0.0, 9), (0.3, 13)])
+def test_shape_and_mean_curvature_share_the_geometry_stencils(monkeypatch, angle,
+                                                              expected):
+    # the point, four nodes along T and four along each of v1 and v2; at
+    # angle 0, T equals v1 and the two read one stencil: 1 + 4 + 4
+    sc = scenario_pullback_product()
+    m = np.array([0.3, 0.1, 0.25, -0.2])
+    builds = count_geometry_builds(monkeypatch)
+    geo = morphism.point_geometry(sc, m)
+    FiberShape(geo, angle, None).direct
+    fiber_mean_curvature(geo)
+    assert len(builds) == expected
     assert len({b.tobytes() for b in builds}) == len(builds)
 
 
