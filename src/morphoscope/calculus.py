@@ -16,7 +16,7 @@ import numpy as np
 from ._linalg import check_spd, spd_sqrt_pair, surface_complex_structure
 from .errors import DomainError, GeometryError
 from .geometry import Box, ChartMetric, metric_point, pullback_metric
-from .polynomials import Poly, from_complex_pair
+from .polynomials import UPPER, Poly, evaluate, from_complex_pair, symmetric
 
 
 class TargetSurface:
@@ -53,7 +53,7 @@ class MorphismScenario:
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         self._d1 = [self.component.diff(k) for k in range(4)]
-        self._d2 = [[self._d1[k].diff(l) for l in range(4)] for k in range(4)]
+        self._d2 = [self._d1[k].diff(l) for k, l in UPPER]
 
     @property
     def domain(self) -> Box:
@@ -63,21 +63,12 @@ class MorphismScenario:
         return self.component.eval(m)
 
     def jacobian(self, m: Sequence[float]) -> np.ndarray:
-        out = np.zeros((2, 4))
-        for k in range(4):
-            c = self._d1[k].eval(m)
-            out[0, k] = c.real
-            out[1, k] = c.imag
-        return out
+        c = evaluate(self._d1, m)
+        return np.array([c.real, c.imag])
 
     def hessians(self, m: Sequence[float]) -> np.ndarray:
-        out = np.zeros((2, 4, 4))
-        for k in range(4):
-            for l in range(k, 4):
-                c = self._d2[k][l].eval(m)
-                out[0, k, l] = out[0, l, k] = c.real
-                out[1, k, l] = out[1, l, k] = c.imag
-        return out
+        c = evaluate(self._d2, m)
+        return symmetric(np.array([c.real, c.imag]))
 
 
 # ----------------------------------------------------------- constructors
@@ -136,7 +127,7 @@ class NormalChart:
     identity: bool
 
     def to_original(self, y: Sequence[float]) -> np.ndarray:
-        return np.array([p.eval_real(y) for p in self.chart_map])
+        return evaluate(self.chart_map, y).real
 
 
 def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import check_spd, spd_sqrt_pair
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .polynomials import Poly
+from .polynomials import UPPER, Poly, evaluate, symmetric
 
 DEFAULT_FD_STEP = 1e-5
 FRAME_RANK_TOL = 1e-8
@@ -123,40 +123,20 @@ class PolynomialMetric(ChartMetric):
     def __init__(self, entries: Sequence[Sequence[Poly]], domain: Box):
         super().__init__(domain)
         self.entries = [[entries[i][j] for j in range(4)] for i in range(4)]
-        self._d1 = [[[self.entries[i][j].diff(k) for j in range(4)] for i in range(4)]
-                    for k in range(4)]
-        self._d2 = [[[[self._d1[k][i][j].diff(l) for j in range(4)] for i in range(4)]
-                     for l in range(4)] for k in range(4)]
+        self._upper = [self.entries[i][j] for i, j in UPPER]
+        d1 = [[p.diff(k) for p in self._upper] for k in range(4)]
+        # d_k g_ij in (k, ij) order and d_l d_k g_ij in (k, l, ij) order
+        self._d1 = [p for row in d1 for p in row]
+        self._d2 = [p.diff(l) for row in d1 for l in range(4) for p in row]
 
     def matrix(self, m):
-        g = np.empty((4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                v = self.entries[i][j].eval_real(m)
-                g[i, j] = v
-                g[j, i] = v
-        return g
+        return symmetric(evaluate(self._upper, m).real)
 
     def first_derivatives(self, m):
-        out = np.empty((4, 4, 4))
-        for k in range(4):
-            for i in range(4):
-                for j in range(i, 4):
-                    v = self._d1[k][i][j].eval_real(m)
-                    out[k, i, j] = v
-                    out[k, j, i] = v
-        return out
+        return symmetric(evaluate(self._d1, m).real.reshape(4, -1))
 
     def second_derivatives(self, m):
-        out = np.empty((4, 4, 4, 4))
-        for k in range(4):
-            for l in range(4):
-                for i in range(4):
-                    for j in range(i, 4):
-                        v = self._d2[k][l][i][j].eval_real(m)
-                        out[k, l, i, j] = v
-                        out[k, l, j, i] = v
-        return out
+        return symmetric(evaluate(self._d2, m).real.reshape(4, 4, -1))
 
 
 class ProductSphereMetric(ChartMetric):
@@ -204,40 +184,29 @@ def pullback_metric(base: ChartMetric, diffeo: Sequence[Poly], domain: Box) -> C
     """Metric of the chart obtained by precomposing with a polynomial map.
 
     diffeo lists the four components of the map Phi from the new chart into
-    the base chart; the result is dPhi^T (g o Phi) dPhi. Polynomial bases
-    stay exact; anything else falls back to a callable metric.
+    the base chart; the result is dPhi^T (g o Phi) dPhi. Flat and polynomial
+    bases stay exact; anything else falls back to a callable metric.
     """
     jac = [[diffeo[i].diff(a) for a in range(4)] for i in range(4)]
-    if isinstance(base, FlatMetric):
-        entries = [[Poly.zero() for _ in range(4)] for _ in range(4)]
-        for a in range(4):
-            for b in range(a, 4):
-                s = Poly.zero()
-                for i in range(4):
-                    s = s + jac[i][a] * jac[i][b]
-                s = s.real_poly()
-                entries[a][b] = s
-                entries[b][a] = s
-        return PolynomialMetric(entries, domain)
-    if isinstance(base, PolynomialMetric):
-        comps = list(diffeo)
-        pulled = [[base.entries[i][j].compose(comps) for j in range(4)] for i in range(4)]
-        entries = [[Poly.zero() for _ in range(4)] for _ in range(4)]
-        for a in range(4):
-            for b in range(a, 4):
-                s = Poly.zero()
-                for i in range(4):
-                    for j in range(4):
-                        s = s + jac[i][a] * pulled[i][j] * jac[j][b]
-                s = s.real_poly()
-                entries[a][b] = s
-                entries[b][a] = s
-        return PolynomialMetric(entries, domain)
+    if isinstance(base, (FlatMetric, PolynomialMetric)):
+        # a flat base is the constant identity table
+        g = [Poly.constant(float(i == j)) if isinstance(base, FlatMetric)
+             else base.entries[i][j].compose(diffeo) for i, j in UPPER]
+        pulled = symmetric(g)
+        upper = []
+        for a, b in UPPER:
+            s = Poly.zero()
+            for i in range(4):
+                for j in range(4):
+                    s = s + jac[i][a] * pulled[i, j] * jac[j][b]
+            upper.append(s.real_poly())
+        return PolynomialMetric(symmetric(upper), domain)
+
+    dphi = [p for row in jac for p in row]
 
     def fn(x: np.ndarray) -> np.ndarray:
-        J = np.array([[jac[i][a].eval_real(x) for a in range(4)] for i in range(4)])
-        y = np.array([diffeo[i].eval_real(x) for i in range(4)])
-        return J.T @ base.matrix(y) @ J
+        J = evaluate(dphi, x).real.reshape(4, 4)
+        return J.T @ base.matrix(evaluate(diffeo, x).real) @ J
 
     return CallableMetric(fn, domain)
 

@@ -5,16 +5,27 @@ precision (pullbacks, normal charts, symbol remainders) runs on this
 representation: a dict from exponent 4-tuples to complex coefficients.
 Real-valued polynomials are stored with zero imaginary parts; callers take
 the real part where realness is guaranteed by construction.
+
+A table of polynomials (a metric, its derivatives, a Jacobian) is evaluated
+at a point by `evaluate`; a symmetric 4x4 table is kept as its UPPER
+entries and rebuilt by `symmetric`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence, Tuple
 
+import numpy as np
+
 Exponents = Tuple[int, int, int, int]
 
 NVARS = 4
 _ZERO_EXP: Exponents = (0, 0, 0, 0)
+
+# the (i, j) entries with i <= j of a symmetric 4x4 table, row by row
+UPPER = tuple((i, j) for i in range(NVARS) for j in range(i, NVARS))
+_MIRROR = np.array([[UPPER.index((min(i, j), max(i, j))) for j in range(NVARS)]
+                    for i in range(NVARS)])
 
 
 class Poly:
@@ -132,9 +143,6 @@ class Poly:
             total += term
         return total
 
-    def eval_real(self, point: Sequence[float]) -> float:
-        return self.eval(point).real
-
     def compose(self, components: Sequence["Poly"]) -> "Poly":
         """Substitute components[k] for variable k."""
         if len(components) != NVARS:
@@ -184,6 +192,16 @@ class Poly:
             mono = "".join(f"x{k + 1}^{e[k]}" for k in range(NVARS) if e[k])
             parts.append(f"({c:.6g}){mono or ''}")
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def evaluate(polys: Sequence[Poly], point: Sequence[float]) -> np.ndarray:
+    """Complex values of the polynomials at the point, in order."""
+    return np.array([p.eval(point) for p in polys])
+
+
+def symmetric(upper) -> np.ndarray:
+    """4x4 symmetric tables from UPPER entries along the last axis."""
+    return np.take(upper, _MIRROR, axis=-1)
 
 
 def from_complex_pair(coeffs_w: Mapping[Tuple[int, int], complex]) -> Poly:

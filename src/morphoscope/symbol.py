@@ -23,7 +23,7 @@ from ._linalg import minimize_affine_on_sphere
 from .calculus import MorphismScenario, NormalChart, normalized_scenario
 from .errors import SymbolError, UnsupportedOrderError
 from .morphism import EPS_CRITICAL, point_geometry
-from .polynomials import Poly
+from .polynomials import Poly, evaluate
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
 
@@ -252,8 +252,8 @@ def remainder_rates(sample: CenterSample) -> RemainderRates:
         best_d = 0.0
         for y in shell:
             best_v = max(best_v, abs(psi.eval(y)))
-            row = [dpsi[j].eval(y) for j in range(4)]
-            jac = np.array([[c.real for c in row], [c.imag for c in row]])
+            row = evaluate(dpsi, y)
+            jac = np.array([row.real, row.imag])
             best_d = max(best_d, float(np.linalg.svd(jac, compute_uv=False)[0]))
         vals.append(best_v)
         dvals.append(best_d)

@@ -208,10 +208,10 @@ def test_criterion_7_metamorphic_invariance():
              for spec in shift]
 
     def phi(y):
-        return np.array([c.eval_real(y) for c in comps])
+        return np.array([c.eval(y).real for c in comps])
 
     def dphi(y):
-        return np.array([[c.diff(k).eval_real(y) for k in range(4)]
+        return np.array([[c.diff(k).eval(y).real for k in range(4)]
                          for c in comps])
 
     worst = 0.0

@@ -27,7 +27,7 @@ from test_morphism import (pullback_diffeo, scenario_anisotropic, scenario_produ
 
 def transported_structure(diffeo, x, base_matrix):
     """Oracle: conjugate a constant base structure by the exact chart jacobian."""
-    jac = np.array([[p.real_poly().diff(a).eval_real(x) for a in range(4)]
+    jac = np.array([[p.real_poly().diff(a).eval(x).real for a in range(4)]
                     for p in diffeo])
     return np.linalg.solve(jac, base_matrix @ jac)
 

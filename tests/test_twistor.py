@@ -274,10 +274,10 @@ def test_energy_and_residual_invariant_under_chart_isometry():
     comps = [p.real_poly() for p in diffeo]
 
     def phi(y):
-        return np.array([c.eval_real(y) for c in comps])
+        return np.array([c.eval(y).real for c in comps])
 
     def dphi(y):
-        return np.array([[c.diff(k).eval_real(y) for k in range(4)]
+        return np.array([[c.diff(k).eval(y).real for k in range(4)]
                          for c in comps])
 
     def psi_new(s, t):
