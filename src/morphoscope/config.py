@@ -145,6 +145,7 @@ def _metric_spec(data, path: str) -> dict:
 
 
 def _poly_to_dict(spec):
+    """Exponents -> coefficient, repeated monomials summed in spec order."""
     out = {}
     for mono in spec:
         e = tuple(mono["exponents"])
@@ -320,7 +321,7 @@ class ScenarioConfig:
 
 
 def _build_poly(spec) -> Poly:
-    return Poly({tuple(m["exponents"]): complex(m["value"]) for m in spec})
+    return Poly(_poly_to_dict(spec))
 
 
 def _build_box(spec) -> Box:
