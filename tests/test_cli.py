@@ -15,7 +15,7 @@ from morphoscope import report as report_module
 from morphoscope.calculus import MorphismScenario
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs, catalog_patch, patch_grid
 from morphoscope.cli import main
-from morphoscope.config import ScenarioConfig
+from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.polynomials import Poly
 from morphoscope.report import fingerprint
 from morphoscope.structures import K_PLUS
@@ -153,6 +153,10 @@ def test_rate_command_writes_fits_and_csv(tmp_path):
     fits = report["rates"]["center[0]"]
     assert fits["deviation"]["slope"] >= 0.9
     assert fits["metric_orth"]["slope"] >= 1.9
+    # `== False` would pass on 0 as well
+    assert all(fit["zero_branch"] is False for fit in fits.values())
+    deviation = {c["name"]: c for c in report["checks"]}["structure_deviation[0]"]
+    assert deviation["evidence"]["zero_branch"] is False
     csv_text = (tmp_path / "pullback_z1z2_rate.csv").read_text()
     assert csv_text.startswith("quantity,radius,value")
 
@@ -205,6 +209,16 @@ def test_catalog_command_lists_builtins(tmp_path):
     assert names == ["product_sphere", "proj", "pullback_z1z2",
                      "z1sq", "z1z2", "z1z2_cubic"]
     assert len(report["patches"]) == 6
+    assert [e["pulled_back"] for e in report["records"]] == [
+        False, False, True, False, False, False]
+    assert all(isinstance(e["pulled_back"], bool) for e in report["records"])
+
+
+def test_reports_keep_booleans():
+    plain = report_module.sanitize({"flag": True, "numpy": np.bool_(False),
+                                    "count": np.int64(2)})
+    assert plain["flag"] is True and plain["numpy"] is False
+    assert type(plain["count"]) is int
 
 
 def test_catalog_round_trip_fingerprints(tmp_path):
@@ -305,6 +319,35 @@ def test_invalid_json_reports_location(tmp_path, capsys):
     path.write_text('{"name": "x",}')
     assert run(tmp_path, "validate", "--config", str(path)) == 2
     assert "line" in capsys.readouterr().err
+
+
+def x1(value):
+    return {"exponents": [1, 0, 0, 0], "value": value}
+
+
+@pytest.mark.parametrize("map_spec", [
+    {"kind": "real", "components": [[x1(1.0), x1(1.0)], [x1(0.0)]]},
+    {"kind": "holomorphic", "coefficients": [{"i": 1, "j": 0, "re": 1.0, "im": 0.0}] * 2},
+], ids=["real", "holomorphic"])
+def test_repeated_map_monomials_are_summed(map_spec):
+    config = {"name": "twice", "metric": {"kind": "flat", "box": cube(1.0)},
+              "map": map_spec}
+    scenario = build_scenario(ScenarioConfig.from_dict(config))
+    assert np.array_equal(scenario.jacobian(np.zeros(4))[0], [2.0, 0.0, 0.0, 0.0])
+
+
+def test_repeated_metric_monomials_are_summed():
+    one = {"exponents": [0, 0, 0, 0], "value": 1.0}
+    zero = [{"exponents": [0, 0, 0, 0], "value": 0.0}]
+    entries = [[[one] if i == j else zero for j in range(4)] for i in range(4)]
+    entries[0][1] = [{"exponents": [0, 0, 0, 0], "value": v} for v in (0.1, 0.2)]
+    entries[1][0] = [{"exponents": [0, 0, 0, 0], "value": 0.30000000000000004}]
+    config = {"name": "twice",
+              "metric": {"kind": "polynomial", "box": cube(1.0), "entries": entries},
+              "map": {"kind": "real", "components": [[x1(1.0)], [x1(0.0)]]}}
+    # the symmetry check sums the two monomials of g01, so the metric must too
+    g = build_scenario(ScenarioConfig.from_dict(config)).metric.matrix(np.zeros(4))
+    assert g[0, 1] == g[1, 0] == 0.1 + 0.2
 
 
 def flat_monomial_config(half_width, i, j, **analysis):
