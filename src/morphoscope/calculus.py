@@ -29,7 +29,7 @@ class TargetSurface:
             raise ValueError("orientation must be +1 or -1")
         self.matrix = h
         self.orientation = int(orientation)
-        self.sqrt, self.inv_sqrt = spd_sqrt_pair(h)
+        self.sqrt = spd_sqrt_pair(h)[0]
         self._j = surface_complex_structure(h, orientation)
         eps1 = np.array([1.0, 0.0]) / np.sqrt(h[0, 0])
         # rows eps1, eps2 = J eps1: the conformal frame of the target metric

@@ -5,7 +5,8 @@ private (underscore) name from another module: a private helper that two
 modules need belongs behind a public name. Every public module-level
 function and class is used: referenced in the sources outside its own
 definition, wrapped by the benchmark's tracer, or kept on purpose (UNUSED_KEPT).
-Every dataclass field is read as an attribute in the sources or the tests.
+Every dataclass field and every attribute a method sets on self is read as an
+attribute in the sources or the tests.
 """
 
 import ast
@@ -118,9 +119,23 @@ def dataclass_fields():
                         yield node.name, stmt.target.id
 
 
+def instance_attributes():
+    """(class, attribute) of every `self.<name> = ...` in a class body, tuple
+    targets included."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        yield node.name, sub.attr
+
+
 def test_every_dataclass_field_is_read():
     read = {node.attr for path in SOURCES + TESTS
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = [f"{cls}.{name}" for cls, name in dataclass_fields() if name not in read]
+    unread = sorted({f"{cls}.{name}" for cls, name in [*dataclass_fields(),
+                                                         *instance_attributes()]
+                     if name not in read})
     assert unread == []
