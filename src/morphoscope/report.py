@@ -38,18 +38,18 @@ def sanitize(obj):
         return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [sanitize(v) for v in obj.tolist()]
-    if obj is None or isinstance(obj, str):
-        return obj
-    # ahead of the numbers, because bool is a subclass of int
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         if not np.isfinite(v):
             raise GeometryError("report values must be finite")
         return v
+    # ahead of the integers, because bool is a subclass of int
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
+    if obj is None or isinstance(obj, str):
+        return obj
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
