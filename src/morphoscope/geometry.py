@@ -118,19 +118,21 @@ class FlatMetric(ChartMetric):
 
 
 class PolynomialMetric(ChartMetric):
-    """Metric whose entries are exact polynomials in the chart coordinates."""
+    """Metric whose entries are exact polynomials in the chart coordinates.
+
+    Only the UPPER (i <= j) entries of the symmetric table are kept.
+    """
 
     def __init__(self, entries: Sequence[Sequence[Poly]], domain: Box):
         super().__init__(domain)
-        self.entries = [[entries[i][j] for j in range(4)] for i in range(4)]
-        self._upper = [self.entries[i][j] for i, j in UPPER]
-        d1 = [[p.diff(k) for p in self._upper] for k in range(4)]
+        self.upper = [entries[i][j] for i, j in UPPER]
+        d1 = [[p.diff(k) for p in self.upper] for k in range(4)]
         # d_k g_ij in (k, ij) order and d_l d_k g_ij in (k, l, ij) order
         self._d1 = [p for row in d1 for p in row]
         self._d2 = [p.diff(l) for row in d1 for l in range(4) for p in row]
 
     def matrix(self, m):
-        return symmetric(evaluate(self._upper, m).real)
+        return symmetric(evaluate(self.upper, m).real)
 
     def first_derivatives(self, m):
         return symmetric(evaluate(self._d1, m).real.reshape(4, -1))
@@ -190,8 +192,8 @@ def pullback_metric(base: ChartMetric, diffeo: Sequence[Poly], domain: Box) -> C
     jac = [[diffeo[i].diff(a) for a in range(4)] for i in range(4)]
     if isinstance(base, (FlatMetric, PolynomialMetric)):
         # a flat base is the constant identity table
-        g = [Poly.constant(float(i == j)) if isinstance(base, FlatMetric)
-             else base.entries[i][j].compose(diffeo) for i, j in UPPER]
+        g = ([Poly.constant(float(i == j)) for i, j in UPPER] if isinstance(base, FlatMetric)
+             else [p.compose(diffeo) for p in base.upper])
         pulled = symmetric(g)
         upper = []
         for a, b in UPPER:

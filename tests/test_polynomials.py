@@ -24,14 +24,13 @@ from test_geometry import quadratic_bump_metric
 
 def written_out_metric(metric, m):
     g, d1, d2 = np.empty((4, 4)), np.empty((4, 4, 4)), np.empty((4, 4, 4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            g[i, j] = g[j, i] = metric.entries[i][j].eval(m).real
-            for k in range(4):
-                dk = metric.entries[i][j].diff(k)
-                d1[k, i, j] = d1[k, j, i] = dk.eval(m).real
-                for l in range(4):
-                    d2[k, l, i, j] = d2[k, l, j, i] = dk.diff(l).eval(m).real
+    for entry, (i, j) in zip(metric.upper, UPPER):
+        g[i, j] = g[j, i] = entry.eval(m).real
+        for k in range(4):
+            dk = entry.diff(k)
+            d1[k, i, j] = d1[k, j, i] = dk.eval(m).real
+            for l in range(4):
+                d2[k, l, i, j] = d2[k, l, j, i] = dk.diff(l).eval(m).real
     return g, d1, d2
 
 
@@ -113,10 +112,9 @@ def test_flat_pullback_equals_the_flat_formula_coefficient_for_coefficient(diffe
     else:
         phi = gentle_diffeo()
     pulled = pullback_metric(FlatMetric(Box.cube(2.0)), phi, Box.cube(0.5))
-    for a in range(4):
-        for b in range(4):
-            expected = flat_pullback_entry(phi, min(a, b), max(a, b))
-            assert list(pulled.entries[a][b].coeffs.items()) == list(expected.coeffs.items())
+    for entry, (a, b) in zip(pulled.upper, UPPER):
+        expected = flat_pullback_entry(phi, a, b)
+        assert list(entry.coeffs.items()) == list(expected.coeffs.items())
 
 
 @pytest.fixture
@@ -133,7 +131,7 @@ def diff_calls(monkeypatch) -> list:
 
 
 def test_a_polynomial_metric_differentiates_only_what_it_reads(diff_calls):
-    entries = quadratic_bump_metric().entries
+    entries = symmetric(quadratic_bump_metric().upper)
     diff_calls.clear()
     metric = PolynomialMetric(entries, Box.cube(1.0))
     # 10 upper entries, 4 first and 16 second derivatives of each
