@@ -8,10 +8,13 @@ from .errors import DegenerateFrameError, GeometryError
 
 
 def check_spd(g: np.ndarray, context: str = "metric") -> None:
-    """Raise GeometryError unless g is symmetric positive definite."""
+    """Raise GeometryError unless g, or each matrix of a stack g, is
+    symmetric positive definite."""
     if not np.all(np.isfinite(g)):
         raise GeometryError(f"{context} has non-finite entries")
-    if np.linalg.norm(g - g.T, ord="fro") > 1e-9 * max(1.0, np.linalg.norm(g)):
+    skew = g - g.swapaxes(-1, -2)
+    if np.any(skew) and np.any(np.linalg.norm(skew, axis=(-2, -1))
+                               > 1e-9 * np.maximum(1.0, np.linalg.norm(g, axis=(-2, -1)))):
         raise GeometryError(f"{context} is not symmetric")
     try:
         np.linalg.cholesky(g)
@@ -20,12 +23,14 @@ def check_spd(g: np.ndarray, context: str = "metric") -> None:
 
 
 def spd_sqrt_pair(g: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Return (g^{1/2}, g^{-1/2}) via an eigendecomposition."""
-    w, q = np.linalg.eigh(0.5 * (g + g.T))
-    if w[0] <= 0:
+    """Return (g^{1/2}, g^{-1/2}) via an eigendecomposition, for a matrix or
+    for each matrix of a stack."""
+    w, q = np.linalg.eigh(0.5 * (g + g.swapaxes(-1, -2)))
+    if np.any(w[..., 0] <= 0):
         raise GeometryError(f"{context} is not positive definite")
-    s = np.sqrt(w)
-    return (q * s) @ q.T, (q / s) @ q.T
+    s = np.sqrt(w)[..., None, :]
+    qt = q.swapaxes(-1, -2)
+    return (q * s) @ qt, (q / s) @ qt
 
 
 def surface_complex_structure(h: np.ndarray, orientation: int = 1) -> np.ndarray:

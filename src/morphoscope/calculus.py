@@ -16,7 +16,7 @@ import numpy as np
 from ._linalg import check_spd, spd_sqrt_pair, surface_complex_structure
 from .errors import DomainError, GeometryError
 from .geometry import Box, ChartMetric, metric_point, pullback_metric
-from .polynomials import UPPER, Poly, evaluate, from_complex_pair, symmetric
+from .polynomials import UPPER, Poly, Table, evaluate, from_complex_pair, symmetric
 
 
 class TargetSurface:
@@ -52,8 +52,8 @@ class MorphismScenario:
     def __post_init__(self):
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        self._d1 = [self.component.diff(k) for k in range(4)]
-        self._d2 = [self._d1[k].diff(l) for k, l in UPPER]
+        self._d1 = Table(self.component.diff(k) for k in range(4))
+        self._d2 = Table(self._d1[k].diff(l) for k, l in UPPER)
 
     @property
     def domain(self) -> Box:
@@ -62,13 +62,15 @@ class MorphismScenario:
     def value(self, m: Sequence[float]) -> complex:
         return self.component.eval(m)
 
-    def jacobian(self, m: Sequence[float]) -> np.ndarray:
+    def jacobian(self, m) -> np.ndarray:
+        """(..., 2, 4) differential at a point or over a stack of points."""
         c = evaluate(self._d1, m)
-        return np.array([c.real, c.imag])
+        return np.stack((c.real, c.imag), axis=-2)
 
-    def hessians(self, m: Sequence[float]) -> np.ndarray:
+    def hessians(self, m) -> np.ndarray:
+        """(..., 2, 4, 4) Hessians of the two components."""
         c = evaluate(self._d2, m)
-        return symmetric(np.array([c.real, c.imag]))
+        return symmetric(np.stack((c.real, c.imag), axis=-2))
 
 
 # ----------------------------------------------------------- constructors
@@ -122,7 +124,7 @@ class NormalChart:
     """
 
     center: np.ndarray
-    chart_map: Sequence[Poly]
+    chart_map: Table
     scenario: MorphismScenario
     identity: bool
 
@@ -138,7 +140,7 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
              and np.max(np.abs(g0 - np.eye(4))) < 1e-15
              and np.max(np.abs(gamma0)) < 1e-15)
     if ident:
-        chart_map = [Poly.variable(k) for k in range(4)]
+        chart_map = Table(Poly.variable(k) for k in range(4))
         return NormalChart(center=m0, chart_map=chart_map,
                            scenario=scenario, identity=True)
     A, Ainv = mp.sqrt_pair
@@ -160,6 +162,7 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
         for c in range(4):
             comp = comp + Ainv[i, c] * (y[c] - quad[c])
         chart_map.append(comp.real_poly())
+    chart_map = Table(chart_map)
 
     # safe cube in the new coordinates: image must stay inside the old box
     reach = scenario.metric.domain.boundary_distance(m0)

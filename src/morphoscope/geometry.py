@@ -2,7 +2,8 @@
 
 A chart metric carries its own exact derivative data whenever the entries are
 polynomial or in closed form; a generic callable metric falls back to finite
-differences. Curvature uses the convention
+differences. Every metric evaluates at a point or over a stack of points,
+with the points on the last axis. Curvature uses the convention
 
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from ._linalg import check_spd, spd_sqrt_pair
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .polynomials import UPPER, Poly, evaluate, symmetric
+from .polynomials import UPPER, Poly, Table, evaluate, symmetric
 
 DEFAULT_FD_STEP = 1e-5
 FRAME_RANK_TOL = 1e-8
@@ -44,9 +45,11 @@ class Box:
         c = np.asarray(center, dtype=float)
         return cls(tuple(c - half), tuple(c + half))
 
-    def contains(self, m: Sequence[float]) -> bool:
+    def contains(self, m):
+        """Whether m lies in the box; one bool per point for a stack."""
         m = np.asarray(m, dtype=float)
-        return bool(np.all(m >= np.asarray(self.lo)) and np.all(m <= np.asarray(self.hi)))
+        inside = np.all((m >= np.asarray(self.lo)) & (m <= np.asarray(self.hi)), axis=-1)
+        return inside if inside.ndim else bool(inside)
 
     def size(self) -> float:
         return float(np.min(np.asarray(self.hi) - np.asarray(self.lo)))
@@ -62,30 +65,37 @@ class ChartMetric:
     def __init__(self, domain: Box):
         self.domain = domain
 
-    def require_inside(self, m: Sequence[float]) -> None:
-        if not self.domain.contains(m):
-            raise DomainError(
-                f"point {np.asarray(m).tolist()} leaves the chart domain (margin 0)")
+    def require_inside(self, m) -> None:
+        """Raise DomainError naming the first point of m outside the domain."""
+        inside = self.domain.contains(m)
+        if not np.all(inside):
+            point = np.asarray(m).reshape(-1, 4)[np.argmin(inside)]
+            raise DomainError(f"point {point.tolist()} leaves the chart domain (margin 0)")
 
-    def matrix(self, m: Sequence[float]) -> np.ndarray:
+    def matrix(self, m) -> np.ndarray:
         raise NotImplementedError
 
-    def matrix_checked(self, m: Sequence[float]) -> np.ndarray:
+    def matrix_checked(self, m) -> np.ndarray:
         g = self.matrix(m)
         check_spd(g, "chart metric")
         return g
 
-    # Finite-difference fallbacks; subclasses with closed forms override.
+    # Finite-difference fallbacks, one point at a time; subclasses with
+    # closed forms override.
 
-    def first_derivatives(self, m: Sequence[float]) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
+    def first_derivatives(self, m) -> np.ndarray:
+        return pointwise(self._first_differences, m)
+
+    def second_derivatives(self, m) -> np.ndarray:
+        return pointwise(self._second_differences, m)
+
+    def _first_differences(self, m: np.ndarray) -> np.ndarray:
         h = _METRIC_FD_STEP * max(1.0, float(np.max(np.abs(m))))
         return np.array([
             central_difference([self.matrix(x) for x in central_nodes(m, e, h)], h)
             for e in np.eye(4)])
 
-    def second_derivatives(self, m: Sequence[float]) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
+    def _second_differences(self, m: np.ndarray) -> np.ndarray:
         h = _METRIC_FD_STEP2 * max(1.0, float(np.max(np.abs(m))))
         out = np.zeros((4, 4, 4, 4))
         g0 = self.matrix(m)
@@ -104,17 +114,26 @@ class ChartMetric:
         return out
 
 
+def pointwise(fn: Callable[[np.ndarray], np.ndarray], m) -> np.ndarray:
+    """fn, which takes one point, applied to each point of m."""
+    m = np.asarray(m, dtype=float)
+    values = np.array([fn(x) for x in m.reshape(-1, 4)])
+    return values.reshape(m.shape[:-1] + values.shape[1:])
+
+
 class FlatMetric(ChartMetric):
     """Identity metric on the box."""
 
     def matrix(self, m):
-        return np.eye(4)
+        out = np.empty(np.shape(m)[:-1] + (4, 4))
+        out[...] = np.eye(4)
+        return out
 
     def first_derivatives(self, m):
-        return np.zeros((4, 4, 4))
+        return np.zeros(np.shape(m)[:-1] + (4, 4, 4))
 
     def second_derivatives(self, m):
-        return np.zeros((4, 4, 4, 4))
+        return np.zeros(np.shape(m)[:-1] + (4, 4, 4, 4))
 
 
 class PolynomialMetric(ChartMetric):
@@ -125,20 +144,22 @@ class PolynomialMetric(ChartMetric):
 
     def __init__(self, entries: Sequence[Sequence[Poly]], domain: Box):
         super().__init__(domain)
-        self.upper = [entries[i][j] for i, j in UPPER]
+        self.upper = Table(entries[i][j] for i, j in UPPER)
         d1 = [[p.diff(k) for p in self.upper] for k in range(4)]
         # d_k g_ij in (k, ij) order and d_l d_k g_ij in (k, l, ij) order
-        self._d1 = [p for row in d1 for p in row]
-        self._d2 = [p.diff(l) for row in d1 for l in range(4) for p in row]
+        self._d1 = Table(p for row in d1 for p in row)
+        self._d2 = Table(p.diff(l) for row in d1 for l in range(4) for p in row)
 
     def matrix(self, m):
         return symmetric(evaluate(self.upper, m).real)
 
     def first_derivatives(self, m):
-        return symmetric(evaluate(self._d1, m).real.reshape(4, -1))
+        values = evaluate(self._d1, m).real
+        return symmetric(values.reshape(values.shape[:-1] + (4, -1)))
 
     def second_derivatives(self, m):
-        return symmetric(evaluate(self._d2, m).real.reshape(4, 4, -1))
+        values = evaluate(self._d2, m).real
+        return symmetric(values.reshape(values.shape[:-1] + (4, 4, -1)))
 
 
 class ProductSphereMetric(ChartMetric):
@@ -156,17 +177,25 @@ class ProductSphereMetric(ChartMetric):
         self.radius = float(radius)
 
     def matrix(self, m):
+        m = np.asarray(m, dtype=float)
         r2 = self.radius ** 2
-        return np.diag([r2, r2 * np.sin(m[0]) ** 2, 1.0, 1.0])
+        out = np.zeros(m.shape[:-1] + (4, 4))
+        out[..., 0, 0] = r2
+        # float_power squares as the scalar ** does
+        out[..., 1, 1] = r2 * np.float_power(np.sin(m[..., 0]), 2)
+        out[..., 2, 2] = out[..., 3, 3] = 1.0
+        return out
 
     def first_derivatives(self, m):
-        out = np.zeros((4, 4, 4))
-        out[0, 1, 1] = self.radius ** 2 * np.sin(2.0 * m[0])
+        m = np.asarray(m, dtype=float)
+        out = np.zeros(m.shape[:-1] + (4, 4, 4))
+        out[..., 0, 1, 1] = self.radius ** 2 * np.sin(2.0 * m[..., 0])
         return out
 
     def second_derivatives(self, m):
-        out = np.zeros((4, 4, 4, 4))
-        out[0, 0, 1, 1] = 2.0 * self.radius ** 2 * np.cos(2.0 * m[0])
+        m = np.asarray(m, dtype=float)
+        out = np.zeros(m.shape[:-1] + (4, 4, 4, 4))
+        out[..., 0, 0, 1, 1] = 2.0 * self.radius ** 2 * np.cos(2.0 * m[..., 0])
         return out
 
 
@@ -178,8 +207,8 @@ class CallableMetric(ChartMetric):
         self._fn = fn
 
     def matrix(self, m):
-        g = np.asarray(self._fn(np.asarray(m, dtype=float)), dtype=float)
-        return 0.5 * (g + g.T)
+        g = pointwise(self._fn, m).astype(float)
+        return 0.5 * (g + g.swapaxes(-1, -2))
 
 
 def pullback_metric(base: ChartMetric, diffeo: Sequence[Poly], domain: Box) -> ChartMetric:
@@ -195,16 +224,18 @@ def pullback_metric(base: ChartMetric, diffeo: Sequence[Poly], domain: Box) -> C
         g = ([Poly.constant(float(i == j)) for i, j in UPPER] if isinstance(base, FlatMetric)
              else [p.compose(diffeo) for p in base.upper])
         pulled = symmetric(g)
+        # a zero entry adds nothing, so it is skipped
+        terms = [(i, j) for i in range(4) for j in range(4) if not pulled[i, j].is_zero()]
         upper = []
         for a, b in UPPER:
             s = Poly.zero()
-            for i in range(4):
-                for j in range(4):
-                    s = s + jac[i][a] * pulled[i, j] * jac[j][b]
+            for i, j in terms:
+                s = s + jac[i][a] * pulled[i, j] * jac[j][b]
             upper.append(s.real_poly())
         return PolynomialMetric(symmetric(upper), domain)
 
-    dphi = [p for row in jac for p in row]
+    dphi = Table(p for row in jac for p in row)
+    diffeo = Table(diffeo)
 
     def fn(x: np.ndarray) -> np.ndarray:
         J = evaluate(dphi, x).real.reshape(4, 4)
@@ -222,13 +253,23 @@ class MetricPoint:
 
     `metric_point` checks the domain and the matrix when it builds one. The
     first derivatives, the inverse, the Christoffel symbols, the square
-    roots and the curvature are derived on first use and then kept. Every
-    rejection of the matrix raises GeometryError naming the point.
+    roots and the curvature are derived on first use and then kept, unless
+    `derived` hands them over from a stack of points. Every rejection of
+    the matrix raises GeometryError naming the point.
     """
 
     metric: ChartMetric
     point: np.ndarray
     g: np.ndarray
+
+    @classmethod
+    def derived(cls, metric: ChartMetric, point: np.ndarray, g: np.ndarray,
+                **known) -> "MetricPoint":
+        """The metric point with the derived quantities in `known` (any of
+        dg, inverse, gamma and sqrt_pair) computed already."""
+        mp = cls(metric, point, g)
+        vars(mp).update(known)
+        return mp
 
     @cached_property
     def dg(self) -> np.ndarray:
@@ -237,24 +278,14 @@ class MetricPoint:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """g^{-1} by np.linalg.inv, as the connection and the curvature use it."""
-        try:
-            return np.linalg.inv(self.g)
-        except np.linalg.LinAlgError:
-            raise GeometryError(
-                f"metric matrix is numerically singular at {self.point.tolist()}") from None
-
-    @cached_property
-    def _sums(self) -> np.ndarray:
-        # S[m, i, j] = d_i g_{mj} + d_j g_{mi} - d_m g_{ij}
-        dg = self.dg
-        return (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg)
-                - np.einsum("mij->mij", dg))
+        """g^{-1}, see metric_inverse."""
+        with named_at(self.point):
+            return metric_inverse(self.g)
 
     @cached_property
     def gamma(self) -> np.ndarray:
         """Christoffel symbols Gamma[k, i, j] = Gamma^k_{ij}."""
-        return 0.5 * np.einsum("km,mij->kij", self.inverse, self._sums)
+        return christoffel_symbols(self.inverse, self.dg)
 
     @cached_property
     def sqrt_pair(self) -> tuple:
@@ -267,7 +298,7 @@ class MetricPoint:
         """Curvature with all indices lowered, R[i, j, k, p] = <R(d_i, d_j) d_k, d_p>."""
         dg = self.dg
         d2g = self.metric.second_derivatives(self.point)
-        ginv, S, gamma = self.inverse, self._sums, self.gamma
+        ginv, S, gamma = self.inverse, _connection_sums(dg), self.gamma
         # dS[i, m, j, k] = d_i S[m, j, k]
         dS = (np.einsum("ijmk->imjk", d2g) + np.einsum("ikmj->imjk", d2g)
               - np.einsum("imjk->imjk", d2g))
@@ -285,14 +316,45 @@ class MetricPoint:
         return float(np.einsum("ijkp,i,j,k,p->", self.lowered, X, Y, Z, W))
 
 
+def metric_inverse(g: np.ndarray) -> np.ndarray:
+    """g^{-1} by np.linalg.inv, as the connection and the curvature use it,
+    for a matrix or a stack."""
+    try:
+        return np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise GeometryError("metric matrix is numerically singular") from None
+
+
+def _connection_sums(dg: np.ndarray) -> np.ndarray:
+    # S[..., m, i, j] = d_i g_{mj} + d_j g_{mi} - d_m g_{ij}
+    sums = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg)
+    sums -= dg
+    return sums
+
+
+def christoffel_symbols(inverse: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[..., k, i, j] = Gamma^k_{ij} from g^{-1} and the first
+    derivatives dg[..., k] = d_k g, at a point or over a stack."""
+    gamma = np.einsum("...km,...mij->...kij", inverse, _connection_sums(dg))
+    gamma *= 0.5
+    return gamma
+
+
+def point_name(m) -> list:
+    """The point m, or the one point of a stack m, as a list for messages;
+    a stack of several points is named by all of them."""
+    m = np.asarray(m)
+    return (m[0] if m.ndim > 1 and len(m) == 1 else m).tolist()
+
+
 @contextmanager
 def named_at(m: np.ndarray):
     """Re-raise a GeometryError or DegenerateFrameError of the block with
-    the point m named."""
+    the point m, or the points of a stack m, named (see point_name)."""
     try:
         yield
     except (GeometryError, DegenerateFrameError) as exc:
-        raise type(exc)(f"{exc} at {m.tolist()}") from None
+        raise type(exc)(f"{exc} at {point_name(m)}") from None
 
 
 def metric_point(metric: ChartMetric, m: Sequence[float]) -> MetricPoint:

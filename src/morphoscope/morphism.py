@@ -5,11 +5,12 @@ its singular values give the pointwise dilation, its rows test horizontal
 conformality, and its kernel is the vertical space. Frames are constructed
 deterministically so repeated runs and neighbouring points agree.
 
-All of it comes from one record per point, `PointGeometry`, built by
-`point_geometry` on the point's `MetricPoint`. The conformality data, the
-splitting, the structures J+ and J- and the node geometries of its
-derivative stencils are derived on first use and then kept on the geometry,
-which lives only as long as the evaluation that built it.
+All of it comes from one record per point, `PointGeometry`.
+`point_geometries` builds the records of a stack of points in one pass over
+the stack, and `point_geometry` is its stack of one. The splitting, the
+structures J+ and J- and the node geometries of its derivative stencils are
+derived per point on first use and then kept on the geometry, which lives
+only as long as the evaluation that built it.
 """
 
 from __future__ import annotations
@@ -20,49 +21,109 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._linalg import spd_sqrt_pair
 from .calculus import MorphismScenario
-from .errors import ClassificationError, DegenerateFrameError, GeometryError
-from .geometry import (MetricPoint, covariant_difference, metric_point, named_at,
-                       orientation_sign, orthonormalize, stencil)
+from .errors import ClassificationError, DegenerateFrameError, DomainError, GeometryError
+from .geometry import (MetricPoint, christoffel_symbols, covariant_difference,
+                       metric_inverse, named_at, orientation_sign, orthonormalize,
+                       point_name, stencil)
 from .structures import K_MINUS, K_PLUS
 
 EPS_CRITICAL = 1e-9
 
 
 @dataclass(eq=False)
+class GeometryStack:
+    """What the geometries of one stack of points derive together: the
+    first derivatives of the metric, the Christoffel symbols and the
+    tension, each computed over the whole (n, 4) stack when a geometry of
+    the stack first reads it."""
+
+    scenario: MorphismScenario
+    points: np.ndarray
+    g: np.ndarray
+    inverse: np.ndarray      # g^{-1}, see metric_inverse
+    jac: np.ndarray
+    ginv: np.ndarray         # g^{-1/2} g^{-1/2}
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        return self.scenario.metric.first_derivatives(self.points)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return christoffel_symbols(self.inverse, self.dg)
+
+    @cached_property
+    def tension(self) -> np.ndarray:
+        """Tension of the map at each point, exact from polynomial jets.
+
+        Target Christoffel symbols vanish because target metrics are
+        constant, so the tension is the metric trace of the chart Hessians
+        corrected by the domain connection.
+        """
+        ginv, jac = self.ginv, self.jac
+        contracted = np.einsum("...ij,...kij->...k", ginv, self.gamma)
+        return (np.einsum("...ij,...aij->...a", ginv, self.scenario.hessians(self.points))
+                - (contracted[:, None, None, :] @ jac[..., None])[..., 0, 0])
+
+    @cached_property
+    def tension_norm(self) -> np.ndarray:
+        tau = self.tension
+        quadratic = (tau[:, None, :] @ self.scenario.target.matrix @ tau[..., None])[:, 0, 0]
+        # sqrt(max(0, q)), with max taken as Python takes it
+        return np.sqrt(np.where(quadratic > 0.0, quadratic, 0.0))
+
+
+@dataclass(eq=False)
 class PointGeometry:
     """The map's pointwise geometry at one chart point, built once.
 
-    The metric point, the differential and the SVD of the gauge matrix are
-    computed when the geometry is built; the properties below are derived
-    from them on first use and then kept. The splitting (`horizontal`,
-    `vertical` and the two projectors) and the structures J+ and J- need a
-    regular point and raise ClassificationError otherwise.
+    The fields are computed when the geometry is built, with the other
+    points of its stack (see point_geometries); the Christoffel symbols and
+    the tension are read from the stack, and the properties below are
+    derived from them on first use and then kept. The splitting
+    (`horizontal`, `vertical` and the two projectors) and the structures J+
+    and J- need a regular point and raise ClassificationError otherwise.
     """
 
     scenario: MorphismScenario
-    metric_point: MetricPoint
+    stack: GeometryStack
+    index: int               # of the point in the stack
+    point: np.ndarray
+    g: np.ndarray
     ginv: np.ndarray         # g^{-1/2} g^{-1/2}
     ginvsqrt: np.ndarray
     jac: np.ndarray
-    gauge: np.ndarray        # h^{1/2} dF g^{-1/2}
-    singular_values: np.ndarray
-    right_vectors: np.ndarray  # rows of V^T from the full SVD
+    singular_values: np.ndarray  # of the gauge matrix h^{1/2} dF g^{-1/2}
+    right_vectors: np.ndarray  # rows of V^T from its full SVD
+    conformal: np.ndarray    # h-gauge Gram matrix of the differential
+    squared_dilation: float  # half the trace of `conformal`
+    defect: float            # Frobenius distance of `conformal` to its conformal part
     # (direction, step) -> (t, node geometries) of each derivative stencil
     _stencils: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def point(self) -> np.ndarray:
-        return self.metric_point.point
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.metric_point.g
+    @cached_property
+    def metric_point(self) -> MetricPoint:
+        """The chart metric at the point, with the first derivatives, the
+        inverse and the Christoffel symbols of the stack."""
+        stack, i = self.stack, self.index
+        return MetricPoint.derived(self.scenario.metric, self.point, self.g,
+                                   dg=stack.dg[i], inverse=stack.inverse[i],
+                                   gamma=stack.gamma[i])
 
     @property
     def gamma(self) -> np.ndarray:
         """Christoffel symbols Gamma[k, i, j] of the chart metric."""
-        return self.metric_point.gamma
+        return self.stack.gamma[self.index]
+
+    @property
+    def tension(self) -> np.ndarray:
+        return self.stack.tension[self.index]
+
+    @property
+    def tension_norm(self) -> float:
+        return float(self.stack.tension_norm[self.index])
 
     @property
     def dilation_sup(self) -> float:
@@ -77,46 +138,9 @@ class PointGeometry:
     def status(self) -> str:
         return "regular" if self.is_regular else "critical"
 
-    @cached_property
-    def conformal(self) -> np.ndarray:
-        """h-gauge Gram matrix of the differential."""
-        return self.gauge @ self.gauge.T
-
-    @cached_property
-    def squared_dilation(self) -> float:
-        """Half the trace of `conformal`."""
-        return 0.5 * float(np.trace(self.conformal))
-
     @property
     def dilation(self) -> float:
         return float(np.sqrt(max(0.0, self.squared_dilation)))
-
-    @cached_property
-    def defect(self) -> float:
-        """Frobenius distance of `conformal` to its conformal part."""
-        return float(np.linalg.norm(self.conformal - self.squared_dilation * np.eye(2),
-                                    ord="fro"))
-
-    @cached_property
-    def tension(self) -> np.ndarray:
-        """Tension of the map, exact from polynomial jets.
-
-        Target Christoffel symbols vanish because target metrics are
-        constant, so the tension is the metric trace of the chart Hessian
-        corrected by the domain connection.
-        """
-        hess = self.scenario.hessians(self.point)
-        contracted = np.einsum("ij,kij->k", self.ginv, self.gamma)
-        tau = np.empty(2)
-        for a in range(2):
-            tau[a] = float(np.einsum("ij,ij->", self.ginv, hess[a])
-                           - contracted @ self.jac[a])
-        return tau
-
-    @cached_property
-    def tension_norm(self) -> float:
-        tau = self.tension
-        return float(np.sqrt(max(0.0, tau @ self.scenario.target.matrix @ tau)))
 
     @cached_property
     def _splitting(self) -> tuple:
@@ -206,40 +230,86 @@ class PointGeometry:
         field read off each geometry.
 
         The node geometries of a (direction, step) stencil are built on
-        first use and kept, so every field differentiated along an equal
-        direction with the same step reads the same nodes.
+        first use, as one stack, and kept, so every field differentiated
+        along an equal direction with the same step reads the same nodes.
         """
         X = np.asarray(direction, dtype=float)
         key = (tuple(X.tolist()), step)
         if key not in self._stencils:
             t, nodes = stencil(self.scenario.metric, self.point, X, step)
-            self._stencils[key] = t, tuple(point_geometry(self.scenario, x) for x in nodes)
+            self._stencils[key] = t, point_geometries(self.scenario, nodes)
         t, nodes = self._stencils[key]
         return covariant_difference([field(n) for n in nodes], field(self), self.gamma,
                                     X, t)
 
 
-def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
-    """Build the geometry at m, checking the domain, the metric and the gauge.
+def point_geometries(scenario: MorphismScenario, points) -> list:
+    """The geometries at a stack of points, in order, built in one pass.
 
-    Non-finite metric or differential entries and failed decompositions
-    raise GeometryError, so no input reaches the callers as a bare
-    numerical failure.
+    Each step below runs once over the whole (n, 4) stack: the domain
+    check, the metric and its check, the differential, the square roots of
+    the metric, the gauge matrix and its SVD, the inverse metric and the
+    conformality data; the Christoffel symbols and the tension follow, for
+    the whole stack, when a geometry first reads them (see GeometryStack).
+    Each geometry reads its row of every result; a row equals, bit for bit,
+    what the same steps give for its point alone.
+
+    A point outside the domain raises DomainError; non-finite metric or
+    differential entries and failed checks or decompositions raise
+    GeometryError, so no input reaches the callers as a bare numerical
+    failure. When a step fails, each point of the stack is passed again on
+    its own, so the error raised is that of the first failing point and of
+    its first failing step, as in a loop over the points.
     """
-    mp = metric_point(scenario.metric, m)
-    m = mp.point
-    jac = scenario.jacobian(m)
+    points = np.array(points, dtype=float, order="C").reshape(-1, 4)
     try:
-        ginvsqrt = mp.sqrt_pair[1]
+        return _geometry_pass(scenario, points)
+    except (DomainError, GeometryError):
+        for i in range(len(points)):
+            _geometry_pass(scenario, points[i:i + 1])
+        raise
+
+
+def _geometry_pass(scenario: MorphismScenario, points: np.ndarray) -> list:
+    metric = scenario.metric
+    metric.require_inside(points)
+    with named_at(points):
+        g = metric.matrix_checked(points)
+    jac = scenario.jacobian(points)
+    try:
+        with named_at(points):
+            ginvsqrt = spd_sqrt_pair(g, "chart metric")[1]
         gauge = scenario.target.sqrt @ jac @ ginvsqrt
         if not np.all(np.isfinite(gauge)):
-            raise GeometryError(f"differential is not finite at {m.tolist()}")
-        _, s, vt = np.linalg.svd(gauge, full_matrices=True)
+            raise GeometryError(f"differential is not finite at {point_name(points)}")
+        _, sv, vt = np.linalg.svd(gauge, full_matrices=True)
     except np.linalg.LinAlgError as exc:
-        raise GeometryError(f"gauge decomposition failed at {m.tolist()}: {exc}") from None
-    return PointGeometry(
-        scenario=scenario, metric_point=mp, ginv=ginvsqrt @ ginvsqrt,
-        ginvsqrt=ginvsqrt, jac=jac, gauge=gauge, singular_values=s, right_vectors=vt)
+        raise GeometryError(
+            f"gauge decomposition failed at {point_name(points)}: {exc}") from None
+    with named_at(points):
+        inverse = metric_inverse(g)
+    ginv = ginvsqrt @ ginvsqrt
+
+    conformal = gauge @ gauge.swapaxes(-1, -2)
+    squared_dilation = 0.5 * conformal.trace(axis1=-2, axis2=-1)
+    offset = (conformal - squared_dilation[:, None, None] * np.eye(2)).reshape(-1, 1, 4)
+    # the Frobenius norm as np.linalg.norm takes it: a dot product of the
+    # flattened matrix with itself
+    defect = np.sqrt((offset @ offset.swapaxes(-1, -2))[:, 0, 0])
+
+    stack = GeometryStack(scenario=scenario, points=points, g=g, inverse=inverse,
+                          jac=jac, ginv=ginv)
+    return [PointGeometry(
+        scenario=scenario, stack=stack, index=i, point=m, g=g[i], ginv=ginv[i],
+        ginvsqrt=ginvsqrt[i], jac=jac[i], singular_values=sv[i], right_vectors=vt[i],
+        conformal=conformal[i], squared_dilation=float(squared_dilation[i]),
+        defect=float(defect[i]))
+        for i, m in enumerate(points)]
+
+
+def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
+    """The geometry at m: the stack of one point of point_geometries."""
+    return point_geometries(scenario, [m])[0]
 
 
 def hwc_residual(scenario: MorphismScenario, m) -> PointGeometry:
@@ -278,21 +348,13 @@ def fiber_mean_curvature(geometry: PointGeometry,
 
 
 def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray]) -> tuple:
-    """The geometries at the points, with the largest conformality defect
-    and the largest tension norm over the regular ones.
+    """The geometries at the points, built as one stack, with the largest
+    conformality defect and the largest tension norm over the regular ones.
 
     Returns (geometries, max_defect, max_tension).
     """
-    geometries = []
-    max_defect = 0.0
-    max_tension = 0.0
-    for p in points:
-        geo = point_geometry(scenario, p)
-        geometries.append(geo)
-        # the records report the tension at every point, so it is derived
-        # here in sample order
-        tension = geo.tension_norm
-        if geo.is_regular:
-            max_defect = max(max_defect, geo.defect)
-            max_tension = max(max_tension, tension)
+    geometries = point_geometries(scenario, points)
+    regular = [geo for geo in geometries if geo.is_regular]
+    max_defect = max([0.0] + [geo.defect for geo in regular])
+    max_tension = max([0.0] + [geo.tension_norm for geo in regular])
     return geometries, max_defect, max_tension

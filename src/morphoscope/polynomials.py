@@ -6,13 +6,17 @@ representation: a dict from exponent 4-tuples to complex coefficients.
 Real-valued polynomials are stored with zero imaginary parts; callers take
 the real part where realness is guaranteed by construction.
 
-A table of polynomials (a metric, its derivatives, a Jacobian) is evaluated
-at a point by `evaluate`; a symmetric 4x4 table is kept as its UPPER
-entries and rebuilt by `symmetric`.
+A table of polynomials (a metric, its derivatives, a Jacobian) is a
+`Table`, evaluated over a point or a stack of points by `evaluate`; a
+symmetric 4x4 table is kept as its UPPER entries and rebuilt by `symmetric`.
+On its first evaluation a table compiles to exponent and coefficient arrays,
+and `evaluate` repeats the arithmetic of `Poly.eval` on them operation for
+operation, so both give the same bits.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -194,9 +198,59 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def evaluate(polys: Sequence[Poly], point: Sequence[float]) -> np.ndarray:
-    """Complex values of the polynomials at the point, in order."""
-    return np.array([p.eval(point) for p in polys])
+class Table(tuple):
+    """A fixed sequence of polynomials that `evaluate` evaluates together."""
+
+    @cached_property
+    def compiled(self) -> tuple:
+        """(coefficients, masks, exponents, degree), built on first use.
+
+        coefficients[p, t] is term t of polynomial p, the terms sorted as
+        `Poly.eval` sums them and padded with zero terms. For each variable
+        k that a term uses, in order, masks
+        holds the terms where its exponent is nonzero, and exponents[s]
+        indexes the power of the variable of step s in the (4, degree + 1)
+        table of powers, degree being the largest exponent.
+        """
+        terms = [sorted(p.coeffs.items()) for p in self]
+        width = max([1] + [len(t) for t in terms])
+        exps = np.zeros((NVARS, len(self), width), dtype=np.intp)
+        coeffs = np.zeros((len(self), width), dtype=complex)
+        for p, poly_terms in enumerate(terms):
+            for t, (e, c) in enumerate(poly_terms):
+                exps[:, p, t] = e
+                coeffs[p, t] = c
+        used = [k for k in range(NVARS) if exps[k].any()]
+        degree = int(exps.max(initial=0))
+        return (coeffs, exps[used] != 0,
+                np.array([k * (degree + 1) + exps[k] for k in used], dtype=np.intp),
+                degree)
+
+
+def evaluate(table: Table, points) -> np.ndarray:
+    """Complex values of the table's polynomials at a point or over a stack
+    of points, on the last axis: (..., 4) points give (..., len(table)).
+
+    Bitwise equal to `Poly.eval` at each point. The powers come from
+    np.float_power, which rounds as the scalar `**` of `Poly.eval` does
+    (np.power does not); each term is multiplied by the powers of its
+    variables in order, and the terms are summed in sequence. Adding zero
+    last turns a sum of negative zeros into the positive zero that
+    `Poly.eval`'s sum from 0j gives, and changes no other sum.
+    """
+    x = np.asarray(points, dtype=float)
+    flat = x.reshape(-1, NVARS)
+    coeffs, masks, exponents, degree = table.compiled
+    # powers[i, k * (degree + 1) + e] = x_k ** e at point i
+    powers = np.float_power(flat[:, :, None], np.arange(degree + 1)).astype(complex)
+    powers = powers.reshape(len(flat), NVARS * (degree + 1))
+    # terms[i, p, t]: term t of polynomial p at point i
+    terms = np.empty((len(flat),) + coeffs.shape, dtype=complex)
+    terms[...] = coeffs
+    for mask, exps in zip(masks, exponents):
+        np.multiply(terms, powers[:, exps], out=terms, where=mask)
+    np.add.accumulate(terms, axis=-1, out=terms)
+    return (terms[..., -1] + 0.0).reshape(x.shape[:-1] + (len(table),))
 
 
 def symmetric(upper) -> np.ndarray:

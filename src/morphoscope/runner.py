@@ -55,12 +55,14 @@ def scenario_report(command: str, config: ScenarioConfig, found: Findings,
                         seed=seed, workers=workers, extras=found.extras)
 
 
-def _sample_points(scenario: MorphismScenario, n: int, seed: int) -> list:
+def _sample_points(scenario: MorphismScenario, n: int, seed: int) -> np.ndarray:
+    """(n, 4) seeded points inside the domain, off a 5% margin: one draw,
+    equal to n draws of one point each."""
     rng = np.random.default_rng(seed)
     lo = np.asarray(scenario.domain.lo, dtype=float)
     hi = np.asarray(scenario.domain.hi, dtype=float)
     margin = 0.05 * (hi - lo)
-    return [rng.uniform(lo + margin, hi - margin) for _ in range(n)]
+    return rng.uniform(lo + margin, hi - margin, size=(n, 4))
 
 
 def _record_table(records: list, key: str, columns: tuple, drop: tuple = ()) -> list:

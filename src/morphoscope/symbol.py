@@ -22,8 +22,8 @@ import numpy as np
 from ._linalg import minimize_affine_on_sphere
 from .calculus import MorphismScenario, NormalChart, normalized_scenario
 from .errors import SymbolError, UnsupportedOrderError
-from .morphism import EPS_CRITICAL, point_geometry
-from .polynomials import Poly, evaluate
+from .morphism import EPS_CRITICAL, point_geometries
+from .polynomials import Poly, Table, evaluate
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
 
@@ -204,7 +204,8 @@ class CenterSample:
     The leading symbol with its normal chart, the directions (the signed
     axes, then the seeded ones) and the radius-major (n_radii, n_dirs, 4)
     stack of shell samples in the chart. The point geometries at the samples
-    are built on first use, so a fit that reads only the symbol builds none.
+    are built on first use, as one stack, so a fit that reads only the
+    symbol builds none.
     """
 
     symbol: SymbolData
@@ -216,8 +217,9 @@ class CenterSample:
     @cached_property
     def geometries(self) -> list:
         """geometries[j][i] is the geometry at radii[j] * directions[i]."""
-        sc = self.symbol.chart.scenario
-        return [[point_geometry(sc, y) for y in shell] for shell in self.points]
+        geometries = point_geometries(self.symbol.chart.scenario, self.points)
+        width = self.points.shape[1]
+        return [geometries[j:j + width] for j in range(0, len(geometries), width)]
 
 
 def center_sample(scenario: MorphismScenario, m0, radii: Sequence[float] | None = None,
@@ -244,19 +246,13 @@ def remainder_rates(sample: CenterSample) -> RemainderRates:
     """Measure |Psi| and ||dPsi|| decay against the expected symbol order."""
     k = sample.symbol.order
     psi = sample.symbol.remainder
-    dpsi = [psi.diff(j) for j in range(4)]
-    vals = []
-    dvals = []
-    for shell in sample.points[:, N_AXES:]:
-        best_v = 0.0
-        best_d = 0.0
-        for y in shell:
-            best_v = max(best_v, abs(psi.eval(y)))
-            row = evaluate(dpsi, y)
-            jac = np.array([row.real, row.imag])
-            best_d = max(best_d, float(np.linalg.svd(jac, compute_uv=False)[0]))
-        vals.append(best_v)
-        dvals.append(best_d)
+    # the remainder and its differential over the (n_radii, n_dirs) samples
+    table = evaluate(Table([psi] + [psi.diff(j) for j in range(4)]),
+                     sample.points[:, N_AXES:])
+    dpsi = table[..., 1:]
+    sups = np.linalg.svd(np.stack((dpsi.real, dpsi.imag), axis=-2), compute_uv=False)
+    vals = [max([0.0] + [abs(v) for v in row]) for row in table[..., 0].tolist()]
+    dvals = [max([0.0] + row) for row in sups[..., 0].tolist()]
     value_fit = fit_rate(sample.radii, vals)
     differential_fit = fit_rate(sample.radii, dvals)
     ok = value_fit.meets_lower_slope(k + 0.9) and differential_fit.meets_lower_slope(k - 0.1)

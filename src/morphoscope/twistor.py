@@ -75,6 +75,15 @@ class VerticalEnergy:
     area_element: float
 
 
+def _check_structure(g: np.ndarray, J: np.ndarray) -> None:
+    """Raise GeometryError unless J squares to minus the identity and
+    preserves g."""
+    if np.max(np.abs(J @ J + np.eye(4))) > 1e-9:
+        raise GeometryError("structure squared is not minus the identity")
+    if np.max(np.abs(J.T @ g @ J - g)) > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
+        raise GeometryError("structure does not preserve the metric")
+
+
 def fiber_coordinates(g: np.ndarray, J: np.ndarray, orientation: int = 1) -> np.ndarray:
     """Unit coordinates of a structure over the deterministic frame of g.
 
@@ -83,10 +92,7 @@ def fiber_coordinates(g: np.ndarray, J: np.ndarray, orientation: int = 1) -> np.
     there, which is reported as an error rather than a zero vector.
     """
     J = np.asarray(J, dtype=float)
-    if np.max(np.abs(J @ J + np.eye(4))) > 1e-9:
-        raise GeometryError("structure squared is not minus the identity")
-    if np.max(np.abs(J.T @ g @ J - g)) > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
-        raise GeometryError("structure does not preserve the metric")
+    _check_structure(g, J)
     B = oriented_frame(g).T
     u = fiber_from_structure(np.linalg.solve(B, J @ B), orientation)
     norm = float(np.linalg.norm(u))
@@ -117,9 +123,9 @@ class LiftGeometry:
     """The lift of a surface patch at one parameter point, built once.
 
     The metric point at psi(p), the patch differential d, the adapted frame
-    (t1, t2, n1, n2), the lift J and its fiber coordinates are computed when
-    the geometry is built; the properties below are derived from them on
-    first use.
+    (t1, t2, n1, n2) and the lift J are computed, and J is checked, when the
+    geometry is built; the properties below, the fiber coordinates among
+    them, are derived from them on first use.
     """
 
     def __init__(self, scenario: MorphismScenario, patch: SurfacePatch, p,
@@ -135,8 +141,13 @@ class LiftGeometry:
         B = np.column_stack([self.t1, self.t2, self.n1, self.n2])
         K = K_PLUS if orientation == 1 else K_MINUS
         self.J = B @ K @ np.linalg.inv(B)
-        self.fiber = fiber_coordinates(self.metric_point.g, self.J,
-                                       orientation * scenario.orientation)
+        _check_structure(self.metric_point.g, self.J)
+
+    @cached_property
+    def fiber(self) -> np.ndarray:
+        """Fiber coordinates of the lift, see fiber_coordinates."""
+        return fiber_coordinates(self.metric_point.g, self.J,
+                                 self.orientation * self.scenario.orientation)
 
     @cached_property
     def tangent_coordinates(self) -> tuple:

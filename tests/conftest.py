@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
 
 from morphoscope.geometry import ChartMetric
@@ -18,7 +19,8 @@ def metric_classes() -> list:
 
 @pytest.fixture
 def metric_calls(monkeypatch) -> dict:
-    """Chart-metric evaluations by method name, one (metric, point) key per call.
+    """Chart-metric evaluations by method name, one (metric, point) key per
+    evaluated point: one per call at a point, one per point of a stack.
 
     Wraps matrix, first_derivatives and second_derivatives on every
     ChartMetric class that defines them. The key holds the metric object
@@ -28,7 +30,7 @@ def metric_calls(monkeypatch) -> dict:
 
     def counted(log, fn):
         def wrapper(self, m, *args, **kwargs):
-            log.append((self, *(float(v) for v in m)))
+            log.extend((self, *row) for row in np.asarray(m, dtype=float).reshape(-1, 4).tolist())
             return fn(self, m, *args, **kwargs)
         return wrapper
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morphoscope import morphism, weingarten
+from morphoscope import runner, weingarten
 from morphoscope import report as report_module
 from morphoscope.calculus import MorphismScenario
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs, catalog_patch, patch_grid
@@ -20,6 +20,7 @@ from morphoscope.polynomials import Poly
 from morphoscope.report import fingerprint
 from morphoscope.structures import K_PLUS
 
+from test_morphism import count_geometry_builds
 from test_symbol import count_calls
 
 
@@ -608,7 +609,7 @@ def test_scan_fails_an_annulus_without_certified_samples(tmp_path):
 def test_weingarten_point_reads_the_direct_norms_once(tmp_path, monkeypatch, name):
     # the point and its four stencil nodes; the direct norms take one
     # frame_component_sums call per structure, J+ then J-
-    builds = count_calls(monkeypatch, morphism, "point_geometry")
+    builds = count_geometry_builds(monkeypatch)
     sums = count_calls(monkeypatch, weingarten, "frame_component_sums")
     cfg = write_config(tmp_path, name)
     assert run(tmp_path, "weingarten", "--config", str(cfg), REGULAR_POINT) == 0
@@ -641,3 +642,18 @@ def test_symbol_composes_once_per_candidate(tmp_path, monkeypatch, name):
     assert run(tmp_path, "symbol", "--config", str(cfg)) == 0
     (certified,) = read_report(tmp_path, f"{name}_symbol")["checks"]
     assert len(composes) == certified["evidence"]["n_candidates"]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 12345])
+@pytest.mark.parametrize("name", ["proj", "pullback_z1z2", "product_sphere"])
+def test_validation_points_are_one_draw_equal_to_per_point_draws(seed, name):
+    # the (n, 4) draw pins the stream the reports were recorded with: n
+    # draws of one point each, inside the 5% margin of the box
+    scenario = build_scenario(ScenarioConfig.from_dict(catalog_configs()[name]))
+    lo, hi = np.asarray(scenario.domain.lo), np.asarray(scenario.domain.hi)
+    margin = 0.05 * (hi - lo)
+    rng = np.random.default_rng(seed)
+    expected = np.array([rng.uniform(lo + margin, hi - margin) for _ in range(37)])
+    points = runner._sample_points(scenario, 37, seed)
+    assert points.shape == (37, 4) and points.flags["C_CONTIGUOUS"]
+    assert points.tobytes() == expected.tobytes()

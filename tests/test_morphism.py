@@ -19,16 +19,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphoscope.calculus import holomorphic_scenario, pullback_scenario, real_scenario
-from morphoscope.errors import ClassificationError, GeometryError
-from morphoscope.geometry import Box, FlatMetric, covariant_derivative
+from morphoscope.catalog import catalog_configs
+from morphoscope.config import ScenarioConfig, build_scenario
+from morphoscope.errors import ClassificationError, DomainError, GeometryError
+from morphoscope.geometry import (Box, FlatMetric, PolynomialMetric, ProductSphereMetric,
+                                  covariant_derivative)
 from morphoscope import morphism
 from morphoscope.morphism import (
     EPS_CRITICAL, classify_point, fiber_mean_curvature, hwc_residual,
-    point_geometry, splitting, tension_norm, validate_morphism,
+    point_geometries, point_geometry, splitting, tension_norm, validate_morphism,
 )
 from morphoscope.polynomials import Poly
 
 from test_geometry import quadratic_bump_metric
+from test_polynomials import written_out_jets, written_out_metric
 
 
 def scenario_proj():
@@ -62,21 +66,22 @@ def scenario_pullback_product():
 
 
 def count_geometry_builds(monkeypatch) -> list:
-    """Count point_geometry builds through every module that binds it.
+    """Count the geometries point_geometries builds, through every module
+    that binds it; point_geometry builds through it too.
 
-    Returns a list that grows by one entry, the point, per build.
+    Returns a list that grows by one entry, the point, per geometry built.
     """
     builds = []
-    original = morphism.point_geometry
+    original = morphism.point_geometries
 
-    def counted(scenario, m):
-        builds.append(np.array(m, dtype=float))
-        return original(scenario, m)
+    def counted(scenario, points):
+        builds.extend(np.array(points, dtype=float).reshape(-1, 4))
+        return original(scenario, points)
 
     for name, module in list(sys.modules.items()):
         if name == "morphoscope" or name.startswith("morphoscope."):
-            if getattr(module, "point_geometry", None) is original:
-                monkeypatch.setattr(module, "point_geometry", counted)
+            if getattr(module, "point_geometries", None) is original:
+                monkeypatch.setattr(module, "point_geometries", counted)
     return builds
 
 
@@ -353,3 +358,161 @@ def test_geometry_rejects_a_non_finite_differential():
                         FlatMetric(Box.cube(1e200)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GeometryError):
         point_geometry(big, np.array([1e150, 0.0, 0.0, 0.0]))
+
+
+# ------------------------------------------------------------ stacked pass
+
+
+def written_out_geometry(scenario, m) -> dict:
+    """The pointwise geometry at m, every step written out for the one point:
+    the metric, its derivatives and the map's jets entry by entry through
+    Poly.eval, then the decompositions of one matrix at a time."""
+    metric = scenario.metric
+    if isinstance(metric, FlatMetric):
+        g, dg = np.eye(4), np.zeros((4, 4, 4))
+    elif isinstance(metric, ProductSphereMetric):
+        r2 = metric.radius ** 2
+        g = np.diag([r2, r2 * np.sin(m[0]) ** 2, 1.0, 1.0])
+        dg = np.zeros((4, 4, 4))
+        dg[0, 1, 1] = r2 * np.sin(2.0 * m[0])
+    else:
+        g, dg, _ = written_out_metric(metric, m)
+    jac, hess = written_out_jets(scenario, m)
+    w, q = np.linalg.eigh(0.5 * (g + g.T))
+    ginvsqrt = (q / np.sqrt(w)) @ q.T
+    gauge = scenario.target.sqrt @ jac @ ginvsqrt
+    _, sv, vt = np.linalg.svd(gauge, full_matrices=True)
+    ginv = ginvsqrt @ ginvsqrt
+    sums = (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg)
+            - np.einsum("mij->mij", dg))
+    gamma = 0.5 * np.einsum("km,mij->kij", np.linalg.inv(g), sums)
+    conformal = gauge @ gauge.T
+    squared_dilation = 0.5 * float(np.trace(conformal))
+    defect = float(np.linalg.norm(conformal - squared_dilation * np.eye(2), ord="fro"))
+    contracted = np.einsum("ij,kij->k", ginv, gamma)
+    tension = np.array([float(np.einsum("ij,ij->", ginv, hess[a]) - contracted @ jac[a])
+                        for a in range(2)])
+    tension_norm = float(np.sqrt(max(0.0, tension @ scenario.target.matrix @ tension)))
+    return {"g": g, "jac": jac, "ginv": ginv, "ginvsqrt": ginvsqrt,
+            "singular_values": sv, "right_vectors": vt, "conformal": conformal,
+            "squared_dilation": squared_dilation, "defect": defect, "gamma": gamma,
+            "tension": tension, "tension_norm": tension_norm}
+
+
+def oracle_charts() -> dict:
+    charts = {name: build_scenario(ScenarioConfig.from_dict(raw))
+              for name, raw in sorted(catalog_configs().items())}
+    charts["aniso"] = scenario_anisotropic()
+    charts["quadratic_bump"] = holomorphic_scenario("bump", {(1, 1): 1.0},
+                                                    quadratic_bump_metric())
+    return charts
+
+
+ORACLE_CHARTS = oracle_charts()
+
+
+def validation_points(scenario, n, seed):
+    lo, hi = np.asarray(scenario.domain.lo), np.asarray(scenario.domain.hi)
+    margin = 0.05 * (hi - lo)
+    return np.random.default_rng(seed).uniform(lo + margin, hi - margin, size=(n, 4))
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHARTS))
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+def test_point_geometries_equal_the_written_out_loop_bitwise(name, layout):
+    scenario = ORACLE_CHARTS[name]
+    points = validation_points(scenario, 25, seed=7)
+    if layout == "strided":
+        wide = np.zeros((25, 8))
+        wide[:, ::2] = points
+        stack = wide[:, ::2]
+    else:
+        stack = np.asfortranarray(points) if layout == "fortran" else points
+    geometries = point_geometries(scenario, stack)
+    assert len(geometries) == len(points)
+    for geo, m in zip(geometries, points):
+        expected = written_out_geometry(scenario, m)
+        assert bits(geo.point) == bits(m)
+        for key, value in expected.items():
+            assert bits(getattr(geo, key)) == bits(value), (key, m.tolist())
+        assert bits(geo.metric_point.gamma) == bits(expected["gamma"])
+
+
+@pytest.mark.parametrize("name", ["pullback_z1z2", "product_sphere"])
+def test_a_geometry_reads_the_same_bits_alone_as_in_its_stack(name):
+    scenario = ORACLE_CHARTS[name]
+    points = validation_points(scenario, 9, seed=3)
+    for geo, m in zip(point_geometries(scenario, points), points):
+        alone = point_geometry(scenario, m)
+        assert bits(alone.vertical) == bits(geo.vertical)
+        assert bits(alone.j_plus) == bits(geo.j_plus)
+        assert (alone.defect, alone.tension_norm) == (geo.defect, geo.tension_norm)
+
+
+def stepped_scenario():
+    # g = diag(1 + x1, 1 + x2^200, 1, 1) on [-2, 1e3]^4: not positive
+    # definite where x1 < -1, and not finite where x2^200 overflows
+    x = [Poly.variable(k) for k in range(4)]
+    one = Poly.constant(1.0)
+    entries = [[Poly.zero() for _ in range(4)] for _ in range(4)]
+    entries[0][0] = one + x[0]
+    entries[1][1] = one + Poly({(0, 200, 0, 0): 1.0})
+    entries[2][2] = entries[3][3] = one
+    metric = PolynomialMetric(entries, Box((-2.0,) * 4, (1e3,) * 4))
+    return holomorphic_scenario("stepped", {(1, 0): 1.0}, metric)
+
+
+GOOD, OUTSIDE = [0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 2e3]
+NOT_SPD, NOT_FINITE = [-1.5, 0.2, 0.3, 0.4], [0.1, 100.0, 0.3, 0.4]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("first, later, error, message", [
+    (OUTSIDE, NOT_SPD, DomainError, "leaves the chart domain"),
+    (OUTSIDE, NOT_FINITE, DomainError, "leaves the chart domain"),
+    (NOT_SPD, OUTSIDE, GeometryError, "chart metric is not positive definite at"),
+    (NOT_FINITE, NOT_SPD, GeometryError, "chart metric has non-finite entries at"),
+])
+def test_a_failing_stack_names_its_first_failing_point(first, later, error, message):
+    # the error of a loop over the points: the first failing point, with
+    # its first failed check, whatever fails after it
+    scenario = stepped_scenario()
+    stack = np.array([GOOD, GOOD, first, GOOD, later])
+    with pytest.raises(error) as stacked:
+        point_geometries(scenario, stack)
+    with pytest.raises(error) as looped:
+        for m in stack:
+            point_geometry(scenario, m)
+    assert str(stacked.value) == str(looped.value)
+    assert message in str(stacked.value)
+    assert str(np.array(first).tolist()) in str(stacked.value)
+
+
+@pytest.mark.parametrize("name", ["pullback_z1z2", "product_sphere"])
+def test_validation_cost_does_not_grow_with_the_points(monkeypatch, name):
+    # one stacked pass: no polynomial is evaluated term by term, and the
+    # decompositions run once per stack, not once per point
+    scenario = ORACLE_CHARTS[name]
+    calls = {"eval": 0, "svd": 0, "eigh": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "eval", counted("eval", Poly.eval))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    seen = []
+    for n in (4, 400):
+        calls.update(dict.fromkeys(calls, 0))
+        geometries, _, _ = validate_morphism(scenario, validation_points(scenario, n, 1))
+        [(geo.defect, geo.tension_norm) for geo in geometries]
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[1] == {"eval": 0, "svd": 1, "eigh": 1}

@@ -3,7 +3,9 @@
 Oracle: each entry of a table differentiated and evaluated on its own, filled
 into its array by written-out loops. The metric, the map's jets and the
 callable pullback must equal it bit for bit, and the flat-base pullback must
-equal the sum over i of d_a Phi_i d_b Phi_i coefficient for coefficient.
+equal the sum over i of d_a Phi_i d_b Phi_i coefficient for coefficient. A
+compiled table evaluated over a stack must equal Poly.eval at each point bit
+for bit, overflows included.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.geometry import (
     Box, CallableMetric, FlatMetric, PolynomialMetric, ProductSphereMetric, pullback_metric,
 )
-from morphoscope.polynomials import UPPER, Poly, symmetric
+from morphoscope.polynomials import UPPER, Poly, Table, evaluate, from_complex_pair, symmetric
 
 from test_geometry import quadratic_bump_metric
 
@@ -144,3 +146,68 @@ def test_a_scenario_differentiates_only_what_it_reads(diff_calls):
     MorphismScenario("count", FlatMetric(Box.cube(1.0)), component)
     # 4 first derivatives and the 10 Hessian entries with k <= l
     assert len(diff_calls) == 4 + 10
+
+
+# ------------------------------------------------------- compiled tables
+
+
+def catalog_tables() -> dict:
+    """Every table the catalog charts evaluate, their normal charts' included."""
+    tables = {}
+    for name, raw in sorted(catalog_configs().items()):
+        config = ScenarioConfig.from_dict(raw)
+        charts = [("", build_scenario(config))]
+        charts += [(f" normal at {c}", normalized_scenario(charts[0][1], np.asarray(c, float)))
+                   for c in config.critical_points or []]
+        for label, chart in charts:
+            scenario = chart if isinstance(chart, MorphismScenario) else chart.scenario
+            tables[f"{name}{label} jacobian"] = (scenario, scenario._d1)
+            tables[f"{name}{label} hessians"] = (scenario, scenario._d2)
+            if isinstance(scenario.metric, PolynomialMetric):
+                tables[f"{name}{label} metric"] = (scenario, scenario.metric.upper)
+                tables[f"{name}{label} d1"] = (scenario, scenario.metric._d1)
+                tables[f"{name}{label} d2"] = (scenario, scenario.metric._d2)
+    return tables
+
+
+CATALOG_TABLES = catalog_tables()
+
+
+def assert_table_equals_poly_eval(table, points):
+    values = evaluate(table, points)
+    assert values.shape == points.shape[:-1] + (len(table),)
+    assert values.flags["C_CONTIGUOUS"]
+    expected = np.array([[p.eval(m) for p in table] for m in points.reshape(-1, 4)])
+    assert values.reshape(expected.shape).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_TABLES))
+def test_compiled_tables_equal_poly_eval_bitwise(name):
+    scenario, table = CATALOG_TABLES[name]
+    lo, hi = np.asarray(scenario.domain.lo), np.asarray(scenario.domain.hi)
+    points = np.random.default_rng(11).uniform(lo, hi, size=(3, 20, 4))
+    assert_table_equals_poly_eval(table, points)
+    # a point alone gives the values of its row
+    assert evaluate(table, points[1, 3]).tobytes() == evaluate(table, points)[1, 3].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [0, 50, 100, 200, 300])
+def test_compiled_z1_cubed_z2_cubed_equals_poly_eval_in_overflow_boxes(exponent):
+    # the flat z1^3 z2^3 chart of the exit-code tests: the powers overflow
+    # to inf and the products to nan exactly where Poly.eval's do
+    half = 10.0 ** exponent
+    component = from_complex_pair({(3, 3): 1.0})
+    table = Table([component] + [component.diff(k) for k in range(4)]
+                  + [component.diff(k).diff(l) for k, l in UPPER])
+    points = np.random.default_rng(exponent).uniform(-half, half, size=(40, 4))
+    points[:4] = [[0.0, -0.0, 0.0, 0.0], [half, half, -half, half],
+                  [np.nan, 0.5, 0.5, 0.5], [np.inf, -np.inf, 0.5, 0.5]]
+    assert_table_equals_poly_eval(table, points)
+
+
+def test_an_empty_table_and_an_empty_stack():
+    table = Table([Poly.zero(), Poly.constant(2.0 - 1.0j)])
+    assert evaluate(table, np.zeros((0, 4))).shape == (0, 2)
+    assert evaluate(Table([]), np.zeros((3, 4))).shape == (3, 0)
+    assert evaluate(table, np.ones(4)).tolist() == [0j, 2.0 - 1.0j]

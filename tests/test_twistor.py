@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+import morphoscope.geometry as geometry
 import morphoscope.twistor as tw
 from morphoscope.calculus import holomorphic_scenario, pullback_scenario
 from morphoscope.catalog import catalog_configs, catalog_patch, patch_grid
@@ -399,3 +400,65 @@ def test_lift_geometry_call_budget(monkeypatch, metric_calls, patch_name):
         assert (alone.value, alone.area_element) == (energy.value, energy.area_element)
         assert np.array_equal(alone.gram, energy.gram)
         assert curvature_densities(fresh()) == omegas
+
+
+def count_orthonormalize(monkeypatch) -> list:
+    """Count orthonormalize calls through every module that binds it."""
+    calls = []
+    original = geometry.orthonormalize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (geometry, tw):
+        monkeypatch.setattr(module, "orthonormalize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
+def test_only_the_record_reads_fiber_coordinates(monkeypatch, patch_name):
+    # per parameter point: the adapted frames at psi(p) and at the 8 node
+    # lifts, and one deterministic frame for the fiber coordinates the
+    # record reads at p; the node lifts are checked but never read for them
+    spec = catalog_patch(patch_name)
+    sc = build_scenario(ScenarioConfig.from_dict(catalog_configs()[spec["scenario"]]))
+    calls = count_orthonormalize(monkeypatch)
+    checks = []
+    check = tw._check_structure
+
+    def counted_check(g, J):
+        checks.append(1)
+        return check(g, J)
+
+    monkeypatch.setattr(tw, "_check_structure", counted_check)
+    for p in patch_grid(spec["patch"])[:3]:
+        calls.clear()
+        checks.clear()
+        geo = LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
+        vertical_energy_density(geo)
+        script_J_residual(geo)
+        curvature_densities(geo)
+        geo.fiber
+        assert len(calls) == 10
+        # J squared and the metric are checked at psi(p), at the 8 nodes,
+        # and again where the fiber coordinates are read
+        assert len(checks) == 10
+
+
+def test_a_node_lift_that_breaks_the_metric_is_rejected(monkeypatch):
+    # the structure checks run on every lift, not only where the fiber
+    # coordinates are read
+    spec = catalog_patch("catenoid")
+    sc = build_scenario(ScenarioConfig.from_dict(catalog_configs()[spec["scenario"]]))
+    p = patch_grid(spec["patch"])[0]
+    geo = LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
+    frames = tw._lift_frames
+
+    def skewed(scenario, patch, q):
+        mp, d, t1, t2, n1, n2 = frames(scenario, patch, q)
+        return mp, d, t1, t2, n1, 2.0 * n2
+
+    monkeypatch.setattr(tw, "_lift_frames", skewed)
+    with pytest.raises(GeometryError, match="does not preserve the metric"):
+        geo.vertical
