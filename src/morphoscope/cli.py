@@ -116,12 +116,20 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    json_path = write_json(report, out_dir / f"{stem}.json")
+    json_path, csv_path = out_dir / f"{stem}.json", out_dir / f"{stem}.csv"
+    path = json_path
+    try:
+        write_json(report, path)
+        if table is not None:
+            path = csv_path
+            write_csv(table, path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
     for line in verdict_lines(report["checks"]):
         print(line)
     print(f"report: {json_path}")
     if table is not None:
-        csv_path = write_csv(table, out_dir / f"{stem}.csv")
         print(f"table: {csv_path}")
     return exit_code(report["checks"])
 

@@ -264,6 +264,8 @@ class ScenarioConfig:
         name = _require(data, "name", "config")
         if not isinstance(name, str) or not name:
             _fail("config.name", "expected a nonempty string")
+        if name in (".", "..") or any(c in name for c in "/\\\0"):
+            _fail("config.name", "must be a plain file stem: no '/', '\\', NUL, '.' or '..'")
         known = {"name", "metric", "map", "diffeo", "orientation",
                  "critical_points", "analysis"}
         for key in data:

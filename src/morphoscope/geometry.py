@@ -249,31 +249,29 @@ def pullback_metric(base: ChartMetric, diffeo: Sequence[Poly], domain: Box) -> C
 
 @dataclass(eq=False)
 class MetricPoint:
-    """The chart metric at one point, evaluated once.
+    """The chart metric at one point or an (n, 4) stack of points, evaluated once.
 
     `metric_point` checks the domain and the matrix when it builds one. The
-    first derivatives, the inverse, the Christoffel symbols, the square
-    roots and the curvature are derived on first use and then kept, unless
-    `derived` hands them over from a stack of points. Every rejection of
-    the matrix raises GeometryError naming the point.
+    first derivatives, the inverse, the Christoffel symbols and the square
+    roots are derived on first use, over the whole stack, and then kept;
+    `at(i)` hands point i its rows of them. The curvature is per point.
+    Every rejection of the matrix raises GeometryError naming the point.
     """
 
     metric: ChartMetric
     point: np.ndarray
     g: np.ndarray
 
-    @classmethod
-    def derived(cls, metric: ChartMetric, point: np.ndarray, g: np.ndarray,
-                **known) -> "MetricPoint":
-        """The metric point with the derived quantities in `known` (any of
-        dg, inverse, gamma and sqrt_pair) computed already."""
-        mp = cls(metric, point, g)
-        vars(mp).update(known)
+    def at(self, i: int) -> "MetricPoint":
+        """Point i of a stack, handed its rows of dg, inverse, gamma and sqrt_pair."""
+        mp = MetricPoint(self.metric, self.point[i], self.g[i])
+        mp.dg, mp.inverse, mp.gamma = self.dg[i], self.inverse[i], self.gamma[i]
+        mp.sqrt_pair = tuple(root[i] for root in self.sqrt_pair)
         return mp
 
     @cached_property
     def dg(self) -> np.ndarray:
-        """First derivatives, dg[k] = d_k g."""
+        """First derivatives, dg[..., k] = d_k g."""
         return self.metric.first_derivatives(self.point)
 
     @cached_property
@@ -284,7 +282,7 @@ class MetricPoint:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Christoffel symbols Gamma[k, i, j] = Gamma^k_{ij}."""
+        """Christoffel symbols Gamma[..., k, i, j] = Gamma^k_{ij}."""
         return christoffel_symbols(self.inverse, self.dg)
 
     @cached_property
@@ -357,8 +355,8 @@ def named_at(m: np.ndarray):
         raise type(exc)(f"{exc} at {point_name(m)}") from None
 
 
-def metric_point(metric: ChartMetric, m: Sequence[float]) -> MetricPoint:
-    """The metric at m, which must lie in the chart and be positive definite."""
+def metric_point(metric: ChartMetric, m) -> MetricPoint:
+    """The metric at a point or an (n, 4) stack m, inside the chart and positive definite."""
     m = np.asarray(m, dtype=float)
     metric.require_inside(m)
     with named_at(m):

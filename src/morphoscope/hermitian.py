@@ -153,12 +153,13 @@ def structure_deviation_rate(sample: CenterSample, orientation: int = 1) -> Devi
 
     # the metric defects of J0 are read at the unsubstituted samples
     xs = list(np.eye(4)) + list(seeded_directions(4, sample.seed + 2000))
+    pairs = [(J0 @ x, x) for x in xs]
 
     def orth_defect(g):
-        return max(abs(float((J0 @ x) @ g @ (J0 @ x) - x @ g @ x)) for x in xs)
+        return max(abs(float(y @ g @ y - x @ g @ x)) for y, x in pairs)
 
     def skew_defect(g):
-        return max(abs(float((J0 @ x) @ g @ x)) for x in xs)
+        return max(abs(float(y @ g @ x)) for y, x in pairs)
 
     orth_vals = np.array([max(orth_defect(geo.g) for geo in shell) for shell in shells])
     skew_vals = np.array([max(skew_defect(geo.g) for geo in shell) for shell in shells])

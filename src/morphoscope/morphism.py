@@ -15,18 +15,17 @@ only as long as the evaluation that built it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import spd_sqrt_pair
 from .calculus import MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, DomainError, GeometryError
-from .geometry import (MetricPoint, christoffel_symbols, covariant_difference,
-                       metric_inverse, named_at, orientation_sign, orthonormalize,
-                       point_name, stencil)
+from .geometry import (MetricPoint, covariant_difference, metric_point, named_at,
+                       orientation_sign, orthonormalize, point_name, stencil)
 from .structures import K_MINUS, K_PLUS
 
 EPS_CRITICAL = 1e-9
@@ -34,25 +33,15 @@ EPS_CRITICAL = 1e-9
 
 @dataclass(eq=False)
 class GeometryStack:
-    """What the geometries of one stack of points derive together: the
-    first derivatives of the metric, the Christoffel symbols and the
-    tension, each computed over the whole (n, 4) stack when a geometry of
-    the stack first reads it."""
+    """What the geometries of one stack of points share: the chart metric
+    record of the whole (n, 4) stack, whose derivatives and Christoffel
+    symbols it derives for every point at once, and the tension, computed
+    over the stack when a geometry of the stack first reads it."""
 
     scenario: MorphismScenario
-    points: np.ndarray
-    g: np.ndarray
-    inverse: np.ndarray      # g^{-1}, see metric_inverse
+    metric: MetricPoint
     jac: np.ndarray
     ginv: np.ndarray         # g^{-1/2} g^{-1/2}
-
-    @cached_property
-    def dg(self) -> np.ndarray:
-        return self.scenario.metric.first_derivatives(self.points)
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        return christoffel_symbols(self.inverse, self.dg)
 
     @cached_property
     def tension(self) -> np.ndarray:
@@ -63,8 +52,8 @@ class GeometryStack:
         corrected by the domain connection.
         """
         ginv, jac = self.ginv, self.jac
-        contracted = np.einsum("...ij,...kij->...k", ginv, self.gamma)
-        return (np.einsum("...ij,...aij->...a", ginv, self.scenario.hessians(self.points))
+        contracted = np.einsum("...ij,...kij->...k", ginv, self.metric.gamma)
+        return (np.einsum("...ij,...aij->...a", ginv, self.scenario.hessians(self.metric.point))
                 - (contracted[:, None, None, :] @ jac[..., None])[..., 0, 0])
 
     @cached_property
@@ -105,17 +94,13 @@ class PointGeometry:
 
     @cached_property
     def metric_point(self) -> MetricPoint:
-        """The chart metric at the point, with the first derivatives, the
-        inverse and the Christoffel symbols of the stack."""
-        stack, i = self.stack, self.index
-        return MetricPoint.derived(self.scenario.metric, self.point, self.g,
-                                   dg=stack.dg[i], inverse=stack.inverse[i],
-                                   gamma=stack.gamma[i])
+        """The chart metric at the point, with its rows of the stack's record."""
+        return self.stack.metric.at(self.index)
 
     @property
     def gamma(self) -> np.ndarray:
         """Christoffel symbols Gamma[k, i, j] of the chart metric."""
-        return self.stack.gamma[self.index]
+        return self.stack.metric.gamma[self.index]
 
     @property
     def tension(self) -> np.ndarray:
@@ -271,14 +256,10 @@ def point_geometries(scenario: MorphismScenario, points) -> list:
 
 
 def _geometry_pass(scenario: MorphismScenario, points: np.ndarray) -> list:
-    metric = scenario.metric
-    metric.require_inside(points)
-    with named_at(points):
-        g = metric.matrix_checked(points)
+    metric = metric_point(scenario.metric, points)
     jac = scenario.jacobian(points)
     try:
-        with named_at(points):
-            ginvsqrt = spd_sqrt_pair(g, "chart metric")[1]
+        ginvsqrt = metric.sqrt_pair[1]
         gauge = scenario.target.sqrt @ jac @ ginvsqrt
         if not np.all(np.isfinite(gauge)):
             raise GeometryError(f"differential is not finite at {point_name(points)}")
@@ -286,8 +267,7 @@ def _geometry_pass(scenario: MorphismScenario, points: np.ndarray) -> list:
     except np.linalg.LinAlgError as exc:
         raise GeometryError(
             f"gauge decomposition failed at {point_name(points)}: {exc}") from None
-    with named_at(points):
-        inverse = metric_inverse(g)
+    metric.inverse  # derived here, so a singular metric fails in the pass
     ginv = ginvsqrt @ ginvsqrt
 
     conformal = gauge @ gauge.swapaxes(-1, -2)
@@ -297,10 +277,9 @@ def _geometry_pass(scenario: MorphismScenario, points: np.ndarray) -> list:
     # flattened matrix with itself
     defect = np.sqrt((offset @ offset.swapaxes(-1, -2))[:, 0, 0])
 
-    stack = GeometryStack(scenario=scenario, points=points, g=g, inverse=inverse,
-                          jac=jac, ginv=ginv)
+    stack = GeometryStack(scenario=scenario, metric=metric, jac=jac, ginv=ginv)
     return [PointGeometry(
-        scenario=scenario, stack=stack, index=i, point=m, g=g[i], ginv=ginv[i],
+        scenario=scenario, stack=stack, index=i, point=m, g=metric.g[i], ginv=ginv[i],
         ginvsqrt=ginvsqrt[i], jac=jac[i], singular_values=sv[i], right_vectors=vt[i],
         conformal=conformal[i], squared_dilation=float(squared_dilation[i]),
         defect=float(defect[i]))
@@ -351,9 +330,14 @@ def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray]) 
     """The geometries at the points, built as one stack, with the largest
     conformality defect and the largest tension norm over the regular ones.
 
-    Returns (geometries, max_defect, max_tension).
+    A defect or tension norm that overflows raises GeometryError naming the
+    first such point in order. Returns (geometries, max_defect, max_tension).
     """
     geometries = point_geometries(scenario, points)
+    for geo in geometries:
+        if not (math.isfinite(geo.defect) and math.isfinite(geo.tension_norm)):
+            raise GeometryError(
+                f"conformality defect or tension overflows at {geo.point.tolist()}")
     regular = [geo for geo in geometries if geo.is_regular]
     max_defect = max([0.0] + [geo.defect for geo in regular])
     max_tension = max([0.0] + [geo.tension_norm for geo in regular])

@@ -16,6 +16,7 @@ from morphoscope.calculus import MorphismScenario
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs, catalog_patch, patch_grid
 from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
+from morphoscope.morphism import point_geometries
 from morphoscope.polynomials import Poly
 from morphoscope.report import fingerprint
 from morphoscope.structures import K_PLUS
@@ -315,6 +316,39 @@ def test_missing_arguments_exit_two(tmp_path, capsys):
     assert "unknown patch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["a\0b", "ABSOLUTE", "sub/dir", "sub\\dir", ".", ".."],
+                         ids=["nul", "absolute", "subdirectory", "backslash", "dot", "dotdot"])
+def test_a_name_that_is_not_a_file_stem_exits_two(tmp_path, capsys, name):
+    # the name becomes the stem of the report files, which stay inside --out
+    cfg = catalog_configs()["proj"]
+    cfg["name"] = str(tmp_path / "elsewhere" / "x") if name == "ABSOLUTE" else name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path), "--out", str(out)]) == 2
+    assert "config.name" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "elsewhere").exists()
+
+
+def test_a_report_name_too_long_for_the_file_system_exits_two(tmp_path, capsys):
+    cfg = catalog_configs()["proj"]
+    cfg["name"] = "x" * 300
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(cfg))
+    assert run(tmp_path, "validate", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {tmp_path / ('x' * 300 + '_validate.json')}" in err
+
+
+def test_an_out_path_that_is_a_file_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, "proj")
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot write {out / 'proj_validate.json'}" in capsys.readouterr().err
+    assert out.read_text() == ""
+
+
 def test_invalid_json_reports_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",}')
@@ -453,6 +487,15 @@ def test_overflowing_differential_exits_two(tmp_path, capsys, half_width, comman
         # a frame error names the point it was raised at
         point = [f * half_width for f in (0.3, -0.2, 0.1, 0.4)]
         assert err.rstrip().endswith(f" at {point}")
+    if command == "validate" and half_width < 1e200:
+        # validate names the first sample point whose defect or tension overflows
+        config = ScenarioConfig.from_file(path)
+        scenario = build_scenario(config)
+        points = runner._sample_points(scenario, config.analysis["n_points"],
+                                       config.analysis["seed"])
+        first = next(geo.point for geo in point_geometries(scenario, points)
+                     if not np.all(np.isfinite([geo.defect, geo.tension_norm])))
+        assert err.rstrip().endswith(f" at {first.tolist()}")
     assert not (tmp_path / f"{stem}.json").exists()
 
 

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphoscope.catalog import catalog_configs
+from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import (
     _METRIC_FD_STEP, Box, CallableMetric, FlatMetric, PolynomialMetric,
@@ -357,6 +359,40 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         covariant_derivative(metric, lambda x: x, np.array([1.0, 1.0, 1.0, 1.0]),
                              np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+CATALOG_METRICS = {name: build_scenario(ScenarioConfig.from_dict(raw)).metric
+                   for name, raw in sorted(catalog_configs().items())}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_METRICS))
+def test_a_point_of_a_metric_stack_equals_the_metric_at_that_point_bitwise(name):
+    metric = CATALOG_METRICS[name]
+    lo, hi = np.asarray(metric.domain.lo), np.asarray(metric.domain.hi)
+    margin = 0.05 * (hi - lo)
+    stack = np.random.default_rng(5).uniform(lo + margin, hi - margin, size=(6, 4))
+    record = metric_point(metric, stack)
+    assert record.g.shape == (6, 4, 4)
+    for i, m in enumerate(stack):
+        row, alone = record.at(i), metric_point(metric, m)
+        assert row.point.tobytes() == m.tobytes()
+        for key in ("g", "dg", "inverse", "gamma", "sqrt_pair", "lowered"):
+            assert (np.asarray(getattr(row, key)).tobytes()
+                    == np.asarray(getattr(alone, key)).tobytes()), (key, m.tolist())
+
+
+def test_a_point_of_a_stack_derives_nothing_again(metric_calls):
+    # at(i) hands over the stack's rows, so the point evaluates only the
+    # second derivatives its curvature needs
+    metric = CATALOG_METRICS["pullback_z1z2"]
+    stack = np.array([[0.1, -0.2, 0.05, 0.3], [-0.3, 0.1, 0.2, -0.1]])
+    record = metric_point(metric, stack)
+    row = record.at(1)
+    assert metric_calls["first_derivatives"] == [(metric, *m) for m in stack.tolist()]
+    assert row.lowered.shape == (4, 4, 4, 4)
+    assert metric_calls["matrix"] == [(metric, *m) for m in stack.tolist()]
+    assert metric_calls["first_derivatives"] == [(metric, *m) for m in stack.tolist()]
+    assert metric_calls["second_derivatives"] == [(metric, *stack[1].tolist())]
 
 
 def test_non_spd_metric_raises():

@@ -23,7 +23,7 @@ from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import ClassificationError, DomainError, GeometryError
 from morphoscope.geometry import (Box, FlatMetric, PolynomialMetric, ProductSphereMetric,
-                                  covariant_derivative)
+                                  covariant_derivative, einstein_defect)
 from morphoscope import morphism
 from morphoscope.morphism import (
     EPS_CRITICAL, classify_point, fiber_mean_curvature, hwc_residual,
@@ -490,6 +490,23 @@ def test_a_failing_stack_names_its_first_failing_point(first, later, error, mess
     assert str(stacked.value) == str(looped.value)
     assert message in str(stacked.value)
     assert str(np.array(first).tolist()) in str(stacked.value)
+
+
+def test_a_stack_evaluates_the_metric_derivatives_once(metric_calls):
+    # one first_derivatives pass over the stack; the curvature of one of
+    # its geometries then needs only that point's second derivatives
+    scenario = ORACLE_CHARTS["pullback_z1z2"]
+    points = validation_points(scenario, 5, seed=2)
+    geometries = point_geometries(scenario, points)
+    [geo.gamma for geo in geometries]
+    metric = scenario.metric
+    assert metric_calls["first_derivatives"] == [(metric, *m) for m in points.tolist()]
+    geo = geometries[3]
+    for log in metric_calls.values():
+        log.clear()
+    einstein_defect(geo.metric_point)
+    assert metric_calls == {"matrix": [], "first_derivatives": [],
+                            "second_derivatives": [(metric, *geo.point.tolist())]}
 
 
 @pytest.mark.parametrize("name", ["pullback_z1z2", "product_sphere"])
