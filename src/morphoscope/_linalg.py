@@ -33,18 +33,16 @@ def spd_sqrt_pair(g: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, n
     return (q * s) @ qt, (q / s) @ qt
 
 
-def surface_complex_structure(h: np.ndarray, orientation: int = 1) -> np.ndarray:
+def surface_complex_structure(h: np.ndarray) -> np.ndarray:
     """Positive rotation by 90 degrees for a 2x2 SPD metric h.
 
-    Satisfies j^2 = -I, h(jX, jY) = h(X, Y), and (X, jX) positively oriented
-    for orientation +1. Orientation -1 reverses the rotation.
+    Satisfies j^2 = -I, h(jX, jY) = h(X, Y), and (X, jX) positively oriented.
     """
     det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
     if det <= 0:
         raise GeometryError("surface metric is not positive definite")
     s = 1.0 / np.sqrt(det)
-    j = s * np.array([[-h[0, 1], -h[1, 1]], [h[0, 0], h[0, 1]]])
-    return float(orientation) * j
+    return s * np.array([[-h[0, 1], -h[1, 1]], [h[0, 0], h[0, 1]]])
 
 
 def minimize_affine_on_sphere(rho0: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:

@@ -2,41 +2,27 @@
 
 A scenario bundles a chart metric, the map to the target surface stored as a
 single complex-coefficient polynomial (first target coordinate plus i times
-the second), the constant target metric, and an orientation flag. Because
-the map is polynomial, Jacobians and Hessians are exact.
+the second), and a chart orientation flag. Because the map is polynomial,
+Jacobians and Hessians are exact. The target is C with its Euclidean metric
+and standard orientation: for a surface target only the conformal class
+matters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import check_spd, spd_sqrt_pair, surface_complex_structure
+from ._linalg import surface_complex_structure
 from .errors import DomainError, GeometryError
 from .geometry import Box, ChartMetric, metric_point, pullback_metric
 from .polynomials import UPPER, Poly, Table, evaluate, from_complex_pair, symmetric
 
 
-class TargetSurface:
-    """Target surface chart with a constant coefficient metric."""
-
-    def __init__(self, matrix: np.ndarray | None = None, orientation: int = 1):
-        h = np.eye(2) if matrix is None else np.asarray(matrix, dtype=float)
-        check_spd(h, "target metric")
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        self.matrix = h
-        self.orientation = int(orientation)
-        self.sqrt = spd_sqrt_pair(h)[0]
-        self._j = surface_complex_structure(h, orientation)
-        eps1 = np.array([1.0, 0.0]) / np.sqrt(h[0, 0])
-        # rows eps1, eps2 = J eps1: the conformal frame of the target metric
-        self.frame = np.array([eps1, self._j @ eps1])
-
-    def complex_structure(self) -> np.ndarray:
-        return self._j
+# multiplication by i on the target plane
+TARGET_ROTATION = surface_complex_structure(np.eye(2))
 
 
 @dataclass
@@ -46,7 +32,6 @@ class MorphismScenario:
     name: str
     metric: ChartMetric
     component: Poly
-    target: TargetSurface = field(default_factory=TargetSurface)
     orientation: int = 1
 
     def __post_init__(self):
@@ -77,22 +62,19 @@ class MorphismScenario:
 
 
 def holomorphic_scenario(name: str, w_coeffs: Dict[Tuple[int, int], complex],
-                         metric: ChartMetric, target: TargetSurface | None = None,
-                         orientation: int = 1) -> MorphismScenario:
+                         metric: ChartMetric, orientation: int = 1) -> MorphismScenario:
     """Scenario from a polynomial in the two complex chart coordinates."""
     return MorphismScenario(
         name=name, metric=metric, component=from_complex_pair(w_coeffs),
-        target=target or TargetSurface(), orientation=orientation)
+        orientation=orientation)
 
 
 def real_scenario(name: str, first: Poly, second: Poly, metric: ChartMetric,
-                  target: TargetSurface | None = None,
                   orientation: int = 1) -> MorphismScenario:
     """Scenario from two real polynomial components."""
     component = first.real_poly() + Poly({e: 1j * c for e, c in second.real_poly().coeffs.items()})
-    return MorphismScenario(
-        name=name, metric=metric, component=component,
-        target=target or TargetSurface(), orientation=orientation)
+    return MorphismScenario(name=name, metric=metric, component=component,
+                            orientation=orientation)
 
 
 def pullback_scenario(base: MorphismScenario, diffeo: Sequence[Poly], domain: Box,
@@ -105,8 +87,7 @@ def pullback_scenario(base: MorphismScenario, diffeo: Sequence[Poly], domain: Bo
     comps = [p.real_poly() for p in diffeo]
     return MorphismScenario(
         name=name, metric=pullback_metric(base.metric, comps, domain),
-        component=base.component.compose(comps), target=base.target,
-        orientation=base.orientation)
+        component=base.component.compose(comps), orientation=base.orientation)
 
 
 # ------------------------------------------------------------ normal chart
@@ -185,6 +166,6 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
     new_component = scenario.component.compose(chart_map)
     new_scenario = MorphismScenario(
         name=f"{scenario.name}#normal", metric=new_metric, component=new_component,
-        target=scenario.target, orientation=scenario.orientation)
+        orientation=scenario.orientation)
     return NormalChart(center=m0, chart_map=chart_map,
                        scenario=new_scenario, identity=False)

@@ -123,7 +123,8 @@ def main(argv=None) -> int:
         if table is not None:
             path = csv_path
             write_csv(table, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL byte in the path
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 2
     for line in verdict_lines(report["checks"]):

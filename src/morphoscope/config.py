@@ -294,7 +294,8 @@ class ScenarioConfig:
         path = Path(path)
         try:
             raw = path.read_text()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: a NUL byte in the path, or bytes that are not UTF-8
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             data = json.loads(raw)

@@ -13,6 +13,7 @@ frame (e1, e2).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -425,19 +426,22 @@ def orientation_sign(frame: np.ndarray, reference: int = 1) -> int:
     det = float(np.linalg.det(vectors.T))
     if not np.isfinite(det):
         raise DegenerateFrameError("frame determinant is not finite")
-    if abs(det) < ORIENTATION_DET_TOL:
+    # relative to Hadamard's bound, the product of the row lengths, so the
+    # test does not depend on the scale of the metric
+    bound = math.prod(math.hypot(*row) for row in vectors.tolist())
+    if abs(det) <= ORIENTATION_DET_TOL * bound:
         raise DegenerateFrameError("frame determinant is numerically zero")
     return int(np.sign(det)) * int(reference)
 
 
-def oriented_frame(g: np.ndarray, orientation: int = 1) -> np.ndarray:
-    """Rows of a deterministic g-orthonormal frame with the requested orientation.
+def oriented_frame(g: np.ndarray) -> np.ndarray:
+    """Rows of a deterministic, positively oriented g-orthonormal frame.
 
     Coordinate basis vectors are orthonormalized in index order; the last
     vector is flipped if needed. Reproducible across runs by construction.
     """
     frame = orthonormalize(g, [], complete=True)
-    if orientation_sign(frame) != orientation:
+    if orientation_sign(frame) < 0:
         frame[3] = -frame[3]
     return frame
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import minimize_affine_on_sphere
-from .calculus import MorphismScenario
+from .calculus import TARGET_ROTATION, MorphismScenario
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
 from .geometry import metric_point, oriented_frame
 from .morphism import PointGeometry, point_geometry
@@ -34,8 +34,7 @@ def hermitian_pair(scenario: MorphismScenario, m) -> PointGeometry:
 def pseudo_holomorphy_residual(geo: PointGeometry, J: np.ndarray) -> float:
     """How far J is from intertwining the differential at the geometry's
     point with the target rotation."""
-    j_target = geo.scenario.target.complex_structure()
-    return float(np.linalg.norm(geo.jac @ J - j_target @ geo.jac, ord="fro"))
+    return float(np.linalg.norm(geo.jac @ J - TARGET_ROTATION @ geo.jac, ord="fro"))
 
 
 def best_compatible_structure(scenario: MorphismScenario, m, orientation: int = 1):
@@ -50,8 +49,7 @@ def best_compatible_structure(scenario: MorphismScenario, m, orientation: int = 
     B = oriented_frame(metric_point(scenario.metric, m).g).T
     Binv = np.linalg.inv(B)
     jac = scenario.jacobian(m)
-    j_target = scenario.target.complex_structure()
-    rho0 = (-j_target @ jac).ravel()
+    rho0 = (-TARGET_ROTATION @ jac).ravel()
     basis = structure_basis(orientation * scenario.orientation)
     cols = [(jac @ (B @ K @ Binv)).ravel() for K in basis]
     u, res = minimize_affine_on_sphere(rho0, np.column_stack(cols))

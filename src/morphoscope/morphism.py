@@ -1,9 +1,10 @@
 """Pointwise analysis of maps to a surface: conformality, frames, tension.
 
-The gauge-normalized differential M = h^{1/2} dF g^{-1/2} drives everything:
-its singular values give the pointwise dilation, its rows test horizontal
-conformality, and its kernel is the vertical space. Frames are constructed
-deterministically so repeated runs and neighbouring points agree.
+The target is the Euclidean plane, so the gauge-normalized differential
+M = dF g^{-1/2} drives everything: its singular values give the pointwise
+dilation, its rows test horizontal conformality, and its kernel is the
+vertical space. Frames are constructed deterministically so repeated runs
+and neighbouring points agree.
 
 All of it comes from one record per point, `PointGeometry`.
 `point_geometries` builds the records of a stack of points in one pass over
@@ -47,9 +48,9 @@ class GeometryStack:
     def tension(self) -> np.ndarray:
         """Tension of the map at each point, exact from polynomial jets.
 
-        Target Christoffel symbols vanish because target metrics are
-        constant, so the tension is the metric trace of the chart Hessians
-        corrected by the domain connection.
+        Target Christoffel symbols vanish because the target is Euclidean,
+        so the tension is the metric trace of the chart Hessians corrected
+        by the domain connection.
         """
         ginv, jac = self.ginv, self.jac
         contracted = np.einsum("...ij,...kij->...k", ginv, self.metric.gamma)
@@ -59,9 +60,8 @@ class GeometryStack:
     @cached_property
     def tension_norm(self) -> np.ndarray:
         tau = self.tension
-        quadratic = (tau[:, None, :] @ self.scenario.target.matrix @ tau[..., None])[:, 0, 0]
-        # sqrt(max(0, q)), with max taken as Python takes it
-        return np.sqrt(np.where(quadratic > 0.0, quadratic, 0.0))
+        # a NaN tension stays NaN, so validate_morphism rejects it
+        return np.sqrt((tau[:, None, :] @ tau[..., None])[:, 0, 0])
 
 
 @dataclass(eq=False)
@@ -84,9 +84,9 @@ class PointGeometry:
     ginv: np.ndarray         # g^{-1/2} g^{-1/2}
     ginvsqrt: np.ndarray
     jac: np.ndarray
-    singular_values: np.ndarray  # of the gauge matrix h^{1/2} dF g^{-1/2}
+    singular_values: np.ndarray  # of the gauge matrix dF g^{-1/2}
     right_vectors: np.ndarray  # rows of V^T from its full SVD
-    conformal: np.ndarray    # h-gauge Gram matrix of the differential
+    conformal: np.ndarray    # Gram matrix of the gauge matrix
     squared_dilation: float  # half the trace of `conformal`
     defect: float            # Frobenius distance of `conformal` to its conformal part
     # (direction, step) -> (t, node geometries) of each derivative stencil
@@ -131,17 +131,17 @@ class PointGeometry:
     def _splitting(self) -> tuple:
         """(horizontal, vertical, vertical projector, horizontal projector).
 
-        Horizontal rows (e1, e2) map to the target frame (eps1, eps2) under
-        the differential scaled by the dilation; vertical rows (v1, v2) span
-        the kernel, oriented so (e1, e2, v1, v2) is positive with respect to
-        the scenario orientation.
+        Horizontal rows (e1, e2) map to the target frame (1, i) under the
+        differential scaled by the dilation; vertical rows (v1, v2) span the
+        kernel, oriented so (e1, e2, v1, v2) is positive with respect to the
+        scenario orientation.
         """
         if not self.is_regular:
             raise ClassificationError(
                 f"splitting needs a regular point; dilation "
                 f"{self.singular_values[0]:.3e} at {self.point.tolist()}")
         lam = self.dilation
-        eps1, eps2 = self.scenario.target.frame
+        eps1, eps2 = np.eye(2)
         graw = self.jac @ self.ginv @ self.jac.T
         with named_at(self.point):
             try:
@@ -260,7 +260,7 @@ def _geometry_pass(scenario: MorphismScenario, points: np.ndarray) -> list:
     jac = scenario.jacobian(points)
     try:
         ginvsqrt = metric.sqrt_pair[1]
-        gauge = scenario.target.sqrt @ jac @ ginvsqrt
+        gauge = jac @ ginvsqrt
         if not np.all(np.isfinite(gauge)):
             raise GeometryError(f"differential is not finite at {point_name(points)}")
         _, sv, vt = np.linalg.svd(gauge, full_matrices=True)
@@ -330,14 +330,14 @@ def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray]) 
     """The geometries at the points, built as one stack, with the largest
     conformality defect and the largest tension norm over the regular ones.
 
-    A defect or tension norm that overflows raises GeometryError naming the
-    first such point in order. Returns (geometries, max_defect, max_tension).
+    A defect or tension norm that is not finite raises GeometryError naming
+    the first such point in order. Returns (geometries, max_defect, max_tension).
     """
     geometries = point_geometries(scenario, points)
     for geo in geometries:
         if not (math.isfinite(geo.defect) and math.isfinite(geo.tension_norm)):
             raise GeometryError(
-                f"conformality defect or tension overflows at {geo.point.tolist()}")
+                f"conformality defect or tension is not finite at {geo.point.tolist()}")
     regular = [geo for geo in geometries if geo.is_regular]
     max_defect = max([0.0] + [geo.defect for geo in regular])
     max_tension = max([0.0] + [geo.tension_norm for geo in regular])

@@ -198,7 +198,7 @@ def script_J_residual(geo: LiftGeometry) -> float:
     d = geo.d
     x1, x2 = geo.tangent_coordinates
     # positive rotation of the parameter plane in the induced metric
-    j_s = surface_complex_structure(d.T @ g @ d, 1)
+    j_s = surface_complex_structure(d.T @ g @ d)
     v1, v2 = geo.vertical
     basis = np.column_stack([x1, x2])
     total = 0.0

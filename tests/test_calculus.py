@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from morphoscope._linalg import surface_complex_structure
 from morphoscope.calculus import (
-    MorphismScenario, NormalChart, TargetSurface, holomorphic_scenario,
+    TARGET_ROTATION, MorphismScenario, NormalChart, holomorphic_scenario,
     normalized_scenario, pullback_scenario, real_scenario,
 )
 from morphoscope.geometry import Box, FlatMetric, PolynomialMetric, christoffel
@@ -82,16 +83,16 @@ def test_real_scenario_components():
 
 def test_target_surface_structure():
     h = np.array([[2.0, 0.3], [0.3, 1.0]])
-    for orientation in (1, -1):
-        t = TargetSurface(h, orientation)
-        jmat = t.complex_structure()
-        assert np.max(np.abs(jmat @ jmat + np.eye(2))) < 1e-14
-        # isometry of h
-        assert np.max(np.abs(jmat.T @ h @ jmat - h)) < 1e-14
-        # orientation: det of (X, jX) basis has the requested sign
-        X = np.array([1.0, 0.0])
-        det = np.linalg.det(np.column_stack([X, jmat @ X]))
-        assert np.sign(det) == orientation
+    jmat = surface_complex_structure(h)
+    assert np.max(np.abs(jmat @ jmat + np.eye(2))) < 1e-14
+    # isometry of h
+    assert np.max(np.abs(jmat.T @ h @ jmat - h)) < 1e-14
+    # orientation: (X, jX) is a positive basis
+    X = np.array([1.0, 0.0])
+    assert np.linalg.det(np.column_stack([X, jmat @ X])) > 0
+    # the target rotation is multiplication by i, sign bits included
+    assert TARGET_ROTATION.tolist() == [[0.0, -1.0], [1.0, 0.0]]
+    assert np.signbit(TARGET_ROTATION).tolist() == [[True, True], [False, False]]
 
 
 def test_pullback_scenario_matches_composition():

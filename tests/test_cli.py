@@ -349,6 +349,28 @@ def test_an_out_path_that_is_a_file_exits_two(tmp_path, capsys):
     assert out.read_text() == ""
 
 
+def test_a_nul_byte_in_the_out_path_exits_two(tmp_path, capsys):
+    # only an in-process caller can pass one: an OS argv cannot hold a NUL
+    cfg = write_config(tmp_path, "proj")
+    out = tmp_path / "a\0b"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot write {out / 'proj_validate.json'}" in capsys.readouterr().err
+
+
+def test_a_nul_byte_in_the_config_path_exits_two(tmp_path, capsys):
+    path = f"{write_config(tmp_path, 'proj')}\0x"
+    assert run(tmp_path, "validate", "--config", path) == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err
+    assert not (tmp_path / "proj_validate.json").exists()
+
+
+def test_a_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    assert run(tmp_path, "validate", "--config", str(path)) == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err
+
+
 def test_invalid_json_reports_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",}')
@@ -700,3 +722,52 @@ def test_validation_points_are_one_draw_equal_to_per_point_draws(seed, name):
     points = runner._sample_points(scenario, 37, seed)
     assert points.shape == (37, 4) and points.flags["C_CONTIGUOUS"]
     assert points.tobytes() == expected.tobytes()
+
+
+def constant_metric(value, half_width):
+    """The polynomial metric value times the identity on a cube."""
+    diagonal = [{"exponents": [0, 0, 0, 0], "value": value}]
+    zero = [{"exponents": [0, 0, 0, 0], "value": 0.0}]
+    return {"kind": "polynomial", "box": cube(half_width),
+            "entries": [[diagonal if a == b else zero for b in range(4)]
+                        for a in range(4)]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_tension_fails_validate(tmp_path, capsys):
+    # the trace of the Hessians is inf - inf at every sample point: the NaN
+    # tension is rejected at the first point, not reported as 0
+    config = {"name": "nan", "metric": constant_metric(1e-10, 1e-303),
+              "map": {"kind": "holomorphic",
+                      "coefficients": [{"i": 2, "j": 0, "re": 1e299, "im": 0.0}]},
+              "analysis": {"n_points": 5}}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(config))
+    assert run(tmp_path, "validate", "--config", str(path)) == 2
+    scenario = build_scenario(ScenarioConfig.from_file(path))
+    first = runner._sample_points(scenario, 5, 0)[0]
+    assert capsys.readouterr().err.rstrip().endswith(
+        f"tension is not finite at {first.tolist()}")
+    assert not (tmp_path / "nan_validate.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze", REGULAR_POINT],
+                                  ["weingarten", REGULAR_POINT],
+                                  ["twistor", "--patch", "plane"]],
+                         ids=["analyze", "weingarten", "twistor"])
+def test_a_large_constant_metric_passes_every_check(tmp_path, argv):
+    # a g-orthonormal frame of 1e7 times the identity has determinant 1e-14,
+    # so the frame orientation test must scale with the frame
+    cfg = catalog_configs()["proj"]
+    cfg["metric"] = constant_metric(1e7, 3.0)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*argv[:1], "--config", str(path), *argv[1:],
+                 "--out", str(tmp_path / "scaled")]) == 0
+    if argv[0] == "analyze":
+        # J+ is invariant under a constant rescaling of the metric
+        flat = write_config(tmp_path, "proj")
+        assert run(tmp_path, "analyze", "--config", str(flat), REGULAR_POINT) == 0
+        scaled = read_report(tmp_path / "scaled", "proj_analyze")["records"][0]
+        plain = read_report(tmp_path, "proj_analyze")["records"][0]
+        assert np.allclose(scaled["j_plus"], plain["j_plus"], rtol=0, atol=1e-12)

@@ -235,16 +235,28 @@ def test_orientation_sign_and_degenerate_frame():
         orientation_sign(degenerate)
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_orientation_sign_does_not_depend_on_the_frame_scale(scale):
+    # an orthonormal frame of scale**-2 times the identity has determinant
+    # scale**4, far below any absolute bound at 1e-8
+    assert orientation_sign(scale * np.eye(4)) == 1
+    assert orientation_sign(scale * np.eye(4)[[1, 0, 2, 3]]) == -1
+    nearly = scale * np.eye(4)
+    nearly[3] = nearly[2] + 1e-14 * nearly[3]
+    with pytest.raises(DegenerateFrameError, match="numerically zero"):
+        orientation_sign(nearly)
+    with pytest.raises(DegenerateFrameError, match="numerically zero"):
+        orientation_sign(np.zeros((4, 4)))
+
+
 def test_oriented_frame_curved_metric_is_orthonormal_and_positive():
     metric = quadratic_bump_metric()
     m = np.array([0.3, 0.2, -0.1, 0.4])
     g = metric_point(metric, m).g
-    fr = oriented_frame(g, orientation=1)
+    fr = oriented_frame(g)
     gram = fr @ g @ fr.T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
     assert orientation_sign(fr) == 1
-    fr_neg = oriented_frame(g, orientation=-1)
-    assert orientation_sign(fr_neg) == -1
 
 
 def test_covariant_derivative_of_transported_field_vanishes():

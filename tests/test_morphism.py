@@ -1,7 +1,7 @@
 """Morphism-level tests.
 
 Oracles written here, independent of the package paths they certify:
-  * sampled_dilation: coarse sup of ||dF X||_h / ||X||_g over many seeded
+  * sampled_dilation: coarse sup of ||dF X|| / ||X||_g over many seeded
     directions, bounding dilation_sup from below.
   * divergence_tension: tension through the divergence form
     (1/sqrt(det g)) d_i (sqrt(det g) g^{ij} d_j F), no Christoffel symbols.
@@ -88,13 +88,12 @@ def count_geometry_builds(monkeypatch) -> list:
 def sampled_dilation(scenario, m, n=4000, seed=0):
     rng = np.random.default_rng(seed)
     g = scenario.metric.matrix(m)
-    h = scenario.target.matrix
     jac = scenario.jacobian(m)
     best = 0.0
     for _ in range(n):
         x = rng.standard_normal(4)
         num = jac @ x
-        val = np.sqrt((num @ h @ num) / (x @ g @ x))
+        val = np.sqrt((num @ num) / (x @ g @ x))
         best = max(best, val)
     return best
 
@@ -165,13 +164,15 @@ def test_classification_thresholds():
 
 def test_splitting_frozen_frames_product_map():
     sc = scenario_product()
-    sp = splitting(sc, np.array([1.0, 0.0, 0.0, 0.0]))
+    m = np.array([1.0, 0.0, 0.0, 0.0])
+    sp = splitting(sc, m)
     assert sp.dilation == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(sp.horizontal[0], [0, 0, 1, 0], atol=1e-13)
     assert np.allclose(sp.horizontal[1], [0, 0, 0, 1], atol=1e-13)
     assert np.allclose(sp.vertical[0], [1, 0, 0, 0], atol=1e-13)
     assert np.allclose(sp.vertical[1], [0, 1, 0, 0], atol=1e-13)
-    assert np.allclose(sc.target.frame, np.eye(2), atol=1e-14)
+    # (e1, e2) map onto the standard target frame (1, i)
+    assert np.allclose(sc.jacobian(m) @ sp.horizontal.T, np.eye(2), atol=1e-14)
 
 
 def test_splitting_raises_on_critical_point():
@@ -197,9 +198,9 @@ def test_splitting_structural_properties(factory):
         assert np.max(np.abs(jac @ sp.vertical.T)) < 1e-10
         gram = sp.vertical @ g @ sp.vertical.T
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-        # horizontal frame maps onto the scaled target frame
-        assert np.max(np.abs(jac @ sp.horizontal[0] - sp.dilation * sc.target.frame[0])) < 1e-9
-        assert np.max(np.abs(jac @ sp.horizontal[1] - sp.dilation * sc.target.frame[1])) < 1e-9
+        # horizontal frame maps onto the scaled standard target frame (1, i)
+        assert np.max(np.abs(jac @ sp.horizontal[0] - sp.dilation * np.eye(2)[0])) < 1e-9
+        assert np.max(np.abs(jac @ sp.horizontal[1] - sp.dilation * np.eye(2)[1])) < 1e-9
         # projectors: idempotent, complementary, g-symmetric
         pv = sp.vertical_projector
         assert np.max(np.abs(pv @ pv - pv)) < 1e-10
@@ -380,7 +381,7 @@ def written_out_geometry(scenario, m) -> dict:
     jac, hess = written_out_jets(scenario, m)
     w, q = np.linalg.eigh(0.5 * (g + g.T))
     ginvsqrt = (q / np.sqrt(w)) @ q.T
-    gauge = scenario.target.sqrt @ jac @ ginvsqrt
+    gauge = jac @ ginvsqrt
     _, sv, vt = np.linalg.svd(gauge, full_matrices=True)
     ginv = ginvsqrt @ ginvsqrt
     sums = (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg)
@@ -392,7 +393,7 @@ def written_out_geometry(scenario, m) -> dict:
     contracted = np.einsum("ij,kij->k", ginv, gamma)
     tension = np.array([float(np.einsum("ij,ij->", ginv, hess[a]) - contracted @ jac[a])
                         for a in range(2)])
-    tension_norm = float(np.sqrt(max(0.0, tension @ scenario.target.matrix @ tension)))
+    tension_norm = float(np.sqrt(tension @ tension))
     return {"g": g, "jac": jac, "ginv": ginv, "ginvsqrt": ginvsqrt,
             "singular_values": sv, "right_vectors": vt, "conformal": conformal,
             "squared_dilation": squared_dilation, "defect": defect, "gamma": gamma,

@@ -5,8 +5,9 @@ private (underscore) name from another module: a private helper that two
 modules need belongs behind a public name. Every public module-level
 function and class is used: referenced in the sources outside its own
 definition, wrapped by the benchmark's tracer, or kept on purpose (UNUSED_KEPT).
-Every dataclass field and every attribute a method sets on self is read as an
-attribute in the sources or the tests.
+Every defaulted parameter of a public module-level function is set by some
+call in the sources. Every dataclass field and every attribute a method sets
+on self is read as an attribute in the sources or the tests.
 """
 
 import ast
@@ -100,6 +101,68 @@ def test_every_public_definition_is_used():
 def test_kept_names_still_exist():
     defined = {name for _, name, _ in public_definitions()}
     assert set(UNUSED_KEPT) <= defined
+
+
+# defaulted parameters no source call sets, each kept for a stated reason
+DEFAULTS_KEPT = {
+    ("main", "argv"): "tests and the benchmark call the command line in-process",
+}
+
+
+def source_calls() -> dict:
+    """Every call in the sources, by the name of the function or method called."""
+    calls = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def sets_parameter(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether call passes the parameter: by keyword, by position (None for a
+    keyword-only one) or through *args or **kwargs."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def defaulted_parameters(node: ast.FunctionDef):
+    """(position or None, name) of every parameter with a default."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    for k, arg in enumerate(positional[first:], start=first):
+        yield k, arg.arg
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def test_every_defaulted_parameter_is_set():
+    traced = {(module, target) for _, module, target in TRACER.FUNCTIONS
+              if target is not None}
+    calls = source_calls()
+    unset = [f"{module}.{name}({param})"
+             for module, name, node in public_definitions()
+             if isinstance(node, ast.FunctionDef) and (module, name) not in traced
+             and name not in UNUSED_KEPT
+             for position, param in defaulted_parameters(node)
+             if (name, param) not in DEFAULTS_KEPT
+             and not any(sets_parameter(call, position, param)
+                         for call in calls.get(name, []))]
+    assert unset == []
+
+
+def test_kept_defaults_still_exist():
+    defined = {(name, param) for _, name, node in public_definitions()
+               if isinstance(node, ast.FunctionDef)
+               for _, param in defaulted_parameters(node)}
+    assert set(DEFAULTS_KEPT) <= defined
 
 
 def is_dataclass(decorator) -> bool:
