@@ -390,19 +390,26 @@ def orthonormalize(g: np.ndarray, seeds: Sequence[np.ndarray],
                    complete: bool = False) -> np.ndarray:
     """Rows of a g-orthonormal frame built from the seeds in order.
 
-    A seed whose residual after projection has norm below FRAME_RANK_TOL is
-    skipped. With complete=True the frame is extended to four vectors using
-    coordinate basis vectors, in index order, under the same skip rule.
+    A seed is skipped when its residual after projection has a g-norm below
+    FRAME_RANK_TOL times the seed's own g-norm, so the rule does not depend
+    on the scale of the metric; a seed of g-norm 0 is always skipped. With
+    complete=True the frame is extended to four vectors using coordinate
+    basis vectors, in index order, under the same skip rule.
     """
     out: list[np.ndarray] = []
 
     def try_add(v: np.ndarray) -> None:
-        w = np.asarray(v, dtype=float).copy()
+        # squared g-norms: the seed's, then its residual's; a contiguous
+        # copy, so every product takes the same BLAS call whatever the seed
+        w = np.array(v, dtype=float)
+        wg = w @ g
+        size2 = wg @ w
         for u in out:
-            w = w - (w @ g @ u) * u
-        n = float(np.sqrt(max(0.0, w @ g @ w)))
-        if n >= FRAME_RANK_TOL:
-            out.append(w / n)
+            w = w - (wg @ u) * u
+            wg = w @ g
+        n2 = wg @ w
+        if n2 > 0 and n2 >= FRAME_RANK_TOL ** 2 * size2:
+            out.append(w / np.sqrt(n2))
 
     for v in seeds:
         try_add(v)
@@ -418,19 +425,76 @@ def orthonormalize(g: np.ndarray, seeds: Sequence[np.ndarray],
     return np.array(out)
 
 
+def _g_products(u: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ g[i] @ v[i] for stacks of vectors u, v and matrices g, each
+    as the same product for one point gives it."""
+    return ((u[:, None, :] @ g) @ v[:, :, None])[:, 0, 0]
+
+
+def orthonormal_stack(g: np.ndarray, seeds: np.ndarray, rank: int,
+                      sizes: np.ndarray) -> tuple:
+    """Gram-Schmidt over a stack of points, keeping the first `rank` rows.
+
+    g is (n, 4, 4) and seeds is (n, s, 4). Each point's seeds are taken in
+    order, until the point has `rank` rows, under orthonormalize's skip
+    rule with the residual of seed k at point i measured against the
+    g-norm sizes[i, k]. Returns (frames, count): point i's rows are
+    frames[i, :count[i]], equal bit for bit to the rows the same steps give
+    for the point alone, and the rows past count[i] are zero.
+    """
+    # contiguous rows, so each product runs through the same BLAS call as
+    # for one point
+    seeds = np.ascontiguousarray(seeds, dtype=float)
+    n = len(g)
+    frames = np.zeros((n, rank, 4))
+    count = np.zeros(n, dtype=int)
+    for k in range(seeds.shape[1]):
+        open_ = count < rank
+        if not open_.any():
+            break
+        w = seeds[:, k]
+        for j in range(int(count.max())):
+            u = frames[:, j]
+            w = np.where((count > j)[:, None], w - _g_products(w, g, u)[:, None] * u, w)
+        norm = np.sqrt(np.maximum(0.0, _g_products(w, g, w)))
+        take = np.flatnonzero(open_ & (norm > 0) & (norm >= FRAME_RANK_TOL * sizes[:, k]))
+        frames[take, count[take]] = w[take] / norm[take, None]
+        count[take] += 1
+    return frames, count
+
+
+def _orientation_failure(det: float, bound: float) -> str | None:
+    """Why a frame with this determinant has no orientation, or None.
+
+    The determinant is compared with Hadamard's bound, the product of the
+    row lengths, so the test does not depend on the scale of the metric.
+    """
+    if not math.isfinite(det):
+        return "frame determinant is not finite"
+    if abs(det) <= ORIENTATION_DET_TOL * bound:
+        return "frame determinant is numerically zero"
+    return None
+
+
+def frame_orientations(frames: np.ndarray) -> tuple:
+    """(signs, failures) of a stack of 4-frames, given as rows, against the
+    chart orientation; failures[i] is None, or why frame i has none."""
+    det = np.linalg.det(frames.swapaxes(-1, -2))
+    bound = np.prod(np.hypot.reduce(frames, axis=-1), axis=-1)
+    failures = [_orientation_failure(d, b) for d, b in zip(det.tolist(), bound.tolist())]
+    return np.where(det > 0, 1, -1), failures
+
+
 def orientation_sign(frame: np.ndarray, reference: int = 1) -> int:
     """Sign of a 4-frame, given as rows, against the reference chart orientation."""
     vectors = np.asarray(frame, dtype=float)
     if vectors.shape != (4, 4):
         raise DegenerateFrameError("orientation needs exactly four vectors")
     det = float(np.linalg.det(vectors.T))
-    if not np.isfinite(det):
-        raise DegenerateFrameError("frame determinant is not finite")
-    # relative to Hadamard's bound, the product of the row lengths, so the
-    # test does not depend on the scale of the metric
-    bound = math.prod(math.hypot(*row) for row in vectors.tolist())
-    if abs(det) <= ORIENTATION_DET_TOL * bound:
-        raise DegenerateFrameError("frame determinant is numerically zero")
+    failure = _orientation_failure(
+        det, math.prod(math.hypot(*row) for row in vectors.tolist()))
+    if failure is not None:
+        raise DegenerateFrameError(failure)
     return int(np.sign(det)) * int(reference)
 
 
@@ -504,8 +568,7 @@ def stencil(metric: ChartMetric, m, direction, step: float | None = None) -> tup
         raise ValueError("direction must be nonzero")
     t = h / max(1.0, xn)
     nodes = central_nodes(m, X, t)
-    for x in nodes:
-        metric.require_inside(x)
+    metric.require_inside(np.array(nodes))
     return t, nodes
 
 

@@ -149,18 +149,14 @@ def structure_deviation_rate(sample: CenterSample, orientation: int = 1) -> Devi
     dev_vals = np.max([[_deviation(geo, orientation, J0) for geo in ray] for ray in rays],
                       axis=0)
 
-    # the metric defects of J0 are read at the unsubstituted samples
-    xs = list(np.eye(4)) + list(seeded_directions(4, sample.seed + 2000))
-    pairs = [(J0 @ x, x) for x in xs]
-
-    def orth_defect(g):
-        return max(abs(float(y @ g @ y - x @ g @ x)) for y, x in pairs)
-
-    def skew_defect(g):
-        return max(abs(float(y @ g @ x)) for y, x in pairs)
-
-    orth_vals = np.array([max(orth_defect(geo.g) for geo in shell) for shell in shells])
-    skew_vals = np.array([max(skew_defect(geo.g) for geo in shell) for shell in shells])
+    # the metric defects of J0 are read at the unsubstituted samples, over
+    # the pairs (J0 x, x) of the axes and four seeded directions x
+    x = np.concatenate([np.eye(4), seeded_directions(4, sample.seed + 2000)])
+    pairs = np.stack([x @ J0.T, x])
+    g = np.array([[geo.g for geo in shell] for shell in shells])
+    lengths = np.einsum("spi,rnij,spj->rnsp", pairs, g, pairs)
+    orth_vals = np.abs(lengths[:, :, 0] - lengths[:, :, 1]).max(axis=(1, 2))
+    skew_vals = np.abs(np.einsum("pi,rnij,pj->rnp", pairs[0], g, x)).max(axis=(1, 2))
 
     deviation_fit = fit_rate(radii, dev_vals)
     orth_fit = fit_rate(radii, orth_vals)

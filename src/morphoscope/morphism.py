@@ -8,10 +8,14 @@ and neighbouring points agree.
 
 All of it comes from one record per point, `PointGeometry`.
 `point_geometries` builds the records of a stack of points in one pass over
-the stack, and `point_geometry` is its stack of one. The splitting, the
-structures J+ and J- and the node geometries of its derivative stencils are
-derived per point on first use and then kept on the geometry, which lives
-only as long as the evaluation that built it.
+the stack, and `point_geometry` is its stack of one. The tension, the
+splitting and the structures J+ and J- are derived over the whole stack
+(`GeometryStack`) when one of its geometries first reads them, and each
+geometry reads its rows; a point where the splitting fails raises its own
+failure, and only when it is read. The node geometries of a derivative
+stencil are built on first use, as one stack, and kept on the geometry,
+which lives only as long as the evaluation that built it;
+`build_stencils` builds the stencils of many geometries as one stack.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import numpy as np
 
 from .calculus import MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, DomainError, GeometryError
-from .geometry import (MetricPoint, covariant_difference, metric_point, named_at,
-                       orientation_sign, orthonormalize, point_name, stencil)
+from .geometry import (MetricPoint, covariant_difference, frame_orientations, metric_point,
+                       orthonormal_stack, point_name, stencil)
 from .structures import K_MINUS, K_PLUS
 
 EPS_CRITICAL = 1e-9
@@ -36,13 +40,20 @@ EPS_CRITICAL = 1e-9
 class GeometryStack:
     """What the geometries of one stack of points share: the chart metric
     record of the whole (n, 4) stack, whose derivatives and Christoffel
-    symbols it derives for every point at once, and the tension, computed
-    over the stack when a geometry of the stack first reads it."""
+    symbols it derives for every point at once, the differential and the
+    gauge decomposition of every point, and what is derived from them over
+    the stack when a geometry of the stack first reads it: the tension, the
+    splitting and the structures J+ and J-."""
 
     scenario: MorphismScenario
     metric: MetricPoint
     jac: np.ndarray
     ginv: np.ndarray         # g^{-1/2} g^{-1/2}
+    ginvsqrt: np.ndarray
+    singular_values: np.ndarray
+    right_vectors: np.ndarray
+    squared_dilation: np.ndarray
+    defect: np.ndarray
 
     @cached_property
     def tension(self) -> np.ndarray:
@@ -63,17 +74,90 @@ class GeometryStack:
         # a NaN tension stays NaN, so validate_morphism rejects it
         return np.sqrt((tau[:, None, :] @ tau[..., None])[:, 0, 0])
 
+    @cached_property
+    def splitting(self) -> tuple:
+        """(horizontal, vertical, vertical projector, horizontal projector,
+        failures) of every point, see PointGeometry._splitting.
+
+        Each step runs once over the stack: one solve for e1 and e2, the
+        kernel from the rows of the gauge SVD, a Gram-Schmidt of the
+        projected coordinate axes (orthonormal_stack) and the orientation
+        flip. A point that fails a step does not stop the others:
+        failures[i] is None, or the error type and the message, naming the
+        point, of point i's first failed step, and its rows hold no frame.
+        """
+        points, g = self.metric.point, self.metric.g
+        failures = [None] * len(points)
+
+        def fail(rows, error, reason):
+            for i in rows:
+                if failures[i] is None:
+                    failures[i] = error, f"{reason} at {points[i].tolist()}"
+
+        for i in np.flatnonzero(~(self.singular_values[:, 0] >= EPS_CRITICAL)):
+            fail([i], ClassificationError, f"splitting needs a regular point; dilation "
+                                           f"{self.singular_values[i, 0]:.3e}")
+        jac_t = self.jac.swapaxes(-1, -2)
+        graw = self.jac @ self.ginv @ jac_t
+        # sign 0: the LU factorization that solve runs has a zero pivot
+        fail(np.flatnonzero(np.linalg.slogdet(graw)[0] == 0), DegenerateFrameError,
+             "horizontal Gram matrix is singular")
+        graw[[f is not None for f in failures]] = np.eye(2)
+        # e1 and e2 map to the target frame (1, 0) and (0, 1) under the
+        # differential scaled by the dilation; every product below takes
+        # one vector at a time, as for a point alone
+        lam = np.sqrt(np.maximum(self.squared_dilation, 0.0))
+        coeffs = np.linalg.solve(graw[:, None], lam[:, None, None, None] * np.eye(2)[:, :, None])
+        horizontal = ((self.ginv @ jac_t)[:, None] @ coeffs)[..., 0]
+
+        # kernel of the gauge matrix: the two bottom right-singular directions
+        kernel = (self.ginvsqrt[:, None] @ self.right_vectors[:, 2:, :, None])[..., 0]
+        k1, k2 = kernel[:, 0], kernel[:, 1]
+        p_vert = (k1[:, :, None] * k1[:, None, :] + k2[:, :, None] * k2[:, None, :]) @ g
+        p_hor = np.eye(4) - p_vert
+        # the vertical parts of the coordinate axes, each measured against
+        # the axis's own g-norm, so the rank test does not depend on the
+        # scale of the metric
+        axes = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
+        vertical, count = orthonormal_stack(g, p_vert.swapaxes(-1, -2), 2, axes)
+        fail(np.flatnonzero(count < 2), DegenerateFrameError,
+             "vertical frame construction lost rank")
+        signs, reasons = frame_orientations(np.concatenate([horizontal, vertical], axis=1))
+        for i, reason in enumerate(reasons):
+            if reason is not None:
+                fail([i], DegenerateFrameError, reason)
+        vertical[signs * self.scenario.orientation < 0, 1] *= -1.0
+        fail(np.flatnonzero(~np.isfinite(self.defect)), GeometryError,
+             "conformality defect overflows")
+        return horizontal, vertical, p_vert, p_hor, failures
+
+    @cached_property
+    def structures(self) -> tuple:
+        """(J+, J-) of every point: the standard structures K+ and K-
+        carried by the frames (e1, e2, v1, v2), from one inverse of the
+        stack of adapted bases. The basis of a point whose splitting failed
+        is replaced by the identity, so it cannot fail the inverse."""
+        horizontal, vertical, _, _, failures = self.splitting
+        B = np.concatenate([horizontal, vertical], axis=1).swapaxes(-1, -2)
+        B[[f is not None for f in failures]] = np.eye(4)
+        Binv = np.linalg.inv(B)
+        return B @ K_PLUS @ Binv, B @ K_MINUS @ Binv
+
 
 @dataclass(eq=False)
 class PointGeometry:
     """The map's pointwise geometry at one chart point, built once.
 
     The fields are computed when the geometry is built, with the other
-    points of its stack (see point_geometries); the Christoffel symbols and
-    the tension are read from the stack, and the properties below are
-    derived from them on first use and then kept. The splitting
-    (`horizontal`, `vertical` and the two projectors) and the structures J+
-    and J- need a regular point and raise ClassificationError otherwise.
+    points of its stack (see point_geometries). The Christoffel symbols,
+    the tension, the splitting (`horizontal`, `vertical` and the two
+    projectors) and the structures J+ and J- are the point's rows of what
+    its GeometryStack derives for all its points at once, on first use,
+    and the properties below are then kept. The splitting and the
+    structures need a regular point and raise ClassificationError
+    otherwise; where a later step of the splitting fails they raise
+    DegenerateFrameError or GeometryError, named at the point, as the same
+    steps for the point alone would.
     """
 
     scenario: MorphismScenario
@@ -134,41 +218,14 @@ class PointGeometry:
         Horizontal rows (e1, e2) map to the target frame (1, i) under the
         differential scaled by the dilation; vertical rows (v1, v2) span the
         kernel, oriented so (e1, e2, v1, v2) is positive with respect to the
-        scenario orientation.
+        scenario orientation. They are the point's rows of its stack's
+        splitting; a point where it failed raises its own failure there.
         """
-        if not self.is_regular:
-            raise ClassificationError(
-                f"splitting needs a regular point; dilation "
-                f"{self.singular_values[0]:.3e} at {self.point.tolist()}")
-        lam = self.dilation
-        eps1, eps2 = np.eye(2)
-        graw = self.jac @ self.ginv @ self.jac.T
-        with named_at(self.point):
-            try:
-                c1 = np.linalg.solve(graw, lam * eps1)
-                c2 = np.linalg.solve(graw, lam * eps2)
-            except np.linalg.LinAlgError:
-                raise DegenerateFrameError("horizontal Gram matrix is singular") from None
-            e1 = self.ginv @ self.jac.T @ c1
-            e2 = self.ginv @ self.jac.T @ c2
-
-            # kernel of the gauge matrix: the two bottom right-singular directions
-            k1 = self.ginvsqrt @ self.right_vectors[2]
-            k2 = self.ginvsqrt @ self.right_vectors[3]
-            p_vert = (np.outer(k1, k1) + np.outer(k2, k2)) @ self.g
-            p_hor = np.eye(4) - p_vert
-
-            seeds = [p_vert @ basis for basis in np.eye(4)]
-            vectors = orthonormalize(self.g, seeds)
-            if vectors.shape[0] < 2:
-                raise DegenerateFrameError("vertical frame construction lost rank")
-            v1, v2 = vectors[0], vectors[1]
-            frame = np.array([e1, e2, v1, v2])
-            if orientation_sign(frame, reference=self.scenario.orientation) < 0:
-                v2 = -v2
-        if not np.isfinite(self.defect):
-            raise GeometryError(f"conformality defect overflows at {self.point.tolist()}")
-        return np.array([e1, e2]), np.array([v1, v2]), p_vert, p_hor
+        *rows, failures = self.stack.splitting
+        if failures[self.index] is not None:
+            error, message = failures[self.index]
+            raise error(message)
+        return tuple(row[self.index] for row in rows)
 
     @property
     def horizontal(self) -> np.ndarray:
@@ -189,22 +246,16 @@ class PointGeometry:
         return self._splitting[3]
 
     @cached_property
-    def _adapted_basis(self) -> tuple:
-        """(B, B^{-1}) for the columns (e1, e2, v1, v2)."""
-        B = np.column_stack([*self.horizontal, *self.vertical])
-        return B, np.linalg.inv(B)
-
-    @cached_property
     def j_plus(self) -> np.ndarray:
         """The standard structure K+ carried by the frame (e1, e2, v1, v2)."""
-        B, Binv = self._adapted_basis
-        return B @ K_PLUS @ Binv
+        self._splitting  # raises where the splitting failed
+        return self.stack.structures[0][self.index]
 
     @cached_property
     def j_minus(self) -> np.ndarray:
         """The standard structure K- carried by the frame (e1, e2, v1, v2)."""
-        B, Binv = self._adapted_basis
-        return B @ K_MINUS @ Binv
+        self._splitting  # raises where the splitting failed
+        return self.stack.structures[1][self.index]
 
     def structure(self, orientation: int) -> np.ndarray:
         return self.j_plus if orientation == 1 else self.j_minus
@@ -219,13 +270,37 @@ class PointGeometry:
         along an equal direction with the same step reads the same nodes.
         """
         X = np.asarray(direction, dtype=float)
-        key = (tuple(X.tolist()), step)
-        if key not in self._stencils:
-            t, nodes = stencil(self.scenario.metric, self.point, X, step)
-            self._stencils[key] = t, point_geometries(self.scenario, nodes)
-        t, nodes = self._stencils[key]
+        build_stencils(self.scenario, [self], [X], step)
+        t, nodes = self._stencils[_stencil_key(X, step)]
         return covariant_difference([field(n) for n in nodes], field(self), self.gamma,
                                     X, t)
+
+
+def _stencil_key(direction: np.ndarray, step: float | None) -> tuple:
+    return tuple(direction.tolist()), step
+
+
+def build_stencils(scenario: MorphismScenario, geometries: Sequence[PointGeometry],
+                   directions, step: float | None) -> None:
+    """Give each geometry its derivative stencil along its own direction
+    with the step, building the node geometries of all of them as one
+    stack; a geometry that holds that stencil already keeps it.
+
+    A stencil node outside the chart domain raises DomainError before any
+    node geometry is built.
+    """
+    pending, nodes = [], []
+    for geo, direction in zip(geometries, directions):
+        X = np.asarray(direction, dtype=float)
+        key = _stencil_key(X, step)
+        if key not in geo._stencils:
+            t, xs = stencil(scenario.metric, geo.point, X, step)
+            pending.append((geo, key, t))
+            nodes.extend(xs)
+    if pending:
+        built = point_geometries(scenario, nodes)
+        for i, (geo, key, t) in enumerate(pending):
+            geo._stencils[key] = t, built[4 * i:4 * i + 4]
 
 
 def point_geometries(scenario: MorphismScenario, points) -> list:
@@ -277,7 +352,9 @@ def _geometry_pass(scenario: MorphismScenario, points: np.ndarray) -> list:
     # flattened matrix with itself
     defect = np.sqrt((offset @ offset.swapaxes(-1, -2))[:, 0, 0])
 
-    stack = GeometryStack(scenario=scenario, metric=metric, jac=jac, ginv=ginv)
+    stack = GeometryStack(scenario=scenario, metric=metric, jac=jac, ginv=ginv,
+                          ginvsqrt=ginvsqrt, singular_values=sv, right_vectors=vt,
+                          squared_dilation=squared_dilation, defect=defect)
     return [PointGeometry(
         scenario=scenario, stack=stack, index=i, point=m, g=metric.g[i], ginv=ginv[i],
         ginvsqrt=ginvsqrt[i], jac=jac[i], singular_values=sv[i], right_vectors=vt[i],

@@ -19,8 +19,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .calculus import MorphismScenario
-from .errors import DomainError
-from .morphism import PointGeometry, point_geometry
+from .errors import DomainError, MorphoscopeError
+from .morphism import PointGeometry, build_stencils, point_geometries, point_geometry
 from .ratefit import seeded_directions, shell_samples
 
 PRODUCT_FLOOR = 1e-8
@@ -77,6 +77,11 @@ def product_polar(r1: float, r2: float, theta: float, alpha: float) -> float:
 # -------------------------------------------------------------- coefficients
 
 
+def vertical_unit(geo: PointGeometry, ca: float, sa: float) -> np.ndarray:
+    """The unit vertical vector ca v1 + sa v2 at a regular geometry."""
+    return ca * geo.vertical[0] + sa * geo.vertical[1]
+
+
 class FiberShape:
     """One evaluation of the fiber shape at a regular point.
 
@@ -105,7 +110,7 @@ class FiberShape:
                              -float(dE2 @ g @ e3), -float(dE2 @ g @ e4))
 
     def t_field(self, geo: PointGeometry) -> np.ndarray:
-        return self.ca * geo.vertical[0] + self.sa * geo.vertical[1]
+        return vertical_unit(geo, self.ca, self.sa)
 
     @cached_property
     def polar(self) -> Tuple[float, float, float, float]:
@@ -202,6 +207,18 @@ def nabla_J_norms(scenario: MorphismScenario, m, angle: float = 0.0,
 # ------------------------------------------------------------------- scan
 
 
+def _shell_shapes(scenario: MorphismScenario, shell, angle: float, step: float) -> list:
+    """The fiber shapes at the regular samples of one shell inside the
+    domain, from two stacks: the samples, and the stencil nodes of every
+    regular sample along its unit T."""
+    inside = shell[scenario.domain.contains(shell)]
+    regular = [geo for geo in (point_geometries(scenario, inside) if len(inside) else [])
+               if geo.is_regular]
+    ca, sa = math.cos(angle), math.sin(angle)
+    build_stencils(scenario, regular, [vertical_unit(geo, ca, sa) for geo in regular], step)
+    return [FiberShape(geo, angle, step) for geo in regular]
+
+
 @dataclass
 class ProductScan:
     """Annulus maxima of the norm product around a center."""
@@ -246,21 +263,21 @@ def product_bound_scan(scenario: MorphismScenario, center,
     skipped = []
     identity_gap = 0.0
     for r, shell in zip(radii, points):
-        worst = 0.0
-        miss = 0
-        for y in shell:
-            if not scenario.domain.contains(y):
-                miss += 1
-                continue
-            geo = point_geometry(scenario, y)
-            if not geo.is_regular:
-                miss += 1
-                continue
-            shape = FiberShape(geo, angle, SCAN_STEP_FRACTION * r)
-            identity_gap = max(identity_gap, shape.identity_gap)
-            worst = max(worst, shape.product)
-        annulus_max.append(worst)
-        skipped.append(miss)
+        step = SCAN_STEP_FRACTION * r
+        try:
+            shapes = _shell_shapes(scenario, shell, angle, step)
+        except MorphoscopeError:
+            # the samples one by one, so the error raised is that of the
+            # first failing sample, at its first failed step
+            for y in shell:
+                if scenario.domain.contains(y):
+                    geo = point_geometry(scenario, y)
+                    if geo.is_regular:
+                        FiberShape(geo, angle, step)
+            raise
+        annulus_max.append(max([0.0] + [shape.product for shape in shapes]))
+        identity_gap = max([identity_gap] + [shape.identity_gap for shape in shapes])
+        skipped.append(len(shell) - len(shapes))
     plateau = max(annulus_max[:3])
     bound = max(1.5 * plateau, PRODUCT_FLOOR)
     empty = tuple(r for r, miss in zip(radii, skipped) if miss == len(directions))

@@ -771,3 +771,19 @@ def test_a_large_constant_metric_passes_every_check(tmp_path, argv):
         scaled = read_report(tmp_path / "scaled", "proj_analyze")["records"][0]
         plain = read_report(tmp_path, "proj_analyze")["records"][0]
         assert np.allclose(scaled["j_plus"], plain["j_plus"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("argv", [["analyze", REGULAR_POINT],
+                                  ["weingarten", REGULAR_POINT],
+                                  ["twistor", "--patch", "plane"],
+                                  ["validate"]],
+                         ids=["analyze", "weingarten", "twistor", "validate"])
+def test_a_small_constant_metric_passes_every_check(tmp_path, argv):
+    # coordinate axes have g-norm 3e-9 under 1e-17 times the identity, so
+    # the frame rank test must scale with the seeds, not be absolute
+    cfg = catalog_configs()["proj"]
+    cfg["metric"] = constant_metric(1e-17, 3.0)
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*argv[:1], "--config", str(path), *argv[1:],
+                 "--out", str(tmp_path / "small")]) == 0

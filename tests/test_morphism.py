@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from morphoscope.calculus import holomorphic_scenario, pullback_scenario, real_scenario
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
-from morphoscope.errors import ClassificationError, DomainError, GeometryError
+from morphoscope.errors import (ClassificationError, DegenerateFrameError, DomainError,
+                                GeometryError)
 from morphoscope.geometry import (Box, FlatMetric, PolynomialMetric, ProductSphereMetric,
                                   covariant_derivative, einstein_defect)
 from morphoscope import morphism
@@ -30,6 +31,7 @@ from morphoscope.morphism import (
     point_geometries, point_geometry, splitting, tension_norm, validate_morphism,
 )
 from morphoscope.polynomials import Poly
+from morphoscope.structures import K_MINUS, K_PLUS
 
 from test_geometry import quadratic_bump_metric
 from test_polynomials import written_out_jets, written_out_metric
@@ -452,6 +454,78 @@ def test_a_geometry_reads_the_same_bits_alone_as_in_its_stack(name):
         assert bits(alone.vertical) == bits(geo.vertical)
         assert bits(alone.j_plus) == bits(geo.j_plus)
         assert (alone.defect, alone.tension_norm) == (geo.defect, geo.tension_norm)
+        for key in ("horizontal", "vertical_projector", "horizontal_projector", "j_minus"):
+            assert bits(getattr(alone, key)) == bits(getattr(geo, key)), key
+
+
+def written_out_splitting(geo) -> dict:
+    """The splitting and the structures at one regular geometry, every step
+    written out for the one point: two solves, the kernel vector by vector,
+    a Gram-Schmidt loop over the projected axes, the orientation flip and
+    one inverse of the adapted basis."""
+    lam = geo.dilation
+    graw = geo.jac @ geo.ginv @ geo.jac.T
+    e1, e2 = (geo.ginv @ geo.jac.T @ np.linalg.solve(graw, lam * eps) for eps in np.eye(2))
+    k1, k2 = (geo.ginvsqrt @ geo.right_vectors[k] for k in (2, 3))
+    p_vert = (np.outer(k1, k1) + np.outer(k2, k2)) @ geo.g
+    vectors = []
+    for axis in np.eye(4):
+        w = p_vert @ axis
+        for u in vectors:
+            w = w - (w @ geo.g @ u) * u
+        n = float(np.sqrt(max(0.0, w @ geo.g @ w)))
+        if n > 0 and n >= 1e-8 * np.sqrt(axis @ geo.g @ axis):
+            vectors.append(w / n)
+    v1, v2 = vectors[:2]
+    if np.linalg.det(np.array([e1, e2, v1, v2]).T) * geo.scenario.orientation < 0:
+        v2 = -v2
+    B = np.column_stack([e1, e2, v1, v2])
+    Binv = np.linalg.inv(B)
+    return {"horizontal": np.array([e1, e2]), "vertical": np.array([v1, v2]),
+            "vertical_projector": p_vert, "horizontal_projector": np.eye(4) - p_vert,
+            "j_plus": B @ K_PLUS @ Binv, "j_minus": B @ K_MINUS @ Binv}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHARTS))
+def test_the_stacked_splitting_equals_the_written_out_splitting_bitwise(name):
+    scenario = ORACLE_CHARTS[name]
+    regular = [geo for geo in point_geometries(scenario, validation_points(scenario, 25, 5))
+               if geo.is_regular]
+    assert regular
+    for geo in regular:
+        for key, value in written_out_splitting(geo).items():
+            assert bits(getattr(geo, key)) == bits(value), (key, geo.point.tolist())
+
+
+def rank_one_scenario():
+    # F = (x1, x2 x3): the second row of dF vanishes where x2 = x3 = 0, so
+    # the horizontal Gram matrix is singular at a point of dilation 1
+    x = [Poly.variable(k) for k in range(4)]
+    return real_scenario("rank_one", x[0], x[1] * x[2], FlatMetric(Box.cube(1.0)))
+
+
+@pytest.mark.parametrize("scenario, bad, error, message", [
+    (scenario_square(), [0.0, 0.0, 0.3, -0.2], ClassificationError,
+     "splitting needs a regular point"),
+    (rank_one_scenario(), [0.3, 0.0, 0.0, 0.1], DegenerateFrameError,
+     "horizontal Gram matrix is singular at [0.3, 0.0, 0.0, 0.1]"),
+], ids=["critical", "singular"])
+def test_a_failing_row_leaves_the_other_splittings_of_its_stack(scenario, bad, error,
+                                                                 message):
+    good = [[0.4, 0.3, -0.2, 0.1], [-0.1, 0.5, 0.25, -0.3]]
+    geometries = point_geometries(scenario, [good[0], bad, good[1]])
+    for read in ("vertical", "horizontal", "j_plus", "j_minus"):
+        with pytest.raises(error) as stacked:
+            getattr(geometries[1], read)
+        with pytest.raises(error) as alone:
+            getattr(point_geometry(scenario, bad), read)
+        assert message in str(stacked.value)
+        assert str(stacked.value) == str(alone.value)
+    for geo, m in zip(geometries[::2], good):
+        alone = point_geometry(scenario, m)
+        for key in ("horizontal", "vertical", "vertical_projector", "horizontal_projector",
+                    "j_plus", "j_minus"):
+            assert bits(getattr(geo, key)) == bits(getattr(alone, key)), key
 
 
 def stepped_scenario():

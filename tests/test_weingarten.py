@@ -13,18 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphoscope.errors import ClassificationError
+from morphoscope.errors import ClassificationError, DomainError
 from morphoscope.hermitian import hermitian_pair
-from morphoscope import morphism
+from morphoscope import morphism, weingarten
 from morphoscope.morphism import fiber_mean_curvature, point_geometry, splitting
 from morphoscope.weingarten import (FiberShape, closed_norm_pair, commutator_matrix,
                                     fiber_shape, frame_component_sums,
                                     identity_scale, nabla_J_norms, polar_form,
                                     product_bound_scan, product_identity,
-                                    product_polar, weingarten_matrix)
+                                    product_polar, weingarten_matrix, SCAN_STEP_FRACTION)
 
-from test_morphism import (count_geometry_builds, scenario_product,
-                           scenario_proj, scenario_pullback_product)
+from test_morphism import (GOOD, NOT_SPD, count_geometry_builds, scenario_product,
+                           scenario_proj, scenario_pullback_product, scenario_square,
+                           stepped_scenario)
 
 COEFF = st.floats(min_value=-10.0, max_value=10.0,
                   allow_nan=False, allow_infinity=False)
@@ -294,6 +295,67 @@ def test_scan_builds_at_most_five_geometries_per_sample(monkeypatch):
                               n_directions=4, seed=2)
     samples = len(scan.radii) * 4
     assert 0 < len(builds) <= 5 * samples
+
+
+def count_geometry_stacks(monkeypatch) -> list:
+    """The size of each stack point_geometries builds, through every module
+    that binds it, in call order."""
+    sizes = []
+    original = morphism.point_geometries
+
+    def counted(scenario, points):
+        sizes.append(len(np.array(points, dtype=float).reshape(-1, 4)))
+        return original(scenario, points)
+
+    for module in (morphism, weingarten):
+        monkeypatch.setattr(module, "point_geometries", counted)
+    return sizes
+
+
+def test_scan_builds_two_stacks_per_shell(monkeypatch):
+    # one stack of the shell's samples, one of the stencil nodes of all of
+    # them, and none per sample
+    sizes = count_geometry_stacks(monkeypatch)
+    scan = product_bound_scan(scenario_pullback_product(), np.zeros(4),
+                              n_directions=4, seed=2)
+    assert scan.skipped == (0,) * len(scan.radii)
+    assert sizes == [4, 16] * len(scan.radii)
+
+
+def test_scan_builds_no_stencil_for_a_skipped_sample(monkeypatch):
+    # samples outside the domain are not built, and critical samples (on
+    # the plane z1 = 0) get no stencil; a shell of them builds one stack
+    regular = [[0.3, 0.1, 0.2, 0.0], [-0.2, 0.4, 0.1, 0.3]]
+    critical = [[0.0, 0.0, 0.3, 0.1], [0.0, 0.0, -0.2, 0.4]]
+    outside = [2.0, 0.0, 0.0, 0.0]
+    shells = np.array([[regular[0], critical[0], outside, regular[1]],
+                       [critical[0], outside, critical[1], outside]])
+    monkeypatch.setattr(weingarten, "shell_samples",
+                        lambda directions, radii, center: ((0.1, 0.05), shells))
+    sizes = count_geometry_stacks(monkeypatch)
+    scan = product_bound_scan(scenario_square(), np.zeros(4), n_directions=4)
+    assert scan.skipped == (2, 4)
+    assert sizes == [3, 8, 2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failing_shell_raises_the_error_of_its_first_failing_sample(monkeypatch):
+    # sample 1 fails in its stencil, which leaves the domain along T = e3,
+    # and sample 2 fails earlier in the stacked order, in its geometry; the
+    # scan raises what the loop over the samples raises: sample 1's error
+    scenario = stepped_scenario()
+    edge = [0.1, 0.2, 1e3 - 1e-9, 0.4]
+    shell = np.array([GOOD, edge, NOT_SPD, GOOD])
+    monkeypatch.setattr(weingarten, "shell_samples",
+                        lambda directions, radii, center: ((0.1,), shell[None]))
+    with pytest.raises(DomainError) as scanned:
+        product_bound_scan(scenario, np.array(GOOD))
+    with pytest.raises(DomainError) as looped:
+        for y in shell:
+            FiberShape(point_geometry(scenario, y), 0.0, SCAN_STEP_FRACTION * 0.1)
+    assert str(scanned.value) == str(looped.value)
+    assert str(scanned.value).startswith("point [0.1, 0.2, 1000.0")
+    assert str(scanned.value).endswith("leaves the chart domain (margin 0)")
 
 
 def test_report_matches_the_standalone_functions_bitwise():
