@@ -19,11 +19,10 @@ from .errors import ConfigError
 from .geometry import einstein_defect
 from .hermitian import pseudo_holomorphy_residual, structure_deviation_rate
 from .morphism import point_geometry, validate_morphism
-from .parallel import ordered_map
 from .report import build_report, check, fingerprint
 from .symbol import (center_sample, dilation_lower_rate, remainder_rates,
                      symbol_polynomial)
-from .twistor import (LiftGeometry, curvature_densities, script_J_residual,
+from .twistor import (curvature_densities, map_lifts, script_J_residual,
                       vertical_energy_density)
 from .weingarten import fiber_shape, identity_scale, product_bound_scan
 
@@ -155,6 +154,14 @@ def run_symbol(config: ScenarioConfig, scenario: MorphismScenario) -> Findings:
     return Findings(checks, records)
 
 
+def _certified_orientation(symbol) -> int:
+    """The orientation label the structure deviation is measured in: the
+    config's own (+1) when the symbol certifies it, else the opposite one
+    when that is certified; with neither, +1, which the deviation rejects."""
+    certified = {c.orientation for c in symbol.candidates}
+    return -1 if 1 not in certified and -1 in certified else 1
+
+
 def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
              seed: int) -> Findings:
     records = []
@@ -164,7 +171,8 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
     for idx, center in enumerate(_critical_centers(config, "rate")):
         sample = center_sample(scenario, center, radii=config.analysis["radii"],
                                n_directions=config.analysis["n_directions"], seed=seed)
-        deviation = structure_deviation_rate(sample)
+        orientation = _certified_orientation(sample.symbol)
+        deviation = structure_deviation_rate(sample, orientation)
         remainder = remainder_rates(sample)
         dilation = dilation_lower_rate(sample)
         fits = {"deviation": deviation.deviation_fit,
@@ -190,7 +198,8 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
                   slope=deviation.deviation_fit.slope,
                   zero_branch=deviation.deviation_fit.zero_branch,
                   orth_slope=deviation.metric_orth_fit.slope,
-                  skew_slope=deviation.metric_skew_fit.slope),
+                  skew_slope=deviation.metric_skew_fit.slope,
+                  **({"orientation": orientation} if orientation != 1 else {})),
             check(f"remainder_decay[{idx}]", remainder.verdict == "PASS",
                   order=sample.symbol.order,
                   value_slope=remainder.value_fit.slope,
@@ -293,8 +302,7 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
     step = config.analysis["fd_step"]
     grid = patch_grid(patch)
 
-    def one(p):
-        geo = LiftGeometry(scenario, patch, p, orientation=tag, step=step)
+    def read(geo):
         residual = script_J_residual(geo)
         energy = vertical_energy_density(geo)
         omega_t, omega_n = curvature_densities(geo)
@@ -303,7 +311,7 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
                 "area_element": energy.area_element,
                 "omega_tangent": omega_t, "omega_normal": omega_n}
 
-    records = ordered_map(one, grid)
+    records = map_lifts(read, scenario, patch, grid, orientation=tag, step=step)
     residuals = [r["residual"] for r in records]
     checks = []
     if spec["classification"] == "minimal":

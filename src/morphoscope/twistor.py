@@ -12,11 +12,19 @@ Fiber tangent norms carry a factor 1/2 relative to the gauged Frobenius norm
 so that vertical speeds agree with the speed of the fiber-coordinate curve
 on the unit 2-sphere.
 
-One `LiftGeometry` per parameter point holds everything the residual, the
-vertical energy and the curvature densities read, the chart metric at the
-point included; `surface_lift` is its lift alone, taken at the stencil nodes
-of the vertical derivatives, which take the covariant-difference rule of
-`geometry` along the chart images d X of parameter-plane directions X.
+A `LiftGeometry` holds everything the residual, the vertical energy and
+the curvature densities read at one parameter point, the chart metric at
+the point included. Lifts are built over stacks of parameter points
+(`lift_stack`): the patch is evaluated point by point, and the rank test,
+the chart metric, the adapted frames, J and its checks run once per stack.
+`map_lifts` evaluates a parameter grid with two stacks, one for the
+geometries of the grid points and one for the lifts at the stencil nodes
+of all their vertical derivatives, which take the covariant-difference rule
+of `geometry` along the chart images d X of parameter-plane directions X.
+When either raises, the grid is run again one point at a time, each
+geometry a stack of one, so the error is the one a loop over the points
+gives. A `LiftGeometry` built on its own, and `surface_lift`, its lift
+alone, are the stack of one.
 """
 
 from __future__ import annotations
@@ -29,10 +37,11 @@ import numpy as np
 
 from ._linalg import surface_complex_structure
 from .calculus import MorphismScenario
-from .errors import DegenerateFrameError, DomainError, GeometryError
-from .geometry import (Box, central_difference, central_nodes, covariant_difference,
-                       metric_point, named_at, orientation_sign, oriented_frame,
-                       orthonormalize)
+from .errors import DegenerateFrameError, DomainError, GeometryError, MorphoscopeError
+from .geometry import (Box, MetricPoint, central_difference, central_nodes,
+                       covariant_difference, frame_orientations, metric_point,
+                       orthonormal_stack, oriented_frame)
+from .parallel import ordered_map
 from .structures import K_MINUS, K_PLUS, fiber_from_structure
 
 VERTICAL_ROTATION_SIGN = -1
@@ -77,11 +86,15 @@ class VerticalEnergy:
 
 def _check_structure(g: np.ndarray, J: np.ndarray) -> None:
     """Raise GeometryError unless J squares to minus the identity and
-    preserves g."""
-    if np.max(np.abs(J @ J + np.eye(4))) > 1e-9:
-        raise GeometryError("structure squared is not minus the identity")
-    if np.max(np.abs(J.T @ g @ J - g)) > 1e-9 * max(1.0, float(np.max(np.abs(g)))):
-        raise GeometryError("structure does not preserve the metric")
+    preserves g, each row of a stack J against its own g and scale; a
+    stack raises the failure of its first failing row."""
+    squared = np.atleast_1d(np.max(np.abs(J @ J + np.eye(4)), axis=(-2, -1)) > 1e-9)
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+    metric = np.max(np.abs(J.swapaxes(-1, -2) @ g @ J - g), axis=(-2, -1)) > 1e-9 * scale
+    failed = np.flatnonzero(squared | metric)
+    if len(failed):
+        raise GeometryError("structure squared is not minus the identity" if squared[failed[0]]
+                            else "structure does not preserve the metric")
 
 
 def fiber_coordinates(g: np.ndarray, J: np.ndarray, orientation: int = 1) -> np.ndarray:
@@ -103,45 +116,113 @@ def fiber_coordinates(g: np.ndarray, J: np.ndarray, orientation: int = 1) -> np.
     return u / norm
 
 
-def _lift_frames(scenario: MorphismScenario, patch: SurfacePatch, p):
-    m = patch.point(p)
-    d = patch.dpsi(p)
-    sv = np.linalg.svd(d, compute_uv=False)
-    if sv[-1] <= PATCH_RANK_TOL:
+@dataclass(eq=False)
+class LiftStack:
+    """The lifts of one patch at an (n, 2) stack of parameter points, built
+    in one pass (see lift_stack)."""
+
+    scenario: MorphismScenario
+    patch: SurfacePatch
+    orientation: int
+    parameters: np.ndarray
+    metric: MetricPoint      # at the (n, 4) stack of chart points psi(p)
+    d: np.ndarray            # (n, 4, 2) patch differentials
+    frames: np.ndarray       # (n, 4, 4) rows t1, t2, n1, n2 of each adapted frame
+    J: np.ndarray            # (n, 4, 4)
+
+
+def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
+               orientation: int = 1) -> LiftStack:
+    """The lifts at a stack of parameter points, in order, built in one pass.
+
+    The patch is evaluated one parameter point at a time; every other step
+    runs once over the whole stack: the rank test of the differentials, the
+    chart metric and its checks, the adapted frames (orthonormal_stack, then
+    the orientation flip of n2), the lifts J = B K B^{-1} and their checks.
+    Each row equals, bit for bit, what the same steps give for its point
+    alone. When a step fails, each point of the stack is passed again on its
+    own, so the error raised is that of the first failing point and of its
+    first failing step, as in a loop over the points.
+    """
+    params = np.array(params, dtype=float).reshape(-1, 2)
+    try:
+        return _lift_pass(scenario, patch, params, orientation)
+    except (MorphoscopeError, np.linalg.LinAlgError):
+        for i in range(len(params)):
+            _lift_pass(scenario, patch, params[i:i + 1], orientation)
+        raise
+
+
+def _lift_pass(scenario: MorphismScenario, patch: SurfacePatch, params: np.ndarray,
+               orientation: int) -> LiftStack:
+    points = np.array([patch.point(p) for p in params])
+    d = np.array([patch.dpsi(p) for p in params])
+    deficient = np.flatnonzero(np.linalg.svd(d, compute_uv=False)[:, -1] <= PATCH_RANK_TOL)
+    if len(deficient):
         raise DegenerateFrameError(
-            f"patch differential is rank deficient at {np.asarray(p).tolist()}")
-    mp = metric_point(scenario.metric, m)
-    with named_at(mp.point):
-        frame = orthonormalize(mp.g, [d[:, 0], d[:, 1]], complete=True)
-        t1, t2, n1, n2 = frame
-        if orientation_sign(frame, reference=scenario.orientation) < 0:
-            n2 = -n2
-    return mp, d, t1, t2, n1, n2
+            f"patch differential is rank deficient at {params[deficient[0]].tolist()}")
+    mp = metric_point(scenario.metric, points)
+    g = mp.g
+    # the two differential columns, then the coordinate basis, each seed's
+    # residual measured against the seed's own g-norm
+    seeds = np.concatenate([d.swapaxes(-1, -2), np.broadcast_to(np.eye(4), (len(g), 4, 4))],
+                           axis=1)
+    sizes = np.sqrt(np.maximum(0.0, np.einsum("nki,nij,nkj->nk", seeds, g, seeds)))
+    frames, count = orthonormal_stack(g, seeds, 4, sizes)
+    incomplete = np.flatnonzero(count < 4)
+    if len(incomplete):
+        raise DegenerateFrameError(
+            f"could not complete an orthonormal frame at {points[incomplete[0]].tolist()}")
+    signs, failures = frame_orientations(frames)
+    for m, reason in zip(points, failures):
+        if reason is not None:
+            raise DegenerateFrameError(f"{reason} at {m.tolist()}")
+    frames[signs * scenario.orientation < 0, 3] *= -1.0
+    # columns t1, t2, n1, n2, contiguous as for one point
+    B = np.ascontiguousarray(frames.swapaxes(-1, -2))
+    J = B @ (K_PLUS if orientation == 1 else K_MINUS) @ np.linalg.inv(B)
+    _check_structure(g, J)
+    return LiftStack(scenario=scenario, patch=patch, orientation=orientation,
+                     parameters=params, metric=mp, d=d, frames=frames, J=J)
 
 
 class LiftGeometry:
     """The lift of a surface patch at one parameter point, built once.
 
-    The metric point at psi(p), the patch differential d, the adapted frame
-    (t1, t2, n1, n2) and the lift J are computed, and J is checked, when the
-    geometry is built; the properties below, the fiber coordinates among
-    them, are derived from them on first use.
+    A geometry is row `index` of a LiftStack: the metric point at psi(p),
+    the patch differential d, the adapted frame (t1, t2, n1, n2) and the
+    checked lift J. Built on its own, it is the stack of one; map_lifts
+    builds the geometries of many points as one stack. The properties below,
+    the fiber coordinates among them, are derived on first use.
     """
 
     def __init__(self, scenario: MorphismScenario, patch: SurfacePatch, p,
                  orientation: int = 1, step: float | None = None):
-        self.scenario = scenario
-        self.patch = patch
-        self.parameter = np.asarray(p, dtype=float)
-        self.orientation = orientation
-        self.step = step
-        self.metric_point, self.d, self.t1, self.t2, self.n1, self.n2 = _lift_frames(
-            scenario, patch, self.parameter)
-        self.point = self.metric_point.point
-        B = np.column_stack([self.t1, self.t2, self.n1, self.n2])
-        K = K_PLUS if orientation == 1 else K_MINUS
-        self.J = B @ K @ np.linalg.inv(B)
-        _check_structure(self.metric_point.g, self.J)
+        self._bind(lift_stack(scenario, patch, [p], orientation), 0, step)
+
+    @classmethod
+    def row(cls, stack: LiftStack, index: int, step: float | None = None) -> "LiftGeometry":
+        """The geometry of row `index` of a built stack."""
+        geo = cls.__new__(cls)
+        geo._bind(stack, index, step)
+        return geo
+
+    def _bind(self, stack: LiftStack, index: int, step: float | None) -> None:
+        self.stack, self.index, self.step = stack, index, step
+        self.scenario, self.patch = stack.scenario, stack.patch
+        self.orientation = stack.orientation
+        self.parameter = stack.parameters[index]
+        self.point = stack.metric.point[index]
+        self.d = stack.d[index]
+        self.t1, self.t2, self.n1, self.n2 = stack.frames[index]
+        self.J = stack.J[index]
+        # axis k -> (h, lifts at the 4 nodes of the stencil along x_k)
+        self._nodes = {}
+
+    @cached_property
+    def metric_point(self) -> MetricPoint:
+        """The chart metric at psi(p), with its rows of the stack's record."""
+        return self.stack.metric.at(self.index)
 
     @cached_property
     def fiber(self) -> np.ndarray:
@@ -156,19 +237,67 @@ class LiftGeometry:
         x2, *_ = np.linalg.lstsq(self.d, self.t2, rcond=None)
         return x1, x2
 
+    def stencil(self, k: int) -> tuple:
+        """(h, nodes): the step and the parameter nodes of the central
+        stencil along x_k."""
+        X = self.tangent_coordinates[k]
+        h = (self.step or LIFT_FD_STEP) / max(1.0, float(np.max(np.abs(X))))
+        return h, central_nodes(self.parameter, X, h)
+
     @cached_property
     def vertical(self) -> tuple:
         """Covariant derivatives of the lift field along x1 and x2, each the
         covariant difference along d X of the node lifts of one central
-        stencil in the parameter plane."""
+        stencil in the parameter plane; node lifts that build_node_lifts
+        has not given are built here, one stencil at a time."""
         out = []
-        for X in self.tangent_coordinates:
-            h = (self.step or LIFT_FD_STEP) / max(1.0, float(np.max(np.abs(X))))
-            lifts = [surface_lift(self.scenario, self.patch, q, self.orientation)
-                     for q in central_nodes(self.parameter, X, h)]
+        for k, X in enumerate(self.tangent_coordinates):
+            build_node_lifts([self], (k,))
+            h, lifts = self._nodes[k]
             out.append(covariant_difference(lifts, self.J, self.metric_point.gamma,
                                             self.d @ X, h))
         return tuple(out)
+
+
+def build_node_lifts(geometries, axes=(0, 1)) -> None:
+    """Give each geometry the lifts at the nodes of its stencils along x_k,
+    for k in axes, building all of them as one lift_stack; a geometry that
+    holds them already keeps them. The geometries share one patch, scenario
+    and orientation. Only the lifts J of the nodes are read."""
+    pending, nodes = [], []
+    for geo in geometries:
+        for k in axes:
+            if k not in geo._nodes:
+                h, xs = geo.stencil(k)
+                pending.append((geo, k, h))
+                nodes.extend(xs)
+    if pending:
+        first = pending[0][0]
+        J = lift_stack(first.scenario, first.patch, nodes, first.orientation).J
+        for i, (geo, k, h) in enumerate(pending):
+            geo._nodes[k] = h, J[4 * i:4 * i + 4]
+
+
+def map_lifts(read: Callable, scenario: MorphismScenario, patch: SurfacePatch, params,
+              orientation: int = 1, step: float | None = None) -> list:
+    """read(geometry) at each parameter point, in order.
+
+    Two stacks are built: the geometries of all the points, then the node
+    lifts of all their vertical derivatives; ordered_map then maps read
+    over the geometries. When anything raises, each point is run again on
+    its own, its geometry a stack of one and its vertical stencils built
+    one at a time, so the error raised is that of the first failing point
+    at its first failed step, as in a loop over the points.
+    """
+    try:
+        stack = lift_stack(scenario, patch, params, orientation)
+        geometries = [LiftGeometry.row(stack, i, step) for i in range(len(stack.parameters))]
+        build_node_lifts(geometries)
+        return ordered_map(read, geometries)
+    except (MorphoscopeError, np.linalg.LinAlgError):
+        for p in params:
+            read(LiftGeometry(scenario, patch, p, orientation, step))
+        raise
 
 
 def surface_lift(scenario: MorphismScenario, patch: SurfacePatch, p,

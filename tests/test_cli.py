@@ -161,6 +161,33 @@ def test_rate_command_writes_fits_and_csv(tmp_path):
     assert deviation["evidence"]["zero_branch"] is False
     csv_text = (tmp_path / "pullback_z1z2_rate.csv").read_text()
     assert csv_text.startswith("quantity,radius,value")
+    # the catalog certifies the config's orientation, so none is recorded
+    assert "orientation" not in deviation["evidence"]
+
+
+def test_rate_falls_back_to_the_other_certified_orientation(tmp_path):
+    # conj(z1) z2 is z1 z2 after the orientation-reversing isometry
+    # x2 -> -x2: its symbol certifies only the orientation -1, and rate
+    # measures the deviation in it instead of rejecting the map
+    def mono(exponents, value):
+        return {"exponents": exponents, "value": value}
+
+    config = {"name": "conj_z1z2",
+              "metric": {"kind": "flat", "box": {"lo": [-1.5] * 4, "hi": [1.5] * 4}},
+              "map": {"kind": "real", "components": [
+                  [mono([1, 0, 1, 0], 1.0), mono([0, 1, 0, 1], 1.0)],
+                  [mono([1, 0, 0, 1], 1.0), mono([0, 1, 1, 0], -1.0)]]},
+              "critical_points": [[0.0, 0.0, 0.0, 0.0]]}
+    path = tmp_path / "conj_z1z2.json"
+    path.write_text(json.dumps(config))
+    assert run(tmp_path, "symbol", "--config", str(path)) == 0
+    symbol = read_report(tmp_path, "conj_z1z2_symbol")["checks"][0]["evidence"]
+    assert symbol["orientations"] == [-1]
+    assert run(tmp_path, "rate", "--config", str(path)) == 0
+    checks = {c["name"]: c for c in read_report(tmp_path, "conj_z1z2_rate")["checks"]}
+    deviation = checks["structure_deviation[0]"]
+    assert deviation["verdict"] == "PASS"
+    assert deviation["evidence"]["orientation"] == -1
 
 
 def test_weingarten_point_and_scan(tmp_path):

@@ -7,6 +7,7 @@ the unit sphere, and the curvature densities against the product metric's
 known sectional curvatures.
 """
 
+import json
 import re
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 import morphoscope.geometry as geometry
 import morphoscope.twistor as tw
 from morphoscope.calculus import holomorphic_scenario, pullback_scenario
-from morphoscope.catalog import catalog_configs, catalog_patch, patch_grid
+from morphoscope.catalog import CATALOG_PATCHES, catalog_configs, catalog_patch, patch_grid
+from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import Box, CallableMetric, FlatMetric, ProductSphereMetric
@@ -23,10 +25,12 @@ from morphoscope.morphism import point_geometry
 from morphoscope.polynomials import Poly
 from morphoscope.structures import K_MINUS, K_PLUS, structure_from_fiber
 from morphoscope.twistor import (LiftGeometry, SurfacePatch, curvature_densities,
-                                 fiber_coordinates, script_J_residual,
+                                 fiber_coordinates, map_lifts, script_J_residual,
                                  surface_lift, vertical_energy_density)
 
+from conftest import METRIC_EVALUATIONS, metric_classes
 from test_morphism import pullback_diffeo
+from test_symbol import count_calls
 
 
 def flat_scenario(half=3.0):
@@ -345,105 +349,236 @@ def test_finite_difference_jacobian_agrees_with_exact():
     assert np.max(np.abs(patch.dpsi(p) - fd_patch.dpsi(p))) < 1e-9
 
 
+# ------------------------------------------------------- stacked lifts
+
+
+class OracleLift:
+    """The lift at one parameter point, built point by point: the frame and
+    lift steps of a single point written out, and its node lifts each built
+    the same way. The readers take it as they take a LiftGeometry."""
+
+    def __init__(self, scenario, patch, p, orientation=1, step=None):
+        self.scenario, self.patch, self.step = scenario, patch, step
+        self.parameter = np.asarray(p, dtype=float)
+        self.orientation = orientation
+        m = patch.point(p)
+        d = patch.dpsi(p)
+        sv = np.linalg.svd(d, compute_uv=False)
+        if sv[-1] <= tw.PATCH_RANK_TOL:
+            raise DegenerateFrameError(
+                f"patch differential is rank deficient at {np.asarray(p).tolist()}")
+        mp = geometry.metric_point(scenario.metric, m)
+        with geometry.named_at(mp.point):
+            frame = geometry.orthonormalize(mp.g, [d[:, 0], d[:, 1]], complete=True)
+            t1, t2, n1, n2 = frame
+            if geometry.orientation_sign(frame, reference=scenario.orientation) < 0:
+                n2 = -n2
+        self.metric_point, self.d = mp, d
+        self.t1, self.t2, self.n1, self.n2 = t1, t2, n1, n2
+        self.point = mp.point
+        B = np.column_stack([t1, t2, n1, n2])
+        K = K_PLUS if orientation == 1 else K_MINUS
+        self.J = B @ K @ np.linalg.inv(B)
+        tw._check_structure(mp.g, self.J)
+
+    @property
+    def fiber(self):
+        return fiber_coordinates(self.metric_point.g, self.J,
+                                 self.orientation * self.scenario.orientation)
+
+    @property
+    def tangent_coordinates(self):
+        x1, *_ = np.linalg.lstsq(self.d, self.t1, rcond=None)
+        x2, *_ = np.linalg.lstsq(self.d, self.t2, rcond=None)
+        return x1, x2
+
+    @property
+    def vertical(self):
+        out = []
+        for X in self.tangent_coordinates:
+            h = (self.step or tw.LIFT_FD_STEP) / max(1.0, float(np.max(np.abs(X))))
+            lifts = [OracleLift(self.scenario, self.patch, q, self.orientation).J
+                     for q in geometry.central_nodes(self.parameter, X, h)]
+            out.append(geometry.covariant_difference(
+                lifts, self.J, self.metric_point.gamma, self.d @ X, h))
+        return tuple(out)
+
+
+def read_all(geo) -> dict:
+    """Every number the lift layer hands on at one parameter point."""
+    energy = vertical_energy_density(geo)
+    return {"J": geo.J, "frame": np.array([geo.t1, geo.t2, geo.n1, geo.n2]),
+            "vertical": np.array(geo.vertical), "residual": script_J_residual(geo),
+            "energy": (energy.value, energy.area_element), "gram": energy.gram,
+            "curvature": curvature_densities(geo), "fiber": geo.fiber}
+
+
+def assert_bitwise_equal(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for key in a:
+        assert np.array_equal(a[key], b[key]), key
+        assert np.asarray(a[key]).tobytes() == np.asarray(b[key]).tobytes(), key
+
+
+def catalog_lift_cases():
+    cases = [(spec["scenario"], name) for name, spec in sorted(CATALOG_PATCHES.items())]
+    return cases + [("pullback_z1z2", "plane")]
+
+
+def build_catalog(name):
+    return build_scenario(ScenarioConfig.from_dict(catalog_configs()[name]))
+
+
+@pytest.mark.parametrize("tag", [1, -1])
+@pytest.mark.parametrize("scenario_name,patch_name", catalog_lift_cases())
+def test_stacked_lifts_equal_the_point_by_point_lifts(scenario_name, patch_name, tag):
+    # the two stacks of a grid give, bit for bit, every number that the
+    # point-by-point construction gives
+    sc = build_catalog(scenario_name)
+    patch = catalog_patch(patch_name)["patch"]
+    grid = patch_grid(patch)
+    stacked = map_lifts(read_all, sc, patch, grid, orientation=tag)
+    for p, got in zip(grid, stacked):
+        assert_bitwise_equal(got, read_all(OracleLift(sc, patch, p, orientation=tag)))
+        # a geometry built on its own is the stack of one
+        alone = LiftGeometry(sc, patch, p, orientation=tag)
+        assert_bitwise_equal(got, read_all(alone))
+        assert np.array_equal(surface_lift(sc, patch, p, tag), got["J"])
+
+
+@pytest.mark.parametrize("scale", [1e-24, 1e24])
+def test_stacked_frame_rank_rule_does_not_depend_on_the_metric_scale(scale):
+    # each seed's residual is measured against the seed's own g-norm, so a
+    # metric of any scale completes the frames the point-by-point steps give
+    sc = holomorphic_scenario("scaled", {(1, 0): 1.0},
+                              CallableMetric(lambda m: scale * np.eye(4), Box.cube(3.0)))
+    patch = catenoid_patch()
+    grid = patch_grid(patch)
+    stack = tw.lift_stack(sc, patch, grid, orientation=-1)
+    for i, p in enumerate(grid):
+        alone = OracleLift(sc, patch, p, orientation=-1)
+        assert np.array_equal(stack.J[i], alone.J)
+        assert np.array_equal(stack.frames[i], [alone.t1, alone.t2, alone.n1, alone.n2])
+
+
+def raised(fn, *args, **kwargs):
+    """(type, message) of what fn raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def oracle_loop(read, scenario, patch, params, orientation=1):
+    return [read(OracleLift(scenario, patch, p, orientation)) for p in params]
+
+
+def flat_plane(rank_deficient_beyond=np.inf):
+    """The plane patch over [-1, 1]^2, its differential of rank one where
+    s exceeds the given bound."""
+    def jac(s, t):
+        return np.array([[1.0, 0.0], [0.0, float(s <= rank_deficient_beyond)],
+                         [0.0, 0.0], [0.0, 0.0]])
+
+    return SurfacePatch(psi=lambda s, t: np.array([s, t, 0.0, 0.0]),
+                        param_box=Box((-1.0, -1.0), (1.0, 1.0)), jacobian=jac)
+
+
+def test_one_failing_stencil_node_raises_the_point_by_point_error():
+    # the node s + h of the stencil along x1 = (1, 0) at one grid point
+    # leaves the box, or has a rank-deficient differential; its 7 sibling
+    # nodes and every other node are fine
+    sc = flat_scenario()
+    grid = [np.array([s, t]) for s in (-0.5, 0.0, 0.5) for t in (-0.5, 0.5)]
+    edge = [*grid[:3], np.array([1.0 - 7e-5, 0.2]), *grid[3:]]
+    cases = [(flat_plane(), edge, DomainError),
+             (flat_plane(rank_deficient_beyond=0.5 + 7e-5), grid, DegenerateFrameError)]
+    for patch, params, error in cases:
+        expected = raised(oracle_loop, read_all, sc, patch, params)
+        assert expected[0] is error
+        assert raised(map_lifts, read_all, sc, patch, params) == expected
+
+
+def test_a_stack_raises_the_error_of_its_first_failing_point():
+    sc = flat_scenario()
+    patch = flat_plane(rank_deficient_beyond=0.6)
+    good = [np.array([0.1 * k, -0.2]) for k in range(4)]
+    # one bad row among good rows
+    for bad, error in ((np.array([1.5, 0.0]), DomainError),
+                       (np.array([0.7, 0.0]), DegenerateFrameError)):
+        params = [*good[:2], bad, *good[2:]]
+        expected = raised(oracle_loop, read_all, sc, patch, params)
+        assert expected[0] is error
+        assert raised(tw.lift_stack, sc, patch, params) == expected
+        assert raised(map_lifts, read_all, sc, patch, params) == expected
+    # a point failing late (the rank test) comes before one failing early
+    # (outside the box) when it comes first, though the stack tests the box first
+    params = [good[0], np.array([0.7, 0.0]), good[1], np.array([1.5, 0.0])]
+    expected = raised(oracle_loop, read_all, sc, patch, params)
+    assert expected == (DegenerateFrameError,
+                        "patch differential is rank deficient at [0.7, 0.0]")
+    assert raised(tw.lift_stack, sc, patch, params) == expected
+    assert raised(map_lifts, read_all, sc, patch, params) == expected
+    # a grid point whose node fails comes before a later grid point that
+    # fails itself, in grid-then-node order
+    params = [good[0], np.array([0.6 - 7e-5, 0.0]), good[1], np.array([1.5, 0.0])]
+    expected = raised(oracle_loop, read_all, sc, patch, params)
+    assert expected[0] is DegenerateFrameError and "0.6000" in expected[1]
+    assert raised(map_lifts, read_all, sc, patch, params) == expected
+
+
 # ------------------------------------------------------------- call budget
 
 
-CALL_BUDGET = {"_lift_frames": 9, "surface_lift": 8, "dpsi": 9}
-# chart-metric evaluations per parameter point: the matrix at psi(p) and at
-# the 8 node lifts, the derivatives at psi(p) alone
-METRIC_BUDGET = {"matrix": 9, "first_derivatives": 1, "second_derivatives": 1}
+GRID_POINTS = 9
+NODES = 8 * GRID_POINTS
 
 
-def count_lift_calls(monkeypatch) -> dict:
-    """Count the lift layer's calls; returns a dict that the calls update."""
-    counts = dict.fromkeys(CALL_BUDGET, 0)
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("_lift_frames", "surface_lift"):
-        monkeypatch.setattr(tw, name, counted(name, getattr(tw, name)))
-    monkeypatch.setattr(SurfacePatch, "dpsi", counted("dpsi", SurfacePatch.dpsi))
-    return counts
+def twistor_command(tmp_path, patch_name):
+    spec = catalog_patch(patch_name)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(catalog_configs()[spec["scenario"]]))
+    return ["twistor", "--config", str(path), "--patch", patch_name,
+            "--out", str(tmp_path)]
 
 
 @pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
-def test_lift_geometry_call_budget(monkeypatch, metric_calls, patch_name):
-    # one geometry per parameter point: the point's frames, the 8 node lifts
-    # of the two vertical stencils, and one metric point at each of the 9
-    # chart points, whose Christoffel symbols and curvature only psi(p) reads
-    spec = catalog_patch(patch_name)
-    sc = build_scenario(ScenarioConfig.from_dict(
-        catalog_configs()[spec["scenario"]]))
-    counts = count_lift_calls(monkeypatch)
-    for p in patch_grid(spec["patch"]):
-        counts.update(dict.fromkeys(counts, 0))
-        for log in metric_calls.values():
-            log.clear()
-        geo = LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
-        energy = vertical_energy_density(geo)
-        residual = script_J_residual(geo)
-        omegas = curvature_densities(geo)
-        assert all(1 <= counts[k] <= CALL_BUDGET[k] for k in counts), counts
-        evaluations = {k: len(log) for k, log in metric_calls.items()}
-        assert all(1 <= evaluations[k] <= METRIC_BUDGET[k] for k in evaluations), evaluations
-        # the cache changes no number: the residual read after the energy
-        # equals, bit for bit, each quantity read off a fresh geometry
-        def fresh():
-            return LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
-
-        assert script_J_residual(fresh()) == residual
-        alone = vertical_energy_density(fresh())
-        assert (alone.value, alone.area_element) == (energy.value, energy.area_element)
-        assert np.array_equal(alone.gram, energy.gram)
-        assert curvature_densities(fresh()) == omegas
-
-
-def count_orthonormalize(monkeypatch) -> list:
-    """Count orthonormalize calls through every module that binds it."""
-    calls = []
-    original = geometry.orthonormalize
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in (geometry, tw):
-        monkeypatch.setattr(module, "orthonormalize", counted)
-    return calls
+def test_lift_geometry_call_budget(tmp_path, monkeypatch, metric_calls, patch_name):
+    # one command builds two lift stacks, the grid points' and their
+    # stencil nodes', each with one chart-metric matrix; the metric
+    # derivatives are read at the grid points alone, the first ones once
+    argv = twistor_command(tmp_path, patch_name)
+    stacks = count_calls(monkeypatch, tw, "lift_stack")
+    lifts = count_calls(monkeypatch, tw, "surface_lift")
+    dpsi = count_calls(monkeypatch, SurfacePatch, "dpsi")
+    logs = {name: [count_calls(monkeypatch, cls, name)
+                   for cls in metric_classes() if name in vars(cls)]
+            for name in METRIC_EVALUATIONS}
+    assert main(argv) == 0
+    assert (len(stacks), len(lifts)) == (2, 0)
+    # the patch callables take one parameter point at a time
+    assert len(dpsi) == GRID_POINTS + NODES
+    calls = {name: sum(map(len, log)) for name, log in logs.items()}
+    assert calls == {"matrix": 2, "first_derivatives": 1,
+                     "second_derivatives": GRID_POINTS}, calls
+    points = {k: len(log) for k, log in metric_calls.items()}
+    assert points == {"matrix": GRID_POINTS + NODES, "first_derivatives": GRID_POINTS,
+                      "second_derivatives": GRID_POINTS}, points
 
 
 @pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
-def test_only_the_record_reads_fiber_coordinates(monkeypatch, patch_name):
-    # per parameter point: the adapted frames at psi(p) and at the 8 node
-    # lifts, and one deterministic frame for the fiber coordinates the
-    # record reads at p; the node lifts are checked but never read for them
-    spec = catalog_patch(patch_name)
-    sc = build_scenario(ScenarioConfig.from_dict(catalog_configs()[spec["scenario"]]))
-    calls = count_orthonormalize(monkeypatch)
-    checks = []
-    check = tw._check_structure
-
-    def counted_check(g, J):
-        checks.append(1)
-        return check(g, J)
-
-    monkeypatch.setattr(tw, "_check_structure", counted_check)
-    for p in patch_grid(spec["patch"])[:3]:
-        calls.clear()
-        checks.clear()
-        geo = LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
-        vertical_energy_density(geo)
-        script_J_residual(geo)
-        curvature_densities(geo)
-        geo.fiber
-        assert len(calls) == 10
-        # J squared and the metric are checked at psi(p), at the 8 nodes,
-        # and again where the fiber coordinates are read
-        assert len(checks) == 10
+def test_only_the_record_reads_fiber_coordinates(tmp_path, monkeypatch, patch_name):
+    # the adapted frames of the lifts come from the two stacks; the scalar
+    # orthonormalize runs only for the deterministic frame of the fiber
+    # coordinates that the record reads at each grid point, never at a node
+    argv = twistor_command(tmp_path, patch_name)
+    calls = count_calls(monkeypatch, geometry, "orthonormalize")
+    checks = count_calls(monkeypatch, tw, "_check_structure")
+    assert main(argv) == 0
+    assert len(calls) == GRID_POINTS
+    # J squared and the metric are checked on every lift row, grid and node,
+    # and again where the fiber coordinates are read
+    rows = [len(np.reshape(J, (-1, 4, 4))) for _, J in checks]
+    assert rows == [GRID_POINTS, NODES] + [1] * GRID_POINTS
 
 
 def test_a_node_lift_that_breaks_the_metric_is_rejected(monkeypatch):
@@ -453,12 +588,13 @@ def test_a_node_lift_that_breaks_the_metric_is_rejected(monkeypatch):
     sc = build_scenario(ScenarioConfig.from_dict(catalog_configs()[spec["scenario"]]))
     p = patch_grid(spec["patch"])[0]
     geo = LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
-    frames = tw._lift_frames
+    frames = tw.orthonormal_stack
 
-    def skewed(scenario, patch, q):
-        mp, d, t1, t2, n1, n2 = frames(scenario, patch, q)
-        return mp, d, t1, t2, n1, 2.0 * n2
+    def skewed(*args, **kwargs):
+        out, count = frames(*args, **kwargs)
+        out[:, 3] *= 2.0
+        return out, count
 
-    monkeypatch.setattr(tw, "_lift_frames", skewed)
+    monkeypatch.setattr(tw, "orthonormal_stack", skewed)
     with pytest.raises(GeometryError, match="does not preserve the metric"):
         geo.vertical
