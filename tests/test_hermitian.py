@@ -77,8 +77,8 @@ def test_pair_orientations_are_opposite():
     e1, v1 = hp.horizontal[0], hp.vertical[0]
     plus_frame = np.array([e1, hp.j_plus @ e1, v1, hp.j_plus @ v1])
     minus_frame = np.array([e1, hp.j_minus @ e1, v1, hp.j_minus @ v1])
-    assert orientation_sign(plus_frame, reference=1) == 1
-    assert orientation_sign(minus_frame, reference=1) == -1
+    assert orientation_sign(plus_frame) == 1
+    assert orientation_sign(minus_frame) == -1
 
 
 @pytest.mark.parametrize("factory", [scenario_product, scenario_pullback_product])

@@ -106,9 +106,6 @@ def test_kept_names_still_exist():
 # defaulted parameters no source call sets, each kept for a stated reason
 DEFAULTS_KEPT = {
     ("main", "argv"): "tests and the benchmark call the command line in-process",
-    ("orientation_sign", "reference"): "the scalar sign of one frame keeps its public "
-                                       "signature; the lift and the splitting, which set "
-                                       "the reference, read frame_orientations instead",
 }
 
 

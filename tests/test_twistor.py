@@ -371,7 +371,7 @@ class OracleLift:
         with geometry.named_at(mp.point):
             frame = geometry.orthonormalize(mp.g, [d[:, 0], d[:, 1]], complete=True)
             t1, t2, n1, n2 = frame
-            if geometry.orientation_sign(frame, reference=scenario.orientation) < 0:
+            if geometry.orientation_sign(frame) * scenario.orientation < 0:
                 n2 = -n2
         self.metric_point, self.d = mp, d
         self.t1, self.t2, self.n1, self.n2 = t1, t2, n1, n2
@@ -524,6 +524,29 @@ def test_a_stack_raises_the_error_of_its_first_failing_point():
     expected = raised(oracle_loop, read_all, sc, patch, params)
     assert expected[0] is DegenerateFrameError and "0.6000" in expected[1]
     assert raised(map_lifts, read_all, sc, patch, params) == expected
+
+
+def test_an_error_of_any_type_keeps_the_point_by_point_order():
+    # a later point whose patch callable raises a ValueError, which the
+    # stack meets before the rank test of an earlier point
+    sc = flat_scenario()
+    plane = flat_plane(rank_deficient_beyond=0.6)
+
+    def psi(s, t):
+        if s > 0.8:
+            raise ValueError(f"psi undefined at s = {s}")
+        return plane.psi(s, t)
+
+    patch = SurfacePatch(psi=psi, param_box=plane.param_box, jacobian=plane.jacobian)
+    params = [np.array([0.1, 0.0]), np.array([0.7, 0.0]), np.array([0.9, 0.0])]
+    expected = raised(oracle_loop, read_all, sc, patch, params)
+    assert expected == (DegenerateFrameError,
+                        "patch differential is rank deficient at [0.7, 0.0]")
+    assert raised(tw.lift_stack, sc, patch, params) == expected
+    assert raised(map_lifts, read_all, sc, patch, params) == expected
+    # alone, the later point raises its own error
+    assert raised(map_lifts, read_all, sc, patch, params[2:]) == (
+        ValueError, "psi undefined at s = 0.9")
 
 
 # ------------------------------------------------------------- call budget
