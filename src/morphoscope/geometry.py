@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -40,6 +40,13 @@ class Box:
 
     lo: tuple
     hi: tuple
+    # lo and hi as arrays, converted once
+    _lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lo", np.asarray(self.lo))
+        object.__setattr__(self, "_hi", np.asarray(self.hi))
 
     @classmethod
     def cube(cls, half: float, center: Sequence[float] = (0.0, 0.0, 0.0, 0.0)) -> "Box":
@@ -49,15 +56,15 @@ class Box:
     def contains(self, m):
         """Whether m lies in the box; one bool per point for a stack."""
         m = np.asarray(m, dtype=float)
-        inside = np.all((m >= np.asarray(self.lo)) & (m <= np.asarray(self.hi)), axis=-1)
+        inside = np.all((m >= self._lo) & (m <= self._hi), axis=-1)
         return inside if inside.ndim else bool(inside)
 
     def size(self) -> float:
-        return float(np.min(np.asarray(self.hi) - np.asarray(self.lo)))
+        return float(np.min(self._hi - self._lo))
 
     def boundary_distance(self, m: Sequence[float]) -> float:
         m = np.asarray(m, dtype=float)
-        return float(min(np.min(m - np.asarray(self.lo)), np.min(np.asarray(self.hi) - m)))
+        return float(min(np.min(m - self._lo), np.min(self._hi - m)))
 
 
 class ChartMetric:
@@ -425,7 +432,7 @@ def orthonormalize(g: np.ndarray, seeds: Sequence[np.ndarray],
     return np.array(out)
 
 
-def _g_products(u: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+def g_products(u: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u[i] @ g[i] @ v[i] for stacks of vectors u, v and matrices g, each
     as the same product for one point gives it."""
     return ((u[:, None, :] @ g) @ v[:, :, None])[:, 0, 0]
@@ -455,8 +462,8 @@ def orthonormal_stack(g: np.ndarray, seeds: np.ndarray, rank: int,
         w = seeds[:, k]
         for j in range(int(count.max())):
             u = frames[:, j]
-            w = np.where((count > j)[:, None], w - _g_products(w, g, u)[:, None] * u, w)
-        norm = np.sqrt(np.maximum(0.0, _g_products(w, g, w)))
+            w = np.where((count > j)[:, None], w - g_products(w, g, u)[:, None] * u, w)
+        norm = np.sqrt(np.maximum(0.0, g_products(w, g, w)))
         take = np.flatnonzero(open_ & (norm > 0) & (norm >= FRAME_RANK_TOL * sizes[:, k]))
         frames[take, count[take]] = w[take] / norm[take, None]
         count[take] += 1
@@ -513,62 +520,101 @@ def oriented_frame(g: np.ndarray) -> np.ndarray:
 # ------------------------------------------------- covariant differentiation
 
 
-def central_nodes(x: np.ndarray, X: np.ndarray, t: float) -> tuple:
+def _at_least_one(x):
+    """max(1, x) per entry, as Python's max(1.0, x) takes it: x only where x > 1."""
+    return np.where(x > 1.0, x, 1.0)
+
+
+def _resolved(x: np.ndarray, X: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Whether the nearest central node x + t/2 X moves further than one
+    machine epsilon of the point's scale max(1, |x|), per row of a stack."""
+    return (0.5 * t * np.max(np.abs(X), axis=-1)
+            > MACHINE_EPS * _at_least_one(np.max(np.abs(x), axis=-1)))
+
+
+def central_nodes(x, X, t) -> tuple:
     """Nodes x + s X of the central stencil, for s = t, -t, t/2, -t/2 in that order.
 
-    A difference across nodes within one machine epsilon of the point's
-    scale max(1, |x|) measures rounding only; a node may even coincide
-    with x. So a step whose nearest node moves no further than that raises
-    GeometryError naming the point and the step.
+    x and X are a point and a vector, or stacks of them on the last axis
+    with one step per row in t. A difference across nodes within one
+    machine epsilon of the point's scale max(1, |x|) measures rounding
+    only; a node may even coincide with x. So a step whose nearest node
+    moves no further than that raises GeometryError naming the point and
+    the step, those of the first such row of a stack.
     """
-    if not 0.5 * t * np.max(np.abs(X)) > MACHINE_EPS * max(1.0, np.max(np.abs(x))):
+    x, X, t = (np.asarray(v, dtype=float) for v in (x, X, t))
+    unresolved = np.flatnonzero(~_resolved(x, X, t))
+    if len(unresolved):
+        i = unresolved[0]
         raise GeometryError(
-            f"finite difference step {t:.3e} is below the resolution at "
-            f"{np.asarray(x).tolist()}")
-    return tuple(x + s * X for s in (t, -t, 0.5 * t, -0.5 * t))
+            f"finite difference step {t.flat[i]:.3e} is below the resolution at "
+            f"{x.reshape(-1, x.shape[-1])[i].tolist()}")
+    return tuple(x + s[..., None] * X for s in (t, -t, 0.5 * t, -0.5 * t))
 
 
-def central_difference(values: Sequence[np.ndarray], t: float) -> np.ndarray:
+def central_difference(values: Sequence[np.ndarray], t) -> np.ndarray:
     """Richardson-extrapolated central difference from the values at the
-    central_nodes with step t: the derivative along X, error O(t^4)."""
+    central_nodes with step t: the derivative along X, error O(t^4). Over
+    a stack, t holds the step of each row and the values gain a leading
+    stack axis."""
     f_p, f_m, f_hp, f_hm = (np.asarray(v, dtype=float) for v in values)
+    t = np.asarray(t, dtype=float)
+    t = t.reshape(t.shape + (1,) * (f_p.ndim - t.ndim))
     d_full = (f_p - f_m) / (2.0 * t)
     d_half = (f_hp - f_hm) / t
     return (4.0 * d_half - d_full) / 3.0
 
 
 def covariant_difference(values: Sequence[np.ndarray], value: np.ndarray,
-                         gamma: np.ndarray, X: np.ndarray, t: float) -> np.ndarray:
+                         gamma: np.ndarray, X: np.ndarray, t) -> np.ndarray:
     """Covariant derivative along the chart vector X from field values at
     the central_nodes with step t and at the point.
 
     gamma holds the Christoffel symbols at the point; the field must be a
-    vector or a (1,1)-tensor.
+    vector or a (1,1)-tensor. Over a stack of points every argument gains
+    a leading stack axis, t holds the step of each point, and each row
+    equals, bit for bit, the derivative at its point alone.
     """
     partial = central_difference(values, t)
     val = np.asarray(value, dtype=float)
-    if val.ndim == 1:
-        return partial + np.einsum("kij,i,j->k", gamma, X, val)
-    if val.shape == (4, 4):
-        corr = (np.einsum("ikm,k,mj->ij", gamma, X, val)
-                - np.einsum("mkj,k,im->ij", gamma, X, val))
+    rank = val.ndim - (np.ndim(gamma) - 3)
+    if rank == 1:
+        return partial + np.einsum("...kij,...i,...j->...k", gamma, X, val)
+    if rank == 2 and val.shape[-2:] == (4, 4):
+        corr = (np.einsum("...ikm,...k,...mj->...ij", gamma, X, val)
+                - np.einsum("...mkj,...k,...im->...ij", gamma, X, val))
         return partial + corr
     raise ValueError("field must produce a vector or a (1,1) tensor")
 
 
-def stencil(metric: ChartMetric, m, direction, step: float | None = None) -> tuple:
-    """(t, nodes): the step and the central_nodes of the derivative stencil
-    through m along a nonzero direction, every node checked to lie inside
-    the chart domain."""
+def stencil(metric: ChartMetric, m, directions, steps: Sequence[float | None]) -> tuple:
+    """(t, nodes): the steps, (n,), and the central_nodes, (n, 4, 4) in their
+    order, of the derivative stencils through an (n, 4) stack of points m,
+    each along its nonzero direction with its step (None: DEFAULT_FD_STEP
+    scaled to the point), every node checked to lie inside the chart domain.
+
+    A row equals, bit for bit, the stencil of its point alone. When rows
+    fail, the first failing row raises the error of its first failed check,
+    as in a loop over the rows.
+    """
     m = np.asarray(m, dtype=float)
-    X = np.asarray(direction, dtype=float)
-    h = step if step is not None else DEFAULT_FD_STEP * max(1.0, float(np.max(np.abs(m))))
-    xn = float(np.linalg.norm(X))
-    if xn == 0:
-        raise ValueError("direction must be nonzero")
-    t = h / max(1.0, xn)
-    nodes = central_nodes(m, X, t)
-    metric.require_inside(np.array(nodes))
+    X = np.asarray(directions, dtype=float)
+    default = DEFAULT_FD_STEP * _at_least_one(np.max(np.abs(m), axis=-1))
+    h = np.array([d if step is None else step for step, d in zip(steps, default)],
+                 dtype=float)
+    # the norm as np.linalg.norm takes it: a dot product of the vector with itself
+    xn = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    t = h / _at_least_one(xn)
+    # a zero direction leaves its step unresolved; the rows before the first
+    # unresolved one are checked against the domain first
+    unresolved = np.flatnonzero(~_resolved(m, X, t))
+    k = unresolved[0] if len(unresolved) else len(m)
+    nodes = np.stack(central_nodes(m[:k], X[:k], t[:k]), axis=1)
+    metric.require_inside(nodes)
+    if k < len(m):
+        if xn[k] == 0:
+            raise ValueError("direction must be nonzero")
+        central_nodes(m[k], X[k], t[k])  # raises the row's resolution failure
     return t, nodes
 
 
@@ -582,6 +628,6 @@ def covariant_derivative(metric: ChartMetric, field: Callable[[np.ndarray], np.n
     """
     m = np.asarray(m, dtype=float)
     X = np.asarray(direction, dtype=float)
-    t, nodes = stencil(metric, m, X, step)
-    return covariant_difference([field(x) for x in nodes], field(m),
-                                christoffel(metric, m), X, t)
+    t, nodes = stencil(metric, m[None], X[None], [step])
+    return covariant_difference([field(x) for x in nodes[0]], field(m),
+                                christoffel(metric, m), X, t[0])

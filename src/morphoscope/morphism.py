@@ -15,11 +15,13 @@ geometry reads its rows; a point where the splitting fails raises its own
 failure, and only when it is read. The node geometries of a derivative
 stencil are built on first use, as one stack, and kept on the geometry,
 which lives only as long as the evaluation that built it;
-`build_stencils` builds the stencils of many geometries as one stack.
+`build_stencils` builds the stencils of many geometries as one stack, and
+`frame_rows` reads the frames and J+ of many geometries at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -143,6 +145,13 @@ class GeometryStack:
         Binv = np.linalg.inv(B)
         return B @ K_PLUS @ Binv, B @ K_MINUS @ Binv
 
+    def check(self, index: int) -> None:
+        """Raise the failure of point `index`'s splitting, if it failed."""
+        failure = self.splitting[-1][index]
+        if failure is not None:
+            error, message = failure
+            raise error(message)
+
 
 @dataclass(eq=False)
 class PointGeometry:
@@ -221,11 +230,8 @@ class PointGeometry:
         scenario orientation. They are the point's rows of its stack's
         splitting; a point where it failed raises its own failure there.
         """
-        *rows, failures = self.stack.splitting
-        if failures[self.index] is not None:
-            error, message = failures[self.index]
-            raise error(message)
-        return tuple(row[self.index] for row in rows)
+        self.stack.check(self.index)
+        return tuple(row[self.index] for row in self.stack.splitting[:-1])
 
     @property
     def horizontal(self) -> np.ndarray:
@@ -270,8 +276,7 @@ class PointGeometry:
         along an equal direction with the same step reads the same nodes.
         """
         X = np.asarray(direction, dtype=float)
-        build_stencils(self.scenario, [self], [X], step)
-        t, nodes = self._stencils[_stencil_key(X, step)]
+        (t, nodes), = build_stencils(self.scenario, [self], [X], [step])
         return covariant_difference([field(n) for n in nodes], field(self), self.gamma,
                                     X, t)
 
@@ -281,26 +286,43 @@ def _stencil_key(direction: np.ndarray, step: float | None) -> tuple:
 
 
 def build_stencils(scenario: MorphismScenario, geometries: Sequence[PointGeometry],
-                   directions, step: float | None) -> None:
-    """Give each geometry its derivative stencil along its own direction
-    with the step, building the node geometries of all of them as one
-    stack; a geometry that holds that stencil already keeps it.
+                   directions, steps: Sequence[float | None]) -> list:
+    """(t, node geometries) of the derivative stencil of each geometry along
+    its own direction with its own step (None: the default step, see
+    geometry.stencil), in order.
 
-    A stencil node outside the chart domain raises DomainError before any
-    node geometry is built.
+    A geometry that holds that stencil already keeps it; the others are
+    given theirs, with one stencil over the stack of their points and the
+    node geometries of all of them built as one stack. A stencil node
+    outside the chart domain raises DomainError before any node geometry
+    is built.
     """
-    pending, nodes = [], []
-    for geo, direction in zip(geometries, directions):
-        X = np.asarray(direction, dtype=float)
-        key = _stencil_key(X, step)
-        if key not in geo._stencils:
-            t, xs = stencil(scenario.metric, geo.point, X, step)
-            pending.append((geo, key, t))
-            nodes.extend(xs)
+    directions = np.asarray(directions, dtype=float).reshape(-1, 4)
+    keys = [_stencil_key(X, step) for X, step in zip(directions, steps)]
+    pending = [i for i, (geo, key) in enumerate(zip(geometries, keys))
+               if key not in geo._stencils]
     if pending:
+        t, nodes = stencil(scenario.metric, [geometries[i].point for i in pending],
+                           directions[pending], [steps[i] for i in pending])
         built = point_geometries(scenario, nodes)
-        for i, (geo, key, t) in enumerate(pending):
-            geo._stencils[key] = t, built[4 * i:4 * i + 4]
+        for k, i in enumerate(pending):
+            geometries[i]._stencils[keys[i]] = t[k], built[4 * k:4 * k + 4]
+    return [geo._stencils[key] for geo, key in zip(geometries, keys)]
+
+
+def frame_rows(geometries: Sequence[PointGeometry]) -> tuple:
+    """(horizontal, vertical, J+) of the geometries, (n, 2, 4), (n, 2, 4) and
+    (n, 4, 4), each the geometry's rows of its stack's splitting and
+    structures, read once per run of geometries of one stack. The first
+    geometry in order whose splitting failed raises its failure."""
+    parts = []
+    for stack, run in itertools.groupby(geometries, key=lambda geo: geo.stack):
+        index = [geo.index for geo in run]
+        for i in index:
+            stack.check(i)
+        horizontal, vertical, *_ = stack.splitting
+        parts.append((horizontal[index], vertical[index], stack.structures[0][index]))
+    return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
 def point_geometries(scenario: MorphismScenario, points) -> list:

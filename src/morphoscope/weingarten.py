@@ -7,6 +7,13 @@ e3. The four shape coefficients a, b, c, d are horizontal components of
 vertical covariant derivatives; every closed form below is a polynomial in
 them, so the pure functions are kept separate from the frame machinery for
 direct algebraic testing.
+
+The shapes are taken over stacks (`shape_stack`): the frames, the stencils,
+the fields T and J+ T at the points and at the stencil nodes, their
+covariant differences and the coefficients run once per stack, and a
+`FiberShape` is a row of a stack, or the stack of one when built on its
+own. A scan builds two point-geometry stacks, one of all its samples and
+one of the stencil nodes of all its regular samples.
 """
 
 from __future__ import annotations
@@ -19,8 +26,10 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .calculus import MorphismScenario
-from .errors import DomainError, MorphoscopeError
-from .morphism import PointGeometry, build_stencils, point_geometries, point_geometry
+from .errors import DomainError
+from .geometry import covariant_difference, g_products
+from .morphism import (PointGeometry, build_stencils, frame_rows, point_geometries,
+                       point_geometry)
 from .ratefit import seeded_directions, shell_samples
 
 PRODUCT_FLOOR = 1e-8
@@ -77,40 +86,89 @@ def product_polar(r1: float, r2: float, theta: float, alpha: float) -> float:
 # -------------------------------------------------------------- coefficients
 
 
-def vertical_unit(geo: PointGeometry, ca: float, sa: float) -> np.ndarray:
-    """The unit vertical vector ca v1 + sa v2 at a regular geometry."""
-    return ca * geo.vertical[0] + sa * geo.vertical[1]
+@dataclass(eq=False)
+class ShapeStack:
+    """The fiber shapes at a stack of regular geometries, built in one pass
+    (see shape_stack)."""
+
+    geometries: list
+    steps: list              # the stencil step of each geometry, as given
+    T: np.ndarray            # (n, 4) unit vertical vectors
+    frames: np.ndarray       # (n, 4, 4) rows T, e2, e3, e4 of each adapted frame
+    coefficients: list       # (a, b, c, d) of each geometry
+
+
+def shape_stack(geometries: Sequence[PointGeometry], angle: float,
+                steps: Sequence[float | None]) -> ShapeStack:
+    """The fiber shapes at one or more regular geometries, in order, built in
+    one pass.
+
+    Geometry i's shape is taken along its unit vertical T = cos(angle) v1 +
+    sin(angle) v2, on its stencil along T with steps[i]. Each step runs once
+    over the stack: the frames (T, e2, e3, e4) from the rows of the
+    splittings, the stencils, whose node geometries are one stack
+    (build_stencils), the fields T and J+ T at the points and at the nodes,
+    their covariant differences and the four coefficients. Each row equals,
+    bit for bit, what the same steps give for its geometry alone. A
+    geometry or a node whose splitting failed raises its failure. With
+    several failing rows, the error raised is that of the first step any
+    of them fails, not necessarily that of the first failing row.
+    """
+    ca, sa = math.cos(angle), math.sin(angle)
+    horizontal, vertical, j_plus = frame_rows(geometries)
+    T = ca * vertical[:, 0] + sa * vertical[:, 1]
+    e2 = ca * vertical[:, 1] - sa * vertical[:, 0]   # positive vertical rotation
+    e3, e4 = horizontal[:, 0], horizontal[:, 1]      # e4: positive rotation of e3
+    stencils = build_stencils(geometries[0].scenario, geometries, T, steps)
+    t = np.array([step for step, _ in stencils])
+    _, node_vertical, node_j_plus = frame_rows([node for _, nodes in stencils
+                                                for node in nodes])
+    node_T = ca * node_vertical[:, 0] + sa * node_vertical[:, 1]
+    gamma = np.array([geo.gamma for geo in geometries])
+    g = np.array([geo.g for geo in geometries])
+
+    def derivative(at_nodes, at_points):
+        # the four node values of each point, node by node
+        values = at_nodes.reshape(-1, 4, 4).swapaxes(0, 1)
+        return covariant_difference(values, at_points, gamma, T, t)
+
+    dT = derivative(node_T, T)
+    dE2 = derivative((node_j_plus @ node_T[..., None])[..., 0],
+                     (j_plus @ T[..., None])[..., 0])
+    coefficients = -np.stack([g_products(dT, g, e3), g_products(dT, g, e4),
+                              g_products(dE2, g, e3), g_products(dE2, g, e4)], axis=1)
+    return ShapeStack(geometries=list(geometries), steps=list(steps), T=T,
+                      frames=np.stack([T, e2, e3, e4], axis=1),
+                      coefficients=[tuple(row) for row in coefficients.tolist()])
 
 
 class FiberShape:
-    """One evaluation of the fiber shape at a regular point.
+    """The fiber shape at a regular point, along its unit vertical T.
 
-    Holds the point's geometry and the adapted frame (T, e2, e3, e4) there.
-    Every derivative of the evaluation (of T, of the rotated field J+ T and
-    of both structures) is taken on the geometry's stencil along T, and the
-    shape coefficients are computed when the shape is built. The polar
-    form, the commutator and the closed and direct norms are derived on
-    first use and then kept; the products and the identity gap are read
-    from them.
+    A shape is row `index` of a ShapeStack: the point's geometry, the step,
+    T, the adapted frame (T, e2, e3, e4) and the shape coefficients. Built
+    on its own, it is the stack of one; a scan builds the shapes of all its
+    samples as one stack. The polar form, the commutator and the closed
+    and direct norms are derived on first use and then kept, each for its
+    row alone; the products and the identity gap are read from them.
     """
 
     def __init__(self, geometry: PointGeometry, angle: float, step: float | None):
-        self.geometry = geometry
-        self.step = step
-        self.ca, self.sa = math.cos(angle), math.sin(angle)
-        self.T = self.t_field(geometry)
-        v1, v2 = geometry.vertical
-        e2 = self.ca * v2 - self.sa * v1   # positive vertical rotation
-        e3, e4 = geometry.horizontal       # e4: positive rotation of e3
-        self.frame = np.array([self.T, e2, e3, e4])
-        g = geometry.g
-        dT = geometry.derivative(self.t_field, self.T, step)
-        dE2 = geometry.derivative(lambda geo: geo.j_plus @ self.t_field(geo), self.T, step)
-        self.coefficients = (-float(dT @ g @ e3), -float(dT @ g @ e4),
-                             -float(dE2 @ g @ e3), -float(dE2 @ g @ e4))
+        self._bind(shape_stack([geometry], angle, [step]), 0)
 
-    def t_field(self, geo: PointGeometry) -> np.ndarray:
-        return vertical_unit(geo, self.ca, self.sa)
+    @classmethod
+    def row(cls, stack: ShapeStack, index: int) -> "FiberShape":
+        """The shape of row `index` of a built stack."""
+        shape = cls.__new__(cls)
+        shape._bind(stack, index)
+        return shape
+
+    def _bind(self, stack: ShapeStack, index: int) -> None:
+        self.geometry = stack.geometries[index]
+        self.step = stack.steps[index]
+        self.T = stack.T[index]
+        self.frame = stack.frames[index]
+        self.coefficients = stack.coefficients[index]
 
     @cached_property
     def polar(self) -> Tuple[float, float, float, float]:
@@ -207,18 +265,6 @@ def nabla_J_norms(scenario: MorphismScenario, m, angle: float = 0.0,
 # ------------------------------------------------------------------- scan
 
 
-def _shell_shapes(scenario: MorphismScenario, shell, angle: float, step: float) -> list:
-    """The fiber shapes at the regular samples of one shell inside the
-    domain, from two stacks: the samples, and the stencil nodes of every
-    regular sample along its unit T."""
-    inside = shell[scenario.domain.contains(shell)]
-    regular = [geo for geo in (point_geometries(scenario, inside) if len(inside) else [])
-               if geo.is_regular]
-    ca, sa = math.cos(angle), math.sin(angle)
-    build_stencils(scenario, regular, [vertical_unit(geo, ca, sa) for geo in regular], step)
-    return [FiberShape(geo, angle, step) for geo in regular]
-
-
 @dataclass
 class ProductScan:
     """Annulus maxima of the norm product around a center."""
@@ -259,25 +305,32 @@ def product_bound_scan(scenario: MorphismScenario, center,
         radii = tuple(r0 * 0.5 ** i for i in range(7))
     directions = seeded_directions(n_directions, seed)
     radii, points = shell_samples(directions, radii, center=center)
-    annulus_max = []
-    skipped = []
-    identity_gap = 0.0
-    for r, shell in zip(radii, points):
-        step = SCAN_STEP_FRACTION * r
-        try:
-            shapes = _shell_shapes(scenario, shell, angle, step)
-        except MorphoscopeError:
-            # the samples one by one, so the error raised is that of the
-            # first failing sample, at its first failed step
-            for y in shell:
-                if scenario.domain.contains(y):
-                    geo = point_geometry(scenario, y)
-                    if geo.is_regular:
-                        FiberShape(geo, angle, step)
-            raise
-        annulus_max.append(max([0.0] + [shape.product for shape in shapes]))
-        identity_gap = max([identity_gap] + [shape.identity_gap for shape in shapes])
-        skipped.append(len(shell) - len(shapes))
+    steps = [SCAN_STEP_FRACTION * r for r in radii]
+    inside = scenario.domain.contains(points)
+    # the shell of each inside sample, radius-major as the samples
+    shell_of = np.repeat(np.arange(len(radii)), points.shape[1])[inside.ravel()].tolist()
+    try:
+        samples = point_geometries(scenario, points[inside]) if inside.any() else []
+        regular = [geo for geo in samples if geo.is_regular]
+        shells = [shell_of[geo.index] for geo in regular]
+        stack = shape_stack(regular, angle, [steps[k] for k in shells]) if regular else None
+        shapes = [FiberShape.row(stack, i) for i in range(len(regular))]
+        products = [shape.product for shape in shapes]
+        identity_gap = max([0.0] + [shape.identity_gap for shape in shapes])
+    except Exception:
+        # the samples one by one, radius-major, each a stack of one, so the
+        # error raised is that of the first failing sample at its first
+        # failed step
+        for step, shell in zip(steps, points):
+            for y in shell[scenario.domain.contains(shell)]:
+                geo = point_geometry(scenario, y)
+                if geo.is_regular:
+                    shape = FiberShape(geo, angle, step)
+                    shape.product, shape.identity_gap
+        raise
+    annulus_max = [max([0.0] + [v for v, k in zip(products, shells) if k == shell])
+                   for shell in range(len(radii))]
+    skipped = [points.shape[1] - shells.count(shell) for shell in range(len(radii))]
     plateau = max(annulus_max[:3])
     bound = max(1.5 * plateau, PRODUCT_FLOOR)
     empty = tuple(r for r, miss in zip(radii, skipped) if miss == len(directions))

@@ -19,10 +19,10 @@ from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import (
-    _METRIC_FD_STEP, Box, CallableMetric, FlatMetric, PolynomialMetric,
+    _METRIC_FD_STEP, DEFAULT_FD_STEP, Box, CallableMetric, FlatMetric, PolynomialMetric,
     ProductSphereMetric, ChartMetric, central_difference, central_nodes, christoffel,
     covariant_derivative, curvature_data, metric_point, oriented_frame, orientation_sign,
-    orthonormalize, pullback_metric,
+    orthonormalize, pullback_metric, stencil,
 )
 from morphoscope.polynomials import Poly
 from morphoscope.twistor import PATCH_FD_STEP, SurfacePatch
@@ -362,6 +362,85 @@ def test_difference_fallbacks_share_the_central_difference_rule():
                                for e in np.eye(2)])
     assert np.array_equal(patch.dpsi(p), shared)
     assert np.array_equal(shared, written)
+
+
+def written_out_stencil(m, X, step):
+    """(t, nodes) of one point's stencil by the scalar rule, written out."""
+    h = step if step is not None else DEFAULT_FD_STEP * max(1.0, float(np.max(np.abs(m))))
+    t = h / max(1.0, float(np.linalg.norm(X)))
+    return t, tuple(m + s * X for s in (t, -t, 0.5 * t, -0.5 * t))
+
+
+def test_a_stencil_stack_equals_its_rows_bitwise():
+    metric = FlatMetric(Box.cube(10.0))
+    rng = np.random.default_rng(5)
+    m = rng.uniform(-4.0, 4.0, (7, 4))
+    X = rng.standard_normal((7, 4)) * [[0.1], [1.0], [3.0], [1.0], [1e-3], [7.0], [1.0]]
+    steps = [None, 1e-3, 2e-4, None, 1e-5, 3e-2, None]
+    t, nodes = stencil(metric, m, X, steps)
+    assert t.shape == (7,) and nodes.shape == (7, 4, 4)
+    for i in range(7):
+        t_i, nodes_i = written_out_stencil(m[i], X[i], steps[i])
+        assert t[i] == t_i
+        assert np.array_equal(nodes[i], np.array(nodes_i))
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    # the first failing row raises, at its first failed check
+    ([0, 1, 2], DomainError, "point [1.0009, 0.0, 0.0, 0.0] leaves"),
+    ([0, 2, 1], GeometryError, "below the resolution at [0.5, 0.0, 0.0, 0.0]"),
+    ([0, 3, 1], ValueError, "direction must be nonzero"),
+    ([0, 1, 3], DomainError, "point [1.0009, 0.0, 0.0, 0.0] leaves"),
+])
+def test_a_stencil_stack_fails_as_a_loop_over_its_rows(rows, error, message):
+    metric = FlatMetric(Box.cube(1.0))
+    # 0: clean; 1: a node leaves the box; 2: a step below the resolution;
+    # 3: a zero direction
+    m = np.array([[0.0, 0.0, 0.0, 0.0], [1.0 - 1e-4, 0.0, 0.0, 0.0],
+                  [0.5, 0.0, 0.0, 0.0], [0.2, 0.0, 0.0, 0.0]])
+    X = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    steps = [1e-3, 1e-3, 1e-17, 1e-3]
+    with pytest.raises(error) as stacked:
+        stencil(metric, m[rows], X[rows], [steps[k] for k in rows])
+    assert message in str(stacked.value)
+    with pytest.raises(error) as alone:
+        k = next(k for k in rows if k)
+        stencil(metric, m[k:k + 1], X[k:k + 1], steps[k:k + 1])
+    assert str(alone.value) == str(stacked.value)
+
+
+def contains_converting_per_call(box, m):
+    """Box.contains as it read with lo and hi converted on every call."""
+    m = np.asarray(m, dtype=float)
+    inside = np.all((m >= np.asarray(box.lo)) & (m <= np.asarray(box.hi)), axis=-1)
+    return inside if inside.ndim else bool(inside)
+
+
+@pytest.mark.parametrize("box", [
+    Box.cube(1.0), SPHERE_DOMAIN, Box((-1, 0, -2, 3), (1, 2, 0, 5)),
+    Box((0.6, -0.6), (1.6, 0.6)),
+])
+def test_box_contains_equals_the_per_call_conversion(box):
+    lo, hi = np.asarray(box.lo, dtype=float), np.asarray(box.hi, dtype=float)
+    centre = 0.5 * (lo + hi)
+    points = [lo, hi, centre, np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf),
+              np.where(np.arange(len(lo)) == 0, hi, lo),
+              np.where(np.arange(len(lo)) == 1, np.nextafter(hi, np.inf), centre),
+              np.where(np.arange(len(lo)) == 0, np.nan, centre),
+              np.where(np.arange(len(lo)) == 0, np.inf, centre)]
+    for x in points + [x.tolist() for x in points]:
+        got, expected = box.contains(x), contains_converting_per_call(box, x)
+        assert type(got) is type(expected) is bool
+        assert got == expected
+    stack = np.array(points)
+    for m in (stack, stack.reshape(3, 3, -1), stack[:0]):
+        got, expected = box.contains(m), contains_converting_per_call(box, m)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert box.size() == float(np.min(np.asarray(box.hi) - np.asarray(box.lo)))
+    for x in points[:3]:
+        assert box.boundary_distance(x) == float(min(np.min(x - np.asarray(box.lo)),
+                                                     np.min(np.asarray(box.hi) - x)))
 
 
 def test_domain_errors():

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphoscope.catalog import catalog_configs
+from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import ClassificationError, DomainError
 from morphoscope.hermitian import hermitian_pair
 from morphoscope import morphism, weingarten
@@ -312,19 +314,20 @@ def count_geometry_stacks(monkeypatch) -> list:
     return sizes
 
 
-def test_scan_builds_two_stacks_per_shell(monkeypatch):
-    # one stack of the shell's samples, one of the stencil nodes of all of
-    # them, and none per sample
+def test_scan_builds_two_stacks_per_scan(monkeypatch):
+    # one stack of the samples of all the shells, one of the stencil nodes
+    # of all of them, and none per shell or per sample
     sizes = count_geometry_stacks(monkeypatch)
     scan = product_bound_scan(scenario_pullback_product(), np.zeros(4),
                               n_directions=4, seed=2)
     assert scan.skipped == (0,) * len(scan.radii)
-    assert sizes == [4, 16] * len(scan.radii)
+    assert sizes == [4 * len(scan.radii), 16 * len(scan.radii)]
 
 
 def test_scan_builds_no_stencil_for_a_skipped_sample(monkeypatch):
     # samples outside the domain are not built, and critical samples (on
-    # the plane z1 = 0) get no stencil; a shell of them builds one stack
+    # the plane z1 = 0) get no stencil; the inside samples of both shells
+    # are one stack, the nodes of the two regular ones another
     regular = [[0.3, 0.1, 0.2, 0.0], [-0.2, 0.4, 0.1, 0.3]]
     critical = [[0.0, 0.0, 0.3, 0.1], [0.0, 0.0, -0.2, 0.4]]
     outside = [2.0, 0.0, 0.0, 0.0]
@@ -335,7 +338,23 @@ def test_scan_builds_no_stencil_for_a_skipped_sample(monkeypatch):
     sizes = count_geometry_stacks(monkeypatch)
     scan = product_bound_scan(scenario_square(), np.zeros(4), n_directions=4)
     assert scan.skipped == (2, 4)
-    assert sizes == [3, 8, 2]
+    assert sizes == [5, 8]
+
+
+def scan_error(scenario, shells, monkeypatch):
+    """(scanned, looped): the error product_bound_scan raises on the given
+    shells, of radii 0.1, 0.05, ..., and the error a written-out loop over
+    the samples, radius-major, raises."""
+    radii = tuple(0.1 * 0.5 ** k for k in range(len(shells)))
+    monkeypatch.setattr(weingarten, "shell_samples",
+                        lambda directions, radii_, center: (radii, shells))
+    with pytest.raises(Exception) as scanned:
+        product_bound_scan(scenario, np.array(GOOD))
+    with pytest.raises(Exception) as looped:
+        for r, shell in zip(radii, shells):
+            for y in shell:
+                FiberShape(point_geometry(scenario, y), 0.0, SCAN_STEP_FRACTION * r)
+    return scanned.value, looped.value
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -343,19 +362,110 @@ def test_a_failing_shell_raises_the_error_of_its_first_failing_sample(monkeypatc
     # sample 1 fails in its stencil, which leaves the domain along T = e3,
     # and sample 2 fails earlier in the stacked order, in its geometry; the
     # scan raises what the loop over the samples raises: sample 1's error
+    edge = [0.1, 0.2, 1e3 - 1e-9, 0.4]
+    scanned, looped = scan_error(stepped_scenario(),
+                                 np.array([[GOOD, edge, NOT_SPD, GOOD]]), monkeypatch)
+    assert type(scanned) is type(looped) is DomainError
+    assert str(scanned) == str(looped)
+    assert str(scanned).startswith("point [0.1, 0.2, 1000.0")
+    assert str(scanned).endswith("leaves the chart domain (margin 0)")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failure_in_a_later_shell_raises_the_looped_error(monkeypatch):
+    # shell 1 is clean; in shell 2 sample 1 fails in its stencil and sample
+    # 2 in its geometry, which the stacked order reaches first
+    edge = [0.1, 0.2, 1e3 - 1e-9, 0.4]
+    scanned, looped = scan_error(stepped_scenario(),
+                                 np.array([[GOOD] * 4, [GOOD, edge, NOT_SPD, GOOD]]),
+                                 monkeypatch)
+    assert type(scanned) is type(looped) is DomainError
+    assert str(scanned) == str(looped)
+    assert str(scanned).startswith("point [0.1, 0.2, 1000.0")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_later_error_of_any_type_does_not_replace_an_earlier_one(monkeypatch):
+    # sample 1 fails in its stencil; the Jacobian fails with an error that
+    # is not a MorphoscopeError wherever sample 2 is evaluated, which the
+    # stacked order reaches first, with every sample's geometry
     scenario = stepped_scenario()
     edge = [0.1, 0.2, 1e3 - 1e-9, 0.4]
-    shell = np.array([GOOD, edge, NOT_SPD, GOOD])
-    monkeypatch.setattr(weingarten, "shell_samples",
-                        lambda directions, radii, center: ((0.1,), shell[None]))
-    with pytest.raises(DomainError) as scanned:
-        product_bound_scan(scenario, np.array(GOOD))
-    with pytest.raises(DomainError) as looped:
-        for y in shell:
-            FiberShape(point_geometry(scenario, y), 0.0, SCAN_STEP_FRACTION * 0.1)
-    assert str(scanned.value) == str(looped.value)
-    assert str(scanned.value).startswith("point [0.1, 0.2, 1000.0")
-    assert str(scanned.value).endswith("leaves the chart domain (margin 0)")
+    later = [0.3, 0.1, 0.2, 0.4]
+    jacobian = scenario.jacobian
+
+    def failing(points):
+        if any(np.array_equal(m, later) for m in np.reshape(points, (-1, 4))):
+            raise ZeroDivisionError("a later sample fails")
+        return jacobian(points)
+
+    monkeypatch.setattr(scenario, "jacobian", failing)
+    scanned, looped = scan_error(scenario, np.array([[GOOD, edge, later, GOOD]]),
+                                 monkeypatch)
+    assert type(scanned) is type(looped) is DomainError
+    assert str(scanned) == str(looped)
+    assert str(scanned).startswith("point [0.1, 0.2, 1000.0")
+
+
+def per_sample_shape(geo, angle, step):
+    """(a, b, c, d) of one geometry, written out point by point: each field
+    differentiated on the geometry's own stencil along T."""
+    ca, sa = math.cos(angle), math.sin(angle)
+
+    def t_field(node):
+        return ca * node.vertical[0] + sa * node.vertical[1]
+
+    T = t_field(geo)
+    e3, e4 = geo.horizontal
+    dT = geo.derivative(t_field, T, step)
+    dE2 = geo.derivative(lambda node: node.j_plus @ t_field(node), T, step)
+    return (-float(dT @ geo.g @ e3), -float(dT @ geo.g @ e4),
+            -float(dE2 @ geo.g @ e3), -float(dE2 @ geo.g @ e4))
+
+
+CRITICAL_CHARTS = ("z1z2", "z1sq", "z1z2_cubic", "pullback_z1z2")
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3])
+@pytest.mark.parametrize("name", CRITICAL_CHARTS + ("pullback_product",))
+def test_scan_shapes_equal_a_per_sample_loop_bitwise(monkeypatch, name, angle):
+    if name == "pullback_product":
+        scenario = scenario_pullback_product()
+    else:
+        scenario = build_scenario(ScenarioConfig.from_dict(catalog_configs()[name]))
+    stacks = []
+    built = weingarten.shape_stack
+
+    def recorded(geometries, angle, steps):
+        stacks.append(built(geometries, angle, steps))
+        return stacks[-1]
+
+    monkeypatch.setattr(weingarten, "shape_stack", recorded)
+    scan = product_bound_scan(scenario, np.zeros(4), seed=3, angle=angle)
+    assert len(stacks) == 1
+
+    coefficients, annulus_max, skipped, gap = [], [], [], 0.0
+    for r in scan.radii:
+        directions = weingarten.seeded_directions(8, 3)
+        products = []
+        for y in r * directions:
+            if not scenario.domain.contains(y):
+                continue
+            geo = point_geometry(scenario, y)
+            if geo.is_regular:
+                coeffs = per_sample_shape(geo, angle, SCAN_STEP_FRACTION * r)
+                n_plus, n_minus = closed_norm_pair(*coeffs)
+                products.append(n_plus * n_minus)
+                gap = max(gap, abs(product_identity(*coeffs)
+                                   - product_polar(*polar_form(*coeffs)))
+                          / identity_scale(*coeffs))
+                coefficients.append(coeffs)
+        annulus_max.append(max([0.0] + products))
+        skipped.append(8 - len(products))
+    assert stacks[0].coefficients == coefficients
+    assert scan.annulus_max == tuple(annulus_max)
+    assert scan.identity_gap == gap
+    assert scan.skipped == tuple(skipped)
 
 
 def test_report_matches_the_standalone_functions_bitwise():
