@@ -521,8 +521,8 @@ def oriented_frame(g: np.ndarray) -> np.ndarray:
 
 
 def _at_least_one(x):
-    """max(1, x) per entry, as Python's max(1.0, x) takes it: x only where x > 1."""
-    return np.where(x > 1.0, x, 1.0)
+    """max(1, x) per entry, as Python's max(1.0, x) takes it: 1 where x is NaN."""
+    return np.fmax(x, 1.0)
 
 
 def _resolved(x: np.ndarray, X: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -542,14 +542,15 @@ def central_nodes(x, X, t) -> tuple:
     moves no further than that raises GeometryError naming the point and
     the step, those of the first such row of a stack.
     """
-    x, X, t = (np.asarray(v, dtype=float) for v in (x, X, t))
-    unresolved = np.flatnonzero(~_resolved(x, X, t))
-    if len(unresolved):
-        i = unresolved[0]
+    x, X, t = np.asarray(x, dtype=float), np.asarray(X, dtype=float), np.asarray(t, dtype=float)
+    resolved = _resolved(x, X, t)
+    if not resolved.all():
+        i = np.argmin(resolved)
         raise GeometryError(
             f"finite difference step {t.flat[i]:.3e} is below the resolution at "
             f"{x.reshape(-1, x.shape[-1])[i].tolist()}")
-    return tuple(x + s[..., None] * X for s in (t, -t, 0.5 * t, -0.5 * t))
+    full, half = t[..., None], 0.5 * t[..., None]
+    return x + full * X, x - full * X, x + half * X, x - half * X
 
 
 def central_difference(values: Sequence[np.ndarray], t) -> np.ndarray:
@@ -558,8 +559,8 @@ def central_difference(values: Sequence[np.ndarray], t) -> np.ndarray:
     a stack, t holds the step of each row and the values gain a leading
     stack axis."""
     f_p, f_m, f_hp, f_hm = (np.asarray(v, dtype=float) for v in values)
-    t = np.asarray(t, dtype=float)
-    t = t.reshape(t.shape + (1,) * (f_p.ndim - t.ndim))
+    if np.ndim(t):
+        t = np.reshape(t, np.shape(t) + (1,) * (f_p.ndim - np.ndim(t)))
     d_full = (f_p - f_m) / (2.0 * t)
     d_half = (f_hp - f_hm) / t
     return (4.0 * d_half - d_full) / 3.0
