@@ -320,9 +320,10 @@ def frame_rows(geometries: Sequence[PointGeometry]) -> tuple:
         index = [geo.index for geo in run]
         for i in index:
             stack.check(i)
+        index = np.array(index)
         horizontal, vertical, *_ = stack.splitting
         parts.append((horizontal[index], vertical[index], stack.structures[0][index]))
-    return tuple(np.concatenate(rows) for rows in zip(*parts))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
 def point_geometries(scenario: MorphismScenario, points) -> list:
