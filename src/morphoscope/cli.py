@@ -3,7 +3,8 @@
 morphoscope <command> --config FILE [options]
 
 Commands: validate, analyze, symbol, rate, weingarten, twistor, catalog.
-Reports are written as JSON; validate, rate, weingarten --scan, twistor add a CSV.
+Reports are written as compact canonical JSON; validate, rate,
+weingarten --scan, twistor add a CSV.
 Exit code 0 means every check passed, 1 means at least one check failed
 with its numeric evidence in the report, 2 means the configuration or the
 requested domain operation was invalid.
@@ -12,6 +13,7 @@ requested domain operation was invalid.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -23,7 +25,10 @@ from .errors import ConfigError, MorphoscopeError
 from .report import exit_code, verdict_lines, write_csv, write_json
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, each returns a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="morphoscope",
         description="chart-level analysis of horizontally conformal maps")
@@ -90,7 +95,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "catalog":
             analysis = with_overrides(DEFAULT_ANALYSIS, overrides)
-            report = runner.run_catalog(analysis["seed"], analysis["workers"])
+            report, text = runner.run_catalog(analysis["seed"], analysis["workers"])
             stem = "catalog"
         else:
             if args.config is None:
@@ -101,8 +106,8 @@ def main(argv=None) -> int:
             workers = config.analysis["workers"]
             scenario = build_scenario(config)
             found = _dispatch(args, config, scenario, seed)
-            report = runner.scenario_report(args.command, config, found,
-                                            seed, workers)
+            report, text = runner.scenario_report(args.command, config, found,
+                                                  seed, workers)
             table = found.table
             stem = f"{config.name}_{args.command}"
             if args.command == "weingarten":
@@ -119,7 +124,7 @@ def main(argv=None) -> int:
     json_path, csv_path = out_dir / f"{stem}.json", out_dir / f"{stem}.csv"
     path = json_path
     try:
-        write_json(report, path)
+        write_json(text, path)
         if table is not None:
             path = csv_path
             write_csv(table, path)

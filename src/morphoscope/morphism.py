@@ -22,7 +22,6 @@ which lives only as long as the evaluation that built it;
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -56,6 +55,11 @@ class GeometryStack:
     right_vectors: np.ndarray
     squared_dilation: np.ndarray
     defect: np.ndarray
+
+    @property
+    def regular(self) -> np.ndarray:
+        """Whether each point is regular, see PointGeometry.is_regular."""
+        return self.singular_values[:, 0] >= EPS_CRITICAL
 
     @cached_property
     def tension(self) -> np.ndarray:
@@ -434,11 +438,16 @@ def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray]) 
     the first such point in order. Returns (geometries, max_defect, max_tension).
     """
     geometries = point_geometries(scenario, points)
-    for geo in geometries:
-        if not (math.isfinite(geo.defect) and math.isfinite(geo.tension_norm)):
-            raise GeometryError(
-                f"conformality defect or tension is not finite at {geo.point.tolist()}")
-    regular = [geo for geo in geometries if geo.is_regular]
-    max_defect = max([0.0] + [geo.defect for geo in regular])
-    max_tension = max([0.0] + [geo.tension_norm for geo in regular])
+    if not geometries:
+        return geometries, 0.0, 0.0
+    # the defect and the tension norm are read as columns of the stack
+    stack = geometries[0].stack
+    finite = np.isfinite(stack.defect) & np.isfinite(stack.tension_norm)
+    if not finite.all():
+        first = stack.metric.point[np.argmin(finite)]
+        raise GeometryError(
+            f"conformality defect or tension is not finite at {first.tolist()}")
+    regular = stack.regular
+    max_defect = max([0.0, *stack.defect[regular].tolist()])
+    max_tension = max([0.0, *stack.tension_norm[regular].tolist()])
     return geometries, max_defect, max_tension

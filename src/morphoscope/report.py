@@ -2,7 +2,9 @@
 
 The fingerprint covers the report body with the timestamp excluded, so a
 rerun with the same configuration and seed produces the same hash even
-though the file records when it was written.
+though the file records when it was written. The file is the canonical
+text the fingerprint hashes, with the fingerprint, the worker count and the
+timestamp appended as its last keys, so a report is encoded once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,23 @@ CONVENTIONS = {
 
 
 def sanitize(obj):
-    """Convert nested report data to plain JSON types, strictly finite."""
+    """Convert nested report data to plain JSON types, strictly finite.
+
+    Python floats and strings, most of a report, are recognised by their
+    exact type, and a float array is checked in one vectorised pass and
+    converted by tolist(); everything else takes the isinstance chain.
+    """
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise GeometryError("report values must be finite")
+        return obj
+    if kind is str:
+        return obj
+    if kind is np.ndarray and obj.dtype.kind == "f":
+        if not np.isfinite(obj).all():
+            raise GeometryError("report values must be finite")
+        return obj.tolist()
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -40,7 +59,7 @@ def sanitize(obj):
         return [sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise GeometryError("report values must be finite")
         return v
     # ahead of the integers, because bool is a subclass of int
@@ -53,15 +72,17 @@ def sanitize(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _digest(plain) -> str:
-    """Hash of already sanitized data in canonical JSON."""
-    text = json.dumps(plain, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+def _canonical(plain) -> str:
+    """Canonical JSON of already sanitized data: sorted keys, no spaces."""
+    return json.dumps(plain, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 def fingerprint(obj) -> str:
-    return _digest(sanitize(obj))
+    return _digest(_canonical(sanitize(obj)))
 
 
 def check(name: str, passed: bool, **evidence) -> dict:
@@ -72,7 +93,10 @@ def check(name: str, passed: bool, **evidence) -> dict:
 
 def build_report(command: str, scenario_name: str, scenario_fingerprint: str,
                  checks: list, records: list, seed: int, workers: int,
-                 rates: dict | None = None, extras: dict | None = None) -> dict:
+                 rates: dict | None = None, extras: dict | None = None) -> tuple:
+    """(report, text): the report as plain data, and the text of its file,
+    the canonical JSON of the body the fingerprint hashes, with the
+    fingerprint, the worker count and the timestamp as its last keys."""
     body = {
         "command": command,
         "scenario": scenario_name,
@@ -85,31 +109,41 @@ def build_report(command: str, scenario_name: str, scenario_fingerprint: str,
         "rates": rates or {},
         **(extras or {}),
     }
-    # the one sanitizing pass: everything below reads plain data
+    # the one sanitizing pass and the one encoding: everything below reads
+    # plain data, and the file is the hashed text
     body = sanitize(body)
+    text = _canonical(body)
     # worker count and timestamp describe the run, not the result, so the
-    # fingerprint is taken before they are attached
-    body["fingerprint"] = _digest(body)
+    # fingerprint is taken before they are attached; they and the
+    # fingerprint (plain ASCII, nothing to escape) close the file's object
+    body["fingerprint"] = _digest(text)
     body["workers"] = int(workers)
     body["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return body
+    text = (f'{text[:-1]},"fingerprint":"{body["fingerprint"]}",'
+            f'"workers":{body["workers"]},"timestamp":"{body["timestamp"]}"}}\n')
+    return body, text
 
 
-def write_json(report: dict, path: Path) -> Path:
-    """Write a report from build_report, which is plain data already."""
+def write_json(text: str, path: Path) -> Path:
+    """Write the file text of a report, as build_report returns it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
+    path.write_text(text)
     return path
 
 
 def write_csv(rows: list, path: Path) -> Path:
-    """Write nonempty rows; the first row's keys are the header."""
+    """Write nonempty rows of plain values; the first row's keys are the
+    header, and a row with other keys raises ValueError."""
+    header = list(rows[0])
+    keys = rows[0].keys()
+    for row in rows:
+        if row.keys() != keys:
+            raise ValueError(f"table row keys {list(row)} differ from the header {header}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([row[k] for k in header] for row in rows)
     return path
 
 

@@ -48,7 +48,8 @@ def scenario_fingerprint(config: ScenarioConfig) -> str:
 
 
 def scenario_report(command: str, config: ScenarioConfig, found: Findings,
-                    seed: int, workers: int) -> dict:
+                    seed: int, workers: int) -> tuple:
+    """(report, file text) of the findings, see report.build_report."""
     return build_report(command, config.name, scenario_fingerprint(config),
                         found.checks, records=found.records, rates=found.rates,
                         seed=seed, workers=workers, extras=found.extras)
@@ -87,9 +88,13 @@ def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
     tol = config.analysis["tolerances"]
     points = _sample_points(scenario, config.analysis["n_points"], seed)
     geometries, max_defect, max_tension = validate_morphism(scenario, points)
-    records = [{"point": geo.point, "status": geo.status,
-                "dilation_sup": geo.dilation_sup, "defect": geo.defect,
-                "tension": geo.tension_norm} for geo in geometries]
+    # one tolist() per column of the stack, so the records hold plain values
+    stack = geometries[0].stack
+    status = ["regular" if r else "critical" for r in stack.regular.tolist()]
+    records = [{"point": p, "status": s, "dilation_sup": d, "defect": e, "tension": t}
+               for p, s, d, e, t in zip(stack.metric.point.tolist(), status,
+                                        stack.singular_values[:, 0].tolist(),
+                                        stack.defect.tolist(), stack.tension_norm.tolist())]
     checks = [
         check("hwc_defect", max_defect <= tol["defect"],
               max_defect=max_defect, tolerance=tol["defect"],
@@ -341,7 +346,8 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
                                         drop=("fiber",)))
 
 
-def run_catalog(seed: int, workers: int) -> dict:
+def run_catalog(seed: int, workers: int) -> tuple:
+    """(report, file text) of the catalog listing, see report.build_report."""
     entries = []
     for name, raw in sorted(catalog_configs().items()):
         cfg = ScenarioConfig.from_dict(raw)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morphoscope import runner, weingarten
+from morphoscope import cli, runner, weingarten
 from morphoscope import report as report_module
 from morphoscope.calculus import MorphismScenario
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs, catalog_patch, patch_grid
@@ -99,6 +99,28 @@ def test_report_is_sanitized_once(tmp_path, monkeypatch):
     # one pass over the report and one over the config for its fingerprint
     config_nodes = count_nodes(ScenarioConfig.from_dict(raw).to_canonical())
     assert calls <= count_nodes(report) + config_nodes
+    # and the count is of visited nodes: each record's values are visited
+    assert calls > 5 * len(report["records"])
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    # the parser is built once per process; no option of one call may
+    # reach the next
+    cfg = write_config(tmp_path, "z1z2")
+    assert cli._parser() is cli._parser()
+    assert run(tmp_path, "weingarten", "--config", str(cfg), "--scan", "--seed", "5") == 0
+    assert run(tmp_path, "weingarten", "--config", str(cfg),
+               "--point=0.5,0.2,0.1,-0.2") == 0
+    scan = read_report(tmp_path, "z1z2_weingarten_scan")
+    point = read_report(tmp_path, "z1z2_weingarten_point")
+    assert scan["seed"] == 5 and point["seed"] == 0
+    assert point["records"][0]["point"] == [0.5, 0.2, 0.1, -0.2]
+    assert "radii" not in point["records"][0]
+    assert not (tmp_path / "z1z2_weingarten_point.csv").exists()
+    # the same report as the point command alone gives
+    golden = json.loads((Path(__file__).with_name("golden_fingerprints.json")).read_text())
+    assert point["fingerprint"] == golden[
+        "z1z2 weingarten --point=0.5,0.2,0.1,-0.2"]["fingerprint"]
 
 
 def test_validate_negative_control(tmp_path):
