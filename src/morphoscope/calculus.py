@@ -17,7 +17,7 @@ import numpy as np
 
 from ._linalg import surface_complex_structure
 from .errors import DomainError, GeometryError
-from .geometry import Box, ChartMetric, metric_point, pullback_metric
+from .geometry import Box, ChartMetric, PullbackMetric, metric_point
 from .polynomials import UPPER, Poly, Table, evaluate, from_complex_pair, symmetric
 
 
@@ -86,7 +86,7 @@ def pullback_scenario(base: MorphismScenario, diffeo: Sequence[Poly], domain: Bo
     """
     comps = [p.real_poly() for p in diffeo]
     return MorphismScenario(
-        name=name, metric=pullback_metric(base.metric, comps, domain),
+        name=name, metric=PullbackMetric(base.metric, comps, domain),
         component=base.component.compose(comps), orientation=base.orientation)
 
 
@@ -161,11 +161,9 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
         if spread <= 0.95 * reach:
             break
         rho *= 0.9
-    domain = Box.cube(rho)
-    new_metric = pullback_metric(scenario.metric, chart_map, domain)
-    new_component = scenario.component.compose(chart_map)
     new_scenario = MorphismScenario(
-        name=f"{scenario.name}#normal", metric=new_metric, component=new_component,
-        orientation=scenario.orientation)
+        name=f"{scenario.name}#normal",
+        metric=PullbackMetric(scenario.metric, chart_map, Box.cube(rho)),
+        component=scenario.component.compose(chart_map), orientation=scenario.orientation)
     return NormalChart(center=m0, chart_map=chart_map,
                        scenario=new_scenario, identity=False)

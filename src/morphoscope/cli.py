@@ -122,14 +122,17 @@ def main(argv=None) -> int:
         return 2
 
     json_path, csv_path = out_dir / f"{stem}.json", out_dir / f"{stem}.csv"
-    path = json_path
+    # the table first: a report on disk means every file was written
+    path, written = csv_path, None
     try:
-        write_json(text, path)
         if table is not None:
-            path = csv_path
-            write_csv(table, path)
+            written = write_csv(table, csv_path)
+        path = json_path
+        write_json(text, json_path)
     except (OSError, ValueError) as exc:
         # ValueError: a NUL byte in the path
+        if written is not None:
+            written.unlink()
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 2
     for line in verdict_lines(report["checks"]):

@@ -1,9 +1,9 @@
 """Chart metrics on four-dimensional coordinate boxes and pointwise geometry.
 
-A chart metric carries its own exact derivative data whenever the entries are
-polynomial or in closed form; a generic callable metric falls back to finite
-differences. Every metric evaluates at a point or over a stack of points,
-with the points on the last axis. Curvature uses the convention
+Every chart metric has exact first and second derivatives, in closed form
+or, for a pullback by a polynomial map, by the chain rule from its base's.
+Every metric evaluates at a point or over a stack of points, with the points
+on the last axis. Curvature uses the convention
 
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
 
@@ -29,9 +29,7 @@ DEFAULT_FD_STEP = 1e-5
 FRAME_RANK_TOL = 1e-8
 ORIENTATION_DET_TOL = 1e-12
 MACHINE_EPS = float(np.finfo(float).eps)
-
-_METRIC_FD_STEP = 1e-4
-_METRIC_FD_STEP2 = 5e-4
+_MIRRORED = symmetric(np.array([4 * i + j for i, j in UPPER]))
 
 
 @dataclass(frozen=True)
@@ -80,53 +78,14 @@ class ChartMetric:
             point = np.asarray(m).reshape(-1, 4)[np.argmin(inside)]
             raise DomainError(f"point {point.tolist()} leaves the chart domain (margin 0)")
 
-    def matrix(self, m) -> np.ndarray:
-        raise NotImplementedError
-
     def matrix_checked(self, m) -> np.ndarray:
         g = self.matrix(m)
         check_spd(g, "chart metric")
         return g
 
-    # Finite-difference fallbacks, one point at a time; subclasses with
-    # closed forms override.
-
-    def first_derivatives(self, m) -> np.ndarray:
-        return pointwise(self._first_differences, m)
-
-    def second_derivatives(self, m) -> np.ndarray:
-        return pointwise(self._second_differences, m)
-
-    def _first_differences(self, m: np.ndarray) -> np.ndarray:
-        h = _METRIC_FD_STEP * max(1.0, float(np.max(np.abs(m))))
-        return np.array([
-            central_difference([self.matrix(x) for x in central_nodes(m, e, h)], h)
-            for e in np.eye(4)])
-
-    def _second_differences(self, m: np.ndarray) -> np.ndarray:
-        h = _METRIC_FD_STEP2 * max(1.0, float(np.max(np.abs(m))))
-        out = np.zeros((4, 4, 4, 4))
-        g0 = self.matrix(m)
-        basis = np.eye(4)
-        for k in range(4):
-            ek = basis[k]
-            out[k, k] = (self.matrix(m + h * ek) - 2.0 * g0 + self.matrix(m - h * ek)) / h ** 2
-        for k in range(4):
-            for l in range(k + 1, 4):
-                ek, el = basis[k], basis[l]
-                mixed = (self.matrix(m + h * (ek + el)) - self.matrix(m + h * (ek - el))
-                         - self.matrix(m - h * (ek - el)) + self.matrix(m - h * (ek + el))
-                         ) / (4 * h ** 2)
-                out[k, l] = mixed
-                out[l, k] = mixed
-        return out
-
-
-def pointwise(fn: Callable[[np.ndarray], np.ndarray], m) -> np.ndarray:
-    """fn, which takes one point, applied to each point of m."""
-    m = np.asarray(m, dtype=float)
-    values = np.array([fn(x) for x in m.reshape(-1, 4)])
-    return values.reshape(m.shape[:-1] + values.shape[1:])
+    def record(self, m: np.ndarray) -> "MetricPoint":
+        """The metric at a point or a stack m, unchecked, as metric_point keeps it."""
+        return MetricPoint(self, m, self.matrix(m))
 
 
 class FlatMetric(ChartMetric):
@@ -207,49 +166,41 @@ class ProductSphereMetric(ChartMetric):
         return out
 
 
-class CallableMetric(ChartMetric):
-    """Metric given by an arbitrary callable; derivatives by differencing."""
+class PullbackMetric(ChartMetric):
+    """The metric dPhi^T (g o Phi) dPhi pulled back from the chart of `base`,
+    any chart metric, by the polynomial map Phi with components `diffeo`.
+    Its records (PulledPoint) hold the base's record at the image point."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], domain: Box):
+    def __init__(self, base: ChartMetric, diffeo: Sequence[Poly], domain: Box):
         super().__init__(domain)
-        self._fn = fn
+        self.base, self.diffeo = base, Table(diffeo)
+        # d_a Phi_i in (i, a) order and d_a d_b Phi_i in (i, ab) order
+        self._d1 = Table(p.diff(a) for p in diffeo for a in range(4))
+        self._d2 = Table(self._d1[4 * i + a].diff(b) for i in range(4) for a, b in UPPER)
+
+    @cached_property
+    def _d3(self) -> Table:
+        """d_c d_a d_b Phi_i in (i, c, ab) order, read by second derivatives only."""
+        return Table(p.diff(c) for i in range(4) for c in range(4) for p in self._d2[10 * i:][:10])
+
+    def record(self, m):
+        J = np.ascontiguousarray(evaluate(self._d1, m).real).reshape(m.shape[:-1] + (4, 4))
+        image = self.base.record(evaluate(self.diffeo, m).real)
+        return PulledPoint(self, m, _mirrored(J.swapaxes(-1, -2) @ (image.g @ J)), image, J)
 
     def matrix(self, m):
-        g = pointwise(self._fn, m).astype(float)
-        return 0.5 * (g + g.swapaxes(-1, -2))
+        return self.record(np.asarray(m, dtype=float)).g
+
+    def first_derivatives(self, m):
+        return self.record(np.asarray(m, dtype=float)).dg
+
+    def second_derivatives(self, m):
+        return self.record(np.asarray(m, dtype=float)).d2g
 
 
-def pullback_metric(base: ChartMetric, diffeo: Sequence[Poly], domain: Box) -> ChartMetric:
-    """Metric of the chart obtained by precomposing with a polynomial map.
-
-    diffeo lists the four components of the map Phi from the new chart into
-    the base chart; the result is dPhi^T (g o Phi) dPhi. Flat and polynomial
-    bases stay exact; anything else falls back to a callable metric.
-    """
-    jac = [[diffeo[i].diff(a) for a in range(4)] for i in range(4)]
-    if isinstance(base, (FlatMetric, PolynomialMetric)):
-        # a flat base is the constant identity table
-        g = ([Poly.constant(float(i == j)) for i, j in UPPER] if isinstance(base, FlatMetric)
-             else [p.compose(diffeo) for p in base.upper])
-        pulled = symmetric(g)
-        # a zero entry adds nothing, so it is skipped
-        terms = [(i, j) for i in range(4) for j in range(4) if not pulled[i, j].is_zero()]
-        upper = []
-        for a, b in UPPER:
-            s = Poly.zero()
-            for i, j in terms:
-                s = s + jac[i][a] * pulled[i, j] * jac[j][b]
-            upper.append(s.real_poly())
-        return PolynomialMetric(symmetric(upper), domain)
-
-    dphi = Table(p for row in jac for p in row)
-    diffeo = Table(diffeo)
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        J = evaluate(dphi, x).real.reshape(4, 4)
-        return J.T @ base.matrix(evaluate(diffeo, x).real) @ J
-
-    return CallableMetric(fn, domain)
+def _mirrored(a: np.ndarray) -> np.ndarray:
+    """a made symmetric in its last two axes from its upper triangle, contiguous."""
+    return np.take(a.reshape(a.shape[:-2] + (16,)), _MIRRORED, axis=-1)
 
 
 # ------------------------------------------------------------ metric point
@@ -262,7 +213,7 @@ class MetricPoint:
     `metric_point` checks the domain and the matrix when it builds one. The
     first derivatives, the inverse, the Christoffel symbols and the square
     roots are derived on first use, over the whole stack, and then kept;
-    `at(i)` hands point i its rows of them. The curvature is per point.
+    `at(i)` hands point i its rows of them; d2g and the curvature are per point.
     Every rejection of the matrix raises GeometryError naming the point.
     """
 
@@ -272,15 +223,25 @@ class MetricPoint:
 
     def at(self, i: int) -> "MetricPoint":
         """Point i of a stack, handed its rows of dg, inverse, gamma and sqrt_pair."""
-        mp = MetricPoint(self.metric, self.point[i], self.g[i])
-        mp.dg, mp.inverse, mp.gamma = self.dg[i], self.inverse[i], self.gamma[i]
+        mp = self._row(i)
+        mp.inverse, mp.gamma = self.inverse[i], self.gamma[i]
         mp.sqrt_pair = tuple(root[i] for root in self.sqrt_pair)
+        return mp
+
+    def _row(self, i: int) -> "MetricPoint":
+        mp = MetricPoint(self.metric, self.point[i], self.g[i])
+        mp.dg = self.dg[i]
         return mp
 
     @cached_property
     def dg(self) -> np.ndarray:
         """First derivatives, dg[..., k] = d_k g."""
         return self.metric.first_derivatives(self.point)
+
+    @cached_property
+    def d2g(self) -> np.ndarray:
+        """Second derivatives, d2g[..., k, l] = d_k d_l g."""
+        return self.metric.second_derivatives(self.point)
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -302,8 +263,7 @@ class MetricPoint:
     @cached_property
     def lowered(self) -> np.ndarray:
         """Curvature with all indices lowered, R[i, j, k, p] = <R(d_i, d_j) d_k, d_p>."""
-        dg = self.dg
-        d2g = self.metric.second_derivatives(self.point)
+        dg, d2g = self.dg, self.d2g
         ginv, S, gamma = self.inverse, _connection_sums(dg), self.gamma
         # dS[i, m, j, k] = d_i S[m, j, k]
         dS = (np.einsum("ijmk->imjk", d2g) + np.einsum("ikmj->imjk", d2g)
@@ -320,6 +280,50 @@ class MetricPoint:
     def pairing(self, X, Y, Z, W) -> float:
         """<R(X, Y)Z, W>."""
         return float(np.einsum("ijkp,i,j,k,p->", self.lowered, X, Y, Z, W))
+
+
+@dataclass(eq=False)
+class PulledPoint(MetricPoint):
+    """A PullbackMetric's record: g = J^T G J and its derivatives by the chain rule."""
+
+    image: MetricPoint = None   # the base's record at Phi(point)
+    jac: np.ndarray = None      # jac[..., i, a] = d_a Phi_i
+
+    def _row(self, i: int) -> "PulledPoint":
+        mp = PulledPoint(self.metric, self.point[i], self.g[i], self.image._row(i), self.jac[i])
+        mp.dg, mp._jets = self.dg[i], tuple(x[i] for x in self._jets)
+        return mp
+
+    @cached_property
+    def _jets(self) -> tuple:
+        """(H, G J, D): H[..., c, i, a] = d_c d_a Phi_i, D[..., c] = d_c (G o Phi)."""
+        J, dG = self.jac, self.image.dg
+        H = symmetric(evaluate(self.metric._d2, self.point).real.reshape(J.shape[:-1] + (10,)))
+        H = H.swapaxes(-3, -2)
+        D = (J.swapaxes(-1, -2) @ dG.reshape(J.shape[:-2] + (4, 16))).reshape(dG.shape)
+        return H, self.image.g @ J, D
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        # d_c g = M_c + M_c^T + J^T D_c J with M_c = H_c^T G J
+        (H, GJ, D), J = self._jets, self.jac[..., None, :, :]
+        M = H.swapaxes(-1, -2) @ GJ[..., None, :, :]
+        return _mirrored(M + M.swapaxes(-1, -2) + J.swapaxes(-1, -2) @ (D @ J))
+
+    @cached_property
+    def d2g(self) -> np.ndarray:
+        # d_c d_d g = N + N^T + J^T D_cd J with D_cd = d_c d_d (G o Phi), N =
+        # T_cd^T G J + H_c^T (G H_d + D_d J) + H_d^T D_c J and T_cd = d_c d_d dPhi
+        (H, GJ, D), (G, dG, d2G) = self._jets, (self.image.g, self.image.dg, self.image.d2g)
+        shape, J = self.jac.shape[:-2], self.jac[..., None, :, :]
+        JT, HT = J.swapaxes(-1, -2), H.swapaxes(-1, -2)[..., :, None, :, :]
+        P = HT @ (D @ J)[..., None, :, :, :]
+        N = HT @ (G[..., None, :, :] @ H)[..., None, :, :, :] + P + P.swapaxes(-3, -4)
+        T = symmetric(evaluate(self.metric._d3, self.point).real.reshape(shape + (4, 4, 10)))
+        N += np.moveaxis(T, -4, -1) @ GJ[..., None, None, :, :]
+        Dcd = (JT @ (JT[..., 0, :, :] @ d2G.reshape(shape + (4, 64))).reshape(shape + (4, 4, 16))
+               + H.swapaxes(-1, -2) @ dG.reshape(shape + (1, 4, 16))).reshape(d2G.shape)
+        return _mirrored(N + N.swapaxes(-1, -2) + JT[..., None, :, :] @ Dcd @ J[..., None, :, :])
 
 
 def metric_inverse(g: np.ndarray) -> np.ndarray:
@@ -368,8 +372,9 @@ def metric_point(metric: ChartMetric, m) -> MetricPoint:
     m = np.asarray(m, dtype=float)
     metric.require_inside(m)
     with named_at(m):
-        g = metric.matrix_checked(m)
-    return MetricPoint(metric=metric, point=m, g=g)
+        mp = metric.record(m)
+        check_spd(mp.g, "chart metric")
+    return mp
 
 
 def christoffel(metric: ChartMetric, m: Sequence[float]) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 from ._linalg import surface_complex_structure
 from .calculus import MorphismScenario
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .geometry import (Box, MetricPoint, central_difference, central_nodes,
+from .geometry import (Box, MetricPoint, central_nodes,
                        covariant_difference, frame_orientations, metric_point,
                        orthonormal_stack, oriented_frame)
 from .parallel import ordered_map
@@ -46,17 +46,16 @@ from .structures import K_MINUS, K_PLUS, fiber_from_structure
 
 VERTICAL_ROTATION_SIGN = -1
 LIFT_FD_STEP = 1e-4
-PATCH_FD_STEP = 1e-5
 PATCH_RANK_TOL = 1e-8
 
 
 @dataclass
 class SurfacePatch:
-    """Parametrized surface in the chart with derivative access."""
+    """Parametrized surface in the chart with its exact (4, 2) Jacobian."""
 
     psi: Callable
     param_box: Box
-    jacobian: Callable | None = None
+    jacobian: Callable
     name: str = "patch"
 
     def point(self, p) -> np.ndarray:
@@ -66,13 +65,7 @@ class SurfacePatch:
         return np.asarray(self.psi(p[0], p[1]), dtype=float)
 
     def dpsi(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(p[0], p[1]), dtype=float)
-        h = PATCH_FD_STEP
-        return np.column_stack([
-            central_difference([self.point(q) for q in central_nodes(p, e, h)], h)
-            for e in np.eye(2)])
+        return np.asarray(self.jacobian(*np.asarray(p, dtype=float)), dtype=float)
 
 
 @dataclass

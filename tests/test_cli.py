@@ -379,6 +379,10 @@ def test_a_name_that_is_not_a_file_stem_exits_two(tmp_path, capsys, name):
     assert not out.exists() and not (tmp_path / "elsewhere").exists()
 
 
+# validate writes its table first, so a failure of the whole directory
+# names the table
+
+
 def test_a_report_name_too_long_for_the_file_system_exits_two(tmp_path, capsys):
     cfg = catalog_configs()["proj"]
     cfg["name"] = "x" * 300
@@ -386,7 +390,7 @@ def test_a_report_name_too_long_for_the_file_system_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert run(tmp_path, "validate", "--config", str(path)) == 2
     err = capsys.readouterr().err
-    assert f"cannot write {tmp_path / ('x' * 300 + '_validate.json')}" in err
+    assert f"cannot write {tmp_path / ('x' * 300 + '_validate.csv')}" in err
 
 
 def test_an_out_path_that_is_a_file_exits_two(tmp_path, capsys):
@@ -394,7 +398,7 @@ def test_an_out_path_that_is_a_file_exits_two(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"cannot write {out / 'proj_validate.json'}" in capsys.readouterr().err
+    assert f"cannot write {out / 'proj_validate.csv'}" in capsys.readouterr().err
     assert out.read_text() == ""
 
 
@@ -403,7 +407,19 @@ def test_a_nul_byte_in_the_out_path_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, "proj")
     out = tmp_path / "a\0b"
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert f"cannot write {out / 'proj_validate.json'}" in capsys.readouterr().err
+    assert f"cannot write {out / 'proj_validate.csv'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked", ["csv", "json"])
+def test_a_file_that_cannot_be_written_leaves_no_file(tmp_path, capsys, blocked):
+    # exit 2 leaves no report and no table: a directory in the place of
+    # either file stops the command, and nothing else is left in --out
+    cfg = write_config(tmp_path, "z1z2")
+    out = tmp_path / "out"
+    (out / f"z1z2_validate.{blocked}").mkdir(parents=True)
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot write {out / f'z1z2_validate.{blocked}'}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [f"z1z2_validate.{blocked}"]
 
 
 def test_a_nul_byte_in_the_config_path_exits_two(tmp_path, capsys):

@@ -19,13 +19,11 @@ from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import (
-    _METRIC_FD_STEP, DEFAULT_FD_STEP, Box, CallableMetric, FlatMetric, PolynomialMetric,
-    ProductSphereMetric, ChartMetric, central_difference, central_nodes, christoffel,
-    covariant_derivative, curvature_data, metric_point, oriented_frame, orientation_sign,
-    orthonormalize, pullback_metric, stencil,
+    DEFAULT_FD_STEP, Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric,
+    christoffel, covariant_derivative, curvature_data, metric_point, oriented_frame,
+    orientation_sign, orthonormalize, stencil,
 )
-from morphoscope.polynomials import Poly
-from morphoscope.twistor import PATCH_FD_STEP, SurfacePatch
+from morphoscope.polynomials import Poly, evaluate
 
 # frozen closed forms for the round sphere chart at theta = pi/3
 GAMMA_THETA_PHIPHI_PI3 = -0.4330127018922193  # -sin(pi/3) cos(pi/3)
@@ -95,6 +93,40 @@ def quadratic_bump_metric():
     return PolynomialMetric(entries, Box.cube(1.0))
 
 
+def constant_metric(matrix, domain):
+    """The polynomial metric whose entries are the constants of matrix."""
+    return PolynomialMetric([[Poly.constant(v) for v in row] for row in np.asarray(matrix)],
+                            domain)
+
+
+def written_out_richardson(f, x, e, h):
+    """The Richardson central difference spelled out along e with step h."""
+    d1 = (f(x + h * e) - f(x - h * e)) / (2 * h)
+    d2 = (f(x + 0.5 * h * e) - f(x - 0.5 * h * e)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def fd_fallback(metric, m, h1=1e-4, h2=5e-4):
+    """Oracle: first derivatives of the metric matrix by Richardson central
+    differences and second ones by plain central differences, each along the
+    coordinate axes, with the steps scaled to max(1, |m|)."""
+    scale = max(1.0, float(np.max(np.abs(m))))
+    h1, h2 = h1 * scale, h2 * scale
+    basis = np.eye(4)
+    d1 = np.array([written_out_richardson(metric.matrix, m, e, h1) for e in basis])
+    d2 = np.zeros((4, 4, 4, 4))
+    g0 = metric.matrix(m)
+    for k, ek in enumerate(basis):
+        d2[k, k] = (metric.matrix(m + h2 * ek) - 2.0 * g0 + metric.matrix(m - h2 * ek)) / h2 ** 2
+        for l in range(k + 1, 4):
+            el = basis[l]
+            d2[k, l] = d2[l, k] = (
+                metric.matrix(m + h2 * (ek + el)) - metric.matrix(m + h2 * (ek - el))
+                - metric.matrix(m - h2 * (ek - el)) + metric.matrix(m - h2 * (ek + el))
+            ) / (4 * h2 ** 2)
+    return d1, d2
+
+
 def test_sphere_christoffel_matches_frozen_closed_forms():
     metric = ProductSphereMetric(1.0, SPHERE_DOMAIN)
     m = np.array([np.pi / 3, 0.4, 0.0, 0.0])
@@ -121,8 +153,7 @@ def test_christoffel_against_fd_oracle_on_curved_metric():
 def test_polynomial_metric_derivatives_match_fd_fallback():
     metric = quadratic_bump_metric()
     m = np.array([0.3, -0.2, 0.5, 0.1])
-    fd1 = ChartMetric.first_derivatives(metric, m)
-    fd2 = ChartMetric.second_derivatives(metric, m)
+    fd1, fd2 = fd_fallback(metric, m)
     assert np.max(np.abs(metric.first_derivatives(m) - fd1)) < 1e-9
     assert np.max(np.abs(metric.second_derivatives(m) - fd2)) < 1e-6
 
@@ -169,8 +200,7 @@ def test_pullback_polynomial_metric_exact_and_invariant():
            x[2] - 0.08 * x[0] * x[1],
            x[3] + 0.06 * x[0] * x[0]]
     dom = Box.cube(0.5)
-    pulled = pullback_metric(base, phi, dom)
-    assert isinstance(pulled, PolynomialMetric)
+    pulled = PullbackMetric(base, phi, dom)
     rng = np.random.default_rng(3)
     for _ in range(4):
         m = rng.uniform(-0.4, 0.4, size=4)
@@ -182,19 +212,6 @@ def test_pullback_polynomial_metric_exact_and_invariant():
         k_pull = curvature_data(pulled, m).pairing(u, v, v, u)
         k_base = curvature_data(base, y).pairing(J @ u, J @ v, J @ v, J @ u)
         assert k_pull == pytest.approx(k_base, abs=1e-4 * max(1.0, abs(k_base)))
-
-
-def test_pullback_of_callable_metric_matches_polynomial_route():
-    base = quadratic_bump_metric()
-    base_callable = CallableMetric(base.matrix, base.domain)
-    x = [Poly.variable(k) for k in range(4)]
-    phi = [x[0] + 0.1 * x[1] * x[1], x[1], x[2], x[3] + 0.06 * x[0] * x[0]]
-    dom = Box.cube(0.5)
-    exact = pullback_metric(base, phi, dom)
-    fallback = pullback_metric(base_callable, phi, dom)
-    m = np.array([0.2, -0.3, 0.4, 0.1])
-    assert np.max(np.abs(exact.matrix(m) - fallback.matrix(m))) < 1e-12
-    assert np.max(np.abs(exact.first_derivatives(m) - fallback.first_derivatives(m))) < 1e-7
 
 
 def test_orthonormalize_sphere_phi_direction_frozen():
@@ -218,7 +235,7 @@ def test_orthonormalize_skips_dependent_seeds_and_completes():
 
 def test_orthonormalize_rejects_singular_metric():
     # a rank-degenerate metric is a geometry failure, caught before framing
-    bad = CallableMetric(lambda m: np.diag([1.0, 1.0, 1.0, 0.0]), Box.cube(1.0))
+    bad = constant_metric(np.diag([1.0, 1.0, 1.0, 0.0]), Box.cube(1.0))
     with pytest.raises(GeometryError):
         orthonormalize(metric_point(bad, np.zeros(4)).g, [], complete=True)
 
@@ -326,42 +343,6 @@ def test_covariant_derivative_tensor_leibniz():
     lhs = covariant_derivative(metric, Tv, m, X)
     rhs = covariant_derivative(metric, T, m, X) @ v0 + T0 @ covariant_derivative(metric, v, m, X)
     assert np.max(np.abs(lhs - rhs)) < 1e-7
-
-
-def written_out_richardson(f, x, e, h):
-    """The Richardson central difference spelled out along e with step h."""
-    d1 = (f(x + h * e) - f(x - h * e)) / (2 * h)
-    d2 = (f(x + 0.5 * h * e) - f(x - 0.5 * h * e)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
-def test_difference_fallbacks_share_the_central_difference_rule():
-    def wavy(x):
-        return (np.eye(4) + 0.1 * np.outer(np.sin(x), np.cos(x))
-                + 0.1 * np.outer(np.cos(x), np.sin(x)))
-
-    metric = CallableMetric(wavy, Box.cube(2.0))
-    m = np.array([0.3, -0.9, 0.7, 0.2])  # max |m| < 1, so the step is the base step
-    h = _METRIC_FD_STEP
-    shared = np.array([
-        central_difference([metric.matrix(x) for x in central_nodes(m, e, h)], h)
-        for e in np.eye(4)])
-    written = np.array([written_out_richardson(metric.matrix, m, e, h)
-                        for e in np.eye(4)])
-    assert np.array_equal(metric.first_derivatives(m), shared)
-    assert np.array_equal(shared, written)
-
-    patch = SurfacePatch(psi=lambda s, t: np.array([s, t, np.sin(s * t), s * s - t]),
-                         param_box=Box((-1.0, -1.0), (1.0, 1.0)))
-    p = np.array([0.4, -0.35])
-    h = PATCH_FD_STEP
-    shared = np.column_stack([
-        central_difference([patch.point(q) for q in central_nodes(p, e, h)], h)
-        for e in np.eye(2)])
-    written = np.column_stack([written_out_richardson(patch.point, p, e, h)
-                               for e in np.eye(2)])
-    assert np.array_equal(patch.dpsi(p), shared)
-    assert np.array_equal(shared, written)
 
 
 def written_out_stencil(m, X, step):
@@ -474,20 +455,22 @@ def test_a_point_of_a_metric_stack_equals_the_metric_at_that_point_bitwise(name)
 
 def test_a_point_of_a_stack_derives_nothing_again(metric_calls):
     # at(i) hands over the stack's rows, so the point evaluates only the
-    # second derivatives its curvature needs
+    # second derivatives its curvature needs; the pulled-back chart reads
+    # its base once at each image point and evaluates nothing of its own
     metric = CATALOG_METRICS["pullback_z1z2"]
     stack = np.array([[0.1, -0.2, 0.05, 0.3], [-0.3, 0.1, 0.2, -0.1]])
+    images = [(metric.base, *y) for y in evaluate(metric.diffeo, stack).real.tolist()]
     record = metric_point(metric, stack)
     row = record.at(1)
-    assert metric_calls["first_derivatives"] == [(metric, *m) for m in stack.tolist()]
+    assert metric_calls["first_derivatives"] == images
     assert row.lowered.shape == (4, 4, 4, 4)
-    assert metric_calls["matrix"] == [(metric, *m) for m in stack.tolist()]
-    assert metric_calls["first_derivatives"] == [(metric, *m) for m in stack.tolist()]
-    assert metric_calls["second_derivatives"] == [(metric, *stack[1].tolist())]
+    assert metric_calls["matrix"] == images
+    assert metric_calls["first_derivatives"] == images
+    assert metric_calls["second_derivatives"] == [images[1]]
 
 
 def test_non_spd_metric_raises():
-    bad = CallableMetric(lambda m: np.diag([1.0, -1.0, 1.0, 1.0]), Box.cube(1.0))
+    bad = constant_metric(np.diag([1.0, -1.0, 1.0, 1.0]), Box.cube(1.0))
     with pytest.raises(GeometryError):
         christoffel(bad, np.zeros(4))
 

@@ -1,11 +1,14 @@
-"""The one table-evaluation rule of polynomials.py.
+"""The one table-evaluation rule of polynomials.py, and the pullback rule.
 
 Oracle: each entry of a table differentiated and evaluated on its own, filled
-into its array by written-out loops. The metric, the map's jets and the
-callable pullback must equal it bit for bit, and the flat-base pullback must
-equal the sum over i of d_a Phi_i d_b Phi_i coefficient for coefficient. A
-compiled table evaluated over a stack must equal Poly.eval at each point bit
-for bit, overflows included.
+into its array by written-out loops. A polynomial metric and the map's jets
+must equal it bit for bit. A compiled table evaluated over a stack must equal
+Poly.eval at each point bit for bit, overflows included.
+
+A pulled-back metric is checked against two references kept here: the
+symbolic expansion dPhi^T (g o Phi) dPhi into a polynomial metric (whose
+flat-base entries must equal the sum over i of d_a Phi_i d_b Phi_i
+coefficient for coefficient), and the chain rule written out in loops.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from morphoscope.calculus import MorphismScenario, normalized_scenario
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.geometry import (
-    Box, CallableMetric, FlatMetric, PolynomialMetric, ProductSphereMetric, pullback_metric,
+    Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric, metric_point,
 )
 from morphoscope.polynomials import UPPER, Poly, Table, evaluate, from_complex_pair, symmetric
 
@@ -67,15 +70,45 @@ def test_symmetric_mirrors_the_upper_entries():
         assert table[1, i, j] == table[1, j, i] == upper[1, n]
 
 
+def cubic_diffeo():
+    """gentle_diffeo with cubic terms, so d^3 Phi does not vanish."""
+    x = [Poly.variable(k) for k in range(4)]
+    phi = gentle_diffeo()
+    return [phi[0] + 0.02 * x[0] * x[1] * x[2], phi[1], phi[2], phi[3] + 0.03 * x[0] * x[0] * x[3]]
+
+
+def symbolic_metric(metric):
+    """The symbolic pullback rule the package used to apply to flat and
+    polynomial bases: a pulled-back metric, its base expanded first, as the
+    polynomial metric whose entries are those of dPhi^T (g o Phi) dPhi."""
+    if not isinstance(metric, PullbackMetric):
+        return metric
+    base, diffeo = symbolic_metric(metric.base), list(metric.diffeo)
+    jac = [[diffeo[i].diff(a) for a in range(4)] for i in range(4)]
+    g = ([Poly.constant(float(i == j)) for i, j in UPPER] if isinstance(base, FlatMetric)
+         else [p.compose(diffeo) for p in base.upper])
+    pulled = symmetric(g)
+    # a zero entry adds nothing, so it is skipped
+    terms = [(i, j) for i in range(4) for j in range(4) if not pulled[i, j].is_zero()]
+    upper = []
+    for a, b in UPPER:
+        s = Poly.zero()
+        for i, j in terms:
+            s = s + jac[i][a] * pulled[i, j] * jac[j][b]
+        upper.append(s.real_poly())
+    return PolynomialMetric(symmetric(upper), metric.domain)
+
+
 @pytest.mark.parametrize("chart", ["pullback_z1z2", "normal chart at 0"])
 def test_tables_equal_the_written_out_loops_bitwise(chart):
+    # a pulled-back chart's tables are read through its symbolic expansion
     scenario = catalog_pullback()
     if chart != "pullback_z1z2":
         scenario = normalized_scenario(scenario, np.zeros(4)).scenario
+    metric = symbolic_metric(scenario.metric)
     rng = np.random.default_rng(5)
     half = 0.5 * scenario.domain.size()
     for m in rng.uniform(-half, half, size=(6, 4)):
-        metric = scenario.metric
         g, d1, d2 = written_out_metric(metric, m)
         assert np.array_equal(metric.matrix(m), g)
         assert np.array_equal(metric.first_derivatives(m), d1)
@@ -83,19 +116,6 @@ def test_tables_equal_the_written_out_loops_bitwise(chart):
         jac, hess = written_out_jets(scenario, m)
         assert np.array_equal(scenario.jacobian(m), jac)
         assert np.array_equal(scenario.hessians(m), hess)
-
-
-def test_callable_pullback_equals_the_written_out_product_bitwise():
-    base = ProductSphereMetric(1.0, Box((0.5, -1.0, -1.0, -1.0), (2.5, 1.0, 1.0, 1.0)))
-    phi = [p + (1.5 if k == 0 else 0.0) for k, p in enumerate(gentle_diffeo())]
-    pulled = pullback_metric(base, phi, Box.cube(0.5))
-    assert isinstance(pulled, CallableMetric)
-    rng = np.random.default_rng(6)
-    for m in rng.uniform(-0.4, 0.4, size=(6, 4)):
-        J = np.array([[phi[i].diff(a).eval(m).real for a in range(4)] for i in range(4)])
-        y = np.array([p.eval(m).real for p in phi])
-        expected = J.T @ base.matrix(y) @ J
-        assert np.array_equal(pulled.matrix(m), 0.5 * (expected + expected.T))
 
 
 def flat_pullback_entry(phi, a, b):
@@ -113,10 +133,121 @@ def test_flat_pullback_equals_the_flat_formula_coefficient_for_coefficient(diffe
                for comp in spec]
     else:
         phi = gentle_diffeo()
-    pulled = pullback_metric(FlatMetric(Box.cube(2.0)), phi, Box.cube(0.5))
+    pulled = symbolic_metric(PullbackMetric(FlatMetric(Box.cube(2.0)), phi, Box.cube(0.5)))
     for entry, (a, b) in zip(pulled.upper, UPPER):
         expected = flat_pullback_entry(phi, a, b)
         assert list(entry.coeffs.items()) == list(expected.coeffs.items())
+
+
+SPHERE_BASE = ProductSphereMetric(1.0, Box((0.5, -1.0, -1.0, -1.0), (2.5, 1.0, 1.0, 1.0)))
+SPHERE_DIFFEO = [p + (1.5 if k == 0 else 0.0) for k, p in enumerate(cubic_diffeo())]
+
+
+def pullback_charts() -> dict:
+    scenario = catalog_pullback()
+    off_origin = np.array([0.1, 0.05, -0.02, 0.03])
+    return {
+        "pullback_z1z2": scenario.metric,
+        "normal chart off the origin": normalized_scenario(scenario, off_origin).scenario.metric,
+        "polynomial base": PullbackMetric(quadratic_bump_metric(), cubic_diffeo(), Box.cube(0.5)),
+        "product_sphere base": PullbackMetric(SPHERE_BASE, SPHERE_DIFFEO, Box.cube(0.5)),
+    }
+
+
+PULLBACK_CHARTS = pullback_charts()
+# the largest difference seen on these charts is 1.6e-15
+SYMBOLIC_TOL = 1e-14
+
+
+def chart_points(metric, n, seed):
+    half = 0.8 * 0.5 * metric.domain.size()
+    return np.random.default_rng(seed).uniform(-half, half, size=(n, 4))
+
+
+@pytest.mark.parametrize("name", sorted(set(PULLBACK_CHARTS) - {"product_sphere base"}))
+def test_pullback_matches_the_symbolic_reference(name):
+    metric = PULLBACK_CHARTS[name]
+    reference = symbolic_metric(metric)
+    points = chart_points(metric, 6, seed=7)
+    for method in ("matrix", "first_derivatives", "second_derivatives"):
+        got, expected = getattr(metric, method)(points), getattr(reference, method)(points)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= SYMBOLIC_TOL, method
+
+
+def written_out_chain_rule(base, phi, m):
+    """g, dg[c] = d_c g and d2g[c, d] = d_c d_d g of dPhi^T (g o Phi) dPhi
+    at m, term by term from the base's exact derivatives at Phi(m)."""
+    y = np.array([p.eval(m).real for p in phi])
+    d1 = [[p.diff(a) for a in range(4)] for p in phi]
+    J = np.array([[d1[i][a].eval(m).real for a in range(4)] for i in range(4)])
+    H = np.array([[[d1[i][a].diff(c).eval(m).real for c in range(4)] for a in range(4)]
+                  for i in range(4)])
+    T = np.array([[[[d1[i][a].diff(c).diff(d).eval(m).real for d in range(4)]
+                    for c in range(4)] for a in range(4)] for i in range(4)])
+    G, dG, d2G = base.matrix(y), base.first_derivatives(y), base.second_derivatives(y)
+    # first and second derivatives of G o Phi
+    DG = np.einsum("kc,kij->cij", J, dG)
+    DDG = np.einsum("kc,ld,klij->cdij", J, J, d2G) + np.einsum("kcd,kij->cdij", H, dG)
+    g = np.einsum("ia,ij,jb->ab", J, G, J)
+    dg = (np.einsum("iac,ij,jb->cab", H, G, J) + np.einsum("ia,cij,jb->cab", J, DG, J)
+          + np.einsum("ia,ij,jbc->cab", J, G, H))
+    d2g = (np.einsum("iacd,ij,jb->cdab", T, G, J) + np.einsum("iac,dij,jb->cdab", H, DG, J)
+           + np.einsum("iac,ij,jbd->cdab", H, G, H) + np.einsum("iad,cij,jb->cdab", H, DG, J)
+           + np.einsum("ia,cdij,jb->cdab", J, DDG, J) + np.einsum("ia,cij,jbd->cdab", J, DG, H)
+           + np.einsum("iad,ij,jbc->cdab", H, G, H) + np.einsum("ia,dij,jbc->cdab", J, DG, H)
+           + np.einsum("ia,ij,jbcd->cdab", J, G, T))
+    return g, dg, d2g
+
+
+def test_sphere_pullback_equals_the_written_out_chain_rule():
+    pulled = PULLBACK_CHARTS["product_sphere base"]
+    for m in chart_points(pulled, 6, seed=6):
+        g, dg, d2g = written_out_chain_rule(SPHERE_BASE, SPHERE_DIFFEO, m)
+        # the matrix is J^T (G J), made symmetric from its upper triangle
+        J = np.array([[p.diff(a).eval(m).real for a in range(4)] for p in SPHERE_DIFFEO])
+        product = J.T @ (SPHERE_BASE.matrix(np.array([p.eval(m).real for p in SPHERE_DIFFEO])) @ J)
+        assert np.array_equal(pulled.matrix(m), np.triu(product) + np.triu(product, 1).T)
+        assert np.max(np.abs(pulled.matrix(m) - g)) < 1e-12
+        assert np.max(np.abs(pulled.first_derivatives(m) - dg)) < 1e-12
+        assert np.max(np.abs(pulled.second_derivatives(m) - d2g)) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_CHARTS))
+def test_a_pullback_stack_equals_its_points_alone_bitwise(name):
+    metric = PULLBACK_CHARTS[name]
+    points = chart_points(metric, 5, seed=8)
+    stack = metric_point(metric, points)
+    matrices = metric.matrix(points)
+    for i, m in enumerate(points):
+        alone = metric_point(metric, m)
+        assert matrices[i].tobytes() == metric.matrix(m).tobytes()
+        for key in ("g", "dg", "d2g"):
+            assert getattr(stack, key)[i].tobytes() == getattr(alone, key).tobytes(), key
+        # a row handed out by the stack derives the same second derivatives
+        assert stack.at(i).d2g.tobytes() == alone.d2g.tobytes()
+
+
+def test_no_polynomial_product_forms_a_pullback(monkeypatch):
+    # the pullback is evaluated from tables of Phi and its derivatives,
+    # never expanded into polynomials
+    bases = [FlatMetric(Box.cube(2.0)), quadratic_bump_metric(), SPHERE_BASE]
+    diffeos = [gentle_diffeo(), cubic_diffeo(), SPHERE_DIFFEO]
+    products = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    m = np.full(4, 0.1)
+    for base, phi in zip(bases, diffeos):
+        metric = PullbackMetric(base, phi, Box.cube(0.3))
+        assert metric_point(metric, m).gamma.shape == (4, 4, 4)
+        assert metric.second_derivatives(m).shape == (4, 4, 4, 4)
+    assert products == []
 
 
 @pytest.fixture
@@ -163,10 +294,13 @@ def catalog_tables() -> dict:
             scenario = chart if isinstance(chart, MorphismScenario) else chart.scenario
             tables[f"{name}{label} jacobian"] = (scenario, scenario._d1)
             tables[f"{name}{label} hessians"] = (scenario, scenario._d2)
-            if isinstance(scenario.metric, PolynomialMetric):
-                tables[f"{name}{label} metric"] = (scenario, scenario.metric.upper)
-                tables[f"{name}{label} d1"] = (scenario, scenario.metric._d1)
-                tables[f"{name}{label} d2"] = (scenario, scenario.metric._d2)
+            # a pulled-back metric evaluates the tables of its map Phi
+            metric = scenario.metric
+            if isinstance(metric, (PolynomialMetric, PullbackMetric)):
+                values = metric.upper if isinstance(metric, PolynomialMetric) else metric.diffeo
+                tables[f"{name}{label} metric"] = (scenario, values)
+                tables[f"{name}{label} d1"] = (scenario, metric._d1)
+                tables[f"{name}{label} d2"] = (scenario, metric._d2)
     return tables
 
 

@@ -26,10 +26,12 @@ NON_FINITE = {
 }
 
 # sha256 of two catalog tables, as csv.DictWriter wrote them over rows of
-# numpy scalars; the plain-value rows and csv.writer must keep every byte
+# numpy scalars; the plain-value rows and csv.writer must keep every byte.
+# The pullback_z1z2 table is that of the chain-rule pullback, whose values
+# moved from the symbolic expansion's at the rounding floor.
 TABLE_SHA256 = {
     ("pullback_z1z2", "validate"):
-        "331bf29886b7f6feb7a7d94e68c910164db67c9298b3db89b75b4c4a37924942",
+        "e65729313c23e45bde69ca3aa535b2791d0a1268295a4bbcec31a91f0f72e467",
     ("proj", "twistor --patch catenoid"):
         "92ec7793ac06767a8ffd0ee8745ef6a360cb55bd728910f7e1f127f4ac0539d0",
 }

@@ -20,7 +20,7 @@ from morphoscope.catalog import CATALOG_PATCHES, catalog_configs, catalog_patch,
 from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
-from morphoscope.geometry import Box, CallableMetric, FlatMetric, ProductSphereMetric
+from morphoscope.geometry import Box, FlatMetric, ProductSphereMetric
 from morphoscope.morphism import point_geometry
 from morphoscope.polynomials import Poly
 from morphoscope.structures import K_MINUS, K_PLUS, structure_from_fiber
@@ -29,6 +29,7 @@ from morphoscope.twistor import (LiftGeometry, SurfacePatch, curvature_densities
                                  surface_lift, vertical_energy_density)
 
 from conftest import METRIC_EVALUATIONS, metric_classes
+from test_geometry import constant_metric, written_out_richardson
 from test_morphism import pullback_diffeo
 from test_symbol import count_calls
 
@@ -218,6 +219,7 @@ def test_antipody_under_parameter_swap():
 
     patch_swapped = SurfacePatch(psi=swapped,
                                  param_box=Box((-0.8, 0.5), (0.8, 2.0)),
+                                 jacobian=lambda s, t: patch.dpsi((t, s))[:, ::-1],
                                  name="reciprocal-swapped")
     a = LiftGeometry(sc, patch, (1.1, 0.2), orientation=1)
     b = LiftGeometry(sc, patch_swapped, (0.2, 1.1), orientation=1)
@@ -231,10 +233,12 @@ def test_curvature_densities_product_metric():
     box = Box((0.35, -3.0, -1.0, -1.0), (np.pi - 0.35, 3.0, 1.0, 1.0))
     sphere_patch = SurfacePatch(
         psi=lambda s, t: np.array([s, t, 0.1, -0.2]),
-        param_box=Box((0.5, -0.5), (1.5, 0.5)), name="sphere-factor")
+        param_box=Box((0.5, -0.5), (1.5, 0.5)),
+        jacobian=lambda s, t: np.eye(4, 2), name="sphere-factor")
     flat_patch = SurfacePatch(
         psi=lambda s, t: np.array([np.pi / 3, 0.2, s, t]),
-        param_box=Box((-0.5, -0.5), (0.5, 0.5)), name="flat-factor")
+        param_box=Box((-0.5, -0.5), (0.5, 0.5)),
+        jacobian=lambda s, t: np.eye(4, 2, -2), name="flat-factor")
     for radius in (1.0, 2.0):
         sc = holomorphic_scenario(
             "ps", {(1, 0): 1.0}, ProductSphereMetric(radius, box))
@@ -328,7 +332,7 @@ def test_rank_deficient_patch_rejected():
                          ids=["non_finite", "indefinite"])
 def test_rejected_chart_metric_names_the_point(bad):
     sc = holomorphic_scenario("probe", {(1, 0): 1.0},
-                              CallableMetric(lambda m: bad, Box.cube(2.0)))
+                              constant_metric(bad, Box.cube(2.0)))
     named = re.escape(str([0.25, -0.5, 0.0, 0.0]))
     with pytest.raises(GeometryError, match=named):
         point_geometry(sc, np.array([0.25, -0.5, 0.0, 0.0]))
@@ -342,11 +346,22 @@ def test_parameter_box_guard():
         patch.point((1.5, 0.0))
 
 
-def test_finite_difference_jacobian_agrees_with_exact():
-    patch = reciprocal_patch()
-    fd_patch = SurfacePatch(psi=patch.psi, param_box=patch.param_box)
-    p = (0.9, 0.25)
-    assert np.max(np.abs(patch.dpsi(p) - fd_patch.dpsi(p))) < 1e-9
+def test_catalog_patch_jacobians_match_richardson_differences():
+    # every patch carries a hand-written Jacobian, which must be the
+    # derivative of its psi; the package's central-difference rule must be
+    # the written-out Richardson formula, bit for bit
+    h = 1e-5
+    for name in sorted(CATALOG_PATCHES):
+        patch = catalog_patch(name)["patch"]
+        for p in patch_grid(patch):
+            shared = np.column_stack([
+                geometry.central_difference(
+                    [patch.point(q) for q in geometry.central_nodes(p, e, h)], h)
+                for e in np.eye(2)])
+            written = np.column_stack([written_out_richardson(patch.point, p, e, h)
+                                       for e in np.eye(2)])
+            assert np.array_equal(shared, written), name
+            assert np.max(np.abs(patch.dpsi(p) - written)) < 1e-9, name
 
 
 # ------------------------------------------------------- stacked lifts
@@ -451,7 +466,7 @@ def test_stacked_frame_rank_rule_does_not_depend_on_the_metric_scale(scale):
     # each seed's residual is measured against the seed's own g-norm, so a
     # metric of any scale completes the frames the point-by-point steps give
     sc = holomorphic_scenario("scaled", {(1, 0): 1.0},
-                              CallableMetric(lambda m: scale * np.eye(4), Box.cube(3.0)))
+                              constant_metric(scale * np.eye(4), Box.cube(3.0)))
     patch = catenoid_patch()
     grid = patch_grid(patch)
     stack = tw.lift_stack(sc, patch, grid, orientation=-1)
