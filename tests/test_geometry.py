@@ -20,7 +20,7 @@ from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import (
     DEFAULT_FD_STEP, Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric,
-    christoffel, covariant_derivative, curvature_data, metric_point, oriented_frame,
+    central_difference, central_nodes, christoffel, covariant_derivative, curvature_data, metric_point, oriented_frame,
     orientation_sign, orthonormalize, stencil,
 )
 from morphoscope.polynomials import Poly, evaluate
@@ -343,6 +343,38 @@ def test_covariant_derivative_tensor_leibniz():
     lhs = covariant_derivative(metric, Tv, m, X)
     rhs = covariant_derivative(metric, T, m, X) @ v0 + T0 @ covariant_derivative(metric, v, m, X)
     assert np.max(np.abs(lhs - rhs)) < 1e-7
+
+
+def test_difference_fallbacks_share_the_central_difference_rule():
+    # the one central-difference rule of the package, which the covariant
+    # and vertical derivatives read at their stencils, is the written-out
+    # Richardson formula bit for bit, for a matrix field on the chart and
+    # for a point of a surface patch
+    def wavy(x):
+        return (np.eye(4) + 0.1 * np.outer(np.sin(x), np.cos(x))
+                + 0.1 * np.outer(np.cos(x), np.sin(x)))
+
+    m = np.array([0.3, -0.9, 0.7, 0.2])
+    h = 1e-4
+    shared = np.array([central_difference([wavy(x) for x in central_nodes(m, e, h)], h)
+                       for e in np.eye(4)])
+    written = np.array([written_out_richardson(wavy, m, e, h) for e in np.eye(4)])
+    assert np.array_equal(shared, written)
+
+    def psi(p):
+        s, t = p
+        return np.array([s, t, np.sin(s * t), s * s - t])
+
+    p = np.array([0.4, -0.35])
+    h = 1e-5
+    shared = np.column_stack([central_difference([psi(q) for q in central_nodes(p, e, h)], h)
+                              for e in np.eye(2)])
+    written = np.column_stack([written_out_richardson(psi, p, e, h) for e in np.eye(2)])
+    assert np.array_equal(shared, written)
+    s, t = p
+    exact = np.array([[1.0, 0.0], [0.0, 1.0], [t * np.cos(s * t), s * np.cos(s * t)],
+                      [2.0 * s, -1.0]])
+    assert np.max(np.abs(shared - exact)) < 1e-9
 
 
 def written_out_stencil(m, X, step):
