@@ -31,13 +31,6 @@ def _holo(*terms):
                              for i, j, re, im in terms]}
 
 
-_IDENTITY_DIFFEO = [
-    [_mono((1, 0, 0, 0), 1.0)],
-    [_mono((0, 1, 0, 0), 1.0)],
-    [_mono((0, 0, 1, 0), 1.0)],
-    [_mono((0, 0, 0, 1), 1.0)],
-]
-
 _SPHERE_BOX = {"lo": [0.35, -3.0, -1.0, -1.0],
                "hi": [float(np.pi) - 0.35, 3.0, 1.0, 1.0]}
 

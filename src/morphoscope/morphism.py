@@ -9,32 +9,39 @@ and neighbouring points agree.
 All of it comes from one record per point, `PointGeometry`.
 `point_geometries` builds the records of a stack of points in one pass over
 the stack, and `point_geometry` is its stack of one. The tension, the
-splitting and the structures J+ and J- are derived over the whole stack
+splitting, the structures J+ and J- and the first jets of the vertical
+projector and of the structures are derived over the whole stack
 (`GeometryStack`) when one of its geometries first reads them, and each
 geometry reads its rows; a point where the splitting fails raises its own
-failure, and only when it is read. The node geometries of a derivative
-stencil are built on first use, as one stack, and kept on the geometry,
-which lives only as long as the evaluation that built it;
-`build_stencils` builds the stencils of many geometries as one stack, and
-`frame_rows` reads the frames and J+ of many geometries at once.
+failure, and only when it is read. The jets are exact: the product rule
+over g, dg, the Christoffel symbols, dF and the Hessians of F, with no
+geometry built at any other point.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .calculus import MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, DomainError, GeometryError
-from .geometry import (MetricPoint, covariant_difference, frame_orientations, metric_point,
-                       orthonormal_stack, point_name, stencil)
+from .geometry import (MetricPoint, frame_orientations, metric_point, orthonormal_stack,
+                       point_name)
 from .structures import K_MINUS, K_PLUS
 
 EPS_CRITICAL = 1e-9
+# eps_ijkl = det(e_i, e_j, e_k, e_l) as a (16, 16) matrix, rows ij and columns kl
+LEVI_CIVITA = np.linalg.det(np.eye(4)[list(itertools.product(range(4), repeat=4))]).reshape(16, 16)
+
+
+def along(jets: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """X^k jet_k, (n, 4, 4), for each row of a stack of jets, (n, 4, 4, 4) with
+    the derivative index k first, along its own direction X, (n, 4)."""
+    return (directions[:, None, :] @ jets.reshape(-1, 4, 16)).reshape(-1, 4, 4)
 
 
 @dataclass(eq=False)
@@ -44,7 +51,8 @@ class GeometryStack:
     symbols it derives for every point at once, the differential and the
     gauge decomposition of every point, and what is derived from them over
     the stack when a geometry of the stack first reads it: the tension, the
-    splitting and the structures J+ and J-."""
+    splitting, the structures J+ and J- and the exact first jets of the
+    vertical projector and of the structures."""
 
     scenario: MorphismScenario
     metric: MetricPoint
@@ -149,6 +157,78 @@ class GeometryStack:
         Binv = np.linalg.inv(B)
         return B @ K_PLUS @ Binv, B @ K_MINUS @ Binv
 
+    @cached_property
+    def _jet_inputs(self) -> tuple:
+        """(d_k A, d_k G, M, M^{-1}, d_k M, Gamma_k) of every point, k on the
+        second axis, for A = dF, G = g^{-1}, M = A G A^T and (Gamma_k)^a_b =
+        Gamma^a_{bk}; M is the identity where the splitting failed."""
+        G, A = self.ginv, self.jac
+        dA = np.moveaxis(self.scenario.hessians(self.metric.point), -1, 1)
+        dG = -(G[:, None] @ self.metric.dg @ G[:, None])
+        B, At = A @ G, A.swapaxes(-1, -2)
+        M = B @ At
+        M[[f is not None for f in self.splitting[-1]]] = np.eye(2)
+        S = dA @ B.swapaxes(-1, -2)[:, None]
+        dM = S + S.swapaxes(-1, -2) + A[:, None] @ dG @ At[:, None]
+        return dA, dG, M, np.linalg.inv(M), dM, np.moveaxis(self.metric.gamma, -1, 1)
+
+    @cached_property
+    def projector_jet(self) -> np.ndarray:
+        """nabla_k P_V of every point, (n, 4, 4, 4) with k first, exact.
+
+        P_V = I - G A^T N A with N = M^{-1}, so d_k P_V follows by the
+        product rule, with d_k N = -N (d_k M) N, and nabla_k P_V = d_k P_V +
+        [Gamma_k, P_V].
+        """
+        dA, dG, _, N, dM, gamma = self._jet_inputs
+        C, D = N @ self.jac, N @ self.jac @ self.ginv
+        p_vert = self.splitting[2][:, None]
+        # d_k (G A^T N A) = d_k (A G)^T C + D^T (d_k A - d_k M C)
+        dB = dA @ self.ginv[:, None] + self.jac[:, None] @ dG
+        dQ = (dB.swapaxes(-1, -2) @ C[:, None]
+              + D.swapaxes(-1, -2)[:, None] @ (dA - dM @ C[:, None]))
+        return gamma @ p_vert - p_vert @ gamma - dQ
+
+    @cached_property
+    def structure_jets(self) -> tuple:
+        """The first jets (J, nabla J) of J+ and of J- at every point, exact:
+        J is (n, 4, 4) and nabla J is (n, 4, 4, 4) with nabla_k J first.
+
+        J+ and J- are -G (w + o *w) and -G (w - o *w): w = dF1 ^ dF2 /
+        |dF1 ^ dF2|_g is the unit horizontal 2-form, (*w)_kl = 1/2
+        sqrt(det g) eps_ijkl w^ij its Hodge dual and o the scenario
+        orientation. This form equals `structures`; its derivatives follow
+        by the product rule, and nabla_k J = d_k J + [Gamma_k, J].
+        """
+        dA, dG, M, N, dM, gamma = self._jet_inputs
+        G, A = self.ginv[:, None], self.jac[:, None]
+        W = A[..., 0, :, None] * A[..., 1, None, :]
+        dW = (dA[..., 0, :, None] * A[..., 1, None, :]
+              + A[..., 0, :, None] * dA[..., 1, None, :])
+        # |dF1 ^ dF2|_g = sqrt(det M), whose log has derivative tr(N d_k M) / 2
+        size = np.sqrt(np.linalg.det(M))[:, None, None, None]
+        w = (W - W.swapaxes(-1, -2)) / size
+        dw = ((dW - dW.swapaxes(-1, -2)) / size
+              - 0.5 * np.trace(N[:, None] @ dM, axis1=-2, axis2=-1)[..., None, None] * w)
+        w_up = G @ w @ G
+        dw_up = dG @ (w @ G) + G @ dw @ G + (G @ w) @ dG
+        # sqrt(det g) and the derivative of its log, tr(G d_k g) / 2
+        volume = np.sqrt(np.linalg.det(self.metric.g))[:, None, None, None]
+        dlog_volume = 0.5 * np.trace(G @ self.metric.dg, axis1=-2, axis2=-1)[..., None, None]
+
+        def hodge(form_up):
+            flat = form_up.reshape(form_up.shape[:-2] + (1, 16))
+            return 0.5 * volume * (flat @ LEVI_CIVITA).reshape(form_up.shape)
+
+        star = hodge(w_up)
+        dstar = hodge(dw_up) + dlog_volume * star
+        jets = []
+        for sign in (self.scenario.orientation, -self.scenario.orientation):
+            form, dform = w + sign * star, dw + sign * dstar
+            J = -(G @ form)
+            jets.append((J[:, 0], gamma @ J - J @ gamma - dG @ form - G @ dform))
+        return tuple(jets)
+
     def check(self, index: int) -> None:
         """Raise the failure of point `index`'s splitting, if it failed."""
         failure = self.splitting[-1][index]
@@ -164,10 +244,11 @@ class PointGeometry:
     The fields are computed when the geometry is built, with the other
     points of its stack (see point_geometries). The Christoffel symbols,
     the tension, the splitting (`horizontal`, `vertical` and the two
-    projectors) and the structures J+ and J- are the point's rows of what
-    its GeometryStack derives for all its points at once, on first use,
-    and the properties below are then kept. The splitting and the
-    structures need a regular point and raise ClassificationError
+    projectors), the structures J+ and J- and their covariant derivatives
+    along any direction are the point's rows of what its GeometryStack
+    derives for all its points at once, on first use, and the properties
+    below are then kept. The splitting, the structures and the derivatives
+    need a regular point and raise ClassificationError
     otherwise; where a later step of the splitting fails they raise
     DegenerateFrameError or GeometryError, named at the point, as the same
     steps for the point alone would.
@@ -186,8 +267,6 @@ class PointGeometry:
     conformal: np.ndarray    # Gram matrix of the gauge matrix
     squared_dilation: float  # half the trace of `conformal`
     defect: float            # Frobenius distance of `conformal` to its conformal part
-    # (direction, step) -> (t, node geometries) of each derivative stencil
-    _stencils: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def metric_point(self) -> MetricPoint:
@@ -270,64 +349,17 @@ class PointGeometry:
     def structure(self, orientation: int) -> np.ndarray:
         return self.j_plus if orientation == 1 else self.j_minus
 
-    def derivative(self, field: Callable[[PointGeometry], np.ndarray], direction,
-                   step: float | None = None) -> np.ndarray:
-        """Covariant derivative along direction of a vector or (1,1)-tensor
-        field read off each geometry.
+    def projector_derivative(self, direction) -> np.ndarray:
+        """nabla_X P_V at the point, from its row of the stack's projector jet."""
+        self._splitting  # raises where the splitting failed
+        return along(self.stack.projector_jet[[self.index]], np.asarray(direction)[None])[0]
 
-        The node geometries of a (direction, step) stencil are built on
-        first use, as one stack, and kept, so every field differentiated
-        along an equal direction with the same step reads the same nodes.
-        """
-        X = np.asarray(direction, dtype=float)
-        (t, nodes), = build_stencils(self.scenario, [self], [X], [step])
-        return covariant_difference([field(n) for n in nodes], field(self), self.gamma,
-                                    X, t)
-
-
-def _stencil_key(direction: np.ndarray, step: float | None) -> tuple:
-    return tuple(direction.tolist()), step
-
-
-def build_stencils(scenario: MorphismScenario, geometries: Sequence[PointGeometry],
-                   directions, steps: Sequence[float | None]) -> list:
-    """(t, node geometries) of the derivative stencil of each geometry along
-    its own direction with its own step (None: the default step, see
-    geometry.stencil), in order.
-
-    A geometry that holds that stencil already keeps it; the others are
-    given theirs, with one stencil over the stack of their points and the
-    node geometries of all of them built as one stack. A stencil node
-    outside the chart domain raises DomainError before any node geometry
-    is built.
-    """
-    directions = np.asarray(directions, dtype=float).reshape(-1, 4)
-    keys = [_stencil_key(X, step) for X, step in zip(directions, steps)]
-    pending = [i for i, (geo, key) in enumerate(zip(geometries, keys))
-               if key not in geo._stencils]
-    if pending:
-        t, nodes = stencil(scenario.metric, [geometries[i].point for i in pending],
-                           directions[pending], [steps[i] for i in pending])
-        built = point_geometries(scenario, nodes)
-        for k, i in enumerate(pending):
-            geometries[i]._stencils[keys[i]] = t[k], built[4 * k:4 * k + 4]
-    return [geo._stencils[key] for geo, key in zip(geometries, keys)]
-
-
-def frame_rows(geometries: Sequence[PointGeometry]) -> tuple:
-    """(horizontal, vertical, J+) of the geometries, (n, 2, 4), (n, 2, 4) and
-    (n, 4, 4), each the geometry's rows of its stack's splitting and
-    structures, read once per run of geometries of one stack. The first
-    geometry in order whose splitting failed raises its failure."""
-    parts = []
-    for stack, run in itertools.groupby(geometries, key=lambda geo: geo.stack):
-        index = [geo.index for geo in run]
-        for i in index:
-            stack.check(i)
-        index = np.array(index)
-        horizontal, vertical, *_ = stack.splitting
-        parts.append((horizontal[index], vertical[index], stack.structures[0][index]))
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(rows) for rows in zip(*parts))
+    def structure_derivative(self, orientation: int, direction) -> np.ndarray:
+        """nabla_X J+ (orientation 1) or nabla_X J- at the point, from its row
+        of the stack's structure jets."""
+        self._splitting  # raises where the splitting failed
+        _, jet = self.stack.structure_jets[0 if orientation == 1 else 1]
+        return along(jet[[self.index]], np.asarray(direction)[None])[0]
 
 
 def point_geometries(scenario: MorphismScenario, points) -> list:
@@ -414,19 +446,16 @@ def tension_norm(scenario: MorphismScenario, m) -> float:
     return point_geometry(scenario, m).tension_norm
 
 
-def fiber_mean_curvature(geometry: PointGeometry,
-                         step: float | None = None) -> np.ndarray:
+def fiber_mean_curvature(geometry: PointGeometry) -> np.ndarray:
     """Mean curvature vector of the fiber through a regular point.
 
-    Sums horizontal projections of covariant derivatives of the deterministic
-    vertical frame fields along themselves, each on the geometry's stencil
-    along that field. The result is frame independent because the vertical
-    frame is orthonormal.
+    Sums the horizontal parts of (nabla_v P_V) v over the vertical frame
+    vectors v, which are those of nabla_v v: P_V v = v along the fiber. The
+    result is frame independent because the vertical frame is orthonormal.
     """
     total = np.zeros(4)
-    for i in range(2):
-        d = geometry.derivative(lambda geo: geo.vertical[i], geometry.vertical[i], step)
-        total = total + geometry.horizontal_projector @ d
+    for v in geometry.vertical:
+        total = total + geometry.horizontal_projector @ (geometry.projector_derivative(v) @ v)
     return total
 
 

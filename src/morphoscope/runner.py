@@ -224,8 +224,7 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
                          point) -> Findings:
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
-    shape = fiber_shape(scenario, m, angle=config.analysis["angle"],
-                        step=config.analysis["fd_step"])
+    shape = fiber_shape(scenario, m, angle=config.analysis["angle"])
     a, b, c, d = shape.coefficients
     (plus_closed, minus_closed), (plus_direct, minus_direct) = shape.closed, shape.direct
     scale = identity_scale(a, b, c, d)

@@ -8,12 +8,10 @@ vertical covariant derivatives; every closed form below is a polynomial in
 them, so the pure functions are kept separate from the frame machinery for
 direct algebraic testing.
 
-The shapes are taken over stacks (`shape_stack`): the frames, the stencils,
-the fields T and J+ T at the points and at the stencil nodes, their
-covariant differences and the coefficients run once per stack, and a
-`FiberShape` is a row of a stack, or the stack of one when built on its
-own. A scan builds two point-geometry stacks, one of all its samples and
-one of the stencil nodes of all its regular samples.
+The shapes are taken over stacks (`shape_stack`), and a `FiberShape` is a
+row of a stack, or the stack of one when built on its own. Every derivative
+is read from the exact first jets of the geometry stack, so a shape needs
+no geometry at any other point: a scan builds one point-geometry stack.
 """
 
 from __future__ import annotations
@@ -27,13 +25,11 @@ import numpy as np
 
 from .calculus import MorphismScenario
 from .errors import DomainError
-from .geometry import covariant_difference, g_products
-from .morphism import (PointGeometry, build_stencils, frame_rows, point_geometries,
-                       point_geometry)
+from .geometry import g_products
+from .morphism import PointGeometry, along, point_geometries, point_geometry
 from .ratefit import seeded_directions, shell_samples
 
 PRODUCT_FLOOR = 1e-8
-SCAN_STEP_FRACTION = 1e-3
 
 
 # ------------------------------------------------------------ closed forms
@@ -92,69 +88,51 @@ class ShapeStack:
     (see shape_stack)."""
 
     geometries: list
-    steps: list              # the stencil step of each geometry, as given
-    T: np.ndarray            # (n, 4) unit vertical vectors
     frames: np.ndarray       # (n, 4, 4) rows T, e2, e3, e4 of each adapted frame
     coefficients: list       # (a, b, c, d) of each geometry
 
 
-def shape_stack(geometries: Sequence[PointGeometry], angle: float,
-                steps: Sequence[float | None]) -> ShapeStack:
-    """The fiber shapes at one or more regular geometries, in order, built in
-    one pass.
+def shape_stack(geometries: Sequence[PointGeometry], angle: float) -> ShapeStack:
+    """The fiber shapes at regular geometries of one stack, in order, built
+    in one pass over their rows.
 
     Geometry i's shape is taken along its unit vertical T = cos(angle) v1 +
-    sin(angle) v2, on its stencil along T with steps[i]. Each step runs once
-    over the stack: the frames (T, e2, e3, e4) from the rows of the
-    splittings, the stencils, whose node geometries are one stack
-    (build_stencils), the fields T and J+ T at the points and at the nodes,
-    their covariant differences and the four coefficients. Each row equals,
-    bit for bit, what the same steps give for its geometry alone. A
-    geometry or a node whose splitting failed raises its failure. With
-    several failing rows, the error raised is that of the first step any
-    of them fails, not necessarily that of the first failing row.
+    sin(angle) v2: a, b = -g((nabla_T P_V) T, e3 or e4) and c, d =
+    -g((nabla_T P_V) e2, e3 or e4), the horizontal parts of nabla_T T and
+    nabla_T e2, from the stack's exact projector jet. Each row equals, bit
+    for bit, the shape of its geometry alone. The first geometry in order
+    whose splitting failed raises its failure.
     """
     ca, sa = math.cos(angle), math.sin(angle)
-    horizontal, vertical, j_plus = frame_rows(geometries)
+    stack, index = geometries[0].stack, [geo.index for geo in geometries]
+    for i in index:
+        stack.check(i)
+    horizontal, vertical = (rows[index] for rows in stack.splitting[:2])
     T = ca * vertical[:, 0] + sa * vertical[:, 1]
     e2 = ca * vertical[:, 1] - sa * vertical[:, 0]   # positive vertical rotation
     e3, e4 = horizontal[:, 0], horizontal[:, 1]      # e4: positive rotation of e3
-    stencils = build_stencils(geometries[0].scenario, geometries, T, steps)
-    t = np.array([step for step, _ in stencils])
-    _, node_vertical, node_j_plus = frame_rows([node for _, nodes in stencils
-                                                for node in nodes])
-    node_T = ca * node_vertical[:, 0] + sa * node_vertical[:, 1]
-    gamma = np.array([geo.gamma for geo in geometries])
-    g = np.array([geo.g for geo in geometries])
-
-    def derivative(at_nodes, at_points):
-        # the four node values of each point, node by node
-        values = at_nodes.reshape(-1, 4, 4).swapaxes(0, 1)
-        return covariant_difference(values, at_points, gamma, T, t)
-
-    dT = derivative(node_T, T)
-    dE2 = derivative((node_j_plus @ node_T[..., None])[..., 0],
-                     (j_plus @ T[..., None])[..., 0])
+    dP = along(stack.projector_jet[index], T)
+    dT, dE2 = ((dP @ v[..., None])[..., 0] for v in (T, e2))
+    g = stack.metric.g[index]
     coefficients = -np.stack([g_products(dT, g, e3), g_products(dT, g, e4),
                               g_products(dE2, g, e3), g_products(dE2, g, e4)], axis=1)
-    return ShapeStack(geometries=list(geometries), steps=list(steps), T=T,
-                      frames=np.stack([T, e2, e3, e4], axis=1),
+    return ShapeStack(geometries=list(geometries), frames=np.stack([T, e2, e3, e4], axis=1),
                       coefficients=[tuple(row) for row in coefficients.tolist()])
 
 
 class FiberShape:
     """The fiber shape at a regular point, along its unit vertical T.
 
-    A shape is row `index` of a ShapeStack: the point's geometry, the step,
-    T, the adapted frame (T, e2, e3, e4) and the shape coefficients. Built
+    A shape is row `index` of a ShapeStack: the point's geometry, the
+    adapted frame (T, e2, e3, e4) and the shape coefficients. Built
     on its own, it is the stack of one; a scan builds the shapes of all its
     samples as one stack. The polar form, the commutator and the closed
     and direct norms are derived on first use and then kept, each for its
     row alone; the products and the identity gap are read from them.
     """
 
-    def __init__(self, geometry: PointGeometry, angle: float, step: float | None):
-        self._bind(shape_stack([geometry], angle, [step]), 0)
+    def __init__(self, geometry: PointGeometry, angle: float):
+        self._bind(shape_stack([geometry], angle), 0)
 
     @classmethod
     def row(cls, stack: ShapeStack, index: int) -> "FiberShape":
@@ -165,9 +143,8 @@ class FiberShape:
 
     def _bind(self, stack: ShapeStack, index: int) -> None:
         self.geometry = stack.geometries[index]
-        self.step = stack.steps[index]
-        self.T = stack.T[index]
         self.frame = stack.frames[index]
+        self.T = self.frame[0]
         self.coefficients = stack.coefficients[index]
 
     @cached_property
@@ -190,16 +167,14 @@ class FiberShape:
     def direct(self) -> Tuple[float, float]:
         """Full squared frame component sums of the derivatives of J+ and J-.
 
-        The direct route differentiates the structure fields themselves; it
-        stacks two finite difference layers, so agreement with `closed` is
-        expected at the 1e-3 relative level, not machine precision.
+        The direct route differentiates the structure fields themselves, by
+        their exact jets (morphism.GeometryStack.structure_jets), where
+        `closed` reads the shape coefficients; both are exact, so they
+        agree to rounding.
         """
-        full = []
-        for orientation in (1, -1):
-            dJ = self.geometry.derivative(lambda geo: geo.structure(orientation),
-                                          self.T, self.step)
-            full.append(frame_component_sums(dJ, self.geometry.g, self.frame)[0])
-        return full[0], full[1]
+        return tuple(frame_component_sums(self.geometry.structure_derivative(orientation, self.T),
+                                          self.geometry.g, self.frame)[0]
+                     for orientation in (1, -1))
 
     @property
     def product(self) -> float:
@@ -222,15 +197,14 @@ class FiberShape:
                 / identity_scale(*self.coefficients))
 
 
-def fiber_shape(scenario: MorphismScenario, m, angle: float = 0.0,
-                step: float | None = None) -> FiberShape:
+def fiber_shape(scenario: MorphismScenario, m, angle: float = 0.0) -> FiberShape:
     """The fiber shape at a regular point m; `angle` rotates T inside the
     vertical plane."""
-    return FiberShape(point_geometry(scenario, m), angle, step)
+    return FiberShape(point_geometry(scenario, m), angle)
 
 
-def weingarten_matrix(scenario: MorphismScenario, m, angle: float = 0.0,
-                      step: float | None = None) -> Tuple[float, float, float, float]:
+def weingarten_matrix(scenario: MorphismScenario, m,
+                      angle: float = 0.0) -> Tuple[float, float, float, float]:
     """Shape coefficients (a, b, c, d) of the fiber at a regular point.
 
     a, b are the horizontal components of the covariant derivative of the
@@ -238,7 +212,7 @@ def weingarten_matrix(scenario: MorphismScenario, m, angle: float = 0.0,
     The vertical fields come from the canonical splitting, so the numbers
     are reproducible; `angle` rotates T inside the vertical plane.
     """
-    return fiber_shape(scenario, m, angle, step).coefficients
+    return fiber_shape(scenario, m, angle).coefficients
 
 
 def frame_component_sums(dJ: np.ndarray, g: np.ndarray,
@@ -255,11 +229,10 @@ def frame_component_sums(dJ: np.ndarray, g: np.ndarray,
     return full, mixed
 
 
-def nabla_J_norms(scenario: MorphismScenario, m, angle: float = 0.0,
-                  step: float | None = None) -> FiberShape:
+def nabla_J_norms(scenario: MorphismScenario, m, angle: float = 0.0) -> FiberShape:
     """The fiber shape, read for its closed-form norms from (a, b, c, d)
     next to the direct derivative norms (`closed` and `direct`)."""
-    return fiber_shape(scenario, m, angle, step)
+    return fiber_shape(scenario, m, angle)
 
 
 # ------------------------------------------------------------------- scan
@@ -291,9 +264,7 @@ def product_bound_scan(scenario: MorphismScenario, center,
     the plateau of the three coarsest ones; an absolute floor keeps noise on
     identically vanishing products from failing the verdict. An annulus
     that certifies no sample bounds nothing, so it fails the verdict too.
-    Derivative steps shrink with the annulus radius because the frame
-    fields vary on that scale. The center must lie strictly inside the
-    chart domain.
+    The center must lie strictly inside the chart domain.
     """
     center = np.asarray(center, dtype=float)
     reach = scenario.domain.boundary_distance(center)
@@ -305,7 +276,6 @@ def product_bound_scan(scenario: MorphismScenario, center,
         radii = tuple(r0 * 0.5 ** i for i in range(7))
     directions = seeded_directions(n_directions, seed)
     radii, points = shell_samples(directions, radii, center=center)
-    steps = [SCAN_STEP_FRACTION * r for r in radii]
     inside = scenario.domain.contains(points)
     # the shell of each inside sample, radius-major as the samples
     shell_of = np.repeat(np.arange(len(radii)), points.shape[1])[inside.ravel()].tolist()
@@ -313,7 +283,7 @@ def product_bound_scan(scenario: MorphismScenario, center,
         samples = point_geometries(scenario, points[inside]) if inside.any() else []
         regular = [geo for geo in samples if geo.is_regular]
         shells = [shell_of[geo.index] for geo in regular]
-        stack = shape_stack(regular, angle, [steps[k] for k in shells]) if regular else None
+        stack = shape_stack(regular, angle) if regular else None
         shapes = [FiberShape.row(stack, i) for i in range(len(regular))]
         products = [shape.product for shape in shapes]
         identity_gap = max([0.0] + [shape.identity_gap for shape in shapes])
@@ -321,11 +291,11 @@ def product_bound_scan(scenario: MorphismScenario, center,
         # the samples one by one, radius-major, each a stack of one, so the
         # error raised is that of the first failing sample at its first
         # failed step
-        for step, shell in zip(steps, points):
+        for shell in points:
             for y in shell[scenario.domain.contains(shell)]:
                 geo = point_geometry(scenario, y)
                 if geo.is_regular:
-                    shape = FiberShape(geo, angle, step)
+                    shape = FiberShape(geo, angle)
                     shape.product, shape.identity_gap
         raise
     annulus_max = [max([0.0] + [v for v, k in zip(products, shells) if k == shell])

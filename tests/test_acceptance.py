@@ -227,10 +227,8 @@ def test_criterion_7_metamorphic_invariance():
         worst = max(worst, abs(tension_norm(pulled, y) - tension_norm(base, x)))
         dx = dphi(y) @ direction
         for orientation in (1, -1):
-            dj_pulled = point_geometry(pulled, y).derivative(
-                lambda geo: geo.structure(orientation), direction)
-            dj_base = point_geometry(base, x).derivative(
-                lambda geo: geo.structure(orientation), dx)
+            dj_pulled = point_geometry(pulled, y).structure_derivative(orientation, direction)
+            dj_base = point_geometry(base, x).structure_derivative(orientation, dx)
             gs_p, gis_p = spd_sqrt_pair(pulled.metric.matrix(y))
             gs_b, gis_b = spd_sqrt_pair(base.metric.matrix(x))
             n_pulled = float(np.linalg.norm(gs_p @ dj_pulled @ gis_p))

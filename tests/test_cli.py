@@ -21,7 +21,7 @@ from morphoscope.polynomials import Poly
 from morphoscope.report import fingerprint
 from morphoscope.structures import K_PLUS
 
-from test_morphism import count_geometry_builds
+from test_morphism import count_geometry_builds, count_jets
 from test_symbol import count_calls
 
 
@@ -679,8 +679,8 @@ def test_symbol_without_candidates_fails_with_evidence(tmp_path):
 @example(exponent=0, i=1, j=1, n_points=1, chart="flat", coefficient=0.0,
          command="scan", fractions=[0.0] * 4, patch="plane", place="boundary",
          fd_exponent=None)
-# a step below the resolution: the shape coefficients of z1 z2 all read -0.0,
-# and the lifts of the catenoid and the bowl stop moving
+# a step below the resolution, which weingarten does not read, and at which
+# the lifts of the catenoid and the bowl stop moving
 @example(exponent=0, i=1, j=1, n_points=1, chart="flat", coefficient=0.0,
          command="weingarten", fractions=[0.6, 0.2, -0.5, 0.4], patch="plane",
          place="inside", fd_exponent=-300)
@@ -694,8 +694,8 @@ def test_exit_code_contract_holds_across_charts(exponent, i, j, n_points, chart,
                                                 coefficient, command, fractions,
                                                 patch, place, fd_exponent):
     # every config within the schema ends in 0, 1 or 2, never in a traceback;
-    # a scan center not strictly inside the box and a step below the
-    # resolution are rejected inputs
+    # a scan center not strictly inside the box and a twistor step below
+    # the resolution are rejected inputs (weingarten reads no step)
     half_width = 10.0 ** exponent
     config = chart_config(chart, half_width, coefficient, i, j, n_points=n_points)
     with tempfile.TemporaryDirectory() as tmp:
@@ -708,9 +708,8 @@ def test_exit_code_contract_holds_across_charts(exponent, i, j, n_points, chart,
     assert code in (0, 1, 2)
     if command == "scan" and place != "inside":
         assert code == 2
-    if fd_exponent is not None and command in ("weingarten", "twistor"):
-        points = ([half_width * np.asarray(fractions)] if command == "weingarten"
-                  else patch_grid(catalog_patch(patch)["patch"]))
+    if fd_exponent is not None and command == "twistor":
+        points = patch_grid(catalog_patch(patch)["patch"])
         if below_resolution(10.0 ** fd_exponent, points):
             assert code == 2
 
@@ -737,21 +736,55 @@ def test_scan_fails_an_annulus_without_certified_samples(tmp_path):
 
 @pytest.mark.parametrize("name", ["z1z2", "pullback_z1z2", "product_sphere"])
 def test_weingarten_point_reads_the_direct_norms_once(tmp_path, monkeypatch, name):
-    # the point and its four stencil nodes; the direct norms take one
-    # frame_component_sums call per structure, J+ then J-
+    # the point alone, whose exact jets give every derivative; the direct
+    # norms take one frame_component_sums call per structure, J+ then J-
     builds = count_geometry_builds(monkeypatch)
     sums = count_calls(monkeypatch, weingarten, "frame_component_sums")
     cfg = write_config(tmp_path, name)
     assert run(tmp_path, "weingarten", "--config", str(cfg), REGULAR_POINT) == 0
-    assert len(builds) == 5
+    assert len(builds) == 1
     assert len(sums) == 2
 
 
 def test_weingarten_scan_never_reads_the_direct_norms(tmp_path, monkeypatch):
     sums = count_calls(monkeypatch, weingarten, "frame_component_sums")
+    jets = count_jets(monkeypatch)
     cfg = write_config(tmp_path, "pullback_z1z2")
     assert run(tmp_path, "weingarten", "--config", str(cfg), "--scan") == 0
     assert sums == []
+    assert jets == {"projector_jet": 1, "structure_jets": 0}
+
+
+@pytest.mark.parametrize("args", [["validate"], ["analyze", REGULAR_POINT]],
+                         ids=["validate", "analyze"])
+@pytest.mark.parametrize("name", ["z1z2", "pullback_z1z2", "product_sphere"])
+def test_validate_and_analyze_compute_no_jet(tmp_path, monkeypatch, name, args):
+    jets = count_jets(monkeypatch)
+    cfg = write_config(tmp_path, name)
+    assert run(tmp_path, args[0], "--config", str(cfg), *args[1:]) == 0
+    assert jets == {"projector_jet": 0, "structure_jets": 0}
+
+
+@pytest.mark.parametrize("fd_step", [1e-300, 1e-4])
+@pytest.mark.parametrize("name, point", [
+    ("z1z2", [0.6, 0.2, -0.5, 0.4]),
+    ("pullback_z1z2", [0.5, 0.2, 0.1, -0.2]),
+    ("product_sphere", [0.5, 0.2, 0.1, -0.2]),
+])
+def test_weingarten_point_ignores_the_fd_step(tmp_path, name, point, fd_step):
+    # the shape reads exact jets, so a step, even one below the resolution
+    # at the point, changes neither the exit code, the records nor the checks
+    cfg = write_config(tmp_path, name)
+    argv = ["weingarten", "--config", str(cfg), "--point=" + ",".join(map(repr, point))]
+    reports = []
+    for extra in ([], ["--fd-step", repr(fd_step)]):
+        out = tmp_path / str(len(reports))
+        out.mkdir()
+        code = main([*argv, *extra, "--out", str(out)])
+        assert code in (0, 1)
+        report = read_report(out, f"{name}_weingarten_point")
+        reports.append((code, report["records"], report["checks"]))
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("name", sorted(catalog_configs()))

@@ -13,6 +13,7 @@ Frozen expected values are spelled out at their tests.
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -325,34 +326,56 @@ def test_point_functions_read_one_geometry():
     assert geo.vertical is geo.vertical and geo.j_plus is geo.j_plus
 
 
-@pytest.mark.parametrize("field", [lambda geo: geo.vertical[0], lambda geo: geo.j_plus],
-                         ids=["vector", "tensor"])
-def test_geometry_derivative_is_the_covariant_derivative(field):
-    # one rule: the geometry's stencil gives, bit for bit, the covariant
-    # derivative of the same field sampled through fresh geometries
+@pytest.mark.parametrize("field, exact", [
+    # the horizontal part of nabla_X v1, which (nabla_X P_V) v1 gives exactly
+    (lambda geo: geo.vertical[0],
+     lambda geo, X: geo.projector_derivative(X) @ geo.vertical[0]),
+    (lambda geo: geo.j_plus, lambda geo, X: geo.structure_derivative(1, X)),
+], ids=["vector", "tensor"])
+def test_geometry_derivative_is_the_covariant_derivative(field, exact):
+    # the exact jet of the geometry against the covariant derivative of the
+    # same field sampled through fresh geometries, on its Richardson stencil
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
     X = np.array([0.2, -0.1, 0.4, 0.3])
-    expected = covariant_derivative(sc.metric, lambda x: field(point_geometry(sc, x)), m, X)
-    assert np.array_equal(point_geometry(sc, m).derivative(field, X), expected)
-
-
-def test_geometry_keeps_one_stencil_per_direction_and_step():
-    sc = scenario_pullback_product()
-    m = np.array([0.3, 0.1, 0.25, -0.2])
-    X = np.array([0.2, -0.1, 0.4, 0.3])
-    h = 1e-4
-
-    def j_plus(geo):
-        return geo.j_plus
-
     geo = point_geometry(sc, m)
-    fine = geo.derivative(j_plus, X, h)
-    coarse = geo.derivative(j_plus, X, 2 * h)
-    # no stale stencil: each step reads its own nodes, as a fresh geometry does
-    assert np.array_equal(fine, point_geometry(sc, m).derivative(j_plus, X, h))
-    assert np.array_equal(coarse, point_geometry(sc, m).derivative(j_plus, X, 2 * h))
-    assert not np.array_equal(fine, coarse)
+    expected = covariant_derivative(sc.metric, lambda x: field(point_geometry(sc, x)), m, X)
+    if expected.ndim == 1:
+        expected = geo.horizontal_projector @ expected
+    assert np.max(np.abs(exact(geo, X) - expected)) < 1e-8
+
+
+def count_jets(monkeypatch) -> dict:
+    """The number of times each stack jet is computed, by name."""
+    counts = {"projector_jet": 0, "structure_jets": 0}
+    for name in counts:
+        original = getattr(morphism.GeometryStack, name).func
+
+        def counted(stack, name=name, original=original):
+            counts[name] += 1
+            return original(stack)
+
+        jet = cached_property(counted)
+        jet.__set_name__(morphism.GeometryStack, name)
+        monkeypatch.setattr(morphism.GeometryStack, name, jet)
+    return counts
+
+
+def test_geometry_jets_build_no_geometry(monkeypatch):
+    # every derivative, along any direction and of either structure, reads
+    # the jets of the point's own stack, each computed once
+    sc = scenario_pullback_product()
+    m = np.array([0.3, 0.1, 0.25, -0.2])
+    builds = count_geometry_builds(monkeypatch)
+    jets = count_jets(monkeypatch)
+    geo = point_geometry(sc, m)
+    for X in (np.array([0.2, -0.1, 0.4, 0.3]), geo.vertical[0], geo.vertical[1]):
+        geo.projector_derivative(X)
+        geo.structure_derivative(1, X)
+        geo.structure_derivative(-1, X)
+    fiber_mean_curvature(geo)
+    assert len(builds) == 1
+    assert jets == {"projector_jet": 1, "structure_jets": 1}
 
 
 def test_geometry_rejects_a_non_finite_differential():

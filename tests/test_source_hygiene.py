@@ -6,11 +6,13 @@ modules need belongs behind a public name. Every public module-level
 function and class is used: referenced in the sources outside its own
 definition, wrapped by the benchmark's tracer, or kept on purpose (UNUSED_KEPT).
 Every defaulted parameter of a public module-level function is set by some
-call in the sources. Every dataclass field and every attribute a method sets
-on self is read as an attribute in the sources or the tests.
+call in the sources. Every module-level constant is read in the sources.
+Every dataclass field and every attribute a method sets on self is read as
+an attribute in the sources or the tests.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -163,6 +165,33 @@ def test_kept_defaults_still_exist():
                if isinstance(node, ast.FunctionDef)
                for _, param in defaulted_parameters(node)}
     assert set(DEFAULTS_KEPT) <= defined
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def module_constants():
+    """(module, name) of every upper-case name a module assigns at its top level."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and CONSTANT.fullmatch(sub.id):
+                        yield path.stem, sub.id
+
+
+def test_every_module_constant_is_read():
+    read = Counter()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                read[node.attr] += 1
+    unread = [f"{module}.{name}" for module, name in module_constants() if read[name] == 0]
+    assert unread == []
 
 
 def is_dataclass(decorator) -> bool:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
-from morphoscope.errors import ClassificationError, DomainError
+from morphoscope.calculus import holomorphic_scenario
+from morphoscope.errors import ClassificationError, GeometryError
 from morphoscope.hermitian import hermitian_pair
 from morphoscope import morphism, weingarten
 from morphoscope.morphism import fiber_mean_curvature, point_geometry, splitting
@@ -23,11 +24,11 @@ from morphoscope.weingarten import (FiberShape, closed_norm_pair, commutator_mat
                                     fiber_shape, frame_component_sums,
                                     identity_scale, nabla_J_norms, polar_form,
                                     product_bound_scan, product_identity,
-                                    product_polar, weingarten_matrix, SCAN_STEP_FRACTION)
+                                    product_polar, weingarten_matrix)
 
-from test_morphism import (GOOD, NOT_SPD, count_geometry_builds, scenario_product,
-                           scenario_proj, scenario_pullback_product, scenario_square,
-                           stepped_scenario)
+from test_morphism import (GOOD, NOT_SPD, count_geometry_builds, count_jets,
+                           scenario_product, scenario_proj, scenario_pullback_product,
+                           scenario_square, stepped_scenario)
 
 COEFF = st.floats(min_value=-10.0, max_value=10.0,
                   allow_nan=False, allow_infinity=False)
@@ -206,7 +207,7 @@ def test_direct_norm_is_frame_gauge_invariant():
     pair = hermitian_pair(sc, m)
     T = sp.vertical[0]
     g = sc.metric.matrix(m)
-    dJ = point_geometry(sc, m).derivative(lambda geo: geo.structure(-1), T)
+    dJ = point_geometry(sc, m).structure_derivative(-1, T)
     frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
     full_a, _ = frame_component_sums(dJ, g, frame)
     phi = 0.7
@@ -226,7 +227,7 @@ def test_mixed_components_carry_half_the_full_sum():
     T = sp.vertical[0]
     g = sc.metric.matrix(m)
     frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
-    dJ = point_geometry(sc, m).derivative(lambda geo: geo.structure(-1), T)
+    dJ = point_geometry(sc, m).structure_derivative(-1, T)
     full, mixed = frame_component_sums(dJ, g, frame)
     assert full > 1.0
     assert abs(full - 2.0 * mixed) <= 1e-6 * full
@@ -271,24 +272,23 @@ def test_report_builds_each_stencil_geometry_once(monkeypatch):
     m = np.array([0.3, 0.1, 0.25, -0.2])
     builds = count_geometry_builds(monkeypatch)
     fiber_shape(sc, m, angle=0.3).direct
-    # the point and the four nodes m +- t T, m +- t/2 T
-    assert len(builds) <= 5
-    assert len({b.tobytes() for b in builds}) == len(builds)
+    # the point alone: the derivatives are read from its exact jets
+    assert len(builds) == 1
 
 
-@pytest.mark.parametrize("angle, expected", [(0.0, 9), (0.3, 13)])
-def test_shape_and_mean_curvature_share_the_geometry_stencils(monkeypatch, angle,
-                                                              expected):
-    # the point, four nodes along T and four along each of v1 and v2; at
-    # angle 0, T equals v1 and the two read one stencil: 1 + 4 + 4
+@pytest.mark.parametrize("angle", [0.0, 0.3])
+def test_shape_and_mean_curvature_read_the_geometry_jets(monkeypatch, angle):
+    # the shape, its direct norms and the mean curvature build no geometry
+    # beyond the point's, and each jet of its stack is computed once
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
     builds = count_geometry_builds(monkeypatch)
+    jets = count_jets(monkeypatch)
     geo = morphism.point_geometry(sc, m)
-    FiberShape(geo, angle, None).direct
+    FiberShape(geo, angle).direct
     fiber_mean_curvature(geo)
-    assert len(builds) == expected
-    assert len({b.tobytes() for b in builds}) == len(builds)
+    assert len(builds) == 1
+    assert jets == {"projector_jet": 1, "structure_jets": 1}
 
 
 def test_scan_builds_at_most_five_geometries_per_sample(monkeypatch):
@@ -296,7 +296,8 @@ def test_scan_builds_at_most_five_geometries_per_sample(monkeypatch):
     scan = product_bound_scan(scenario_pullback_product(), np.zeros(4),
                               n_directions=4, seed=2)
     samples = len(scan.radii) * 4
-    assert 0 < len(builds) <= 5 * samples
+    # one geometry per sample, and none elsewhere
+    assert len(builds) == samples
 
 
 def count_geometry_stacks(monkeypatch) -> list:
@@ -314,20 +315,22 @@ def count_geometry_stacks(monkeypatch) -> list:
     return sizes
 
 
-def test_scan_builds_two_stacks_per_scan(monkeypatch):
-    # one stack of the samples of all the shells, one of the stencil nodes
-    # of all of them, and none per shell or per sample
+def test_scan_builds_one_stack_per_scan(monkeypatch):
+    # one stack of the samples of all the shells, none per shell or per
+    # sample, and the structure jets are never computed
     sizes = count_geometry_stacks(monkeypatch)
+    jets = count_jets(monkeypatch)
     scan = product_bound_scan(scenario_pullback_product(), np.zeros(4),
                               n_directions=4, seed=2)
     assert scan.skipped == (0,) * len(scan.radii)
-    assert sizes == [4 * len(scan.radii), 16 * len(scan.radii)]
+    assert sizes == [4 * len(scan.radii)]
+    assert jets == {"projector_jet": 1, "structure_jets": 0}
 
 
 def test_scan_builds_no_stencil_for_a_skipped_sample(monkeypatch):
     # samples outside the domain are not built, and critical samples (on
-    # the plane z1 = 0) get no stencil; the inside samples of both shells
-    # are one stack, the nodes of the two regular ones another
+    # the plane z1 = 0) get no shape; the inside samples of both shells
+    # are one stack
     regular = [[0.3, 0.1, 0.2, 0.0], [-0.2, 0.4, 0.1, 0.3]]
     critical = [[0.0, 0.0, 0.3, 0.1], [0.0, 0.0, -0.2, 0.4]]
     outside = [2.0, 0.0, 0.0, 0.0]
@@ -338,7 +341,7 @@ def test_scan_builds_no_stencil_for_a_skipped_sample(monkeypatch):
     sizes = count_geometry_stacks(monkeypatch)
     scan = product_bound_scan(scenario_square(), np.zeros(4), n_directions=4)
     assert scan.skipped == (2, 4)
-    assert sizes == [5, 8]
+    assert sizes == [5]
 
 
 def scan_error(scenario, shells, monkeypatch):
@@ -353,44 +356,51 @@ def scan_error(scenario, shells, monkeypatch):
     with pytest.raises(Exception) as looped:
         for r, shell in zip(radii, shells):
             for y in shell:
-                FiberShape(point_geometry(scenario, y), 0.0, SCAN_STEP_FRACTION * r)
+                FiberShape(point_geometry(scenario, y), 0.0)
     return scanned.value, looped.value
+
+
+def overflowing_scenario():
+    """z1 + z1^40 on the chart of stepped_scenario: at OVERFLOWING the
+    geometry builds and is regular, but its conformality defect overflows,
+    so its splitting, the first step of a shape, fails."""
+    return holomorphic_scenario("overflowing", {(1, 0): 1.0, (40, 0): 1.0},
+                                stepped_scenario().metric)
+
+
+OVERFLOWING = [900.0, 0.2, 0.3, 0.4]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_failing_shell_raises_the_error_of_its_first_failing_sample(monkeypatch):
-    # sample 1 fails in its stencil, which leaves the domain along T = e3,
-    # and sample 2 fails earlier in the stacked order, in its geometry; the
-    # scan raises what the loop over the samples raises: sample 1's error
-    edge = [0.1, 0.2, 1e3 - 1e-9, 0.4]
-    scanned, looped = scan_error(stepped_scenario(),
-                                 np.array([[GOOD, edge, NOT_SPD, GOOD]]), monkeypatch)
-    assert type(scanned) is type(looped) is DomainError
+    # sample 1 fails in its splitting, and sample 2 fails earlier in the
+    # stacked order, in its geometry; the scan raises what the loop over
+    # the samples raises: sample 1's error
+    scanned, looped = scan_error(overflowing_scenario(),
+                                 np.array([[GOOD, OVERFLOWING, NOT_SPD, GOOD]]), monkeypatch)
+    assert type(scanned) is type(looped) is GeometryError
     assert str(scanned) == str(looped)
-    assert str(scanned).startswith("point [0.1, 0.2, 1000.0")
-    assert str(scanned).endswith("leaves the chart domain (margin 0)")
+    assert str(scanned) == f"conformality defect overflows at {OVERFLOWING}"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_failure_in_a_later_shell_raises_the_looped_error(monkeypatch):
-    # shell 1 is clean; in shell 2 sample 1 fails in its stencil and sample
-    # 2 in its geometry, which the stacked order reaches first
-    edge = [0.1, 0.2, 1e3 - 1e-9, 0.4]
-    scanned, looped = scan_error(stepped_scenario(),
-                                 np.array([[GOOD] * 4, [GOOD, edge, NOT_SPD, GOOD]]),
+    # shell 1 is clean; in shell 2 sample 1 fails in its splitting and
+    # sample 2 in its geometry, which the stacked order reaches first
+    scanned, looped = scan_error(overflowing_scenario(),
+                                 np.array([[GOOD] * 4, [GOOD, OVERFLOWING, NOT_SPD, GOOD]]),
                                  monkeypatch)
-    assert type(scanned) is type(looped) is DomainError
+    assert type(scanned) is type(looped) is GeometryError
     assert str(scanned) == str(looped)
-    assert str(scanned).startswith("point [0.1, 0.2, 1000.0")
+    assert str(scanned) == f"conformality defect overflows at {OVERFLOWING}"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_later_error_of_any_type_does_not_replace_an_earlier_one(monkeypatch):
-    # sample 1 fails in its stencil; the Jacobian fails with an error that
-    # is not a MorphoscopeError wherever sample 2 is evaluated, which the
-    # stacked order reaches first, with every sample's geometry
-    scenario = stepped_scenario()
-    edge = [0.1, 0.2, 1e3 - 1e-9, 0.4]
+    # sample 1 fails in its splitting; the Jacobian fails with an error
+    # that is not a MorphoscopeError wherever sample 2 is evaluated, which
+    # the stacked order reaches first, with every sample's geometry
+    scenario = overflowing_scenario()
     later = [0.3, 0.1, 0.2, 0.4]
     jacobian = scenario.jacobian
 
@@ -400,25 +410,22 @@ def test_a_later_error_of_any_type_does_not_replace_an_earlier_one(monkeypatch):
         return jacobian(points)
 
     monkeypatch.setattr(scenario, "jacobian", failing)
-    scanned, looped = scan_error(scenario, np.array([[GOOD, edge, later, GOOD]]),
+    scanned, looped = scan_error(scenario, np.array([[GOOD, OVERFLOWING, later, GOOD]]),
                                  monkeypatch)
-    assert type(scanned) is type(looped) is DomainError
+    assert type(scanned) is type(looped) is GeometryError
     assert str(scanned) == str(looped)
-    assert str(scanned).startswith("point [0.1, 0.2, 1000.0")
+    assert str(scanned) == f"conformality defect overflows at {OVERFLOWING}"
 
 
-def per_sample_shape(geo, angle, step):
-    """(a, b, c, d) of one geometry, written out point by point: each field
-    differentiated on the geometry's own stencil along T."""
+def per_sample_shape(geo, angle):
+    """(a, b, c, d) of one geometry, written out point by point from the
+    exact derivative of its vertical projector along T."""
     ca, sa = math.cos(angle), math.sin(angle)
-
-    def t_field(node):
-        return ca * node.vertical[0] + sa * node.vertical[1]
-
-    T = t_field(geo)
+    v1, v2 = geo.vertical
+    T, e2 = ca * v1 + sa * v2, ca * v2 - sa * v1
     e3, e4 = geo.horizontal
-    dT = geo.derivative(t_field, T, step)
-    dE2 = geo.derivative(lambda node: node.j_plus @ t_field(node), T, step)
+    dP = geo.projector_derivative(T)
+    dT, dE2 = dP @ T, dP @ e2
     return (-float(dT @ geo.g @ e3), -float(dT @ geo.g @ e4),
             -float(dE2 @ geo.g @ e3), -float(dE2 @ geo.g @ e4))
 
@@ -436,8 +443,8 @@ def test_scan_shapes_equal_a_per_sample_loop_bitwise(monkeypatch, name, angle):
     stacks = []
     built = weingarten.shape_stack
 
-    def recorded(geometries, angle, steps):
-        stacks.append(built(geometries, angle, steps))
+    def recorded(geometries, angle):
+        stacks.append(built(geometries, angle))
         return stacks[-1]
 
     monkeypatch.setattr(weingarten, "shape_stack", recorded)
@@ -453,7 +460,7 @@ def test_scan_shapes_equal_a_per_sample_loop_bitwise(monkeypatch, name, angle):
                 continue
             geo = point_geometry(scenario, y)
             if geo.is_regular:
-                coeffs = per_sample_shape(geo, angle, SCAN_STEP_FRACTION * r)
+                coeffs = per_sample_shape(geo, angle)
                 n_plus, n_minus = closed_norm_pair(*coeffs)
                 products.append(n_plus * n_minus)
                 gap = max(gap, abs(product_identity(*coeffs)
@@ -471,13 +478,13 @@ def test_scan_shapes_equal_a_per_sample_loop_bitwise(monkeypatch, name, angle):
 def test_report_matches_the_standalone_functions_bitwise():
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
-    rep = fiber_shape(sc, m, angle=0.4, step=2e-5)
+    rep = fiber_shape(sc, m, angle=0.4)
     assert np.array_equal(rep.commutator, commutator_matrix(
-        *weingarten_matrix(sc, m, angle=0.4, step=2e-5)))
-    norms = nabla_J_norms(sc, m, angle=0.4, step=2e-5)
+        *weingarten_matrix(sc, m, angle=0.4)))
+    norms = nabla_J_norms(sc, m, angle=0.4)
     assert norms.closed == rep.closed
     assert norms.direct == rep.direct
-    assert rep.coefficients == weingarten_matrix(sc, m, angle=0.4, step=2e-5)
+    assert rep.coefficients == weingarten_matrix(sc, m, angle=0.4)
 
 
 def test_no_state_leaks_between_scenarios_at_one_point():
