@@ -17,6 +17,10 @@ from .twistor import SurfacePatch
 PATCH_GRID_SIZE = 3
 
 
+def _flat_hessian(s, t):
+    return np.zeros((4, 2, 2))
+
+
 def _cube(half):
     return {"lo": [-half] * 4, "hi": [half] * 4}
 
@@ -95,7 +99,7 @@ def _plane_patch():
         param_box=Box((-1.0, -1.0), (1.0, 1.0)),
         jacobian=lambda s, t: np.array([[1.0, 0.0], [0.0, 1.0],
                                         [0.0, 0.0], [0.0, 0.0]]),
-        name="plane")
+        hessian=_flat_hessian, name="plane")
 
 
 def _reciprocal_patch():
@@ -108,8 +112,16 @@ def _reciprocal_patch():
         return np.array([[1.0, 0.0], [0.0, 1.0],
                          [dw.real, -dw.imag], [dw.imag, dw.real]])
 
+    def hessian(s, t):
+        # d_s = w', d_t = i w' on the holomorphic w = 1/z, w'' = 2 / z^3
+        d2w = 2.0 / complex(s, t) ** 3
+        out = np.zeros((4, 2, 2))
+        out[2] = [[d2w.real, -d2w.imag], [-d2w.imag, -d2w.real]]
+        out[3] = [[d2w.imag, d2w.real], [d2w.real, -d2w.imag]]
+        return out
+
     return SurfacePatch(psi=psi, param_box=Box((0.6, -0.6), (1.6, 0.6)),
-                        jacobian=jac, name="reciprocal")
+                        jacobian=jac, hessian=hessian, name="reciprocal")
 
 
 def _catenoid_patch():
@@ -121,8 +133,16 @@ def _catenoid_patch():
             [np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), 1.0, 0.0],
             [-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), 0.0, 0.0]])
 
+    def hessian(u, v):
+        out = np.zeros((4, 2, 2))
+        out[0] = [[np.cosh(u) * np.cos(v), -np.sinh(u) * np.sin(v)],
+                  [-np.sinh(u) * np.sin(v), -np.cosh(u) * np.cos(v)]]
+        out[1] = [[np.cosh(u) * np.sin(v), np.sinh(u) * np.cos(v)],
+                  [np.sinh(u) * np.cos(v), -np.cosh(u) * np.sin(v)]]
+        return out
+
     return SurfacePatch(psi=psi, param_box=Box((-0.6, -0.6), (0.6, 0.6)),
-                        jacobian=jac, name="catenoid")
+                        jacobian=jac, hessian=hessian, name="catenoid")
 
 
 def _bowl_patch():
@@ -134,8 +154,13 @@ def _bowl_patch():
     def jac(s, t):
         return np.array([[1.0, 0.0], [0.0, 1.0], [s, t], [0.0, 0.0]])
 
+    def hessian(s, t):
+        out = np.zeros((4, 2, 2))
+        out[2] = np.eye(2)
+        return out
+
     return SurfacePatch(psi=psi, param_box=Box((-1.0, -1.0), (1.0, 1.0)),
-                        jacobian=jac, name="bowl")
+                        jacobian=jac, hessian=hessian, name="bowl")
 
 
 def _sphere_factor_patch():
@@ -144,7 +169,7 @@ def _sphere_factor_patch():
         param_box=Box((0.6, -0.5), (1.5, 0.5)),
         jacobian=lambda s, t: np.array([[1.0, 0.0], [0.0, 1.0],
                                         [0.0, 0.0], [0.0, 0.0]]),
-        name="sphere_factor")
+        hessian=_flat_hessian, name="sphere_factor")
 
 
 def _flat_factor_patch():
@@ -153,7 +178,7 @@ def _flat_factor_patch():
         param_box=Box((-0.8, -0.8), (0.8, 0.8)),
         jacobian=lambda s, t: np.array([[0.0, 0.0], [0.0, 0.0],
                                         [1.0, 0.0], [0.0, 1.0]]),
-        name="flat_factor")
+        hessian=_flat_hessian, name="flat_factor")
 
 
 CATALOG_PATCHES = {

@@ -45,7 +45,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     p.add_argument("--fd-step", type=float, default=None,
-                   help="override the finite difference step, which only twistor reads")
+                   help="override the finite difference step; validated, but no "
+                        "command reads it")
     p.add_argument("--workers", type=int, default=None,
                    help="override the worker count")
     return p

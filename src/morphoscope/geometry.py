@@ -235,12 +235,14 @@ class MetricPoint:
 
     @cached_property
     def dg(self) -> np.ndarray:
-        """First derivatives, dg[..., k] = d_k g."""
+        """First derivatives, dg[..., k, :, :] = d_k g: the derivative index
+        comes before the two matrix indices."""
         return self.metric.first_derivatives(self.point)
 
     @cached_property
     def d2g(self) -> np.ndarray:
-        """Second derivatives, d2g[..., k, l] = d_k d_l g."""
+        """Second derivatives, d2g[..., k, l, :, :] = d_k d_l g: the two
+        derivative indices come before the two matrix indices."""
         return self.metric.second_derivatives(self.point)
 
     @cached_property
@@ -344,7 +346,7 @@ def _connection_sums(dg: np.ndarray) -> np.ndarray:
 
 def christoffel_symbols(inverse: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[..., k, i, j] = Gamma^k_{ij} from g^{-1} and the first
-    derivatives dg[..., k] = d_k g, at a point or over a stack."""
+    derivatives dg[..., k, :, :] = d_k g, at a point or over a stack."""
     gamma = np.einsum("...km,...mij->...kij", inverse, _connection_sums(dg))
     gamma *= 0.5
     return gamma
@@ -525,115 +527,54 @@ def oriented_frame(g: np.ndarray) -> np.ndarray:
 # ------------------------------------------------- covariant differentiation
 
 
-def _at_least_one(x):
-    """max(1, x) per entry, as Python's max(1.0, x) takes it: 1 where x is NaN."""
-    return np.fmax(x, 1.0)
-
-
-def _resolved(x: np.ndarray, X: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Whether the nearest central node x + t/2 X moves further than one
-    machine epsilon of the point's scale max(1, |x|), per row of a stack."""
-    return (0.5 * t * np.max(np.abs(X), axis=-1)
-            > MACHINE_EPS * _at_least_one(np.max(np.abs(x), axis=-1)))
-
-
-def central_nodes(x, X, t) -> tuple:
+def central_nodes(x, X, t: float) -> tuple:
     """Nodes x + s X of the central stencil, for s = t, -t, t/2, -t/2 in that order.
 
-    x and X are a point and a vector, or stacks of them on the last axis
-    with one step per row in t. A difference across nodes within one
-    machine epsilon of the point's scale max(1, |x|) measures rounding
-    only; a node may even coincide with x. So a step whose nearest node
-    moves no further than that raises GeometryError naming the point and
-    the step, those of the first such row of a stack.
+    A difference across nodes within one machine epsilon of the point's
+    scale max(1, |x|) measures rounding only; a node may even coincide with
+    x. So a step whose nearest node moves no further than that raises
+    GeometryError naming the point and the step.
     """
-    x, X, t = np.asarray(x, dtype=float), np.asarray(X, dtype=float), np.asarray(t, dtype=float)
-    resolved = _resolved(x, X, t)
-    if not resolved.all():
-        i = np.argmin(resolved)
+    x, X = np.asarray(x, dtype=float), np.asarray(X, dtype=float)
+    if not 0.5 * t * float(np.max(np.abs(X))) > MACHINE_EPS * max(1.0, float(np.max(np.abs(x)))):
         raise GeometryError(
-            f"finite difference step {t.flat[i]:.3e} is below the resolution at "
-            f"{x.reshape(-1, x.shape[-1])[i].tolist()}")
-    full, half = t[..., None], 0.5 * t[..., None]
-    return x + full * X, x - full * X, x + half * X, x - half * X
+            f"finite difference step {t:.3e} is below the resolution at {x.tolist()}")
+    return x + t * X, x - t * X, x + 0.5 * t * X, x - 0.5 * t * X
 
 
-def central_difference(values: Sequence[np.ndarray], t) -> np.ndarray:
+def central_difference(values: Sequence[np.ndarray], t: float) -> np.ndarray:
     """Richardson-extrapolated central difference from the values at the
-    central_nodes with step t: the derivative along X, error O(t^4). Over
-    a stack, t holds the step of each row and the values gain a leading
-    stack axis."""
+    central_nodes with step t: the derivative along X, error O(t^4)."""
     f_p, f_m, f_hp, f_hm = (np.asarray(v, dtype=float) for v in values)
-    if np.ndim(t):
-        t = np.reshape(t, np.shape(t) + (1,) * (f_p.ndim - np.ndim(t)))
     d_full = (f_p - f_m) / (2.0 * t)
     d_half = (f_hp - f_hm) / t
     return (4.0 * d_half - d_full) / 3.0
-
-
-def covariant_difference(values: Sequence[np.ndarray], value: np.ndarray,
-                         gamma: np.ndarray, X: np.ndarray, t) -> np.ndarray:
-    """Covariant derivative along the chart vector X from field values at
-    the central_nodes with step t and at the point.
-
-    gamma holds the Christoffel symbols at the point; the field must be a
-    vector or a (1,1)-tensor. Over a stack of points every argument gains
-    a leading stack axis, t holds the step of each point, and each row
-    equals, bit for bit, the derivative at its point alone.
-    """
-    partial = central_difference(values, t)
-    val = np.asarray(value, dtype=float)
-    rank = val.ndim - (np.ndim(gamma) - 3)
-    if rank == 1:
-        return partial + np.einsum("...kij,...i,...j->...k", gamma, X, val)
-    if rank == 2 and val.shape[-2:] == (4, 4):
-        corr = (np.einsum("...ikm,...k,...mj->...ij", gamma, X, val)
-                - np.einsum("...mkj,...k,...im->...ij", gamma, X, val))
-        return partial + corr
-    raise ValueError("field must produce a vector or a (1,1) tensor")
-
-
-def stencil(metric: ChartMetric, m, directions, steps: Sequence[float | None]) -> tuple:
-    """(t, nodes): the steps, (n,), and the central_nodes, (n, 4, 4) in their
-    order, of the derivative stencils through an (n, 4) stack of points m,
-    each along its nonzero direction with its step (None: DEFAULT_FD_STEP
-    scaled to the point), every node checked to lie inside the chart domain.
-
-    A row equals, bit for bit, the stencil of its point alone. When rows
-    fail, the first failing row raises the error of its first failed check,
-    as in a loop over the rows.
-    """
-    m = np.asarray(m, dtype=float)
-    X = np.asarray(directions, dtype=float)
-    default = DEFAULT_FD_STEP * _at_least_one(np.max(np.abs(m), axis=-1))
-    h = np.array([d if step is None else step for step, d in zip(steps, default)],
-                 dtype=float)
-    # the norm as np.linalg.norm takes it: a dot product of the vector with itself
-    xn = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-    t = h / _at_least_one(xn)
-    # a zero direction leaves its step unresolved; the rows before the first
-    # unresolved one are checked against the domain first
-    unresolved = np.flatnonzero(~_resolved(m, X, t))
-    k = unresolved[0] if len(unresolved) else len(m)
-    nodes = np.stack(central_nodes(m[:k], X[:k], t[:k]), axis=1)
-    metric.require_inside(nodes)
-    if k < len(m):
-        if xn[k] == 0:
-            raise ValueError("direction must be nonzero")
-        central_nodes(m[k], X[k], t[k])  # raises the row's resolution failure
-    return t, nodes
 
 
 def covariant_derivative(metric: ChartMetric, field: Callable[[np.ndarray], np.ndarray],
                          m, direction, step: float | None = None) -> np.ndarray:
     """Covariant derivative of a vector or (1,1)-tensor field along a vector.
 
-    The field is sampled on a Richardson-extrapolated central stencil along
-    the straight coordinate line through m; Christoffel corrections use exact
-    metric derivatives when the metric provides them.
+    The field is sampled on the Richardson central stencil along the straight
+    coordinate line through m, every node inside the chart domain, with the
+    step (default DEFAULT_FD_STEP times max(1, |m|)) over max(1, |X|); the
+    Christoffel corrections use the exact metric derivatives at m.
     """
     m = np.asarray(m, dtype=float)
     X = np.asarray(direction, dtype=float)
-    t, nodes = stencil(metric, m[None], X[None], [step])
-    return covariant_difference([field(x) for x in nodes[0]], field(m),
-                                christoffel(metric, m), X, t[0])
+    norm = float(np.linalg.norm(X))
+    if norm == 0:
+        raise ValueError("direction must be nonzero")
+    h = DEFAULT_FD_STEP * max(1.0, float(np.max(np.abs(m)))) if step is None else step
+    t = h / max(1.0, norm)
+    nodes = central_nodes(m, X, t)
+    metric.require_inside(np.array(nodes))
+    partial = central_difference([field(x) for x in nodes], t)
+    value = np.asarray(field(m), dtype=float)
+    gamma = christoffel(metric, m)
+    if value.shape == (4,):
+        return partial + np.einsum("kij,i,j->k", gamma, X, value)
+    if value.shape == (4, 4):
+        return partial + (np.einsum("ikm,k,mj->ij", gamma, X, value)
+                          - np.einsum("mkj,k,im->ij", gamma, X, value))
+    raise ValueError("field must produce a vector or a (1,1) tensor")

@@ -20,7 +20,6 @@ geometry built at any other point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -31,11 +30,9 @@ from .calculus import MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, DomainError, GeometryError
 from .geometry import (MetricPoint, frame_orientations, metric_point, orthonormal_stack,
                        point_name)
-from .structures import K_MINUS, K_PLUS
+from .structures import K_MINUS, K_PLUS, gram_jet, structure_jets
 
 EPS_CRITICAL = 1e-9
-# eps_ijkl = det(e_i, e_j, e_k, e_l) as a (16, 16) matrix, rows ij and columns kl
-LEVI_CIVITA = np.linalg.det(np.eye(4)[list(itertools.product(range(4), repeat=4))]).reshape(16, 16)
 
 
 def along(jets: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -159,32 +156,28 @@ class GeometryStack:
 
     @cached_property
     def _jet_inputs(self) -> tuple:
-        """(d_k A, d_k G, M, M^{-1}, d_k M, Gamma_k) of every point, k on the
-        second axis, for A = dF, G = g^{-1}, M = A G A^T and (Gamma_k)^a_b =
-        Gamma^a_{bk}; M is the identity where the splitting failed."""
-        G, A = self.ginv, self.jac
+        """(d_k A, d_k g, Gamma_k, failed) of every point, k on the second
+        axis, for A = dF and (Gamma_k)^a_b = Gamma^a_{bk}; failed marks the
+        points whose splitting failed."""
         dA = np.moveaxis(self.scenario.hessians(self.metric.point), -1, 1)
-        dG = -(G[:, None] @ self.metric.dg @ G[:, None])
-        B, At = A @ G, A.swapaxes(-1, -2)
-        M = B @ At
-        M[[f is not None for f in self.splitting[-1]]] = np.eye(2)
-        S = dA @ B.swapaxes(-1, -2)[:, None]
-        dM = S + S.swapaxes(-1, -2) + A[:, None] @ dG @ At[:, None]
-        return dA, dG, M, np.linalg.inv(M), dM, np.moveaxis(self.metric.gamma, -1, 1)
+        failed = [f is not None for f in self.splitting[-1]]
+        return dA, self.metric.dg, np.moveaxis(self.metric.gamma, -1, 1), failed
 
     @cached_property
     def projector_jet(self) -> np.ndarray:
         """nabla_k P_V of every point, (n, 4, 4, 4) with k first, exact.
 
-        P_V = I - G A^T N A with N = M^{-1}, so d_k P_V follows by the
-        product rule, with d_k N = -N (d_k M) N, and nabla_k P_V = d_k P_V +
-        [Gamma_k, P_V].
+        P_V = I - G A^T N A with G = g^{-1}, N = M^{-1} and M = A G A^T, so
+        d_k P_V follows by the product rule, with d_k N = -N (d_k M) N, and
+        nabla_k P_V = d_k P_V + [Gamma_k, P_V].
         """
-        dA, dG, _, N, dM, gamma = self._jet_inputs
-        C, D = N @ self.jac, N @ self.jac @ self.ginv
+        dA, dg, gamma, failed = self._jet_inputs
+        G = self.ginv
+        dG, _, N, dM = gram_jet(self.jac, dA, G, dg, failed)
+        C, D = N @ self.jac, N @ self.jac @ G
         p_vert = self.splitting[2][:, None]
         # d_k (G A^T N A) = d_k (A G)^T C + D^T (d_k A - d_k M C)
-        dB = dA @ self.ginv[:, None] + self.jac[:, None] @ dG
+        dB = dA @ G[:, None] + self.jac[:, None] @ dG
         dQ = (dB.swapaxes(-1, -2) @ C[:, None]
               + D.swapaxes(-1, -2)[:, None] @ (dA - dM @ C[:, None]))
         return gamma @ p_vert - p_vert @ gamma - dQ
@@ -194,40 +187,15 @@ class GeometryStack:
         """The first jets (J, nabla J) of J+ and of J- at every point, exact:
         J is (n, 4, 4) and nabla J is (n, 4, 4, 4) with nabla_k J first.
 
-        J+ and J- are -G (w + o *w) and -G (w - o *w): w = dF1 ^ dF2 /
-        |dF1 ^ dF2|_g is the unit horizontal 2-form, (*w)_kl = 1/2
-        sqrt(det g) eps_ijkl w^ij its Hodge dual and o the scenario
-        orientation. This form equals `structures`; its derivatives follow
-        by the product rule, and nabla_k J = d_k J + [Gamma_k, J].
+        J+ and J- are -G (w + o *w) and -G (w - o *w), see
+        structures.structure_jets: w is the unit horizontal 2-form dF1 ^ dF2
+        / |dF1 ^ dF2|_g and o the scenario orientation. This form equals
+        `structures`.
         """
-        dA, dG, M, N, dM, gamma = self._jet_inputs
-        G, A = self.ginv[:, None], self.jac[:, None]
-        W = A[..., 0, :, None] * A[..., 1, None, :]
-        dW = (dA[..., 0, :, None] * A[..., 1, None, :]
-              + A[..., 0, :, None] * dA[..., 1, None, :])
-        # |dF1 ^ dF2|_g = sqrt(det M), whose log has derivative tr(N d_k M) / 2
-        size = np.sqrt(np.linalg.det(M))[:, None, None, None]
-        w = (W - W.swapaxes(-1, -2)) / size
-        dw = ((dW - dW.swapaxes(-1, -2)) / size
-              - 0.5 * np.trace(N[:, None] @ dM, axis1=-2, axis2=-1)[..., None, None] * w)
-        w_up = G @ w @ G
-        dw_up = dG @ (w @ G) + G @ dw @ G + (G @ w) @ dG
-        # sqrt(det g) and the derivative of its log, tr(G d_k g) / 2
-        volume = np.sqrt(np.linalg.det(self.metric.g))[:, None, None, None]
-        dlog_volume = 0.5 * np.trace(G @ self.metric.dg, axis1=-2, axis2=-1)[..., None, None]
-
-        def hodge(form_up):
-            flat = form_up.reshape(form_up.shape[:-2] + (1, 16))
-            return 0.5 * volume * (flat @ LEVI_CIVITA).reshape(form_up.shape)
-
-        star = hodge(w_up)
-        dstar = hodge(dw_up) + dlog_volume * star
-        jets = []
-        for sign in (self.scenario.orientation, -self.scenario.orientation):
-            form, dform = w + sign * star, dw + sign * dstar
-            J = -(G @ form)
-            jets.append((J[:, 0], gamma @ J - J @ gamma - dG @ form - G @ dform))
-        return tuple(jets)
+        dA, dg, gamma, failed = self._jet_inputs
+        o = self.scenario.orientation
+        return tuple(structure_jets(self.jac, dA, self.metric.g, dg, gamma, self.ginv,
+                                    (o, -o), failed))
 
     def check(self, index: int) -> None:
         """Raise the failure of point `index`'s splitting, if it failed."""
@@ -325,10 +293,6 @@ class PointGeometry:
     def vertical(self) -> np.ndarray:
         """(2, 4) rows v1, v2."""
         return self._splitting[1]
-
-    @property
-    def vertical_projector(self) -> np.ndarray:
-        return self._splitting[2]
 
     @property
     def horizontal_projector(self) -> np.ndarray:

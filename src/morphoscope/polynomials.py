@@ -62,9 +62,6 @@ class Poly:
 
     # ------------------------------------------------------------------ basic
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "Poly | complex") -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.constant(other)

@@ -303,7 +303,6 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
     spec = catalog_patch(patch_name)
     patch = spec["patch"]
     tag = spec["orientation"]
-    step = config.analysis["fd_step"]
     grid = patch_grid(patch)
 
     def read(geo):
@@ -315,7 +314,7 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
                 "area_element": energy.area_element,
                 "omega_tangent": omega_t, "omega_normal": omega_n}
 
-    records = map_lifts(read, scenario, patch, grid, orientation=tag, step=step)
+    records = map_lifts(read, scenario, patch, grid, orientation=tag)
     residuals = [r["residual"] for r in records]
     checks = []
     if spec["classification"] == "minimal":

@@ -7,9 +7,15 @@ negative basis from their antisymmetric partners. Both triples satisfy the
 quaternion relations, each unit combination squares to minus the identity,
 and the third positive element is the standard structure of the two complex
 chart coordinates.
+
+On a curved chart the compatible structure of a unit 2-form w is J =
+-g^{-1} (w + s *w), and `structure_jets` derives it, with its covariant
+derivatives, in closed form from the two covectors whose wedge spans w.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -40,6 +46,9 @@ STRUCTURES_MINUS = tuple(-omega for omega in _FORMS_MINUS)
 K_PLUS = STRUCTURES_PLUS[2]
 K_MINUS = STRUCTURES_MINUS[2]
 
+# eps_ijkl = det(e_i, e_j, e_k, e_l) as a (16, 16) matrix, rows ij and columns kl
+LEVI_CIVITA = np.linalg.det(np.eye(4)[list(itertools.product(range(4), repeat=4))]).reshape(16, 16)
+
 
 def structure_basis(orientation: int) -> tuple:
     if orientation == 1:
@@ -60,3 +69,61 @@ def fiber_from_structure(J: np.ndarray, orientation: int) -> np.ndarray:
     """Project a flat-compatible structure onto the basis; ||J_i||_F^2 = 4."""
     basis = structure_basis(orientation)
     return np.array([float(np.tensordot(b, J)) / 4.0 for b in basis])
+
+
+def gram_jet(A: np.ndarray, dA: np.ndarray, G: np.ndarray, dg: np.ndarray,
+             degenerate=None) -> tuple:
+    """(d_k G, M, M^{-1}, d_k M) for G = g^{-1} and the Gram matrix M = A G
+    A^T of the rows of A, over a stack: A is (n, 2, 4), G (n, 4, 4), and dA
+    and dg = d_k g carry the derivative index k on their second axis. M is
+    replaced by the identity on the rows that `degenerate` selects, so it
+    cannot fail the inverse."""
+    dG = -(G[:, None] @ dg @ G[:, None])
+    B, At = A @ G, A.swapaxes(-1, -2)
+    M = B @ At
+    if degenerate is not None:
+        M[degenerate] = np.eye(2)
+    S = dA @ B.swapaxes(-1, -2)[:, None]
+    return dG, M, np.linalg.inv(M), S + S.swapaxes(-1, -2) + A[:, None] @ dG @ At[:, None]
+
+
+def structure_jets(A: np.ndarray, dA: np.ndarray, g: np.ndarray, dg: np.ndarray,
+                   gamma: np.ndarray, G: np.ndarray, signs, degenerate=None) -> list:
+    """The first jets (J, nabla J) of J = -G (w + s *w), one for each sign s.
+
+    w = A_1 ^ A_2 / |A_1 ^ A_2|_g is the unit 2-form of the two rows of A,
+    (n, 2, 4), and (*w)_kl = 1/2 sqrt(det g) eps_ijkl w^ij its Hodge dual;
+    G is g^{-1}. The derivatives are taken along any number of directions
+    k: dA, dg = d_k g and gamma, with (Gamma_k)^a_b = Gamma^a_{bc} X_k^c,
+    carry k on their second axis, (n, k, ...), and the matrix indices last.
+    J is (n, 4, 4) and nabla J is (n, k, 4, 4), with nabla_k J = d_k J +
+    [Gamma_k, J] by the product rule. `degenerate` is passed to gram_jet.
+    """
+    dG, M, N, dM = gram_jet(A, dA, G, dg, degenerate)
+    G, A = G[:, None], A[:, None]
+    W = A[..., 0, :, None] * A[..., 1, None, :]
+    dW = (dA[..., 0, :, None] * A[..., 1, None, :]
+          + A[..., 0, :, None] * dA[..., 1, None, :])
+    # |A_1 ^ A_2|_g = sqrt(det M), whose log has derivative tr(N d_k M) / 2
+    size = np.sqrt(np.linalg.det(M))[:, None, None, None]
+    w = (W - W.swapaxes(-1, -2)) / size
+    dw = ((dW - dW.swapaxes(-1, -2)) / size
+          - 0.5 * np.trace(N[:, None] @ dM, axis1=-2, axis2=-1)[..., None, None] * w)
+    w_up = G @ w @ G
+    dw_up = dG @ (w @ G) + G @ dw @ G + (G @ w) @ dG
+    # sqrt(det g) and the derivative of its log, tr(G d_k g) / 2
+    volume = np.sqrt(np.linalg.det(g))[:, None, None, None]
+    dlog_volume = 0.5 * np.trace(G @ dg, axis1=-2, axis2=-1)[..., None, None]
+
+    def hodge(form_up):
+        flat = form_up.reshape(form_up.shape[:-2] + (1, 16))
+        return 0.5 * volume * (flat @ LEVI_CIVITA).reshape(form_up.shape)
+
+    star = hodge(w_up)
+    dstar = hodge(dw_up) + dlog_volume * star
+    jets = []
+    for sign in signs:
+        form, dform = w + sign * star, dw + sign * dstar
+        J = -(G @ form)
+        jets.append((J[:, 0], gamma @ J - J @ gamma - dG @ form - G @ dform))
+    return jets

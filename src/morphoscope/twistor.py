@@ -17,14 +17,15 @@ the curvature densities read at one parameter point, the chart metric at
 the point included. Lifts are built over stacks of parameter points
 (`lift_stack`): the patch is evaluated point by point, and the rank test,
 the chart metric, the adapted frames, J and its checks run once per stack.
-`map_lifts` evaluates a parameter grid with two stacks, one for the
-geometries of the grid points and one for the lifts at the stencil nodes
-of all their vertical derivatives, which take the covariant-difference rule
-of `geometry` along the chart images d X of parameter-plane directions X.
-When either raises, the grid is run again one point at a time, each
-geometry a stack of one, so the error is the one a loop over the points
-gives. A `LiftGeometry` built on its own, and `surface_lift`, its lift
-alone, are the stack of one.
+The vertical derivatives, the covariant derivatives of the lift field along
+the chart images d X of parameter-plane directions X, are exact: the lift
+is J = -g^{-1} (w + s *w) for the unit tangent 2-form w of the patch, so
+its jet along the parameter axes is `structures.structure_jets` of the
+rows d^T g, taken once per stack from the patch Hessians. `map_lifts`
+evaluates a parameter grid as one stack; when it raises, the grid is run
+again one point at a time, each geometry a stack of one, so the error is
+the one a loop over the points gives. A `LiftGeometry` built on its own,
+and `surface_lift`, its lift alone, are the stack of one.
 """
 
 from __future__ import annotations
@@ -38,24 +39,24 @@ import numpy as np
 from ._linalg import surface_complex_structure
 from .calculus import MorphismScenario
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .geometry import (Box, MetricPoint, central_nodes,
-                       covariant_difference, frame_orientations, metric_point,
+from .geometry import (Box, MetricPoint, frame_orientations, metric_point,
                        orthonormal_stack, oriented_frame)
 from .parallel import ordered_map
-from .structures import K_MINUS, K_PLUS, fiber_from_structure
+from .structures import K_MINUS, K_PLUS, fiber_from_structure, structure_jets
 
 VERTICAL_ROTATION_SIGN = -1
-LIFT_FD_STEP = 1e-4
 PATCH_RANK_TOL = 1e-8
 
 
 @dataclass
 class SurfacePatch:
-    """Parametrized surface in the chart with its exact (4, 2) Jacobian."""
+    """Parametrized surface in the chart with its exact (4, 2) Jacobian and
+    its exact (4, 2, 2) Hessian, hessian[i, a, b] = d_a d_b psi_i."""
 
     psi: Callable
     param_box: Box
     jacobian: Callable
+    hessian: Callable
     name: str = "patch"
 
     def point(self, p) -> np.ndarray:
@@ -66,6 +67,9 @@ class SurfacePatch:
 
     def dpsi(self, p) -> np.ndarray:
         return np.asarray(self.jacobian(*np.asarray(p, dtype=float)), dtype=float)
+
+    def d2psi(self, p) -> np.ndarray:
+        return np.asarray(self.hessian(*np.asarray(p, dtype=float)), dtype=float)
 
 
 @dataclass
@@ -122,6 +126,28 @@ class LiftStack:
     d: np.ndarray            # (n, 4, 2) patch differentials
     frames: np.ndarray       # (n, 4, 4) rows t1, t2, n1, n2 of each adapted frame
     J: np.ndarray            # (n, 4, 4)
+
+    @cached_property
+    def vertical_jet(self) -> np.ndarray:
+        """nabla_{d e_j} J along the parameter axes j, (n, 2, 4, 4) with j
+        second, exact: structure_jets of the rows A = d^T g, whose
+        derivatives d_j A = (d_j d)^T g + d^T (d_{d e_j} g) come from the
+        patch Hessians, with the sign of the tag times the scenario
+        orientation. Its J equals the lift J = B K B^{-1} to rounding."""
+        mp, dT = self.metric, self.d.swapaxes(-1, -2)
+        n = len(dT)
+
+        def along_d(field):
+            # sum_k d[k, j] field[k] for a chart field with its index k first
+            return (dT @ field.reshape(n, 4, 16)).reshape(n, 2, 4, 4)
+
+        dg = along_d(mp.dg)
+        hessians = np.array([self.patch.d2psi(p) for p in self.parameters])
+        dA = np.moveaxis(hessians, -1, 1).swapaxes(-1, -2) @ mp.g[:, None] + dT[:, None] @ dg
+        [(_, jet)] = structure_jets(dT @ mp.g, dA, mp.g, dg,
+                                    along_d(np.moveaxis(mp.gamma, -1, 1)), mp.inverse,
+                                    (self.orientation * self.scenario.orientation,))
+        return jet
 
 
 def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
@@ -186,22 +212,23 @@ class LiftGeometry:
     the patch differential d, the adapted frame (t1, t2, n1, n2) and the
     checked lift J. Built on its own, it is the stack of one; map_lifts
     builds the geometries of many points as one stack. The properties below,
-    the fiber coordinates among them, are derived on first use.
+    the fiber coordinates and the vertical derivatives among them, are
+    derived on first use.
     """
 
     def __init__(self, scenario: MorphismScenario, patch: SurfacePatch, p,
-                 orientation: int = 1, step: float | None = None):
-        self._bind(lift_stack(scenario, patch, [p], orientation), 0, step)
+                 orientation: int = 1):
+        self._bind(lift_stack(scenario, patch, [p], orientation), 0)
 
     @classmethod
-    def row(cls, stack: LiftStack, index: int, step: float | None = None) -> "LiftGeometry":
+    def row(cls, stack: LiftStack, index: int) -> "LiftGeometry":
         """The geometry of row `index` of a built stack."""
         geo = cls.__new__(cls)
-        geo._bind(stack, index, step)
+        geo._bind(stack, index)
         return geo
 
-    def _bind(self, stack: LiftStack, index: int, step: float | None) -> None:
-        self.stack, self.index, self.step = stack, index, step
+    def _bind(self, stack: LiftStack, index: int) -> None:
+        self.stack, self.index = stack, index
         self.scenario, self.patch = stack.scenario, stack.patch
         self.orientation = stack.orientation
         self.parameter = stack.parameters[index]
@@ -209,8 +236,6 @@ class LiftGeometry:
         self.d = stack.d[index]
         self.t1, self.t2, self.n1, self.n2 = stack.frames[index]
         self.J = stack.J[index]
-        # axis k -> (h, lifts at the 4 nodes of the stencil along x_k)
-        self._nodes = {}
 
     @cached_property
     def metric_point(self) -> MetricPoint:
@@ -230,66 +255,31 @@ class LiftGeometry:
         x2, *_ = np.linalg.lstsq(self.d, self.t2, rcond=None)
         return x1, x2
 
-    def stencil(self, k: int) -> tuple:
-        """(h, nodes): the step and the parameter nodes of the central
-        stencil along x_k."""
-        X = self.tangent_coordinates[k]
-        h = (self.step or LIFT_FD_STEP) / max(1.0, float(np.max(np.abs(X))))
-        return h, central_nodes(self.parameter, X, h)
-
     @cached_property
     def vertical(self) -> tuple:
-        """Covariant derivatives of the lift field along x1 and x2, each the
-        covariant difference along d X of the node lifts of one central
-        stencil in the parameter plane; node lifts that build_node_lifts
-        has not given are built here, one stencil at a time."""
-        out = []
-        for k, X in enumerate(self.tangent_coordinates):
-            build_node_lifts([self], (k,))
-            h, lifts = self._nodes[k]
-            out.append(covariant_difference(lifts, self.J, self.metric_point.gamma,
-                                            self.d @ X, h))
-        return tuple(out)
-
-
-def build_node_lifts(geometries, axes=(0, 1)) -> None:
-    """Give each geometry the lifts at the nodes of its stencils along x_k,
-    for k in axes, building all of them as one lift_stack; a geometry that
-    holds them already keeps them. The geometries share one patch, scenario
-    and orientation. Only the lifts J of the nodes are read."""
-    pending, nodes = [], []
-    for geo in geometries:
-        for k in axes:
-            if k not in geo._nodes:
-                h, xs = geo.stencil(k)
-                pending.append((geo, k, h))
-                nodes.extend(xs)
-    if pending:
-        first = pending[0][0]
-        J = lift_stack(first.scenario, first.patch, nodes, first.orientation).J
-        for i, (geo, k, h) in enumerate(pending):
-            geo._nodes[k] = h, J[4 * i:4 * i + 4]
+        """Covariant derivatives of the lift field along x1 and x2: the sum
+        of X_j nabla_j J over the row of the stack's vertical jet."""
+        jet = self.stack.vertical_jet[self.index].reshape(2, 16)
+        return tuple((X @ jet).reshape(4, 4) for X in self.tangent_coordinates)
 
 
 def map_lifts(read: Callable, scenario: MorphismScenario, patch: SurfacePatch, params,
-              orientation: int = 1, step: float | None = None) -> list:
+              orientation: int = 1) -> list:
     """read(geometry) at each parameter point, in order.
 
-    Two stacks are built: the geometries of all the points, then the node
-    lifts of all their vertical derivatives; ordered_map then maps read
-    over the geometries. When anything raises, each point is run again on
-    its own, its geometry a stack of one and its vertical stencils built
-    one at a time, so the error raised is that of the first failing point
-    at its first failed step, as in a loop over the points.
+    The geometries of all the points are built as one stack, and
+    ordered_map maps read over them. When anything raises, each point is
+    run again on its own, its geometry a stack of one, so the error raised
+    is that of the first failing point at its first failed step, as in a
+    loop over the points.
     """
     try:
         stack = lift_stack(scenario, patch, params, orientation)
-        geometries = [LiftGeometry.row(stack, i, step) for i in range(len(stack.parameters))]
-        build_node_lifts(geometries)
-        return ordered_map(read, geometries)
+        return ordered_map(read, [LiftGeometry.row(stack, i)
+                                  for i in range(len(stack.parameters))])
     except Exception:
         for p in params:
-            read(LiftGeometry(scenario, patch, p, orientation, step))
+            read(LiftGeometry(scenario, patch, p, orientation))
         raise
 
 

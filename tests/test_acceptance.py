@@ -23,12 +23,13 @@ from morphoscope.morphism import (classify_point, hwc_residual, point_geometry,
 from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.symbol import (center_sample, dilation_lower_rate,
                                 remainder_rates, symbol_polynomial)
-from morphoscope.twistor import (LiftGeometry, SurfacePatch, curvature_densities,
-                                 script_J_residual)
+from morphoscope.twistor import LiftGeometry, curvature_densities, script_J_residual
 from morphoscope.weingarten import (commutator_matrix, nabla_J_norms,
                                     product_bound_scan, product_identity,
                                     product_polar, polar_form,
                                     weingarten_matrix)
+
+from test_twistor import pulled_back_patch, quadratic_patch
 
 
 def _scenario(name):
@@ -236,18 +237,8 @@ def test_criterion_7_metamorphic_invariance():
             worst = max(worst, abs(n_pulled - n_base))
     assert worst <= 1e-4
 
-    def surf(s, t):
-        return np.array([s, t, 0.1 * s * s - 0.05 * t, 0.2 * t * t + 0.1 * s])
-
-    def dsurf(s, t):
-        return np.array([[1.0, 0.0], [0.0, 1.0],
-                         [0.2 * s, -0.05], [0.1, 0.4 * t]])
-
-    pbox = Box((-0.4, -0.4), (0.4, 0.4))
-    patch_pulled = SurfacePatch(psi=surf, param_box=pbox, jacobian=dsurf)
-    patch_base = SurfacePatch(
-        psi=lambda s, t: phi(surf(s, t)), param_box=pbox,
-        jacobian=lambda s, t: dphi(surf(s, t)) @ dsurf(s, t))
+    patch_pulled = quadratic_patch()
+    patch_base = pulled_back_patch(patch_pulled, comps)
     rng = np.random.default_rng(29)
     worst_lift = 0.0
     for _ in range(50):

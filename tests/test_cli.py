@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from morphoscope import cli, runner, weingarten
 from morphoscope import report as report_module
 from morphoscope.calculus import MorphismScenario
-from morphoscope.catalog import CATALOG_PATCHES, catalog_configs, catalog_patch, patch_grid
+from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
 from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.morphism import point_geometries
@@ -533,13 +533,6 @@ def command_argv(command, path, half_width, fractions=(0.3, -0.2, 0.1, 0.4),
     return [command, "--config", str(path), f"--point={point}"]
 
 
-def below_resolution(step: float, points) -> bool:
-    """Whether a finite difference step moves no stencil node by more than
-    one machine epsilon of some point's scale max(1, |x|)."""
-    eps = np.finfo(float).eps
-    return any(0.5 * step <= eps * max(1.0, float(np.max(np.abs(p)))) for p in points)
-
-
 OVERFLOW_CASES = [
     # the differential itself overflows at every sample point
     (1e200, "validate", "GeometryError", "huge_validate"),
@@ -679,8 +672,7 @@ def test_symbol_without_candidates_fails_with_evidence(tmp_path):
 @example(exponent=0, i=1, j=1, n_points=1, chart="flat", coefficient=0.0,
          command="scan", fractions=[0.0] * 4, patch="plane", place="boundary",
          fd_exponent=None)
-# a step below the resolution, which weingarten does not read, and at which
-# the lifts of the catenoid and the bowl stop moving
+# a step below the resolution, which no command reads
 @example(exponent=0, i=1, j=1, n_points=1, chart="flat", coefficient=0.0,
          command="weingarten", fractions=[0.6, 0.2, -0.5, 0.4], patch="plane",
          place="inside", fd_exponent=-300)
@@ -694,8 +686,8 @@ def test_exit_code_contract_holds_across_charts(exponent, i, j, n_points, chart,
                                                 coefficient, command, fractions,
                                                 patch, place, fd_exponent):
     # every config within the schema ends in 0, 1 or 2, never in a traceback;
-    # a scan center not strictly inside the box and a twistor step below
-    # the resolution are rejected inputs (weingarten reads no step)
+    # a scan center not strictly inside the box is a rejected input, and the
+    # step, which no command reads, is accepted at any positive value
     half_width = 10.0 ** exponent
     config = chart_config(chart, half_width, coefficient, i, j, n_points=n_points)
     with tempfile.TemporaryDirectory() as tmp:
@@ -708,10 +700,6 @@ def test_exit_code_contract_holds_across_charts(exponent, i, j, n_points, chart,
     assert code in (0, 1, 2)
     if command == "scan" and place != "inside":
         assert code == 2
-    if fd_exponent is not None and command == "twistor":
-        points = patch_grid(catalog_patch(patch)["patch"])
-        if below_resolution(10.0 ** fd_exponent, points):
-            assert code == 2
 
 
 def test_scan_fails_an_annulus_without_certified_samples(tmp_path):
@@ -785,6 +773,25 @@ def test_weingarten_point_ignores_the_fd_step(tmp_path, name, point, fd_step):
         report = read_report(out, f"{name}_weingarten_point")
         reports.append((code, report["records"], report["checks"]))
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("fd_step", [1e-300, 1e-4])
+@pytest.mark.parametrize("patch", sorted(CATALOG_PATCHES))
+def test_twistor_ignores_the_fd_step(tmp_path, patch, fd_step):
+    # the lifts read exact jets, so a step, even one below the resolution at
+    # every grid point, changes neither the exit code, the records nor the checks
+    name = CATALOG_PATCHES[patch]["scenario"]
+    cfg = write_config(tmp_path, name)
+    argv = ["twistor", "--config", str(cfg), "--patch", patch]
+    reports = []
+    for extra in ([], ["--fd-step", repr(fd_step)]):
+        out = tmp_path / str(len(reports))
+        out.mkdir()
+        code = main([*argv, *extra, "--out", str(out)])
+        report = read_report(out, f"{name}_twistor_{patch}")
+        reports.append((code, report["records"], report["checks"]))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0
 
 
 @pytest.mark.parametrize("name", sorted(catalog_configs()))

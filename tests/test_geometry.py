@@ -21,7 +21,7 @@ from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import (
     DEFAULT_FD_STEP, Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric,
     central_difference, central_nodes, christoffel, covariant_derivative, curvature_data, metric_point, oriented_frame,
-    orientation_sign, orthonormalize, stencil,
+    orientation_sign, orthonormalize,
 )
 from morphoscope.polynomials import Poly, evaluate
 
@@ -384,43 +384,39 @@ def written_out_stencil(m, X, step):
     return t, tuple(m + s * X for s in (t, -t, 0.5 * t, -0.5 * t))
 
 
-def test_a_stencil_stack_equals_its_rows_bitwise():
+def test_covariant_derivative_samples_the_written_out_stencil():
+    # the field is read at the four nodes of the scalar rule, bit for bit,
+    # then at the point, for steps given and left to the default
     metric = FlatMetric(Box.cube(10.0))
     rng = np.random.default_rng(5)
     m = rng.uniform(-4.0, 4.0, (7, 4))
     X = rng.standard_normal((7, 4)) * [[0.1], [1.0], [3.0], [1.0], [1e-3], [7.0], [1.0]]
     steps = [None, 1e-3, 2e-4, None, 1e-5, 3e-2, None]
-    t, nodes = stencil(metric, m, X, steps)
-    assert t.shape == (7,) and nodes.shape == (7, 4, 4)
     for i in range(7):
-        t_i, nodes_i = written_out_stencil(m[i], X[i], steps[i])
-        assert t[i] == t_i
-        assert np.array_equal(nodes[i], np.array(nodes_i))
+        seen = []
+        covariant_derivative(metric, lambda x: seen.append(x) or x, m[i], X[i], steps[i])
+        _, nodes = written_out_stencil(m[i], X[i], steps[i])
+        assert np.array_equal(np.array(seen), np.array([*nodes, m[i]]))
 
 
-@pytest.mark.parametrize("rows, error, message", [
-    # the first failing row raises, at its first failed check
-    ([0, 1, 2], DomainError, "point [1.0009, 0.0, 0.0, 0.0] leaves"),
-    ([0, 2, 1], GeometryError, "below the resolution at [0.5, 0.0, 0.0, 0.0]"),
-    ([0, 3, 1], ValueError, "direction must be nonzero"),
-    ([0, 1, 3], DomainError, "point [1.0009, 0.0, 0.0, 0.0] leaves"),
-])
-def test_a_stencil_stack_fails_as_a_loop_over_its_rows(rows, error, message):
+@pytest.mark.parametrize("m, X, step, error, message", [
+    ([1.0 - 1e-4, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1e-3,
+     DomainError, "point [1.0009, 0.0, 0.0, 0.0] leaves"),
+    ([0.5, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1e-17,
+     GeometryError, "finite difference step 1.000e-17 is below the resolution at "
+                    "[0.5, 0.0, 0.0, 0.0]"),
+    ([0.2, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 1e-3, ValueError, "direction must be nonzero"),
+], ids=["node_leaves_the_box", "step_below_the_resolution", "zero_direction"])
+def test_covariant_derivative_rejects_its_stencil(m, X, step, error, message):
+    # a node outside the box, a step that moves no node past rounding and a
+    # zero direction are each rejected before the field is read
     metric = FlatMetric(Box.cube(1.0))
-    # 0: clean; 1: a node leaves the box; 2: a step below the resolution;
-    # 3: a zero direction
-    m = np.array([[0.0, 0.0, 0.0, 0.0], [1.0 - 1e-4, 0.0, 0.0, 0.0],
-                  [0.5, 0.0, 0.0, 0.0], [0.2, 0.0, 0.0, 0.0]])
-    X = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
-                  [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    steps = [1e-3, 1e-3, 1e-17, 1e-3]
-    with pytest.raises(error) as stacked:
-        stencil(metric, m[rows], X[rows], [steps[k] for k in rows])
-    assert message in str(stacked.value)
-    with pytest.raises(error) as alone:
-        k = next(k for k in rows if k)
-        stencil(metric, m[k:k + 1], X[k:k + 1], steps[k:k + 1])
-    assert str(alone.value) == str(stacked.value)
+    seen = []
+    with pytest.raises(error) as info:
+        covariant_derivative(metric, lambda x: seen.append(x) or x,
+                             np.array(m), np.array(X), step)
+    assert message in str(info.value)
+    assert seen == []
 
 
 def contains_converting_per_call(box, m):

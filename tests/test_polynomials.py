@@ -89,7 +89,7 @@ def symbolic_metric(metric):
          else [p.compose(diffeo) for p in base.upper])
     pulled = symmetric(g)
     # a zero entry adds nothing, so it is skipped
-    terms = [(i, j) for i in range(4) for j in range(4) if not pulled[i, j].is_zero()]
+    terms = [(i, j) for i in range(4) for j in range(4) if pulled[i, j].coeffs]
     upper = []
     for a, b in UPPER:
         s = Poly.zero()

@@ -3,8 +3,9 @@
 Every name a module imports must be used in it, and no module may import a
 private (underscore) name from another module: a private helper that two
 modules need belongs behind a public name. Every public module-level
-function and class is used: referenced in the sources outside its own
-definition, wrapped by the benchmark's tracer, or kept on purpose (UNUSED_KEPT).
+function and class, and every public method and property of a class, is
+used: referenced in the sources outside its own definition, wrapped by the
+benchmark's tracer, or kept on purpose (UNUSED_KEPT).
 Every defaulted parameter of a public module-level function is set by some
 call in the sources. Every module-level constant is read in the sources.
 Every dataclass field and every attribute a method sets on self is read as
@@ -25,7 +26,8 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "morphoscope").g
 TESTS = sorted(p for p in Path(__file__).resolve().parent.glob("*.py")
                if p.name != Path(__file__).name)
 
-# public names no command calls, each kept for a stated reason
+# public names (Class.method for a method) no command calls, each kept for
+# a stated reason
 UNUSED_KEPT = {
     "best_compatible_structure": "reference implementation that tests compare against",
     "structure_from_fiber": "reference implementation that tests compare against",
@@ -100,8 +102,36 @@ def test_every_public_definition_is_used():
     assert unused == []
 
 
+def public_methods():
+    """(module, class, name, node) of every public method and property of
+    every class the sources define at module level."""
+    for path in SOURCES:
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield path.stem, cls.name, node.name, node
+
+
+def test_every_public_method_is_used():
+    everywhere = Counter()
+    for path in SOURCES:
+        everywhere.update(referenced_names(ast.parse(path.read_text())))
+    traced = {(module, *target.split(".")) for _, module, target in TRACER.FUNCTIONS
+              if target is not None and "." in target}
+    # the chart metric methods the tracer wraps in every ChartMetric class
+    metric_methods = {method for methods in TRACER.METRIC_METHODS.values() for method in methods}
+    unused = [f"{module}.{cls}.{name}" for module, cls, name, node in public_methods()
+              if everywhere[name] - referenced_names(node)[name] == 0
+              and (module, cls, name) not in traced
+              and not (module == "geometry" and name in metric_methods)
+              and f"{cls}.{name}" not in UNUSED_KEPT]
+    assert unused == []
+
+
 def test_kept_names_still_exist():
     defined = {name for _, name, _ in public_definitions()}
+    defined |= {f"{cls}.{name}" for _, cls, name, _ in public_methods()}
     assert set(UNUSED_KEPT) <= defined
 
 

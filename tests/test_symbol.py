@@ -101,7 +101,7 @@ def test_symbol_product_map_unique_positive_candidate():
     assert cand.antiholomorphic_max < 1e-10
     assert set(cand.coefficients) == {(1, 1)}
     assert cand.coefficients[(1, 1)] == pytest.approx(1.0 + 0j, abs=1e-12)
-    assert data.remainder.is_zero()
+    assert not data.remainder.coeffs
 
 
 def test_symbol_square_map_two_candidates():

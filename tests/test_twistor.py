@@ -38,13 +38,17 @@ def flat_scenario(half=3.0):
     return holomorphic_scenario("flat", {(1, 0): 1.0}, FlatMetric(Box.cube(half)))
 
 
+def flat_hessian(s, t):
+    return np.zeros((4, 2, 2))
+
+
 def plane_patch():
     return SurfacePatch(
         psi=lambda s, t: np.array([s, t, 0.0, 0.0]),
         param_box=Box((-1.0, -1.0), (1.0, 1.0)),
         jacobian=lambda s, t: np.array([[1.0, 0.0], [0.0, 1.0],
                                         [0.0, 0.0], [0.0, 0.0]]),
-        name="plane")
+        hessian=flat_hessian, name="plane")
 
 
 def reciprocal_patch():
@@ -57,8 +61,14 @@ def reciprocal_patch():
         return np.array([[1.0, 0.0], [0.0, 1.0],
                          [dw.real, -dw.imag], [dw.imag, dw.real]])
 
+    def hessian(s, t):
+        d2w = 2.0 / complex(s, t) ** 3
+        return np.array([np.zeros((2, 2)), np.zeros((2, 2)),
+                         [[d2w.real, -d2w.imag], [-d2w.imag, -d2w.real]],
+                         [[d2w.imag, d2w.real], [d2w.real, -d2w.imag]]])
+
     return SurfacePatch(psi=psi, param_box=Box((0.5, -0.8), (2.0, 0.8)),
-                        jacobian=jac, name="reciprocal")
+                        jacobian=jac, hessian=hessian, name="reciprocal")
 
 
 def catenoid_patch():
@@ -70,8 +80,14 @@ def catenoid_patch():
             [np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), 1.0, 0.0],
             [-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), 0.0, 0.0]])
 
+    def hessian(u, v):
+        cc, cs = np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v)
+        sc, ss = np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v)
+        return np.array([[[cc, -ss], [-ss, -cc]], [[cs, sc], [sc, -cs]],
+                         np.zeros((2, 2)), np.zeros((2, 2))])
+
     return SurfacePatch(psi=psi, param_box=Box((-0.6, -0.6), (0.6, 0.6)),
-                        jacobian=jac, name="catenoid")
+                        jacobian=jac, hessian=hessian, name="catenoid")
 
 
 def bowl_patch():
@@ -84,8 +100,56 @@ def bowl_patch():
     def jac(s, t):
         return np.array([[1.0, 0.0], [0.0, 1.0], [s, t], [0.0, 0.0]])
 
+    def hessian(s, t):
+        return np.array([np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])
+
     return SurfacePatch(psi=psi, param_box=Box((-1.0, -1.0), (1.0, 1.0)),
-                        jacobian=jac, name="bowl")
+                        jacobian=jac, hessian=hessian, name="bowl")
+
+
+def quadratic_patch():
+    """A quadratic graph over the first complex axis, curved in both normal
+    directions."""
+    def psi(s, t):
+        return np.array([s, t, 0.1 * s * s - 0.05 * t, 0.2 * t * t + 0.1 * s])
+
+    def jac(s, t):
+        return np.array([[1.0, 0.0], [0.0, 1.0],
+                         [0.2 * s, -0.05], [0.1, 0.4 * t]])
+
+    def hessian(s, t):
+        return np.array([np.zeros((2, 2)), np.zeros((2, 2)),
+                         np.diag([0.2, 0.0]), np.diag([0.0, 0.4])])
+
+    return SurfacePatch(psi=psi, param_box=Box((-0.4, -0.4), (0.4, 0.4)),
+                        jacobian=jac, hessian=hessian, name="quadratic")
+
+
+def pulled_back_patch(patch, components):
+    """Phi o psi for the polynomial map Phi with the given components, its
+    Jacobian and Hessian by the chain rule."""
+    d1 = [[c.diff(k) for k in range(4)] for c in components]
+    d2 = [[[p.diff(l) for l in range(4)] for p in row] for row in d1]
+
+    def phi(y):
+        return np.array([c.eval(y).real for c in components])
+
+    def dphi(y):
+        return np.array([[p.eval(y).real for p in row] for row in d1])
+
+    def d2phi(y):
+        return np.array([[[p.eval(y).real for p in col] for col in row] for row in d2])
+
+    def jac(s, t):
+        return dphi(patch.psi(s, t)) @ patch.jacobian(s, t)
+
+    def hessian(s, t):
+        y, dy = patch.psi(s, t), patch.jacobian(s, t)
+        return (np.einsum("ikl,ka,lb->iab", d2phi(y), dy, dy)
+                + np.einsum("ik,kab->iab", dphi(y), patch.hessian(s, t)))
+
+    return SurfacePatch(psi=lambda s, t: phi(patch.psi(s, t)), param_box=patch.param_box,
+                        jacobian=jac, hessian=hessian, name=f"{patch.name}-pulled-back")
 
 
 # ------------------------------------------------------- fiber coordinates
@@ -220,6 +284,7 @@ def test_antipody_under_parameter_swap():
     patch_swapped = SurfacePatch(psi=swapped,
                                  param_box=Box((-0.8, 0.5), (0.8, 2.0)),
                                  jacobian=lambda s, t: patch.dpsi((t, s))[:, ::-1],
+                                 hessian=lambda s, t: patch.d2psi((t, s))[:, ::-1, ::-1],
                                  name="reciprocal-swapped")
     a = LiftGeometry(sc, patch, (1.1, 0.2), orientation=1)
     b = LiftGeometry(sc, patch_swapped, (0.2, 1.1), orientation=1)
@@ -234,11 +299,11 @@ def test_curvature_densities_product_metric():
     sphere_patch = SurfacePatch(
         psi=lambda s, t: np.array([s, t, 0.1, -0.2]),
         param_box=Box((0.5, -0.5), (1.5, 0.5)),
-        jacobian=lambda s, t: np.eye(4, 2), name="sphere-factor")
+        jacobian=lambda s, t: np.eye(4, 2), hessian=flat_hessian, name="sphere-factor")
     flat_patch = SurfacePatch(
         psi=lambda s, t: np.array([np.pi / 3, 0.2, s, t]),
         param_box=Box((-0.5, -0.5), (0.5, 0.5)),
-        jacobian=lambda s, t: np.eye(4, 2, -2), name="flat-factor")
+        jacobian=lambda s, t: np.eye(4, 2, -2), hessian=flat_hessian, name="flat-factor")
     for radius in (1.0, 2.0):
         sc = holomorphic_scenario(
             "ps", {(1, 0): 1.0}, ProductSphereMetric(radius, box))
@@ -280,27 +345,8 @@ def test_energy_and_residual_invariant_under_chart_isometry():
                                 FlatMetric(Box.cube(1.5)))
     diffeo = pullback_diffeo()
     pulled = pullback_scenario(base, diffeo, Box.cube(0.8), "w1w2_pulled")
-    comps = [p.real_poly() for p in diffeo]
-
-    def phi(y):
-        return np.array([c.eval(y).real for c in comps])
-
-    def dphi(y):
-        return np.array([[c.diff(k).eval(y).real for k in range(4)]
-                         for c in comps])
-
-    def psi_new(s, t):
-        return np.array([s, t, 0.1 * s * s - 0.05 * t, 0.2 * t * t + 0.1 * s])
-
-    def dpsi_new(s, t):
-        return np.array([[1.0, 0.0], [0.0, 1.0],
-                         [0.2 * s, -0.05], [0.1, 0.4 * t]])
-
-    pbox = Box((-0.4, -0.4), (0.4, 0.4))
-    patch_new = SurfacePatch(psi=psi_new, param_box=pbox, jacobian=dpsi_new)
-    patch_base = SurfacePatch(
-        psi=lambda s, t: phi(psi_new(s, t)), param_box=pbox,
-        jacobian=lambda s, t: dphi(psi_new(s, t)) @ dpsi_new(s, t))
+    patch_new = quadratic_patch()
+    patch_base = pulled_back_patch(patch_new, [p.real_poly() for p in diffeo])
 
     for p in [(0.1, 0.2), (-0.25, 0.05), (0.3, -0.3)]:
         for tag in (1, -1):
@@ -323,7 +369,8 @@ def test_rank_deficient_patch_rejected():
         psi=lambda s, t: np.array([s, s, 0.0, 0.0]),
         param_box=Box((-1.0, -1.0), (1.0, 1.0)),
         jacobian=lambda s, t: np.array([[1.0, 1.0], [1.0, 1.0],
-                                        [0.0, 0.0], [0.0, 0.0]]))
+                                        [0.0, 0.0], [0.0, 0.0]]),
+        hessian=flat_hessian)
     with pytest.raises(DegenerateFrameError):
         surface_lift(sc, patch, (0.1, 0.1))
 
@@ -363,16 +410,50 @@ def test_finite_difference_jacobian_agrees_with_exact():
             assert np.max(np.abs(patch.dpsi(p) - fd)) < 1e-9, patch.name
 
 
+def hessian_cases():
+    """(patch, parameter points): the catalog patches at their grid points,
+    and the test patches, pulled-back ones included, at a few points."""
+    cases = [(patch, patch_grid(patch))
+             for patch in (catalog_patch(name)["patch"] for name in sorted(CATALOG_PATCHES))]
+    points = [(0.1, 0.2), (-0.25, 0.05), (0.3, -0.3)]
+    x = [Poly.variable(k) for k in range(4)]
+    shift = [x[0] + 0.1 * x[1] * x[1], x[1], x[2], x[3] + 0.1 * x[0] * x[2]]
+    cases += [(reciprocal_patch(), [(0.9, 0.25), (1.2, -0.4)]), (catenoid_patch(), points),
+              (bowl_patch(), points), (quadratic_patch(), points),
+              (pulled_back_patch(quadratic_patch(), [p.real_poly() for p in pullback_diffeo()]),
+               points),
+              (pulled_back_patch(quadratic_patch(), shift), points)]
+    return cases
+
+
+def test_patch_hessians_agree_with_differences_of_the_jacobian():
+    # every patch carries a hand-written Hessian, which must be the
+    # derivative of its Jacobian: a Richardson difference of the Jacobian
+    # agrees with it at every point, and it is symmetric in its last two axes
+    h = 1e-5
+    for patch, points in hessian_cases():
+        for p in points:
+            fd = np.stack([
+                geometry.central_difference(
+                    [patch.dpsi(q) for q in geometry.central_nodes(p, e, h)], h)
+                for e in np.eye(2)], axis=-1)
+            hessian = patch.d2psi(p)
+            assert hessian.shape == (4, 2, 2)
+            assert np.array_equal(hessian, hessian.swapaxes(-1, -2)), patch.name
+            assert np.max(np.abs(hessian - fd)) < 1e-9, patch.name
+
+
 # ------------------------------------------------------- stacked lifts
 
 
 class OracleLift:
     """The lift at one parameter point, built point by point: the frame and
-    lift steps of a single point written out, and its node lifts each built
-    the same way. The readers take it as they take a LiftGeometry."""
+    lift steps of a single point written out, and its vertical derivatives
+    read off the exact jet of a stack of one. The readers take it as they
+    take a LiftGeometry."""
 
-    def __init__(self, scenario, patch, p, orientation=1, step=None):
-        self.scenario, self.patch, self.step = scenario, patch, step
+    def __init__(self, scenario, patch, p, orientation=1):
+        self.scenario, self.patch = scenario, patch
         self.parameter = np.asarray(p, dtype=float)
         self.orientation = orientation
         m = patch.point(p)
@@ -408,14 +489,9 @@ class OracleLift:
 
     @property
     def vertical(self):
-        out = []
-        for X in self.tangent_coordinates:
-            h = (self.step or tw.LIFT_FD_STEP) / max(1.0, float(np.max(np.abs(X))))
-            lifts = [OracleLift(self.scenario, self.patch, q, self.orientation).J
-                     for q in geometry.central_nodes(self.parameter, X, h)]
-            out.append(geometry.covariant_difference(
-                lifts, self.J, self.metric_point.gamma, self.d @ X, h))
-        return tuple(out)
+        jet = tw.lift_stack(self.scenario, self.patch, [self.parameter],
+                            self.orientation).vertical_jet[0]
+        return tuple((X @ jet.reshape(2, 16)).reshape(4, 4) for X in self.tangent_coordinates)
 
 
 def read_all(geo) -> dict:
@@ -494,22 +570,22 @@ def flat_plane(rank_deficient_beyond=np.inf):
                          [0.0, 0.0], [0.0, 0.0]])
 
     return SurfacePatch(psi=lambda s, t: np.array([s, t, 0.0, 0.0]),
-                        param_box=Box((-1.0, -1.0), (1.0, 1.0)), jacobian=jac)
+                        param_box=Box((-1.0, -1.0), (1.0, 1.0)), jacobian=jac,
+                        hessian=flat_hessian)
 
 
-def test_one_failing_stencil_node_raises_the_point_by_point_error():
-    # the node s + h of the stencil along x1 = (1, 0) at one grid point
-    # leaves the box, or has a rank-deficient differential; its 7 sibling
-    # nodes and every other node are fine
+def test_a_point_at_the_edge_of_the_box_or_of_the_rank_is_lifted():
+    # the vertical derivatives are exact, so a grid point 7e-5 inside the box,
+    # or 7e-5 short of where the differential loses rank, needs no room
+    # around it and gives what the point-by-point construction gives
     sc = flat_scenario()
     grid = [np.array([s, t]) for s in (-0.5, 0.0, 0.5) for t in (-0.5, 0.5)]
     edge = [*grid[:3], np.array([1.0 - 7e-5, 0.2]), *grid[3:]]
-    cases = [(flat_plane(), edge, DomainError),
-             (flat_plane(rank_deficient_beyond=0.5 + 7e-5), grid, DegenerateFrameError)]
-    for patch, params, error in cases:
-        expected = raised(oracle_loop, read_all, sc, patch, params)
-        assert expected[0] is error
-        assert raised(map_lifts, read_all, sc, patch, params) == expected
+    for patch, params in [(flat_plane(), edge),
+                          (flat_plane(rank_deficient_beyond=0.5 + 7e-5), grid)]:
+        for got, expected in zip(map_lifts(read_all, sc, patch, params),
+                                 oracle_loop(read_all, sc, patch, params)):
+            assert_bitwise_equal(got, expected)
 
 
 def test_a_stack_raises_the_error_of_its_first_failing_point():
@@ -532,11 +608,11 @@ def test_a_stack_raises_the_error_of_its_first_failing_point():
                         "patch differential is rank deficient at [0.7, 0.0]")
     assert raised(tw.lift_stack, sc, patch, params) == expected
     assert raised(map_lifts, read_all, sc, patch, params) == expected
-    # a grid point whose node fails comes before a later grid point that
-    # fails itself, in grid-then-node order
+    # a grid point just short of the rank-deficient region is lifted, and a
+    # later grid point outside the box raises
     params = [good[0], np.array([0.6 - 7e-5, 0.0]), good[1], np.array([1.5, 0.0])]
     expected = raised(oracle_loop, read_all, sc, patch, params)
-    assert expected[0] is DegenerateFrameError and "0.6000" in expected[1]
+    assert expected == (DomainError, "parameter [1.5, 0.0] leaves the patch box")
     assert raised(map_lifts, read_all, sc, patch, params) == expected
 
 
@@ -551,7 +627,8 @@ def test_an_error_of_any_type_keeps_the_point_by_point_order():
             raise ValueError(f"psi undefined at s = {s}")
         return plane.psi(s, t)
 
-    patch = SurfacePatch(psi=psi, param_box=plane.param_box, jacobian=plane.jacobian)
+    patch = SurfacePatch(psi=psi, param_box=plane.param_box, jacobian=plane.jacobian,
+                         hessian=plane.hessian)
     params = [np.array([0.1, 0.0]), np.array([0.7, 0.0]), np.array([0.9, 0.0])]
     expected = raised(oracle_loop, read_all, sc, patch, params)
     assert expected == (DegenerateFrameError,
@@ -567,7 +644,6 @@ def test_an_error_of_any_type_keeps_the_point_by_point_order():
 
 
 GRID_POINTS = 9
-NODES = 8 * GRID_POINTS
 
 
 def twistor_command(tmp_path, patch_name):
@@ -580,51 +656,52 @@ def twistor_command(tmp_path, patch_name):
 
 @pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
 def test_lift_geometry_call_budget(tmp_path, monkeypatch, metric_calls, patch_name):
-    # one command builds two lift stacks, the grid points' and their
-    # stencil nodes', each with one chart-metric matrix; the metric
-    # derivatives are read at the grid points alone, the first ones once
+    # one command builds one lift stack, of its grid points, with one
+    # chart-metric matrix and one read of the first metric derivatives,
+    # which the exact vertical jet shares with the Christoffel symbols
     argv = twistor_command(tmp_path, patch_name)
     stacks = count_calls(monkeypatch, tw, "lift_stack")
     lifts = count_calls(monkeypatch, tw, "surface_lift")
     dpsi = count_calls(monkeypatch, SurfacePatch, "dpsi")
+    d2psi = count_calls(monkeypatch, SurfacePatch, "d2psi")
     logs = {name: [count_calls(monkeypatch, cls, name)
                    for cls in metric_classes() if name in vars(cls)]
             for name in METRIC_EVALUATIONS}
     assert main(argv) == 0
-    assert (len(stacks), len(lifts)) == (2, 0)
+    assert (len(stacks), len(lifts)) == (1, 0)
+    assert len(stacks[0][2]) == GRID_POINTS
     # the patch callables take one parameter point at a time
-    assert len(dpsi) == GRID_POINTS + NODES
+    assert (len(dpsi), len(d2psi)) == (GRID_POINTS, GRID_POINTS)
     calls = {name: sum(map(len, log)) for name, log in logs.items()}
-    assert calls == {"matrix": 2, "first_derivatives": 1,
+    assert calls == {"matrix": 1, "first_derivatives": 1,
                      "second_derivatives": GRID_POINTS}, calls
     points = {k: len(log) for k, log in metric_calls.items()}
-    assert points == {"matrix": GRID_POINTS + NODES, "first_derivatives": GRID_POINTS,
+    assert points == {"matrix": GRID_POINTS, "first_derivatives": GRID_POINTS,
                       "second_derivatives": GRID_POINTS}, points
 
 
 @pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
 def test_only_the_record_reads_fiber_coordinates(tmp_path, monkeypatch, patch_name):
-    # the adapted frames of the lifts come from the two stacks; the scalar
+    # the adapted frames of the lifts come from the stack; the scalar
     # orthonormalize runs only for the deterministic frame of the fiber
-    # coordinates that the record reads at each grid point, never at a node
+    # coordinates that the record reads at each grid point
     argv = twistor_command(tmp_path, patch_name)
     calls = count_calls(monkeypatch, geometry, "orthonormalize")
     checks = count_calls(monkeypatch, tw, "_check_structure")
     assert main(argv) == 0
     assert len(calls) == GRID_POINTS
-    # J squared and the metric are checked on every lift row, grid and node,
-    # and again where the fiber coordinates are read
+    # J squared and the metric are checked on every lift row, and again
+    # where the fiber coordinates are read
     rows = [len(np.reshape(J, (-1, 4, 4))) for _, J in checks]
-    assert rows == [GRID_POINTS, NODES] + [1] * GRID_POINTS
+    assert rows == [GRID_POINTS] + [1] * GRID_POINTS
 
 
-def test_a_node_lift_that_breaks_the_metric_is_rejected(monkeypatch):
-    # the structure checks run on every lift, not only where the fiber
-    # coordinates are read
+def test_a_lift_that_breaks_the_metric_is_rejected(monkeypatch):
+    # the structure checks run on every lift as the stack is built, not only
+    # where the fiber coordinates are read
     spec = catalog_patch("catenoid")
     sc = build_scenario(ScenarioConfig.from_dict(catalog_configs()[spec["scenario"]]))
-    p = patch_grid(spec["patch"])[0]
-    geo = LiftGeometry(sc, spec["patch"], p, orientation=spec["orientation"])
+    grid = patch_grid(spec["patch"])
     frames = tw.orthonormal_stack
 
     def skewed(*args, **kwargs):
@@ -634,4 +711,4 @@ def test_a_node_lift_that_breaks_the_metric_is_rejected(monkeypatch):
 
     monkeypatch.setattr(tw, "orthonormal_stack", skewed)
     with pytest.raises(GeometryError, match="does not preserve the metric"):
-        geo.vertical
+        map_lifts(lambda geo: geo.J, sc, spec["patch"], grid, spec["orientation"])
