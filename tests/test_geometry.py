@@ -402,13 +402,16 @@ def test_covariant_derivative_samples_the_written_out_stencil():
 @pytest.mark.parametrize("m, X, step, error, message", [
     ([1.0 - 1e-4, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1e-3,
      DomainError, "point [1.0009, 0.0, 0.0, 0.0] leaves"),
+    ([-1.0 + 1e-4, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1e-3,
+     DomainError, "point [-1.0009, 0.0, 0.0, 0.0] leaves"),
     ([0.5, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1e-17,
      GeometryError, "finite difference step 1.000e-17 is below the resolution at "
                     "[0.5, 0.0, 0.0, 0.0]"),
     ([0.2, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 1e-3, ValueError, "direction must be nonzero"),
-], ids=["node_leaves_the_box", "step_below_the_resolution", "zero_direction"])
+], ids=["node_leaves_the_box", "backward_node_leaves_the_box", "step_below_the_resolution",
+        "zero_direction"])
 def test_covariant_derivative_rejects_its_stencil(m, X, step, error, message):
-    # a node outside the box, a step that moves no node past rounding and a
+    # a node outside the box, on either side of the point, a step that moves no node past rounding and a
     # zero direction are each rejected before the field is read
     metric = FlatMetric(Box.cube(1.0))
     seen = []
