@@ -34,15 +34,17 @@ def spd_sqrt_pair(g: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, n
 
 
 def surface_complex_structure(h: np.ndarray) -> np.ndarray:
-    """Positive rotation by 90 degrees for a 2x2 SPD metric h.
+    """Positive rotation by 90 degrees for a 2x2 SPD metric h, or for each
+    matrix of a stack h.
 
     Satisfies j^2 = -I, h(jX, jY) = h(X, Y), and (X, jX) positively oriented.
     """
-    det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-    if det <= 0:
-        raise GeometryError("surface metric is not positive definite")
-    s = 1.0 / np.sqrt(det)
-    return s * np.array([[-h[0, 1], -h[1, 1]], [h[0, 0], h[0, 1]]])
+    det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
+    failed = np.flatnonzero(~(det > 0))
+    if len(failed):
+        raise GeometryError(f"surface metric is not positive definite in row {failed[0]}")
+    j = np.stack([-h[..., 0, 1], -h[..., 1, 1], h[..., 0, 0], h[..., 0, 1]], axis=-1)
+    return (1.0 / np.sqrt(det))[..., None, None] * j.reshape(j.shape[:-1] + (2, 2))
 
 
 def minimize_affine_on_sphere(rho0: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, float]:

@@ -211,10 +211,11 @@ class MetricPoint:
     """The chart metric at one point or an (n, 4) stack of points, evaluated once.
 
     `metric_point` checks the domain and the matrix when it builds one. The
-    first derivatives, the inverse, the Christoffel symbols and the square
-    roots are derived on first use, over the whole stack, and then kept;
-    `at(i)` hands point i its rows of them; d2g and the curvature are per point.
-    Every rejection of the matrix raises GeometryError naming the point.
+    derivatives, the inverse, the Christoffel symbols, the square roots and
+    the lowered curvature are derived on first use, over the whole stack,
+    and then kept; `at(i)` hands point i its rows of dg, the inverse, the
+    Christoffel symbols and the square roots. Every rejection of the matrix
+    raises GeometryError naming the point.
     """
 
     metric: ChartMetric
@@ -264,24 +265,20 @@ class MetricPoint:
 
     @cached_property
     def lowered(self) -> np.ndarray:
-        """Curvature with all indices lowered, R[i, j, k, p] = <R(d_i, d_j) d_k, d_p>."""
+        """Curvature with all indices lowered, R[..., i, j, k, p] = <R(d_i, d_j) d_k, d_p>."""
         dg, d2g = self.dg, self.d2g
         ginv, S, gamma = self.inverse, _connection_sums(dg), self.gamma
-        # dS[i, m, j, k] = d_i S[m, j, k]
-        dS = (np.einsum("ijmk->imjk", d2g) + np.einsum("ikmj->imjk", d2g)
-              - np.einsum("imjk->imjk", d2g))
-        dginv = -np.einsum("la,iab,bm->ilm", ginv, dg, ginv)
-        dgamma = 0.5 * (np.einsum("ilm,mjk->iljk", dginv, S)
-                        + np.einsum("lm,imjk->iljk", ginv, dS))
+        # dS[..., i, m, j, k] = d_i S[m, j, k]
+        dS = (np.einsum("...ijmk->...imjk", d2g) + np.einsum("...ikmj->...imjk", d2g)
+              - np.einsum("...imjk->...imjk", d2g))
+        dginv = -np.einsum("...la,...iab,...bm->...ilm", ginv, dg, ginv)
+        dgamma = 0.5 * (np.einsum("...ilm,...mjk->...iljk", dginv, S)
+                        + np.einsum("...lm,...imjk->...iljk", ginv, dS))
         # R^l_{ijk}: curvature of the stated sign convention
-        upper = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-                 + np.einsum("lim,mjk->lijk", gamma, gamma)
-                 - np.einsum("ljm,mik->lijk", gamma, gamma))
-        return np.einsum("lijk,lp->ijkp", upper, self.g)
-
-    def pairing(self, X, Y, Z, W) -> float:
-        """<R(X, Y)Z, W>."""
-        return float(np.einsum("ijkp,i,j,k,p->", self.lowered, X, Y, Z, W))
+        upper = (np.einsum("...iljk->...lijk", dgamma) - np.einsum("...jlik->...lijk", dgamma)
+                 + np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+                 - np.einsum("...ljm,...mik->...lijk", gamma, gamma))
+        return np.einsum("...lijk,...lp->...ijkp", upper, self.g)
 
 
 @dataclass(eq=False)
@@ -402,7 +399,9 @@ def einstein_defect(mp: MetricPoint) -> float:
 
 def orthonormalize(g: np.ndarray, seeds: Sequence[np.ndarray],
                    complete: bool = False) -> np.ndarray:
-    """Rows of a g-orthonormal frame built from the seeds in order.
+    """Rows of a g-orthonormal frame built from the seeds in order, at one
+    point: the reference that orthonormal_stack is tested against, and a
+    layer of the benchmark tracer; no command calls it.
 
     A seed is skipped when its residual after projection has a g-norm below
     FRAME_RANK_TOL times the seed's own g-norm, so the rule does not depend
@@ -499,29 +498,31 @@ def frame_orientations(frames: np.ndarray) -> tuple:
     return np.where(det > 0, 1, -1), failures
 
 
-def orientation_sign(frame: np.ndarray) -> int:
-    """Sign of a 4-frame, given as rows, against the chart orientation."""
-    vectors = np.asarray(frame, dtype=float)
-    if vectors.shape != (4, 4):
-        raise DegenerateFrameError("orientation needs exactly four vectors")
-    det = float(np.linalg.det(vectors.T))
-    failure = _orientation_failure(
-        det, math.prod(math.hypot(*row) for row in vectors.tolist()))
-    if failure is not None:
-        raise DegenerateFrameError(failure)
-    return int(np.sign(det))
+def oriented_frames(g: np.ndarray) -> np.ndarray:
+    """Rows of a deterministic, positively oriented g-orthonormal frame at
+    each point of a stack g, (n, 4, 4).
+
+    The coordinate basis vectors are orthonormalized in index order
+    (orthonormal_stack), and the last vector is flipped where the frame is
+    negatively oriented. Reproducible across runs by construction. A frame
+    that cannot be completed or oriented raises DegenerateFrameError naming
+    the first failing row.
+    """
+    sizes = np.sqrt(np.maximum(0.0, np.diagonal(g, axis1=-2, axis2=-1)))
+    frames, count = orthonormal_stack(g, np.broadcast_to(np.eye(4), g.shape), 4, sizes)
+    signs, failures = frame_orientations(frames)
+    for i, (rank, reason) in enumerate(zip(count, failures)):
+        if rank < 4:
+            reason = "could not complete an orthonormal frame"
+        if reason is not None:
+            raise DegenerateFrameError(f"{reason} in row {i}")
+    frames[signs < 0, 3] *= -1.0
+    return frames
 
 
 def oriented_frame(g: np.ndarray) -> np.ndarray:
-    """Rows of a deterministic, positively oriented g-orthonormal frame.
-
-    Coordinate basis vectors are orthonormalized in index order; the last
-    vector is flipped if needed. Reproducible across runs by construction.
-    """
-    frame = orthonormalize(g, [], complete=True)
-    if orientation_sign(frame) < 0:
-        frame[3] = -frame[3]
-    return frame
+    """oriented_frames of the stack of one g."""
+    return oriented_frames(np.asarray(g, dtype=float)[None])[0]
 
 
 # ------------------------------------------------- covariant differentiation

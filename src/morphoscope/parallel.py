@@ -1,11 +1,12 @@
-"""The ordered map that twistor evaluates its parameter grid through."""
+"""An ordered map, kept only as a target of the benchmark tracer."""
 
 
 def ordered_map(fn, items) -> list:
     """Map fn over items on the calling thread, in input order.
 
-    A plain map, kept as a function of its own because the benchmark
-    tracer (perfbench/tracer.py) wraps it as its fan-out point;
+    No command calls it since the twistor readers read a lift stack by
+    columns; it stays because the benchmark tracer (perfbench/tracer.py)
+    wraps it as its fan-out point, until the tracer drops it, and
     tests/test_tracer_targets.py checks that the name resolves.
     """
     return [fn(x) for x in items]

@@ -22,7 +22,7 @@ from .morphism import point_geometry, validate_morphism
 from .report import build_report, check, fingerprint
 from .symbol import (center_sample, dilation_lower_rate, remainder_rates,
                      symbol_polynomial)
-from .twistor import (curvature_densities, map_lifts, script_J_residual,
+from .twistor import (curvature_densities, lift_stack, script_J_residual,
                       vertical_energy_density)
 from .weingarten import fiber_shape, identity_scale, product_bound_scan
 
@@ -303,18 +303,14 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
     spec = catalog_patch(patch_name)
     patch = spec["patch"]
     tag = spec["orientation"]
-    grid = patch_grid(patch)
-
-    def read(geo):
-        residual = script_J_residual(geo)
-        energy = vertical_energy_density(geo)
-        omega_t, omega_n = curvature_densities(geo)
-        return {"parameter": geo.parameter, "fiber": geo.fiber,
-                "residual": residual, "energy": energy.value,
-                "area_element": energy.area_element,
-                "omega_tangent": omega_t, "omega_normal": omega_n}
-
-    records = map_lifts(read, scenario, patch, grid, orientation=tag)
+    stack = lift_stack(scenario, patch, patch_grid(patch), orientation=tag)
+    energy = vertical_energy_density(stack)
+    columns = zip(stack.parameters, stack.fiber, script_J_residual(stack).tolist(),
+                  energy.value.tolist(), energy.area_element.tolist(),
+                  *(omega.tolist() for omega in curvature_densities(stack)))
+    records = [{"parameter": p, "fiber": u, "residual": r, "energy": e,
+                "area_element": a, "omega_tangent": ot, "omega_normal": on}
+               for p, u, r, e, a, ot, on in columns]
     residuals = [r["residual"] for r in records]
     checks = []
     if spec["classification"] == "minimal":

@@ -66,9 +66,10 @@ def structure_from_fiber(u, orientation: int) -> np.ndarray:
 
 
 def fiber_from_structure(J: np.ndarray, orientation: int) -> np.ndarray:
-    """Project a flat-compatible structure onto the basis; ||J_i||_F^2 = 4."""
-    basis = structure_basis(orientation)
-    return np.array([float(np.tensordot(b, J)) / 4.0 for b in basis])
+    """Project a flat-compatible structure, or each of a stack, onto the
+    basis; ||J_i||_F^2 = 4."""
+    basis = np.reshape(structure_basis(orientation), (3, 16))
+    return J.reshape(J.shape[:-2] + (16,)) @ basis.T / 4.0
 
 
 def gram_jet(A: np.ndarray, dA: np.ndarray, G: np.ndarray, dg: np.ndarray,

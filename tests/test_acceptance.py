@@ -23,7 +23,7 @@ from morphoscope.morphism import (classify_point, hwc_residual, point_geometry,
 from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.symbol import (center_sample, dilation_lower_rate,
                                 remainder_rates, symbol_polynomial)
-from morphoscope.twistor import LiftGeometry, curvature_densities, script_J_residual
+from morphoscope.twistor import curvature_densities, lift_stack, script_J_residual
 from morphoscope.weingarten import (commutator_matrix, nabla_J_norms,
                                     product_bound_scan, product_identity,
                                     product_polar, polar_form,
@@ -175,27 +175,23 @@ def test_criterion_6_lift_residuals_and_curvature():
     failures = []
     for patch_name, sc in (("plane", proj), ("reciprocal", proj)):
         spec = catalog_patch(patch_name)
-        for p in patch_grid(spec["patch"]):
-            r = script_J_residual(LiftGeometry(sc, spec["patch"], p,
-                                               orientation=spec["orientation"]))
-            if r > 1e-5:
-                failures.append((patch_name, r))
+        stack = lift_stack(sc, spec["patch"], patch_grid(spec["patch"]),
+                           orientation=spec["orientation"])
+        failures += [(patch_name, r) for r in script_J_residual(stack) if r > 1e-5]
     assert not failures
 
     bowl = catalog_patch("bowl")
-    bowl_min = min(script_J_residual(LiftGeometry(proj, bowl["patch"], p))
-                   for p in patch_grid(bowl["patch"]))
+    bowl_min = min(script_J_residual(lift_stack(proj, bowl["patch"], patch_grid(bowl["patch"]))))
     assert bowl_min >= 1e-2
 
     sph = catalog_patch("sphere_factor")
     flat = catalog_patch("flat_factor")
-    worst_t = max(abs(abs(curvature_densities(
-                      LiftGeometry(sphere, sph["patch"], p))[0]) - 1.0)
-                  for p in patch_grid(sph["patch"]))
+    omega_t, _ = curvature_densities(lift_stack(sphere, sph["patch"], patch_grid(sph["patch"])))
+    worst_t = max(abs(abs(omega_t) - 1.0))
     assert worst_t <= 1e-4
-    worst_flat = max(max(abs(v) for v in
-                         curvature_densities(LiftGeometry(sphere, flat["patch"], p)))
-                     for p in patch_grid(flat["patch"]))
+    worst_flat = max(np.max(np.abs(omega)) for omega in
+                     curvature_densities(lift_stack(sphere, flat["patch"],
+                                                    patch_grid(flat["patch"]))))
     assert worst_flat <= 1e-4
     _verdict("criterion 6 lifts: minimal patches within 1e-5, control min "
              f"{bowl_min:.3f}, sphere density error {worst_t:.2e}")
@@ -240,17 +236,14 @@ def test_criterion_7_metamorphic_invariance():
     patch_pulled = quadratic_patch()
     patch_base = pulled_back_patch(patch_pulled, comps)
     rng = np.random.default_rng(29)
-    worst_lift = 0.0
-    for _ in range(50):
-        p = rng.uniform(-0.35, 0.35, 2)
-        geo_pulled = LiftGeometry(pulled, patch_pulled, p)
-        geo_base = LiftGeometry(base, patch_base, p)
-        worst_lift = max(worst_lift, abs(script_J_residual(geo_pulled)
-                                         - script_J_residual(geo_base)))
-        om_p = curvature_densities(geo_pulled)
-        om_b = curvature_densities(geo_base)
-        worst_lift = max(worst_lift, abs(om_p[0] - om_b[0]),
-                         abs(om_p[1] - om_b[1]))
+    params = rng.uniform(-0.35, 0.35, (50, 2))
+    stack_pulled = lift_stack(pulled, patch_pulled, params)
+    stack_base = lift_stack(base, patch_base, params)
+    om_p = curvature_densities(stack_pulled)
+    om_b = curvature_densities(stack_base)
+    worst_lift = max(np.max(np.abs(script_J_residual(stack_pulled)
+                                   - script_J_residual(stack_base))),
+                     np.max(np.abs(om_p[0] - om_b[0])), np.max(np.abs(om_p[1] - om_b[1])))
     assert worst_lift <= 1e-4
     _verdict("criterion 7 metamorphic: chart quantities within "
              f"{worst:.2e}, lift quantities within {worst_lift:.2e}, "

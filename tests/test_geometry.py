@@ -20,8 +20,8 @@ from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import (
     DEFAULT_FD_STEP, Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric,
-    central_difference, central_nodes, christoffel, covariant_derivative, curvature_data, metric_point, oriented_frame,
-    orientation_sign, orthonormalize,
+    central_difference, central_nodes, christoffel, covariant_derivative, curvature_data,
+    frame_orientations, metric_point, oriented_frame, oriented_frames, orthonormalize,
 )
 from morphoscope.polynomials import Poly, evaluate
 
@@ -158,6 +158,11 @@ def test_polynomial_metric_derivatives_match_fd_fallback():
     assert np.max(np.abs(metric.second_derivatives(m) - fd2)) < 1e-6
 
 
+def pairing(mp, X, Y, Z, W) -> float:
+    """<R(X, Y)Z, W> at the metric point mp."""
+    return float(np.einsum("ijkp,i,j,k,p->", mp.lowered, X, Y, Z, W))
+
+
 def test_sphere_sectional_curvature_frozen():
     # <R(e1,e2)e2, e1> = 1/r^2 on the sphere factor, frame e1 = dr(theta)/r
     for radius, expected in [(1.0, 1.0), (2.0, 0.25)]:
@@ -166,12 +171,12 @@ def test_sphere_sectional_curvature_frozen():
         e1 = np.array([1.0 / radius, 0.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0 / (radius * np.sin(m[0])), 0.0, 0.0])
         data = curvature_data(metric, m)
-        k = data.pairing(e1, e2, e2, e1)
+        k = pairing(data, e1, e2, e2, e1)
         assert k == pytest.approx(expected, abs=1e-10)
         # plane factor and mixed blocks are flat
         e3 = np.array([0.0, 0.0, 1.0, 0.0])
-        assert abs(data.pairing(e1, e3, e3, e1)) < 1e-12
-        assert abs(data.pairing(e3, e2, e2, e3)) < 1e-12
+        assert abs(pairing(data, e1, e3, e3, e1)) < 1e-12
+        assert abs(pairing(data, e3, e2, e2, e3)) < 1e-12
 
 
 def test_riemann_symmetries_on_curved_metric():
@@ -183,6 +188,16 @@ def test_riemann_symmetries_on_curved_metric():
     assert np.max(np.abs(R - np.einsum("kpij->ijkp", R))) < 1e-12
     bianchi = R + np.einsum("jkip->ijkp", R) + np.einsum("kijp->ijkp", R)
     assert np.max(np.abs(bianchi)) < 1e-12
+
+
+def test_lowered_curvature_of_a_stack_is_that_of_its_points():
+    # the curvature of a stack of points is derived over the whole stack,
+    # and each row equals, bit for bit, the curvature at its point alone
+    metric = quadratic_bump_metric()
+    points = np.random.default_rng(1).uniform(-0.4, 0.4, size=(7, 4))
+    stacked = metric_point(metric, points).lowered
+    for row, m in zip(stacked, points):
+        assert np.array_equal(row, metric_point(metric, m).lowered)
 
 
 def test_flat_metric_curvature_vanishes():
@@ -209,8 +224,8 @@ def test_pullback_polynomial_metric_exact_and_invariant():
         assert np.max(np.abs(pulled.matrix(m) - J.T @ base.matrix(y) @ J)) < 1e-13
         # scalar invariance: sectional curvature of corresponding planes
         u, v = rng.standard_normal(4), rng.standard_normal(4)
-        k_pull = curvature_data(pulled, m).pairing(u, v, v, u)
-        k_base = curvature_data(base, y).pairing(J @ u, J @ v, J @ v, J @ u)
+        k_pull = pairing(curvature_data(pulled, m), u, v, v, u)
+        k_base = pairing(curvature_data(base, y), J @ u, J @ v, J @ v, J @ u)
         assert k_pull == pytest.approx(k_base, abs=1e-4 * max(1.0, abs(k_base)))
 
 
@@ -242,28 +257,26 @@ def test_orthonormalize_rejects_singular_metric():
 
 def test_orientation_sign_and_degenerate_frame():
     fr = np.eye(4)
-    assert orientation_sign(fr) == 1
     swapped = np.eye(4)[[1, 0, 2, 3]]
-    assert orientation_sign(swapped) == -1
-    assert -orientation_sign(fr) == -1
     degenerate = np.eye(4)
     degenerate[3] = degenerate[2]
-    with pytest.raises(DegenerateFrameError):
-        orientation_sign(degenerate)
+    signs, failures = frame_orientations(np.array([fr, swapped, degenerate]))
+    assert signs[:2].tolist() == [1, -1]
+    assert failures == [None, None, "frame determinant is numerically zero"]
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
 def test_orientation_sign_does_not_depend_on_the_frame_scale(scale):
     # an orthonormal frame of scale**-2 times the identity has determinant
     # scale**4, far below any absolute bound at 1e-8
-    assert orientation_sign(scale * np.eye(4)) == 1
-    assert orientation_sign(scale * np.eye(4)[[1, 0, 2, 3]]) == -1
     nearly = scale * np.eye(4)
     nearly[3] = nearly[2] + 1e-14 * nearly[3]
-    with pytest.raises(DegenerateFrameError, match="numerically zero"):
-        orientation_sign(nearly)
-    with pytest.raises(DegenerateFrameError, match="numerically zero"):
-        orientation_sign(np.zeros((4, 4)))
+    frames = np.array([scale * np.eye(4), scale * np.eye(4)[[1, 0, 2, 3]], nearly,
+                       np.zeros((4, 4))])
+    signs, failures = frame_orientations(frames)
+    assert signs[:2].tolist() == [1, -1]
+    assert failures[:2] == [None, None]
+    assert all("numerically zero" in failure for failure in failures[2:])
 
 
 def test_oriented_frame_curved_metric_is_orthonormal_and_positive():
@@ -273,7 +286,27 @@ def test_oriented_frame_curved_metric_is_orthonormal_and_positive():
     fr = oriented_frame(g)
     gram = fr @ g @ fr.T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-    assert orientation_sign(fr) == 1
+    assert frame_orientations(fr[None]) == (np.array([1]), [None])
+
+
+def test_oriented_frames_of_a_stack_follow_the_point_by_point_reference():
+    # each row is the stack of one, and agrees with the scalar Gram-Schmidt
+    # of the coordinate axes, which is lower triangular with a positive
+    # diagonal and so already positively oriented
+    metric = quadratic_bump_metric()
+    points = np.random.default_rng(17).uniform(-0.4, 0.4, size=(6, 4))
+    g = metric_point(metric, points).g
+    frames = oriented_frames(g)
+    for row, gi in zip(frames, g):
+        assert np.array_equal(row, oriented_frame(gi))
+        assert np.max(np.abs(row - orthonormalize(gi, [], complete=True))) < 1e-14
+        assert np.linalg.det(row) > 0
+
+
+def test_oriented_frames_name_the_first_failing_row():
+    g = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 0.0, 0.0])])
+    with pytest.raises(DegenerateFrameError, match=r"could not complete .* in row 1$"):
+        oriented_frames(g)
 
 
 def test_covariant_derivative_of_transported_field_vanishes():
@@ -523,5 +556,5 @@ def test_riemann_pairing_antisymmetry_property(u, v, w):
     metric = quadratic_bump_metric()
     m = np.array([0.2, -0.1, 0.3, 0.05])
     data = curvature_data(metric, m)
-    assert data.pairing(u, v, w, w) == pytest.approx(0.0, abs=1e-10)
-    assert data.pairing(u, v, v, u) == pytest.approx(-data.pairing(v, u, v, u), abs=1e-10)
+    assert pairing(data, u, v, w, w) == pytest.approx(0.0, abs=1e-10)
+    assert pairing(data, u, v, v, u) == pytest.approx(-pairing(data, v, u, v, u), abs=1e-10)

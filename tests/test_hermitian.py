@@ -16,7 +16,7 @@ from morphoscope.errors import NonIsolatedCriticalError, SymbolError
 from morphoscope.hermitian import (best_compatible_structure, hermitian_pair,
                                    isolated_extension, pseudo_holomorphy_residual,
                                    reference_field, structure_deviation_rate)
-from morphoscope.geometry import orientation_sign
+from morphoscope.geometry import frame_orientations
 from morphoscope.morphism import point_geometry
 from morphoscope.structures import K_MINUS, K_PLUS
 from morphoscope.symbol import center_sample, symbol_polynomial
@@ -77,8 +77,8 @@ def test_pair_orientations_are_opposite():
     e1, v1 = hp.horizontal[0], hp.vertical[0]
     plus_frame = np.array([e1, hp.j_plus @ e1, v1, hp.j_plus @ v1])
     minus_frame = np.array([e1, hp.j_minus @ e1, v1, hp.j_minus @ v1])
-    assert orientation_sign(plus_frame) == 1
-    assert orientation_sign(minus_frame) == -1
+    signs, failures = frame_orientations(np.array([plus_frame, minus_frame]))
+    assert signs.tolist() == [1, -1] and failures == [None, None]
 
 
 @pytest.mark.parametrize("factory", [scenario_product, scenario_pullback_product])

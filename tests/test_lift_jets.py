@@ -44,15 +44,15 @@ def closed_form_lift(scenario, patch, p, sign):
     return -ginv @ (w + sign * star)
 
 
-def stencil_vertical(geo, sign, X):
+def stencil_vertical(scenario, patch, stack, i, X):
     """The covariant derivative of the closed-form lift along d X at the
-    geometry's parameter point, by the Richardson stencil along X."""
-    nodes = central_nodes(geo.parameter, X, ORACLE_STEP)
-    partial = central_difference([closed_form_lift(geo.scenario, geo.patch, q, sign)
+    parameter point of row i of the stack, by the Richardson stencil along X."""
+    nodes = central_nodes(stack.parameters[i], X, ORACLE_STEP)
+    partial = central_difference([closed_form_lift(scenario, patch, q, stack.sign)
                                   for q in nodes], ORACLE_STEP)
     # (Gamma_V)^a_b = Gamma^a_{bc} V^c along V = d X
-    connection = np.einsum("abc,c->ab", geo.metric_point.gamma, geo.d @ X)
-    return partial + connection @ geo.J - geo.J @ connection
+    connection = np.einsum("abc,c->ab", stack.metric.gamma[i], stack.d[i] @ X)
+    return partial + connection @ stack.J[i] - stack.J[i] @ connection
 
 
 def close(got, expected, tol):
@@ -71,26 +71,29 @@ CASES = [(scenario, patch, orientation, tag) for scenario, patch in LIFTS
          for orientation in (1, -1) for tag in (1, -1)]
 
 
-def grid_geometries(scenario_name, patch_name, orientation, tag):
+def grid_lifts(scenario_name, patch_name, orientation, tag):
+    """(scenario, patch, lift stack of the patch grid)."""
     patch = quadratic_patch() if patch_name == "quadratic" else catalog_patch(patch_name)["patch"]
     raw = dict(catalog_configs()[scenario_name], orientation=orientation)
     scenario = build_scenario(ScenarioConfig.from_dict(raw))
-    return tw.map_lifts(lambda geo: geo, scenario, patch, patch_grid(patch), tag)
+    return scenario, patch, tw.lift_stack(scenario, patch, patch_grid(patch), tag)
 
 
 @pytest.mark.parametrize("scenario, patch, orientation, tag", CASES)
 def test_the_closed_form_is_the_lift(scenario, patch, orientation, tag):
-    for geo in grid_geometries(scenario, patch, orientation, tag):
-        expected = closed_form_lift(geo.scenario, geo.patch, geo.parameter, orientation * tag)
-        assert close(geo.J, expected, 1e-14)
+    sc, surface, stack = grid_lifts(scenario, patch, orientation, tag)
+    assert stack.sign == orientation * tag
+    for p, J in zip(stack.parameters, stack.J):
+        assert close(J, closed_form_lift(sc, surface, p, orientation * tag), 1e-14)
 
 
 @pytest.mark.parametrize("scenario, patch, orientation, tag", CASES)
 def test_exact_vertical_matches_the_stencil(scenario, patch, orientation, tag):
-    for geo in grid_geometries(scenario, patch, orientation, tag):
-        for X, vertical in zip(geo.tangent_coordinates, geo.vertical):
-            expected = stencil_vertical(geo, orientation * tag, X)
-            assert close(vertical, expected, ORACLE_TOL), (geo.parameter, X)
+    sc, surface, stack = grid_lifts(scenario, patch, orientation, tag)
+    for i, p in enumerate(stack.parameters):
+        for X, vertical in zip(stack.tangent_coordinates[i], stack.vertical[i]):
+            expected = stencil_vertical(sc, surface, stack, i, X)
+            assert close(vertical, expected, ORACLE_TOL), (p, X)
 
 
 @pytest.mark.parametrize("scenario, patch, orientation, tag",
@@ -98,7 +101,6 @@ def test_exact_vertical_matches_the_stencil(scenario, patch, orientation, tag):
 def test_minimal_lifts_are_holomorphic_to_rounding(scenario, patch, orientation, tag):
     # the residual of a minimal patch is rounding, far below the gate of the
     # twistor command, which stays where it was
-    residuals = [tw.script_J_residual(geo)
-                 for geo in grid_geometries(scenario, patch, orientation, tag)]
+    residuals = tw.script_J_residual(grid_lifts(scenario, patch, orientation, tag)[2])
     assert max(residuals) <= RESIDUAL_FLOOR
     assert DEFAULT_TOLERANCES["residual_minimal"] == 1e-5

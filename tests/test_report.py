@@ -29,13 +29,13 @@ NON_FINITE = {
 # numpy scalars; the plain-value rows and csv.writer must keep every byte.
 # The pullback_z1z2 table is that of the chain-rule pullback, whose values
 # moved from the symbolic expansion's at the rounding floor, and the catenoid
-# table that of the exact vertical jet, whose residuals fell from the
-# stencil's 1e-12 to rounding.
+# table that of the closed-form lift read by columns over one stack, whose
+# residuals, energies and area elements moved at the rounding floor.
 TABLE_SHA256 = {
     ("pullback_z1z2", "validate"):
         "e65729313c23e45bde69ca3aa535b2791d0a1268295a4bbcec31a91f0f72e467",
     ("proj", "twistor --patch catenoid"):
-        "1318ff9c6c55ef098fe97370b2280dc1287f21da738e8188627bba053f3b1799",
+        "23ed2704a829b7708f346ca95fc1fe3c9158a56b26a7ed40a506a750710efca6",
 }
 
 

@@ -7,6 +7,7 @@ the unit sphere, and the curvature densities against the product metric's
 known sectional curvatures.
 """
 
+import dataclasses
 import json
 import re
 
@@ -20,18 +21,23 @@ from morphoscope.catalog import CATALOG_PATCHES, catalog_configs, catalog_patch,
 from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
-from morphoscope.geometry import Box, FlatMetric, ProductSphereMetric
+from morphoscope.geometry import Box, ChartMetric, FlatMetric, ProductSphereMetric
 from morphoscope.morphism import point_geometry
 from morphoscope.polynomials import Poly
 from morphoscope.structures import K_MINUS, K_PLUS, structure_from_fiber
-from morphoscope.twistor import (LiftGeometry, SurfacePatch, curvature_densities,
-                                 fiber_coordinates, map_lifts, script_J_residual,
-                                 surface_lift, vertical_energy_density)
+from morphoscope.twistor import (SurfacePatch, curvature_densities, fiber_coordinates,
+                                 lift_stack, script_J_residual, surface_lift,
+                                 vertical_energy_density)
 
 from conftest import METRIC_EVALUATIONS, metric_classes
 from test_geometry import constant_metric
 from test_morphism import pullback_diffeo
 from test_symbol import count_calls
+
+
+def fiber_of(g, J, orientation):
+    """fiber_coordinates of the stack of one structure."""
+    return fiber_coordinates(g[None], J[None], orientation)[0]
 
 
 def flat_scenario(half=3.0):
@@ -164,18 +170,18 @@ def test_fiber_round_trip_both_classes():
         for tag in (1, -1):
             J = structure_from_fiber(u, tag)
             assert np.max(np.abs(J @ J + np.eye(4))) < 1e-12
-            v = fiber_coordinates(metric.matrix(np.zeros(4)), J, tag)
+            v = fiber_of(metric.matrix(np.zeros(4)), J, tag)
             assert np.max(np.abs(v - u)) < 1e-10
 
 
 def test_fiber_anchor_and_class_rejection():
     metric = FlatMetric(Box.cube(2.0))
-    u = fiber_coordinates(metric.matrix(np.zeros(4)), K_PLUS, 1)
+    u = fiber_of(metric.matrix(np.zeros(4)), K_PLUS, 1)
     assert np.allclose(u, [0.0, 0.0, 1.0], atol=1e-14)
     with pytest.raises(GeometryError):
-        fiber_coordinates(metric.matrix(np.zeros(4)), K_MINUS, 1)
+        fiber_of(metric.matrix(np.zeros(4)), K_MINUS, 1)
     with pytest.raises(GeometryError):
-        fiber_coordinates(metric.matrix(np.zeros(4)), np.eye(4), 1)
+        fiber_of(metric.matrix(np.zeros(4)), np.eye(4), 1)
 
 
 def test_fiber_rotation_in_second_factor_plane():
@@ -193,24 +199,22 @@ def test_fiber_rotation_in_second_factor_plane():
         expected = np.array([c * u[0] - s * u[1], s * u[0] + c * u[1], u[2]])
         for tag in (1, -1):
             J = structure_from_fiber(u, tag)
-            v = fiber_coordinates(metric.matrix(np.zeros(4)), R @ J @ R.T, tag)
+            v = fiber_of(metric.matrix(np.zeros(4)), R @ J @ R.T, tag)
             assert np.max(np.abs(v - expected)) < 1e-12
 
 
-# ------------------------------------------------------------ lift geometry
+# ------------------------------------------------------------- lift stacks
 
 
 def test_plane_lift_is_constant_standard_structure():
     sc = flat_scenario()
-    patch = plane_patch()
-    for p in [(0.3, -0.2), (-0.5, 0.1)]:
-        geo = LiftGeometry(sc, patch, p, orientation=1)
-        assert np.allclose(geo.J, K_PLUS, atol=1e-12)
-        assert np.allclose(geo.fiber, [0.0, 0.0, 1.0], atol=1e-12)
-        assert script_J_residual(geo) <= 1e-10
-        assert vertical_energy_density(geo).value <= 1e-12
-        omega_tangent, omega_normal = curvature_densities(geo)
-        assert abs(omega_tangent) < 1e-12 and abs(omega_normal) < 1e-12
+    stack = lift_stack(sc, plane_patch(), [(0.3, -0.2), (-0.5, 0.1)], orientation=1)
+    assert np.allclose(stack.J, K_PLUS, atol=1e-12)
+    assert np.allclose(stack.fiber, [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.all(script_J_residual(stack) <= 1e-10)
+    assert np.all(vertical_energy_density(stack).value <= 1e-12)
+    omega_tangent, omega_normal = curvature_densities(stack)
+    assert np.all(np.abs(omega_tangent) < 1e-12) and np.all(np.abs(omega_normal) < 1e-12)
 
 
 def test_lift_rotates_tangent_plane():
@@ -218,35 +222,33 @@ def test_lift_rotates_tangent_plane():
     for patch in (reciprocal_patch(), catenoid_patch()):
         p = (0.55, 0.2) if patch.name == "reciprocal" else (0.1, 0.2)
         for tag in (1, -1):
-            geo = LiftGeometry(sc, patch, p, orientation=tag)
-            assert np.max(np.abs(geo.J @ geo.t1 - geo.t2)) < 1e-12
-            assert np.max(np.abs(geo.J @ geo.t2 + geo.t1)) < 1e-12
-            assert geo.orientation == tag
+            stack = lift_stack(sc, patch, [p], orientation=tag)
+            (J,), ((t1, t2, _, _),) = stack.J, stack.frames
+            assert np.max(np.abs(J @ t1 - t2)) < 1e-12
+            assert np.max(np.abs(J @ t2 + t1)) < 1e-12
+            assert stack.sign == tag * sc.orientation
 
 
 def test_holomorphic_graph_positive_lift_constant():
     # a holomorphic graph is a complex curve, so its positive lift sits at
     # the standard structure and the residual is pure rounding noise
     sc = flat_scenario()
-    patch = reciprocal_patch()
-    for p in [(1.0, 0.0), (1.2, 0.3), (0.7, -0.5)]:
-        geo = LiftGeometry(sc, patch, p, orientation=1)
-        assert np.allclose(geo.fiber, [0.0, 0.0, 1.0], atol=1e-10)
-        assert script_J_residual(geo) <= 1e-5
-        assert vertical_energy_density(geo).value <= 1e-8
+    stack = lift_stack(sc, reciprocal_patch(), [(1.0, 0.0), (1.2, 0.3), (0.7, -0.5)],
+                       orientation=1)
+    assert np.allclose(stack.fiber, [0.0, 0.0, 1.0], atol=1e-10)
+    assert np.all(script_J_residual(stack) <= 1e-5)
+    assert np.all(vertical_energy_density(stack).value <= 1e-8)
 
 
 def test_holomorphic_graph_negative_lift_varies_but_is_holomorphic():
     # the opposite-class lift moves along the fiber, yet stays holomorphic
     # because the underlying surface is minimal
     sc = flat_scenario()
-    patch = reciprocal_patch()
-    at_one = LiftGeometry(sc, patch, (1.0, 0.0), orientation=-1)
-    assert np.allclose(at_one.fiber, [0.0, -1.0, 0.0], atol=1e-10)
-    away = LiftGeometry(sc, patch, (1.2, 0.3), orientation=-1)
-    assert np.linalg.norm(away.fiber - at_one.fiber) > 0.5
-    for p in [(1.0, 0.0), (1.2, 0.3)]:
-        assert script_J_residual(LiftGeometry(sc, patch, p, orientation=-1)) <= 1e-5
+    stack = lift_stack(sc, reciprocal_patch(), [(1.0, 0.0), (1.2, 0.3)], orientation=-1)
+    at_one, away = stack.fiber
+    assert np.allclose(at_one, [0.0, -1.0, 0.0], atol=1e-10)
+    assert np.linalg.norm(away - at_one) > 0.5
+    assert np.all(script_J_residual(stack) <= 1e-5)
 
 
 def test_catenoid_pins_vertical_rotation_sign(monkeypatch):
@@ -257,19 +259,16 @@ def test_catenoid_pins_vertical_rotation_sign(monkeypatch):
     patch = catenoid_patch()
     points = [(0.1, 0.2), (-0.3, 0.4), (0.25, -0.15)]
     for tag in (1, -1):
-        for p in points:
-            assert script_J_residual(LiftGeometry(sc, patch, p, orientation=tag)) <= 1e-5
+        assert np.all(script_J_residual(lift_stack(sc, patch, points, orientation=tag)) <= 1e-5)
     monkeypatch.setattr(tw, "VERTICAL_ROTATION_SIGN", -tw.VERTICAL_ROTATION_SIGN)
-    for p in points:
-        assert script_J_residual(LiftGeometry(sc, patch, p, orientation=1)) >= 1e-2
+    assert np.all(script_J_residual(lift_stack(sc, patch, points, orientation=1)) >= 1e-2)
 
 
 def test_nonminimal_graph_has_large_residual():
     sc = flat_scenario()
-    patch = bowl_patch()
-    for p in [(0.4, 0.1), (0.2, -0.3)]:
-        for tag in (1, -1):
-            assert script_J_residual(LiftGeometry(sc, patch, p, orientation=tag)) >= 1e-2
+    for tag in (1, -1):
+        stack = lift_stack(sc, bowl_patch(), [(0.4, 0.1), (0.2, -0.3)], orientation=tag)
+        assert np.all(script_J_residual(stack) >= 1e-2)
 
 
 def test_antipody_under_parameter_swap():
@@ -286,9 +285,9 @@ def test_antipody_under_parameter_swap():
                                  jacobian=lambda s, t: patch.dpsi((t, s))[:, ::-1],
                                  hessian=lambda s, t: patch.d2psi((t, s))[:, ::-1, ::-1],
                                  name="reciprocal-swapped")
-    a = LiftGeometry(sc, patch, (1.1, 0.2), orientation=1)
-    b = LiftGeometry(sc, patch_swapped, (0.2, 1.1), orientation=1)
-    assert np.linalg.norm(a.fiber + b.fiber) < 1e-10
+    a = lift_stack(sc, patch, [(1.1, 0.2)], orientation=1).fiber
+    b = lift_stack(sc, patch_swapped, [(0.2, 1.1)], orientation=1).fiber
+    assert np.linalg.norm(a + b) < 1e-10
 
 
 # ----------------------------------------------------- curvature densities
@@ -307,11 +306,11 @@ def test_curvature_densities_product_metric():
     for radius in (1.0, 2.0):
         sc = holomorphic_scenario(
             "ps", {(1, 0): 1.0}, ProductSphereMetric(radius, box))
-        ot, on = curvature_densities(LiftGeometry(sc, sphere_patch, (np.pi / 3, 0.2)))
-        assert abs(ot + 1.0 / radius ** 2) < 1e-9
-        assert abs(on) < 1e-12
-        ot2, on2 = curvature_densities(LiftGeometry(sc, flat_patch, (0.1, -0.2)))
-        assert abs(ot2) < 1e-12 and abs(on2) < 1e-12
+        ot, on = curvature_densities(lift_stack(sc, sphere_patch, [(np.pi / 3, 0.2)]))
+        assert abs(ot[0] + 1.0 / radius ** 2) < 1e-9
+        assert abs(on[0]) < 1e-12
+        ot2, on2 = curvature_densities(lift_stack(sc, flat_patch, [(0.1, -0.2)]))
+        assert abs(ot2[0]) < 1e-12 and abs(on2[0]) < 1e-12
 
 
 # -------------------------------------------------------- vertical energy
@@ -323,21 +322,19 @@ def test_vertical_energy_matches_fiber_speed_oracle():
     sc = flat_scenario()
     patch = reciprocal_patch()
     p0 = np.array([1.0, 0.0])
-    geo = LiftGeometry(sc, patch, p0, orientation=-1)
-    energy = vertical_energy_density(geo)
-    assert abs(energy.value - 4.0) < 1e-6
-    assert np.allclose(energy.gram, 2.0 * np.eye(2), atol=1e-6)
-    assert abs(energy.area_element - 3.0) < 1e-6
+    stack = lift_stack(sc, patch, [p0], orientation=-1)
+    energy = vertical_energy_density(stack)
+    assert abs(energy.value[0] - 4.0) < 1e-6
+    assert np.allclose(energy.gram[0], 2.0 * np.eye(2), atol=1e-6)
+    assert abs(energy.area_element[0] - 3.0) < 1e-6
 
-    x1, x2 = geo.tangent_coordinates
     h = 1e-5
     oracle = 0.0
-    for x in (x1, x2):
-        up = LiftGeometry(sc, patch, p0 + h * x, orientation=-1).fiber
-        dn = LiftGeometry(sc, patch, p0 - h * x, orientation=-1).fiber
+    for x in stack.tangent_coordinates[0]:
+        up, dn = lift_stack(sc, patch, [p0 + h * x, p0 - h * x], orientation=-1).fiber
         du = (up - dn) / (2 * h)
         oracle += float(du @ du)
-    assert abs(energy.value - oracle) < 1e-3
+    assert abs(energy.value[0] - oracle) < 1e-3
 
 
 def test_energy_and_residual_invariant_under_chart_isometry():
@@ -348,16 +345,16 @@ def test_energy_and_residual_invariant_under_chart_isometry():
     patch_new = quadratic_patch()
     patch_base = pulled_back_patch(patch_new, [p.real_poly() for p in diffeo])
 
-    for p in [(0.1, 0.2), (-0.25, 0.05), (0.3, -0.3)]:
-        for tag in (1, -1):
-            geo_base = LiftGeometry(base, patch_base, p, orientation=tag)
-            geo_new = LiftGeometry(pulled, patch_new, p, orientation=tag)
-            e_base = vertical_energy_density(geo_base)
-            e_new = vertical_energy_density(geo_new)
-            assert abs(e_base.value - e_new.value) < 1e-4
-            r_base = script_J_residual(geo_base)
-            r_new = script_J_residual(geo_new)
-            assert abs(r_base - r_new) < 1e-4
+    points = [(0.1, 0.2), (-0.25, 0.05), (0.3, -0.3)]
+    for tag in (1, -1):
+        stack_base = lift_stack(base, patch_base, points, orientation=tag)
+        stack_new = lift_stack(pulled, patch_new, points, orientation=tag)
+        e_base = vertical_energy_density(stack_base)
+        e_new = vertical_energy_density(stack_new)
+        assert np.max(np.abs(e_base.value - e_new.value)) < 1e-4
+        r_base = script_J_residual(stack_base)
+        r_new = script_J_residual(stack_new)
+        assert np.max(np.abs(r_base - r_new)) < 1e-4
 
 
 # ------------------------------------------------------------- guard rails
@@ -384,7 +381,7 @@ def test_rejected_chart_metric_names_the_point(bad):
     with pytest.raises(GeometryError, match=named):
         point_geometry(sc, np.array([0.25, -0.5, 0.0, 0.0]))
     with pytest.raises(GeometryError, match=named):
-        LiftGeometry(sc, plane_patch(), (0.25, -0.5))
+        lift_stack(sc, plane_patch(), [(0.25, -0.5)])
 
 
 def test_parameter_box_guard():
@@ -447,60 +444,53 @@ def test_patch_hessians_agree_with_differences_of_the_jacobian():
 
 
 class OracleLift:
-    """The lift at one parameter point, built point by point: the frame and
-    lift steps of a single point written out, and its vertical derivatives
-    read off the exact jet of a stack of one. The readers take it as they
-    take a LiftGeometry."""
+    """The steps of a lift at one parameter point, written out point by
+    point: the patch, its rank test and Hessian, the metric, the adapted
+    frame by the scalar Gram-Schmidt, its orientation, and the frame-built
+    lift B K B^{-1}, which the closed-form lift equals to rounding."""
 
     def __init__(self, scenario, patch, p, orientation=1):
-        self.scenario, self.patch = scenario, patch
-        self.parameter = np.asarray(p, dtype=float)
-        self.orientation = orientation
         m = patch.point(p)
         d = patch.dpsi(p)
         sv = np.linalg.svd(d, compute_uv=False)
         if sv[-1] <= tw.PATCH_RANK_TOL:
             raise DegenerateFrameError(
                 f"patch differential is rank deficient at {np.asarray(p).tolist()}")
+        patch.d2psi(p)
         mp = geometry.metric_point(scenario.metric, m)
         with geometry.named_at(mp.point):
             frame = geometry.orthonormalize(mp.g, [d[:, 0], d[:, 1]], complete=True)
-            t1, t2, n1, n2 = frame
-            if geometry.orientation_sign(frame) * scenario.orientation < 0:
-                n2 = -n2
-        self.metric_point, self.d = mp, d
-        self.t1, self.t2, self.n1, self.n2 = t1, t2, n1, n2
-        self.point = mp.point
-        B = np.column_stack([t1, t2, n1, n2])
-        K = K_PLUS if orientation == 1 else K_MINUS
-        self.J = B @ K @ np.linalg.inv(B)
+            (sign,), (failure,) = geometry.frame_orientations(frame[None])
+            if failure is not None:
+                raise DegenerateFrameError(failure)
+            if sign * scenario.orientation < 0:
+                frame[3] = -frame[3]
+        self.g, self.d, self.frame = mp.g, d, frame
+        B = frame.T
+        self.J = B @ (K_PLUS if orientation == 1 else K_MINUS) @ np.linalg.inv(B)
         tw._check_structure(mp.g, self.J)
 
     @property
-    def fiber(self):
-        return fiber_coordinates(self.metric_point.g, self.J,
-                                 self.orientation * self.scenario.orientation)
-
-    @property
     def tangent_coordinates(self):
-        x1, *_ = np.linalg.lstsq(self.d, self.t1, rcond=None)
-        x2, *_ = np.linalg.lstsq(self.d, self.t2, rcond=None)
-        return x1, x2
-
-    @property
-    def vertical(self):
-        jet = tw.lift_stack(self.scenario, self.patch, [self.parameter],
-                            self.orientation).vertical_jet[0]
-        return tuple((X @ jet.reshape(2, 16)).reshape(4, 4) for X in self.tangent_coordinates)
+        """Rows x1, x2 with d x_a = t_a, by least squares."""
+        return np.array([np.linalg.lstsq(self.d, t, rcond=None)[0] for t in self.frame[:2]])
 
 
-def read_all(geo) -> dict:
-    """Every number the lift layer hands on at one parameter point."""
-    energy = vertical_energy_density(geo)
-    return {"J": geo.J, "frame": np.array([geo.t1, geo.t2, geo.n1, geo.n2]),
-            "vertical": np.array(geo.vertical), "residual": script_J_residual(geo),
-            "energy": (energy.value, energy.area_element), "gram": energy.gram,
-            "curvature": curvature_densities(geo), "fiber": geo.fiber}
+def read_all(stack) -> dict:
+    """Every column the lift layer hands on, one row per parameter point."""
+    energy = vertical_energy_density(stack)
+    omega_t, omega_n = curvature_densities(stack)
+    return {"J": stack.J, "jet": stack.jet, "frames": stack.frames,
+            "tangent": stack.tangent_coordinates, "vertical": stack.vertical,
+            "residual": script_J_residual(stack), "energy": energy.value,
+            "gram": energy.gram, "area": energy.area_element,
+            "omega_t": omega_t, "omega_n": omega_n, "fiber": stack.fiber}
+
+
+def rows(columns: dict) -> list:
+    """The columns of read_all, split into one dict per row."""
+    return [{key: column[i] for key, column in columns.items()}
+            for i in range(len(columns["J"]))]
 
 
 def assert_bitwise_equal(a: dict, b: dict):
@@ -519,21 +509,41 @@ def build_catalog(name):
     return build_scenario(ScenarioConfig.from_dict(catalog_configs()[name]))
 
 
+def close(got, expected, tol):
+    return np.max(np.abs(got - expected)) <= tol * max(1.0, np.max(np.abs(expected)))
+
+
 @pytest.mark.parametrize("tag", [1, -1])
 @pytest.mark.parametrize("scenario_name,patch_name", catalog_lift_cases())
 def test_stacked_lifts_equal_the_point_by_point_lifts(scenario_name, patch_name, tag):
-    # the two stacks of a grid give, bit for bit, every number that the
-    # point-by-point construction gives
+    # the stack of a grid gives, bit for bit, the frames of the scalar
+    # Gram-Schmidt at each point, and to rounding its frame-built lift and
+    # the least-squares tangent coordinates; surface_lift is its row
     sc = build_catalog(scenario_name)
     patch = catalog_patch(patch_name)["patch"]
     grid = patch_grid(patch)
-    stacked = map_lifts(read_all, sc, patch, grid, orientation=tag)
+    stack = lift_stack(sc, patch, grid, orientation=tag)
+    for i, p in enumerate(grid):
+        alone = OracleLift(sc, patch, p, orientation=tag)
+        assert np.array_equal(stack.frames[i], alone.frame)
+        assert close(stack.J[i], alone.J, 1e-14)
+        assert close(stack.tangent_coordinates[i], alone.tangent_coordinates, 1e-14)
+        assert np.array_equal(surface_lift(sc, patch, p, tag), stack.J[i])
+
+
+@pytest.mark.parametrize("tag", [1, -1])
+@pytest.mark.parametrize("scenario_name,patch_name", catalog_lift_cases())
+def test_every_column_of_a_stack_equals_its_stack_of_one(scenario_name, patch_name, tag):
+    # each row of every column of a grid's stack equals, bit for bit, the
+    # same column of the stack of its point alone
+    sc = build_catalog(scenario_name)
+    patch = catalog_patch(patch_name)["patch"]
+    grid = patch_grid(patch)
+    stacked = rows(read_all(lift_stack(sc, patch, grid, orientation=tag)))
+    assert len(stacked) == GRID_POINTS
     for p, got in zip(grid, stacked):
-        assert_bitwise_equal(got, read_all(OracleLift(sc, patch, p, orientation=tag)))
-        # a geometry built on its own is the stack of one
-        alone = LiftGeometry(sc, patch, p, orientation=tag)
-        assert_bitwise_equal(got, read_all(alone))
-        assert np.array_equal(surface_lift(sc, patch, p, tag), got["J"])
+        [alone] = rows(read_all(lift_stack(sc, patch, [p], orientation=tag)))
+        assert_bitwise_equal(got, alone)
 
 
 @pytest.mark.parametrize("scale", [1e-24, 1e24])
@@ -544,11 +554,12 @@ def test_stacked_frame_rank_rule_does_not_depend_on_the_metric_scale(scale):
                               constant_metric(scale * np.eye(4), Box.cube(3.0)))
     patch = catenoid_patch()
     grid = patch_grid(patch)
-    stack = tw.lift_stack(sc, patch, grid, orientation=-1)
+    stack = lift_stack(sc, patch, grid, orientation=-1)
     for i, p in enumerate(grid):
         alone = OracleLift(sc, patch, p, orientation=-1)
-        assert np.array_equal(stack.J[i], alone.J)
-        assert np.array_equal(stack.frames[i], [alone.t1, alone.t2, alone.n1, alone.n2])
+        assert close(stack.J[i], alone.J, 1e-14)
+        assert np.array_equal(stack.J[i], surface_lift(sc, patch, p, -1))
+        assert np.array_equal(stack.frames[i], alone.frame)
 
 
 def raised(fn, *args, **kwargs):
@@ -558,8 +569,19 @@ def raised(fn, *args, **kwargs):
     return type(info.value), str(info.value)
 
 
-def oracle_loop(read, scenario, patch, params, orientation=1):
-    return [read(OracleLift(scenario, patch, p, orientation)) for p in params]
+def read_stack(scenario, patch, params, orientation=1) -> list:
+    """The rows of every column of the stack of the params."""
+    return rows(read_all(lift_stack(scenario, patch, params, orientation)))
+
+
+def oracle_loop(scenario, patch, params, orientation=1) -> list:
+    """A loop over the points: the point-by-point steps, then the stack of
+    the point alone, read."""
+    out = []
+    for p in params:
+        OracleLift(scenario, patch, p, orientation)
+        out += read_stack(scenario, patch, [p], orientation)
+    return out
 
 
 def flat_plane(rank_deficient_beyond=np.inf):
@@ -583,8 +605,8 @@ def test_a_point_at_the_edge_of_the_box_or_of_the_rank_is_lifted():
     edge = [*grid[:3], np.array([1.0 - 7e-5, 0.2]), *grid[3:]]
     for patch, params in [(flat_plane(), edge),
                           (flat_plane(rank_deficient_beyond=0.5 + 7e-5), grid)]:
-        for got, expected in zip(map_lifts(read_all, sc, patch, params),
-                                 oracle_loop(read_all, sc, patch, params)):
+        for got, expected in zip(read_stack(sc, patch, params),
+                                 oracle_loop(sc, patch, params)):
             assert_bitwise_equal(got, expected)
 
 
@@ -596,24 +618,24 @@ def test_a_stack_raises_the_error_of_its_first_failing_point():
     for bad, error in ((np.array([1.5, 0.0]), DomainError),
                        (np.array([0.7, 0.0]), DegenerateFrameError)):
         params = [*good[:2], bad, *good[2:]]
-        expected = raised(oracle_loop, read_all, sc, patch, params)
+        expected = raised(oracle_loop, sc, patch, params)
         assert expected[0] is error
         assert raised(tw.lift_stack, sc, patch, params) == expected
-        assert raised(map_lifts, read_all, sc, patch, params) == expected
+        assert raised(read_stack, sc, patch, params) == expected
     # a point failing late (the rank test) comes before one failing early
     # (outside the box) when it comes first, though the stack tests the box first
     params = [good[0], np.array([0.7, 0.0]), good[1], np.array([1.5, 0.0])]
-    expected = raised(oracle_loop, read_all, sc, patch, params)
+    expected = raised(oracle_loop, sc, patch, params)
     assert expected == (DegenerateFrameError,
                         "patch differential is rank deficient at [0.7, 0.0]")
     assert raised(tw.lift_stack, sc, patch, params) == expected
-    assert raised(map_lifts, read_all, sc, patch, params) == expected
+    assert raised(read_stack, sc, patch, params) == expected
     # a grid point just short of the rank-deficient region is lifted, and a
     # later grid point outside the box raises
     params = [good[0], np.array([0.6 - 7e-5, 0.0]), good[1], np.array([1.5, 0.0])]
-    expected = raised(oracle_loop, read_all, sc, patch, params)
+    expected = raised(oracle_loop, sc, patch, params)
     assert expected == (DomainError, "parameter [1.5, 0.0] leaves the patch box")
-    assert raised(map_lifts, read_all, sc, patch, params) == expected
+    assert raised(read_stack, sc, patch, params) == expected
 
 
 def test_an_error_of_any_type_keeps_the_point_by_point_order():
@@ -630,13 +652,13 @@ def test_an_error_of_any_type_keeps_the_point_by_point_order():
     patch = SurfacePatch(psi=psi, param_box=plane.param_box, jacobian=plane.jacobian,
                          hessian=plane.hessian)
     params = [np.array([0.1, 0.0]), np.array([0.7, 0.0]), np.array([0.9, 0.0])]
-    expected = raised(oracle_loop, read_all, sc, patch, params)
+    expected = raised(oracle_loop, sc, patch, params)
     assert expected == (DegenerateFrameError,
                         "patch differential is rank deficient at [0.7, 0.0]")
     assert raised(tw.lift_stack, sc, patch, params) == expected
-    assert raised(map_lifts, read_all, sc, patch, params) == expected
+    assert raised(read_stack, sc, patch, params) == expected
     # alone, the later point raises its own error
-    assert raised(map_lifts, read_all, sc, patch, params[2:]) == (
+    assert raised(read_stack, sc, patch, params[2:]) == (
         ValueError, "psi undefined at s = 0.9")
 
 
@@ -657,8 +679,9 @@ def twistor_command(tmp_path, patch_name):
 @pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
 def test_lift_geometry_call_budget(tmp_path, monkeypatch, metric_calls, patch_name):
     # one command builds one lift stack, of its grid points, with one
-    # chart-metric matrix and one read of the first metric derivatives,
-    # which the exact vertical jet shares with the Christoffel symbols
+    # chart-metric matrix, one read of the first metric derivatives, which
+    # the exact vertical jet shares with the Christoffel symbols, and one
+    # read of the second derivatives, for the curvature of the whole stack
     argv = twistor_command(tmp_path, patch_name)
     stacks = count_calls(monkeypatch, tw, "lift_stack")
     lifts = count_calls(monkeypatch, tw, "surface_lift")
@@ -673,8 +696,7 @@ def test_lift_geometry_call_budget(tmp_path, monkeypatch, metric_calls, patch_na
     # the patch callables take one parameter point at a time
     assert (len(dpsi), len(d2psi)) == (GRID_POINTS, GRID_POINTS)
     calls = {name: sum(map(len, log)) for name, log in logs.items()}
-    assert calls == {"matrix": 1, "first_derivatives": 1,
-                     "second_derivatives": GRID_POINTS}, calls
+    assert calls == {"matrix": 1, "first_derivatives": 1, "second_derivatives": 1}, calls
     points = {k: len(log) for k, log in metric_calls.items()}
     assert points == {"matrix": GRID_POINTS, "first_derivatives": GRID_POINTS,
                       "second_derivatives": GRID_POINTS}, points
@@ -682,33 +704,76 @@ def test_lift_geometry_call_budget(tmp_path, monkeypatch, metric_calls, patch_na
 
 @pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
 def test_only_the_record_reads_fiber_coordinates(tmp_path, monkeypatch, patch_name):
-    # the adapted frames of the lifts come from the stack; the scalar
-    # orthonormalize runs only for the deterministic frame of the fiber
-    # coordinates that the record reads at each grid point
+    # the adapted frames of the lifts and the deterministic frames of the
+    # fiber coordinates both come from stacks, so the scalar orthonormalize
+    # never runs; the lift rows are checked once, where the stack is built
     argv = twistor_command(tmp_path, patch_name)
     calls = count_calls(monkeypatch, geometry, "orthonormalize")
     checks = count_calls(monkeypatch, tw, "_check_structure")
     assert main(argv) == 0
-    assert len(calls) == GRID_POINTS
-    # J squared and the metric are checked on every lift row, and again
-    # where the fiber coordinates are read
-    rows = [len(np.reshape(J, (-1, 4, 4))) for _, J in checks]
-    assert rows == [GRID_POINTS] + [1] * GRID_POINTS
+    assert len(calls) == 0
+    rows_checked = [len(np.reshape(J, (-1, 4, 4))) for _, J in checks]
+    assert rows_checked == [GRID_POINTS]
 
 
 def test_a_lift_that_breaks_the_metric_is_rejected(monkeypatch):
-    # the structure checks run on every lift as the stack is built, not only
-    # where the fiber coordinates are read
+    # the structure checks run on every lift as the stack is built: a lift
+    # conjugated by a non-isometry still squares to minus the identity but
+    # no longer preserves the metric
     spec = catalog_patch("catenoid")
     sc = build_scenario(ScenarioConfig.from_dict(catalog_configs()[spec["scenario"]]))
     grid = patch_grid(spec["patch"])
-    frames = tw.orthonormal_stack
+    jets = tw.structure_jets
+    S = np.diag([2.0, 1.0, 1.0, 1.0])
 
     def skewed(*args, **kwargs):
-        out, count = frames(*args, **kwargs)
-        out[:, 3] *= 2.0
-        return out, count
+        return [(S @ J @ np.linalg.inv(S), jet) for J, jet in jets(*args, **kwargs)]
 
-    monkeypatch.setattr(tw, "orthonormal_stack", skewed)
+    monkeypatch.setattr(tw, "structure_jets", skewed)
     with pytest.raises(GeometryError, match="does not preserve the metric"):
-        map_lifts(lambda geo: geo.J, sc, spec["patch"], grid, spec["orientation"])
+        lift_stack(sc, spec["patch"], grid, spec["orientation"])
+
+
+# ------------------------------------------------------------- homothety
+
+
+class Homothetic(ChartMetric):
+    """The chart metric c * g of a base metric g, with its derivatives."""
+
+    def __init__(self, base, c):
+        super().__init__(base.domain)
+        self.base, self.c = base, c
+
+    def matrix(self, m):
+        return self.c * self.base.matrix(m)
+
+    def first_derivatives(self, m):
+        return self.c * self.base.first_derivatives(m)
+
+    def second_derivatives(self, m):
+        return self.c * self.base.second_derivatives(m)
+
+
+@pytest.mark.parametrize("tag", [1, -1])
+@pytest.mark.parametrize("scenario_name,patch_name", catalog_lift_cases())
+def test_the_lift_readers_follow_a_homothety_of_the_chart(scenario_name, patch_name, tag):
+    # under g -> 4 g, a power of two and so exact in floating point, the
+    # lift and its fiber coordinates stay, an orthonormal vector halves, so
+    # the tangent coordinates halve, and the vertical energy and the
+    # curvature pairings fall by a quarter; the horizontal part of the
+    # residual vanishes, so the bowl's residual, all vertical, halves
+    sc = build_catalog(scenario_name)
+    scaled = dataclasses.replace(sc, metric=Homothetic(sc.metric, 4.0))
+    spec = catalog_patch(patch_name)
+    grid = patch_grid(spec["patch"])
+    base, got = (read_all(lift_stack(s, spec["patch"], grid, orientation=tag))
+                 for s in (sc, scaled))
+    assert close(got["J"], base["J"], 1e-15)
+    assert close(got["fiber"], base["fiber"], 1e-15)
+    assert close(got["tangent"], 0.5 * base["tangent"], 1e-15)
+    for key in ("energy", "omega_t", "omega_n"):
+        assert close(got[key], 0.25 * base[key], 1e-15), key
+    if spec["classification"] == "minimal":
+        assert max(got["residual"]) <= 1e-13
+    else:
+        assert close(got["residual"], 0.5 * base["residual"], 1e-14)
