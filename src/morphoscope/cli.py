@@ -4,7 +4,8 @@ morphoscope <command> --config FILE [options]
 
 Commands: validate, analyze, symbol, rate, weingarten, twistor, catalog.
 Reports are written as compact canonical JSON; validate, rate,
-weingarten --scan, twistor add a CSV.
+weingarten --scan, twistor add a CSV. Tabular records are encoded by
+columns (report.Columns), each number turned into text once for both files.
 Exit code 0 means every check passed, 1 means at least one check failed
 with its numeric evidence in the report, 2 means the configuration or the
 requested domain operation was invalid.
@@ -110,6 +111,8 @@ def main(argv=None) -> int:
             report, text = runner.scenario_report(args.command, config, found,
                                                   seed, workers)
             table = found.table
+            if table is not None:
+                table.cells  # rendered here, so a value it rejects leaves no file
             stem = f"{config.name}_{args.command}"
             if args.command == "weingarten":
                 stem += "_scan" if args.scan else "_point"

@@ -503,20 +503,22 @@ def oriented_frames(g: np.ndarray) -> np.ndarray:
     each point of a stack g, (n, 4, 4).
 
     The coordinate basis vectors are orthonormalized in index order
-    (orthonormal_stack), and the last vector is flipped where the frame is
-    negatively oriented. Reproducible across runs by construction. A frame
-    that cannot be completed or oriented raises DegenerateFrameError naming
+    (orthonormal_stack). Row k then lies in the span of the first k + 1
+    axes with a positive coefficient on axis k, so the rows form a lower
+    triangular matrix with a positive diagonal: every frame is positively
+    oriented, and none needs a flip. Reproducible across runs by
+    construction. A frame that cannot be completed, or whose determinant
+    is numerically zero or not finite, raises DegenerateFrameError naming
     the first failing row.
     """
     sizes = np.sqrt(np.maximum(0.0, np.diagonal(g, axis1=-2, axis2=-1)))
     frames, count = orthonormal_stack(g, np.broadcast_to(np.eye(4), g.shape), 4, sizes)
-    signs, failures = frame_orientations(frames)
+    _, failures = frame_orientations(frames)
     for i, (rank, reason) in enumerate(zip(count, failures)):
         if rank < 4:
             reason = "could not complete an orthonormal frame"
         if reason is not None:
             raise DegenerateFrameError(f"{reason} in row {i}")
-    frames[signs < 0, 3] *= -1.0
     return frames
 
 

@@ -8,7 +8,8 @@ and neighbouring points agree.
 
 All of it comes from one record per point, `PointGeometry`.
 `point_geometries` builds the records of a stack of points in one pass over
-the stack, and `point_geometry` is its stack of one. The tension, the
+the stack (`geometry_stack`), and `point_geometry` is its stack of one;
+`validate_morphism` reads its columns off the stack alone. The tension, the
 splitting, the structures J+ and J- and the first jets of the vertical
 projector and of the structures are derived over the whole stack
 (`GeometryStack`) when one of its geometries first reads them, and each
@@ -58,6 +59,7 @@ class GeometryStack:
     ginvsqrt: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
+    conformal: np.ndarray
     squared_dilation: np.ndarray
     defect: np.ndarray
 
@@ -326,16 +328,15 @@ class PointGeometry:
         return along(jet[[self.index]], np.asarray(direction)[None])[0]
 
 
-def point_geometries(scenario: MorphismScenario, points) -> list:
-    """The geometries at a stack of points, in order, built in one pass.
+def geometry_stack(scenario: MorphismScenario, points) -> GeometryStack:
+    """The geometry of a stack of points, in order, built in one pass.
 
     Each step below runs once over the whole (n, 4) stack: the domain
     check, the metric and its check, the differential, the square roots of
     the metric, the gauge matrix and its SVD, the inverse metric and the
     conformality data; the Christoffel symbols and the tension follow, for
-    the whole stack, when a geometry first reads them (see GeometryStack).
-    Each geometry reads its row of every result; a row equals, bit for bit,
-    what the same steps give for its point alone.
+    the whole stack, when they are first read (see GeometryStack). Each
+    row equals, bit for bit, what the same steps give for its point alone.
 
     A point outside the domain raises DomainError; non-finite metric or
     differential entries and failed checks or decompositions raise
@@ -346,14 +347,14 @@ def point_geometries(scenario: MorphismScenario, points) -> list:
     """
     points = np.array(points, dtype=float, order="C").reshape(-1, 4)
     try:
-        return _geometry_pass(scenario, points)
+        return _stack_pass(scenario, points)
     except (DomainError, GeometryError):
         for i in range(len(points)):
-            _geometry_pass(scenario, points[i:i + 1])
+            _stack_pass(scenario, points[i:i + 1])
         raise
 
 
-def _geometry_pass(scenario: MorphismScenario, points: np.ndarray) -> list:
+def _stack_pass(scenario: MorphismScenario, points: np.ndarray) -> GeometryStack:
     metric = metric_point(scenario.metric, points)
     jac = scenario.jacobian(points)
     try:
@@ -374,16 +375,23 @@ def _geometry_pass(scenario: MorphismScenario, points: np.ndarray) -> list:
     # the Frobenius norm as np.linalg.norm takes it: a dot product of the
     # flattened matrix with itself
     defect = np.sqrt((offset @ offset.swapaxes(-1, -2))[:, 0, 0])
+    return GeometryStack(scenario=scenario, metric=metric, jac=jac, ginv=ginv,
+                         ginvsqrt=ginvsqrt, singular_values=sv, right_vectors=vt,
+                         conformal=conformal, squared_dilation=squared_dilation,
+                         defect=defect)
 
-    stack = GeometryStack(scenario=scenario, metric=metric, jac=jac, ginv=ginv,
-                          ginvsqrt=ginvsqrt, singular_values=sv, right_vectors=vt,
-                          squared_dilation=squared_dilation, defect=defect)
+
+def point_geometries(scenario: MorphismScenario, points) -> list:
+    """The geometries at a stack of points, in order: the rows of their
+    geometry_stack."""
+    stack = geometry_stack(scenario, points)
     return [PointGeometry(
-        scenario=scenario, stack=stack, index=i, point=m, g=metric.g[i], ginv=ginv[i],
-        ginvsqrt=ginvsqrt[i], jac=jac[i], singular_values=sv[i], right_vectors=vt[i],
-        conformal=conformal[i], squared_dilation=float(squared_dilation[i]),
-        defect=float(defect[i]))
-        for i, m in enumerate(points)]
+        scenario=scenario, stack=stack, index=i, point=m, g=stack.metric.g[i],
+        ginv=stack.ginv[i], ginvsqrt=stack.ginvsqrt[i], jac=stack.jac[i],
+        singular_values=stack.singular_values[i], right_vectors=stack.right_vectors[i],
+        conformal=stack.conformal[i], squared_dilation=float(stack.squared_dilation[i]),
+        defect=float(stack.defect[i]))
+        for i, m in enumerate(stack.metric.point)]
 
 
 def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
@@ -424,17 +432,14 @@ def fiber_mean_curvature(geometry: PointGeometry) -> np.ndarray:
 
 
 def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray]) -> tuple:
-    """The geometries at the points, built as one stack, with the largest
-    conformality defect and the largest tension norm over the regular ones.
+    """The geometry stack of the points, with the largest conformality
+    defect and the largest tension norm over the regular ones, read as
+    columns of the stack; no per-point geometry is built.
 
     A defect or tension norm that is not finite raises GeometryError naming
-    the first such point in order. Returns (geometries, max_defect, max_tension).
+    the first such point in order. Returns (stack, max_defect, max_tension).
     """
-    geometries = point_geometries(scenario, points)
-    if not geometries:
-        return geometries, 0.0, 0.0
-    # the defect and the tension norm are read as columns of the stack
-    stack = geometries[0].stack
+    stack = geometry_stack(scenario, points)
     finite = np.isfinite(stack.defect) & np.isfinite(stack.tension_norm)
     if not finite.all():
         first = stack.metric.point[np.argmin(finite)]
@@ -443,4 +448,4 @@ def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray]) 
     regular = stack.regular
     max_defect = max([0.0, *stack.defect[regular].tolist()])
     max_tension = max([0.0, *stack.tension_norm[regular].tolist()])
-    return geometries, max_defect, max_tension
+    return stack, max_defect, max_tension

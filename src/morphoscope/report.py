@@ -5,6 +5,9 @@ rerun with the same configuration and seed produces the same hash even
 though the file records when it was written. The file is the canonical
 text the fingerprint hashes, with the fingerprint, the worker count and the
 timestamp appended as its last keys, so a report is encoded once.
+
+Tabular records are `Columns`: each number is turned into text once, and
+the report's records and the CSV table are both written from those texts.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 import csv
 import datetime
 import hashlib
+import io
 import json
 import math
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +96,114 @@ def check(name: str, passed: bool, **evidence) -> dict:
             "evidence": evidence}
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it next to other fields of a row, quoted
+    where it holds a delimiter, a quote or a line end."""
+    fh = io.StringIO()
+    csv.writer(fh).writerow([text, ""])
+    return fh.getvalue()[:-len(",\r\n")]
+
+
+def _column_cells(values) -> tuple:
+    """(JSON texts, CSV texts, nested) of one column, see Columns.cells."""
+    values = values if isinstance(values, np.ndarray) else np.asarray(values)
+    if values.ndim not in (1, 2):
+        raise ValueError(f"a column holds one value or one row of values per row, "
+                         f"not shape {values.shape}")
+    kind = values.dtype.kind
+    if kind == "U":
+        labels = values.tolist()
+        encoded = {label: (_canonical(label), _csv_field(label))
+                   for label in dict.fromkeys(labels)}
+        return ([[encoded[label][0] for label in labels]],
+                [[encoded[label][1] for label in labels]], False)
+    if kind == "f":
+        if not np.isfinite(values).all():
+            raise GeometryError("report values must be finite")
+        text = float.__repr__
+    elif kind in "iu":
+        text = int.__repr__
+    else:
+        raise TypeError(f"cannot tabulate a column of {values.dtype}")
+    nested = values.ndim == 2
+    # a number's text holds nothing csv.writer quotes
+    texts = [list(map(text, component))
+             for component in (values.T.tolist() if nested else [values.tolist()])]
+    return texts, texts, nested
+
+
+class Columns:
+    """Tabular records by columns: an ordered map from column name to one
+    value per row, an (n,) or (n, k) float array, an int array or list, or
+    a list of str.
+
+    The report holds them as a list of objects with sorted keys, one per
+    row, with an (n, k) column as a list. The CSV table has a line per
+    row, with the columns in order: a column named in `spread` is written
+    as one CSV column per component, under the names it maps to, and the
+    columns in `drop` are left out. Both are written from the same texts.
+    """
+
+    def __init__(self, columns: dict, spread: dict | None = None, drop: tuple = ()):
+        self.columns = dict(columns)
+        self.spread = spread or {}
+        self.drop = tuple(drop)
+        lengths = {name: len(values) for name, values in self.columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns of unequal length: {lengths}")
+
+    @cached_property
+    def cells(self) -> dict:
+        """Column name -> (JSON texts, CSV texts, nested): a list of the n
+        texts of each component, and whether the column is (n, k). Each
+        float column is checked for finiteness in one vectorised pass, and
+        each number is turned into text once, by the repr that json.dumps
+        and csv.writer both write; each distinct label is encoded once for
+        each file."""
+        return {name: _column_cells(values) for name, values in self.columns.items()}
+
+    @cached_property
+    def json_text(self) -> str:
+        """The canonical JSON of the records, spliced from the texts."""
+        names = sorted(self.cells)
+        fields = []
+        for name in names:
+            texts, _, nested = self.cells[name]
+            slots = ",".join(["%s"] * len(texts))
+            fields.append(_canonical(name).replace("%", "%%") + ":"
+                          + (f"[{slots}]" if nested else slots))
+        row = "{" + ",".join(fields) + "}"
+        rows = zip(*(texts for name in names for texts in self.cells[name][0]))
+        return "[" + ",".join([row % values for values in rows]) + "]"
+
+    def csv_text(self) -> str:
+        """The CSV table: the header, then a line per row, each line the
+        fields csv.writer writes, joined by commas and ended by \\r\\n."""
+        header, columns = [], []
+        for name, (_, texts, nested) in self.cells.items():
+            if name in self.drop:
+                continue
+            names = self.spread.get(name, (name,) if not nested else ())
+            if len(names) != len(texts):
+                raise ValueError(f"column {name!r} has {len(texts)} components, "
+                                 f"and {len(names)} CSV names")
+            header.extend(map(_csv_field, names))
+            columns.extend(texts)
+        if len(columns) == 1:
+            # csv.writer quotes an empty field alone in its row, so the
+            # line is not blank
+            header = [name or '""' for name in header]
+            columns = [[text or '""' for text in columns[0]]]
+        return "".join([",".join(fields) + "\r\n" for fields in (header, *zip(*columns))])
+
+
 def build_report(command: str, scenario_name: str, scenario_fingerprint: str,
-                 checks: list, records: list, seed: int, workers: int,
+                 checks: list, records, seed: int, workers: int,
                  rates: dict | None = None, extras: dict | None = None) -> tuple:
     """(report, text): the report as plain data, and the text of its file,
     the canonical JSON of the body the fingerprint hashes, with the
-    fingerprint, the worker count and the timestamp as its last keys."""
+    fingerprint, the worker count and the timestamp as its last keys.
+    `records` is a list, or Columns, which the report keeps as they are."""
     body = {
         "command": command,
         "scenario": scenario_name,
@@ -109,10 +216,16 @@ def build_report(command: str, scenario_name: str, scenario_fingerprint: str,
         "rates": rates or {},
         **(extras or {}),
     }
-    # the one sanitizing pass and the one encoding: everything below reads
-    # plain data, and the file is the hashed text
+    columns = body.pop("records") if isinstance(records, Columns) else None
+    # the one sanitizing pass and one encoding of each top-level value,
+    # joined in key order as one encoding of the whole body writes them;
+    # tabular records are spliced in from their own texts
     body = sanitize(body)
-    text = _canonical(body)
+    fields = {key: _canonical({key: value})[1:-1] for key, value in body.items()}
+    if columns is not None:
+        fields["records"] = '"records":' + columns.json_text
+        body["records"] = columns
+    text = "{" + ",".join(fields[key] for key in sorted(fields)) + "}"
     # worker count and timestamp describe the run, not the result, so the
     # fingerprint is taken before they are attached; they and the
     # fingerprint (plain ASCII, nothing to escape) close the file's object
@@ -131,19 +244,14 @@ def write_json(text: str, path: Path) -> Path:
     return path
 
 
-def write_csv(rows: list, path: Path) -> Path:
-    """Write nonempty rows of plain values; the first row's keys are the
-    header, and a row with other keys raises ValueError."""
-    header = list(rows[0])
-    keys = rows[0].keys()
-    for row in rows:
-        if row.keys() != keys:
-            raise ValueError(f"table row keys {list(row)} differ from the header {header}")
+def write_csv(table: Columns, path: Path) -> Path:
+    """Write a table: its header, then a line per row, see Columns. The
+    text is formed before the file is opened, so a table that cannot be
+    written leaves no file."""
+    text = table.csv_text()
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([row[k] for k in header] for row in rows)
+        fh.write(text)
     return path
 
 

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .geometry import einstein_defect
 from .hermitian import pseudo_holomorphy_residual, structure_deviation_rate
 from .morphism import point_geometry, validate_morphism
-from .report import build_report, check, fingerprint
+from .report import Columns, build_report, check, fingerprint
 from .symbol import (center_sample, dilation_lower_rate, remainder_rates,
                      symbol_polynomial)
 from .twistor import (curvature_densities, lift_stack, script_J_residual,
@@ -34,13 +34,14 @@ RATE_TABLE_LABELS = {"remainder_differential": "remainder_diff",
 
 @dataclass
 class Findings:
-    """What one scenario command found; `table` holds its CSV rows, if any."""
+    """What one scenario command found: `records` is a list, or Columns for
+    tabular records, and `table` the Columns of its CSV table, if any."""
 
     checks: list
-    records: list
+    records: list | Columns
     rates: dict | None = None
     extras: dict | None = None
-    table: list | None = None
+    table: Columns | None = None
 
 
 def scenario_fingerprint(config: ScenarioConfig) -> str:
@@ -65,14 +66,6 @@ def _sample_points(scenario: MorphismScenario, n: int, seed: int) -> np.ndarray:
     return rng.uniform(lo + margin, hi - margin, size=(n, 4))
 
 
-def _record_table(records: list, key: str, columns: tuple, drop: tuple = ()) -> list:
-    """CSV rows of records, with records[key] spread into `columns` and the
-    keys in `drop` left out."""
-    return [{**dict(zip(columns, r[key])),
-             **{k: v for k, v in r.items() if k != key and k not in drop}}
-            for r in records]
-
-
 def _critical_centers(config: ScenarioConfig, command: str) -> list:
     if not config.critical_points:
         raise ConfigError(
@@ -87,14 +80,15 @@ def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
                  seed: int) -> Findings:
     tol = config.analysis["tolerances"]
     points = _sample_points(scenario, config.analysis["n_points"], seed)
-    geometries, max_defect, max_tension = validate_morphism(scenario, points)
-    # one tolist() per column of the stack, so the records hold plain values
-    stack = geometries[0].stack
-    status = ["regular" if r else "critical" for r in stack.regular.tolist()]
-    records = [{"point": p, "status": s, "dilation_sup": d, "defect": e, "tension": t}
-               for p, s, d, e, t in zip(stack.metric.point.tolist(), status,
-                                        stack.singular_values[:, 0].tolist(),
-                                        stack.defect.tolist(), stack.tension_norm.tolist())]
+    stack, max_defect, max_tension = validate_morphism(scenario, points)
+    # the columns of the stack are the records and the table
+    records = Columns({
+        "point": stack.metric.point,
+        "status": ["regular" if r else "critical" for r in stack.regular.tolist()],
+        "dilation_sup": stack.singular_values[:, 0],
+        "defect": stack.defect,
+        "tension": stack.tension_norm,
+    }, spread={"point": ("x1", "x2", "x3", "x4")})
     checks = [
         check("hwc_defect", max_defect <= tol["defect"],
               max_defect=max_defect, tolerance=tol["defect"],
@@ -103,8 +97,7 @@ def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
               max_tension=max_tension, tolerance=tol["tension"],
               n_points=len(points)),
     ]
-    return Findings(checks, records, table=_record_table(
-        records, "point", ("x1", "x2", "x3", "x4")))
+    return Findings(checks, records, table=records)
 
 
 def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
@@ -172,7 +165,7 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
     records = []
     checks = []
     rates = {}
-    rows = []
+    rows = {"quantity": [], "radius": [], "value": []}
     for idx, center in enumerate(_critical_centers(config, "rate")):
         sample = center_sample(scenario, center, radii=config.analysis["radii"],
                                n_directions=config.analysis["n_directions"], seed=seed)
@@ -213,11 +206,11 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
                   slope=dilation.fit.slope,
                   envelope_constant=dilation.envelope_constant),
         ])
-        rows.extend({"quantity": f"{RATE_TABLE_LABELS.get(key, key)}[{idx}]",
-                     "radius": r, "value": v}
-                    for key, fit in fits.items()
-                    for r, v in zip(fit.radii, fit.values))
-    return Findings(checks, records, rates=rates, table=rows)
+        for key, fit in fits.items():
+            rows["quantity"] += [f"{RATE_TABLE_LABELS.get(key, key)}[{idx}]"] * len(fit.radii)
+            rows["radius"] += fit.radii
+            rows["value"] += fit.values
+    return Findings(checks, records, rates=rates, table=Columns(rows))
 
 
 def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
@@ -292,9 +285,9 @@ def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
               identity_gap=scan.identity_gap, tolerance=tol["identity_gap"],
               **unmeasured),
     ]
-    rows = [{"radius": r, "annulus_max": v, "skipped": s}
-            for r, v, s in zip(scan.radii, scan.annulus_max, scan.skipped)]
-    return Findings(checks, [record], table=rows)
+    table = Columns({"radius": scan.radii, "annulus_max": scan.annulus_max,
+                     "skipped": scan.skipped})
+    return Findings(checks, [record], table=table)
 
 
 def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
@@ -305,39 +298,35 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
     tag = spec["orientation"]
     stack = lift_stack(scenario, patch, patch_grid(patch), orientation=tag)
     energy = vertical_energy_density(stack)
-    columns = zip(stack.parameters, stack.fiber, script_J_residual(stack).tolist(),
-                  energy.value.tolist(), energy.area_element.tolist(),
-                  *(omega.tolist() for omega in curvature_densities(stack)))
-    records = [{"parameter": p, "fiber": u, "residual": r, "energy": e,
-                "area_element": a, "omega_tangent": ot, "omega_normal": on}
-               for p, u, r, e, a, ot, on in columns]
-    residuals = [r["residual"] for r in records]
+    residuals = script_J_residual(stack)
+    omega_t, omega_n = curvature_densities(stack)
+    records = Columns({
+        "parameter": stack.parameters, "fiber": stack.fiber, "residual": residuals,
+        "energy": energy.value, "area_element": energy.area_element,
+        "omega_tangent": omega_t, "omega_normal": omega_n,
+    }, spread={"parameter": ("s", "t")}, drop=("fiber",))
     checks = []
     if spec["classification"] == "minimal":
+        worst = float(residuals.max())
         checks.append(check(
-            "lift_residual_minimal", max(residuals) <= tol["residual_minimal"],
-            max_residual=max(residuals), patch=patch_name,
-            tolerance=tol["residual_minimal"]))
+            "lift_residual_minimal", worst <= tol["residual_minimal"],
+            max_residual=worst, patch=patch_name, tolerance=tol["residual_minimal"]))
     else:
+        least = float(residuals.min())
         checks.append(check(
-            "lift_residual_control", min(residuals) >= tol["residual_control"],
-            min_residual=min(residuals), patch=patch_name,
-            floor=tol["residual_control"]))
+            "lift_residual_control", least >= tol["residual_control"],
+            min_residual=least, patch=patch_name, floor=tol["residual_control"]))
     if spec["omega"] is not None:
-        worst_t = max(abs(abs(r["omega_tangent"]) - spec["omega"]["tangent_abs"])
-                      for r in records)
-        worst_n = max(abs(abs(r["omega_normal"]) - spec["omega"]["normal_abs"])
-                      for r in records)
+        worst_t = float(np.max(np.abs(np.abs(omega_t) - spec["omega"]["tangent_abs"])))
+        worst_n = float(np.max(np.abs(np.abs(omega_n) - spec["omega"]["normal_abs"])))
         checks.append(check(
             "curvature_densities",
             max(worst_t, worst_n) <= tol["curvature"],
             tangent_error=worst_t, normal_error=worst_n,
             expected_tangent_abs=spec["omega"]["tangent_abs"],
             tolerance=tol["curvature"]))
-    return Findings(checks, records,
-                    extras={"patch": patch_name, "orientation": tag},
-                    table=_record_table(records, "parameter", ("s", "t"),
-                                        drop=("fiber",)))
+    return Findings(checks, records, extras={"patch": patch_name, "orientation": tag},
+                    table=records)
 
 
 def run_catalog(seed: int, workers: int) -> tuple:

@@ -99,32 +99,35 @@ def structure_jets(A: np.ndarray, dA: np.ndarray, g: np.ndarray, dg: np.ndarray,
     carry k on their second axis, (n, k, ...), and the matrix indices last.
     J is (n, 4, 4) and nabla J is (n, k, 4, 4), with nabla_k J = d_k J +
     [Gamma_k, J] by the product rule. `degenerate` is passed to gram_jet.
+    Entries that overflow come out non-finite, without a warning: the
+    callers' checks of J reject those rows.
     """
-    dG, M, N, dM = gram_jet(A, dA, G, dg, degenerate)
-    G, A = G[:, None], A[:, None]
-    W = A[..., 0, :, None] * A[..., 1, None, :]
-    dW = (dA[..., 0, :, None] * A[..., 1, None, :]
-          + A[..., 0, :, None] * dA[..., 1, None, :])
-    # |A_1 ^ A_2|_g = sqrt(det M), whose log has derivative tr(N d_k M) / 2
-    size = np.sqrt(np.linalg.det(M))[:, None, None, None]
-    w = (W - W.swapaxes(-1, -2)) / size
-    dw = ((dW - dW.swapaxes(-1, -2)) / size
-          - 0.5 * np.trace(N[:, None] @ dM, axis1=-2, axis2=-1)[..., None, None] * w)
-    w_up = G @ w @ G
-    dw_up = dG @ (w @ G) + G @ dw @ G + (G @ w) @ dG
-    # sqrt(det g) and the derivative of its log, tr(G d_k g) / 2
-    volume = np.sqrt(np.linalg.det(g))[:, None, None, None]
-    dlog_volume = 0.5 * np.trace(G @ dg, axis1=-2, axis2=-1)[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dG, M, N, dM = gram_jet(A, dA, G, dg, degenerate)
+        G, A = G[:, None], A[:, None]
+        W = A[..., 0, :, None] * A[..., 1, None, :]
+        dW = (dA[..., 0, :, None] * A[..., 1, None, :]
+              + A[..., 0, :, None] * dA[..., 1, None, :])
+        # |A_1 ^ A_2|_g = sqrt(det M), whose log has derivative tr(N d_k M) / 2
+        size = np.sqrt(np.linalg.det(M))[:, None, None, None]
+        w = (W - W.swapaxes(-1, -2)) / size
+        dw = ((dW - dW.swapaxes(-1, -2)) / size
+              - 0.5 * np.trace(N[:, None] @ dM, axis1=-2, axis2=-1)[..., None, None] * w)
+        w_up = G @ w @ G
+        dw_up = dG @ (w @ G) + G @ dw @ G + (G @ w) @ dG
+        # sqrt(det g) and the derivative of its log, tr(G d_k g) / 2
+        volume = np.sqrt(np.linalg.det(g))[:, None, None, None]
+        dlog_volume = 0.5 * np.trace(G @ dg, axis1=-2, axis2=-1)[..., None, None]
 
-    def hodge(form_up):
-        flat = form_up.reshape(form_up.shape[:-2] + (1, 16))
-        return 0.5 * volume * (flat @ LEVI_CIVITA).reshape(form_up.shape)
+        def hodge(form_up):
+            flat = form_up.reshape(form_up.shape[:-2] + (1, 16))
+            return 0.5 * volume * (flat @ LEVI_CIVITA).reshape(form_up.shape)
 
-    star = hodge(w_up)
-    dstar = hodge(dw_up) + dlog_volume * star
-    jets = []
-    for sign in signs:
-        form, dform = w + sign * star, dw + sign * dstar
-        J = -(G @ form)
-        jets.append((J[:, 0], gamma @ J - J @ gamma - dG @ form - G @ dform))
-    return jets
+        star = hodge(w_up)
+        dstar = hodge(dw_up) + dlog_volume * star
+        jets = []
+        for sign in signs:
+            form, dform = w + sign * star, dw + sign * dstar
+            J = -(G @ form)
+            jets.append((J[:, 0], gamma @ J - J @ gamma - dG @ form - G @ dform))
+        return jets

@@ -300,6 +300,7 @@ def test_oriented_frames_of_a_stack_follow_the_point_by_point_reference():
     for row, gi in zip(frames, g):
         assert np.array_equal(row, oriented_frame(gi))
         assert np.max(np.abs(row - orthonormalize(gi, [], complete=True))) < 1e-14
+        assert not np.triu(row, 1).any() and (np.diag(row) > 0).all()
         assert np.linalg.det(row) > 0
 
 

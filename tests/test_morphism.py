@@ -304,13 +304,30 @@ def test_hwc_defect_nonnegative_and_gauge_consistent(m):
     assert sup <= np.sqrt(2.0 * data.squared_dilation) + 1e-12
 
 
+def count_instances(monkeypatch, cls) -> list:
+    """The instances of cls built from here on, in order."""
+    built = []
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
 def test_validation_builds_one_geometry_per_point(monkeypatch):
+    # one row of one stack per point, and no per-point geometry: validation
+    # reads the defect, the tension and the records as columns of the stack
     rng = np.random.default_rng(5)
     pts = [rng.uniform(-0.7, 0.7, size=4) for _ in range(12)]
-    builds = count_geometry_builds(monkeypatch)
-    geometries, _, _ = validate_morphism(scenario_pullback_product(), pts)
-    assert len(builds) == len(pts)
-    assert len(geometries) == len(pts)
+    stacks = count_instances(monkeypatch, morphism.GeometryStack)
+    geometries = count_instances(monkeypatch, morphism.PointGeometry)
+    stack, _, _ = validate_morphism(scenario_pullback_product(), pts)
+    assert stacks == [stack]
+    assert np.array_equal(stack.metric.point, pts)
+    assert geometries == []
 
 
 def test_point_functions_read_one_geometry():
@@ -640,8 +657,8 @@ def test_validation_cost_does_not_grow_with_the_points(monkeypatch, name):
     seen = []
     for n in (4, 400):
         calls.update(dict.fromkeys(calls, 0))
-        geometries, _, _ = validate_morphism(scenario, validation_points(scenario, n, 1))
-        [(geo.defect, geo.tension_norm) for geo in geometries]
+        stack, _, _ = validate_morphism(scenario, validation_points(scenario, n, 1))
+        stack.defect, stack.tension_norm
         seen.append(dict(calls))
     assert seen[0] == seen[1]
     assert seen[1] == {"eval": 0, "svd": 1, "eigh": 1}

@@ -1,6 +1,8 @@
 """The report layer: finite plain values, one encoding per report, tables."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 from types import SimpleNamespace
@@ -12,7 +14,7 @@ from morphoscope import cli, runner
 from morphoscope import report as report_module
 from morphoscope.catalog import catalog_configs
 from morphoscope.errors import GeometryError
-from morphoscope.report import check, sanitize, write_csv
+from morphoscope.report import Columns, check, sanitize, write_csv
 
 from test_cli import read_report, run, write_config
 
@@ -101,7 +103,13 @@ def built_reports(monkeypatch) -> list:
 
 def assert_written_as_built(path, report):
     text = path.read_text()
-    assert json.loads(text) == report
+    written = json.loads(text)
+    if isinstance(report["records"], Columns):
+        # tabular records stay columns in the report; tests/test_columns.py
+        # compares their text with a row-by-row encoding
+        assert written["records"] == json.loads(report["records"].json_text)
+        written["records"] = report["records"]
+    assert written == report
     # the canonical body with its keys sorted, then the three run keys
     keys = list(json.loads(text))
     assert keys[-3:] == ["fingerprint", "workers", "timestamp"]
@@ -117,9 +125,21 @@ def test_a_validate_report_is_encoded_once(tmp_path, monkeypatch):
     encoded = counting_dumps(monkeypatch)
     built = built_reports(monkeypatch)
     assert run(tmp_path, "validate", "--config", str(path)) == 0
-    # the config, for its fingerprint, and the report body
-    assert len(encoded) == 2 and len(built) == 1
-    assert len(encoded[1]["records"]) == 400
+    assert len(built) == 1
+    written = json.loads((tmp_path / "pullback_z1z2_validate.json").read_text())
+    assert len(written["records"]) == 400
+    # the config, for its fingerprint, then every other top-level value of
+    # the body once, each as its one-key object
+    parts = [obj for obj in encoded[1:] if isinstance(obj, dict)]
+    assert isinstance(encoded[0], dict) and "name" in encoded[0]
+    assert all(len(part) == 1 for part in parts)
+    assert sorted(key for part in parts for key in part) == sorted(
+        set(written) - {"records", "fingerprint", "workers", "timestamp"})
+    # the records are spliced from their column texts: json.dumps sees only
+    # the column names and each distinct status label, once
+    labels = sorted({record["status"] for record in written["records"]})
+    assert sorted(obj for obj in encoded[1:] if isinstance(obj, str)) == sorted(
+        [*written["records"][0], *labels])
     assert_written_as_built(tmp_path / "pullback_z1z2_validate.json", built[0])
 
 
@@ -143,13 +163,57 @@ def test_tables_keep_every_byte(tmp_path, name, args):
     assert hashlib.sha256(table.read_bytes()).hexdigest() == TABLE_SHA256[name, args]
 
 
-@pytest.mark.parametrize("second", [{"a": 1, "c": 2}, {"a": 1}, {"a": 1, "b": 2, "c": 3}],
+# a second row with other keys than the first, as columns: columns of
+# unequal length
+@pytest.mark.parametrize("columns", [{"a": [1, 1], "b": [2], "c": [2]},
+                                     {"a": [1, 1], "b": [2]},
+                                     {"a": [1, 1], "b": [2, 2], "c": [3]}],
                          ids=["other", "fewer", "more"])
-def test_a_table_row_with_other_keys_raises(tmp_path, second):
-    with pytest.raises(ValueError, match="differ from the header"):
-        write_csv([{"a": 1, "b": 2}, second], tmp_path / "t.csv")
+def test_a_table_row_with_other_keys_raises(columns):
+    with pytest.raises(ValueError, match="columns of unequal length"):
+        Columns(columns)
 
 
 def test_table_rows_follow_the_header_order(tmp_path):
-    path = write_csv([{"a": 1, "b": 0.5}, {"b": "x", "a": 2}], tmp_path / "t.csv")
-    assert path.read_bytes() == b"a,b\r\n1,0.5\r\n2,x\r\n"
+    # the CSV keeps the column order, spread columns in place and dropped
+    # ones left out; the records sort their keys
+    table = Columns({"b": [0.5, -2.0], "a": [1, 2],
+                     "p": np.array([[0.25, 3.0], [1e-20, 7.0]]),
+                     "u": np.zeros((2, 3)), "c": ["x", "y,z"]},
+                    spread={"p": ("p1", "p2")}, drop=("u",))
+    path = write_csv(table, tmp_path / "t.csv")
+    assert path.read_bytes() == (b"b,a,p1,p2,c\r\n0.5,1,0.25,3.0,x\r\n"
+                                 b'-2.0,2,1e-20,7.0,"y,z"\r\n')
+    assert json.loads(table.json_text) == [
+        {"a": 1, "b": 0.5, "c": "x", "p": [0.25, 3.0], "u": [0.0, 0.0, 0.0]},
+        {"a": 2, "b": -2.0, "c": "y,z", "p": [1e-20, 7.0], "u": [0.0, 0.0, 0.0]}]
+
+
+@pytest.mark.parametrize("labels", [["", "a"], ["", ""], ['q"uote', "line\nend"],
+                                    ["comma,", "\r"]],
+                         ids=["empty", "all_empty", "quote_newline", "comma_return"])
+@pytest.mark.parametrize("alone", [True, False], ids=["alone", "with_numbers"])
+def test_labels_are_written_as_csv_writer_writes_them(tmp_path, labels, alone):
+    columns = {"": labels} if alone else {"": labels, "a,b": [0.5, 2.5]}
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(list(columns))
+    writer.writerows(zip(*columns.values()))
+    path = write_csv(Columns(columns), tmp_path / "t.csv")
+    assert path.read_bytes() == reference.getvalue().encode()
+
+
+@pytest.mark.parametrize("spread", [{}, {"p": ("p1", "p2", "p3")}], ids=["none", "three"])
+def test_a_column_without_a_csv_name_per_component_raises(tmp_path, spread):
+    table = Columns({"p": np.zeros((2, 2))}, spread=spread)
+    with pytest.raises(ValueError, match="2 components"):
+        write_csv(table, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("column", [[True, False], [None, None], np.zeros((2, 2, 2))],
+                         ids=["bool", "none", "3d"])
+def test_a_column_of_another_kind_raises(tmp_path, column):
+    with pytest.raises((TypeError, ValueError)):
+        write_csv(Columns({"a": column}), tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
