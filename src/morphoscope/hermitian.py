@@ -18,7 +18,7 @@ from ._linalg import minimize_affine_on_sphere
 from .calculus import TARGET_ROTATION, MorphismScenario
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
 from .geometry import metric_point, oriented_frame
-from .morphism import PointGeometry, point_geometry
+from .morphism import GeometryStack, geometry_stack
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
 from .symbol import CenterSample, SymbolCandidate, SymbolData
@@ -26,15 +26,15 @@ from .symbol import CenterSample, SymbolCandidate, SymbolData
 MAX_DIRECTION_SUBSTITUTIONS = 25
 
 
-def hermitian_pair(scenario: MorphismScenario, m) -> PointGeometry:
-    """The geometry at m, read for J+ and J-."""
-    return point_geometry(scenario, m)
+def hermitian_pair(scenario: MorphismScenario, m) -> GeometryStack:
+    """The stack of one point m, read for J+ and J-."""
+    return geometry_stack(scenario, [m])
 
 
-def pseudo_holomorphy_residual(geo: PointGeometry, J: np.ndarray) -> float:
-    """How far J is from intertwining the differential at the geometry's
-    point with the target rotation."""
-    return float(np.linalg.norm(geo.jac @ J - TARGET_ROTATION @ geo.jac, ord="fro"))
+def pseudo_holomorphy_residual(jac: np.ndarray, J: np.ndarray) -> float:
+    """How far J is from intertwining the differential `jac` at a point with
+    the target rotation."""
+    return float(np.linalg.norm(jac @ J - TARGET_ROTATION @ jac, ord="fro"))
 
 
 def best_compatible_structure(scenario: MorphismScenario, m, orientation: int = 1):
@@ -78,45 +78,53 @@ def reference_field(data: SymbolData, orientation: int) -> SymbolCandidate:
 # ------------------------------------------------------------------ rates
 
 
-def _deviation(geo: PointGeometry, orientation: int, J0: np.ndarray) -> float:
-    return float(np.linalg.norm(geo.structure(orientation) - J0, ord="fro"))
+def _deviations(stack: GeometryStack, orientation: int, J0: np.ndarray) -> np.ndarray:
+    """||J - J0|| of every row of the stack, the Frobenius norm as
+    np.linalg.norm takes it: a dot product of the flattened matrix with
+    itself."""
+    f = (stack.structure(orientation) - J0).reshape(-1, 1, 16)
+    return np.sqrt((f @ f.swapaxes(-1, -2))[:, 0, 0])
 
 
 def _ray_until_critical(sc: MorphismScenario, points) -> list:
-    """Geometries along a ray, up to and including its first critical sample."""
+    """The samples along a ray, each a stack of one, up to and including its
+    first critical sample."""
     ray = []
     for y in points:
-        ray.append(point_geometry(sc, y))
-        if not ray[-1].is_regular:
+        ray.append((geometry_stack(sc, [y]), 0))
+        if not ray[-1][0].regular[0]:
             break
     return ray
 
 
-def _regular_rays(sc: MorphismScenario, dirs: np.ndarray, radii, shells, seed: int):
-    """Geometries along one regular ray per direction, with critical substitution.
+def _regular_rays(sample: CenterSample):
+    """One regular ray per seeded direction, with critical substitution.
 
-    shells[j][i] is the geometry at radii[j] * dirs[i]. A direction whose ray
-    meets a critical sample at any radius is replaced by a deterministic
-    jittered direction; substitutions are reported as (direction index,
-    attempts used).
+    A ray is the list of its samples, radius-major, each a (stack, row)
+    pair: the sample's column of the sample's stack, or a stack of one per
+    sample of a substituted ray. A direction whose ray meets a critical
+    sample at any radius is replaced by a deterministic jittered direction;
+    substitutions are reported as (seeded direction index, attempts used).
     """
-    rng = np.random.default_rng(seed + 7919)
+    stack, width = sample.stack, len(sample.directions)
+    rng = np.random.default_rng(sample.seed + 7919)
     rays = []
     substitutions = []
-    for i in range(len(dirs)):
-        ray = [shell[i] for shell in shells]
+    for i in range(N_AXES, width):
+        ray = [(stack, row) for row in range(i, len(stack.regular), width)]
         attempt = 0
-        while not all(geo.is_regular for geo in ray):
+        while not all(source.regular[row] for source, row in ray):
             if attempt == MAX_DIRECTION_SUBSTITUTIONS:
                 raise ClassificationError(
                     "could not steer a sample ray off the critical set after "
                     f"{MAX_DIRECTION_SUBSTITUTIONS} substitutions")
             attempt += 1
-            d = dirs[i] + 0.05 * attempt * rng.standard_normal(4)
+            d = sample.directions[i] + 0.05 * attempt * rng.standard_normal(4)
             d = d / np.linalg.norm(d)
-            ray = _ray_until_critical(sc, shell_samples(d[None], radii)[1][:, 0])
+            ray = _ray_until_critical(sample.symbol.chart.scenario,
+                                      shell_samples(d[None], sample.radii)[1][:, 0])
         if attempt > 0:
-            substitutions.append((i, attempt))
+            substitutions.append((i - N_AXES, attempt))
         rays.append(ray)
     return rays, tuple(substitutions)
 
@@ -142,18 +150,22 @@ def structure_deviation_rate(sample: CenterSample, orientation: int = 1) -> Devi
     take the zero branch.
     """
     J0 = reference_field(sample.symbol, orientation).matrix
-    radii = sample.radii
-    shells = [shell[N_AXES:] for shell in sample.geometries]
-    rays, subs = _regular_rays(sample.symbol.chart.scenario, sample.directions[N_AXES:],
-                               radii, shells, sample.seed)
-    dev_vals = np.max([[_deviation(geo, orientation, J0) for geo in ray] for ray in rays],
-                      axis=0)
+    radii, stack = sample.radii, sample.stack
+    rays, subs = _regular_rays(sample)
+    column = _deviations(stack, orientation, J0)
+    table = []
+    for ray in rays:
+        for source, row in ray:
+            source.check(row)
+        table.append([column[row] if source is stack else _deviations(source, orientation, J0)[0]
+                      for source, row in ray])
+    dev_vals = np.max(table, axis=0)
 
     # the metric defects of J0 are read at the unsubstituted samples, over
     # the pairs (J0 x, x) of the axes and four seeded directions x
     x = np.concatenate([np.eye(4), seeded_directions(4, sample.seed + 2000)])
     pairs = np.stack([x @ J0.T, x])
-    g = np.array([[geo.g for geo in shell] for shell in shells])
+    g = np.ascontiguousarray(stack.metric.g.reshape(len(radii), -1, 4, 4)[:, N_AXES:])
     lengths = np.einsum("spi,rnij,spj->rnsp", pairs, g, pairs)
     orth_vals = np.abs(lengths[:, :, 0] - lengths[:, :, 1]).max(axis=(1, 2))
     skew_vals = np.abs(np.einsum("pi,rnij,pj->rnp", pairs[0], g, x)).max(axis=(1, 2))
@@ -188,16 +200,18 @@ def isolated_extension(sample: CenterSample, orientation: int = 1) -> IsolatedEx
     linear rate (or vanish identically).
     """
     J0 = reference_field(sample.symbol, orientation).matrix
-    sups = []
-    for r, shell in zip(sample.radii, sample.geometries):
-        worst = 0.0
-        for geo in shell:
-            if not geo.is_regular:
-                raise NonIsolatedCriticalError(
-                    f"critical sample on the shell of radius {r:.3e}",
-                    point=sample.symbol.chart.to_original(geo.point))
-            worst = max(worst, _deviation(geo, orientation, J0))
-        sups.append(worst)
+    stack = sample.stack
+    # the first sample, radius-major, whose splitting failed raises: as
+    # NonIsolatedCriticalError when it is critical, else its own failure
+    for i in np.flatnonzero([f is not None for f in stack.splitting[-1]]):
+        if not stack.regular[i]:
+            r = sample.radii[i // len(sample.directions)]
+            raise NonIsolatedCriticalError(
+                f"critical sample on the shell of radius {r:.3e}",
+                point=sample.symbol.chart.to_original(stack.metric.point[i]))
+        stack.check(i)
+    deviations = _deviations(stack, orientation, J0).reshape(len(sample.radii), -1)
+    sups = deviations.max(axis=1).tolist()
     fit = fit_rate(sample.radii, sups)
     monotone = all(sups[i + 1] <= sups[i] * 1.05 for i in range(len(sups) - 1))
     ok = fit.zero_branch or (fit.meets_lower_slope(0.9) and monotone)

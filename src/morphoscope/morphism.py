@@ -6,17 +6,15 @@ dilation, its rows test horizontal conformality, and its kernel is the
 vertical space. Frames are constructed deterministically so repeated runs
 and neighbouring points agree.
 
-All of it comes from one record per point, `PointGeometry`.
-`point_geometries` builds the records of a stack of points in one pass over
-the stack (`geometry_stack`), and `point_geometry` is its stack of one;
-`validate_morphism` reads its columns off the stack alone. The tension, the
-splitting, the structures J+ and J- and the first jets of the vertical
-projector and of the structures are derived over the whole stack
-(`GeometryStack`) when one of its geometries first reads them, and each
-geometry reads its rows; a point where the splitting fails raises its own
-failure, and only when it is read. The jets are exact: the product rule
-over g, dg, the Christoffel symbols, dF and the Hessians of F, with no
-geometry built at any other point.
+All of it comes from one record, `GeometryStack`, the geometry of a stack
+of points built in one pass over the stack (`geometry_stack`); a point alone
+is the stack of one, and every reader takes a stack and its row indices.
+The tension, the splitting, the structures J+ and J- and the first jets of
+the vertical projector and of the structures are derived over the whole
+stack when they are first read; a point where the splitting fails keeps its
+failure, which `GeometryStack.check` raises, and leaves the other rows. The
+jets are exact: the product rule over g, dg, the Christoffel symbols, dF
+and the Hessians of F, with no geometry built at any other point.
 """
 
 from __future__ import annotations
@@ -44,13 +42,15 @@ def along(jets: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class GeometryStack:
-    """What the geometries of one stack of points share: the chart metric
-    record of the whole (n, 4) stack, whose derivatives and Christoffel
-    symbols it derives for every point at once, the differential and the
-    gauge decomposition of every point, and what is derived from them over
-    the stack when a geometry of the stack first reads it: the tension, the
-    splitting, the structures J+ and J- and the exact first jets of the
-    vertical projector and of the structures."""
+    """The map's pointwise geometry at a stack of points, one row per point:
+    the chart metric record of the whole (n, 4) stack, whose derivatives and
+    Christoffel symbols it derives for every point at once, the differential
+    and the gauge decomposition of every point (the singular values and the
+    rows of V^T of dF g^{-1/2}, the Gram matrix `conformal` of dF g^{-1/2},
+    half its trace and its Frobenius distance to its conformal part), and
+    what is derived from them over the stack when it is first read: the
+    tension, the splitting, the structures J+ and J- and the exact first
+    jets of the vertical projector and of the structures."""
 
     scenario: MorphismScenario
     metric: MetricPoint
@@ -65,8 +65,15 @@ class GeometryStack:
 
     @property
     def regular(self) -> np.ndarray:
-        """Whether each point is regular, see PointGeometry.is_regular."""
+        """Whether each point is regular: its largest singular value, the
+        dilation sup, reaches EPS_CRITICAL."""
         return self.singular_values[:, 0] >= EPS_CRITICAL
+
+    @property
+    def dilation(self) -> np.ndarray:
+        """The averaged dilation of each point, the square root of half the
+        trace of `conformal`."""
+        return np.sqrt(np.maximum(self.squared_dilation, 0.0))
 
     @cached_property
     def tension(self) -> np.ndarray:
@@ -90,7 +97,12 @@ class GeometryStack:
     @cached_property
     def splitting(self) -> tuple:
         """(horizontal, vertical, vertical projector, horizontal projector,
-        failures) of every point, see PointGeometry._splitting.
+        failures) of every point.
+
+        Horizontal rows (e1, e2), (n, 2, 4), map to the target frame (1, i)
+        under the differential scaled by the dilation; vertical rows (v1, v2)
+        span the kernel, oriented so (e1, e2, v1, v2) is positive with
+        respect to the scenario orientation.
 
         Each step runs once over the stack: one solve for e1 and e2, the
         kernel from the rows of the gauge SVD, a Gram-Schmidt of the
@@ -107,7 +119,7 @@ class GeometryStack:
                 if failures[i] is None:
                     failures[i] = error, f"{reason} at {points[i].tolist()}"
 
-        for i in np.flatnonzero(~(self.singular_values[:, 0] >= EPS_CRITICAL)):
+        for i in np.flatnonzero(~self.regular):
             fail([i], ClassificationError, f"splitting needs a regular point; dilation "
                                            f"{self.singular_values[i, 0]:.3e}")
         jac_t = self.jac.swapaxes(-1, -2)
@@ -119,8 +131,8 @@ class GeometryStack:
         # e1 and e2 map to the target frame (1, 0) and (0, 1) under the
         # differential scaled by the dilation; every product below takes
         # one vector at a time, as for a point alone
-        lam = np.sqrt(np.maximum(self.squared_dilation, 0.0))
-        coeffs = np.linalg.solve(graw[:, None], lam[:, None, None, None] * np.eye(2)[:, :, None])
+        lam = self.dilation[:, None, None, None]
+        coeffs = np.linalg.solve(graw[:, None], lam * np.eye(2)[:, :, None])
         horizontal = ((self.ginv @ jac_t)[:, None] @ coeffs)[..., 0]
 
         # kernel of the gauge matrix: the two bottom right-singular directions
@@ -155,6 +167,10 @@ class GeometryStack:
         B[[f is not None for f in failures]] = np.eye(4)
         Binv = np.linalg.inv(B)
         return B @ K_PLUS @ Binv, B @ K_MINUS @ Binv
+
+    def structure(self, orientation: int) -> np.ndarray:
+        """J+ (orientation 1) or J- of every point."""
+        return self.structures[0 if orientation == 1 else 1]
 
     @cached_property
     def _jet_inputs(self) -> tuple:
@@ -205,127 +221,6 @@ class GeometryStack:
         if failure is not None:
             error, message = failure
             raise error(message)
-
-
-@dataclass(eq=False)
-class PointGeometry:
-    """The map's pointwise geometry at one chart point, built once.
-
-    The fields are computed when the geometry is built, with the other
-    points of its stack (see point_geometries). The Christoffel symbols,
-    the tension, the splitting (`horizontal`, `vertical` and the two
-    projectors), the structures J+ and J- and their covariant derivatives
-    along any direction are the point's rows of what its GeometryStack
-    derives for all its points at once, on first use, and the properties
-    below are then kept. The splitting, the structures and the derivatives
-    need a regular point and raise ClassificationError
-    otherwise; where a later step of the splitting fails they raise
-    DegenerateFrameError or GeometryError, named at the point, as the same
-    steps for the point alone would.
-    """
-
-    scenario: MorphismScenario
-    stack: GeometryStack
-    index: int               # of the point in the stack
-    point: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray         # g^{-1/2} g^{-1/2}
-    ginvsqrt: np.ndarray
-    jac: np.ndarray
-    singular_values: np.ndarray  # of the gauge matrix dF g^{-1/2}
-    right_vectors: np.ndarray  # rows of V^T from its full SVD
-    conformal: np.ndarray    # Gram matrix of the gauge matrix
-    squared_dilation: float  # half the trace of `conformal`
-    defect: float            # Frobenius distance of `conformal` to its conformal part
-
-    @cached_property
-    def metric_point(self) -> MetricPoint:
-        """The chart metric at the point, with its rows of the stack's record."""
-        return self.stack.metric.at(self.index)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Christoffel symbols Gamma[k, i, j] of the chart metric."""
-        return self.stack.metric.gamma[self.index]
-
-    @property
-    def tension(self) -> np.ndarray:
-        return self.stack.tension[self.index]
-
-    @property
-    def tension_norm(self) -> float:
-        return float(self.stack.tension_norm[self.index])
-
-    @property
-    def dilation_sup(self) -> float:
-        """Largest singular value of the gauge matrix."""
-        return float(self.singular_values[0])
-
-    @property
-    def is_regular(self) -> bool:
-        return bool(self.singular_values[0] >= EPS_CRITICAL)
-
-    @property
-    def status(self) -> str:
-        return "regular" if self.is_regular else "critical"
-
-    @property
-    def dilation(self) -> float:
-        return float(np.sqrt(max(0.0, self.squared_dilation)))
-
-    @cached_property
-    def _splitting(self) -> tuple:
-        """(horizontal, vertical, vertical projector, horizontal projector).
-
-        Horizontal rows (e1, e2) map to the target frame (1, i) under the
-        differential scaled by the dilation; vertical rows (v1, v2) span the
-        kernel, oriented so (e1, e2, v1, v2) is positive with respect to the
-        scenario orientation. They are the point's rows of its stack's
-        splitting; a point where it failed raises its own failure there.
-        """
-        self.stack.check(self.index)
-        return tuple(row[self.index] for row in self.stack.splitting[:-1])
-
-    @property
-    def horizontal(self) -> np.ndarray:
-        """(2, 4) rows e1, e2."""
-        return self._splitting[0]
-
-    @property
-    def vertical(self) -> np.ndarray:
-        """(2, 4) rows v1, v2."""
-        return self._splitting[1]
-
-    @property
-    def horizontal_projector(self) -> np.ndarray:
-        return self._splitting[3]
-
-    @cached_property
-    def j_plus(self) -> np.ndarray:
-        """The standard structure K+ carried by the frame (e1, e2, v1, v2)."""
-        self._splitting  # raises where the splitting failed
-        return self.stack.structures[0][self.index]
-
-    @cached_property
-    def j_minus(self) -> np.ndarray:
-        """The standard structure K- carried by the frame (e1, e2, v1, v2)."""
-        self._splitting  # raises where the splitting failed
-        return self.stack.structures[1][self.index]
-
-    def structure(self, orientation: int) -> np.ndarray:
-        return self.j_plus if orientation == 1 else self.j_minus
-
-    def projector_derivative(self, direction) -> np.ndarray:
-        """nabla_X P_V at the point, from its row of the stack's projector jet."""
-        self._splitting  # raises where the splitting failed
-        return along(self.stack.projector_jet[[self.index]], np.asarray(direction)[None])[0]
-
-    def structure_derivative(self, orientation: int, direction) -> np.ndarray:
-        """nabla_X J+ (orientation 1) or nabla_X J- at the point, from its row
-        of the stack's structure jets."""
-        self._splitting  # raises where the splitting failed
-        _, jet = self.stack.structure_jets[0 if orientation == 1 else 1]
-        return along(jet[[self.index]], np.asarray(direction)[None])[0]
 
 
 def geometry_stack(scenario: MorphismScenario, points) -> GeometryStack:
@@ -381,60 +276,43 @@ def _stack_pass(scenario: MorphismScenario, points: np.ndarray) -> GeometryStack
                          defect=defect)
 
 
-def point_geometries(scenario: MorphismScenario, points) -> list:
-    """The geometries at a stack of points, in order: the rows of their
-    geometry_stack."""
-    stack = geometry_stack(scenario, points)
-    return [PointGeometry(
-        scenario=scenario, stack=stack, index=i, point=m, g=stack.metric.g[i],
-        ginv=stack.ginv[i], ginvsqrt=stack.ginvsqrt[i], jac=stack.jac[i],
-        singular_values=stack.singular_values[i], right_vectors=stack.right_vectors[i],
-        conformal=stack.conformal[i], squared_dilation=float(stack.squared_dilation[i]),
-        defect=float(stack.defect[i]))
-        for i, m in enumerate(stack.metric.point)]
+def hwc_residual(scenario: MorphismScenario, m) -> GeometryStack:
+    """The stack of one point m, read for its conformality defect."""
+    return geometry_stack(scenario, [m])
 
 
-def point_geometry(scenario: MorphismScenario, m) -> PointGeometry:
-    """The geometry at m: the stack of one point of point_geometries."""
-    return point_geometries(scenario, [m])[0]
+def classify_point(scenario: MorphismScenario, m) -> GeometryStack:
+    """The stack of one point m, read for its status."""
+    return geometry_stack(scenario, [m])
 
 
-def hwc_residual(scenario: MorphismScenario, m) -> PointGeometry:
-    """The geometry at m, read for its conformality defect."""
-    return point_geometry(scenario, m)
+def splitting(scenario: MorphismScenario, m) -> GeometryStack:
+    """The stack of one point m, read for its splitting."""
+    return geometry_stack(scenario, [m])
 
 
-def classify_point(scenario: MorphismScenario, m) -> PointGeometry:
-    """The geometry at m, read for its status."""
-    return point_geometry(scenario, m)
+def tension_norm(scenario: MorphismScenario, m) -> GeometryStack:
+    """The stack of one point m, read for its tension norm."""
+    return geometry_stack(scenario, [m])
 
 
-def splitting(scenario: MorphismScenario, m) -> PointGeometry:
-    """The geometry at m, read for its splitting."""
-    return point_geometry(scenario, m)
-
-
-def tension_norm(scenario: MorphismScenario, m) -> float:
-    return point_geometry(scenario, m).tension_norm
-
-
-def fiber_mean_curvature(geometry: PointGeometry) -> np.ndarray:
-    """Mean curvature vector of the fiber through a regular point.
+def fiber_mean_curvature(stack: GeometryStack) -> np.ndarray:
+    """Mean curvature vector of the fiber through every point, (n, 4).
 
     Sums the horizontal parts of (nabla_v P_V) v over the vertical frame
     vectors v, which are those of nabla_v v: P_V v = v along the fiber. The
     result is frame independent because the vertical frame is orthonormal.
+    A row whose splitting failed holds no mean curvature.
     """
-    total = np.zeros(4)
-    for v in geometry.vertical:
-        total = total + geometry.horizontal_projector @ (geometry.projector_derivative(v) @ v)
-    return total
+    _, vertical, _, p_hor, _ = stack.splitting
+    jet = stack.projector_jet
+    return sum((p_hor @ (along(jet, v) @ v[..., None]))[..., 0] for v in vertical.swapaxes(0, 1))
 
 
 def validate_morphism(scenario: MorphismScenario, points: Sequence[np.ndarray]) -> tuple:
     """The geometry stack of the points, with the largest conformality
     defect and the largest tension norm over the regular ones, read as
-    columns of the stack; no per-point geometry is built.
+    columns of the stack.
 
     A defect or tension norm that is not finite raises GeometryError naming
     the first such point in order. Returns (stack, max_defect, max_tension).

@@ -18,7 +18,7 @@ from .config import ScenarioConfig
 from .errors import ConfigError
 from .geometry import einstein_defect
 from .hermitian import pseudo_holomorphy_residual, structure_deviation_rate
-from .morphism import point_geometry, validate_morphism
+from .morphism import geometry_stack, validate_morphism
 from .report import Columns, build_report, check, fingerprint
 from .symbol import (center_sample, dilation_lower_rate, remainder_rates,
                      symbol_polynomial)
@@ -104,20 +104,25 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
                 point) -> Findings:
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
-    geo = point_geometry(scenario, m)
-    record = {"point": m, "status": geo.status, "dilation_sup": geo.dilation_sup}
-    if geo.is_regular:
-        res_plus = pseudo_holomorphy_residual(geo, geo.j_plus)
-        res_minus = pseudo_holomorphy_residual(geo, geo.j_minus)
+    stack = geometry_stack(scenario, [m])
+    status = "regular" if stack.regular[0] else "critical"
+    dilation_sup = float(stack.singular_values[0, 0])
+    record = {"point": m, "status": status, "dilation_sup": dilation_sup}
+    if stack.regular[0]:
+        stack.check(0)
+        defect = float(stack.defect[0])
+        j_plus, j_minus = (J[0] for J in stack.structures)
+        res_plus = pseudo_holomorphy_residual(stack.jac[0], j_plus)
+        res_minus = pseudo_holomorphy_residual(stack.jac[0], j_minus)
         record.update({
-            "defect": geo.defect,
-            "horizontal": geo.horizontal, "vertical": geo.vertical,
-            "j_plus": geo.j_plus, "j_minus": geo.j_minus,
+            "defect": defect,
+            "horizontal": stack.splitting[0][0], "vertical": stack.splitting[1][0],
+            "j_plus": j_plus, "j_minus": j_minus,
             "residual_plus": res_plus, "residual_minus": res_minus,
         })
         checks = [
-            check("hwc_defect", geo.defect <= tol["defect"],
-                  defect=geo.defect, dilation=geo.dilation_sup,
+            check("hwc_defect", defect <= tol["defect"],
+                  defect=defect, dilation=dilation_sup,
                   tolerance=tol["defect"]),
             check("structure_residual",
                   max(res_plus, res_minus) <= tol["residual"],
@@ -125,8 +130,8 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
                   tolerance=tol["residual"]),
         ]
     else:
-        checks = [check("classification", True, status=geo.status,
-                        dilation_sup=geo.dilation_sup)]
+        checks = [check("classification", True, status=status,
+                        dilation_sup=dilation_sup)]
     return Findings(checks, [record])
 
 
@@ -245,7 +250,7 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
               rel_plus=rel_plus, rel_minus=rel_minus,
               tolerance=tol["direct_rel"]),
     ]
-    einstein = einstein_defect(shape.geometry.metric_point)
+    einstein = einstein_defect(shape.stack.metric.at(shape.index))
     record["einstein_defect"] = einstein
     if einstein <= EINSTEIN_GATE:
         # the commutation identity for the shape product only holds on

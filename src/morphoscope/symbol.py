@@ -22,7 +22,7 @@ import numpy as np
 from ._linalg import minimize_affine_on_sphere
 from .calculus import MorphismScenario, NormalChart, normalized_scenario
 from .errors import SymbolError, UnsupportedOrderError
-from .morphism import EPS_CRITICAL, point_geometries
+from .morphism import EPS_CRITICAL, GeometryStack, geometry_stack
 from .polynomials import Poly, Table, evaluate
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
@@ -203,9 +203,8 @@ class CenterSample:
 
     The leading symbol with its normal chart, the directions (the signed
     axes, then the seeded ones) and the radius-major (n_radii, n_dirs, 4)
-    stack of shell samples in the chart. The point geometries at the samples
-    are built on first use, as one stack, so a fit that reads only the
-    symbol builds none.
+    stack of shell samples in the chart. The geometry stack of the samples
+    is built on first use, so a fit that reads only the symbol builds none.
     """
 
     symbol: SymbolData
@@ -215,11 +214,10 @@ class CenterSample:
     points: np.ndarray
 
     @cached_property
-    def geometries(self) -> list:
-        """geometries[j][i] is the geometry at radii[j] * directions[i]."""
-        geometries = point_geometries(self.symbol.chart.scenario, self.points)
-        width = self.points.shape[1]
-        return [geometries[j:j + width] for j in range(0, len(geometries), width)]
+    def stack(self) -> GeometryStack:
+        """The geometry of every sample, radius-major: row j * n_dirs + i is
+        the sample at radii[j] * directions[i]."""
+        return geometry_stack(self.symbol.chart.scenario, self.points)
 
 
 def center_sample(scenario: MorphismScenario, m0, radii: Sequence[float] | None = None,
@@ -285,8 +283,7 @@ def dilation_lower_rate(sample: CenterSample) -> DilationLowerRate:
     dirs = sample.directions
     radii = sample.radii
     # rows are directions: a ray is excluded as a whole
-    table = np.array([[geo.dilation_sup for geo in shell]
-                      for shell in sample.geometries]).T
+    table = sample.stack.singular_values[:, 0].reshape(len(radii), len(dirs)).T
     excluded = [i for i in range(len(dirs)) if np.all(table[i] < EPS_CRITICAL)]
     keep = [i for i in range(len(dirs)) if i not in excluded]
     if not keep:

@@ -8,10 +8,11 @@ vertical covariant derivatives; every closed form below is a polynomial in
 them, so the pure functions are kept separate from the frame machinery for
 direct algebraic testing.
 
-The shapes are taken over stacks (`shape_stack`), and a `FiberShape` is a
-row of a stack, or the stack of one when built on its own. Every derivative
-is read from the exact first jets of the geometry stack, so a shape needs
-no geometry at any other point: a scan builds one point-geometry stack.
+The shapes are taken over regular rows of a geometry stack (`shape_stack`),
+and a `FiberShape` is a row of a shape stack; a point alone is the stack of
+one. Every derivative is read from the exact first jets of the geometry
+stack, so a shape needs no geometry at any other point: a scan builds one
+geometry stack of its samples.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .calculus import MorphismScenario
 from .errors import DomainError
 from .geometry import g_products
-from .morphism import PointGeometry, along, point_geometries, point_geometry
+from .morphism import GeometryStack, along, geometry_stack
 from .ratefit import seeded_directions, shell_samples
 
 PRODUCT_FLOOR = 1e-8
@@ -84,27 +85,28 @@ def product_polar(r1: float, r2: float, theta: float, alpha: float) -> float:
 
 @dataclass(eq=False)
 class ShapeStack:
-    """The fiber shapes at a stack of regular geometries, built in one pass
-    (see shape_stack)."""
+    """The fiber shapes at regular rows of one geometry stack, built in one
+    pass (see shape_stack)."""
 
-    geometries: list
+    stack: GeometryStack
+    index: np.ndarray        # the rows of the geometry stack, in order
     frames: np.ndarray       # (n, 4, 4) rows T, e2, e3, e4 of each adapted frame
-    coefficients: list       # (a, b, c, d) of each geometry
+    coefficients: list       # (a, b, c, d) of each row
 
 
-def shape_stack(geometries: Sequence[PointGeometry], angle: float) -> ShapeStack:
-    """The fiber shapes at regular geometries of one stack, in order, built
-    in one pass over their rows.
+def shape_stack(stack: GeometryStack, index, angle: float) -> ShapeStack:
+    """The fiber shapes at regular rows `index` of a geometry stack, in
+    order, built in one pass over those rows.
 
-    Geometry i's shape is taken along its unit vertical T = cos(angle) v1 +
+    Row i's shape is taken along its unit vertical T = cos(angle) v1 +
     sin(angle) v2: a, b = -g((nabla_T P_V) T, e3 or e4) and c, d =
     -g((nabla_T P_V) e2, e3 or e4), the horizontal parts of nabla_T T and
     nabla_T e2, from the stack's exact projector jet. Each row equals, bit
-    for bit, the shape of its geometry alone. The first geometry in order
-    whose splitting failed raises its failure.
+    for bit, the shape of its point alone. The first row in order whose
+    splitting failed raises its failure.
     """
     ca, sa = math.cos(angle), math.sin(angle)
-    stack, index = geometries[0].stack, [geo.index for geo in geometries]
+    index = np.asarray(index, dtype=int)
     for i in index:
         stack.check(i)
     horizontal, vertical = (rows[index] for rows in stack.splitting[:2])
@@ -116,36 +118,25 @@ def shape_stack(geometries: Sequence[PointGeometry], angle: float) -> ShapeStack
     g = stack.metric.g[index]
     coefficients = -np.stack([g_products(dT, g, e3), g_products(dT, g, e4),
                               g_products(dE2, g, e3), g_products(dE2, g, e4)], axis=1)
-    return ShapeStack(geometries=list(geometries), frames=np.stack([T, e2, e3, e4], axis=1),
+    return ShapeStack(stack=stack, index=index, frames=np.stack([T, e2, e3, e4], axis=1),
                       coefficients=[tuple(row) for row in coefficients.tolist()])
 
 
 class FiberShape:
-    """The fiber shape at a regular point, along its unit vertical T.
-
-    A shape is row `index` of a ShapeStack: the point's geometry, the
-    adapted frame (T, e2, e3, e4) and the shape coefficients. Built
-    on its own, it is the stack of one; a scan builds the shapes of all its
-    samples as one stack. The polar form, the commutator and the closed
-    and direct norms are derived on first use and then kept, each for its
-    row alone; the products and the identity gap are read from them.
+    """The fiber shape at a regular point, along its unit vertical T: row
+    `row` of a ShapeStack, with the point's geometry stack and its row
+    there (`stack`, `index`), the adapted frame (T, e2, e3, e4) and the
+    shape coefficients. The polar form, the commutator and the closed and
+    direct norms are derived on first use and then kept, each for its row
+    alone; the products and the identity gap are read from them.
     """
 
-    def __init__(self, geometry: PointGeometry, angle: float):
-        self._bind(shape_stack([geometry], angle), 0)
-
-    @classmethod
-    def row(cls, stack: ShapeStack, index: int) -> "FiberShape":
-        """The shape of row `index` of a built stack."""
-        shape = cls.__new__(cls)
-        shape._bind(stack, index)
-        return shape
-
-    def _bind(self, stack: ShapeStack, index: int) -> None:
-        self.geometry = stack.geometries[index]
-        self.frame = stack.frames[index]
+    def __init__(self, shapes: ShapeStack, row: int):
+        self.stack = shapes.stack
+        self.index = int(shapes.index[row])
+        self.frame = shapes.frames[row]
         self.T = self.frame[0]
-        self.coefficients = stack.coefficients[index]
+        self.coefficients = shapes.coefficients[row]
 
     @cached_property
     def polar(self) -> Tuple[float, float, float, float]:
@@ -172,9 +163,9 @@ class FiberShape:
         `closed` reads the shape coefficients; both are exact, so they
         agree to rounding.
         """
-        return tuple(frame_component_sums(self.geometry.structure_derivative(orientation, self.T),
-                                          self.geometry.g, self.frame)[0]
-                     for orientation in (1, -1))
+        i, g = self.index, self.stack.metric.g[self.index]
+        return tuple(frame_component_sums(along(jet[[i]], self.T[None])[0], g, self.frame)[0]
+                     for _, jet in self.stack.structure_jets)
 
     @property
     def product(self) -> float:
@@ -200,7 +191,7 @@ class FiberShape:
 def fiber_shape(scenario: MorphismScenario, m, angle: float = 0.0) -> FiberShape:
     """The fiber shape at a regular point m; `angle` rotates T inside the
     vertical plane."""
-    return FiberShape(point_geometry(scenario, m), angle)
+    return FiberShape(shape_stack(geometry_stack(scenario, [m]), [0], angle), 0)
 
 
 def weingarten_matrix(scenario: MorphismScenario, m,
@@ -253,6 +244,21 @@ class ProductScan:
     verdict: str
 
 
+def _scan_shapes(scenario: MorphismScenario, points: np.ndarray, angle: float) -> tuple:
+    """(regular rows, norm products, largest identity gap) of the fiber
+    shapes at the regular ones of the points, from one geometry stack."""
+    if not len(points):
+        return np.zeros(0, dtype=int), [], 0.0
+    stack = geometry_stack(scenario, points)
+    regular = np.flatnonzero(stack.regular)
+    if not regular.size:
+        return regular, [], 0.0
+    shapes = shape_stack(stack, regular, angle)
+    rows = [FiberShape(shapes, i) for i in range(len(regular))]
+    return (regular, [shape.product for shape in rows],
+            max([0.0] + [shape.identity_gap for shape in rows]))
+
+
 def product_bound_scan(scenario: MorphismScenario, center,
                        radii: Sequence[float] | None = None,
                        n_directions: int = 8, seed: int = 0,
@@ -278,26 +284,17 @@ def product_bound_scan(scenario: MorphismScenario, center,
     radii, points = shell_samples(directions, radii, center=center)
     inside = scenario.domain.contains(points)
     # the shell of each inside sample, radius-major as the samples
-    shell_of = np.repeat(np.arange(len(radii)), points.shape[1])[inside.ravel()].tolist()
+    shell_of = np.repeat(np.arange(len(radii)), points.shape[1])[inside.ravel()]
     try:
-        samples = point_geometries(scenario, points[inside]) if inside.any() else []
-        regular = [geo for geo in samples if geo.is_regular]
-        shells = [shell_of[geo.index] for geo in regular]
-        stack = shape_stack(regular, angle) if regular else None
-        shapes = [FiberShape.row(stack, i) for i in range(len(regular))]
-        products = [shape.product for shape in shapes]
-        identity_gap = max([0.0] + [shape.identity_gap for shape in shapes])
+        regular, products, identity_gap = _scan_shapes(scenario, points[inside], angle)
     except Exception:
-        # the samples one by one, radius-major, each a stack of one, so the
-        # error raised is that of the first failing sample at its first
-        # failed step
-        for shell in points:
-            for y in shell[scenario.domain.contains(shell)]:
-                geo = point_geometry(scenario, y)
-                if geo.is_regular:
-                    shape = FiberShape(geo, angle)
-                    shape.product, shape.identity_gap
+        # a later sample can fail in the stacked geometry pass before an
+        # earlier one fails in its splitting; the same pass over each sample
+        # alone, radius-major, raises the error of the first failing sample
+        for y in points[inside]:
+            _scan_shapes(scenario, y[None], angle)
         raise
+    shells = shell_of[regular].tolist()
     annulus_max = [max([0.0] + [v for v, k in zip(products, shells) if k == shell])
                    for shell in range(len(radii))]
     skipped = [points.shape[1] - shells.count(shell) for shell in range(len(radii))]

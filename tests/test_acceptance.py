@@ -18,7 +18,7 @@ from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.geometry import Box, FlatMetric
 from morphoscope.hermitian import structure_deviation_rate
-from morphoscope.morphism import (classify_point, hwc_residual, point_geometry,
+from morphoscope.morphism import (along, classify_point, geometry_stack, hwc_residual,
                                   tension_norm, validate_morphism)
 from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.symbol import (center_sample, dilation_lower_rate,
@@ -47,7 +47,7 @@ def _sample(scenario, n, seed, margin=0.1):
 def _regular_sample(scenario, n, seed):
     points = []
     for p in _sample(scenario, 4 * n, seed):
-        if classify_point(scenario, p).is_regular:
+        if classify_point(scenario, p).regular[0]:
             points.append(p)
         if len(points) == n:
             break
@@ -123,7 +123,7 @@ def test_criterion_4_dilation_lower_bound():
 
     # the +x1 axis leads the sample's directions
     sq = center_sample(_scenario("z1sq"), zero, radii=radii)
-    ray = [shell[0].dilation_sup for shell in sq.geometries]
+    ray = sq.stack.singular_values[::len(sq.directions), 0]
     ratios_sq = [v / (2.0 * r) for v, r in zip(ray, radii)]
     assert all(0.999 <= q <= 1.001 for q in ratios_sq)
     _verdict("criterion 4 dilation: z1z2 ratios "
@@ -214,18 +214,19 @@ def test_criterion_7_metamorphic_invariance():
     worst = 0.0
     direction = np.array([0.3, -0.2, 0.5, 0.4])
     for y in _sample(pulled, 50, seed=23):
-        if not classify_point(pulled, y).is_regular:
+        if not classify_point(pulled, y).regular[0]:
             continue
         x = phi(y)
-        worst = max(worst, abs(point_geometry(pulled, y).dilation_sup
-                               - point_geometry(base, x).dilation_sup))
-        worst = max(worst, abs(hwc_residual(pulled, y).defect
-                               - hwc_residual(base, x).defect))
-        worst = max(worst, abs(tension_norm(pulled, y) - tension_norm(base, x)))
+        at_y, at_x = geometry_stack(pulled, [y]), geometry_stack(base, [x])
+        worst = max(worst, abs(at_y.singular_values[0, 0] - at_x.singular_values[0, 0]))
+        worst = max(worst, abs(hwc_residual(pulled, y).defect[0]
+                               - hwc_residual(base, x).defect[0]))
+        worst = max(worst, abs(tension_norm(pulled, y).tension_norm[0]
+                               - tension_norm(base, x).tension_norm[0]))
         dx = dphi(y) @ direction
-        for orientation in (1, -1):
-            dj_pulled = point_geometry(pulled, y).structure_derivative(orientation, direction)
-            dj_base = point_geometry(base, x).structure_derivative(orientation, dx)
+        for k in (0, 1):  # J+ then J-
+            dj_pulled = along(at_y.structure_jets[k][1], direction[None])[0]
+            dj_base = along(at_x.structure_jets[k][1], dx[None])[0]
             gs_p, gis_p = spd_sqrt_pair(pulled.metric.matrix(y))
             gs_b, gis_b = spd_sqrt_pair(base.metric.matrix(x))
             n_pulled = float(np.linalg.norm(gs_p @ dj_pulled @ gis_p))

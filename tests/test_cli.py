@@ -17,7 +17,7 @@ from morphoscope.calculus import MorphismScenario
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
 from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
-from morphoscope.morphism import point_geometries
+from morphoscope.morphism import geometry_stack
 from morphoscope.polynomials import Poly
 from morphoscope.report import fingerprint
 from morphoscope.structures import K_PLUS
@@ -574,8 +574,10 @@ def test_overflowing_differential_exits_two(tmp_path, capsys, half_width, comman
         scenario = build_scenario(config)
         points = runner._sample_points(scenario, config.analysis["n_points"],
                                        config.analysis["seed"])
-        first = next(geo.point for geo in point_geometries(scenario, points)
-                     if not np.all(np.isfinite([geo.defect, geo.tension_norm])))
+        stack = geometry_stack(scenario, points)
+        first = next(m for m, defect, tension in zip(stack.metric.point, stack.defect,
+                                                     stack.tension_norm)
+                     if not np.all(np.isfinite([defect, tension])))
         assert err.rstrip().endswith(f" at {first.tolist()}")
     assert not (tmp_path / f"{stem}.json").exists()
 

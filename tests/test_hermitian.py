@@ -17,11 +17,13 @@ from morphoscope.hermitian import (best_compatible_structure, hermitian_pair,
                                    isolated_extension, pseudo_holomorphy_residual,
                                    reference_field, structure_deviation_rate)
 from morphoscope.geometry import frame_orientations
-from morphoscope.morphism import point_geometry
+from morphoscope import hermitian, morphism, symbol
+from morphoscope.morphism import geometry_stack
+from morphoscope.ratefit import N_AXES, shell_samples
 from morphoscope.structures import K_MINUS, K_PLUS
-from morphoscope.symbol import center_sample, symbol_polynomial
+from morphoscope.symbol import CenterSample, center_sample, symbol_polynomial
 
-from test_morphism import (pullback_diffeo, scenario_anisotropic, scenario_product,
+from test_morphism import (bits, field, pullback_diffeo, scenario_anisotropic, scenario_product,
                            scenario_pullback_product, scenario_square)
 
 
@@ -54,7 +56,7 @@ def test_pair_is_metric_compatible_square_root_of_minus_one(factory):
     for m in sample_points(sc, 6, seed=11):
         hp = hermitian_pair(sc, m)
         g = sc.metric.matrix(m)
-        for J in (hp.j_plus, hp.j_minus):
+        for J in (field(hp, 0, "j_plus"), field(hp, 0, "j_minus")):
             assert np.allclose(J @ J, -np.eye(4), atol=1e-9)
             assert np.allclose(J.T @ g @ J, g, atol=1e-9)
 
@@ -64,19 +66,21 @@ def test_pair_agrees_horizontally_and_opposes_vertically(factory):
     sc = factory()
     for m in sample_points(sc, 5, seed=23):
         hp = hermitian_pair(sc, m)
-        for e in hp.horizontal:
-            assert np.allclose(hp.j_plus @ e, hp.j_minus @ e, atol=1e-9)
-        for v in hp.vertical:
-            assert np.allclose(hp.j_plus @ v, -(hp.j_minus @ v), atol=1e-9)
+        j_plus, j_minus = field(hp, 0, "j_plus"), field(hp, 0, "j_minus")
+        for e in field(hp, 0, "horizontal"):
+            assert np.allclose(j_plus @ e, j_minus @ e, atol=1e-9)
+        for v in field(hp, 0, "vertical"):
+            assert np.allclose(j_plus @ v, -(j_minus @ v), atol=1e-9)
 
 
 def test_pair_orientations_are_opposite():
     sc = scenario_product()
     m = np.array([0.4, -0.2, 0.3, 0.1])
     hp = hermitian_pair(sc, m)
-    e1, v1 = hp.horizontal[0], hp.vertical[0]
-    plus_frame = np.array([e1, hp.j_plus @ e1, v1, hp.j_plus @ v1])
-    minus_frame = np.array([e1, hp.j_minus @ e1, v1, hp.j_minus @ v1])
+    j_plus, j_minus = field(hp, 0, "j_plus"), field(hp, 0, "j_minus")
+    e1, v1 = field(hp, 0, "horizontal")[0], field(hp, 0, "vertical")[0]
+    plus_frame = np.array([e1, j_plus @ e1, v1, j_plus @ v1])
+    minus_frame = np.array([e1, j_minus @ e1, v1, j_minus @ v1])
     signs, failures = frame_orientations(np.array([plus_frame, minus_frame]))
     assert signs.tolist() == [1, -1] and failures == [None, None]
 
@@ -88,9 +92,8 @@ def test_both_structures_intertwine_the_differential(factory):
     sc = factory()
     for m in sample_points(sc, 5, seed=37):
         hp = hermitian_pair(sc, m)
-        geo = point_geometry(sc, m)
-        assert pseudo_holomorphy_residual(geo, hp.j_plus) < 1e-8
-        assert pseudo_holomorphy_residual(geo, hp.j_minus) < 1e-8
+        assert pseudo_holomorphy_residual(hp.jac[0], field(hp, 0, "j_plus")) < 1e-8
+        assert pseudo_holomorphy_residual(hp.jac[0], field(hp, 0, "j_minus")) < 1e-8
 
 
 # -------------------------------------------------------------- minimizer
@@ -101,7 +104,8 @@ def test_minimizer_recovers_the_split_frame_structures(factory):
     sc = factory()
     for m in sample_points(sc, 10, seed=5):
         hp = hermitian_pair(sc, m)
-        for orientation, expected in ((1, hp.j_plus), (-1, hp.j_minus)):
+        for orientation, expected in ((1, field(hp, 0, "j_plus")),
+                                      (-1, field(hp, 0, "j_minus"))):
             J, _, res = best_compatible_structure(sc, m, orientation)
             assert res < 1e-8
             assert np.allclose(J, expected, atol=1e-6)
@@ -119,7 +123,7 @@ def test_structure_transports_through_chart_changes():
     pulled = pullback_scenario(base, diffeo, base.domain.__class__.cube(0.8),
                                name="pulled")
     for x in sample_points(pulled, 5, seed=71):
-        J = hermitian_pair(pulled, x).j_plus
+        J = field(hermitian_pair(pulled, x), 0, "j_plus")
         expected = transported_structure(diffeo, x, K_PLUS)
         assert np.allclose(J, expected, atol=1e-9)
 
@@ -218,3 +222,79 @@ def test_isolated_extension_square_map_hits_critical_plane():
     assert p is not None
     assert np.hypot(p[0], p[1]) < 1e-12
     assert np.linalg.norm(p) > 0
+
+
+def catalog_sample(name):
+    """The center sample of a catalog chart at its own radii, directions and
+    seed. On z1sq two seeded directions are moved onto signed axes inside
+    the critical plane, so the rate substitutes their rays."""
+    config = ScenarioConfig.from_dict(catalog_configs()[name])
+    analysis = config.analysis
+    sample = center_sample(build_scenario(config), config.critical_points[0],
+                           radii=analysis["radii"], n_directions=analysis["n_directions"],
+                           seed=analysis["seed"])
+    if name != "z1sq":
+        return sample
+    critical = sample.directions[:N_AXES][~sample.stack.regular[:N_AXES]]
+    directions = sample.directions.copy()
+    directions[[N_AXES + 1, N_AXES + 4]] = critical[:2]
+    return CenterSample(symbol=sample.symbol, seed=sample.seed, directions=directions,
+                        radii=sample.radii, points=shell_samples(directions, sample.radii)[1])
+
+
+def written_out_deviation(scenario, y, J0) -> float:
+    """||J+ - J0|| at the point y alone, as np.linalg.norm takes it."""
+    return float(np.linalg.norm(field(geometry_stack(scenario, [y]), 0, "j_plus") - J0,
+                                ord="fro"))
+
+
+@pytest.mark.parametrize("name", ["z1sq", "pullback_z1z2"])
+def test_deviation_columns_equal_a_written_out_norm_loop_bitwise(monkeypatch, name):
+    # the deviations read as one column of the sample's stack against a
+    # loop over the samples one by one, each ray substituted as the rate
+    # substitutes it, with one geometry stack per center plus a stack of one
+    # per sample of a substituted ray
+    sample = catalog_sample(name)
+    scenario = sample.symbol.chart.scenario
+    J0 = reference_field(sample.symbol, 1).matrix
+    sizes = []
+    original = morphism.geometry_stack
+
+    def counted(scenario, points):
+        sizes.append(len(np.reshape(points, (-1, 4))))
+        return original(scenario, points)
+
+    for module in (symbol, hermitian):
+        monkeypatch.setattr(module, "geometry_stack", counted)
+    rates = structure_deviation_rate(sample)
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(sample.seed + 7919)
+    table, substitutions = [], []
+    for i, direction in enumerate(sample.directions[N_AXES:]):
+        ray, attempt = sample.points[:, N_AXES + i], 0
+        while not all(geometry_stack(scenario, [y]).regular[0] for y in ray):
+            attempt += 1
+            d = direction + 0.05 * attempt * rng.standard_normal(4)
+            ray = shell_samples((d / np.linalg.norm(d))[None], sample.radii)[1][:, 0]
+        if attempt:
+            substitutions.append((i, attempt))
+        table.append([written_out_deviation(scenario, y, J0) for y in ray])
+    assert rates.substitutions == tuple(substitutions)
+    assert bool(substitutions) == (name == "z1sq")
+    rebuilt = len(sample.radii) * sum(a for _, a in substitutions)
+    assert sizes == [len(sample.points.reshape(-1, 4))] + [1] * rebuilt
+    assert bits(rates.deviation_fit.values) == bits(np.max(table, axis=0))
+
+    if name == "z1sq":
+        # the signed axes in the critical plane: the first critical sample,
+        # radius-major, is named
+        with pytest.raises(NonIsolatedCriticalError) as info:
+            isolated_extension(sample)
+        first = next(y for y in sample.points.reshape(-1, 4)
+                     if not geometry_stack(scenario, [y]).regular[0])
+        assert bits(info.value.point) == bits(sample.symbol.chart.to_original(first))
+    else:
+        sups = [max([0.0] + [written_out_deviation(scenario, y, J0) for y in shell])
+                for shell in sample.points]
+        assert bits(isolated_extension(sample).sups) == bits(sups)

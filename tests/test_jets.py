@@ -17,8 +17,10 @@ import pytest
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.geometry import covariant_derivative
-from morphoscope.morphism import fiber_mean_curvature, point_geometries, point_geometry
+from morphoscope.morphism import fiber_mean_curvature, geometry_stack
 from morphoscope.weingarten import weingarten_matrix
+
+from test_morphism import derivative, dilation_sup, field
 
 # stencil error and rounding of the oracle, relative to max(1, |value|)
 ORACLE_TOL = 1e-8
@@ -37,13 +39,13 @@ def regular_points(sc, n=4, seed=7):
     points = []
     while len(points) < n:
         m = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
-        if point_geometry(sc, m).dilation_sup > 1e-3:
+        if dilation_sup(sc, m) > 1e-3:
             points.append(m)
     return points
 
 
 def stencil_derivative(sc, field, m, X):
-    return covariant_derivative(sc.metric, lambda x: field(point_geometry(sc, x)), m, X)
+    return covariant_derivative(sc.metric, lambda x: field(geometry_stack(sc, [x])), m, X)
 
 
 def close(got, expected):
@@ -60,28 +62,31 @@ def test_exact_jets_match_the_stencil(name, orientation):
     ca, sa = math.cos(ANGLE), math.sin(ANGLE)
 
     def t_field(geo):
-        return ca * geo.vertical[0] + sa * geo.vertical[1]
+        v1, v2 = field(geo, 0, "vertical")
+        return ca * v1 + sa * v2
 
     rng = np.random.default_rng(11)
     for m in regular_points(sc):
-        geo = point_geometry(sc, m)
+        geo = geometry_stack(sc, [m])
+        g = field(geo, 0, "g")
         X = rng.standard_normal(4)
-        for o in (1, -1):
-            expected = stencil_derivative(sc, lambda node: node.structure(o), m, X)
-            assert close(geo.structure_derivative(o, X), expected), (o, m)
+        for o, (_, jet) in zip((1, -1), geo.structure_jets):
+            expected = stencil_derivative(sc, lambda node: node.structure(o)[0], m, X)
+            assert close(derivative(jet, X), expected), (o, m)
 
         T = t_field(geo)
-        e3, e4 = geo.horizontal
+        e3, e4 = field(geo, 0, "horizontal")
         dT = stencil_derivative(sc, t_field, m, T)
-        dE2 = stencil_derivative(sc, lambda node: node.j_plus @ t_field(node), m, T)
-        expected = np.array([-(dT @ geo.g @ e3), -(dT @ geo.g @ e4),
-                             -(dE2 @ geo.g @ e3), -(dE2 @ geo.g @ e4)])
+        dE2 = stencil_derivative(sc, lambda node: field(node, 0, "j_plus") @ t_field(node), m, T)
+        expected = np.array([-(dT @ g @ e3), -(dT @ g @ e4),
+                             -(dE2 @ g @ e3), -(dE2 @ g @ e4)])
         assert close(np.array(weingarten_matrix(sc, m, angle=ANGLE)), expected), m
 
-        expected = sum(geo.horizontal_projector
-                       @ stencil_derivative(sc, lambda node, i=i: node.vertical[i], m, v)
-                       for i, v in enumerate(geo.vertical))
-        assert close(fiber_mean_curvature(geo), expected), m
+        expected = sum(field(geo, 0, "horizontal_projector")
+                       @ stencil_derivative(sc, lambda node, i=i: field(node, 0, "vertical")[i],
+                                            m, v)
+                       for i, v in enumerate(field(geo, 0, "vertical")))
+        assert close(fiber_mean_curvature(geo)[0], expected), m
 
 
 @pytest.mark.parametrize("name", [name for name, raw in sorted(catalog_configs().items())
@@ -91,7 +96,7 @@ def test_j_plus_is_parallel_on_flat_and_pulled_back_flat_charts(name):
     # so J+ is the parallel complex structure of the flat metric
     assert name in ("proj", "z1z2", "z1sq", "z1z2_cubic", "pullback_z1z2")
     sc = scenario(name, 1)
-    stack = point_geometries(sc, regular_points(sc))[0].stack
+    stack = geometry_stack(sc, regular_points(sc))
     (_, nabla_j_plus), _ = stack.structure_jets
     assert np.max(np.abs(nabla_j_plus)) <= 1e-13
 
@@ -100,7 +105,7 @@ def test_j_plus_is_parallel_on_flat_and_pulled_back_flat_charts(name):
 @pytest.mark.parametrize("name", CHARTS)
 def test_closed_form_structures_equal_the_frame_structures(name, orientation):
     sc = scenario(name, orientation)
-    stack = point_geometries(sc, regular_points(sc))[0].stack
+    stack = geometry_stack(sc, regular_points(sc))
     (j_plus, _), (j_minus, _) = stack.structure_jets
     frame_plus, frame_minus = stack.structures
     assert np.max(np.abs(j_plus - frame_plus)) <= 1e-14

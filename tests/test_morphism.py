@@ -28,8 +28,8 @@ from morphoscope.geometry import (Box, FlatMetric, PolynomialMetric, ProductSphe
                                   PullbackMetric, covariant_derivative, einstein_defect)
 from morphoscope import morphism
 from morphoscope.morphism import (
-    EPS_CRITICAL, classify_point, fiber_mean_curvature, hwc_residual,
-    point_geometries, point_geometry, splitting, tension_norm, validate_morphism,
+    EPS_CRITICAL, along, classify_point, fiber_mean_curvature, geometry_stack, hwc_residual,
+    splitting, tension_norm, validate_morphism,
 )
 from morphoscope.polynomials import Poly, evaluate
 from morphoscope.structures import K_MINUS, K_PLUS
@@ -69,13 +69,13 @@ def scenario_pullback_product():
 
 
 def count_geometry_builds(monkeypatch) -> list:
-    """Count the geometries point_geometries builds, through every module
-    that binds it; point_geometry builds through it too.
+    """Count the rows geometry_stack builds, through every module that
+    binds it.
 
-    Returns a list that grows by one entry, the point, per geometry built.
+    Returns a list that grows by one entry, the point, per row built.
     """
     builds = []
-    original = morphism.point_geometries
+    original = morphism.geometry_stack
 
     def counted(scenario, points):
         builds.extend(np.array(points, dtype=float).reshape(-1, 4))
@@ -83,9 +83,37 @@ def count_geometry_builds(monkeypatch) -> list:
 
     for name, module in list(sys.modules.items()):
         if name == "morphoscope" or name.startswith("morphoscope."):
-            if getattr(module, "point_geometries", None) is original:
-                monkeypatch.setattr(module, "point_geometries", counted)
+            if getattr(module, "geometry_stack", None) is original:
+                monkeypatch.setattr(module, "geometry_stack", counted)
     return builds
+
+
+SPLITTING = ("horizontal", "vertical", "vertical_projector", "horizontal_projector")
+
+
+def field(stack, i, key):
+    """Row i's `key` of a geometry stack: a column of the stack or of its
+    metric record, a part of its splitting, or J+ or J-; the splitting and
+    the structures first raise the row's failure, as the package reads
+    them."""
+    if key in SPLITTING or key in ("j_plus", "j_minus"):
+        stack.check(i)
+        if key in SPLITTING:
+            return stack.splitting[SPLITTING.index(key)][i]
+        return stack.structure(1 if key == "j_plus" else -1)[i]
+    if key in ("g", "gamma"):
+        return getattr(stack.metric, key)[i]
+    return getattr(stack, key)[i]
+
+
+def derivative(jet, X, i=0):
+    """Row i of a stack's jet, (n, 4, 4, 4) or (n, 4, 4), along X."""
+    return along(jet[[i]], np.asarray(X, dtype=float)[None])[0]
+
+
+def dilation_sup(scenario, m) -> float:
+    """The largest singular value of the gauge matrix at m, alone."""
+    return geometry_stack(scenario, [m]).singular_values[0, 0]
 
 
 def sampled_dilation(scenario, m, n=4000, seed=0):
@@ -121,9 +149,9 @@ def test_anisotropic_map_frozen_defect():
     # map (x1, 2 x2): gram diag(1, 4), half trace 2.5, defect sqrt(2) * 1.5
     sc = scenario_anisotropic()
     data = hwc_residual(sc, np.array([0.3, -0.2, 0.9, 0.1]))
-    assert data.squared_dilation == pytest.approx(2.5, abs=1e-12)
-    assert data.defect == pytest.approx(2.1213203435596424, abs=1e-12)
-    assert np.allclose(data.conformal, np.diag([1.0, 4.0]), atol=1e-12)
+    assert data.squared_dilation[0] == pytest.approx(2.5, abs=1e-12)
+    assert data.defect[0] == pytest.approx(2.1213203435596424, abs=1e-12)
+    assert np.allclose(data.conformal[0], np.diag([1.0, 4.0]), atol=1e-12)
 
 
 def test_holomorphic_dilation_identity_and_oracle():
@@ -135,12 +163,12 @@ def test_holomorphic_dilation_identity_and_oracle():
         w2 = complex(m[2], m[3])
         lam2 = abs(w2) ** 2 + abs(w1) ** 2  # |df/dw1|^2 + |df/dw2|^2
         data = hwc_residual(sc, m)
-        assert data.squared_dilation == pytest.approx(lam2, abs=1e-13)
-        assert data.defect < 1e-13
-        sup = point_geometry(sc, m).dilation_sup
+        assert data.squared_dilation[0] == pytest.approx(lam2, abs=1e-13)
+        assert data.defect[0] < 1e-13
+        sup = dilation_sup(sc, m)
         assert sup ** 2 == pytest.approx(lam2, abs=1e-12)
     m = np.array([0.7, -0.3, 0.4, 0.5])
-    sup = point_geometry(sc, m).dilation_sup
+    sup = dilation_sup(sc, m)
     assert sampled_dilation(sc, m) <= sup + 1e-12
     assert sampled_dilation(sc, m) >= sup * 0.999
 
@@ -149,38 +177,39 @@ def test_dilation_sup_vs_trace_disagree_off_conformal():
     # for (x1, 2 x2) the sup is 2 while the averaged dilation is sqrt(2.5)
     sc = scenario_anisotropic()
     m = np.zeros(4)
-    assert point_geometry(sc, m).dilation_sup == pytest.approx(2.0, abs=1e-12)
-    assert hwc_residual(sc, m).dilation == pytest.approx(np.sqrt(2.5), abs=1e-12)
+    assert dilation_sup(sc, m) == pytest.approx(2.0, abs=1e-12)
+    assert hwc_residual(sc, m).dilation[0] == pytest.approx(np.sqrt(2.5), abs=1e-12)
     assert sampled_dilation(sc, m) <= 2.0 + 1e-12
 
 
 def test_classification_thresholds():
     sc = scenario_square()
-    assert classify_point(sc, np.zeros(4)).status == "critical"
-    assert classify_point(sc, np.array([0.0, 0.0, 0.7, -0.4])).status == "critical"
-    assert classify_point(sc, np.array([0.5, 0.0, 0.0, 0.0])).status == "regular"
+    assert not classify_point(sc, np.zeros(4)).regular[0]
+    assert not classify_point(sc, np.array([0.0, 0.0, 0.7, -0.4])).regular[0]
+    assert classify_point(sc, np.array([0.5, 0.0, 0.0, 0.0])).regular[0]
     # threshold boundary: |w1| = eps/2 has dilation 2|w1| = eps, regular
     eps = EPS_CRITICAL
-    assert classify_point(sc, np.array([eps / 2, 0.0, 0.0, 0.0])).status == "regular"
-    assert classify_point(sc, np.array([eps / 4, 0.0, 0.0, 0.0])).status == "critical"
+    assert classify_point(sc, np.array([eps / 2, 0.0, 0.0, 0.0])).regular[0]
+    assert not classify_point(sc, np.array([eps / 4, 0.0, 0.0, 0.0])).regular[0]
 
 
 def test_splitting_frozen_frames_product_map():
     sc = scenario_product()
     m = np.array([1.0, 0.0, 0.0, 0.0])
     sp = splitting(sc, m)
-    assert sp.dilation == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(sp.horizontal[0], [0, 0, 1, 0], atol=1e-13)
-    assert np.allclose(sp.horizontal[1], [0, 0, 0, 1], atol=1e-13)
-    assert np.allclose(sp.vertical[0], [1, 0, 0, 0], atol=1e-13)
-    assert np.allclose(sp.vertical[1], [0, 1, 0, 0], atol=1e-13)
+    horizontal, vertical = field(sp, 0, "horizontal"), field(sp, 0, "vertical")
+    assert sp.dilation[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(horizontal[0], [0, 0, 1, 0], atol=1e-13)
+    assert np.allclose(horizontal[1], [0, 0, 0, 1], atol=1e-13)
+    assert np.allclose(vertical[0], [1, 0, 0, 0], atol=1e-13)
+    assert np.allclose(vertical[1], [0, 1, 0, 0], atol=1e-13)
     # (e1, e2) map onto the standard target frame (1, i)
-    assert np.allclose(sc.jacobian(m) @ sp.horizontal.T, np.eye(2), atol=1e-14)
+    assert np.allclose(sc.jacobian(m) @ horizontal.T, np.eye(2), atol=1e-14)
 
 
 def test_splitting_raises_on_critical_point():
     with pytest.raises(ClassificationError):
-        splitting(scenario_square(), np.zeros(4)).horizontal
+        field(splitting(scenario_square(), np.zeros(4)), 0, "horizontal")
 
 
 @pytest.mark.parametrize("factory", [scenario_product, scenario_pullback_product])
@@ -191,30 +220,32 @@ def test_splitting_structural_properties(factory):
     checked = 0
     while checked < 12:
         m = rng.uniform(-half, half, size=4)
-        if point_geometry(sc, m).dilation_sup < 1e-3:
+        if dilation_sup(sc, m) < 1e-3:
             continue
         checked += 1
         sp = splitting(sc, m)
+        horizontal, vertical = field(sp, 0, "horizontal"), field(sp, 0, "vertical")
+        dilation = sp.dilation[0]
         g = sc.metric.matrix(m)
         jac = sc.jacobian(m)
         # vertical frame spans the kernel and is g-orthonormal
-        assert np.max(np.abs(jac @ sp.vertical.T)) < 1e-10
-        gram = sp.vertical @ g @ sp.vertical.T
+        assert np.max(np.abs(jac @ vertical.T)) < 1e-10
+        gram = vertical @ g @ vertical.T
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
         # horizontal frame maps onto the scaled standard target frame (1, i)
-        assert np.max(np.abs(jac @ sp.horizontal[0] - sp.dilation * np.eye(2)[0])) < 1e-9
-        assert np.max(np.abs(jac @ sp.horizontal[1] - sp.dilation * np.eye(2)[1])) < 1e-9
+        assert np.max(np.abs(jac @ horizontal[0] - dilation * np.eye(2)[0])) < 1e-9
+        assert np.max(np.abs(jac @ horizontal[1] - dilation * np.eye(2)[1])) < 1e-9
         # projectors: idempotent, complementary, g-symmetric
-        pv = field(sp, "vertical_projector")
+        pv = field(sp, 0, "vertical_projector")
         assert np.max(np.abs(pv @ pv - pv)) < 1e-10
-        assert np.max(np.abs(pv + sp.horizontal_projector - np.eye(4))) < 1e-12
+        assert np.max(np.abs(pv + field(sp, 0, "horizontal_projector") - np.eye(4))) < 1e-12
         assert np.max(np.abs((g @ pv) - (g @ pv).T)) < 1e-10
         # orientation of the assembled frame is positive
-        frame = np.vstack([sp.horizontal, sp.vertical])
+        frame = np.vstack([horizontal, vertical])
         det = np.linalg.det(frame.T)
         assert det > 0
         # horizontal vectors are g-orthogonal to vertical ones
-        assert np.max(np.abs(sp.horizontal @ g @ sp.vertical.T)) < 1e-9
+        assert np.max(np.abs(horizontal @ g @ vertical.T)) < 1e-9
 
 
 def test_tension_exact_zero_for_harmonic_polynomials():
@@ -223,7 +254,7 @@ def test_tension_exact_zero_for_harmonic_polynomials():
     rng = np.random.default_rng(23)
     for _ in range(10):
         m = rng.uniform(-1.2, 1.2, size=4)
-        assert tension_norm(sc, m) < 1e-12
+        assert tension_norm(sc, m).tension_norm[0] < 1e-12
 
 
 def test_tension_against_divergence_oracle_curved_metric():
@@ -234,7 +265,7 @@ def test_tension_against_divergence_oracle_curved_metric():
     rng = np.random.default_rng(31)
     for _ in range(5):
         m = rng.uniform(-0.5, 0.5, size=4)
-        tau = point_geometry(sc, m).tension
+        tau = geometry_stack(sc, [m]).tension[0]
         oracle = divergence_tension(sc, m)
         assert np.max(np.abs(tau - oracle)) < 1e-8
         assert np.linalg.norm(tau) > 1e-2  # the control is genuinely non-harmonic
@@ -243,7 +274,7 @@ def test_tension_against_divergence_oracle_curved_metric():
 def test_fiber_mean_curvature_vanishes_for_product_map():
     sc = scenario_product()
     for m in ([1.0, 0.0, 0.0, 0.0], [0.8, 0.3, -0.4, 0.6]):
-        hvec = fiber_mean_curvature(point_geometry(sc, np.array(m)))
+        hvec = fiber_mean_curvature(geometry_stack(sc, [m]))[0]
         assert np.linalg.norm(hvec) < 1e-6
 
 
@@ -270,7 +301,7 @@ def test_fiber_mean_curvature_against_parametrized_oracle():
     proj_n = np.eye(4) - proj_t
     # second derivatives phi_st, phi_tt vanish for this parametrization
     oracle = gs_inv[0, 0] * (proj_n @ phi_ss)
-    hvec = fiber_mean_curvature(point_geometry(sc, m))
+    hvec = fiber_mean_curvature(geometry_stack(sc, [m]))[0]
     assert np.max(np.abs(hvec - oracle)) < 1e-6
     assert np.linalg.norm(oracle) > 1e-2  # control fiber is genuinely curved
 
@@ -298,10 +329,10 @@ def domain_points(draw):
 def test_hwc_defect_nonnegative_and_gauge_consistent(m):
     sc = scenario_pullback_product()
     data = hwc_residual(sc, m)
-    assert data.defect >= 0.0
-    assert data.squared_dilation >= 0.0
-    sup = point_geometry(sc, m).dilation_sup
-    assert sup <= np.sqrt(2.0 * data.squared_dilation) + 1e-12
+    assert data.defect[0] >= 0.0
+    assert data.squared_dilation[0] >= 0.0
+    sup = dilation_sup(sc, m)
+    assert sup <= np.sqrt(2.0 * data.squared_dilation[0]) + 1e-12
 
 
 def count_instances(monkeypatch, cls) -> list:
@@ -318,47 +349,48 @@ def count_instances(monkeypatch, cls) -> list:
 
 
 def test_validation_builds_one_geometry_per_point(monkeypatch):
-    # one row of one stack per point, and no per-point geometry: validation
-    # reads the defect, the tension and the records as columns of the stack
+    # one row of one stack per point: validation reads the defect, the
+    # tension and the records as columns of the stack
     rng = np.random.default_rng(5)
     pts = [rng.uniform(-0.7, 0.7, size=4) for _ in range(12)]
     stacks = count_instances(monkeypatch, morphism.GeometryStack)
-    geometries = count_instances(monkeypatch, morphism.PointGeometry)
     stack, _, _ = validate_morphism(scenario_pullback_product(), pts)
     assert stacks == [stack]
     assert np.array_equal(stack.metric.point, pts)
-    assert geometries == []
 
 
 def test_point_functions_read_one_geometry():
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
-    geo = point_geometry(sc, m)
+    geo = geometry_stack(sc, [m])
     cls = classify_point(sc, m)
-    assert (cls.status, cls.dilation_sup) == (geo.status, geo.dilation_sup)
-    assert hwc_residual(sc, m).defect == geo.defect
-    assert tension_norm(sc, m) == geo.tension_norm
-    assert np.array_equal(splitting(sc, m).vertical, geo.vertical)
-    # derived once per geometry
-    assert geo.vertical is geo.vertical and geo.j_plus is geo.j_plus
+    assert ((cls.regular[0], cls.singular_values[0, 0])
+            == (geo.regular[0], geo.singular_values[0, 0]))
+    assert hwc_residual(sc, m).defect[0] == geo.defect[0]
+    assert tension_norm(sc, m).tension_norm[0] == geo.tension_norm[0]
+    assert np.array_equal(field(splitting(sc, m), 0, "vertical"), field(geo, 0, "vertical"))
+    # derived once per stack
+    assert geo.splitting is geo.splitting and geo.structures is geo.structures
 
 
-@pytest.mark.parametrize("field, exact", [
+@pytest.mark.parametrize("quantity, exact", [
     # the horizontal part of nabla_X v1, which (nabla_X P_V) v1 gives exactly
-    (lambda geo: geo.vertical[0],
-     lambda geo, X: geo.projector_derivative(X) @ geo.vertical[0]),
-    (lambda geo: geo.j_plus, lambda geo, X: geo.structure_derivative(1, X)),
+    (lambda geo: field(geo, 0, "vertical")[0],
+     lambda geo, X: derivative(geo.projector_jet, X) @ field(geo, 0, "vertical")[0]),
+    (lambda geo: field(geo, 0, "j_plus"),
+     lambda geo, X: derivative(geo.structure_jets[0][1], X)),
 ], ids=["vector", "tensor"])
-def test_geometry_derivative_is_the_covariant_derivative(field, exact):
+def test_geometry_derivative_is_the_covariant_derivative(quantity, exact):
     # the exact jet of the geometry against the covariant derivative of the
     # same field sampled through fresh geometries, on its Richardson stencil
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
     X = np.array([0.2, -0.1, 0.4, 0.3])
-    geo = point_geometry(sc, m)
-    expected = covariant_derivative(sc.metric, lambda x: field(point_geometry(sc, x)), m, X)
+    geo = geometry_stack(sc, [m])
+    expected = covariant_derivative(sc.metric, lambda x: quantity(geometry_stack(sc, [x])),
+                                    m, X)
     if expected.ndim == 1:
-        expected = geo.horizontal_projector @ expected
+        expected = field(geo, 0, "horizontal_projector") @ expected
     assert np.max(np.abs(exact(geo, X) - expected)) < 1e-8
 
 
@@ -385,11 +417,12 @@ def test_geometry_jets_build_no_geometry(monkeypatch):
     m = np.array([0.3, 0.1, 0.25, -0.2])
     builds = count_geometry_builds(monkeypatch)
     jets = count_jets(monkeypatch)
-    geo = point_geometry(sc, m)
-    for X in (np.array([0.2, -0.1, 0.4, 0.3]), geo.vertical[0], geo.vertical[1]):
-        geo.projector_derivative(X)
-        geo.structure_derivative(1, X)
-        geo.structure_derivative(-1, X)
+    geo = morphism.geometry_stack(sc, [m])
+    vertical = field(geo, 0, "vertical")
+    for X in (np.array([0.2, -0.1, 0.4, 0.3]), vertical[0], vertical[1]):
+        derivative(geo.projector_jet, X)
+        derivative(geo.structure_jets[0][1], X)
+        derivative(geo.structure_jets[1][1], X)
     fiber_mean_curvature(geo)
     assert len(builds) == 1
     assert jets == {"projector_jet": 1, "structure_jets": 1}
@@ -400,7 +433,7 @@ def test_geometry_rejects_a_non_finite_differential():
     big = real_scenario("big", x * x * x * x, Poly.variable(1),
                         FlatMetric(Box.cube(1e200)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GeometryError):
-        point_geometry(big, np.array([1e150, 0.0, 0.0, 0.0]))
+        geometry_stack(big, [[1e150, 0.0, 0.0, 0.0]])
 
 
 # ------------------------------------------------------------ stacked pass
@@ -468,14 +501,6 @@ def bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
-def field(geo, key):
-    """The geometry's `key`; the vertical projector is read as the package
-    reads it, the point's row of its stack's splitting."""
-    if key == "vertical_projector":
-        return geo.stack.splitting[2][geo.index]
-    return getattr(geo, key)
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_CHARTS))
 @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
 def test_point_geometries_equal_the_written_out_loop_bitwise(name, layout):
@@ -487,49 +512,52 @@ def test_point_geometries_equal_the_written_out_loop_bitwise(name, layout):
         stack = wide[:, ::2]
     else:
         stack = np.asfortranarray(points) if layout == "fortran" else points
-    geometries = point_geometries(scenario, stack)
-    assert len(geometries) == len(points)
-    for geo, m in zip(geometries, points):
+    geometries = geometry_stack(scenario, stack)
+    assert len(geometries.metric.point) == len(points)
+    for i, m in enumerate(points):
         expected = written_out_geometry(scenario, m)
-        assert bits(geo.point) == bits(m)
+        assert bits(geometries.metric.point[i]) == bits(m)
         for key, value in expected.items():
-            assert bits(getattr(geo, key)) == bits(value), (key, m.tolist())
-        assert bits(geo.metric_point.gamma) == bits(expected["gamma"])
+            assert bits(field(geometries, i, key)) == bits(value), (key, m.tolist())
+        assert bits(geometries.metric.at(i).gamma) == bits(expected["gamma"])
 
 
 @pytest.mark.parametrize("name", ["pullback_z1z2", "product_sphere"])
 def test_a_geometry_reads_the_same_bits_alone_as_in_its_stack(name):
     scenario = ORACLE_CHARTS[name]
     points = validation_points(scenario, 9, seed=3)
-    for geo, m in zip(point_geometries(scenario, points), points):
-        alone = point_geometry(scenario, m)
-        assert bits(alone.vertical) == bits(geo.vertical)
-        assert bits(alone.j_plus) == bits(geo.j_plus)
-        assert (alone.defect, alone.tension_norm) == (geo.defect, geo.tension_norm)
+    geo = geometry_stack(scenario, points)
+    for i, m in enumerate(points):
+        alone = geometry_stack(scenario, [m])
+        assert bits(field(alone, 0, "vertical")) == bits(field(geo, i, "vertical"))
+        assert bits(field(alone, 0, "j_plus")) == bits(field(geo, i, "j_plus"))
+        assert ((alone.defect[0], alone.tension_norm[0])
+                == (geo.defect[i], geo.tension_norm[i]))
         for key in ("horizontal", "vertical_projector", "horizontal_projector", "j_minus"):
-            assert bits(field(alone, key)) == bits(field(geo, key)), key
+            assert bits(field(alone, 0, key)) == bits(field(geo, i, key)), key
 
 
-def written_out_splitting(geo) -> dict:
-    """The splitting and the structures at one regular geometry, every step
-    written out for the one point: two solves, the kernel vector by vector,
-    a Gram-Schmidt loop over the projected axes, the orientation flip and
-    one inverse of the adapted basis."""
-    lam = geo.dilation
-    graw = geo.jac @ geo.ginv @ geo.jac.T
-    e1, e2 = (geo.ginv @ geo.jac.T @ np.linalg.solve(graw, lam * eps) for eps in np.eye(2))
-    k1, k2 = (geo.ginvsqrt @ geo.right_vectors[k] for k in (2, 3))
-    p_vert = (np.outer(k1, k1) + np.outer(k2, k2)) @ geo.g
+def written_out_splitting(stack, i) -> dict:
+    """The splitting and the structures at one regular row of a geometry
+    stack, every step written out for the one point: two solves, the kernel
+    vector by vector, a Gram-Schmidt loop over the projected axes, the
+    orientation flip and one inverse of the adapted basis."""
+    jac, ginv, g = stack.jac[i], stack.ginv[i], stack.metric.g[i]
+    lam = float(np.sqrt(max(0.0, stack.squared_dilation[i])))
+    graw = jac @ ginv @ jac.T
+    e1, e2 = (ginv @ jac.T @ np.linalg.solve(graw, lam * eps) for eps in np.eye(2))
+    k1, k2 = (stack.ginvsqrt[i] @ stack.right_vectors[i, k] for k in (2, 3))
+    p_vert = (np.outer(k1, k1) + np.outer(k2, k2)) @ g
     vectors = []
     for axis in np.eye(4):
         w = p_vert @ axis
         for u in vectors:
-            w = w - (w @ geo.g @ u) * u
-        n = float(np.sqrt(max(0.0, w @ geo.g @ w)))
-        if n > 0 and n >= 1e-8 * np.sqrt(axis @ geo.g @ axis):
+            w = w - (w @ g @ u) * u
+        n = float(np.sqrt(max(0.0, w @ g @ w)))
+        if n > 0 and n >= 1e-8 * np.sqrt(axis @ g @ axis):
             vectors.append(w / n)
     v1, v2 = vectors[:2]
-    if np.linalg.det(np.array([e1, e2, v1, v2]).T) * geo.scenario.orientation < 0:
+    if np.linalg.det(np.array([e1, e2, v1, v2]).T) * stack.scenario.orientation < 0:
         v2 = -v2
     B = np.column_stack([e1, e2, v1, v2])
     Binv = np.linalg.inv(B)
@@ -541,12 +569,12 @@ def written_out_splitting(geo) -> dict:
 @pytest.mark.parametrize("name", sorted(ORACLE_CHARTS))
 def test_the_stacked_splitting_equals_the_written_out_splitting_bitwise(name):
     scenario = ORACLE_CHARTS[name]
-    regular = [geo for geo in point_geometries(scenario, validation_points(scenario, 25, 5))
-               if geo.is_regular]
-    assert regular
-    for geo in regular:
-        for key, value in written_out_splitting(geo).items():
-            assert bits(field(geo, key)) == bits(value), (key, geo.point.tolist())
+    stack = geometry_stack(scenario, validation_points(scenario, 25, 5))
+    regular = np.flatnonzero(stack.regular)
+    assert regular.size
+    for i in regular:
+        for key, value in written_out_splitting(stack, i).items():
+            assert bits(field(stack, i, key)) == bits(value), (key, stack.metric.point[i].tolist())
 
 
 def rank_one_scenario():
@@ -565,19 +593,19 @@ def rank_one_scenario():
 def test_a_failing_row_leaves_the_other_splittings_of_its_stack(scenario, bad, error,
                                                                  message):
     good = [[0.4, 0.3, -0.2, 0.1], [-0.1, 0.5, 0.25, -0.3]]
-    geometries = point_geometries(scenario, [good[0], bad, good[1]])
+    stack = geometry_stack(scenario, [good[0], bad, good[1]])
     for read in ("vertical", "horizontal", "j_plus", "j_minus"):
         with pytest.raises(error) as stacked:
-            getattr(geometries[1], read)
+            field(stack, 1, read)
         with pytest.raises(error) as alone:
-            getattr(point_geometry(scenario, bad), read)
+            field(geometry_stack(scenario, [bad]), 0, read)
         assert message in str(stacked.value)
         assert str(stacked.value) == str(alone.value)
-    for geo, m in zip(geometries[::2], good):
-        alone = point_geometry(scenario, m)
+    for i, m in zip((0, 2), good):
+        alone = geometry_stack(scenario, [m])
         for key in ("horizontal", "vertical", "vertical_projector", "horizontal_projector",
                     "j_plus", "j_minus"):
-            assert bits(field(geo, key)) == bits(field(alone, key)), key
+            assert bits(field(stack, i, key)) == bits(field(alone, 0, key)), key
 
 
 def stepped_scenario():
@@ -610,10 +638,10 @@ def test_a_failing_stack_names_its_first_failing_point(first, later, error, mess
     scenario = stepped_scenario()
     stack = np.array([GOOD, GOOD, first, GOOD, later])
     with pytest.raises(error) as stacked:
-        point_geometries(scenario, stack)
+        geometry_stack(scenario, stack)
     with pytest.raises(error) as looped:
         for m in stack:
-            point_geometry(scenario, m)
+            geometry_stack(scenario, [m])
     assert str(stacked.value) == str(looped.value)
     assert message in str(stacked.value)
     assert str(np.array(first).tolist()) in str(stacked.value)
@@ -625,15 +653,14 @@ def test_a_stack_evaluates_the_metric_derivatives_once(metric_calls):
     # geometries then needs only that point's second derivatives
     scenario = ORACLE_CHARTS["pullback_z1z2"]
     points = validation_points(scenario, 5, seed=2)
-    geometries = point_geometries(scenario, points)
-    [geo.gamma for geo in geometries]
+    stack = geometry_stack(scenario, points)
+    stack.metric.gamma
     metric = scenario.metric
     images = [(metric.base, *y) for y in evaluate(metric.diffeo, points).real.tolist()]
     assert metric_calls["first_derivatives"] == images
-    geo = geometries[3]
     for log in metric_calls.values():
         log.clear()
-    einstein_defect(geo.metric_point)
+    einstein_defect(stack.metric.at(3))
     assert metric_calls == {"matrix": [], "first_derivatives": [],
                             "second_derivatives": [images[3]]}
 

@@ -197,8 +197,8 @@ def test_dilation_lower_rate_square_map_excludes_critical_rays():
         assert abs(d[0]) < 1e-12 and abs(d[1]) < 1e-12
     # along the first coordinate axis, the sample's first direction, the
     # dilation is exactly 2r
-    for r, shell in zip(sample.radii, sample.geometries):
-        v = shell[0].dilation_sup
+    ray = sample.stack.singular_values[::len(sample.directions), 0]
+    for r, v in zip(sample.radii, ray):
         assert v / (2.0 * r) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -22,7 +22,7 @@ from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import Box, ChartMetric, FlatMetric, ProductSphereMetric
-from morphoscope.morphism import point_geometry
+from morphoscope.morphism import geometry_stack
 from morphoscope.polynomials import Poly
 from morphoscope.structures import K_MINUS, K_PLUS, structure_from_fiber
 from morphoscope.twistor import (SurfacePatch, curvature_densities, fiber_coordinates,
@@ -379,7 +379,7 @@ def test_rejected_chart_metric_names_the_point(bad):
                               constant_metric(bad, Box.cube(2.0)))
     named = re.escape(str([0.25, -0.5, 0.0, 0.0]))
     with pytest.raises(GeometryError, match=named):
-        point_geometry(sc, np.array([0.25, -0.5, 0.0, 0.0]))
+        geometry_stack(sc, [[0.25, -0.5, 0.0, 0.0]])
     with pytest.raises(GeometryError, match=named):
         lift_stack(sc, plane_patch(), [(0.25, -0.5)])
 

@@ -19,15 +19,15 @@ from morphoscope.calculus import holomorphic_scenario
 from morphoscope.errors import ClassificationError, GeometryError
 from morphoscope.hermitian import hermitian_pair
 from morphoscope import morphism, weingarten
-from morphoscope.morphism import fiber_mean_curvature, point_geometry, splitting
+from morphoscope.morphism import fiber_mean_curvature, geometry_stack, splitting
 from morphoscope.weingarten import (FiberShape, closed_norm_pair, commutator_matrix,
                                     fiber_shape, frame_component_sums,
                                     identity_scale, nabla_J_norms, polar_form,
                                     product_bound_scan, product_identity,
-                                    product_polar, weingarten_matrix)
+                                    product_polar, shape_stack, weingarten_matrix)
 
-from test_morphism import (GOOD, NOT_SPD, count_geometry_builds, count_jets,
-                           scenario_product, scenario_proj, scenario_pullback_product,
+from test_morphism import (GOOD, NOT_SPD, count_geometry_builds, count_jets, derivative,
+                           field, scenario_product, scenario_proj, scenario_pullback_product,
                            scenario_square, stepped_scenario)
 
 COEFF = st.floats(min_value=-10.0, max_value=10.0,
@@ -59,9 +59,9 @@ def fiber_second_form_oracle(scenario, m, parametrization, z0, h=1e-3):
 
     sp = splitting(scenario, m)
     pair = hermitian_pair(scenario, m)
-    T = sp.vertical[0]
-    e2 = pair.j_plus @ T
-    e3, e4 = sp.horizontal
+    T = field(sp, 0, "vertical")[0]
+    e2 = field(pair, 0, "j_plus") @ T
+    e3, e4 = field(sp, 0, "horizontal")
 
     tangent = np.column_stack([phi_s, phi_t])
     pT, _, _, _ = np.linalg.lstsq(tangent, T, rcond=None)
@@ -205,10 +205,11 @@ def test_direct_norm_is_frame_gauge_invariant():
     m = np.array([1.0, 0.0, 1.0, 0.0])
     sp = splitting(sc, m)
     pair = hermitian_pair(sc, m)
-    T = sp.vertical[0]
+    T = field(sp, 0, "vertical")[0]
     g = sc.metric.matrix(m)
-    dJ = point_geometry(sc, m).structure_derivative(-1, T)
-    frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
+    dJ = derivative(geometry_stack(sc, [m]).structure_jets[1][1], T)
+    e3, e4 = field(sp, 0, "horizontal")
+    frame = np.array([T, field(pair, 0, "j_plus") @ T, e3, e4])
     full_a, _ = frame_component_sums(dJ, g, frame)
     phi = 0.7
     rot = np.array([math.cos(phi) * frame[0] + math.sin(phi) * frame[1],
@@ -224,10 +225,11 @@ def test_mixed_components_carry_half_the_full_sum():
     m = np.array([1.0, 0.0, 1.0, 0.0])
     sp = splitting(sc, m)
     pair = hermitian_pair(sc, m)
-    T = sp.vertical[0]
+    T = field(sp, 0, "vertical")[0]
     g = sc.metric.matrix(m)
-    frame = np.array([T, pair.j_plus @ T, sp.horizontal[0], sp.horizontal[1]])
-    dJ = point_geometry(sc, m).structure_derivative(-1, T)
+    e3, e4 = field(sp, 0, "horizontal")
+    frame = np.array([T, field(pair, 0, "j_plus") @ T, e3, e4])
+    dJ = derivative(geometry_stack(sc, [m]).structure_jets[1][1], T)
     full, mixed = frame_component_sums(dJ, g, frame)
     assert full > 1.0
     assert abs(full - 2.0 * mixed) <= 1e-6 * full
@@ -284,8 +286,8 @@ def test_shape_and_mean_curvature_read_the_geometry_jets(monkeypatch, angle):
     m = np.array([0.3, 0.1, 0.25, -0.2])
     builds = count_geometry_builds(monkeypatch)
     jets = count_jets(monkeypatch)
-    geo = morphism.point_geometry(sc, m)
-    FiberShape(geo, angle).direct
+    geo = morphism.geometry_stack(sc, [m])
+    FiberShape(shape_stack(geo, [0], angle), 0).direct
     fiber_mean_curvature(geo)
     assert len(builds) == 1
     assert jets == {"projector_jet": 1, "structure_jets": 1}
@@ -301,17 +303,17 @@ def test_scan_builds_at_most_five_geometries_per_sample(monkeypatch):
 
 
 def count_geometry_stacks(monkeypatch) -> list:
-    """The size of each stack point_geometries builds, through every module
-    that binds it, in call order."""
+    """The size of each stack geometry_stack builds, through the morphism
+    and weingarten modules, in call order."""
     sizes = []
-    original = morphism.point_geometries
+    original = morphism.geometry_stack
 
     def counted(scenario, points):
         sizes.append(len(np.array(points, dtype=float).reshape(-1, 4)))
         return original(scenario, points)
 
     for module in (morphism, weingarten):
-        monkeypatch.setattr(module, "point_geometries", counted)
+        monkeypatch.setattr(module, "geometry_stack", counted)
     return sizes
 
 
@@ -356,7 +358,7 @@ def scan_error(scenario, shells, monkeypatch):
     with pytest.raises(Exception) as looped:
         for r, shell in zip(radii, shells):
             for y in shell:
-                FiberShape(point_geometry(scenario, y), 0.0)
+                shape_stack(geometry_stack(scenario, [y]), [0], 0.0)
     return scanned.value, looped.value
 
 
@@ -418,16 +420,17 @@ def test_a_later_error_of_any_type_does_not_replace_an_earlier_one(monkeypatch):
 
 
 def per_sample_shape(geo, angle):
-    """(a, b, c, d) of one geometry, written out point by point from the
-    exact derivative of its vertical projector along T."""
+    """(a, b, c, d) of a stack of one point, written out point by point from
+    the exact derivative of its vertical projector along T."""
     ca, sa = math.cos(angle), math.sin(angle)
-    v1, v2 = geo.vertical
+    v1, v2 = field(geo, 0, "vertical")
     T, e2 = ca * v1 + sa * v2, ca * v2 - sa * v1
-    e3, e4 = geo.horizontal
-    dP = geo.projector_derivative(T)
+    e3, e4 = field(geo, 0, "horizontal")
+    dP = derivative(geo.projector_jet, T)
     dT, dE2 = dP @ T, dP @ e2
-    return (-float(dT @ geo.g @ e3), -float(dT @ geo.g @ e4),
-            -float(dE2 @ geo.g @ e3), -float(dE2 @ geo.g @ e4))
+    g = field(geo, 0, "g")
+    return (-float(dT @ g @ e3), -float(dT @ g @ e4),
+            -float(dE2 @ g @ e3), -float(dE2 @ g @ e4))
 
 
 CRITICAL_CHARTS = ("z1z2", "z1sq", "z1z2_cubic", "pullback_z1z2")
@@ -443,8 +446,8 @@ def test_scan_shapes_equal_a_per_sample_loop_bitwise(monkeypatch, name, angle):
     stacks = []
     built = weingarten.shape_stack
 
-    def recorded(geometries, angle):
-        stacks.append(built(geometries, angle))
+    def recorded(stack, index, angle):
+        stacks.append(built(stack, index, angle))
         return stacks[-1]
 
     monkeypatch.setattr(weingarten, "shape_stack", recorded)
@@ -458,8 +461,8 @@ def test_scan_shapes_equal_a_per_sample_loop_bitwise(monkeypatch, name, angle):
         for y in r * directions:
             if not scenario.domain.contains(y):
                 continue
-            geo = point_geometry(scenario, y)
-            if geo.is_regular:
+            geo = geometry_stack(scenario, [y])
+            if geo.regular[0]:
                 coeffs = per_sample_shape(geo, angle)
                 n_plus, n_minus = closed_norm_pair(*coeffs)
                 products.append(n_plus * n_minus)
