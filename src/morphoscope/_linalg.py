@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateFrameError, GeometryError
@@ -54,24 +56,43 @@ def minimize_affine_on_sphere(rho0: np.ndarray, R: np.ndarray) -> tuple[np.ndarr
     trust-region secular equation in the eigenbasis of R^T R. The hard case
     (right-hand side orthogonal to the bottom eigenspace) pads the solution
     with a bottom eigenvector. Returns (u, residual norm).
+
+    The solve is scale-free: rho0 and R are first divided by the power of
+    two that brings max|R| into [1, 2), which is exact, and the residual is
+    scaled back, so the eigenvalue-cluster test, the bracket and the stop
+    rule of the bisection are relative to R. The bisection runs on Python
+    floats over the eigen-coordinates; the secular function sums its terms
+    left to right and squares by a product, as numpy does on fewer than
+    eight terms, so it keeps the bits of the array form.
     """
     R = np.asarray(R, dtype=float)
     rho0 = np.asarray(rho0, dtype=float)
+    top = float(np.max(np.abs(R), initial=0.0))
+    shift = math.frexp(top)[1] - 1 if 0.0 < top < math.inf else 0
+    if shift:
+        R, rho0 = np.ldexp(R, -shift), np.ldexp(rho0, -shift)
     H = R.T @ R
     b = R.T @ rho0
     w, Q = np.linalg.eigh(H)
     beta = Q.T @ b
     lam0 = float(w[0])
-    scale = max(1.0, float(abs(w[-1])), float(np.linalg.norm(b)))
+    norm_b = float(np.linalg.norm(b))
+    scale = max(1.0, float(abs(w[-1])), norm_b)
     bottom = np.abs(w - lam0) <= 1e-12 * scale
+    # mu stays above -lam0, so no denominator w + mu vanishes
+    terms = tuple(zip(beta.tolist(), w.tolist()))
 
     def phi(mu: float) -> float:
-        return float(np.sum((beta / (w + mu)) ** 2))
+        total = 0.0
+        for beta_k, w_k in terms:
+            t = beta_k / (w_k + mu)
+            total += t * t
+        return total
 
     delta = 1e-14 * scale
     lo = -lam0 + delta
     if phi(lo) >= 1.0:
-        hi = -lam0 + max(2.0 * delta, 2.0 * float(np.linalg.norm(b)) + 1.0)
+        hi = -lam0 + max(2.0 * delta, 2.0 * norm_b + 1.0)
         while phi(hi) > 1.0:
             hi = -lam0 + 2.0 * (hi + lam0)
         a, c = lo, hi
@@ -101,5 +122,4 @@ def minimize_affine_on_sphere(rho0: np.ndarray, R: np.ndarray) -> tuple[np.ndarr
     if n == 0:
         raise DegenerateFrameError("sphere-constrained least squares degenerated")
     u = u / n
-    return u, float(np.linalg.norm(rho0 + R @ u))
-
+    return u, float(np.linalg.norm(rho0 + R @ u)) * math.ldexp(1.0, shift)

@@ -107,13 +107,16 @@ def _regular_rays(sample: CenterSample):
     substitutions are reported as (seeded direction index, attempts used).
     """
     stack, width = sample.stack, len(sample.directions)
+    regular = stack.regular
+    # whether every sample of each ray is regular
+    ray_regular = regular.reshape(-1, width).all(axis=0).tolist()
     rng = np.random.default_rng(sample.seed + 7919)
     rays = []
     substitutions = []
     for i in range(N_AXES, width):
-        ray = [(stack, row) for row in range(i, len(stack.regular), width)]
-        attempt = 0
-        while not all(source.regular[row] for source, row in ray):
+        ray = [(stack, row) for row in range(i, len(regular), width)]
+        attempt, ok = 0, ray_regular[i]
+        while not ok:
             if attempt == MAX_DIRECTION_SUBSTITUTIONS:
                 raise ClassificationError(
                     "could not steer a sample ray off the critical set after "
@@ -123,6 +126,7 @@ def _regular_rays(sample: CenterSample):
             d = d / np.linalg.norm(d)
             ray = _ray_until_critical(sample.symbol.chart.scenario,
                                       shell_samples(d[None], sample.radii)[1][:, 0])
+            ok = all(source.regular[0] for source, _ in ray)
         if attempt > 0:
             substitutions.append((i - N_AXES, attempt))
         rays.append(ray)

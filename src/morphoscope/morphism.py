@@ -264,12 +264,15 @@ def _stack_pass(scenario: MorphismScenario, points: np.ndarray) -> GeometryStack
     metric.inverse  # derived here, so a singular metric fails in the pass
     ginv = ginvsqrt @ ginvsqrt
 
-    conformal = gauge @ gauge.swapaxes(-1, -2)
-    squared_dilation = 0.5 * conformal.trace(axis1=-2, axis2=-1)
-    offset = (conformal - squared_dilation[:, None, None] * np.eye(2)).reshape(-1, 1, 4)
-    # the Frobenius norm as np.linalg.norm takes it: a dot product of the
-    # flattened matrix with itself
-    defect = np.sqrt((offset @ offset.swapaxes(-1, -2))[:, 0, 0])
+    # entries that overflow come out non-finite, without a warning: the
+    # check of the defect rejects those rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        conformal = gauge @ gauge.swapaxes(-1, -2)
+        squared_dilation = 0.5 * conformal.trace(axis1=-2, axis2=-1)
+        offset = (conformal - squared_dilation[:, None, None] * np.eye(2)).reshape(-1, 1, 4)
+        # the Frobenius norm as np.linalg.norm takes it: a dot product of
+        # the flattened matrix with itself
+        defect = np.sqrt((offset @ offset.swapaxes(-1, -2))[:, 0, 0])
     return GeometryStack(scenario=scenario, metric=metric, jac=jac, ginv=ginv,
                          ginvsqrt=ginvsqrt, singular_values=sv, right_vectors=vt,
                          conformal=conformal, squared_dilation=squared_dilation,

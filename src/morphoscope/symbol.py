@@ -76,8 +76,30 @@ class SymbolCandidate:
     fiber: np.ndarray            # unit coordinates over the structure basis
     matrix: np.ndarray           # the structure in normalized chart coordinates
     residual: float              # relative holomorphy residual of the symbol
-    coefficients: Dict[Tuple[int, int], complex]
     antiholomorphic_max: float   # largest stray conjugate coefficient, relative
+    adapted: Poly                # the symbol in the adapted frame of the structure
+    order: int                   # the degree of the symbol
+
+    @cached_property
+    def coefficients(self) -> Dict[Tuple[int, int], complex]:
+        """The coefficients c_ab of w1^a w2^b in the adapted symbol, from
+        its holomorphic Wirtinger derivatives at the origin, derived on first
+        read; those below 1e-12 of the largest adapted coefficient are
+        dropped."""
+        scale = max(self.adapted.max_abs_coeff(), 1e-300)
+        coeffs: Dict[Tuple[int, int], complex] = {}
+        for a in range(self.order + 1):
+            b = self.order - a
+            work = self.adapted
+            for _ in range(a):
+                work, _ = _wirtinger_pair(work, 0)
+            for _ in range(b):
+                work, _ = _wirtinger_pair(work, 1)
+            c = work.eval(np.zeros(4))
+            c /= float(math.factorial(a) * math.factorial(b))
+            if abs(c) > 1e-12 * scale:
+                coeffs[(a, b)] = c
+        return coeffs
 
 
 @dataclass
@@ -93,33 +115,40 @@ class SymbolData:
 
 
 def _holomorphy_system(p_diffs: Sequence[Poly], basis) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Vectorize dP(J(u) X) - i dP(X) = 0 as rho0 + R u over real coefficients."""
+    """Vectorize dP(J(u) X) - i dP(X) = 0 as rho0 + R u over real coefficients.
+
+    The rows run over the covector index j, then the monomials of dP in
+    sorted order, then the real and imaginary parts. Every basis structure
+    J_a is a signed permutation, so block j of column a of R is row k of the
+    (4, width) coefficient matrix of dP times J_a[k, j] = +-1, for the one k
+    where that entry is nonzero. Returns (rho0, R, norm of dP's coefficients).
+    """
     monomials = sorted({e for p in p_diffs for e in p.coeffs})
     index = {e: i for i, e in enumerate(monomials)}
     width = len(monomials)
-
-    def vectorize(covector_polys) -> np.ndarray:
-        out = np.zeros(2 * 4 * width)
-        for j, poly in enumerate(covector_polys):
-            for e, c in poly.coeffs.items():
-                i = index[e]
-                out[2 * (j * width + i)] = c.real
-                out[2 * (j * width + i) + 1] = c.imag
-        return out
-
-    rho0 = vectorize([-1j * p_diffs[j] for j in range(4)])
-    cols = []
-    for Ja in basis:
-        cols.append(vectorize([
-            sum((p_diffs[k] * Ja[k, j] for k in range(4)), Poly.zero())
-            for j in range(4)]))
-    R = np.column_stack(cols)
-    scale = float(np.linalg.norm(vectorize(p_diffs)))
-    return rho0, R, scale
+    coeffs = [[0j] * width for _ in range(4)]
+    rho = [[0j] * width for _ in range(4)]
+    for j, poly in enumerate(p_diffs):
+        for e, c in poly.coeffs.items():
+            coeffs[j][index[e]] = c
+            rho[j][index[e]] = -1j * c
+    # (4, 2 * width): real and imaginary parts interleaved
+    C = np.array(coeffs, dtype=complex).view(float)
+    J = np.array(basis)
+    k = np.abs(J).argmax(axis=1)
+    signs = J.max(axis=1) + J.min(axis=1)
+    # adding zero makes the zeros positive, as the sums of the polynomial
+    # route did; every other entry is an exact signed copy
+    R = np.ascontiguousarray((signs[..., None] * C[k] + 0.0).reshape(len(basis), -1).T)
+    rho0 = np.array(rho, dtype=complex).view(float).ravel()
+    return rho0, R, float(np.linalg.norm(C.ravel()))
 
 
 def _certify_candidate(P0: Poly, J: np.ndarray, orientation: int, order: int,
                        fiber: np.ndarray, residual: float) -> SymbolCandidate:
+    """J as a candidate, with the largest conjugate Wirtinger coefficient of
+    the symbol in the adapted frame of J relative to its largest coefficient
+    there: two derivatives, one per complex direction."""
     frame = _adapted_frame(J)
     y = [Poly.variable(k) for k in range(4)]
     rows = [sum((frame[i, c] * y[c] for c in range(4)), Poly.zero()) for i in range(4)]
@@ -129,25 +158,20 @@ def _certify_candidate(P0: Poly, J: np.ndarray, orientation: int, order: int,
     for axis in (0, 1):
         _, dbar = _wirtinger_pair(tilted, axis)
         anti = max(anti, dbar.max_abs_coeff() / scale)
-    coeffs: Dict[Tuple[int, int], complex] = {}
-    for a in range(order + 1):
-        b = order - a
-        work = tilted
-        for _ in range(a):
-            work, _ = _wirtinger_pair(work, 0)
-        for _ in range(b):
-            work, _ = _wirtinger_pair(work, 1)
-        c = work.eval(np.zeros(4))
-        c /= float(math.factorial(a) * math.factorial(b))
-        if abs(c) > 1e-12 * max(1.0, scale):
-            coeffs[(a, b)] = c
     return SymbolCandidate(orientation=orientation, fiber=fiber, matrix=J,
-                           residual=residual, coefficients=coeffs,
-                           antiholomorphic_max=anti)
+                           residual=residual, antiholomorphic_max=anti,
+                           adapted=tilted, order=order)
 
 
 def symbol_polynomial(scenario: MorphismScenario, m0) -> SymbolData:
-    """Extract the leading symbol and its compatible constant structures."""
+    """Extract the leading symbol and its compatible constant structures.
+
+    Per orientation the holomorphy system of the symbol is solved on the
+    sphere of fiber coordinates, a second solution is sought along a
+    one-dimensional null space of R, and each solution is certified by the
+    two conjugate Wirtinger derivatives of the symbol in its adapted frame;
+    the holomorphic coefficients are derived only when read.
+    """
     m0 = np.asarray(m0, dtype=float)
     chart = normalized_scenario(scenario, m0)
     diff = _recentred_difference(chart.scenario)
@@ -282,17 +306,16 @@ def dilation_lower_rate(sample: CenterSample) -> DilationLowerRate:
     k = sample.symbol.order
     dirs = sample.directions
     radii = sample.radii
-    # rows are directions: a ray is excluded as a whole
-    table = sample.stack.singular_values[:, 0].reshape(len(radii), len(dirs)).T
-    excluded = [i for i in range(len(dirs)) if np.all(table[i] < EPS_CRITICAL)]
-    keep = [i for i in range(len(dirs)) if i not in excluded]
-    if not keep:
+    # columns are directions: a ray is excluded as a whole
+    table = sample.stack.singular_values[:, 0].reshape(len(radii), len(dirs))
+    excluded = (table < EPS_CRITICAL).all(axis=0)
+    if excluded.all():
         raise SymbolError("every sampled direction is critical; no dilation envelope")
-    values = tuple(float(np.min(table[keep, j])) for j in range(len(radii)))
+    values = tuple(table[:, ~excluded].min(axis=1).tolist())
     fit = fit_rate(radii, values)
     envelope = float(min(v / r ** (k - 1) for v, r in zip(values, radii)))
     ok = fit.meets_upper_slope(k - 1 + 0.1) and envelope > 1e-12
     return DilationLowerRate(order=k, radii=radii, values=values, fit=fit,
                              envelope_constant=envelope,
-                             excluded_directions=tuple(dirs[i] for i in excluded),
+                             excluded_directions=tuple(dirs[excluded]),
                              verdict="PASS" if ok else "FAIL")

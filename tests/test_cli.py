@@ -23,7 +23,7 @@ from morphoscope.report import fingerprint
 from morphoscope.structures import K_PLUS
 
 from test_morphism import count_geometry_builds, count_jets
-from test_symbol import count_calls
+from test_symbol import count_calls, scaled_catalog_config
 
 
 def write_config(tmp_path, name):
@@ -911,3 +911,21 @@ def test_an_overflowing_lift_exits_two_without_warnings(tmp_path, capsys):
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     assert "structure squared is not minus the identity" in capsys.readouterr().err
     assert not list(tmp_path.glob("proj_twistor*"))
+
+
+@pytest.mark.parametrize("factor", [1e100, 1e150])
+def test_an_overflowing_map_exits_two_without_warnings(tmp_path, capsys, factor):
+    # z1 z2 times 1e100 or more squares its differential past the largest
+    # float: the defect check rejects the geometry, with no numpy warning on
+    # the way, while the scale-free symbol still certifies
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scaled_catalog_config("z1z2", factor)))
+    for argv in (["validate"], ["analyze", REGULAR_POINT], ["weingarten", REGULAR_POINT],
+                 ["weingarten", "--scan"], ["rate"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(tmp_path, argv[0], "--config", str(path), *argv[1:]) == 2
+        assert "conformality defect" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, "symbol", "--config", str(path)) == 0

@@ -35,6 +35,8 @@ UNUSED_KEPT = {
     "structure_from_fiber": "reference implementation that tests compare against",
     "fiber_mean_curvature": "certifies minimal singular fibres (ROADMAP item 4)",
     "isolated_extension": "certifies the isolated-center extension in rate (ROADMAP item 5)",
+    "SymbolCandidate.coefficients": "the symbol's holomorphic coefficients, which tests "
+                                    "check against hand-derived values",
 }
 
 

@@ -9,19 +9,22 @@ one candidate per orientation).
 
 from __future__ import annotations
 
+import itertools
+import math
 import sys
 
 import numpy as np
 import pytest
 
 from morphoscope import calculus, symbol
+from morphoscope._linalg import minimize_affine_on_sphere
 from morphoscope.calculus import holomorphic_scenario, pullback_scenario, real_scenario
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import SymbolError, UnsupportedOrderError
 from morphoscope.geometry import Box, FlatMetric
 from morphoscope.runner import run_rate
-from morphoscope.polynomials import Poly
+from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.structures import (
     K_MINUS, K_PLUS, fiber_from_structure, structure_basis, structure_from_fiber,
 )
@@ -239,3 +242,154 @@ def test_rate_builds_one_sample_per_center(monkeypatch, metric_calls, name):
     assert len(symbols) == n_centers
     assert len(points) == len(set(points))
     assert len(points) <= n_centers * (n_radii * (8 + config.analysis["n_directions"]) + 1)
+
+
+# ------------------------------------------------- the symbol solve, exactly
+
+
+def reference_holomorphy_system(p_diffs, basis):
+    """The holomorphy system built term by term with polynomial products and
+    sums: the reference that symbol._holomorphy_system gathers bit for bit."""
+    monomials = sorted({e for p in p_diffs for e in p.coeffs})
+    index = {e: i for i, e in enumerate(monomials)}
+    width = len(monomials)
+
+    def vectorize(covector_polys) -> np.ndarray:
+        out = np.zeros(2 * 4 * width)
+        for j, poly in enumerate(covector_polys):
+            for e, c in poly.coeffs.items():
+                i = index[e]
+                out[2 * (j * width + i)] = c.real
+                out[2 * (j * width + i) + 1] = c.imag
+        return out
+
+    rho0 = vectorize([-1j * p_diffs[j] for j in range(4)])
+    cols = []
+    for Ja in basis:
+        cols.append(vectorize([
+            sum((p_diffs[k] * Ja[k, j] for k in range(4)), Poly.zero())
+            for j in range(4)]))
+    R = np.column_stack(cols)
+    scale = float(np.linalg.norm(vectorize(p_diffs)))
+    return rho0, R, scale
+
+
+def reference_sphere_solve(rho0, R):
+    """The sphere solve with its secular function on numpy arrays, after the
+    same power-of-two step: the reference of _linalg.minimize_affine_on_sphere."""
+    top = float(np.max(np.abs(R), initial=0.0))
+    shift = math.frexp(top)[1] - 1 if 0.0 < top < math.inf else 0
+    R, rho0 = np.ldexp(R, -shift), np.ldexp(rho0, -shift)
+    H = R.T @ R
+    b = R.T @ rho0
+    w, Q = np.linalg.eigh(H)
+    beta = Q.T @ b
+    lam0 = float(w[0])
+    scale = max(1.0, float(abs(w[-1])), float(np.linalg.norm(b)))
+    bottom = np.abs(w - lam0) <= 1e-12 * scale
+
+    def phi(mu):
+        return float(np.sum((beta / (w + mu)) ** 2))
+
+    delta = 1e-14 * scale
+    lo = -lam0 + delta
+    if phi(lo) >= 1.0:
+        hi = -lam0 + max(2.0 * delta, 2.0 * float(np.linalg.norm(b)) + 1.0)
+        while phi(hi) > 1.0:
+            hi = -lam0 + 2.0 * (hi + lam0)
+        a, c = lo, hi
+        for _ in range(300):
+            mid = 0.5 * (a + c)
+            if phi(mid) > 1.0:
+                a = mid
+            else:
+                c = mid
+            if c - a <= 1e-15 * max(1.0, abs(c)):
+                break
+        u = Q @ (-beta / (w + 0.5 * (a + c)))
+    else:
+        coeff = np.zeros_like(beta)
+        mask = ~bottom
+        coeff[mask] = -beta[mask] / (w[mask] - lam0)
+        norm2 = float(np.sum(coeff ** 2))
+        if norm2 > 1.0:
+            coeff /= np.sqrt(norm2)
+            norm2 = 1.0
+        u = Q @ coeff + np.sqrt(max(0.0, 1.0 - norm2)) * Q[:, 0]
+    u = u / float(np.linalg.norm(u))
+    return u, float(np.linalg.norm(rho0 + R @ u)) * math.ldexp(1.0, shift)
+
+
+def random_symbol(rng, degree) -> Poly:
+    """A seeded homogeneous symbol: holomorphic in the chart's complex
+    coordinates, a sparse real-and-imaginary mix, or dense, at a random scale."""
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) == degree]
+    kind = rng.integers(3)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == 0:
+        terms = {(a, degree - a): complex(*rng.standard_normal(2))
+                 for a in range(degree + 1) if rng.random() < 0.6}
+        return from_complex_pair(terms or {(degree, 0): 1.0}) * scale
+    chosen = (rng.choice(len(monomials), size=min(3, len(monomials)), replace=False)
+              if kind == 1 else range(len(monomials)))
+    return Poly({monomials[i]: scale * complex(*rng.standard_normal(2)) for i in chosen})
+
+
+def test_symbol_solve_is_bit_equal_to_the_polynomial_route():
+    # rho0, R, scale, u and the residual match the term-by-term system and
+    # the array secular function exactly, zero signs aside
+    rng = np.random.default_rng(20261019)
+    for _ in range(120):
+        P0 = random_symbol(rng, int(rng.integers(2, 7)))
+        p_diffs = [P0.diff(j) for j in range(4)]
+        for orientation in (1, -1):
+            basis = structure_basis(orientation)
+            got = symbol._holomorphy_system(p_diffs, basis)
+            want = reference_holomorphy_system(p_diffs, basis)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert got[1].flags["C_CONTIGUOUS"]
+            u, res = minimize_affine_on_sphere(got[0], got[1])
+            u_ref, res_ref = reference_sphere_solve(want[0], want[1])
+            assert np.array_equal(u, u_ref)
+            assert res == res_ref
+
+
+def test_certifying_a_candidate_takes_two_wirtinger_derivatives(monkeypatch):
+    # the conjugate derivatives in both complex directions certify; the
+    # holomorphic coefficients are derived once, on their first read
+    calls = count_calls(monkeypatch, symbol, "_wirtinger_pair")
+    data = symbol_polynomial(scenario_square(), np.zeros(4))
+    assert len(data.candidates) == 2
+    assert len(calls) == 2 * len(data.candidates)
+    first = data.candidates[0].coefficients
+    # order 2: two derivatives for each of the three coefficients
+    assert len(calls) == 2 * len(data.candidates) + 6
+    assert data.candidates[0].coefficients is first
+    assert len(calls) == 2 * len(data.candidates) + 6
+
+
+def scaled_catalog_config(name, factor) -> dict:
+    cfg = catalog_configs()[name]
+    for term in cfg["map"]["coefficients"]:
+        term["re"] *= factor
+        term["im"] *= factor
+    return cfg
+
+
+@pytest.mark.parametrize("factor", [1e-30, 1e-8, 1e8, 1e100])
+@pytest.mark.parametrize("name", ["z1z2", "z1sq", "pullback_z1z2"])
+def test_symbol_is_scale_free(name, factor):
+    # a map times a constant has the same symbol order, orientations and
+    # compatible structures
+    def solve(f):
+        scenario = build_scenario(ScenarioConfig.from_dict(scaled_catalog_config(name, f)))
+        return symbol_polynomial(scenario, np.zeros(4))
+
+    base, scaled = solve(1.0), solve(factor)
+    assert scaled.order == base.order
+    assert [c.orientation for c in scaled.candidates] == [c.orientation for c in base.candidates]
+    for got, want in zip(scaled.candidates, base.candidates):
+        assert np.allclose(got.fiber, want.fiber, rtol=0, atol=1e-12)
+        assert got.antiholomorphic_max <= symbol.ANTIHOLO_REL
+        assert set(got.coefficients) == set(want.coefficients)
