@@ -135,6 +135,7 @@ def _holomorphy_system(p_diffs: Sequence[Poly], basis) -> Tuple[np.ndarray, np.n
     # (4, 2 * width): real and imaginary parts interleaved
     C = np.array(coeffs, dtype=complex).view(float)
     J = np.array(basis)
+    # the row and the sign of the one nonzero entry of each column of J_a
     k = np.abs(J).argmax(axis=1)
     signs = J.max(axis=1) + J.min(axis=1)
     # adding zero makes the zeros positive, as the sums of the polynomial
