@@ -213,9 +213,9 @@ class MetricPoint:
     `metric_point` checks the domain and the matrix when it builds one. The
     derivatives, the inverse, the Christoffel symbols, the square roots and
     the lowered curvature are derived on first use, over the whole stack,
-    and then kept; `at(i)` hands point i its rows of dg, the inverse, the
-    Christoffel symbols and the square roots. Every rejection of the matrix
-    raises GeometryError naming the point.
+    and then kept; `at(i)` hands point i its rows of dg, the inverse and the
+    Christoffel symbols. Every rejection of the matrix raises GeometryError
+    naming the point.
     """
 
     metric: ChartMetric
@@ -223,10 +223,9 @@ class MetricPoint:
     g: np.ndarray
 
     def at(self, i: int) -> "MetricPoint":
-        """Point i of a stack, handed its rows of dg, inverse, gamma and sqrt_pair."""
+        """Point i of a stack, handed its rows of dg, inverse and gamma."""
         mp = self._row(i)
         mp.inverse, mp.gamma = self.inverse[i], self.gamma[i]
-        mp.sqrt_pair = tuple(root[i] for root in self.sqrt_pair)
         return mp
 
     def _row(self, i: int) -> "MetricPoint":

@@ -1,10 +1,11 @@
 """Pointwise analysis of maps to a surface: conformality, frames, tension.
 
-The target is the Euclidean plane, so the gauge-normalized differential
-M = dF g^{-1/2} drives everything: its singular values give the pointwise
-dilation, its rows test horizontal conformality, and its kernel is the
-vertical space. Frames are constructed deterministically so repeated runs
-and neighbouring points agree.
+The target is the Euclidean plane, so the 2x2 Gram matrix dF g^{-1} dF^T
+of the differential drives everything: its larger eigenvalue is the squared
+pointwise dilation, its distance to a multiple of the identity tests
+horizontal conformality, and its inverse gives the vertical projector
+I - g^{-1} dF^T (dF g^{-1} dF^T)^{-1} dF onto ker dF. Frames are constructed
+deterministically so repeated runs and neighbouring points agree.
 
 All of it comes from one record, `GeometryStack`, the geometry of a stack
 of points built in one pass over the stack (`geometry_stack`); a point alone
@@ -43,31 +44,28 @@ def along(jets: np.ndarray, directions: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class GeometryStack:
     """The map's pointwise geometry at a stack of points, one row per point:
-    the chart metric record of the whole (n, 4) stack, whose derivatives and
-    Christoffel symbols it derives for every point at once, the differential
-    and the gauge decomposition of every point (the singular values and the
-    rows of V^T of dF g^{-1/2}, the Gram matrix `conformal` of dF g^{-1/2},
-    half its trace and its Frobenius distance to its conformal part), and
-    what is derived from them over the stack when it is first read: the
-    tension, the splitting, the structures J+ and J- and the exact first
-    jets of the vertical projector and of the structures."""
+    the chart metric record of the whole (n, 4) stack, whose inverse,
+    derivatives and Christoffel symbols it derives for every point at once,
+    the differential, and the conformality data of every point (the Gram
+    matrix `conformal` = dF g^{-1} dF^T, half its trace, its larger
+    eigenvalue's square root `dilation_sup` and its Frobenius distance to its
+    conformal part), and what is derived from them over the stack when it is
+    first read: the tension, the splitting, the structures J+ and J- and the
+    exact first jets of the vertical projector and of the structures."""
 
     scenario: MorphismScenario
     metric: MetricPoint
     jac: np.ndarray
-    ginv: np.ndarray         # g^{-1/2} g^{-1/2}
-    ginvsqrt: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
     conformal: np.ndarray
     squared_dilation: np.ndarray
+    dilation_sup: np.ndarray
     defect: np.ndarray
 
     @property
     def regular(self) -> np.ndarray:
-        """Whether each point is regular: its largest singular value, the
-        dilation sup, reaches EPS_CRITICAL."""
-        return self.singular_values[:, 0] >= EPS_CRITICAL
+        """Whether each point's dilation sup is not below EPS_CRITICAL; a sup
+        that overflowed to NaN is regular, so the defect check rejects it."""
+        return ~(self.dilation_sup < EPS_CRITICAL)
 
     @property
     def dilation(self) -> np.ndarray:
@@ -83,7 +81,7 @@ class GeometryStack:
         so the tension is the metric trace of the chart Hessians corrected
         by the domain connection.
         """
-        ginv, jac = self.ginv, self.jac
+        ginv, jac = self.metric.inverse, self.jac
         contracted = np.einsum("...ij,...kij->...k", ginv, self.metric.gamma)
         return (np.einsum("...ij,...aij->...a", ginv, self.scenario.hessians(self.metric.point))
                 - (contracted[:, None, None, :] @ jac[..., None])[..., 0, 0])
@@ -104,14 +102,16 @@ class GeometryStack:
         span the kernel, oriented so (e1, e2, v1, v2) is positive with
         respect to the scenario orientation.
 
-        Each step runs once over the stack: one solve for e1 and e2, the
-        kernel from the rows of the gauge SVD, a Gram-Schmidt of the
-        projected coordinate axes (orthonormal_stack) and the orientation
-        flip. A point that fails a step does not stop the others:
-        failures[i] is None, or the error type and the message, naming the
-        point, of point i's first failed step, and its rows hold no frame.
+        Each step runs once over the stack: one solve for e1 and e2, one
+        for P_V = I - G A^T (A G A^T)^{-1} A (A = dF, G = g^{-1}, A G A^T =
+        `conformal`), as `projector_jet` differentiates it, a Gram-Schmidt
+        of the projected coordinate axes (orthonormal_stack) and the
+        orientation flip, with overflows non-finite and silent. A point that
+        fails a step does not stop the others: failures[i] is None, or the
+        error type and the message, naming the point, of point i's first
+        failed step, and its rows hold no frame.
         """
-        points, g = self.metric.point, self.metric.g
+        points, g, G = self.metric.point, self.metric.g, self.metric.inverse
         failures = [None] * len(points)
 
         def fail(rows, error, reason):
@@ -121,33 +121,30 @@ class GeometryStack:
 
         for i in np.flatnonzero(~self.regular):
             fail([i], ClassificationError, f"splitting needs a regular point; dilation "
-                                           f"{self.singular_values[i, 0]:.3e}")
-        jac_t = self.jac.swapaxes(-1, -2)
-        graw = self.jac @ self.ginv @ jac_t
-        # sign 0: the LU factorization that solve runs has a zero pivot
-        fail(np.flatnonzero(np.linalg.slogdet(graw)[0] == 0), DegenerateFrameError,
-             "horizontal Gram matrix is singular")
-        graw[[f is not None for f in failures]] = np.eye(2)
-        # e1 and e2 map to the target frame (1, 0) and (0, 1) under the
-        # differential scaled by the dilation; every product below takes
-        # one vector at a time, as for a point alone
-        lam = self.dilation[:, None, None, None]
-        coeffs = np.linalg.solve(graw[:, None], lam * np.eye(2)[:, :, None])
-        horizontal = ((self.ginv @ jac_t)[:, None] @ coeffs)[..., 0]
-
-        # kernel of the gauge matrix: the two bottom right-singular directions
-        kernel = (self.ginvsqrt[:, None] @ self.right_vectors[:, 2:, :, None])[..., 0]
-        k1, k2 = kernel[:, 0], kernel[:, 1]
-        p_vert = (k1[:, :, None] * k1[:, None, :] + k2[:, :, None] * k2[:, None, :]) @ g
-        p_hor = np.eye(4) - p_vert
-        # the vertical parts of the coordinate axes, each measured against
-        # the axis's own g-norm, so the rank test does not depend on the
-        # scale of the metric
-        axes = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
-        vertical, count = orthonormal_stack(g, p_vert.swapaxes(-1, -2), 2, axes)
-        fail(np.flatnonzero(count < 2), DegenerateFrameError,
-             "vertical frame construction lost rank")
-        signs, reasons = frame_orientations(np.concatenate([horizontal, vertical], axis=1))
+                                           f"{self.dilation_sup[i]:.3e}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            graw = self.conformal.copy()
+            # sign 0: the LU factorization that solve runs has a zero pivot
+            fail(np.flatnonzero(np.linalg.slogdet(graw)[0] == 0), DegenerateFrameError,
+                 "horizontal Gram matrix is singular")
+            graw[[f is not None for f in failures]] = np.eye(2)
+            # e1 and e2 map to the target frame (1, 0) and (0, 1) under the
+            # differential scaled by the dilation; every product below takes
+            # one vector at a time, as for a point alone
+            lam = self.dilation[:, None, None, None]
+            coeffs = np.linalg.solve(graw[:, None], lam * np.eye(2)[:, :, None])
+            lifted = G @ self.jac.swapaxes(-1, -2)
+            horizontal = (lifted[:, None] @ coeffs)[..., 0]
+            p_hor = lifted @ np.linalg.solve(graw, self.jac)
+            p_vert = np.eye(4) - p_hor
+            # the vertical parts of the coordinate axes, each measured
+            # against the axis's own g-norm, so the rank test does not
+            # depend on the scale of the metric
+            axes = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
+            vertical, count = orthonormal_stack(g, p_vert.swapaxes(-1, -2), 2, axes)
+            fail(np.flatnonzero(count < 2), DegenerateFrameError,
+                 "vertical frame construction lost rank")
+            signs, reasons = frame_orientations(np.concatenate([horizontal, vertical], axis=1))
         for i, reason in enumerate(reasons):
             if reason is not None:
                 fail([i], DegenerateFrameError, reason)
@@ -190,7 +187,7 @@ class GeometryStack:
         nabla_k P_V = d_k P_V + [Gamma_k, P_V].
         """
         dA, dg, gamma, failed = self._jet_inputs
-        G = self.ginv
+        G = self.metric.inverse
         dG, _, N, dM = gram_jet(self.jac, dA, G, dg, failed)
         C, D = N @ self.jac, N @ self.jac @ G
         p_vert = self.splitting[2][:, None]
@@ -212,7 +209,7 @@ class GeometryStack:
         """
         dA, dg, gamma, failed = self._jet_inputs
         o = self.scenario.orientation
-        return tuple(structure_jets(self.jac, dA, self.metric.g, dg, gamma, self.ginv,
+        return tuple(structure_jets(self.jac, dA, self.metric.g, dg, gamma, self.metric.inverse,
                                     (o, -o), failed))
 
     def check(self, index: int) -> None:
@@ -227,16 +224,16 @@ def geometry_stack(scenario: MorphismScenario, points) -> GeometryStack:
     """The geometry of a stack of points, in order, built in one pass.
 
     Each step below runs once over the whole (n, 4) stack: the domain
-    check, the metric and its check, the differential, the square roots of
-    the metric, the gauge matrix and its SVD, the inverse metric and the
-    conformality data; the Christoffel symbols and the tension follow, for
-    the whole stack, when they are first read (see GeometryStack). Each
-    row equals, bit for bit, what the same steps give for its point alone.
+    check, the metric and its check, the differential and its check, the
+    inverse metric and the conformality data, read from the Gram matrix
+    dF g^{-1} dF^T with no decomposition; the Christoffel symbols and the
+    tension follow, for the whole stack, when they are first read (see
+    GeometryStack). Each row equals, bit for bit, what the same steps give
+    for its point alone.
 
     A point outside the domain raises DomainError; non-finite metric or
-    differential entries and failed checks or decompositions raise
-    GeometryError, so no input reaches the callers as a bare numerical
-    failure. When a step fails, each point of the stack is passed again on
+    differential entries and failed checks raise GeometryError, so no input
+    reaches the callers as a bare numerical failure. When a step fails, each point of the stack is passed again on
     its own, so the error raised is that of the first failing point and of
     its first failing step, as in a loop over the points.
     """
@@ -252,30 +249,26 @@ def geometry_stack(scenario: MorphismScenario, points) -> GeometryStack:
 def _stack_pass(scenario: MorphismScenario, points: np.ndarray) -> GeometryStack:
     metric = metric_point(scenario.metric, points)
     jac = scenario.jacobian(points)
-    try:
-        ginvsqrt = metric.sqrt_pair[1]
-        gauge = jac @ ginvsqrt
-        if not np.all(np.isfinite(gauge)):
-            raise GeometryError(f"differential is not finite at {point_name(points)}")
-        _, sv, vt = np.linalg.svd(gauge, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError(
-            f"gauge decomposition failed at {point_name(points)}: {exc}") from None
-    metric.inverse  # derived here, so a singular metric fails in the pass
-    ginv = ginvsqrt @ ginvsqrt
+    if not np.all(np.isfinite(jac)):
+        raise GeometryError(f"differential is not finite at {point_name(points)}")
+    ginv = metric.inverse  # derived here, so a singular metric fails in the pass
 
     # entries that overflow come out non-finite, without a warning: the
     # check of the defect rejects those rows
     with np.errstate(over="ignore", invalid="ignore"):
-        conformal = gauge @ gauge.swapaxes(-1, -2)
+        conformal = jac @ ginv @ jac.swapaxes(-1, -2)
         squared_dilation = 0.5 * conformal.trace(axis1=-2, axis2=-1)
+        # the larger eigenvalue of the Gram matrix: half its trace plus half
+        # its eigenvalue gap, two terms that are not negative, so none cancel
+        gap = np.hypot(0.5 * (conformal[:, 0, 0] - conformal[:, 1, 1]),
+                       0.5 * (conformal[:, 0, 1] + conformal[:, 1, 0]))
+        dilation_sup = np.sqrt(np.maximum(squared_dilation + gap, 0.0))
         offset = (conformal - squared_dilation[:, None, None] * np.eye(2)).reshape(-1, 1, 4)
         # the Frobenius norm as np.linalg.norm takes it: a dot product of
         # the flattened matrix with itself
         defect = np.sqrt((offset @ offset.swapaxes(-1, -2))[:, 0, 0])
-    return GeometryStack(scenario=scenario, metric=metric, jac=jac, ginv=ginv,
-                         ginvsqrt=ginvsqrt, singular_values=sv, right_vectors=vt,
-                         conformal=conformal, squared_dilation=squared_dilation,
+    return GeometryStack(scenario=scenario, metric=metric, jac=jac, conformal=conformal,
+                         squared_dilation=squared_dilation, dilation_sup=dilation_sup,
                          defect=defect)
 
 

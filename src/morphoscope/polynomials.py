@@ -231,9 +231,9 @@ def evaluate(table: Table, points) -> np.ndarray:
     Bitwise equal to `Poly.eval` at each point. The powers come from
     np.float_power, which rounds as the scalar `**` of `Poly.eval` does
     (np.power does not); each term is multiplied by the powers of its
-    variables in order, and the terms are summed in sequence. Adding zero
-    last turns a sum of negative zeros into the positive zero that
-    `Poly.eval`'s sum from 0j gives, and changes no other sum.
+    variables in order, and two or more terms are summed in sequence.
+    Adding zero last turns a sum of negative zeros into the positive zero
+    that `Poly.eval`'s sum from 0j gives, and changes no other sum.
     """
     x = np.asarray(points, dtype=float)
     flat = x.reshape(-1, NVARS)
@@ -246,7 +246,8 @@ def evaluate(table: Table, points) -> np.ndarray:
     terms[...] = coeffs
     for mask, exps in zip(masks, exponents):
         np.multiply(terms, powers[:, exps], out=terms, where=mask)
-    np.add.accumulate(terms, axis=-1, out=terms)
+    if terms.shape[-1] > 1:
+        np.add.accumulate(terms, axis=-1, out=terms)
     return (terms[..., -1] + 0.0).reshape(x.shape[:-1] + (len(table),))
 
 

@@ -85,7 +85,7 @@ def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
     records = Columns({
         "point": stack.metric.point,
         "status": ["regular" if r else "critical" for r in stack.regular.tolist()],
-        "dilation_sup": stack.singular_values[:, 0],
+        "dilation_sup": stack.dilation_sup,
         "defect": stack.defect,
         "tension": stack.tension_norm,
     }, spread={"point": ("x1", "x2", "x3", "x4")})
@@ -106,7 +106,7 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
     m = np.asarray(point, dtype=float)
     stack = geometry_stack(scenario, [m])
     status = "regular" if stack.regular[0] else "critical"
-    dilation_sup = float(stack.singular_values[0, 0])
+    dilation_sup = float(stack.dilation_sup[0])
     record = {"point": m, "status": status, "dilation_sup": dilation_sup}
     if stack.regular[0]:
         stack.check(0)

@@ -121,8 +121,9 @@ def _holomorphy_system(p_diffs: Sequence[Poly], basis) -> Tuple[np.ndarray, np.n
     sorted order, then the real and imaginary parts. Every basis structure
     J_a is a signed permutation, so block j of column a of R is row k of the
     (4, width) coefficient matrix of dP times J_a[k, j] = +-1, for the one k
-    where that entry is nonzero. Returns (rho0, R, norm of dP's coefficients).
-    """
+    where that entry is nonzero. Returns (rho0, R, norm of dP's coefficients),
+    the norm taken exactly scaled by a power of two, so only a norm past the
+    largest float overflows."""
     monomials = sorted({e for p in p_diffs for e in p.coeffs})
     index = {e: i for i, e in enumerate(monomials)}
     width = len(monomials)
@@ -142,7 +143,9 @@ def _holomorphy_system(p_diffs: Sequence[Poly], basis) -> Tuple[np.ndarray, np.n
     # route did; every other entry is an exact signed copy
     R = np.ascontiguousarray((signs[..., None] * C[k] + 0.0).reshape(len(basis), -1).T)
     rho0 = np.array(rho, dtype=complex).view(float).ravel()
-    return rho0, R, float(np.linalg.norm(C.ravel()))
+    top = float(np.max(np.abs(C), initial=0.0))
+    shift = math.frexp(top)[1] - 1 if 0.0 < top < math.inf else 0
+    return rho0, R, float(np.linalg.norm(np.ldexp(C.ravel(), -shift))) * math.ldexp(1.0, shift)
 
 
 def _certify_candidate(P0: Poly, J: np.ndarray, orientation: int, order: int,
@@ -189,6 +192,8 @@ def symbol_polynomial(scenario: MorphismScenario, m0) -> SymbolData:
         # labels are relative to the scenario's declared chart orientation
         basis = structure_basis(orientation * chart.scenario.orientation)
         rho0, R, scale = _holomorphy_system(p_diffs, basis)
+        if not math.isfinite(scale):
+            raise SymbolError("symbol coefficients overflow; no finite scale to certify against")
         u, res = minimize_affine_on_sphere(rho0, R)
         if res > CANDIDATE_RESIDUAL_REL * max(scale, 1e-300):
             continue
@@ -308,7 +313,7 @@ def dilation_lower_rate(sample: CenterSample) -> DilationLowerRate:
     dirs = sample.directions
     radii = sample.radii
     # columns are directions: a ray is excluded as a whole
-    table = sample.stack.singular_values[:, 0].reshape(len(radii), len(dirs))
+    table = sample.stack.dilation_sup.reshape(len(radii), len(dirs))
     excluded = (table < EPS_CRITICAL).all(axis=0)
     if excluded.all():
         raise SymbolError("every sampled direction is critical; no dilation envelope")

@@ -806,6 +806,24 @@ def test_analyze_evaluates_the_differential_once(tmp_path, monkeypatch, name):
     assert len(jacobians) == 1
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["analyze", REGULAR_POINT],
+                                  ["weingarten", REGULAR_POINT], ["weingarten", "--scan"]],
+                         ids=["validate", "analyze", "weingarten-point", "weingarten-scan"])
+@pytest.mark.parametrize("name", ["pullback_z1z2", "z1z2_cubic"])
+def test_pointwise_commands_run_no_decomposition(tmp_path, monkeypatch, name, argv):
+    # the dilation, the defect and the vertical projector are read from the
+    # Gram matrix dF g^-1 dF^T: no eigendecomposition or SVD per stack
+    calls = []
+    for key in ("svd", "eigh"):
+        original = getattr(np.linalg, key)
+        monkeypatch.setattr(np.linalg, key,
+                            lambda *a, key=key, original=original, **k:
+                            calls.append(key) or original(*a, **k))
+    cfg = write_config(tmp_path, name)
+    assert run(tmp_path, argv[0], "--config", str(cfg), *argv[1:]) == 0
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["z1z2", "z1sq"])
 def test_symbol_composes_once_per_candidate(tmp_path, monkeypatch, name):
     # a flat chart needs no normal chart, and the map at the origin is
@@ -913,11 +931,14 @@ def test_an_overflowing_lift_exits_two_without_warnings(tmp_path, capsys):
     assert not list(tmp_path.glob("proj_twistor*"))
 
 
-@pytest.mark.parametrize("factor", [1e100, 1e150])
+@pytest.mark.parametrize("factor", [1e100, 1e150, 1e155, 1e200])
 def test_an_overflowing_map_exits_two_without_warnings(tmp_path, capsys, factor):
     # z1 z2 times 1e100 or more squares its differential past the largest
-    # float: the defect check rejects the geometry, with no numpy warning on
-    # the way, while the scale-free symbol still certifies
+    # float: the geometry is rejected, with no numpy warning on the way,
+    # while the scale-free symbol still certifies. Up to 1e150 the Gram
+    # matrix dF g^-1 dF^T is finite and the defect check rejects it; from
+    # 1e155 the Gram matrix itself overflows and the frame it gives is
+    # rejected first
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(scaled_catalog_config("z1z2", factor)))
     for argv in (["validate"], ["analyze", REGULAR_POINT], ["weingarten", REGULAR_POINT],
@@ -925,7 +946,11 @@ def test_an_overflowing_map_exits_two_without_warnings(tmp_path, capsys, factor)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run(tmp_path, argv[0], "--config", str(path), *argv[1:]) == 2
-        assert "conformality defect" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if factor < 1e155 or argv == ["validate"]:
+            assert "conformality defect" in err
+        else:
+            assert "DegenerateFrameError: " in err
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(tmp_path, "symbol", "--config", str(path)) == 0

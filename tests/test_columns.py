@@ -136,7 +136,7 @@ def test_a_nan_cell_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys, 
     config, argv = CASES[case]
     if argv[0] == "validate":
         monkeypatch.setattr(runner, "validate_morphism", poisoned(
-            runner.validate_morphism, lambda found: found[0].singular_values[:, 0]))
+            runner.validate_morphism, lambda found: found[0].dilation_sup))
     else:
         monkeypatch.setattr(runner, "vertical_energy_density", poisoned(
             runner.vertical_energy_density, lambda energy: energy.value))

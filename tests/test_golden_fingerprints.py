@@ -5,9 +5,14 @@ pinned in golden_fingerprints.json. A change that moves one must list it and
 say why, then rewrite the file with
 
     PYTHONPATH=src python tests/test_golden_fingerprints.py
+
+which first prints each case whose exit code, fingerprint or CSV hash moved,
+with the keys that moved.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -75,6 +80,25 @@ def test_golden_covers_the_battery():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(BATTERY)
 
 
+def moved_cases(old: dict, new: dict) -> list:
+    """(case, keys that differ) for each case of either golden table whose
+    exit code, fingerprint or CSV hash moved; a case in one table only
+    moves every key."""
+    moved = []
+    for case in sorted(set(old) | set(new)):
+        before, after = old.get(case, {}), new.get(case, {})
+        keys = [key for key in ("exit", "fingerprint", "csv") if before.get(key) != after.get(key)]
+        if keys:
+            moved.append((case, keys))
+    return moved
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({case: run_case(*BATTERY[case])
-                                  for case in sorted(BATTERY)}, indent=2) + "\n")
+    pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        fresh = {case: run_case(*BATTERY[case]) for case in sorted(BATTERY)}
+    moved = moved_cases(pinned, fresh)
+    for case, keys in moved:
+        print(f"moved: {case} ({', '.join(keys)})")
+    print(f"{len(moved)} of {len(fresh)} cases moved")
+    GOLDEN.write_text(json.dumps(fresh, indent=2) + "\n")

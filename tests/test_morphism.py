@@ -101,7 +101,7 @@ def field(stack, i, key):
         if key in SPLITTING:
             return stack.splitting[SPLITTING.index(key)][i]
         return stack.structure(1 if key == "j_plus" else -1)[i]
-    if key in ("g", "gamma"):
+    if key in ("g", "gamma", "inverse"):
         return getattr(stack.metric, key)[i]
     return getattr(stack, key)[i]
 
@@ -112,8 +112,9 @@ def derivative(jet, X, i=0):
 
 
 def dilation_sup(scenario, m) -> float:
-    """The largest singular value of the gauge matrix at m, alone."""
-    return geometry_stack(scenario, [m]).singular_values[0, 0]
+    """The dilation sup at m, alone: the square root of the larger
+    eigenvalue of dF g^-1 dF^T."""
+    return geometry_stack(scenario, [m]).dilation_sup[0]
 
 
 def sampled_dilation(scenario, m, n=4000, seed=0):
@@ -364,8 +365,8 @@ def test_point_functions_read_one_geometry():
     m = np.array([0.3, 0.1, 0.25, -0.2])
     geo = geometry_stack(sc, [m])
     cls = classify_point(sc, m)
-    assert ((cls.regular[0], cls.singular_values[0, 0])
-            == (geo.regular[0], geo.singular_values[0, 0]))
+    assert ((cls.regular[0], cls.dilation_sup[0])
+            == (geo.regular[0], geo.dilation_sup[0]))
     assert hwc_residual(sc, m).defect[0] == geo.defect[0]
     assert tension_norm(sc, m).tension_norm[0] == geo.tension_norm[0]
     assert np.array_equal(field(splitting(sc, m), 0, "vertical"), field(geo, 0, "vertical"))
@@ -458,25 +459,24 @@ def written_out_geometry(scenario, m) -> dict:
     else:
         g, dg, _ = written_out_metric(metric, m)
     jac, hess = written_out_jets(scenario, m)
-    w, q = np.linalg.eigh(0.5 * (g + g.T))
-    ginvsqrt = (q / np.sqrt(w)) @ q.T
-    gauge = jac @ ginvsqrt
-    _, sv, vt = np.linalg.svd(gauge, full_matrices=True)
-    ginv = ginvsqrt @ ginvsqrt
+    ginv = np.linalg.inv(g)
     sums = (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg)
             - np.einsum("mij->mij", dg))
-    gamma = 0.5 * np.einsum("km,mij->kij", np.linalg.inv(g), sums)
-    conformal = gauge @ gauge.T
+    gamma = 0.5 * np.einsum("km,mij->kij", ginv, sums)
+    conformal = jac @ ginv @ jac.T
     squared_dilation = 0.5 * float(np.trace(conformal))
+    gap = np.hypot(0.5 * (conformal[0, 0] - conformal[1, 1]),
+                   0.5 * (conformal[0, 1] + conformal[1, 0]))
+    dilation_sup = float(np.sqrt(max(squared_dilation + gap, 0.0)))
     defect = float(np.linalg.norm(conformal - squared_dilation * np.eye(2), ord="fro"))
     contracted = np.einsum("ij,kij->k", ginv, gamma)
     tension = np.array([float(np.einsum("ij,ij->", ginv, hess[a]) - contracted @ jac[a])
                         for a in range(2)])
     tension_norm = float(np.sqrt(tension @ tension))
-    return {"g": g, "jac": jac, "ginv": ginv, "ginvsqrt": ginvsqrt,
-            "singular_values": sv, "right_vectors": vt, "conformal": conformal,
-            "squared_dilation": squared_dilation, "defect": defect, "gamma": gamma,
-            "tension": tension, "tension_norm": tension_norm}
+    return {"g": g, "jac": jac, "inverse": ginv, "conformal": conformal,
+            "squared_dilation": squared_dilation, "dilation_sup": dilation_sup,
+            "defect": defect, "gamma": gamma, "tension": tension,
+            "tension_norm": tension_norm}
 
 
 def oracle_charts() -> dict:
@@ -539,15 +539,16 @@ def test_a_geometry_reads_the_same_bits_alone_as_in_its_stack(name):
 
 def written_out_splitting(stack, i) -> dict:
     """The splitting and the structures at one regular row of a geometry
-    stack, every step written out for the one point: two solves, the kernel
-    vector by vector, a Gram-Schmidt loop over the projected axes, the
+    stack, every step written out for the one point: two solves for the
+    horizontal frame, one for the horizontal projector g^-1 A^T (A g^-1
+    A^T)^-1 A with A = dF, a Gram-Schmidt loop over the projected axes, the
     orientation flip and one inverse of the adapted basis."""
-    jac, ginv, g = stack.jac[i], stack.ginv[i], stack.metric.g[i]
+    jac, ginv, g = stack.jac[i], np.linalg.inv(stack.metric.g[i]), stack.metric.g[i]
     lam = float(np.sqrt(max(0.0, stack.squared_dilation[i])))
     graw = jac @ ginv @ jac.T
     e1, e2 = (ginv @ jac.T @ np.linalg.solve(graw, lam * eps) for eps in np.eye(2))
-    k1, k2 = (stack.ginvsqrt[i] @ stack.right_vectors[i, k] for k in (2, 3))
-    p_vert = (np.outer(k1, k1) + np.outer(k2, k2)) @ g
+    p_hor = ginv @ jac.T @ np.linalg.solve(graw, jac)
+    p_vert = np.eye(4) - p_hor
     vectors = []
     for axis in np.eye(4):
         w = p_vert @ axis
@@ -562,7 +563,7 @@ def written_out_splitting(stack, i) -> dict:
     B = np.column_stack([e1, e2, v1, v2])
     Binv = np.linalg.inv(B)
     return {"horizontal": np.array([e1, e2]), "vertical": np.array([v1, v2]),
-            "vertical_projector": p_vert, "horizontal_projector": np.eye(4) - p_vert,
+            "vertical_projector": p_vert, "horizontal_projector": p_hor,
             "j_plus": B @ K_PLUS @ Binv, "j_minus": B @ K_MINUS @ Binv}
 
 
@@ -668,7 +669,8 @@ def test_a_stack_evaluates_the_metric_derivatives_once(metric_calls):
 @pytest.mark.parametrize("name", ["pullback_z1z2", "product_sphere"])
 def test_validation_cost_does_not_grow_with_the_points(monkeypatch, name):
     # one stacked pass: no polynomial is evaluated term by term, and the
-    # decompositions run once per stack, not once per point
+    # conformality data are read from the Gram matrix dF g^-1 dF^T with no
+    # eigendecomposition or SVD
     scenario = ORACLE_CHARTS[name]
     calls = {"eval": 0, "svd": 0, "eigh": 0}
 
@@ -688,4 +690,4 @@ def test_validation_cost_does_not_grow_with_the_points(monkeypatch, name):
         stack.defect, stack.tension_norm
         seen.append(dict(calls))
     assert seen[0] == seen[1]
-    assert seen[1] == {"eval": 0, "svd": 1, "eigh": 1}
+    assert seen[1] == {"eval": 0, "svd": 0, "eigh": 0}

@@ -325,6 +325,20 @@ def test_compiled_tables_equal_poly_eval_bitwise(name):
     assert evaluate(table, points[1, 3]).tobytes() == evaluate(table, points)[1, 3].tobytes()
 
 
+def test_a_table_of_one_term_per_polynomial_equals_poly_eval_bitwise():
+    # a width of one sums nothing, and adding zero still turns a negative
+    # zero into the positive zero of Poly.eval's sum from 0j
+    table = Table([Poly.constant(2.0 - 1.0j), Poly.zero(), Poly({(1, 0, 2, 0): -3.0}),
+                   Poly({(0, 1, 0, 0): -1.0j}), Poly({(0, 0, 0, 3): 0.5 + 0.25j})])
+    points = np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 5, 4))
+    points[0, 0] = [0.0, -0.0, 0.0, -0.0]
+    points[0, 1] = [-0.0, 0.0, -0.0, 0.0]
+    tables = [table, CATALOG_TABLES["pullback_z1z2 d2"][1]]
+    for one_term in tables:
+        assert one_term.compiled[0].shape[-1] == 1
+        assert_table_equals_poly_eval(one_term, points)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("exponent", [0, 50, 100, 200, 300])
 def test_compiled_z1_cubed_z2_cubed_equals_poly_eval_in_overflow_boxes(exponent):

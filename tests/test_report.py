@@ -29,13 +29,14 @@ NON_FINITE = {
 
 # sha256 of two catalog tables, as csv.DictWriter wrote them over rows of
 # numpy scalars; the plain-value rows and csv.writer must keep every byte.
-# The pullback_z1z2 table is that of the chain-rule pullback, whose values
-# moved from the symbolic expansion's at the rounding floor, and the catenoid
+# The pullback_z1z2 table is that of the chain-rule pullback with the
+# dilation sup, the defect and the tension read from dF g^-1 dF^T and
+# g^-1, whose values moved at the rounding floor, and the catenoid
 # table that of the closed-form lift read by columns over one stack, whose
 # residuals, energies and area elements moved at the rounding floor.
 TABLE_SHA256 = {
     ("pullback_z1z2", "validate"):
-        "e65729313c23e45bde69ca3aa535b2791d0a1268295a4bbcec31a91f0f72e467",
+        "a485055c210cb388dbf71a4a3390101038561220feea1ed7dcd1b6fb7870adfa",
     ("proj", "twistor --patch catenoid"):
         "23ed2704a829b7708f346ca95fc1fe3c9158a56b26a7ed40a506a750710efca6",
 }

@@ -200,7 +200,7 @@ def test_dilation_lower_rate_square_map_excludes_critical_rays():
         assert abs(d[0]) < 1e-12 and abs(d[1]) < 1e-12
     # along the first coordinate axis, the sample's first direction, the
     # dilation is exactly 2r
-    ray = sample.stack.singular_values[::len(sample.directions), 0]
+    ray = sample.stack.dilation_sup[::len(sample.directions)]
     for r, v in zip(sample.radii, ray):
         assert v / (2.0 * r) == pytest.approx(1.0, abs=1e-12)
 
@@ -377,7 +377,15 @@ def scaled_catalog_config(name, factor) -> dict:
     return cfg
 
 
-@pytest.mark.parametrize("factor", [1e-30, 1e-8, 1e8, 1e100])
+def test_a_symbol_scale_past_the_largest_float_is_rejected():
+    # the coefficients of 1e308 z1 z2 are finite but their norm is not: a
+    # gate against an infinite scale would accept any residual
+    scenario = build_scenario(ScenarioConfig.from_dict(scaled_catalog_config("z1z2", 1e308)))
+    with pytest.raises(SymbolError, match="overflow"):
+        symbol_polynomial(scenario, np.zeros(4))
+
+
+@pytest.mark.parametrize("factor", [1e-30, 1e-8, 1e8, 1e100, 1e155, 1e200, 1e300])
 @pytest.mark.parametrize("name", ["z1z2", "z1sq", "pullback_z1z2"])
 def test_symbol_is_scale_free(name, factor):
     # a map times a constant has the same symbol order, orientations and
