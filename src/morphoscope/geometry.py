@@ -268,9 +268,9 @@ class MetricPoint:
         dg, d2g = self.dg, self.d2g
         ginv, S, gamma = self.inverse, _connection_sums(dg), self.gamma
         # dS[..., i, m, j, k] = d_i S[m, j, k]
-        dS = (np.einsum("...ijmk->...imjk", d2g) + np.einsum("...ikmj->...imjk", d2g)
-              - np.einsum("...imjk->...imjk", d2g))
-        dginv = -np.einsum("...la,...iab,...bm->...ilm", ginv, dg, ginv)
+        dS = np.einsum("...ijmk->...imjk", d2g) + np.einsum("...ikmj->...imjk", d2g) - d2g
+        # dginv[..., i, :, :] = d_i g^{-1} = -g^{-1} (d_i g) g^{-1}
+        dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
         dgamma = 0.5 * (np.einsum("...ilm,...mjk->...iljk", dginv, S)
                         + np.einsum("...lm,...imjk->...iljk", ginv, dS))
         # R^l_{ijk}: curvature of the stated sign convention
@@ -495,35 +495,6 @@ def frame_orientations(frames: np.ndarray) -> tuple:
     bound = np.prod(np.hypot.reduce(frames, axis=-1), axis=-1)
     failures = [_orientation_failure(d, b) for d, b in zip(det.tolist(), bound.tolist())]
     return np.where(det > 0, 1, -1), failures
-
-
-def oriented_frames(g: np.ndarray) -> np.ndarray:
-    """Rows of a deterministic, positively oriented g-orthonormal frame at
-    each point of a stack g, (n, 4, 4).
-
-    The coordinate basis vectors are orthonormalized in index order
-    (orthonormal_stack). Row k then lies in the span of the first k + 1
-    axes with a positive coefficient on axis k, so the rows form a lower
-    triangular matrix with a positive diagonal: every frame is positively
-    oriented, and none needs a flip. Reproducible across runs by
-    construction. A frame that cannot be completed, or whose determinant
-    is numerically zero or not finite, raises DegenerateFrameError naming
-    the first failing row.
-    """
-    sizes = np.sqrt(np.maximum(0.0, np.diagonal(g, axis1=-2, axis2=-1)))
-    frames, count = orthonormal_stack(g, np.broadcast_to(np.eye(4), g.shape), 4, sizes)
-    _, failures = frame_orientations(frames)
-    for i, (rank, reason) in enumerate(zip(count, failures)):
-        if rank < 4:
-            reason = "could not complete an orthonormal frame"
-        if reason is not None:
-            raise DegenerateFrameError(f"{reason} in row {i}")
-    return frames
-
-
-def oriented_frame(g: np.ndarray) -> np.ndarray:
-    """oriented_frames of the stack of one g."""
-    return oriented_frames(np.asarray(g, dtype=float)[None])[0]
 
 
 # ------------------------------------------------- covariant differentiation

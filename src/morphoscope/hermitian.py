@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import minimize_affine_on_sphere
 from .calculus import TARGET_ROTATION, MorphismScenario
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
-from .geometry import metric_point, oriented_frame
+from .geometry import metric_point
 from .morphism import GeometryStack, geometry_stack
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
@@ -46,8 +46,10 @@ def best_compatible_structure(scenario: MorphismScenario, m, orientation: int = 
     (structure, fiber coordinates, residual). Independent of the splitting
     construction, so it serves as a cross check on hermitian_pair.
     """
-    B = oriented_frame(metric_point(scenario.metric, m).g).T
-    Binv = np.linalg.inv(B)
+    # the coordinate axes orthonormalized in index order, B = L^{-T} for the
+    # Cholesky factor g = L L^T
+    Binv = np.linalg.cholesky(metric_point(scenario.metric, m).g).T
+    B = np.linalg.inv(Binv)
     jac = scenario.jacobian(m)
     rho0 = (-TARGET_ROTATION @ jac).ravel()
     basis = structure_basis(orientation * scenario.orientation)

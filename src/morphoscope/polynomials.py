@@ -244,8 +244,11 @@ def evaluate(table: Table, points) -> np.ndarray:
     # terms[i, p, t]: term t of polynomial p at point i
     terms = np.empty((len(flat),) + coeffs.shape, dtype=complex)
     terms[...] = coeffs
-    for mask, exps in zip(masks, exponents):
-        np.multiply(terms, powers[:, exps], out=terms, where=mask)
+    # a product past the largest float is inf, which the callers' finiteness
+    # checks reject; finite products are unchanged
+    with np.errstate(over="ignore"):
+        for mask, exps in zip(masks, exponents):
+            np.multiply(terms, powers[:, exps], out=terms, where=mask)
     if terms.shape[-1] > 1:
         np.add.accumulate(terms, axis=-1, out=terms)
     return (terms[..., -1] + 0.0).reshape(x.shape[:-1] + (len(table),))

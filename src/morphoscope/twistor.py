@@ -10,19 +10,23 @@ fails with the opposite sign.
 
 Fiber tangent norms carry a factor 1/2 relative to the gauged Frobenius norm
 so that vertical speeds agree with the speed of the fiber-coordinate curve
-on the unit 2-sphere.
+on the unit 2-sphere; the squared norm 1/4 tr(V^T g V g^{-1}) is that of
+the gauged form g^{1/2} V g^{-1/2}, with no square root taken.
 
 Lifts are built over stacks of parameter points (`lift_stack`): the patch
 is evaluated point by point, and the rank test, the chart metric, the
-adapted frames, the lift and its checks run once per stack. The lift is
-J = -g^{-1} (w + s *w) for the unit tangent 2-form w of the patch, taken
-with its jet along the parameter axes from `structures.structure_jets` of
-the rows d^T g and the patch Hessians, so the vertical derivatives, the
-covariant derivatives of the lift field along the chart images d X of
-parameter-plane directions X, are exact. The readers (lift residual,
-vertical energy, curvature densities, fiber coordinates) take a stack and
-return one value per row. `surface_lift`, the lift at one point, is the
-stack of one.
+tangent coordinates, the lift and its checks run once per stack; no frame
+is built. The lift is J = -g^{-1} (w + s *w) for the unit tangent 2-form w
+of the patch, taken with its jet along the parameter axes from
+`structures.structure_jets` of the rows d^T g and the patch Hessians, so
+the vertical derivatives, the covariant derivatives of the lift field along
+the chart images d X of parameter-plane directions X, are exact. The
+tangent coordinates come from the Cholesky factor of the induced metric
+d^T g d, the fiber coordinates from that of g, and the curvature densities
+from the unit tangent bivector and its Hodge dual. The readers (lift
+residual, vertical energy, curvature densities, fiber coordinates) take a
+stack and return one value per row. `surface_lift`, the lift at one point,
+is the stack of one.
 """
 
 from __future__ import annotations
@@ -33,12 +37,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import surface_complex_structure
 from .calculus import MorphismScenario
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .geometry import (Box, MetricPoint, frame_orientations, metric_point,
-                       orthonormal_stack, oriented_frames)
-from .structures import fiber_from_structure, structure_jets
+from .geometry import FRAME_RANK_TOL, Box, MetricPoint, metric_point
+from .structures import LEVI_CIVITA, fiber_from_structure, structure_jets
 
 VERTICAL_ROTATION_SIGN = -1
 PATCH_RANK_TOL = 1e-8
@@ -93,15 +95,17 @@ def _check_structure(g: np.ndarray, J: np.ndarray) -> None:
 
 def fiber_coordinates(g: np.ndarray, J: np.ndarray, orientation: int = 1) -> np.ndarray:
     """Unit coordinates of a stack of structures J, each over the
-    deterministic frame of its g (geometry.oriented_frames), (n, 3).
+    deterministic frame of its g, (n, 3): the coordinate axes orthonormalized
+    in index order, the rows of L^{-1} for the Cholesky factor g = L L^T, in
+    which J reads L^T J L^{-T}.
 
     The orientation tag selects which three-dimensional component family is
     extracted; a structure of the opposite class has vanishing components
     there, which is reported as an error naming its row rather than a zero
     vector.
     """
-    B = oriented_frames(g).swapaxes(-1, -2)
-    u = fiber_from_structure(np.linalg.solve(B, J @ B), orientation)
+    LT = np.linalg.cholesky(g).swapaxes(-1, -2)
+    u = fiber_from_structure(LT @ J @ np.linalg.inv(LT), orientation)
     norm = np.linalg.norm(u, axis=-1)
     off = np.flatnonzero(~(np.abs(norm - 1.0) <= 1e-6))
     if len(off):
@@ -119,9 +123,10 @@ class LiftStack:
 
     parameters: np.ndarray
     sign: int                # of the lift class: the tag times the scenario orientation
+    orientation: int         # of the scenario, which the normal pair of the surface follows
     metric: MetricPoint      # at the (n, 4) stack of chart points psi(p)
     d: np.ndarray            # (n, 4, 2) patch differentials
-    frames: np.ndarray       # (n, 4, 4) rows t1, t2, n1, n2 of each adapted frame
+    tangent_coordinates: np.ndarray  # (n, 2, 2), see _tangent_coordinates
     J: np.ndarray            # (n, 4, 4)
     jet: np.ndarray          # (n, 2, 4, 4): nabla_{d e_j} J along the parameter axes j
 
@@ -131,12 +136,9 @@ class LiftStack:
         return fiber_coordinates(self.metric.g, self.J, self.sign)
 
     @cached_property
-    def tangent_coordinates(self) -> np.ndarray:
-        """(n, 2, 2) with rows x1, x2, the parameter-plane vectors that d
-        maps to the orthonormal tangent pair t1, t2: X = R^{-T} for the
-        Gram-Schmidt coefficients R_ab = <t_a, d e_b>_g, since d = (t1 t2) R."""
-        R = self.frames[:, :2] @ self.metric.g @ self.d
-        return np.linalg.inv(R).swapaxes(-1, -2)
+    def tangent(self) -> np.ndarray:
+        """(n, 2, 4) rows t1 = d x1 and t2 = d x2."""
+        return self.tangent_coordinates @ self.d.swapaxes(-1, -2)
 
     @cached_property
     def vertical(self) -> np.ndarray:
@@ -153,14 +155,14 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
     The patch, its differential and its Hessian are evaluated one parameter
     point at a time; every other step runs once over the whole stack: the
     rank test of the differentials, the chart metric and its checks, the
-    adapted frames (orthonormal_stack, then the orientation flip of n2), the
-    lift J with its jet, the checks of J and the square roots of the metric.
-    These checks exclude the reader failures known; a reader that still
-    fails on a returned stack names its first failing row. Each row equals,
-    bit for bit, what the same steps give for its point alone. When a step fails, each point of the stack is
-    passed again on its own, so the error raised is that of the first
-    failing point and of its first failing step, as in a loop over the
-    points.
+    tangent coordinates from the Cholesky factor of the induced metric
+    (_tangent_coordinates), the lift J with its jet and the checks of J. No
+    frame is built. These checks exclude the reader failures known; a
+    reader that still fails on a returned stack names its first failing
+    row. Each row equals, bit for bit, what the same steps give for its
+    point alone. When a step fails, each point of the stack is passed again
+    on its own, so the error raised is that of the first failing point and
+    of its first failing step, as in a loop over the points.
     """
     params = np.array(params, dtype=float).reshape(-1, 2)
     try:
@@ -169,6 +171,30 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
         for i in range(len(params)):
             _lift_pass(scenario, patch, params[i:i + 1], orientation)
         raise
+
+
+def _tangent_coordinates(h: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rows x1, x2 that d maps to the g-orthonormal pair t1, t2 Gram-Schmidt
+    gives from the columns of d: L^{-1} for the Cholesky factor L L^T of each
+    induced metric h = d^T g d of a stack, (n, 2, 2), in closed form. Under
+    geometry.orthonormalize's rank rule, the second pivot, the squared
+    g-norm of the residual of d e2, must be at least FRAME_RANK_TOL^2 h_22,
+    so the rule does not depend on the scale of the metric; the first row
+    failing it raises DegenerateFrameError naming its point among `points`.
+    """
+    a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l11 = np.sqrt(a)
+        l21 = b / l11
+        pivot = c - l21 * l21
+    failed = np.flatnonzero(~((a > 0) & (pivot > 0) & (pivot >= FRAME_RANK_TOL ** 2 * c)))
+    if len(failed):
+        raise DegenerateFrameError(
+            f"induced metric is numerically degenerate at {points[failed[0]].tolist()}")
+    l22 = np.sqrt(pivot)
+    X = np.zeros_like(h)
+    X[:, 0, 0], X[:, 1, 0], X[:, 1, 1] = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
+    return X
 
 
 def _lift_pass(scenario: MorphismScenario, patch: SurfacePatch, params: np.ndarray,
@@ -182,24 +208,11 @@ def _lift_pass(scenario: MorphismScenario, patch: SurfacePatch, params: np.ndarr
     hessians = np.array([patch.d2psi(p) for p in params])
     mp = metric_point(scenario.metric, points)
     g = mp.g
-    # the two differential columns, then the coordinate basis, each seed's
-    # residual measured against the seed's own g-norm
-    seeds = np.concatenate([d.swapaxes(-1, -2), np.broadcast_to(np.eye(4), (len(g), 4, 4))],
-                           axis=1)
-    sizes = np.sqrt(np.maximum(0.0, np.einsum("nki,nij,nkj->nk", seeds, g, seeds)))
-    frames, count = orthonormal_stack(g, seeds, 4, sizes)
-    incomplete = np.flatnonzero(count < 4)
-    if len(incomplete):
-        raise DegenerateFrameError(
-            f"could not complete an orthonormal frame at {points[incomplete[0]].tolist()}")
-    signs, failures = frame_orientations(frames)
-    for m, reason in zip(points, failures):
-        if reason is not None:
-            raise DegenerateFrameError(f"{reason} at {m.tolist()}")
-    frames[signs * scenario.orientation < 0, 3] *= -1.0
     # the lift and its jet from the rows A = d^T g, whose derivatives
     # d_j A = (d_j d)^T g + d^T (d_{d e_j} g) come from the patch Hessians
     dT, n = d.swapaxes(-1, -2), len(d)
+    A = dT @ g
+    X = _tangent_coordinates(A @ d, points)
 
     def along_d(field):
         # sum_k d[k, j] field[k] for a chart field with its index k first
@@ -208,11 +221,11 @@ def _lift_pass(scenario: MorphismScenario, patch: SurfacePatch, params: np.ndarr
     dg = along_d(mp.dg)
     dA = np.moveaxis(hessians, -1, 1).swapaxes(-1, -2) @ g[:, None] + dT[:, None] @ dg
     sign = orientation * scenario.orientation
-    [(J, jet)] = structure_jets(dT @ g, dA, g, dg, along_d(np.moveaxis(mp.gamma, -1, 1)),
+    [(J, jet)] = structure_jets(A, dA, g, dg, along_d(np.moveaxis(mp.gamma, -1, 1)),
                                 mp.inverse, (sign,))
     _check_structure(g, J)
-    mp.sqrt_pair  # the readers' square roots, checked here with the pass
-    return LiftStack(parameters=params, sign=sign, metric=mp, d=d, frames=frames, J=J, jet=jet)
+    return LiftStack(parameters=params, sign=sign, orientation=scenario.orientation,
+                     metric=mp, d=d, tangent_coordinates=X, J=J, jet=jet)
 
 
 def surface_lift(scenario: MorphismScenario, patch: SurfacePatch, p,
@@ -222,12 +235,12 @@ def surface_lift(scenario: MorphismScenario, patch: SurfacePatch, p,
     return lift_stack(scenario, patch, [p], orientation).J[0]
 
 
-def _gauged(stack: LiftStack, V: np.ndarray) -> np.ndarray:
-    """g^{1/2} V g^{-1/2} for fiber tangents V, (n, k, 4, 4), against the
-    rows of the stack's metric: the inner product on fiber tangents is a
-    quarter of the trace pairing of their gauged forms."""
-    gs, gis = (root[:, None] for root in stack.metric.sqrt_pair)
-    return gs @ V @ gis
+def _fiber_gram(stack: LiftStack, V: np.ndarray) -> np.ndarray:
+    """(n, k, k) fiber inner products 1/4 tr(V_a^T g V_b g^{-1}) of fiber
+    tangents V, (n, k, 4, 4), against the rows of the stack's metric."""
+    n, k = V.shape[:2]
+    gVG = stack.metric.g[:, None] @ V @ stack.metric.inverse[:, None]
+    return 0.25 * (V.reshape(n, k, 16) @ gVG.reshape(n, k, 16).swapaxes(-1, -2))
 
 
 def script_J_residual(stack: LiftStack) -> np.ndarray:
@@ -238,20 +251,14 @@ def script_J_residual(stack: LiftStack) -> np.ndarray:
     parts in the chart metric and vertical parts in the fiber norm. Vanishes
     exactly when the lift is a holomorphic curve of the bundle structure.
     """
-    J, g, d, X, V = stack.J, stack.metric.g, stack.d, stack.tangent_coordinates, stack.vertical
-    dT = d.swapaxes(-1, -2)
-    # positive rotation of the parameter plane in the induced metric
-    j_s = surface_complex_structure(dT @ g @ d)
-    # rows j_s x1, j_s x2; the horizontal error d j_s x_a - J d x_a
-    jX = X @ j_s.swapaxes(-1, -2)
-    h_err = jX @ dT - X @ dT @ J.swapaxes(-1, -2)
+    J, g, T, V = stack.J, stack.metric.g, stack.tangent, stack.vertical
+    # x1, x2 are orthonormal and positively oriented in the induced metric,
+    # so its positive rotation j_s takes them to x2 and -x1: the horizontal
+    # error d j_s x_a - J d x_a, and the vertical derivative along j_s x_a
+    h_err = np.stack([T[:, 1], -T[:, 0]], axis=1) - T @ J.swapaxes(-1, -2)
     horizontal = np.einsum("nai,nij,naj->na", h_err, g, h_err)
-    # j_s x_a in the basis x1, x2, and the vertical derivative along it
-    c = np.linalg.solve(X.swapaxes(-1, -2), jX.swapaxes(-1, -2)).swapaxes(-1, -2)
-    v_rot = (c @ V.reshape(len(J), 2, 16)).reshape(V.shape)
-    v_err = v_rot - VERTICAL_ROTATION_SIGN * (J[:, None] @ V)
-    e = _gauged(stack, v_err)
-    vertical = 0.25 * np.sum(e * e, axis=(-2, -1))
+    v_err = np.stack([V[:, 1], -V[:, 0]], axis=1) - VERTICAL_ROTATION_SIGN * (J[:, None] @ V)
+    vertical = np.diagonal(_fiber_gram(stack, v_err), axis1=-2, axis2=-1)
     # summed in the order x1 horizontal, x1 vertical, x2 horizontal, x2 vertical
     return np.sqrt(horizontal[:, 0] + vertical[:, 0] + horizontal[:, 1] + vertical[:, 1])
 
@@ -263,8 +270,7 @@ def vertical_energy_density(stack: LiftStack) -> VerticalEnergy:
     The Gram matrices of the vertical derivatives and the induced area
     elements of the lifted surface are returned alongside for diagnostics.
     """
-    W = _gauged(stack, stack.vertical)
-    q = 0.25 * np.sum(W[:, :, None] * W[:, None], axis=(-2, -1))
+    q = _fiber_gram(stack, stack.vertical)
     value = q[:, 0, 0] + q[:, 1, 1]
     area = np.sqrt(np.maximum(0.0, np.linalg.det(np.eye(2) + q)))
     return VerticalEnergy(value=value, gram=q, area_element=area)
@@ -273,8 +279,17 @@ def vertical_energy_density(stack: LiftStack) -> VerticalEnergy:
 def curvature_densities(stack: LiftStack) -> tuple:
     """Tangent and normal curvature pairings <R(t1, t2) t1, t2> and
     <R(t1, t2) n1, n2> of the surface at each psi(p) of a stack, two (n,)
-    arrays."""
-    t1, t2, n1, n2 = np.moveaxis(stack.frames, 1, 0)
-    R = stack.metric.lowered
-    pairing = "nijkp,ni,nj,nk,np->n"
-    return np.einsum(pairing, R, t1, t2, t1, t2), np.einsum(pairing, R, t1, t2, n1, n2)
+    arrays.
+
+    These are R(W, W)/4 and e R(W, *W)/4 for the unit tangent bivector W =
+    t1 ^ t2, since an orthonormal normal pair that makes (t1, t2, n1, n2) of
+    the scenario orientation e has n1 ^ n2 = e *W.
+    """
+    n, g = len(stack.J), stack.metric.g
+    outer = stack.tangent[:, 0, :, None] * stack.tangent[:, 1, None, :]
+    W = outer - outer.swapaxes(-1, -2)
+    # (*W)^{kl} = eps_{ijkl} (g W g)_{ij} / (2 sqrt(det g)), eps the Levi-Civita symbol
+    star = ((g @ W @ g).reshape(n, 1, 16) @ LEVI_CIVITA).reshape(n, 16, 1)
+    star /= 2.0 * np.sqrt(np.linalg.det(g))[:, None, None]
+    RW = 0.25 * W.reshape(n, 1, 16) @ stack.metric.lowered.reshape(n, 16, 16)
+    return (RW @ W.reshape(n, 16, 1))[:, 0, 0], stack.orientation * (RW @ star)[:, 0, 0]

@@ -931,14 +931,15 @@ def test_an_overflowing_lift_exits_two_without_warnings(tmp_path, capsys):
     assert not list(tmp_path.glob("proj_twistor*"))
 
 
-@pytest.mark.parametrize("factor", [1e100, 1e150, 1e155, 1e200])
+@pytest.mark.parametrize("factor", [1e100, 1e150, 1e155, 1e200, 1.7e308])
 def test_an_overflowing_map_exits_two_without_warnings(tmp_path, capsys, factor):
     # z1 z2 times 1e100 or more squares its differential past the largest
     # float: the geometry is rejected, with no numpy warning on the way,
     # while the scale-free symbol still certifies. Up to 1e150 the Gram
     # matrix dF g^-1 dF^T is finite and the defect check rejects it; from
     # 1e155 the Gram matrix itself overflows and the frame it gives is
-    # rejected first
+    # rejected first. At 1.7e308 the differential itself overflows, which
+    # validate names, and so do the symbol's coefficients
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(scaled_catalog_config("z1z2", factor)))
     for argv in (["validate"], ["analyze", REGULAR_POINT], ["weingarten", REGULAR_POINT],
@@ -947,10 +948,13 @@ def test_an_overflowing_map_exits_two_without_warnings(tmp_path, capsys, factor)
             warnings.simplefilter("error", RuntimeWarning)
             assert run(tmp_path, argv[0], "--config", str(path), *argv[1:]) == 2
         err = capsys.readouterr().err
-        if factor < 1e155 or argv == ["validate"]:
+        if argv == ["validate"]:
+            assert ("differential is not finite" if factor > 1e300
+                    else "conformality defect") in err
+        elif factor < 1e155:
             assert "conformality defect" in err
-        else:
+        elif factor < 1e300:
             assert "DegenerateFrameError: " in err
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run(tmp_path, "symbol", "--config", str(path)) == 0
+        assert run(tmp_path, "symbol", "--config", str(path)) == (2 if factor > 1e300 else 0)

@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
-from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
+from morphoscope.errors import DomainError, GeometryError
 from morphoscope.geometry import (
     DEFAULT_FD_STEP, Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric,
     central_difference, central_nodes, christoffel, covariant_derivative, curvature_data,
-    frame_orientations, metric_point, oriented_frame, oriented_frames, orthonormalize,
+    frame_orientations, metric_point, orthonormalize,
 )
 from morphoscope.polynomials import Poly, evaluate
 
@@ -277,37 +277,6 @@ def test_orientation_sign_does_not_depend_on_the_frame_scale(scale):
     assert signs[:2].tolist() == [1, -1]
     assert failures[:2] == [None, None]
     assert all("numerically zero" in failure for failure in failures[2:])
-
-
-def test_oriented_frame_curved_metric_is_orthonormal_and_positive():
-    metric = quadratic_bump_metric()
-    m = np.array([0.3, 0.2, -0.1, 0.4])
-    g = metric_point(metric, m).g
-    fr = oriented_frame(g)
-    gram = fr @ g @ fr.T
-    assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-    assert frame_orientations(fr[None]) == (np.array([1]), [None])
-
-
-def test_oriented_frames_of_a_stack_follow_the_point_by_point_reference():
-    # each row is the stack of one, and agrees with the scalar Gram-Schmidt
-    # of the coordinate axes, which is lower triangular with a positive
-    # diagonal and so already positively oriented
-    metric = quadratic_bump_metric()
-    points = np.random.default_rng(17).uniform(-0.4, 0.4, size=(6, 4))
-    g = metric_point(metric, points).g
-    frames = oriented_frames(g)
-    for row, gi in zip(frames, g):
-        assert np.array_equal(row, oriented_frame(gi))
-        assert np.max(np.abs(row - orthonormalize(gi, [], complete=True))) < 1e-14
-        assert not np.triu(row, 1).any() and (np.diag(row) > 0).all()
-        assert np.linalg.det(row) > 0
-
-
-def test_oriented_frames_name_the_first_failing_row():
-    g = np.array([np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 0.0, 0.0])])
-    with pytest.raises(DegenerateFrameError, match=r"could not complete .* in row 1$"):
-        oriented_frames(g)
 
 
 def test_covariant_derivative_of_transported_field_vanishes():

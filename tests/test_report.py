@@ -38,7 +38,7 @@ TABLE_SHA256 = {
     ("pullback_z1z2", "validate"):
         "a485055c210cb388dbf71a4a3390101038561220feea1ed7dcd1b6fb7870adfa",
     ("proj", "twistor --patch catenoid"):
-        "23ed2704a829b7708f346ca95fc1fe3c9158a56b26a7ed40a506a750710efca6",
+        "23ea1db78fac01343e5244154a593cd74e30a1a3921ddbeb609745e9b83adab5",
 }
 
 

@@ -24,7 +24,7 @@ from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import Box, ChartMetric, FlatMetric, ProductSphereMetric
 from morphoscope.morphism import geometry_stack
 from morphoscope.polynomials import Poly
-from morphoscope.structures import K_MINUS, K_PLUS, structure_from_fiber
+from morphoscope.structures import K_MINUS, K_PLUS, fiber_from_structure, structure_from_fiber
 from morphoscope.twistor import (SurfacePatch, curvature_densities, fiber_coordinates,
                                  lift_stack, script_J_residual, surface_lift,
                                  vertical_energy_density)
@@ -223,7 +223,7 @@ def test_lift_rotates_tangent_plane():
         p = (0.55, 0.2) if patch.name == "reciprocal" else (0.1, 0.2)
         for tag in (1, -1):
             stack = lift_stack(sc, patch, [p], orientation=tag)
-            (J,), ((t1, t2, _, _),) = stack.J, stack.frames
+            (J,), ((t1, t2),) = stack.J, stack.tangent
             assert np.max(np.abs(J @ t1 - t2)) < 1e-12
             assert np.max(np.abs(J @ t2 + t1)) < 1e-12
             assert stack.sign == tag * sc.orientation
@@ -311,6 +311,46 @@ def test_curvature_densities_product_metric():
         assert abs(on[0]) < 1e-12
         ot2, on2 = curvature_densities(lift_stack(sc, flat_patch, [(0.1, -0.2)]))
         assert abs(ot2[0]) < 1e-12 and abs(on2[0]) < 1e-12
+
+
+def tilted_patch():
+    """A patch on the product sphere chart that mixes the sphere and flat
+    factors, so its normal curvature density is far from zero."""
+    def psi(s, t):
+        return np.array([1.0 + s + 0.2 * t * t, 0.2 + 0.5 * t, 0.3 * s, t - 0.1 * s * s])
+
+    def jac(s, t):
+        return np.array([[1.0, 0.4 * t], [0.0, 0.5], [0.3, 0.0], [-0.2 * s, 1.0]])
+
+    def hessian(s, t):
+        return np.array([np.diag([0.0, 0.4]), np.zeros((2, 2)), np.zeros((2, 2)),
+                         np.diag([-0.2, 0.0])])
+
+    return SurfacePatch(psi=psi, param_box=Box((-0.3, -0.3), (0.3, 0.3)), jacobian=jac,
+                        hessian=hessian, name="tilted")
+
+
+@pytest.mark.parametrize("tag", [1, -1])
+@pytest.mark.parametrize("chart_orientation", [1, -1])
+def test_normal_density_follows_the_oriented_normal_frame(chart_orientation, tag):
+    # against the Gram-Schmidt frame of the point alone, whose normal n2 is
+    # flipped to the chart orientation: the curvature pairings over it, its
+    # least-squares tangent coordinates and the fiber over the frame of the
+    # coordinate axes
+    config = dict(catalog_configs()["product_sphere"], orientation=chart_orientation)
+    sc = build_scenario(ScenarioConfig.from_dict(config))
+    patch = tilted_patch()
+    grid = [np.array([s, t]) for s in (-0.3, 0.0, 0.3) for t in (-0.3, 0.0, 0.3)]
+    stack = lift_stack(sc, patch, grid, orientation=tag)
+    omega_t, omega_n = curvature_densities(stack)
+    assert np.min(np.abs(omega_n)) > 0.05
+    for i, p in enumerate(grid):
+        alone = OracleLift(sc, patch, p, orientation=tag)
+        expected_t, expected_n = alone.curvature_densities(sc.metric)
+        assert close(omega_t[i], expected_t, 1e-14)
+        assert close(omega_n[i], expected_n, 1e-14)
+        assert close(stack.tangent_coordinates[i], alone.tangent_coordinates, 1e-14)
+        assert close(stack.fiber[i], alone.fiber(stack.sign), 1e-14)
 
 
 # -------------------------------------------------------- vertical energy
@@ -465,7 +505,7 @@ class OracleLift:
                 raise DegenerateFrameError(failure)
             if sign * scenario.orientation < 0:
                 frame[3] = -frame[3]
-        self.g, self.d, self.frame = mp.g, d, frame
+        self.m, self.g, self.d, self.frame = m, mp.g, d, frame
         B = frame.T
         self.J = B @ (K_PLUS if orientation == 1 else K_MINUS) @ np.linalg.inv(B)
         tw._check_structure(mp.g, self.J)
@@ -475,12 +515,26 @@ class OracleLift:
         """Rows x1, x2 with d x_a = t_a, by least squares."""
         return np.array([np.linalg.lstsq(self.d, t, rcond=None)[0] for t in self.frame[:2]])
 
+    def curvature_densities(self, metric):
+        """<R(t1, t2) t1, t2> and <R(t1, t2) n1, n2> over the frame."""
+        R = geometry.metric_point(metric, self.m).lowered
+        t1, t2, n1, n2 = self.frame
+        pairing = "ijkp,i,j,k,p->"
+        return np.einsum(pairing, R, t1, t2, t1, t2), np.einsum(pairing, R, t1, t2, n1, n2)
+
+    def fiber(self, orientation):
+        """The unit fiber coordinates of J over the Gram-Schmidt frame of
+        the coordinate axes."""
+        B = geometry.orthonormalize(self.g, [], complete=True).T
+        u = fiber_from_structure(np.linalg.solve(B, self.J @ B), orientation)
+        return u / np.linalg.norm(u)
+
 
 def read_all(stack) -> dict:
     """Every column the lift layer hands on, one row per parameter point."""
     energy = vertical_energy_density(stack)
     omega_t, omega_n = curvature_densities(stack)
-    return {"J": stack.J, "jet": stack.jet, "frames": stack.frames,
+    return {"J": stack.J, "jet": stack.jet, "tangent_pair": stack.tangent,
             "tangent": stack.tangent_coordinates, "vertical": stack.vertical,
             "residual": script_J_residual(stack), "energy": energy.value,
             "gram": energy.gram, "area": energy.area_element,
@@ -516,16 +570,16 @@ def close(got, expected, tol):
 @pytest.mark.parametrize("tag", [1, -1])
 @pytest.mark.parametrize("scenario_name,patch_name", catalog_lift_cases())
 def test_stacked_lifts_equal_the_point_by_point_lifts(scenario_name, patch_name, tag):
-    # the stack of a grid gives, bit for bit, the frames of the scalar
-    # Gram-Schmidt at each point, and to rounding its frame-built lift and
-    # the least-squares tangent coordinates; surface_lift is its row
+    # the stack of a grid gives, to rounding, the tangent pair of the scalar
+    # Gram-Schmidt at each point, its frame-built lift and the least-squares
+    # tangent coordinates; surface_lift is its row
     sc = build_catalog(scenario_name)
     patch = catalog_patch(patch_name)["patch"]
     grid = patch_grid(patch)
     stack = lift_stack(sc, patch, grid, orientation=tag)
     for i, p in enumerate(grid):
         alone = OracleLift(sc, patch, p, orientation=tag)
-        assert np.array_equal(stack.frames[i], alone.frame)
+        assert close(stack.tangent[i], alone.frame[:2], 1e-14)
         assert close(stack.J[i], alone.J, 1e-14)
         assert close(stack.tangent_coordinates[i], alone.tangent_coordinates, 1e-14)
         assert np.array_equal(surface_lift(sc, patch, p, tag), stack.J[i])
@@ -548,8 +602,10 @@ def test_every_column_of_a_stack_equals_its_stack_of_one(scenario_name, patch_na
 
 @pytest.mark.parametrize("scale", [1e-24, 1e24])
 def test_stacked_frame_rank_rule_does_not_depend_on_the_metric_scale(scale):
-    # each seed's residual is measured against the seed's own g-norm, so a
-    # metric of any scale completes the frames the point-by-point steps give
+    # the second Cholesky pivot of the induced metric is measured against
+    # the g-norm of d e2, so a metric of any scale factors the induced
+    # metrics into the tangent pairs the point-by-point Gram-Schmidt gives,
+    # and rejects the same numerically degenerate row
     sc = holomorphic_scenario("scaled", {(1, 0): 1.0},
                               constant_metric(scale * np.eye(4), Box.cube(3.0)))
     patch = catenoid_patch()
@@ -559,7 +615,11 @@ def test_stacked_frame_rank_rule_does_not_depend_on_the_metric_scale(scale):
         alone = OracleLift(sc, patch, p, orientation=-1)
         assert close(stack.J[i], alone.J, 1e-14)
         assert np.array_equal(stack.J[i], surface_lift(sc, patch, p, -1))
-        assert np.array_equal(stack.frames[i], alone.frame)
+        assert close(stack.tangent[i], alone.frame[:2], 1e-14)
+        assert close(stack.tangent_coordinates[i], alone.tangent_coordinates, 1e-14)
+    plane = sheared_plane(at=(0.0, 0.0))
+    assert raised(lift_stack, sc, plane, [(0.5, 0.5), (0.0, 0.0), (-0.5, 0.5)]) == (
+        DegenerateFrameError, "induced metric is numerically degenerate at [0.0, 0.0, 0.0, 0.0]")
 
 
 def raised(fn, *args, **kwargs):
@@ -594,6 +654,22 @@ def flat_plane(rank_deficient_beyond=np.inf):
     return SurfacePatch(psi=lambda s, t: np.array([s, t, 0.0, 0.0]),
                         param_box=Box((-1.0, -1.0), (1.0, 1.0)), jacobian=jac,
                         hessian=flat_hessian)
+
+
+def sheared_plane(at, rank_deficient_at=None):
+    """The plane patch over [-1, 1]^2. At the parameter point `at` its
+    differential has columns 2^30 e1 and 2^30 e1 + 2^-20 e2: of full
+    Euclidean rank, smallest singular value 6.7e-7, while the induced
+    metric d^T d rounds to a singular matrix. At `rank_deficient_at` its
+    differential has rank one."""
+    def jac(s, t):
+        if (s, t) == tuple(at):
+            return np.array([[2.0 ** 30, 2.0 ** 30], [0.0, 2.0 ** -20], [0.0, 0.0], [0.0, 0.0]])
+        return np.eye(4, 2) * [1.0, float((s, t) != rank_deficient_at)]
+
+    return SurfacePatch(psi=lambda s, t: np.array([s, t, 0.0, 0.0]),
+                        param_box=Box((-1.0, -1.0), (1.0, 1.0)), jacobian=jac,
+                        hessian=flat_hessian, name="plane")
 
 
 def test_a_point_at_the_edge_of_the_box_or_of_the_rank_is_lifted():
@@ -662,6 +738,24 @@ def test_an_error_of_any_type_keeps_the_point_by_point_order():
         ValueError, "psi undefined at s = 0.9")
 
 
+def test_a_degenerate_induced_metric_mid_stack_exits_two(tmp_path, monkeypatch, capsys):
+    # the middle grid point's induced metric fails the rank rule, and a
+    # later point's differential has rank one, which the stack tests first;
+    # the command reports what a loop over the points meets first
+    sc = build_catalog("proj")
+    grid = patch_grid(catalog_patch("plane")["patch"])
+    middle, later = (tuple(grid[k].tolist()) for k in (4, 7))
+    patch = sheared_plane(at=middle, rank_deficient_at=later)
+    expected = raised(lambda: [lift_stack(sc, patch, [p]) for p in grid])
+    assert expected == (DegenerateFrameError, "induced metric is numerically degenerate "
+                        f"at {[*middle, 0.0, 0.0]}")
+    assert raised(lift_stack, sc, patch, grid) == expected
+    monkeypatch.setitem(CATALOG_PATCHES["plane"], "factory", lambda: patch)
+    assert main(twistor_command(tmp_path, "plane")) == 2
+    assert capsys.readouterr().err == f"error: DegenerateFrameError: {expected[1]}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # ------------------------------------------------------------- call budget
 
 
@@ -704,14 +798,19 @@ def test_lift_geometry_call_budget(tmp_path, monkeypatch, metric_calls, patch_na
 
 @pytest.mark.parametrize("patch_name", ["catenoid", "sphere_factor"])
 def test_only_the_record_reads_fiber_coordinates(tmp_path, monkeypatch, patch_name):
-    # the adapted frames of the lifts and the deterministic frames of the
-    # fiber coordinates both come from stacks, so the scalar orthonormalize
-    # never runs; the lift rows are checked once, where the stack is built
+    # the tangent coordinates and the fiber coordinates come from Cholesky
+    # factors and the fiber norm from g and its inverse, so no Gram-Schmidt
+    # and no eigendecomposition runs; the lift rows are checked once, where
+    # the stack is built
     argv = twistor_command(tmp_path, patch_name)
-    calls = count_calls(monkeypatch, geometry, "orthonormalize")
+    calls = {name: count_calls(monkeypatch, geometry, name)
+             for name in ("orthonormalize", "orthonormal_stack")}
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
     checks = count_calls(monkeypatch, tw, "_check_structure")
     assert main(argv) == 0
-    assert len(calls) == 0
+    assert {name: len(log) for name, log in calls.items()} == {
+        "orthonormalize": 0, "orthonormal_stack": 0}
+    assert len(eigh) == 0
     rows_checked = [len(np.reshape(J, (-1, 4, 4))) for _, J in checks]
     assert rows_checked == [GRID_POINTS]
 
