@@ -15,14 +15,13 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import surface_complex_structure
 from .errors import DomainError, GeometryError
 from .geometry import Box, ChartMetric, PullbackMetric, metric_point
 from .polynomials import UPPER, Poly, Table, evaluate, from_complex_pair, symmetric
 
 
 # multiplication by i on the target plane
-TARGET_ROTATION = surface_complex_structure(np.eye(2))
+TARGET_ROTATION = np.array([[-0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass

@@ -264,20 +264,35 @@ class MetricPoint:
 
     @cached_property
     def lowered(self) -> np.ndarray:
-        """Curvature with all indices lowered, R[..., i, j, k, p] = <R(d_i, d_j) d_k, d_p>."""
+        """Curvature with all indices lowered, R[..., i, j, k, p] = <R(d_i, d_j) d_k, d_p>.
+
+        Each contraction over one index is a batched matrix product, its
+        other indices flattened in pairs or triples: (16 x 4)(4 x 16) for
+        Gamma Gamma and the d g^{-1} S term of d Gamma, (4 x 4)(4 x 16) for
+        its g^{-1} dS term and (4 x 64)^T g for the lowering.
+        """
         dg, d2g = self.dg, self.d2g
         ginv, S, gamma = self.inverse, _connection_sums(dg), self.gamma
+        shape = self.g.shape[:-2]
+        four = shape + (4, 4, 4, 4)
+
+        def product(a, b):
+            # sum_m a[..., x, y, m] b[..., m, z, w], as (16 x 4)(4 x 16)
+            return (a.reshape(shape + (16, 4)) @ b.reshape(shape + (4, 16))).reshape(four)
+
         # dS[..., i, m, j, k] = d_i S[m, j, k]
         dS = np.einsum("...ijmk->...imjk", d2g) + np.einsum("...ikmj->...imjk", d2g) - d2g
         # dginv[..., i, :, :] = d_i g^{-1} = -g^{-1} (d_i g) g^{-1}
         dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
-        dgamma = 0.5 * (np.einsum("...ilm,...mjk->...iljk", dginv, S)
-                        + np.einsum("...lm,...imjk->...iljk", ginv, dS))
-        # R^l_{ijk}: curvature of the stated sign convention
-        upper = (np.einsum("...iljk->...lijk", dgamma) - np.einsum("...jlik->...lijk", dgamma)
-                 + np.einsum("...lim,...mjk->...lijk", gamma, gamma)
-                 - np.einsum("...ljm,...mik->...lijk", gamma, gamma))
-        return np.einsum("...lijk,...lp->...ijkp", upper, self.g)
+        # dgamma[..., i, l, j, k] = d_i Gamma^l_{jk}
+        dgamma = 0.5 * (product(dginv, S)
+                        + (ginv[..., None, :, :] @ dS.reshape(shape + (4, 4, 16))).reshape(four))
+        # R^l_{ijk}, upper[..., l, i, j, k]: curvature of the stated sign
+        # convention; gg[..., l, i, j, k] = Gamma^l_{im} Gamma^m_{jk}
+        gg = product(gamma, gamma)
+        upper = (dgamma.swapaxes(-4, -3) - np.moveaxis(dgamma, -4, -2)
+                 + gg - gg.swapaxes(-3, -2))
+        return (upper.reshape(shape + (4, 64)).swapaxes(-1, -2) @ self.g).reshape(four)
 
 
 @dataclass(eq=False)
@@ -334,7 +349,9 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
 
 
 def _connection_sums(dg: np.ndarray) -> np.ndarray:
-    # S[..., m, i, j] = d_i g_{mj} + d_j g_{mi} - d_m g_{ij}
+    # S[..., m, i, j] = d_i g_{mj} + d_j g_{mi} - d_m g_{ij}; not kept on
+    # the record, whose readers each recompute it: on a large stack a kept
+    # copy costs more in freshly faulted pages than the sums cost
     sums = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg)
     sums -= dg
     return sums
@@ -493,7 +510,10 @@ def frame_orientations(frames: np.ndarray) -> tuple:
     chart orientation; failures[i] is None, or why frame i has none."""
     det = np.linalg.det(frames.swapaxes(-1, -2))
     bound = np.prod(np.hypot.reduce(frames, axis=-1), axis=-1)
-    failures = [_orientation_failure(d, b) for d, b in zip(det.tolist(), bound.tolist())]
+    failures = [None] * len(det)
+    # the rows _orientation_failure rejects, flagged at once
+    for i in np.flatnonzero(~np.isfinite(det) | (np.abs(det) <= ORIENTATION_DET_TOL * bound)):
+        failures[i] = _orientation_failure(float(det[i]), float(bound[i]))
     return np.where(det > 0, 1, -1), failures
 
 

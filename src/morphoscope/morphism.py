@@ -50,8 +50,10 @@ class GeometryStack:
     matrix `conformal` = dF g^{-1} dF^T, half its trace, its larger
     eigenvalue's square root `dilation_sup` and its Frobenius distance to its
     conformal part), and what is derived from them over the stack when it is
-    first read: the tension, the splitting, the structures J+ and J- and the
-    exact first jets of the vertical projector and of the structures."""
+    first read: the tension, the splitting, the structures J+ and J-, one
+    Gram jet (d_k g^{-1}, the Gram matrix, its inverse and d_k of it), and
+    the exact first jets of the vertical projector and of the structures,
+    which both read that one Gram jet."""
 
     scenario: MorphismScenario
     metric: MetricPoint
@@ -109,7 +111,9 @@ class GeometryStack:
         orientation flip, with overflows non-finite and silent. A point that
         fails a step does not stop the others: failures[i] is None, or the
         error type and the message, naming the point, of point i's first
-        failed step, and its rows hold no frame.
+        failed step, and its rows hold no frame. A conformality defect that
+        overflows is the first failure of its point, before its regularity
+        and its frame.
         """
         points, g, G = self.metric.point, self.metric.g, self.metric.inverse
         failures = [None] * len(points)
@@ -119,6 +123,8 @@ class GeometryStack:
                 if failures[i] is None:
                     failures[i] = error, f"{reason} at {points[i].tolist()}"
 
+        fail(np.flatnonzero(~np.isfinite(self.defect)), GeometryError,
+             "conformality defect overflows")
         for i in np.flatnonzero(~self.regular):
             fail([i], ClassificationError, f"splitting needs a regular point; dilation "
                                            f"{self.dilation_sup[i]:.3e}")
@@ -149,8 +155,6 @@ class GeometryStack:
             if reason is not None:
                 fail([i], DegenerateFrameError, reason)
         vertical[signs * self.scenario.orientation < 0, 1] *= -1.0
-        fail(np.flatnonzero(~np.isfinite(self.defect)), GeometryError,
-             "conformality defect overflows")
         return horizontal, vertical, p_vert, p_hor, failures
 
     @cached_property
@@ -171,12 +175,21 @@ class GeometryStack:
 
     @cached_property
     def _jet_inputs(self) -> tuple:
-        """(d_k A, d_k g, Gamma_k, failed) of every point, k on the second
-        axis, for A = dF and (Gamma_k)^a_b = Gamma^a_{bk}; failed marks the
-        points whose splitting failed."""
+        """(d_k A, d_k g, Gamma_k) of every point, k on the second axis, for
+        A = dF and (Gamma_k)^a_b = Gamma^a_{bk}."""
         dA = np.moveaxis(self.scenario.hessians(self.metric.point), -1, 1)
+        return dA, self.metric.dg, np.moveaxis(self.metric.gamma, -1, 1)
+
+    @cached_property
+    def gram_jet(self) -> tuple:
+        """(d_k G, M, M^{-1}, d_k M) of every point, see structures.gram_jet:
+        the Gram jet that projector_jet and structure_jets both read. M is
+        the identity at the points whose splitting failed; entries that
+        overflow come out non-finite, without a warning."""
+        dA, dg, _ = self._jet_inputs
         failed = [f is not None for f in self.splitting[-1]]
-        return dA, self.metric.dg, np.moveaxis(self.metric.gamma, -1, 1), failed
+        with np.errstate(over="ignore", invalid="ignore"):
+            return gram_jet(self.jac, dA, self.metric.inverse, dg, failed)
 
     @cached_property
     def projector_jet(self) -> np.ndarray:
@@ -186,9 +199,9 @@ class GeometryStack:
         d_k P_V follows by the product rule, with d_k N = -N (d_k M) N, and
         nabla_k P_V = d_k P_V + [Gamma_k, P_V].
         """
-        dA, dg, gamma, failed = self._jet_inputs
+        dA, _, gamma = self._jet_inputs
         G = self.metric.inverse
-        dG, _, N, dM = gram_jet(self.jac, dA, G, dg, failed)
+        dG, _, N, dM = self.gram_jet
         C, D = N @ self.jac, N @ self.jac @ G
         p_vert = self.splitting[2][:, None]
         # d_k (G A^T N A) = d_k (A G)^T C + D^T (d_k A - d_k M C)
@@ -207,10 +220,10 @@ class GeometryStack:
         / |dF1 ^ dF2|_g and o the scenario orientation. This form equals
         `structures`.
         """
-        dA, dg, gamma, failed = self._jet_inputs
+        dA, dg, gamma = self._jet_inputs
         o = self.scenario.orientation
         return tuple(structure_jets(self.jac, dA, self.metric.g, dg, gamma, self.metric.inverse,
-                                    (o, -o), failed))
+                                    (o, -o), self.gram_jet))
 
     def check(self, index: int) -> None:
         """Raise the failure of point `index`'s splitting, if it failed."""

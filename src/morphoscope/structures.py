@@ -89,7 +89,7 @@ def gram_jet(A: np.ndarray, dA: np.ndarray, G: np.ndarray, dg: np.ndarray,
 
 
 def structure_jets(A: np.ndarray, dA: np.ndarray, g: np.ndarray, dg: np.ndarray,
-                   gamma: np.ndarray, G: np.ndarray, signs, degenerate=None) -> list:
+                   gamma: np.ndarray, G: np.ndarray, signs, gram=None) -> list:
     """The first jets (J, nabla J) of J = -G (w + s *w), one for each sign s.
 
     w = A_1 ^ A_2 / |A_1 ^ A_2|_g is the unit 2-form of the two rows of A,
@@ -98,12 +98,13 @@ def structure_jets(A: np.ndarray, dA: np.ndarray, g: np.ndarray, dg: np.ndarray,
     k: dA, dg = d_k g and gamma, with (Gamma_k)^a_b = Gamma^a_{bc} X_k^c,
     carry k on their second axis, (n, k, ...), and the matrix indices last.
     J is (n, 4, 4) and nabla J is (n, k, 4, 4), with nabla_k J = d_k J +
-    [Gamma_k, J] by the product rule. `degenerate` is passed to gram_jet.
+    [Gamma_k, J] by the product rule. `gram` is the gram_jet of A, dA, G
+    and dg when the caller has it, and is computed here otherwise.
     Entries that overflow come out non-finite, without a warning: the
     callers' checks of J reject those rows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dG, M, N, dM = gram_jet(A, dA, G, dg, degenerate)
+        dG, M, N, dM = gram_jet(A, dA, G, dg) if gram is None else gram
         G, A = G[:, None], A[:, None]
         W = A[..., 0, :, None] * A[..., 1, None, :]
         dW = (dA[..., 0, :, None] * A[..., 1, None, :]

@@ -10,7 +10,9 @@ direct algebraic testing.
 
 The shapes are taken over regular rows of a geometry stack (`shape_stack`),
 and a `FiberShape` is a row of a shape stack; a point alone is the stack of
-one. Every derivative is read from the exact first jets of the geometry
+one. A scan builds no FiberShape: it reads the norm products and identity
+gaps of its samples as columns of the shape stack's coefficients. Every
+derivative is read from the exact first jets of the geometry
 stack, so a shape needs no geometry at any other point: a scan builds one
 geometry stack of its samples.
 """
@@ -107,8 +109,10 @@ def shape_stack(stack: GeometryStack, index, angle: float) -> ShapeStack:
     """
     ca, sa = math.cos(angle), math.sin(angle)
     index = np.asarray(index, dtype=int)
-    for i in index:
-        stack.check(i)
+    failures = stack.splitting[-1]
+    for i in index.tolist():
+        if failures[i] is not None:
+            stack.check(i)
     horizontal, vertical = (rows[index] for rows in stack.splitting[:2])
     T = ca * vertical[:, 0] + sa * vertical[:, 1]
     e2 = ca * vertical[:, 1] - sa * vertical[:, 0]   # positive vertical rotation
@@ -213,8 +217,10 @@ def frame_component_sums(dJ: np.ndarray, g: np.ndarray,
     full runs over all frame index pairs; mixed only over vertical rows
     against horizontal columns, frame order (T, e2, e3, e4).
     """
-    comp = np.array([[float((dJ @ frame_rows[i]) @ g @ frame_rows[j])
-                      for j in range(4)] for i in range(4)])
+    # comp[i, j] = ((dJ f_i) g) f_j, as (4, 1), (1, 4) and (4, 1) matrix
+    # products over the frame rows f_i and f_j
+    rows = frame_rows[:, :, None]
+    comp = (((dJ @ rows).swapaxes(-1, -2) @ g)[:, None] @ rows)[..., 0, 0]
     full = float(np.sum(comp ** 2))
     mixed = float(np.sum(comp[:2, 2:] ** 2))
     return full, mixed
@@ -246,17 +252,21 @@ class ProductScan:
 
 def _scan_shapes(scenario: MorphismScenario, points: np.ndarray, angle: float) -> tuple:
     """(regular rows, norm products, largest identity gap) of the fiber
-    shapes at the regular ones of the points, from one geometry stack."""
+    shapes at the regular ones of the points, from one geometry stack, read
+    row by row from the coefficients of its shape stack."""
     if not len(points):
         return np.zeros(0, dtype=int), [], 0.0
     stack = geometry_stack(scenario, points)
     regular = np.flatnonzero(stack.regular)
-    if not regular.size:
-        return regular, [], 0.0
-    shapes = shape_stack(stack, regular, angle)
-    rows = [FiberShape(shapes, i) for i in range(len(regular))]
-    return (regular, [shape.product for shape in rows],
-            max([0.0] + [shape.identity_gap for shape in rows]))
+    products, gap = [], 0.0
+    if regular.size:
+        for coefficients in shape_stack(stack, regular, angle).coefficients:
+            plus, minus = closed_norm_pair(*coefficients)
+            products.append(plus * minus)
+            gap = max(gap, abs(product_identity(*coefficients)
+                               - product_polar(*polar_form(*coefficients)))
+                      / identity_scale(*coefficients))
+    return regular, products, gap
 
 
 def product_bound_scan(scenario: MorphismScenario, center,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morphoscope import cli, runner, weingarten
+from morphoscope import cli, runner, structures, weingarten
 from morphoscope import report as report_module
 from morphoscope.calculus import MorphismScenario
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
@@ -542,13 +542,13 @@ OVERFLOW_CASES = [
     (1e20, "analyze", "GeometryError", "huge_analyze"),
     (1e50, "validate", "GeometryError", "huge_validate"),
     (1e60, "validate", "GeometryError", "huge_validate"),
-    # the splitting frame is finite but the conformality defect overflows
+    # the conformality defect overflows: the splitting names it before its
+    # frame, finite at 1e20 and of a non-finite determinant from 1e50
     (1e20, "weingarten", "GeometryError", "huge_weingarten_point"),
-    # the splitting frame has a non-finite determinant
-    (1e50, "analyze", "DegenerateFrameError", "huge_analyze"),
-    (1e50, "weingarten", "DegenerateFrameError", "huge_weingarten_point"),
-    (1e60, "analyze", "DegenerateFrameError", "huge_analyze"),
-    (1e60, "weingarten", "DegenerateFrameError", "huge_weingarten_point"),
+    (1e50, "analyze", "GeometryError", "huge_analyze"),
+    (1e50, "weingarten", "GeometryError", "huge_weingarten_point"),
+    (1e60, "analyze", "GeometryError", "huge_analyze"),
+    (1e60, "weingarten", "GeometryError", "huge_weingarten_point"),
 ]
 
 
@@ -564,8 +564,8 @@ def test_overflowing_differential_exits_two(tmp_path, capsys, half_width, comman
     assert run(tmp_path, *command_argv(command, path, half_width)) == 2
     err = capsys.readouterr().err
     assert error in err
-    if error == "DegenerateFrameError":
-        # a frame error names the point it was raised at
+    if command in ("analyze", "weingarten"):
+        # the error names the point it was raised at
         point = [f * half_width for f in (0.3, -0.2, 0.1, 0.4)]
         assert err.rstrip().endswith(f" at {point}")
     if command == "validate" and half_width < 1e200:
@@ -744,6 +744,16 @@ def test_weingarten_scan_never_reads_the_direct_norms(tmp_path, monkeypatch):
     assert run(tmp_path, "weingarten", "--config", str(cfg), "--scan") == 0
     assert sums == []
     assert jets == {"projector_jet": 1, "structure_jets": 0}
+
+
+@pytest.mark.parametrize("args", [[REGULAR_POINT], ["--scan"]], ids=["point", "scan"])
+def test_weingarten_computes_one_gram_jet(tmp_path, monkeypatch, args):
+    # the projector jet and the structure jets of a point read one Gram jet
+    # dF g^-1 dF^T of its stack, and a scan reads one of its whole stack
+    grams = count_calls(monkeypatch, structures, "gram_jet")
+    cfg = write_config(tmp_path, "pullback_z1z2")
+    assert run(tmp_path, "weingarten", "--config", str(cfg), *args) == 0
+    assert len(grams) == 1
 
 
 @pytest.mark.parametrize("args", [["validate"], ["analyze", REGULAR_POINT]],
@@ -937,9 +947,10 @@ def test_an_overflowing_map_exits_two_without_warnings(tmp_path, capsys, factor)
     # float: the geometry is rejected, with no numpy warning on the way,
     # while the scale-free symbol still certifies. Up to 1e150 the Gram
     # matrix dF g^-1 dF^T is finite and the defect check rejects it; from
-    # 1e155 the Gram matrix itself overflows and the frame it gives is
-    # rejected first. At 1.7e308 the differential itself overflows, which
-    # validate names, and so do the symbol's coefficients
+    # 1e155 the Gram matrix itself overflows, and the defect check still
+    # rejects it before the frame it gives. At 1.7e308 the differential
+    # itself overflows, which validate names, and so do the symbol's
+    # coefficients
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(scaled_catalog_config("z1z2", factor)))
     for argv in (["validate"], ["analyze", REGULAR_POINT], ["weingarten", REGULAR_POINT],
@@ -951,10 +962,8 @@ def test_an_overflowing_map_exits_two_without_warnings(tmp_path, capsys, factor)
         if argv == ["validate"]:
             assert ("differential is not finite" if factor > 1e300
                     else "conformality defect") in err
-        elif factor < 1e155:
-            assert "conformality defect" in err
         elif factor < 1e300:
-            assert "DegenerateFrameError: " in err
+            assert "conformality defect" in err
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(tmp_path, "symbol", "--config", str(path)) == (2 if factor > 1e300 else 0)

@@ -11,6 +11,8 @@ Closed-form sphere values are frozen as literals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,8 @@ from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DomainError, GeometryError
 from morphoscope.geometry import (
     DEFAULT_FD_STEP, Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric,
-    central_difference, central_nodes, christoffel, covariant_derivative, curvature_data,
-    frame_orientations, metric_point, orthonormalize,
+    _orientation_failure, central_difference, central_nodes, christoffel, covariant_derivative,
+    curvature_data, frame_orientations, metric_point, orthonormalize,
 )
 from morphoscope.polynomials import Poly, evaluate
 
@@ -200,6 +202,45 @@ def test_lowered_curvature_of_a_stack_is_that_of_its_points():
         assert np.array_equal(row, metric_point(metric, m).lowered)
 
 
+def einsum_lowered(mp) -> np.ndarray:
+    """Reference: the lowered curvature of a record, contracted index by
+    index with einsum."""
+    dg, d2g, ginv, gamma = mp.dg, mp.d2g, mp.inverse, mp.gamma
+    S = np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg
+    dS = np.einsum("...ijmk->...imjk", d2g) + np.einsum("...ikmj->...imjk", d2g) - d2g
+    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
+    dgamma = 0.5 * (np.einsum("...ilm,...mjk->...iljk", dginv, S)
+                    + np.einsum("...lm,...imjk->...iljk", ginv, dS))
+    upper = (np.einsum("...iljk->...lijk", dgamma) - np.einsum("...jlik->...lijk", dgamma)
+             + np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+             - np.einsum("...ljm,...mik->...lijk", gamma, gamma))
+    return np.einsum("...lijk,...lp->...ijkp", upper, mp.g)
+
+
+def curved_pullback():
+    """The product sphere pulled back by a gentle polynomial map, whose
+    curvature is the sphere's, not rounding noise as on a flat base."""
+    x = [Poly.variable(k) for k in range(4)]
+    phi = [x[0] + 1.5 + 0.1 * x[1] * x[1], x[1] + 0.05 * x[2] * x[3],
+           x[2] - 0.08 * x[0] * x[1], x[3] + 0.06 * x[0] * x[0]]
+    return PullbackMetric(ProductSphereMetric(1.3, SPHERE_DOMAIN), phi, Box.cube(0.5))
+
+
+@pytest.mark.parametrize("name", ["product_sphere", "pullback_product_sphere"])
+def test_lowered_curvature_matches_the_einsum_contractions(name):
+    if name == "product_sphere":
+        metric, lo, hi = ProductSphereMetric(1.3, SPHERE_DOMAIN), SPHERE_DOMAIN.lo, SPHERE_DOMAIN.hi
+    else:
+        metric, lo, hi = curved_pullback(), -0.5, 0.5
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        points = rng.uniform(lo, hi, size=(9, 4))
+        expected = einsum_lowered(metric_point(metric, points))
+        R = metric_point(metric, points).lowered
+        assert np.max(np.abs(expected)) > 0.1
+        assert np.max(np.abs(R - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
 def test_flat_metric_curvature_vanishes():
     metric = FlatMetric(Box.cube(1.0))
     data = curvature_data(metric, np.zeros(4))
@@ -277,6 +318,27 @@ def test_orientation_sign_does_not_depend_on_the_frame_scale(scale):
     assert signs[:2].tolist() == [1, -1]
     assert failures[:2] == [None, None]
     assert all("numerically zero" in failure for failure in failures[2:])
+
+
+def test_orientations_match_the_row_rule_on_non_finite_frames():
+    # the stacked test flags exactly the rows the row rule rejects: a zero,
+    # inf or NaN determinant, a bound that overflows or is NaN
+    degenerate = np.eye(4)
+    degenerate[3] = degenerate[2]
+    infinite, nan = np.eye(4), np.eye(4)
+    infinite[0, 0], nan[1, 2] = np.inf, np.nan
+    frames = np.array([np.eye(4), np.eye(4)[[1, 0, 2, 3]], degenerate, np.zeros((4, 4)),
+                       infinite, -infinite, nan, np.full((4, 4), np.nan),
+                       1e100 * np.eye(4), np.diag([1e160, 1e160, 1e-160, 1e-160]),
+                       np.random.default_rng(2).standard_normal((4, 4))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        signs, failures = frame_orientations(frames)
+        rows = [(float(np.linalg.det(f.T)), float(np.prod(np.hypot.reduce(f, axis=-1))))
+                for f in frames]
+    assert any(math.isnan(bound) for _, bound in rows)
+    assert signs.tolist() == [1 if det > 0 else -1 for det, _ in rows]
+    assert failures == [_orientation_failure(det, bound) for det, bound in rows]
+    assert failures[0] is None and None not in failures[2:-1]
 
 
 def test_covariant_derivative_of_transported_field_vanishes():

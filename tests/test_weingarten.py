@@ -329,6 +329,20 @@ def test_scan_builds_one_stack_per_scan(monkeypatch):
     assert jets == {"projector_jet": 1, "structure_jets": 0}
 
 
+def test_scan_builds_no_fiber_shape(monkeypatch):
+    # the products and identity gaps are read from the shape stack's
+    # coefficients, with no row object per sample
+    built = []
+    monkeypatch.setattr(weingarten, "FiberShape",
+                        lambda *args: built.append(args) or FiberShape(*args))
+    scan = product_bound_scan(scenario_pullback_product(), np.zeros(4),
+                              n_directions=4, seed=2)
+    assert scan.verdict == "PASS"
+    assert built == []
+    fiber_shape(scenario_pullback_product(), np.array([0.3, 0.1, 0.25, -0.2]))
+    assert len(built) == 1
+
+
 def test_scan_builds_no_stencil_for_a_skipped_sample(monkeypatch):
     # samples outside the domain are not built, and critical samples (on
     # the plane z1 = 0) get no shape; the inside samples of both shells
