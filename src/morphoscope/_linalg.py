@@ -9,19 +9,25 @@ import numpy as np
 from .errors import DegenerateFrameError, GeometryError
 
 
-def check_spd(g: np.ndarray, context: str = "metric") -> None:
-    """Raise GeometryError unless g, or each matrix of a stack g, is
-    symmetric positive definite."""
-    if not np.all(np.isfinite(g)):
-        raise GeometryError(f"{context} has non-finite entries")
+def spd_failures(g: np.ndarray) -> tuple:
+    """(rows, reason) of each check, in order, that a stack of matrices g,
+    (n, k, k), fails to be symmetric positive definite: non-finite entries,
+    asymmetry, and a leading principal minor that is not positive, its sign
+    read from the LU factorization that np.linalg.inv runs, so a matrix that
+    passes is invertible. No row raises or warns."""
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    g = g if finite.all() else np.where(finite[:, None, None], g, np.eye(g.shape[-1]))
     skew = g - g.swapaxes(-1, -2)
-    if np.any(skew) and np.any(np.linalg.norm(skew, axis=(-2, -1))
-                               > 1e-9 * np.maximum(1.0, np.linalg.norm(g, axis=(-2, -1)))):
-        raise GeometryError(f"{context} is not symmetric")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise GeometryError(f"{context} is not positive definite") from None
+    asymmetric = np.zeros(len(g), dtype=bool)
+    if np.any(skew):
+        with np.errstate(over="ignore"):
+            asymmetric = (np.linalg.norm(skew, axis=(-2, -1))
+                          > 1e-9 * np.maximum(1.0, np.linalg.norm(g, axis=(-2, -1))))
+    positive = g[:, 0, 0] > 0
+    for k in range(2, g.shape[-1] + 1):
+        positive &= np.linalg.slogdet(g[:, :k, :k])[0] > 0
+    return ((~finite, "has non-finite entries"), (asymmetric, "is not symmetric"),
+            (~positive, "is not positive definite"))
 
 
 def spd_sqrt_pair(g: np.ndarray, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import check_spd, spd_sqrt_pair
+from ._linalg import spd_failures, spd_sqrt_pair
 from .errors import DegenerateFrameError, DomainError, GeometryError
 from .polynomials import UPPER, Poly, Table, evaluate, symmetric
 
@@ -79,9 +79,7 @@ class ChartMetric:
             raise DomainError(f"point {point.tolist()} leaves the chart domain (margin 0)")
 
     def matrix_checked(self, m) -> np.ndarray:
-        g = self.matrix(m)
-        check_spd(g, "chart metric")
-        return g
+        return metric_point(self, m).g
 
     def record(self, m: np.ndarray) -> "MetricPoint":
         """The metric at a point or a stack m, unchecked, as metric_point keeps it."""
@@ -210,12 +208,11 @@ def _mirrored(a: np.ndarray) -> np.ndarray:
 class MetricPoint:
     """The chart metric at one point or an (n, 4) stack of points, evaluated once.
 
-    `metric_point` checks the domain and the matrix when it builds one. The
-    derivatives, the inverse, the Christoffel symbols, the square roots and
-    the lowered curvature are derived on first use, over the whole stack,
-    and then kept; `at(i)` hands point i its rows of dg, the inverse and the
-    Christoffel symbols. Every rejection of the matrix raises GeometryError
-    naming the point.
+    `metric_rows` checks the domain and the matrix of each point when it
+    builds one, and sets the inverse. The derivatives, the Christoffel
+    symbols, the square roots and the lowered curvature are derived on first
+    use, over the whole stack, and then kept; `at(i)` hands point i its rows
+    of dg, the inverse and the Christoffel symbols.
     """
 
     metric: ChartMetric
@@ -244,12 +241,6 @@ class MetricPoint:
         """Second derivatives, d2g[..., k, l, :, :] = d_k d_l g: the two
         derivative indices come before the two matrix indices."""
         return self.metric.second_derivatives(self.point)
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """g^{-1}, see metric_inverse."""
-        with named_at(self.point):
-            return metric_inverse(self.g)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -339,15 +330,6 @@ class PulledPoint(MetricPoint):
         return _mirrored(N + N.swapaxes(-1, -2) + JT[..., None, :, :] @ Dcd @ J[..., None, :, :])
 
 
-def metric_inverse(g: np.ndarray) -> np.ndarray:
-    """g^{-1} by np.linalg.inv, as the connection and the curvature use it,
-    for a matrix or a stack."""
-    try:
-        return np.linalg.inv(g)
-    except np.linalg.LinAlgError:
-        raise GeometryError("metric matrix is numerically singular") from None
-
-
 def _connection_sums(dg: np.ndarray) -> np.ndarray:
     # S[..., m, i, j] = d_i g_{mj} + d_j g_{mi} - d_m g_{ij}; not kept on
     # the record, whose readers each recompute it: on a large stack a kept
@@ -365,30 +347,77 @@ def christoffel_symbols(inverse: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def point_name(m) -> list:
-    """The point m, or the one point of a stack m, as a list for messages;
-    a stack of several points is named by all of them."""
-    m = np.asarray(m)
-    return (m[0] if m.ndim > 1 and len(m) == 1 else m).tolist()
-
-
 @contextmanager
 def named_at(m: np.ndarray):
     """Re-raise a GeometryError or DegenerateFrameError of the block with
-    the point m, or the points of a stack m, named (see point_name)."""
+    the point m named."""
     try:
         yield
     except (GeometryError, DegenerateFrameError) as exc:
-        raise type(exc)(f"{exc} at {point_name(m)}") from None
+        raise type(exc)(f"{exc} at {np.asarray(m).tolist()}") from None
 
 
 def metric_point(metric: ChartMetric, m) -> MetricPoint:
-    """The metric at a point or an (n, 4) stack m, inside the chart and positive definite."""
+    """The metric at a point or an (n, 4) stack m (see metric_rows), raising
+    the failure of the first failing point."""
     m = np.asarray(m, dtype=float)
-    metric.require_inside(m)
-    with named_at(m):
-        mp = metric.record(m)
-        check_spd(mp.g, "chart metric")
+    failures = FailureColumn(np.zeros(m.size // 4, dtype=bool))
+    mp = metric_rows(metric, m, failures)
+    failures.raise_first()
+    return mp
+
+
+@dataclass
+class FailureColumn:
+    """The failures of the rows of a stack: `failed` flags the rows that
+    failed a step, and `first[i]` is the error type and the message of row
+    i's first failed step."""
+
+    failed: np.ndarray
+    first: dict = field(default_factory=dict)
+
+    def reject(self, rows: np.ndarray, error: type, message: Callable[[int], str]) -> None:
+        """Record the error, with the message message(i), for each row i that
+        `rows` flags and that has no failure yet; only those messages are built."""
+        if not rows.any():
+            return
+        new = np.flatnonzero(rows & ~self.failed)
+        for i in new.tolist():
+            self.first[i] = error, message(i)
+        self.failed[new] = True
+
+    def neutral(self, values: np.ndarray, value) -> np.ndarray:
+        """values with each failed row replaced by value, so no stacked call
+        on it raises or warns; values itself when no row failed."""
+        if not self.failed.any():
+            return values
+        return np.where(self.failed.reshape((-1,) + (1,) * (values.ndim - 1)), value, values)
+
+    def raise_first(self, rows=None) -> None:
+        """Raise the failure of the first failed row among `rows`, in their
+        order, or among all rows."""
+        rows = np.flatnonzero(self.failed) if rows is None else np.asarray(rows)[self.failed[rows]]
+        if len(rows):
+            error, message = self.first[int(rows[0])]
+            raise error(message)
+
+
+def metric_rows(metric: ChartMetric, m: np.ndarray, failures: FailureColumn) -> MetricPoint:
+    """The metric record of a point or an (n, 4) stack m with its inverse, no
+    point raising. A point outside the domain, or whose matrix fails a check
+    of spd_failures, records its first failure in the column; the record
+    takes a point outside at its nearest point of the domain, and a failed
+    point reads the identity as g and as its inverse."""
+    domain, points = metric.domain, m.reshape(-1, 4)
+    inside = domain.contains(points)
+    failures.reject(~inside, DomainError,
+                    lambda i: f"point {points[i].tolist()} leaves the chart domain (margin 0)")
+    mp = metric.record(m if inside.all() else np.clip(m, domain.lo, domain.hi))
+    for rows, reason in spd_failures(mp.g.reshape(-1, 4, 4)):
+        failures.reject(rows, GeometryError,
+                        lambda i: f"chart metric {reason} at {points[i].tolist()}")
+    mp.g = failures.neutral(mp.g, np.eye(4))
+    mp.inverse = np.linalg.inv(mp.g)
     return mp
 
 

@@ -88,25 +88,14 @@ def _deviations(stack: GeometryStack, orientation: int, J0: np.ndarray) -> np.nd
     return np.sqrt((f @ f.swapaxes(-1, -2))[:, 0, 0])
 
 
-def _ray_until_critical(sc: MorphismScenario, points) -> list:
-    """The samples along a ray, each a stack of one, up to and including its
-    first critical sample."""
-    ray = []
-    for y in points:
-        ray.append((geometry_stack(sc, [y]), 0))
-        if not ray[-1][0].regular[0]:
-            break
-    return ray
-
-
 def _regular_rays(sample: CenterSample):
     """One regular ray per seeded direction, with critical substitution.
 
-    A ray is the list of its samples, radius-major, each a (stack, row)
-    pair: the sample's column of the sample's stack, or a stack of one per
-    sample of a substituted ray. A direction whose ray meets a critical
-    sample at any radius is replaced by a deterministic jittered direction;
-    substitutions are reported as (seeded direction index, attempts used).
+    A ray is (stack, rows): its samples, radius-major, as rows of the
+    sample's stack, or as the stack of one pass over a substituted ray. A
+    direction whose ray meets a critical sample at any radius is replaced
+    by a deterministic jittered direction; substitutions are reported as
+    (seeded direction index, attempts used).
     """
     stack, width = sample.stack, len(sample.directions)
     regular = stack.regular
@@ -116,7 +105,7 @@ def _regular_rays(sample: CenterSample):
     rays = []
     substitutions = []
     for i in range(N_AXES, width):
-        ray = [(stack, row) for row in range(i, len(regular), width)]
+        ray = stack, np.arange(i, len(regular), width)
         attempt, ok = 0, ray_regular[i]
         while not ok:
             if attempt == MAX_DIRECTION_SUBSTITUTIONS:
@@ -126,9 +115,9 @@ def _regular_rays(sample: CenterSample):
             attempt += 1
             d = sample.directions[i] + 0.05 * attempt * rng.standard_normal(4)
             d = d / np.linalg.norm(d)
-            ray = _ray_until_critical(sample.symbol.chart.scenario,
-                                      shell_samples(d[None], sample.radii)[1][:, 0])
-            ok = all(source.regular[0] for source, _ in ray)
+            source = geometry_stack(sample.symbol.chart.scenario,
+                                    shell_samples(d[None], sample.radii)[1][:, 0])
+            ray, ok = (source, np.arange(len(sample.radii))), source.regular.all()
         if attempt > 0:
             substitutions.append((i - N_AXES, attempt))
         rays.append(ray)
@@ -160,11 +149,9 @@ def structure_deviation_rate(sample: CenterSample, orientation: int = 1) -> Devi
     rays, subs = _regular_rays(sample)
     column = _deviations(stack, orientation, J0)
     table = []
-    for ray in rays:
-        for source, row in ray:
-            source.check(row)
-        table.append([column[row] if source is stack else _deviations(source, orientation, J0)[0]
-                      for source, row in ray])
+    for source, rows in rays:
+        source.splitting[-1].raise_first(rows)
+        table.append(column[rows] if source is stack else _deviations(source, orientation, J0))
     dev_vals = np.max(table, axis=0)
 
     # the metric defects of J0 are read at the unsubstituted samples, over
@@ -209,7 +196,7 @@ def isolated_extension(sample: CenterSample, orientation: int = 1) -> IsolatedEx
     stack = sample.stack
     # the first sample, radius-major, whose splitting failed raises: as
     # NonIsolatedCriticalError when it is critical, else its own failure
-    for i in np.flatnonzero([f is not None for f in stack.splitting[-1]]):
+    for i in np.flatnonzero(stack.splitting[-1].failed):
         if not stack.regular[i]:
             r = sample.radii[i // len(sample.directions)]
             raise NonIsolatedCriticalError(

@@ -8,14 +8,16 @@ I - g^{-1} dF^T (dF g^{-1} dF^T)^{-1} dF onto ker dF. Frames are constructed
 deterministically so repeated runs and neighbouring points agree.
 
 All of it comes from one record, `GeometryStack`, the geometry of a stack
-of points built in one pass over the stack (`geometry_stack`); a point alone
+of points built in one pass over the stack (`stack_pass`); a point alone
 is the stack of one, and every reader takes a stack and its row indices.
 The tension, the splitting, the structures J+ and J- and the first jets of
 the vertical projector and of the structures are derived over the whole
-stack when they are first read; a point where the splitting fails keeps its
-failure, which `GeometryStack.check` raises, and leaves the other rows. The
-jets are exact: the product rule over g, dg, the Christoffel symbols, dF
-and the Hessians of F, with no geometry built at any other point.
+stack when they are first read. A point that fails a step of the pass or
+of the splitting keeps its first failure in a failure column and leaves
+the other rows; `geometry_stack` raises the first failure of the pass, and
+`GeometryStack.check` that of a row. The jets are exact: the product rule
+over g, dg, the Christoffel symbols, dF and the Hessians of F, with no
+geometry built at any other point.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .calculus import MorphismScenario
-from .errors import ClassificationError, DegenerateFrameError, DomainError, GeometryError
-from .geometry import (MetricPoint, frame_orientations, metric_point, orthonormal_stack,
-                       point_name)
+from .errors import ClassificationError, DegenerateFrameError, GeometryError
+from .geometry import (FailureColumn, MetricPoint, frame_orientations, metric_rows,
+                       orthonormal_stack)
 from .structures import K_MINUS, K_PLUS, gram_jet, structure_jets
 
 EPS_CRITICAL = 1e-9
@@ -53,11 +55,12 @@ class GeometryStack:
     first read: the tension, the splitting, the structures J+ and J-, one
     Gram jet (d_k g^{-1}, the Gram matrix, its inverse and d_k of it), and
     the exact first jets of the vertical projector and of the structures,
-    which both read that one Gram jet."""
+    which both read that one Gram jet; `failures` is the pass's column."""
 
     scenario: MorphismScenario
     metric: MetricPoint
     jac: np.ndarray
+    failures: FailureColumn
     conformal: np.ndarray
     squared_dilation: np.ndarray
     dilation_sup: np.ndarray
@@ -109,31 +112,24 @@ class GeometryStack:
         `conformal`), as `projector_jet` differentiates it, a Gram-Schmidt
         of the projected coordinate axes (orthonormal_stack) and the
         orientation flip, with overflows non-finite and silent. A point that
-        fails a step does not stop the others: failures[i] is None, or the
-        error type and the message, naming the point, of point i's first
-        failed step, and its rows hold no frame. A conformality defect that
-        overflows is the first failure of its point, before its regularity
-        and its frame.
+        fails a step does not stop the others: failures is the column of the
+        pass extended by the splitting's steps, and the rows of a failed
+        point hold no frame. A conformality defect that overflows is the
+        first failure of its point, before its regularity and its frame.
         """
         points, g, G = self.metric.point, self.metric.g, self.metric.inverse
-        failures = [None] * len(points)
-
-        def fail(rows, error, reason):
-            for i in rows:
-                if failures[i] is None:
-                    failures[i] = error, f"{reason} at {points[i].tolist()}"
-
-        fail(np.flatnonzero(~np.isfinite(self.defect)), GeometryError,
-             "conformality defect overflows")
-        for i in np.flatnonzero(~self.regular):
-            fail([i], ClassificationError, f"splitting needs a regular point; dilation "
-                                           f"{self.dilation_sup[i]:.3e}")
+        failures = FailureColumn(self.failures.failed.copy(), dict(self.failures.first))
+        failures.reject(~np.isfinite(self.defect), GeometryError,
+                        lambda i: f"conformality defect overflows at {points[i].tolist()}")
+        failures.reject(~self.regular, ClassificationError,
+                        lambda i: f"splitting needs a regular point; dilation "
+                                  f"{self.dilation_sup[i]:.3e} at {points[i].tolist()}")
         with np.errstate(over="ignore", invalid="ignore"):
-            graw = self.conformal.copy()
             # sign 0: the LU factorization that solve runs has a zero pivot
-            fail(np.flatnonzero(np.linalg.slogdet(graw)[0] == 0), DegenerateFrameError,
-                 "horizontal Gram matrix is singular")
-            graw[[f is not None for f in failures]] = np.eye(2)
+            failures.reject(np.linalg.slogdet(self.conformal)[0] == 0, DegenerateFrameError,
+                            lambda i: f"horizontal Gram matrix is singular at "
+                                      f"{points[i].tolist()}")
+            graw = failures.neutral(self.conformal, np.eye(2))
             # e1 and e2 map to the target frame (1, 0) and (0, 1) under the
             # differential scaled by the dilation; every product below takes
             # one vector at a time, as for a point alone
@@ -148,12 +144,12 @@ class GeometryStack:
             # depend on the scale of the metric
             axes = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
             vertical, count = orthonormal_stack(g, p_vert.swapaxes(-1, -2), 2, axes)
-            fail(np.flatnonzero(count < 2), DegenerateFrameError,
-                 "vertical frame construction lost rank")
+            failures.reject(count < 2, DegenerateFrameError,
+                            lambda i: f"vertical frame construction lost rank at "
+                                      f"{points[i].tolist()}")
             signs, reasons = frame_orientations(np.concatenate([horizontal, vertical], axis=1))
-        for i, reason in enumerate(reasons):
-            if reason is not None:
-                fail([i], DegenerateFrameError, reason)
+        failures.reject(np.not_equal(reasons, None), DegenerateFrameError,
+                        lambda i: f"{reasons[i]} at {points[i].tolist()}")
         vertical[signs * self.scenario.orientation < 0, 1] *= -1.0
         return horizontal, vertical, p_vert, p_hor, failures
 
@@ -164,8 +160,8 @@ class GeometryStack:
         stack of adapted bases. The basis of a point whose splitting failed
         is replaced by the identity, so it cannot fail the inverse."""
         horizontal, vertical, _, _, failures = self.splitting
-        B = np.concatenate([horizontal, vertical], axis=1).swapaxes(-1, -2)
-        B[[f is not None for f in failures]] = np.eye(4)
+        B = failures.neutral(np.concatenate([horizontal, vertical], axis=1).swapaxes(-1, -2),
+                             np.eye(4))
         Binv = np.linalg.inv(B)
         return B @ K_PLUS @ Binv, B @ K_MINUS @ Binv
 
@@ -187,9 +183,8 @@ class GeometryStack:
         the identity at the points whose splitting failed; entries that
         overflow come out non-finite, without a warning."""
         dA, dg, _ = self._jet_inputs
-        failed = [f is not None for f in self.splitting[-1]]
         with np.errstate(over="ignore", invalid="ignore"):
-            return gram_jet(self.jac, dA, self.metric.inverse, dg, failed)
+            return gram_jet(self.jac, dA, self.metric.inverse, dg, self.splitting[-1].failed)
 
     @cached_property
     def projector_jet(self) -> np.ndarray:
@@ -226,50 +221,46 @@ class GeometryStack:
                                     (o, -o), self.gram_jet))
 
     def check(self, index: int) -> None:
-        """Raise the failure of point `index`'s splitting, if it failed."""
-        failure = self.splitting[-1][index]
-        if failure is not None:
-            error, message = failure
-            raise error(message)
+        """Raise the first failure of point `index`, of the pass or of its
+        splitting, if it failed."""
+        self.splitting[-1].raise_first([index])
 
 
 def geometry_stack(scenario: MorphismScenario, points) -> GeometryStack:
-    """The geometry of a stack of points, in order, built in one pass.
+    """The geometry of a stack of points, in order, built in one pass (see
+    stack_pass), raising the failure of its first failing point: the error
+    of a loop over the points, each point's first failed step."""
+    stack = stack_pass(scenario, points)
+    stack.failures.raise_first()
+    return stack
 
-    Each step below runs once over the whole (n, 4) stack: the domain
-    check, the metric and its check, the differential and its check, the
-    inverse metric and the conformality data, read from the Gram matrix
-    dF g^{-1} dF^T with no decomposition; the Christoffel symbols and the
-    tension follow, for the whole stack, when they are first read (see
-    GeometryStack). Each row equals, bit for bit, what the same steps give
-    for its point alone.
 
-    A point outside the domain raises DomainError; non-finite metric or
-    differential entries and failed checks raise GeometryError, so no input
-    reaches the callers as a bare numerical failure. When a step fails, each point of the stack is passed again on
-    its own, so the error raised is that of the first failing point and of
-    its first failing step, as in a loop over the points.
+def stack_pass(scenario: MorphismScenario, points) -> GeometryStack:
+    """The geometry of a stack of points, in order, built in one pass that
+    raises for no point.
+
+    Each step runs once over the whole (n, 4) stack: the metric with its
+    checks and inverse (metric_rows), the differential and its check, and
+    the conformality data, read from the Gram matrix dF g^{-1} dF^T with no
+    decomposition; the Christoffel symbols and the tension follow when they
+    are first read (see GeometryStack). Each row equals, bit for bit, what
+    the same steps give for its point alone. A point that fails a step keeps
+    its first failure, naming it, in the failure column and reads the
+    identity metric and the differential (I 0) from then on: it is regular,
+    and no later step fails on it.
     """
     points = np.array(points, dtype=float, order="C").reshape(-1, 4)
-    try:
-        return _stack_pass(scenario, points)
-    except (DomainError, GeometryError):
-        for i in range(len(points)):
-            _stack_pass(scenario, points[i:i + 1])
-        raise
-
-
-def _stack_pass(scenario: MorphismScenario, points: np.ndarray) -> GeometryStack:
-    metric = metric_point(scenario.metric, points)
-    jac = scenario.jacobian(points)
-    if not np.all(np.isfinite(jac)):
-        raise GeometryError(f"differential is not finite at {point_name(points)}")
-    ginv = metric.inverse  # derived here, so a singular metric fails in the pass
+    failures = FailureColumn(np.zeros(len(points), dtype=bool))
+    metric = metric_rows(scenario.metric, points, failures)
+    jac = scenario.jacobian(metric.point)
+    failures.reject(~np.isfinite(jac).all(axis=(-2, -1)), GeometryError,
+                    lambda i: f"differential is not finite at {points[i].tolist()}")
+    jac = failures.neutral(jac, np.eye(2, 4))
 
     # entries that overflow come out non-finite, without a warning: the
     # check of the defect rejects those rows
     with np.errstate(over="ignore", invalid="ignore"):
-        conformal = jac @ ginv @ jac.swapaxes(-1, -2)
+        conformal = jac @ metric.inverse @ jac.swapaxes(-1, -2)
         squared_dilation = 0.5 * conformal.trace(axis1=-2, axis2=-1)
         # the larger eigenvalue of the Gram matrix: half its trace plus half
         # its eigenvalue gap, two terms that are not negative, so none cancel
@@ -280,9 +271,9 @@ def _stack_pass(scenario: MorphismScenario, points: np.ndarray) -> GeometryStack
         # the Frobenius norm as np.linalg.norm takes it: a dot product of
         # the flattened matrix with itself
         defect = np.sqrt((offset @ offset.swapaxes(-1, -2))[:, 0, 0])
-    return GeometryStack(scenario=scenario, metric=metric, jac=jac, conformal=conformal,
-                         squared_dilation=squared_dilation, dilation_sup=dilation_sup,
-                         defect=defect)
+    return GeometryStack(scenario=scenario, metric=metric, jac=jac, failures=failures,
+                         conformal=conformal, squared_dilation=squared_dilation,
+                         dilation_sup=dilation_sup, defect=defect)
 
 
 def hwc_residual(scenario: MorphismScenario, m) -> GeometryStack:

@@ -238,15 +238,15 @@ def evaluate(table: Table, points) -> np.ndarray:
     x = np.asarray(points, dtype=float)
     flat = x.reshape(-1, NVARS)
     coeffs, masks, exponents, degree = table.compiled
-    # powers[i, k * (degree + 1) + e] = x_k ** e at point i
-    powers = np.float_power(flat[:, :, None], np.arange(degree + 1)).astype(complex)
-    powers = powers.reshape(len(flat), NVARS * (degree + 1))
     # terms[i, p, t]: term t of polynomial p at point i
     terms = np.empty((len(flat),) + coeffs.shape, dtype=complex)
     terms[...] = coeffs
-    # a product past the largest float is inf, which the callers' finiteness
-    # checks reject; finite products are unchanged
+    # a power or a product past the largest float is inf, which the callers'
+    # finiteness checks reject; finite ones are unchanged
     with np.errstate(over="ignore"):
+        # powers[i, k * (degree + 1) + e] = x_k ** e at point i
+        powers = np.float_power(flat[:, :, None], np.arange(degree + 1)).astype(complex)
+        powers = powers.reshape(len(flat), NVARS * (degree + 1))
         for mask, exps in zip(masks, exponents):
             np.multiply(terms, powers[:, exps], out=terms, where=mask)
     if terms.shape[-1] > 1:

@@ -14,6 +14,8 @@ RADII_COUNT = 8
 RADII_FRACTION = 0.1
 # the signed coordinate axes that lead seeded_directions(..., include_axes=True)
 N_AXES = 8
+SIGNED_AXES = np.zeros((N_AXES, 4))
+SIGNED_AXES[np.arange(N_AXES), np.arange(N_AXES) // 2] = np.tile([1.0, -1.0], 4)
 
 
 @dataclass
@@ -85,19 +87,17 @@ def seeded_directions(count: int, seed: int, include_axes: bool = False) -> np.n
     With include_axes the eight signed coordinate axes come first.
     """
     rng = np.random.default_rng(seed)
-    dirs = []
-    if include_axes:
-        for k in range(4):
-            for s in (1.0, -1.0):
-                e = np.zeros(4)
-                e[k] = s
-                dirs.append(e)
-    while len(dirs) < count + (N_AXES if include_axes else 0):
-        v = rng.standard_normal(4)
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            dirs.append(v / n)
-    return np.array(dirs)
+    dirs = [SIGNED_AXES if include_axes else np.zeros((0, 4))]
+    # four draws a row, in stream order; a row too short to normalise is
+    # dropped and replaced by the next draws
+    missing = count
+    while missing > 0:
+        v = rng.standard_normal((missing, 4))
+        norm = np.sqrt(v[:, None] @ v[..., None])[:, 0]
+        keep = norm[:, 0] > 1e-8
+        dirs.append(v[keep] / norm[keep])
+        missing -= int(keep.sum())
+    return np.concatenate(dirs)
 
 
 def shell_samples(directions: np.ndarray, radii: Sequence[float] | None = None,

@@ -15,8 +15,9 @@ the gauged form g^{1/2} V g^{-1/2}, with no square root taken.
 
 Lifts are built over stacks of parameter points (`lift_stack`): the patch
 is evaluated point by point, and the rank test, the chart metric, the
-tangent coordinates, the lift and its checks run once per stack; no frame
-is built. The lift is J = -g^{-1} (w + s *w) for the unit tangent 2-form w
+tangent coordinates, the lift and its checks run once per stack, keeping
+each row's first failure in a failure column; no frame is built. The lift
+is J = -g^{-1} (w + s *w) for the unit tangent 2-form w
 of the patch, taken with its jet along the parameter axes from
 `structures.structure_jets` of the rows d^T g and the patch Hessians, so
 the vertical derivatives, the covariant derivatives of the lift field along
@@ -39,7 +40,7 @@ import numpy as np
 
 from .calculus import MorphismScenario
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .geometry import FRAME_RANK_TOL, Box, MetricPoint, metric_point
+from .geometry import FRAME_RANK_TOL, Box, FailureColumn, MetricPoint, metric_rows
 from .structures import LEVI_CIVITA, fiber_from_structure, structure_jets
 
 VERTICAL_ROTATION_SIGN = -1
@@ -79,18 +80,16 @@ class VerticalEnergy:
     area_element: np.ndarray   # (n,)
 
 
-def _check_structure(g: np.ndarray, J: np.ndarray) -> None:
-    """Raise GeometryError unless J squares to minus the identity and
-    preserves g, each row of a stack J against its own g and scale; a
-    non-finite row fails, and a stack raises the failure of its first
-    failing row."""
-    squared = ~(np.max(np.abs(J @ J + np.eye(4)), axis=(-2, -1)) <= 1e-9)
+def _check_structure(g: np.ndarray, J: np.ndarray) -> tuple:
+    """(rows, reason) of each check of a stack of structures J against its
+    metrics g, in order: the rows whose J does not square to minus the
+    identity, and the rows whose J does not preserve g, each against its
+    own scale; a non-finite row fails."""
     scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
-    metric = ~(np.max(np.abs(J.swapaxes(-1, -2) @ g @ J - g), axis=(-2, -1)) <= 1e-9 * scale)
-    failed = np.flatnonzero(squared | metric)
-    if len(failed):
-        raise GeometryError("structure squared is not minus the identity" if squared[failed[0]]
-                            else "structure does not preserve the metric")
+    return ((~(np.max(np.abs(J @ J + np.eye(4)), axis=(-2, -1)) <= 1e-9),
+             "structure squared is not minus the identity"),
+            (~(np.max(np.abs(J.swapaxes(-1, -2) @ g @ J - g), axis=(-2, -1)) <= 1e-9 * scale),
+             "structure does not preserve the metric"))
 
 
 def fiber_coordinates(g: np.ndarray, J: np.ndarray, orientation: int = 1) -> np.ndarray:
@@ -154,65 +153,37 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
 
     The patch, its differential and its Hessian are evaluated one parameter
     point at a time; every other step runs once over the whole stack: the
-    rank test of the differentials, the chart metric and its checks, the
-    tangent coordinates from the Cholesky factor of the induced metric
-    (_tangent_coordinates), the lift J with its jet and the checks of J. No
-    frame is built. These checks exclude the reader failures known; a
-    reader that still fails on a returned stack names its first failing
-    row. Each row equals, bit for bit, what the same steps give for its
-    point alone. When a step fails, each point of the stack is passed again
-    on its own, so the error raised is that of the first failing point and
-    of its first failing step, as in a loop over the points.
+    box and rank tests, the chart metric with its checks and inverse
+    (metric_rows), the tangent coordinates (_tangent_coordinates), the lift
+    J with its jet and the checks of J. No frame is built. These checks
+    exclude the reader failures known; a reader that still fails on a
+    returned stack names its first failing row. Each row equals, bit for
+    bit, what the same steps give for its point alone. A point that fails a
+    step keeps its first failure in a failure column and reads neutral
+    values from then on; the stack raises the first point's failure.
     """
     params = np.array(params, dtype=float).reshape(-1, 2)
-    try:
-        return _lift_pass(scenario, patch, params, orientation)
-    except Exception:
-        for i in range(len(params)):
-            _lift_pass(scenario, patch, params[i:i + 1], orientation)
-        raise
-
-
-def _tangent_coordinates(h: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Rows x1, x2 that d maps to the g-orthonormal pair t1, t2 Gram-Schmidt
-    gives from the columns of d: L^{-1} for the Cholesky factor L L^T of each
-    induced metric h = d^T g d of a stack, (n, 2, 2), in closed form. Under
-    geometry.orthonormalize's rank rule, the second pivot, the squared
-    g-norm of the residual of d e2, must be at least FRAME_RANK_TOL^2 h_22,
-    so the rule does not depend on the scale of the metric; the first row
-    failing it raises DegenerateFrameError naming its point among `points`.
-    """
-    a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l11 = np.sqrt(a)
-        l21 = b / l11
-        pivot = c - l21 * l21
-    failed = np.flatnonzero(~((a > 0) & (pivot > 0) & (pivot >= FRAME_RANK_TOL ** 2 * c)))
-    if len(failed):
-        raise DegenerateFrameError(
-            f"induced metric is numerically degenerate at {points[failed[0]].tolist()}")
-    l22 = np.sqrt(pivot)
-    X = np.zeros_like(h)
-    X[:, 0, 0], X[:, 1, 0], X[:, 1, 1] = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
-    return X
-
-
-def _lift_pass(scenario: MorphismScenario, patch: SurfacePatch, params: np.ndarray,
-               orientation: int) -> LiftStack:
-    points = np.array([patch.point(p) for p in params])
-    d = np.array([patch.dpsi(p) for p in params])
-    deficient = np.flatnonzero(np.linalg.svd(d, compute_uv=False)[:, -1] <= PATCH_RANK_TOL)
-    if len(deficient):
-        raise DegenerateFrameError(
-            f"patch differential is rank deficient at {params[deficient[0]].tolist()}")
-    hessians = np.array([patch.d2psi(p) for p in params])
-    mp = metric_point(scenario.metric, points)
-    g = mp.g
+    failures = FailureColumn(np.zeros(len(params), dtype=bool))
+    inside = patch.param_box.contains(params)
+    failures.reject(~inside, DomainError,
+                    lambda i: f"parameter {params[i].tolist()} leaves the patch box")
+    # a parameter point outside the box is taken at its nearest point of the box
+    inside = params if inside.all() else np.clip(params, patch.param_box.lo, patch.param_box.hi)
+    points = np.array([patch.point(p) for p in inside])
+    d = np.array([patch.dpsi(p) for p in inside])
+    failures.reject(np.linalg.svd(d, compute_uv=False)[:, -1] <= PATCH_RANK_TOL,
+                    DegenerateFrameError,
+                    lambda i: f"patch differential is rank deficient at {params[i].tolist()}")
+    hessians = np.array([patch.d2psi(p) for p in inside])
+    mp = metric_rows(scenario.metric, points, failures)
+    mp.dg = failures.neutral(mp.dg, 0.0)
     # the lift and its jet from the rows A = d^T g, whose derivatives
     # d_j A = (d_j d)^T g + d^T (d_{d e_j} g) come from the patch Hessians
-    dT, n = d.swapaxes(-1, -2), len(d)
-    A = dT @ g
-    X = _tangent_coordinates(A @ d, points)
+    g, n = mp.g, len(d)
+    A = d.swapaxes(-1, -2) @ g
+    X = _tangent_coordinates(A @ d, points, failures)
+    d, A = failures.neutral(d, np.eye(4, 2)), failures.neutral(A, np.eye(2, 4))
+    dT = d.swapaxes(-1, -2)
 
     def along_d(field):
         # sum_k d[k, j] field[k] for a chart field with its index k first
@@ -223,9 +194,37 @@ def _lift_pass(scenario: MorphismScenario, patch: SurfacePatch, params: np.ndarr
     sign = orientation * scenario.orientation
     [(J, jet)] = structure_jets(A, dA, g, dg, along_d(np.moveaxis(mp.gamma, -1, 1)),
                                 mp.inverse, (sign,))
-    _check_structure(g, J)
+    for rows, reason in _check_structure(g, J):
+        failures.reject(rows, GeometryError, lambda i: f"{reason} at {points[i].tolist()}")
+    failures.raise_first()
     return LiftStack(parameters=params, sign=sign, orientation=scenario.orientation,
                      metric=mp, d=d, tangent_coordinates=X, J=J, jet=jet)
+
+
+def _tangent_coordinates(h: np.ndarray, points: np.ndarray,
+                         failures: FailureColumn) -> np.ndarray:
+    """Rows x1, x2 that d maps to the g-orthonormal pair t1, t2 Gram-Schmidt
+    gives from the columns of d: L^{-1} for the Cholesky factor L L^T of each
+    induced metric h = d^T g d of a stack, (n, 2, 2), in closed form. Under
+    geometry.orthonormalize's rank rule, the second pivot, the squared
+    g-norm of the residual of d e2, must be at least FRAME_RANK_TOL^2 h_22,
+    so the rule does not depend on the scale of the metric; a row failing
+    it records DegenerateFrameError naming its point among `points`, and
+    every failed row reads the identity.
+    """
+    a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l11 = np.sqrt(a)
+        l21 = b / l11
+        pivot = c - l21 * l21
+        failures.reject(~((a > 0) & (pivot > 0) & (pivot >= FRAME_RANK_TOL ** 2 * c)),
+                        DegenerateFrameError,
+                        lambda i: f"induced metric is numerically degenerate at "
+                                  f"{points[i].tolist()}")
+        l22 = np.sqrt(pivot)
+        X = np.zeros_like(h)
+        X[:, 0, 0], X[:, 1, 0], X[:, 1, 1] = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
+    return failures.neutral(X, np.eye(2))
 
 
 def surface_lift(scenario: MorphismScenario, patch: SurfacePatch, p,

@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import MorphismScenario
 from .errors import DomainError
 from .geometry import g_products
-from .morphism import GeometryStack, along, geometry_stack
+from .morphism import GeometryStack, along, geometry_stack, stack_pass
 from .ratefit import seeded_directions, shell_samples
 
 PRODUCT_FLOOR = 1e-8
@@ -104,15 +104,12 @@ def shape_stack(stack: GeometryStack, index, angle: float) -> ShapeStack:
     sin(angle) v2: a, b = -g((nabla_T P_V) T, e3 or e4) and c, d =
     -g((nabla_T P_V) e2, e3 or e4), the horizontal parts of nabla_T T and
     nabla_T e2, from the stack's exact projector jet. Each row equals, bit
-    for bit, the shape of its point alone. The first row in order whose
-    splitting failed raises its failure.
+    for bit, the shape of its point alone. The first row in order that
+    failed the pass or its splitting raises its failure.
     """
     ca, sa = math.cos(angle), math.sin(angle)
     index = np.asarray(index, dtype=int)
-    failures = stack.splitting[-1]
-    for i in index.tolist():
-        if failures[i] is not None:
-            stack.check(i)
+    stack.splitting[-1].raise_first(index)
     horizontal, vertical = (rows[index] for rows in stack.splitting[:2])
     T = ca * vertical[:, 0] + sa * vertical[:, 1]
     e2 = ca * vertical[:, 1] - sa * vertical[:, 0]   # positive vertical rotation
@@ -250,25 +247,6 @@ class ProductScan:
     verdict: str
 
 
-def _scan_shapes(scenario: MorphismScenario, points: np.ndarray, angle: float) -> tuple:
-    """(regular rows, norm products, largest identity gap) of the fiber
-    shapes at the regular ones of the points, from one geometry stack, read
-    row by row from the coefficients of its shape stack."""
-    if not len(points):
-        return np.zeros(0, dtype=int), [], 0.0
-    stack = geometry_stack(scenario, points)
-    regular = np.flatnonzero(stack.regular)
-    products, gap = [], 0.0
-    if regular.size:
-        for coefficients in shape_stack(stack, regular, angle).coefficients:
-            plus, minus = closed_norm_pair(*coefficients)
-            products.append(plus * minus)
-            gap = max(gap, abs(product_identity(*coefficients)
-                               - product_polar(*polar_form(*coefficients)))
-                      / identity_scale(*coefficients))
-    return regular, products, gap
-
-
 def product_bound_scan(scenario: MorphismScenario, center,
                        radii: Sequence[float] | None = None,
                        n_directions: int = 8, seed: int = 0,
@@ -281,6 +259,11 @@ def product_bound_scan(scenario: MorphismScenario, center,
     identically vanishing products from failing the verdict. An annulus
     that certifies no sample bounds nothing, so it fails the verdict too.
     The center must lie strictly inside the chart domain.
+
+    The samples inside the domain are one stack of one pass, whose products
+    and identity gaps are read row by row from the coefficients of its shape
+    stack; a critical sample is skipped, and the first sample, radius-major,
+    that failed the pass or its splitting raises its failure.
     """
     center = np.asarray(center, dtype=float)
     reach = scenario.domain.boundary_distance(center)
@@ -295,15 +278,19 @@ def product_bound_scan(scenario: MorphismScenario, center,
     inside = scenario.domain.contains(points)
     # the shell of each inside sample, radius-major as the samples
     shell_of = np.repeat(np.arange(len(radii)), points.shape[1])[inside.ravel()]
-    try:
-        regular, products, identity_gap = _scan_shapes(scenario, points[inside], angle)
-    except Exception:
-        # a later sample can fail in the stacked geometry pass before an
-        # earlier one fails in its splitting; the same pass over each sample
-        # alone, radius-major, raises the error of the first failing sample
-        for y in points[inside]:
-            _scan_shapes(scenario, y[None], angle)
-        raise
+    regular, products, identity_gap = np.zeros(0, dtype=int), [], 0.0
+    if inside.any():
+        stack = stack_pass(scenario, points[inside])
+        # a sample that failed the pass is regular, so the shape stack
+        # raises it in order
+        regular = np.flatnonzero(stack.regular)
+    if regular.size:
+        for coefficients in shape_stack(stack, regular, angle).coefficients:
+            plus, minus = closed_norm_pair(*coefficients)
+            products.append(plus * minus)
+            identity_gap = max(identity_gap, abs(product_identity(*coefficients)
+                                                 - product_polar(*polar_form(*coefficients)))
+                               / identity_scale(*coefficients))
     shells = shell_of[regular].tolist()
     annulus_max = [max([0.0] + [v for v, k in zip(products, shells) if k == shell])
                    for shell in range(len(radii))]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morphoscope._linalg import spd_failures
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DomainError, GeometryError
@@ -569,6 +570,34 @@ def test_non_spd_metric_raises():
     bad = constant_metric(np.diag([1.0, -1.0, 1.0, 1.0]), Box.cube(1.0))
     with pytest.raises(GeometryError):
         christoffel(bad, np.zeros(4))
+
+
+def cholesky_fails(g) -> bool:
+    """Whether np.linalg.cholesky rejects the one matrix g."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def test_the_stacked_metric_checks_follow_cholesky_row_by_row():
+    # symmetric matrices whose smallest eigenvalue spreads across zero, and
+    # rows that are not finite or not symmetric: each row fails the first
+    # check it breaks, and the pivots of the stack reject exactly the rows
+    # that np.linalg.cholesky rejects one by one
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((400, 4, 4))
+    g = a @ a.swapaxes(-1, -2) / 4 + rng.uniform(-3.0, 3.0, size=(400, 1, 1)) * np.eye(4)
+    (non_finite, _), (asymmetric, _), (not_positive, _) = spd_failures(g)
+    assert not non_finite.any() and not asymmetric.any()
+    assert 0 < not_positive.sum() < len(g)
+    assert not_positive.tolist() == [cholesky_fails(m) for m in g]
+    g[3, 0, 1], g[5, 2, 2] = g[3, 0, 1] + 1e-3, np.inf
+    checks = spd_failures(g)
+    assert [rows[[3, 5]].tolist() for rows, _ in checks[:2]] == [[False, True], [True, False]]
+    assert [reason for _, reason in checks] == [
+        "has non-finite entries", "is not symmetric", "is not positive definite"]
 
 
 @st.composite

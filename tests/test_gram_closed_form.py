@@ -54,7 +54,7 @@ def assert_matches_reference(scenario, points):
     assert regular.size
     _, _, p_vert, _, failures = stack.splitting
     for i in regular:
-        assert failures[i] is None
+        assert not failures.failed[i]
         jac, g = stack.jac[i], stack.metric.g[i]
         sup, defect, projector = reference_route(jac, g)
         where = stack.metric.point[i].tolist()

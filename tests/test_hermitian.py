@@ -252,8 +252,8 @@ def written_out_deviation(scenario, y, J0) -> float:
 def test_deviation_columns_equal_a_written_out_norm_loop_bitwise(monkeypatch, name):
     # the deviations read as one column of the sample's stack against a
     # loop over the samples one by one, each ray substituted as the rate
-    # substitutes it, with one geometry stack per center plus a stack of one
-    # per sample of a substituted ray
+    # substitutes it, with one geometry stack per center plus one stack per
+    # substituted ray
     sample = catalog_sample(name)
     scenario = sample.symbol.chart.scenario
     J0 = reference_field(sample.symbol, 1).matrix
@@ -282,8 +282,8 @@ def test_deviation_columns_equal_a_written_out_norm_loop_bitwise(monkeypatch, na
         table.append([written_out_deviation(scenario, y, J0) for y in ray])
     assert rates.substitutions == tuple(substitutions)
     assert bool(substitutions) == (name == "z1sq")
-    rebuilt = len(sample.radii) * sum(a for _, a in substitutions)
-    assert sizes == [len(sample.points.reshape(-1, 4))] + [1] * rebuilt
+    attempts = sum(a for _, a in substitutions)
+    assert sizes == [len(sample.points.reshape(-1, 4))] + [len(sample.radii)] * attempts
     assert bits(rates.deviation_fit.values) == bits(np.max(table, axis=0))
 
     if name == "z1sq":

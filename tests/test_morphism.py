@@ -69,13 +69,13 @@ def scenario_pullback_product():
 
 
 def count_geometry_builds(monkeypatch) -> list:
-    """Count the rows geometry_stack builds, through every module that
-    binds it.
+    """Count the rows the geometry pass builds, raising or not, through
+    every module that binds it.
 
     Returns a list that grows by one entry, the point, per row built.
     """
     builds = []
-    original = morphism.geometry_stack
+    original = morphism.stack_pass
 
     def counted(scenario, points):
         builds.extend(np.array(points, dtype=float).reshape(-1, 4))
@@ -83,8 +83,8 @@ def count_geometry_builds(monkeypatch) -> list:
 
     for name, module in list(sys.modules.items()):
         if name == "morphoscope" or name.startswith("morphoscope."):
-            if getattr(module, "geometry_stack", None) is original:
-                monkeypatch.setattr(module, "geometry_stack", counted)
+            if getattr(module, "stack_pass", None) is original:
+                monkeypatch.setattr(module, "stack_pass", counted)
     return builds
 
 
@@ -646,6 +646,22 @@ def test_a_failing_stack_names_its_first_failing_point(first, later, error, mess
     assert str(stacked.value) == str(looped.value)
     assert message in str(stacked.value)
     assert str(np.array(first).tolist()) in str(stacked.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("first, later", [(OUTSIDE, NOT_SPD), (OUTSIDE, NOT_FINITE),
+                                           (NOT_SPD, OUTSIDE), (NOT_FINITE, NOT_SPD)])
+def test_a_failing_stack_is_passed_once(monkeypatch, first, later):
+    # every failing point keeps its failure in the column, and the stack is
+    # not passed again: one differential for the stack
+    scenario = stepped_scenario()
+    sizes = []
+    jacobian = scenario.jacobian
+    monkeypatch.setattr(scenario, "jacobian",
+                        lambda points: sizes.append(len(points)) or jacobian(points))
+    with pytest.raises((DomainError, GeometryError)):
+        geometry_stack(scenario, np.array([GOOD, GOOD, first, GOOD, later]))
+    assert sizes == [5]
 
 
 def test_a_stack_evaluates_the_metric_derivatives_once(metric_calls):

@@ -11,7 +11,9 @@ with no reference is listed with the ROADMAP item that retires it
 Every defaulted parameter of a public module-level function is set by some
 call in the sources. Every module-level constant is read in the sources.
 Every dataclass field and every attribute a method sets on self is read as
-an attribute in the sources or the tests.
+an attribute in the sources or the tests. No handler catches Exception,
+BaseException or everything: an error that is not the package's propagates
+with its own type and message.
 """
 
 import ast
@@ -294,3 +296,16 @@ def test_every_dataclass_field_is_read():
                                                          *instance_attributes()]
                      if name not in read})
     assert unread == []
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_handler_catches_every_error(path):
+    broad = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ExceptHandler)
+             and (node.type is None
+                  or any(isinstance(sub, ast.Name) and sub.id in BROAD
+                         for sub in ast.walk(node.type)))]
+    assert broad == []

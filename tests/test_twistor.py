@@ -714,9 +714,11 @@ def test_a_stack_raises_the_error_of_its_first_failing_point():
     assert raised(read_stack, sc, patch, params) == expected
 
 
-def test_an_error_of_any_type_keeps_the_point_by_point_order():
+def test_an_error_of_another_type_propagates_unchanged():
     # a later point whose patch callable raises a ValueError, which the
-    # stack meets before the rank test of an earlier point
+    # stack meets before the rank test of an earlier point: that error is
+    # not the package's to order, so it propagates with its own type and
+    # message, as it does for the later point alone
     sc = flat_scenario()
     plane = flat_plane(rank_deficient_beyond=0.6)
 
@@ -728,14 +730,28 @@ def test_an_error_of_any_type_keeps_the_point_by_point_order():
     patch = SurfacePatch(psi=psi, param_box=plane.param_box, jacobian=plane.jacobian,
                          hessian=plane.hessian)
     params = [np.array([0.1, 0.0]), np.array([0.7, 0.0]), np.array([0.9, 0.0])]
-    expected = raised(oracle_loop, sc, patch, params)
-    assert expected == (DegenerateFrameError,
-                        "patch differential is rank deficient at [0.7, 0.0]")
-    assert raised(tw.lift_stack, sc, patch, params) == expected
-    assert raised(read_stack, sc, patch, params) == expected
-    # alone, the later point raises its own error
-    assert raised(read_stack, sc, patch, params[2:]) == (
-        ValueError, "psi undefined at s = 0.9")
+    assert raised(oracle_loop, sc, patch, params) == (
+        DegenerateFrameError, "patch differential is rank deficient at [0.7, 0.0]")
+    for stacked in (params, params[2:]):
+        assert raised(tw.lift_stack, sc, patch, stacked) == (
+            ValueError, "psi undefined at s = 0.9")
+
+
+@pytest.mark.parametrize("bad, error", [((0.7, 0.0), DegenerateFrameError),
+                                        ((1.5, 0.0), DomainError)],
+                         ids=["rank", "box"])
+def test_a_failing_lift_stack_is_passed_once(monkeypatch, bad, error):
+    # the bad middle row keeps its failure in the column and the stack is
+    # not passed again: one chart metric for the stack, and the patch
+    # differential once per row
+    sc = flat_scenario()
+    patch = flat_plane(rank_deficient_beyond=0.6)
+    params = [np.array([0.1, -0.2]), np.array(bad), np.array([0.2, -0.2])]
+    metrics = count_calls(monkeypatch, tw, "metric_rows")
+    dpsi = count_calls(monkeypatch, SurfacePatch, "dpsi")
+    assert raised(lift_stack, sc, patch, params)[0] is error
+    assert len(metrics) == 1
+    assert len(dpsi) == len(params)
 
 
 def test_a_degenerate_induced_metric_mid_stack_exits_two(tmp_path, monkeypatch, capsys):

@@ -303,17 +303,17 @@ def test_scan_builds_at_most_five_geometries_per_sample(monkeypatch):
 
 
 def count_geometry_stacks(monkeypatch) -> list:
-    """The size of each stack geometry_stack builds, through the morphism
-    and weingarten modules, in call order."""
+    """The size of each stack the geometry pass builds, raising or not,
+    through the morphism and weingarten modules, in call order."""
     sizes = []
-    original = morphism.geometry_stack
+    original = morphism.stack_pass
 
     def counted(scenario, points):
         sizes.append(len(np.array(points, dtype=float).reshape(-1, 4)))
         return original(scenario, points)
 
     for module in (morphism, weingarten):
-        monkeypatch.setattr(module, "geometry_stack", counted)
+        monkeypatch.setattr(module, "stack_pass", counted)
     return sizes
 
 
@@ -412,10 +412,11 @@ def test_a_failure_in_a_later_shell_raises_the_looped_error(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_later_error_of_any_type_does_not_replace_an_earlier_one(monkeypatch):
+def test_an_error_of_another_type_propagates_unchanged(monkeypatch):
     # sample 1 fails in its splitting; the Jacobian fails with an error
     # that is not a MorphoscopeError wherever sample 2 is evaluated, which
-    # the stacked order reaches first, with every sample's geometry
+    # the one stacked pass meets first: that error is not the package's to
+    # order, so it propagates with its own type and message
     scenario = overflowing_scenario()
     later = [0.3, 0.1, 0.2, 0.4]
     jacobian = scenario.jacobian
@@ -426,11 +427,25 @@ def test_a_later_error_of_any_type_does_not_replace_an_earlier_one(monkeypatch):
         return jacobian(points)
 
     monkeypatch.setattr(scenario, "jacobian", failing)
-    scanned, looped = scan_error(scenario, np.array([[GOOD, OVERFLOWING, later, GOOD]]),
-                                 monkeypatch)
-    assert type(scanned) is type(looped) is GeometryError
-    assert str(scanned) == str(looped)
+    monkeypatch.setattr(weingarten, "shell_samples",
+                        lambda directions, radii, center: (
+                            (0.1,), np.array([[GOOD, OVERFLOWING, later, GOOD]])))
+    with pytest.raises(ZeroDivisionError) as info:
+        product_bound_scan(scenario, np.array(GOOD))
+    assert str(info.value) == "a later sample fails"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failing_scan_shell_builds_one_geometry_stack(monkeypatch):
+    # the samples of the shell that fail the pass and the splitting are
+    # rows of the one stack, which is not passed again
+    sizes = count_geometry_stacks(monkeypatch)
+    scanned, _ = scan_error(overflowing_scenario(),
+                            np.array([[GOOD, OVERFLOWING, NOT_SPD, GOOD]]), monkeypatch)
     assert str(scanned) == f"conformality defect overflows at {OVERFLOWING}"
+    # the scan's stack, then the written-out loop's stacks of one up to its
+    # first failing sample
+    assert sizes == [4, 1, 1]
 
 
 def per_sample_shape(geo, angle):
