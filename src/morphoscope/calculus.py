@@ -11,13 +11,14 @@ matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, GeometryError
 from .geometry import Box, ChartMetric, PullbackMetric, metric_point
-from .polynomials import UPPER, Poly, Table, evaluate, from_complex_pair, symmetric
+from .polynomials import Jet, Poly, evaluate, from_complex_pair, mirrored
 
 
 # multiplication by i on the target plane
@@ -36,8 +37,11 @@ class MorphismScenario:
     def __post_init__(self):
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        self._d1 = Table(self.component.diff(k) for k in range(4))
-        self._d2 = Table(self._d1[k].diff(l) for k, l in UPPER)
+
+    @cached_property
+    def jet(self) -> Jet:
+        """The map's jet, through the second derivatives."""
+        return Jet([self.component], range(1, 3))
 
     @property
     def domain(self) -> Box:
@@ -48,13 +52,20 @@ class MorphismScenario:
 
     def jacobian(self, m) -> np.ndarray:
         """(..., 2, 4) differential at a point or over a stack of points."""
-        c = evaluate(self._d1, m)
-        return np.stack((c.real, c.imag), axis=-2)
+        return _components(evaluate(self.jet, m, 1)[..., 0, :], -2)
 
     def hessians(self, m) -> np.ndarray:
-        """(..., 2, 4, 4) Hessians of the two components."""
-        c = evaluate(self._d2, m)
-        return symmetric(np.stack((c.real, c.imag), axis=-2))
+        """(..., 2, 4, 4) Hessians of the two components, d_k d_l read from k <= l."""
+        return _components(mirrored(evaluate(self.jet, m, 2)[..., 0, :, :]), -3)
+
+
+def _components(c: np.ndarray, axis: int) -> np.ndarray:
+    """The real and the imaginary part of c, a complex array whose last axis
+    is contiguous, stacked on a new axis at `axis`."""
+    parts = c.view(float).reshape(c.shape + (2,))
+    for k in range(-1, axis, -1):
+        parts = parts.swapaxes(k, k - 1)
+    return np.ascontiguousarray(parts)
 
 
 # ----------------------------------------------------------- constructors
@@ -104,7 +115,7 @@ class NormalChart:
     """
 
     center: np.ndarray
-    chart_map: Table
+    chart_map: Jet
     scenario: MorphismScenario
     identity: bool
 
@@ -120,7 +131,7 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
              and np.max(np.abs(g0 - np.eye(4))) < 1e-15
              and np.max(np.abs(gamma0)) < 1e-15)
     if ident:
-        chart_map = Table(Poly.variable(k) for k in range(4))
+        chart_map = Jet((Poly.variable(k) for k in range(4)), range(1))
         return NormalChart(center=m0, chart_map=chart_map,
                            scenario=scenario, identity=True)
     A, Ainv = mp.sqrt_pair
@@ -142,7 +153,6 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
         for c in range(4):
             comp = comp + Ainv[i, c] * (y[c] - quad[c])
         chart_map.append(comp.real_poly())
-    chart_map = Table(chart_map)
 
     # safe cube in the new coordinates: image must stay inside the old box
     reach = scenario.metric.domain.boundary_distance(m0)
@@ -160,9 +170,10 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
         if spread <= 0.95 * reach:
             break
         rho *= 0.9
+    metric = PullbackMetric(scenario.metric, chart_map, Box.cube(rho))
     new_scenario = MorphismScenario(
-        name=f"{scenario.name}#normal",
-        metric=PullbackMetric(scenario.metric, chart_map, Box.cube(rho)),
+        name=f"{scenario.name}#normal", metric=metric,
         component=scenario.component.compose(chart_map), orientation=scenario.orientation)
-    return NormalChart(center=m0, chart_map=chart_map,
+    # the chart map is the pulled-back metric's jet, compiled once
+    return NormalChart(center=m0, chart_map=metric.diffeo,
                        scenario=new_scenario, identity=False)

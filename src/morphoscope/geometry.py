@@ -23,13 +23,12 @@ import numpy as np
 
 from ._linalg import spd_failures, spd_sqrt_pair
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .polynomials import UPPER, Poly, Table, evaluate, symmetric
+from .polynomials import UPPER, Jet, Poly, evaluate, evaluate_orders, mirrored, symmetric
 
 DEFAULT_FD_STEP = 1e-5
 FRAME_RANK_TOL = 1e-8
 ORIENTATION_DET_TOL = 1e-12
 MACHINE_EPS = float(np.finfo(float).eps)
-_MIRRORED = symmetric(np.array([4 * i + j for i, j in UPPER]))
 
 
 @dataclass(frozen=True)
@@ -104,27 +103,24 @@ class FlatMetric(ChartMetric):
 class PolynomialMetric(ChartMetric):
     """Metric whose entries are exact polynomials in the chart coordinates.
 
-    Only the UPPER (i <= j) entries of the symmetric table are kept.
+    Only the UPPER (i <= j) entries of the symmetric table are kept, as
+    one jet; d_l d_k g_ij is read as g_ij differentiated by k, then by l.
     """
 
     def __init__(self, entries: Sequence[Sequence[Poly]], domain: Box):
         super().__init__(domain)
-        self.upper = Table(entries[i][j] for i, j in UPPER)
-        d1 = [[p.diff(k) for p in self.upper] for k in range(4)]
-        # d_k g_ij in (k, ij) order and d_l d_k g_ij in (k, l, ij) order
-        self._d1 = Table(p for row in d1 for p in row)
-        self._d2 = Table(p.diff(l) for row in d1 for l in range(4) for p in row)
+        self.upper = Jet((entries[i][j] for i, j in UPPER), range(3))
 
     def matrix(self, m):
         return symmetric(evaluate(self.upper, m).real)
 
     def first_derivatives(self, m):
-        values = evaluate(self._d1, m).real
-        return symmetric(values.reshape(values.shape[:-1] + (4, -1)))
+        # (..., ij, k) -> (..., k, ij)
+        return symmetric(evaluate(self.upper, m, 1).real.swapaxes(-1, -2))
 
     def second_derivatives(self, m):
-        values = evaluate(self._d2, m).real
-        return symmetric(values.reshape(values.shape[:-1] + (4, 4, -1)))
+        # (..., ij, k, l) -> (..., k, l, ij)
+        return symmetric(np.moveaxis(evaluate(self.upper, m, 2).real, -3, -1))
 
 
 class ProductSphereMetric(ChartMetric):
@@ -171,20 +167,16 @@ class PullbackMetric(ChartMetric):
 
     def __init__(self, base: ChartMetric, diffeo: Sequence[Poly], domain: Box):
         super().__init__(domain)
-        self.base, self.diffeo = base, Table(diffeo)
-        # d_a Phi_i in (i, a) order and d_a d_b Phi_i in (i, ab) order
-        self._d1 = Table(p.diff(a) for p in diffeo for a in range(4))
-        self._d2 = Table(self._d1[4 * i + a].diff(b) for i in range(4) for a, b in UPPER)
-
-    @cached_property
-    def _d3(self) -> Table:
-        """d_c d_a d_b Phi_i in (i, c, ab) order, read by second derivatives only."""
-        return Table(p.diff(c) for i in range(4) for c in range(4) for p in self._d2[10 * i:][:10])
+        self.base, self.diffeo = base, Jet(diffeo, range(4))
 
     def record(self, m):
-        J = np.ascontiguousarray(evaluate(self._d1, m).real).reshape(m.shape[:-1] + (4, 4))
-        image = self.base.record(evaluate(self.diffeo, m).real)
-        return PulledPoint(self, m, _mirrored(J.swapaxes(-1, -2) @ (image.g @ J)), image, J)
+        # Phi, J[..., i, a] = d_a Phi_i and d_a d_b Phi_i, read from a <= b,
+        # from one evaluation
+        values, J, second = evaluate_orders(self.diffeo, m, range(3))
+        J = np.ascontiguousarray(J.real)
+        image = self.base.record(values.real)
+        return PulledPoint(self, m, mirrored(J.swapaxes(-1, -2) @ (image.g @ J)), image, J,
+                           mirrored(second.real).swapaxes(-3, -2))
 
     def matrix(self, m):
         return self.record(np.asarray(m, dtype=float)).g
@@ -194,11 +186,6 @@ class PullbackMetric(ChartMetric):
 
     def second_derivatives(self, m):
         return self.record(np.asarray(m, dtype=float)).d2g
-
-
-def _mirrored(a: np.ndarray) -> np.ndarray:
-    """a made symmetric in its last two axes from its upper triangle, contiguous."""
-    return np.take(a.reshape(a.shape[:-2] + (16,)), _MIRRORED, axis=-1)
 
 
 # ------------------------------------------------------------ metric point
@@ -292,42 +279,44 @@ class PulledPoint(MetricPoint):
 
     image: MetricPoint = None   # the base's record at Phi(point)
     jac: np.ndarray = None      # jac[..., i, a] = d_a Phi_i
+    hess: np.ndarray = None     # hess[..., c, i, a] = d_c d_a Phi_i
 
     def _row(self, i: int) -> "PulledPoint":
-        mp = PulledPoint(self.metric, self.point[i], self.g[i], self.image._row(i), self.jac[i])
+        mp = PulledPoint(self.metric, self.point[i], self.g[i], self.image._row(i), self.jac[i],
+                         self.hess[i])
         mp.dg, mp._jets = self.dg[i], tuple(x[i] for x in self._jets)
         return mp
 
     @cached_property
     def _jets(self) -> tuple:
-        """(H, G J, D): H[..., c, i, a] = d_c d_a Phi_i, D[..., c] = d_c (G o Phi)."""
+        """(G J, D): D[..., c] = d_c (G o Phi)."""
         J, dG = self.jac, self.image.dg
-        H = symmetric(evaluate(self.metric._d2, self.point).real.reshape(J.shape[:-1] + (10,)))
-        H = H.swapaxes(-3, -2)
         D = (J.swapaxes(-1, -2) @ dG.reshape(J.shape[:-2] + (4, 16))).reshape(dG.shape)
-        return H, self.image.g @ J, D
+        return self.image.g @ J, D
 
     @cached_property
     def dg(self) -> np.ndarray:
         # d_c g = M_c + M_c^T + J^T D_c J with M_c = H_c^T G J
-        (H, GJ, D), J = self._jets, self.jac[..., None, :, :]
+        (GJ, D), H, J = self._jets, self.hess, self.jac[..., None, :, :]
         M = H.swapaxes(-1, -2) @ GJ[..., None, :, :]
-        return _mirrored(M + M.swapaxes(-1, -2) + J.swapaxes(-1, -2) @ (D @ J))
+        return mirrored(M + M.swapaxes(-1, -2) + J.swapaxes(-1, -2) @ (D @ J))
 
     @cached_property
     def d2g(self) -> np.ndarray:
         # d_c d_d g = N + N^T + J^T D_cd J with D_cd = d_c d_d (G o Phi), N =
         # T_cd^T G J + H_c^T (G H_d + D_d J) + H_d^T D_c J and T_cd = d_c d_d dPhi
-        (H, GJ, D), (G, dG, d2G) = self._jets, (self.image.g, self.image.dg, self.image.d2g)
+        (GJ, D), H = self._jets, self.hess
+        G, dG, d2G = self.image.g, self.image.dg, self.image.d2g
         shape, J = self.jac.shape[:-2], self.jac[..., None, :, :]
         JT, HT = J.swapaxes(-1, -2), H.swapaxes(-1, -2)[..., :, None, :, :]
         P = HT @ (D @ J)[..., None, :, :, :]
         N = HT @ (G[..., None, :, :] @ H)[..., None, :, :, :] + P + P.swapaxes(-3, -4)
-        T = symmetric(evaluate(self.metric._d3, self.point).real.reshape(shape + (4, 4, 10)))
+        # T[..., i, c, a, b] = d_c d_a d_b Phi_i, read from a <= b
+        T = mirrored(np.moveaxis(evaluate(self.metric.diffeo, self.point, 3).real, -1, -3))
         N += np.moveaxis(T, -4, -1) @ GJ[..., None, None, :, :]
         Dcd = (JT @ (JT[..., 0, :, :] @ d2G.reshape(shape + (4, 64))).reshape(shape + (4, 4, 16))
                + H.swapaxes(-1, -2) @ dG.reshape(shape + (1, 4, 16))).reshape(d2G.shape)
-        return _mirrored(N + N.swapaxes(-1, -2) + JT[..., None, :, :] @ Dcd @ J[..., None, :, :])
+        return mirrored(N + N.swapaxes(-1, -2) + JT[..., None, :, :] @ Dcd @ J[..., None, :, :])
 
 
 def _connection_sums(dg: np.ndarray) -> np.ndarray:

@@ -79,6 +79,12 @@ class GeometryStack:
         return np.sqrt(np.maximum(self.squared_dilation, 0.0))
 
     @cached_property
+    def hessians(self) -> np.ndarray:
+        """The Hessians of the map at every point, which the tension and the
+        jets both read."""
+        return self.scenario.hessians(self.metric.point)
+
+    @cached_property
     def tension(self) -> np.ndarray:
         """Tension of the map at each point, exact from polynomial jets.
 
@@ -88,7 +94,7 @@ class GeometryStack:
         """
         ginv, jac = self.metric.inverse, self.jac
         contracted = np.einsum("...ij,...kij->...k", ginv, self.metric.gamma)
-        return (np.einsum("...ij,...aij->...a", ginv, self.scenario.hessians(self.metric.point))
+        return (np.einsum("...ij,...aij->...a", ginv, self.hessians)
                 - (contracted[:, None, None, :] @ jac[..., None])[..., 0, 0])
 
     @cached_property
@@ -173,7 +179,7 @@ class GeometryStack:
     def _jet_inputs(self) -> tuple:
         """(d_k A, d_k g, Gamma_k) of every point, k on the second axis, for
         A = dF and (Gamma_k)^a_b = Gamma^a_{bk}."""
-        dA = np.moveaxis(self.scenario.hessians(self.metric.point), -1, 1)
+        dA = np.moveaxis(self.hessians, -1, 1)
         return dA, self.metric.dg, np.moveaxis(self.metric.gamma, -1, 1)
 
     @cached_property

@@ -1,4 +1,4 @@
-"""Exact polynomials in the four chart coordinates.
+"""Exact polynomials in the four chart coordinates, and the one jet rule.
 
 Everything downstream that needs derivatives of maps or metrics to machine
 precision (pullbacks, normal charts, symbol remainders) runs on this
@@ -6,18 +6,25 @@ representation: a dict from exponent 4-tuples to complex coefficients.
 Real-valued polynomials are stored with zero imaginary parts; callers take
 the real part where realness is guaranteed by construction.
 
-A table of polynomials (a metric, its derivatives, a Jacobian) is a
-`Table`, evaluated over a point or a stack of points by `evaluate`; a
-symmetric 4x4 table is kept as its UPPER entries and rebuilt by `symmetric`.
-On its first evaluation a table compiles to exponent and coefficient arrays,
-and `evaluate` repeats the arithmetic of `Poly.eval` on them operation for
-operation, so both give the same bits.
+A family of polynomials (a map's component, a diffeo's four components, the
+UPPER entries of a polynomial metric) is evaluated with its derivatives as
+one `Jet`, which names the orders its readers take. On its first read the
+terms are sorted once, each order is derived from the one below by lowering
+one exponent (`_lower`, which multiplies each coefficient as `Poly.diff`
+does), and the orders are compiled together to coefficient and power-index
+arrays (`Terms`). An entry that is identically zero is dropped there: it
+reads as exact +0.0 and costs no term array. `evaluate` gives one order, and
+`evaluate_orders` a range of orders from one pass, at a point or over a
+stack of points, repeating the arithmetic of `Poly.eval` operation for
+operation, so both give the same bits. A symmetric 4x4 table is kept as its
+UPPER entries and rebuilt by `symmetric`; `mirrored` reads a 4x4 table from
+its upper triangle.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +37,9 @@ _ZERO_EXP: Exponents = (0, 0, 0, 0)
 UPPER = tuple((i, j) for i in range(NVARS) for j in range(i, NVARS))
 _MIRROR = np.array([[UPPER.index((min(i, j), max(i, j))) for j in range(NVARS)]
                     for i in range(NVARS)])
+# entry (i, j) of a 4x4 table flattened row by row, read from its upper triangle
+_MIRRORED = np.array([[NVARS * min(i, j) + max(i, j) for j in range(NVARS)]
+                      for i in range(NVARS)])
 
 
 class Poly:
@@ -195,68 +205,156 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
-class Table(tuple):
-    """A fixed sequence of polynomials that `evaluate` evaluates together."""
+class Jet(tuple):
+    """A family of polynomials and its derivatives of a range of orders, the
+    orders its readers take, derived and compiled once, when first read.
+
+    The entries of order r are d_{k_r} ... d_{k_1} p for every polynomial p
+    of the family and every sequence of variables (k_1, ..., k_r),
+    differentiated in that order, laid out family-major as an array of shape
+    (len(jet),) + (4,) * r. An entry is the list of its terms, sorted as
+    `Poly.eval` sums them, and one that is identically zero is dropped: order
+    r + 1 comes from order r by `_lower`, and the orders of the range are
+    compiled together to one `Terms`.
+    """
+
+    def __new__(cls, polys: Iterable[Poly], orders: range):
+        return super().__new__(cls, polys)
+
+    def __init__(self, polys: Iterable[Poly], orders: range):
+        self.orders = orders
 
     @cached_property
-    def compiled(self) -> tuple:
-        """(coefficients, masks, exponents, degree), built on first use.
-
-        coefficients[p, t] is term t of polynomial p, the terms sorted as
-        `Poly.eval` sums them and padded with zero terms. For each variable
-        k that a term uses, in order, masks
-        holds the terms where its exponent is nonzero, and exponents[s]
-        indexes the power of the variable of step s in the (4, degree + 1)
-        table of powers, degree being the largest exponent.
-        """
-        terms = [sorted(p.coeffs.items()) for p in self]
-        width = max([1] + [len(t) for t in terms])
-        exps = np.zeros((NVARS, len(self), width), dtype=np.intp)
-        coeffs = np.zeros((len(self), width), dtype=complex)
-        for p, poly_terms in enumerate(terms):
-            for t, (e, c) in enumerate(poly_terms):
-                exps[:, p, t] = e
-                coeffs[p, t] = c
-        used = [k for k in range(NVARS) if exps[k].any()]
-        degree = int(exps.max(initial=0))
-        return (coeffs, exps[used] != 0,
-                np.array([k * (degree + 1) + exps[k] for k in used], dtype=np.intp),
-                degree)
+    def terms(self) -> "Terms":
+        levels = [[(p, sorted(q.coeffs.items())) for p, q in enumerate(self) if q.coeffs]]
+        for _ in range(self.orders[-1]):
+            levels.append(_lower(levels[-1]))
+        return Terms(levels[self.orders[0]:], [len(self) * NVARS ** r for r in self.orders])
 
 
-def evaluate(table: Table, points) -> np.ndarray:
-    """Complex values of the table's polynomials at a point or over a stack
-    of points, on the last axis: (..., 4) points give (..., len(table)).
+def _lower(level: list) -> list:
+    """The entries of the next order from those of an order: entry q
+    differentiated by variable k is entry 4 q + k, each term whose exponent
+    of k is n > 0 lowered there, which keeps the sorted order, with its
+    coefficient times n as `Poly.diff` multiplies it; an entry left with no
+    term is dropped."""
+    out = []
+    for q, terms in level:
+        for k in range(NVARS):
+            lowered = [(e[:k] + (e[k] - 1,) + e[k + 1:], c * e[k]) for e, c in terms if e[k]]
+            if lowered:
+                out.append((NVARS * q + k, lowered))
+    return out
 
-    Bitwise equal to `Poly.eval` at each point. The powers come from
-    np.float_power, which rounds as the scalar `**` of `Poly.eval` does
-    (np.power does not); each term is multiplied by the powers of its
-    variables in order, and two or more terms are summed in sequence.
-    Adding zero last turns a sum of negative zeros into the positive zero
-    that `Poly.eval`'s sum from 0j gives, and changes no other sum.
+
+class Terms:
+    """The entries of a jet's orders, compiled to arrays, order by order.
+
+    levels[i] is the list of entries of the jet's i-th order, whose layout
+    has sizes[i] places. Those entries are the ones from starts[i] to
+    starts[i + 1], none with more than widths[i] terms, and their layout
+    begins at offsets[i] in the layout of the orders one after the other;
+    position[e] is the place of entry e there, and coefficients[t, e] the
+    coefficient of its term t, padded at the end with zero terms. For each
+    variable k that a term uses, in order, powers[s, t, e] indexes the power
+    of the variable of step s in term t of entry e in the table of powers
+    x_k ** e, k major, for e in exponents, and masks holds the terms whose
+    power of that variable is not zero, the only ones it multiplies.
+    """
+
+    def __init__(self, levels: list, sizes: list):
+        self.starts, self.offsets = [0], [0]
+        for level, size in zip(levels, sizes):
+            self.starts.append(self.starts[-1] + len(level))
+            self.offsets.append(self.offsets[-1] + size)
+        rows = [(at + q, terms) for level, at in zip(levels, self.offsets) for q, terms in level]
+        self.widths = [max([0] + [len(terms) for _, terms in level]) for level in levels]
+        width = max([1] + self.widths)
+        # slots[t][e]: term t of entry e, or a padding term
+        slots = [[terms[t] if t < len(terms) else (_ZERO_EXP, 0j) for _, terms in rows]
+                 for t in range(width)]
+        exps = np.array([[e for e, _ in slot] for slot in slots], dtype=np.intp)
+        exps = exps.reshape(width, len(rows), NVARS)
+        used = np.flatnonzero(exps.reshape(-1, NVARS).any(axis=0))
+        stride = int(exps.max(initial=0)) + 1
+        # exps[s, t, e]: the exponent of the variable of step s in term t of entry e
+        exps = exps[..., used].transpose(2, 0, 1)
+        self.position = np.array([q for q, _ in rows], dtype=np.intp)
+        self.coefficients = np.array([[c for _, c in slot] for slot in slots],
+                                     dtype=complex).reshape(width, len(rows))
+        self.powers = exps + stride * used[:, None, None]
+        self.masks = (exps != 0)[..., None]
+        self.exponents = np.arange(stride)[:, None]
+
+    def values(self, flat: np.ndarray, entries: slice, width: int) -> np.ndarray:
+        """(entries, n) values of a range of entries, none with more than
+        `width` terms, at an (n, 4) stack of points."""
+        # terms[t, e, i]: term t of entry e at point i
+        terms = np.empty((width, entries.stop - entries.start, len(flat)), dtype=complex)
+        terms[...] = self.coefficients[:width, entries, None]
+        # a power or a product past the largest float is inf, and inf times
+        # a zero part is nan, both silent as in Poly.eval; the callers'
+        # finiteness checks reject them, and finite values are unchanged
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(self.powers):
+                table = np.float_power(flat.T[:, None, :], self.exponents)
+                table = table.astype(complex).reshape(NVARS * len(self.exponents), len(flat))
+                # each term times the powers of its variables, in order
+                for mask, powers in zip(self.masks[:, :width, entries],
+                                        self.powers[:, :width, entries]):
+                    np.multiply(terms, table[powers], out=terms, where=mask)
+            total = terms[0]
+            for term in terms[1:]:
+                total += term
+        return total + 0.0
+
+
+def evaluate(jet: Jet, points, order: int = 0) -> np.ndarray:
+    """Complex values of the jet's entries of one order at a point or over a
+    stack of points: (..., 4) points give (..., len(jet)) + (4,) * order."""
+    return evaluate_orders(jet, points, range(order, order + 1))[0]
+
+
+def evaluate_orders(jet: Jet, points, orders: range) -> list:
+    """The values of a range of the jet's orders, as `evaluate` gives each,
+    from one evaluation of their entries together.
+
+    Each entry is bitwise equal to `Poly.eval` of the `Poly.diff` chain it
+    stands for, at each point; an identically zero entry is +0.0 and costs
+    nothing. The powers come from np.float_power, which rounds as the
+    scalar `**` of `Poly.eval` does (np.power does not); each term is
+    multiplied by the powers of its variables in order, and the terms are
+    summed in sequence. Adding zero last turns a sum of negative zeros into
+    the positive zero that `Poly.eval`'s sum from 0j gives, and changes no
+    other sum; so neither the padding nor the entries evaluated alongside
+    change an entry's bits.
     """
     x = np.asarray(points, dtype=float)
     flat = x.reshape(-1, NVARS)
-    coeffs, masks, exponents, degree = table.compiled
-    # terms[i, p, t]: term t of polynomial p at point i
-    terms = np.empty((len(flat),) + coeffs.shape, dtype=complex)
-    terms[...] = coeffs
-    # a power or a product past the largest float is inf, which the callers'
-    # finiteness checks reject; finite ones are unchanged
-    with np.errstate(over="ignore"):
-        # powers[i, k * (degree + 1) + e] = x_k ** e at point i
-        powers = np.float_power(flat[:, :, None], np.arange(degree + 1)).astype(complex)
-        powers = powers.reshape(len(flat), NVARS * (degree + 1))
-        for mask, exps in zip(masks, exponents):
-            np.multiply(terms, powers[:, exps], out=terms, where=mask)
-    if terms.shape[-1] > 1:
-        np.add.accumulate(terms, axis=-1, out=terms)
-    return (terms[..., -1] + 0.0).reshape(x.shape[:-1] + (len(table),))
+    terms = jet.terms
+    first, last = orders[0] - jet.orders[0], orders[-1] + 1 - jet.orders[0]
+    entries = slice(terms.starts[first], terms.starts[last])
+    lo, hi = terms.offsets[first], terms.offsets[last]
+    count = entries.stop - entries.start
+    found = terms.values(flat, entries, max(terms.widths[first:last])).T if count else None
+    if count and count == hi - lo:
+        values = np.ascontiguousarray(found)
+    else:
+        values = np.zeros((len(flat), hi - lo), dtype=complex)
+        if count:
+            values[:, terms.position[entries] - lo] = found
+    return [values[:, a - lo:b - lo].reshape(x.shape[:-1] + (len(jet),) + (NVARS,) * r)
+            for r, a, b in zip(orders, terms.offsets[first:], terms.offsets[first + 1:])]
 
 
 def symmetric(upper) -> np.ndarray:
     """4x4 symmetric tables from UPPER entries along the last axis."""
     return np.take(upper, _MIRROR, axis=-1)
+
+
+def mirrored(a: np.ndarray) -> np.ndarray:
+    """a made symmetric in its last two axes from its upper triangle, contiguous."""
+    return np.take(a.reshape(a.shape[:-2] + (NVARS * NVARS,)), _MIRRORED, axis=-1)
 
 
 def from_complex_pair(coeffs_w: Mapping[Tuple[int, int], complex]) -> Poly:

@@ -23,7 +23,7 @@ from ._linalg import minimize_affine_on_sphere
 from .calculus import MorphismScenario, NormalChart, normalized_scenario
 from .errors import SymbolError, UnsupportedOrderError
 from .morphism import EPS_CRITICAL, GeometryStack, geometry_stack
-from .polynomials import Poly, Table, evaluate
+from .polynomials import Jet, Poly, evaluate_orders
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
 
@@ -275,11 +275,10 @@ def remainder_rates(sample: CenterSample) -> RemainderRates:
     k = sample.symbol.order
     psi = sample.symbol.remainder
     # the remainder and its differential over the (n_radii, n_dirs) samples
-    table = evaluate(Table([psi] + [psi.diff(j) for j in range(4)]),
-                     sample.points[:, N_AXES:])
-    dpsi = table[..., 1:]
+    values, dpsi = evaluate_orders(Jet([psi], range(2)), sample.points[:, N_AXES:], range(2))
+    dpsi = dpsi[..., 0, :]
     sups = np.linalg.svd(np.stack((dpsi.real, dpsi.imag), axis=-2), compute_uv=False)
-    vals = [max([0.0] + [abs(v) for v in row]) for row in table[..., 0].tolist()]
+    vals = [max([0.0] + [abs(v) for v in row]) for row in values[..., 0].tolist()]
     dvals = [max([0.0] + row) for row in sups[..., 0].tolist()]
     value_fit = fit_rate(sample.radii, vals)
     differential_fit = fit_rate(sample.radii, dvals)

@@ -169,7 +169,8 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
                     lambda i: f"parameter {params[i].tolist()} leaves the patch box")
     # a parameter point outside the box is taken at its nearest point of the box
     inside = params if inside.all() else np.clip(params, patch.param_box.lo, patch.param_box.hi)
-    points = np.array([patch.point(p) for p in inside])
+    # the box test is done: psi is read at the checked or clipped points
+    points = np.array([patch.psi(p[0], p[1]) for p in inside], dtype=float)
     d = np.array([patch.dpsi(p) for p in inside])
     failures.reject(np.linalg.svd(d, compute_uv=False)[:, -1] <= PATCH_RANK_TOL,
                     DegenerateFrameError,

@@ -648,6 +648,15 @@ def test_a_failing_stack_names_its_first_failing_point(first, later, error, mess
     assert str(np.array(first).tolist()) in str(stacked.value)
 
 
+def test_a_metric_that_overflows_is_rejected_without_a_warning():
+    # x2^200 overflows at x2 = 100: the metric is evaluated as silently as
+    # Poly.eval evaluates it, and the finiteness check names the point;
+    # any RuntimeWarning fails this test, as pyproject.toml makes it an error
+    with pytest.raises(GeometryError) as info:
+        geometry_stack(stepped_scenario(), [NOT_FINITE])
+    assert str(info.value) == f"chart metric has non-finite entries at {NOT_FINITE}"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("first, later", [(OUTSIDE, NOT_SPD), (OUTSIDE, NOT_FINITE),
                                            (NOT_SPD, OUTSIDE), (NOT_FINITE, NOT_SPD)])

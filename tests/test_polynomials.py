@@ -1,9 +1,11 @@
-"""The one table-evaluation rule of polynomials.py, and the pullback rule.
+"""The one jet rule of polynomials.py, and the pullback rule.
 
-Oracle: each entry of a table differentiated and evaluated on its own, filled
-into its array by written-out loops. A polynomial metric and the map's jets
-must equal it bit for bit. A compiled table evaluated over a stack must equal
-Poly.eval at each point bit for bit, overflows included.
+Oracle: each entry of a jet's order is its Poly.diff chain evaluated by
+Poly.eval on its own, filled into its array by written-out loops. A
+polynomial metric and the map's jets must equal it bit for bit, and so must
+every order up to 3 of every catalog jet, over a stack, at a point alone, on
+an empty stack and in the overflow boxes. An identically zero entry has no
+term array, and the jets are derived without Poly.diff.
 
 A pulled-back metric is checked against two references kept here: the
 symbolic expansion dPhi^T (g o Phi) dPhi into a polynomial metric (whose
@@ -13,16 +15,21 @@ coefficient for coefficient), and the chain rule written out in loops.
 
 from __future__ import annotations
 
+import json
+from functools import cached_property
+
 import numpy as np
 import pytest
 
+from morphoscope import geometry, polynomials, symbol
 from morphoscope.calculus import MorphismScenario, normalized_scenario
 from morphoscope.catalog import catalog_configs
+from morphoscope.cli import main
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.geometry import (
     Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric, metric_point,
 )
-from morphoscope.polynomials import UPPER, Poly, Table, evaluate, from_complex_pair, symmetric
+from morphoscope.polynomials import UPPER, Jet, Poly, evaluate, from_complex_pair, symmetric
 
 from test_geometry import quadratic_bump_metric
 
@@ -263,27 +270,57 @@ def diff_calls(monkeypatch) -> list:
     return calls
 
 
-def test_a_polynomial_metric_differentiates_only_what_it_reads(diff_calls):
+@pytest.fixture
+def lowered_orders(monkeypatch) -> list:
+    """The entry count of every order a jet lowers to the next one."""
+    calls = []
+    lower = polynomials._lower
+
+    def counted(level):
+        calls.append(len(level))
+        return lower(level)
+
+    monkeypatch.setattr(polynomials, "_lower", counted)
+    return calls
+
+
+def test_a_polynomial_metric_differentiates_only_what_it_reads(diff_calls, lowered_orders):
     entries = symmetric(quadratic_bump_metric().upper)
-    diff_calls.clear()
     metric = PolynomialMetric(entries, Box.cube(1.0))
-    # 10 upper entries, 4 first and 16 second derivatives of each
-    assert len(diff_calls) == 10 * 4 + 10 * 16
+    # nothing is derived before the metric is read; its first read derives
+    # the orders it has, once, without Poly.diff, and the derivatives read them
+    assert lowered_orders == []
+    assert metric.matrix(np.zeros(4)).shape == (4, 4) and len(lowered_orders) == 2
+    assert metric.first_derivatives(np.zeros(4)).shape == (4, 4, 4)
     assert metric.second_derivatives(np.zeros(4)).shape == (4, 4, 4, 4)
+    assert diff_calls == [] and len(lowered_orders) == 2
 
 
-def test_a_scenario_differentiates_only_what_it_reads(diff_calls):
+def test_a_scenario_differentiates_only_what_it_reads(diff_calls, lowered_orders):
     component = Poly.variable(0) * Poly.variable(2)
-    MorphismScenario("count", FlatMetric(Box.cube(1.0)), component)
-    # 4 first derivatives and the 10 Hessian entries with k <= l
-    assert len(diff_calls) == 4 + 10
+    scenario = MorphismScenario("count", FlatMetric(Box.cube(1.0)), component)
+    # nothing is derived before a derivative is read; the Jacobian derives
+    # the first and the second derivatives, once, without Poly.diff
+    assert "jet" not in vars(scenario)
+    assert scenario.jacobian(np.zeros(4)).shape == (2, 4) and lowered_orders == [1, 2]
+    assert scenario.hessians(np.zeros(4)).shape == (2, 4, 4)
+    assert diff_calls == [] and lowered_orders == [1, 2]
 
 
-# ------------------------------------------------------- compiled tables
+# ------------------------------------------------------------ polynomial jets
+
+
+def diff_chains(jet, order: int) -> list:
+    """The Poly.diff chain of every entry of an order, in the jet's layout."""
+    chains = list(jet)
+    for _ in range(order):
+        chains = [p.diff(k) for p in chains for k in range(4)]
+    return chains
 
 
 def catalog_tables() -> dict:
-    """Every table the catalog charts evaluate, their normal charts' included."""
+    """(scenario, jet, order) of every jet order the catalog charts evaluate,
+    their normal charts' included, and of their third orders."""
     tables = {}
     for name, raw in sorted(catalog_configs().items()):
         config = ScenarioConfig.from_dict(raw)
@@ -292,51 +329,90 @@ def catalog_tables() -> dict:
                    for c in config.critical_points or []]
         for label, chart in charts:
             scenario = chart if isinstance(chart, MorphismScenario) else chart.scenario
-            tables[f"{name}{label} jacobian"] = (scenario, scenario._d1)
-            tables[f"{name}{label} hessians"] = (scenario, scenario._d2)
-            # a pulled-back metric evaluates the tables of its map Phi
+            # the map's jet as the scenario reads it, and the same map through order 3
+            for key, order in (("jacobian", 1), ("hessians", 2)):
+                tables[f"{name}{label} {key}"] = (scenario, scenario.jet, order)
+            for key, order in (("map", 0), ("map d3", 3)):
+                tables[f"{name}{label} {key}"] = (scenario, Jet([scenario.component], range(4)),
+                                                   order)
+            # a pulled-back metric evaluates the jet of its map Phi
             metric = scenario.metric
             if isinstance(metric, (PolynomialMetric, PullbackMetric)):
-                values = metric.upper if isinstance(metric, PolynomialMetric) else metric.diffeo
-                tables[f"{name}{label} metric"] = (scenario, values)
-                tables[f"{name}{label} d1"] = (scenario, metric._d1)
-                tables[f"{name}{label} d2"] = (scenario, metric._d2)
+                jet = metric.upper if isinstance(metric, PolynomialMetric) else metric.diffeo
+                for key, order in (("metric", 0), ("d1", 1), ("d2", 2), ("d3", 3)):
+                    if order not in jet.orders:
+                        jet = Jet(jet, range(4))
+                    tables[f"{name}{label} {key}"] = (scenario, jet, order)
+            if not isinstance(chart, MorphismScenario):
+                # the normal chart's map from the new coordinates to the old
+                assert chart.identity or chart.chart_map is scenario.metric.diffeo
+                tables[f"{name}{label} chart map"] = (scenario, chart.chart_map, 0)
     return tables
 
 
-CATALOG_TABLES = catalog_tables()
+def extra_tables() -> dict:
+    """The jets of the pulled-back charts with cubic maps and a polynomial
+    base, whose third derivatives do not vanish, and of the polynomial
+    metric they pull back."""
+    tables = {}
+    for name in ("polynomial base", "product_sphere base"):
+        metric = PULLBACK_CHARTS[name]
+        jets = [("map Phi", metric.diffeo)]
+        if isinstance(metric.base, PolynomialMetric):
+            jets.append(("base metric", metric.base.upper))
+        for label, jet in jets:
+            for order in range(4):
+                if order not in jet.orders:
+                    jet = Jet(jet, range(4))
+                tables[f"{name} {label} order {order}"] = (metric, jet, order)
+    return tables
+
+
+CATALOG_TABLES = catalog_tables() | extra_tables()
+
+
+def assert_jet_equals_poly_eval(jet, order, points):
+    values = evaluate(jet, points, order)
+    assert values.shape == points.shape[:-1] + (len(jet),) + (4,) * order
+    assert values.flags["C_CONTIGUOUS"]
+    chains = diff_chains(jet, order)
+    # the reference's numpy scalar powers warn where they overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.array([[p.eval(m) for p in chains] for m in points.reshape(-1, 4)])
+    assert values.reshape(expected.shape).tobytes() == expected.tobytes()
+    # an identically zero entry has no term array
+    at = order - jet.orders[0]
+    assert jet.terms.starts[at + 1] - jet.terms.starts[at] == sum(1 for p in chains if p.coeffs)
 
 
 def assert_table_equals_poly_eval(table, points):
-    values = evaluate(table, points)
-    assert values.shape == points.shape[:-1] + (len(table),)
-    assert values.flags["C_CONTIGUOUS"]
-    expected = np.array([[p.eval(m) for p in table] for m in points.reshape(-1, 4)])
-    assert values.reshape(expected.shape).tobytes() == expected.tobytes()
+    assert_jet_equals_poly_eval(table, 0, points)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_TABLES))
 def test_compiled_tables_equal_poly_eval_bitwise(name):
-    scenario, table = CATALOG_TABLES[name]
+    scenario, jet, order = CATALOG_TABLES[name]
     lo, hi = np.asarray(scenario.domain.lo), np.asarray(scenario.domain.hi)
     points = np.random.default_rng(11).uniform(lo, hi, size=(3, 20, 4))
-    assert_table_equals_poly_eval(table, points)
-    # a point alone gives the values of its row
-    assert evaluate(table, points[1, 3]).tobytes() == evaluate(table, points)[1, 3].tobytes()
+    assert_jet_equals_poly_eval(jet, order, points)
+    # a point alone gives the values of its row, and an empty stack none
+    assert (evaluate(jet, points[1, 3], order).tobytes()
+            == evaluate(jet, points, order)[1, 3].tobytes())
+    assert_jet_equals_poly_eval(jet, order, np.zeros((0, 4)))
 
 
 def test_a_table_of_one_term_per_polynomial_equals_poly_eval_bitwise():
     # a width of one sums nothing, and adding zero still turns a negative
     # zero into the positive zero of Poly.eval's sum from 0j
-    table = Table([Poly.constant(2.0 - 1.0j), Poly.zero(), Poly({(1, 0, 2, 0): -3.0}),
-                   Poly({(0, 1, 0, 0): -1.0j}), Poly({(0, 0, 0, 3): 0.5 + 0.25j})])
+    table = Jet([Poly.constant(2.0 - 1.0j), Poly.zero(), Poly({(1, 0, 2, 0): -3.0}),
+                 Poly({(0, 1, 0, 0): -1.0j}), Poly({(0, 0, 0, 3): 0.5 + 0.25j})], range(1))
     points = np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 5, 4))
     points[0, 0] = [0.0, -0.0, 0.0, -0.0]
     points[0, 1] = [-0.0, 0.0, -0.0, 0.0]
-    tables = [table, CATALOG_TABLES["pullback_z1z2 d2"][1]]
-    for one_term in tables:
-        assert one_term.compiled[0].shape[-1] == 1
-        assert_table_equals_poly_eval(one_term, points)
+    _, pulled, _ = CATALOG_TABLES["pullback_z1z2 d2"]
+    for jet, order in [(table, 0), (pulled, 2)]:
+        assert jet.terms.widths[order - jet.orders[0]] == 1
+        assert_jet_equals_poly_eval(jet, order, points)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -346,16 +422,81 @@ def test_compiled_z1_cubed_z2_cubed_equals_poly_eval_in_overflow_boxes(exponent)
     # to inf and the products to nan exactly where Poly.eval's do
     half = 10.0 ** exponent
     component = from_complex_pair({(3, 3): 1.0})
-    table = Table([component] + [component.diff(k) for k in range(4)]
-                  + [component.diff(k).diff(l) for k, l in UPPER])
+    table = Jet([component] + [component.diff(k) for k in range(4)]
+                + [component.diff(k).diff(l) for k, l in UPPER], range(1))
     points = np.random.default_rng(exponent).uniform(-half, half, size=(40, 4))
     points[:4] = [[0.0, -0.0, 0.0, 0.0], [half, half, -half, half],
                   [np.nan, 0.5, 0.5, 0.5], [np.inf, -np.inf, 0.5, 0.5]]
     assert_table_equals_poly_eval(table, points)
 
 
+@pytest.mark.parametrize("exponent", [0, 50, 100, 200, 300])
+def test_jet_orders_equal_poly_diff_chains_in_overflow_boxes(exponent):
+    # every order of the z1^3 z2^3 map, silent where the powers and the
+    # products overflow, as Poly.eval is
+    half = 10.0 ** exponent
+    jet = Jet([from_complex_pair({(3, 3): 1.0}), from_complex_pair({(2, 0): 1.0 - 2.0j})], range(4))
+    points = np.random.default_rng(exponent).uniform(-half, half, size=(40, 4))
+    points[:4] = [[0.0, -0.0, 0.0, 0.0], [half, half, -half, half],
+                  [np.nan, 0.5, 0.5, 0.5], [np.inf, -np.inf, 0.5, 0.5]]
+    for order in range(4):
+        assert_jet_equals_poly_eval(jet, order, points)
+        assert_jet_equals_poly_eval(jet, order, points[5])
+
+
+def cli_jets(monkeypatch, tmp_path, name, *argv) -> list:
+    """(jet, orders, terms) of every jet compiled while the command line
+    runs a command on a catalog config."""
+    compiled = []
+    terms = Jet.terms.func
+
+    def recorded(jet):
+        out = terms(jet)
+        compiled.append((jet, jet.orders, out))
+        return out
+
+    monkeypatch.setattr(Jet, "terms", cached_property(recorded))
+    Jet.terms.__set_name__(Jet, "terms")
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(catalog_configs()[name]))
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path)]) == 0
+    return compiled
+
+
+def test_a_pulled_back_point_compiles_each_family_once(monkeypatch, tmp_path, diff_calls):
+    # weingarten --point on the pulled-back chart: no Poly.diff call; the
+    # map's and Phi's jets are each compiled once, and no entry that is
+    # identically zero has a term array
+    compiled = cli_jets(monkeypatch, tmp_path, "pullback_z1z2", "weingarten",
+                        "--point=0.35,0.1,-0.2,0.3")
+    assert diff_calls == []
+    assert sorted(list(orders) for _, orders, _ in compiled) == [[0, 1, 2, 3], [1, 2]]
+    assert len({id(jet) for jet, _, _ in compiled}) == 2
+    for _, _, terms in compiled:
+        assert (terms.coefficients != 0).any(axis=0).all()
+
+
+def test_validate_evaluates_no_third_order_entry(monkeypatch, tmp_path):
+    evaluated = []
+    orders_of = polynomials.evaluate_orders
+
+    def recorded(jet, points, orders):
+        evaluated.append(orders)
+        return orders_of(jet, points, orders)
+
+    # every module that reads a jet calls evaluate_orders, itself or through evaluate
+    for module in (polynomials, geometry, symbol):
+        monkeypatch.setattr(module, "evaluate_orders", recorded)
+    cli_jets(monkeypatch, tmp_path, "pullback_z1z2", "validate")
+    assert evaluated and all(max(orders) < 3 for orders in evaluated)
+
+
 def test_an_empty_table_and_an_empty_stack():
-    table = Table([Poly.zero(), Poly.constant(2.0 - 1.0j)])
+    table = Jet([Poly.zero(), Poly.constant(2.0 - 1.0j)], range(3))
     assert evaluate(table, np.zeros((0, 4))).shape == (0, 2)
-    assert evaluate(Table([]), np.zeros((3, 4))).shape == (3, 0)
+    assert evaluate(Jet([], range(2)), np.zeros((3, 4)), 1).shape == (3, 0, 4)
     assert evaluate(table, np.ones(4)).tolist() == [0j, 2.0 - 1.0j]
+    # the derivatives of a constant are zeros, with no term array
+    assert evaluate(table, np.zeros((0, 4)), 2).shape == (0, 2, 4, 4)
+    assert evaluate(table, np.ones(4), 1).tolist() == [[0j] * 4] * 2
+    assert table.terms.starts == [0, 1, 1, 1]

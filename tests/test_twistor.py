@@ -600,6 +600,20 @@ def test_every_column_of_a_stack_equals_its_stack_of_one(scenario_name, patch_na
         assert_bitwise_equal(got, alone)
 
 
+def test_a_lift_stack_checks_the_patch_box_once(monkeypatch):
+    # the parameters are checked, or clipped, once for the stack, and the
+    # patch is read at them with no box test of its own
+    sc = build_catalog("proj")
+    patch = catalog_patch("catenoid")["patch"]
+    grid = patch_grid(patch)
+    boxes = []
+    contains = Box.contains
+    monkeypatch.setattr(Box, "contains", lambda box, m: boxes.append(box) or contains(box, m))
+    lift_stack(sc, patch, grid, orientation=-1)
+    assert len(grid) == GRID_POINTS
+    assert sum(box is patch.param_box for box in boxes) == 1
+
+
 @pytest.mark.parametrize("scale", [1e-24, 1e24])
 def test_stacked_frame_rank_rule_does_not_depend_on_the_metric_scale(scale):
     # the second Cholesky pivot of the induced metric is measured against
