@@ -365,6 +365,10 @@ class FailureColumn:
     failed: np.ndarray
     first: dict = field(default_factory=dict)
 
+    def copy(self) -> FailureColumn:
+        """The same failures in a column of its own, to extend by more steps."""
+        return FailureColumn(self.failed.copy(), dict(self.first))
+
     def reject(self, rows: np.ndarray, error: type, message: Callable[[int], str]) -> None:
         """Record the error, with the message message(i), for each row i that
         `rows` flags and that has no failure yet; only those messages are built."""

@@ -1,11 +1,13 @@
 """Adapted structure pairs along a map and their deviation rates.
 
-At a regular point the splitting frames assemble two compatible almost
-complex structures: both rotate the horizontal plane onto the target's
-positive rotation, and they rotate the vertical plane in opposite senses,
-giving orientations +1 and -1. Near a center the structures are compared
-against the constant reference structure of the leading symbol inside the
-second order normal chart, where Frobenius norms are the natural gauge.
+At a regular point J+ and J- = -g^{-1} (w +- *w), for the unit horizontal
+2-form w and its Hodge dual, are compatible almost complex structures: both
+rotate the horizontal plane onto the target's positive rotation and the
+vertical plane in opposite senses, giving orientations +1 and -1. No
+splitting frame is built for them. Near a center the structures are
+compared against the constant reference structure of the leading symbol
+inside the second order normal chart, where Frobenius norms are the natural
+gauge.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import minimize_affine_on_sphere
 from .calculus import TARGET_ROTATION, MorphismScenario
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
-from .geometry import metric_point
 from .morphism import GeometryStack, geometry_stack
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
-from .structures import structure_basis
 from .symbol import CenterSample, SymbolCandidate, SymbolData
 
 MAX_DIRECTION_SUBSTITUTIONS = 25
@@ -35,28 +34,6 @@ def pseudo_holomorphy_residual(jac: np.ndarray, J: np.ndarray) -> float:
     """How far J is from intertwining the differential `jac` at a point with
     the target rotation."""
     return float(np.linalg.norm(jac @ J - TARGET_ROTATION @ jac, ord="fro"))
-
-
-def best_compatible_structure(scenario: MorphismScenario, m, orientation: int = 1):
-    """Minimize the pseudo holomorphy residual over compatible structures.
-
-    The compatible structures of one orientation at m form a sphere in the
-    coordinates of the structure basis conjugated by any positively oriented
-    orthonormal frame; the residual is affine in those coordinates. Returns
-    (structure, fiber coordinates, residual). Independent of the splitting
-    construction, so it serves as a cross check on hermitian_pair.
-    """
-    # the coordinate axes orthonormalized in index order, B = L^{-T} for the
-    # Cholesky factor g = L L^T
-    Binv = np.linalg.cholesky(metric_point(scenario.metric, m).g).T
-    B = np.linalg.inv(Binv)
-    jac = scenario.jacobian(m)
-    rho0 = (-TARGET_ROTATION @ jac).ravel()
-    basis = structure_basis(orientation * scenario.orientation)
-    cols = [(jac @ (B @ K @ Binv)).ravel() for K in basis]
-    u, res = minimize_affine_on_sphere(rho0, np.column_stack(cols))
-    J = B @ sum(u[a] * basis[a] for a in range(3)) @ Binv
-    return J, u, res
 
 
 # ------------------------------------------------------------- references
@@ -150,7 +127,7 @@ def structure_deviation_rate(sample: CenterSample, orientation: int = 1) -> Devi
     column = _deviations(stack, orientation, J0)
     table = []
     for source, rows in rays:
-        source.splitting[-1].raise_first(rows)
+        source.structures[-1].raise_first(rows)
         table.append(column[rows] if source is stack else _deviations(source, orientation, J0))
     dev_vals = np.max(table, axis=0)
 
@@ -194,15 +171,15 @@ def isolated_extension(sample: CenterSample, orientation: int = 1) -> IsolatedEx
     """
     J0 = reference_field(sample.symbol, orientation).matrix
     stack = sample.stack
-    # the first sample, radius-major, whose splitting failed raises: as
+    # the first sample, radius-major, whose structures failed raises: as
     # NonIsolatedCriticalError when it is critical, else its own failure
-    for i in np.flatnonzero(stack.splitting[-1].failed):
+    for i in np.flatnonzero(stack.structures[-1].failed):
         if not stack.regular[i]:
             r = sample.radii[i // len(sample.directions)]
             raise NonIsolatedCriticalError(
                 f"critical sample on the shell of radius {r:.3e}",
                 point=sample.symbol.chart.to_original(stack.metric.point[i]))
-        stack.check(i)
+        stack.structures[-1].raise_first([i])
     deviations = _deviations(stack, orientation, J0).reshape(len(sample.radii), -1)
     sups = deviations.max(axis=1).tolist()
     fit = fit_rate(sample.radii, sups)

@@ -12,12 +12,12 @@ of points built in one pass over the stack (`stack_pass`); a point alone
 is the stack of one, and every reader takes a stack and its row indices.
 The tension, the splitting, the structures J+ and J- and the first jets of
 the vertical projector and of the structures are derived over the whole
-stack when they are first read. A point that fails a step of the pass or
-of the splitting keeps its first failure in a failure column and leaves
-the other rows; `geometry_stack` raises the first failure of the pass, and
-`GeometryStack.check` that of a row. The jets are exact: the product rule
-over g, dg, the Christoffel symbols, dF and the Hessians of F, with no
-geometry built at any other point.
+stack when they are first read. A point that fails a step of the pass, the
+splitting or the structures keeps its first failure in a failure column and
+leaves the other rows; `geometry_stack` raises the first failure of the
+pass, and `GeometryStack.check` that of a row. The jets are exact: the
+product rule over g, dg, the Christoffel symbols, dF and the Hessians of F,
+with no geometry built at any other point.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .calculus import MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, GeometryError
 from .geometry import (FailureColumn, MetricPoint, frame_orientations, metric_rows,
                        orthonormal_stack)
-from .structures import K_MINUS, K_PLUS, gram_jet, structure_jets
+from .structures import gram_jet, structure_jets
 
 EPS_CRITICAL = 1e-9
 
@@ -120,21 +120,12 @@ class GeometryStack:
         orientation flip, with overflows non-finite and silent. A point that
         fails a step does not stop the others: failures is the column of the
         pass extended by the splitting's steps, and the rows of a failed
-        point hold no frame. A conformality defect that overflows is the
-        first failure of its point, before its regularity and its frame.
+        point hold no frame. The checks of the Gram matrix come first (see
+        gram_failures), before the frame.
         """
         points, g, G = self.metric.point, self.metric.g, self.metric.inverse
-        failures = FailureColumn(self.failures.failed.copy(), dict(self.failures.first))
-        failures.reject(~np.isfinite(self.defect), GeometryError,
-                        lambda i: f"conformality defect overflows at {points[i].tolist()}")
-        failures.reject(~self.regular, ClassificationError,
-                        lambda i: f"splitting needs a regular point; dilation "
-                                  f"{self.dilation_sup[i]:.3e} at {points[i].tolist()}")
+        failures = self.gram_failures.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            # sign 0: the LU factorization that solve runs has a zero pivot
-            failures.reject(np.linalg.slogdet(self.conformal)[0] == 0, DegenerateFrameError,
-                            lambda i: f"horizontal Gram matrix is singular at "
-                                      f"{points[i].tolist()}")
             graw = failures.neutral(self.conformal, np.eye(2))
             # e1 and e2 map to the target frame (1, 0) and (0, 1) under the
             # differential scaled by the dilation; every product below takes
@@ -160,16 +151,41 @@ class GeometryStack:
         return horizontal, vertical, p_vert, p_hor, failures
 
     @cached_property
+    def gram_failures(self) -> FailureColumn:
+        """The pass's column extended by the checks that the splitting and
+        the structures each make first on a copy, in order: a conformality
+        defect that overflows, a point that is not regular, and a Gram matrix
+        M = `conformal` with det M <= 0 or overflowing, which neither the
+        solves nor sqrt(det M) take."""
+        points = self.metric.point
+        failures = self.failures.copy()
+        failures.reject(~np.isfinite(self.defect), GeometryError,
+                        lambda i: f"conformality defect overflows at {points[i].tolist()}")
+        failures.reject(~self.regular, ClassificationError,
+                        lambda i: f"splitting needs a regular point; dilation "
+                                  f"{self.dilation_sup[i]:.3e} at {points[i].tolist()}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(self.conformal)
+        failures.reject(~(det > 0), DegenerateFrameError,
+                        lambda i: f"horizontal Gram matrix is singular at {points[i].tolist()}")
+        failures.reject(det == np.inf, GeometryError,
+                        lambda i: f"horizontal Gram determinant overflows at {points[i].tolist()}")
+        return failures
+
+    @cached_property
     def structures(self) -> tuple:
-        """(J+, J-) of every point: the standard structures K+ and K-
-        carried by the frames (e1, e2, v1, v2), from one inverse of the
-        stack of adapted bases. The basis of a point whose splitting failed
-        is replaced by the identity, so it cannot fail the inverse."""
-        horizontal, vertical, _, _, failures = self.splitting
-        B = failures.neutral(np.concatenate([horizontal, vertical], axis=1).swapaxes(-1, -2),
-                             np.eye(4))
-        Binv = np.linalg.inv(B)
-        return B @ K_PLUS @ Binv, B @ K_MINUS @ Binv
+        """(J+, J-, failures) of every point, with no frame: -G (w +- o *w)
+        by structures.structure_jets for the unit horizontal 2-form w = dF1 ^
+        dF2 / |dF1 ^ dF2|_g and the orientation o, bit for bit the J of
+        `structure_jets`. failures extends a copy of gram_failures by a J
+        that is not finite; a failed point reads the differential (I 0)."""
+        points, failures = self.metric.point, self.gram_failures.copy()
+        o = self.scenario.orientation
+        J = structure_jets(failures.neutral(self.jac, np.eye(2, 4)), self.metric.g,
+                           self.metric.inverse, (o, -o))
+        failures.reject(~np.isfinite(J).all(axis=(0, -2, -1)), GeometryError,
+                        lambda i: f"structures J+ and J- are not finite at {points[i].tolist()}")
+        return (*J, failures)
 
     def structure(self, orientation: int) -> np.ndarray:
         """J+ (orientation 1) or J- of every point."""
@@ -216,20 +232,18 @@ class GeometryStack:
         """The first jets (J, nabla J) of J+ and of J- at every point, exact:
         J is (n, 4, 4) and nabla J is (n, 4, 4, 4) with nabla_k J first.
 
-        J+ and J- are -G (w + o *w) and -G (w - o *w), see
-        structures.structure_jets: w is the unit horizontal 2-form dF1 ^ dF2
-        / |dF1 ^ dF2|_g and o the scenario orientation. This form equals
-        `structures`.
+        The rule of `structures`, with its jet along the coordinate axes.
         """
         dA, dg, gamma = self._jet_inputs
         o = self.scenario.orientation
-        return tuple(structure_jets(self.jac, dA, self.metric.g, dg, gamma, self.metric.inverse,
-                                    (o, -o), self.gram_jet))
+        return tuple(structure_jets(self.jac, self.metric.g, self.metric.inverse, (o, -o),
+                                    (dA, dg, gamma), self.gram_jet))
 
     def check(self, index: int) -> None:
-        """Raise the first failure of point `index`, of the pass or of its
-        splitting, if it failed."""
+        """Raise the first failure of point `index`, of the pass, its
+        splitting or its structures, if it failed."""
         self.splitting[-1].raise_first([index])
+        self.structures[-1].raise_first([index])
 
 
 def geometry_stack(scenario: MorphismScenario, points) -> GeometryStack:

@@ -111,7 +111,7 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
     if stack.regular[0]:
         stack.check(0)
         defect = float(stack.defect[0])
-        j_plus, j_minus = (J[0] for J in stack.structures)
+        j_plus, j_minus = (J[0] for J in stack.structures[:2])
         res_plus = pseudo_holomorphy_residual(stack.jac[0], j_plus)
         res_minus = pseudo_holomorphy_residual(stack.jac[0], j_minus)
         record.update({

@@ -9,8 +9,8 @@ and the third positive element is the standard structure of the two complex
 chart coordinates.
 
 On a curved chart the compatible structure of a unit 2-form w is J =
--g^{-1} (w + s *w), and `structure_jets` derives it, with its covariant
-derivatives, in closed form from the two covectors whose wedge spans w.
+-g^{-1} (w + s *w), and `structure_jets` derives it, alone or with its
+covariant derivatives, in closed form from the two covectors spanning w.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ _FORMS_MINUS = (
 
 STRUCTURES_PLUS = tuple(-omega for omega in _FORMS_PLUS)
 STRUCTURES_MINUS = tuple(-omega for omega in _FORMS_MINUS)
-
-# standard structures of the two complex chart coordinates, both orientations
-K_PLUS = STRUCTURES_PLUS[2]
-K_MINUS = STRUCTURES_MINUS[2]
 
 # eps_ijkl = det(e_i, e_j, e_k, e_l) as a (16, 16) matrix, rows ij and columns kl
 LEVI_CIVITA = np.linalg.det(np.eye(4)[list(itertools.product(range(4), repeat=4))]).reshape(16, 16)
@@ -88,43 +84,48 @@ def gram_jet(A: np.ndarray, dA: np.ndarray, G: np.ndarray, dg: np.ndarray,
     return dG, M, np.linalg.inv(M), S + S.swapaxes(-1, -2) + A[:, None] @ dG @ At[:, None]
 
 
-def structure_jets(A: np.ndarray, dA: np.ndarray, g: np.ndarray, dg: np.ndarray,
-                   gamma: np.ndarray, G: np.ndarray, signs, gram=None) -> list:
-    """The first jets (J, nabla J) of J = -G (w + s *w), one for each sign s.
+def structure_jets(A: np.ndarray, g: np.ndarray, G: np.ndarray, signs,
+                   directions=None, gram=None) -> list:
+    """J = -G (w + s *w), (n, 4, 4), for each sign s, or with directions
+    the first jets (J, nabla J).
 
     w = A_1 ^ A_2 / |A_1 ^ A_2|_g is the unit 2-form of the two rows of A,
     (n, 2, 4), and (*w)_kl = 1/2 sqrt(det g) eps_ijkl w^ij its Hodge dual;
-    G is g^{-1}. The derivatives are taken along any number of directions
-    k: dA, dg = d_k g and gamma, with (Gamma_k)^a_b = Gamma^a_{bc} X_k^c,
-    carry k on their second axis, (n, k, ...), and the matrix indices last.
-    J is (n, 4, 4) and nabla J is (n, k, 4, 4), with nabla_k J = d_k J +
-    [Gamma_k, J] by the product rule. `gram` is the gram_jet of A, dA, G
-    and dg when the caller has it, and is computed here otherwise.
-    Entries that overflow come out non-finite, without a warning: the
-    callers' checks of J reject those rows.
+    G is g^{-1}. The directions (dA, dg, gamma) are any number k of them:
+    dA, dg = d_k g and gamma, with (Gamma_k)^a_b = Gamma^a_{bc} X_k^c, carry
+    k on their second axis, (n, k, ...), and the matrix indices last; nabla
+    J is (n, k, 4, 4), with nabla_k J = d_k J + [Gamma_k, J] by the product
+    rule. `gram` is the gram_jet of A, dA, G and dg when the caller has it,
+    and is computed here otherwise. Entries that overflow come out
+    non-finite, without a warning: the callers' checks of J reject those rows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dG, M, N, dM = gram_jet(A, dA, G, dg) if gram is None else gram
+        if directions is None:
+            M = A @ G @ A.swapaxes(-1, -2)
+        else:
+            dA, dg, gamma = directions
+            dG, M, N, dM = gram_jet(A, dA, G, dg) if gram is None else gram
         G, A = G[:, None], A[:, None]
         W = A[..., 0, :, None] * A[..., 1, None, :]
-        dW = (dA[..., 0, :, None] * A[..., 1, None, :]
-              + A[..., 0, :, None] * dA[..., 1, None, :])
         # |A_1 ^ A_2|_g = sqrt(det M), whose log has derivative tr(N d_k M) / 2
         size = np.sqrt(np.linalg.det(M))[:, None, None, None]
         w = (W - W.swapaxes(-1, -2)) / size
-        dw = ((dW - dW.swapaxes(-1, -2)) / size
-              - 0.5 * np.trace(N[:, None] @ dM, axis1=-2, axis2=-1)[..., None, None] * w)
-        w_up = G @ w @ G
-        dw_up = dG @ (w @ G) + G @ dw @ G + (G @ w) @ dG
         # sqrt(det g) and the derivative of its log, tr(G d_k g) / 2
         volume = np.sqrt(np.linalg.det(g))[:, None, None, None]
-        dlog_volume = 0.5 * np.trace(G @ dg, axis1=-2, axis2=-1)[..., None, None]
 
         def hodge(form_up):
             flat = form_up.reshape(form_up.shape[:-2] + (1, 16))
             return 0.5 * volume * (flat @ LEVI_CIVITA).reshape(form_up.shape)
 
-        star = hodge(w_up)
+        star = hodge(G @ w @ G)
+        if directions is None:
+            return [-(G @ (w + sign * star))[:, 0] for sign in signs]
+        dW = (dA[..., 0, :, None] * A[..., 1, None, :]
+              + A[..., 0, :, None] * dA[..., 1, None, :])
+        dw = ((dW - dW.swapaxes(-1, -2)) / size
+              - 0.5 * np.trace(N[:, None] @ dM, axis1=-2, axis2=-1)[..., None, None] * w)
+        dw_up = dG @ (w @ G) + G @ dw @ G + (G @ w) @ dG
+        dlog_volume = 0.5 * np.trace(G @ dg, axis1=-2, axis2=-1)[..., None, None]
         dstar = hodge(dw_up) + dlog_volume * star
         jets = []
         for sign in signs:

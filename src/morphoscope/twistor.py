@@ -193,8 +193,8 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
     dg = along_d(mp.dg)
     dA = np.moveaxis(hessians, -1, 1).swapaxes(-1, -2) @ g[:, None] + dT[:, None] @ dg
     sign = orientation * scenario.orientation
-    [(J, jet)] = structure_jets(A, dA, g, dg, along_d(np.moveaxis(mp.gamma, -1, 1)),
-                                mp.inverse, (sign,))
+    [(J, jet)] = structure_jets(A, g, mp.inverse, (sign,),
+                                (dA, dg, along_d(np.moveaxis(mp.gamma, -1, 1))))
     for rows, reason in _check_structure(g, J):
         failures.reject(rows, GeometryError, lambda i: f"{reason} at {points[i].tolist()}")
     failures.raise_first()

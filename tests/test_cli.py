@@ -20,9 +20,10 @@ from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.morphism import geometry_stack
 from morphoscope.polynomials import Poly
 from morphoscope.report import fingerprint
-from morphoscope.structures import K_PLUS
+from morphoscope.structures import STRUCTURES_PLUS
 
-from test_morphism import count_geometry_builds, count_jets
+from test_golden_fingerprints import BATTERY, GOLDEN, run_case
+from test_morphism import count_geometry_builds, count_jets, refuse_frames
 from test_symbol import count_calls, scaled_catalog_config
 
 
@@ -150,7 +151,7 @@ def test_analyze_regular_point(tmp_path):
     assert record["status"] == "regular"
     assert not (tmp_path / "z1z2_analyze.csv").exists()
     assert abs(record["dilation_sup"] - 1.0) < 1e-12
-    assert np.allclose(record["j_plus"], K_PLUS, atol=1e-12)
+    assert np.allclose(record["j_plus"], STRUCTURES_PLUS[2], atol=1e-12)
 
 
 def test_analyze_critical_point(tmp_path):
@@ -939,6 +940,46 @@ def test_an_overflowing_lift_exits_two_without_warnings(tmp_path, capsys):
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
     assert "structure squared is not minus the identity" in capsys.readouterr().err
     assert not list(tmp_path.glob("proj_twistor*"))
+
+
+@pytest.mark.parametrize("name", CRITICAL_CONFIGS)
+def test_rate_builds_no_frames(monkeypatch, name):
+    # rate reads the closed-form structures and their failure column, so it
+    # gives its golden report with every frame construction refused
+    refuse_frames(monkeypatch)
+    case = f"{name} rate"
+    pinned = json.loads(GOLDEN.read_text())[case]
+    assert pinned["exit"] == 0
+    assert run_case(*BATTERY[case]) == pinned
+
+
+@pytest.mark.parametrize("argv", [["analyze", REGULAR_POINT], ["rate"]], ids=["analyze", "rate"])
+def test_an_overflowing_gram_matrix_is_named_by_the_structures(tmp_path, capsys, monkeypatch,
+                                                                argv):
+    # from 1e155 z1 z2 the Gram matrix dF g^-1 dF^T itself overflows: the
+    # structures' column names the overflowing defect first, and rate reads
+    # that column with no frame built
+    if argv == ["rate"]:
+        refuse_frames(monkeypatch)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scaled_catalog_config("z1z2", 1e155)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, argv[0], "--config", str(path), *argv[1:]) == 2
+    assert "GeometryError: conformality defect overflows at" in capsys.readouterr().err
+
+
+def test_an_overflowing_gram_determinant_exits_two(tmp_path, capsys):
+    # at 1e80 z1 z2 the Gram matrix M and the defect are finite but det M
+    # overflows, so sqrt(det M) is infinite and the closed form would read
+    # J = 0: the Gram checks reject the point for every reader of J
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scaled_catalog_config("z1z2", 1e80)))
+    for argv in (["analyze", REGULAR_POINT], ["weingarten", REGULAR_POINT], ["rate"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(tmp_path, argv[0], "--config", str(path), *argv[1:]) == 2
+        assert "GeometryError: horizontal Gram determinant overflows at" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("factor", [1e100, 1e150, 1e155, 1e200, 1.7e308])

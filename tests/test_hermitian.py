@@ -1,30 +1,31 @@
 """Structure pairs, reference structures, and their decay rates.
 
-The independent oracle for the split-frame construction of the structures is
-the affine sphere minimizer of the pseudo holomorphy residual, which never
-sees the kernel splitting; for pullback scenarios a second oracle transports
-the flat structure through the exact chart change.
+The independent oracle for the closed-form structures is the affine sphere
+minimizer of the pseudo holomorphy residual, written out here, which never
+sees the map's 2-form or the kernel splitting; for pullback scenarios a
+second oracle transports the flat structure through the exact chart change.
 """
 
 import numpy as np
 import pytest
 
-from morphoscope.calculus import pullback_scenario
+from morphoscope._linalg import minimize_affine_on_sphere
+from morphoscope.calculus import TARGET_ROTATION, pullback_scenario
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
-from morphoscope.errors import NonIsolatedCriticalError, SymbolError
-from morphoscope.hermitian import (best_compatible_structure, hermitian_pair,
-                                   isolated_extension, pseudo_holomorphy_residual,
-                                   reference_field, structure_deviation_rate)
-from morphoscope.geometry import frame_orientations
+from morphoscope.errors import DomainError, NonIsolatedCriticalError, SymbolError
+from morphoscope.hermitian import (hermitian_pair, isolated_extension,
+                                   pseudo_holomorphy_residual, reference_field,
+                                   structure_deviation_rate)
+from morphoscope.geometry import frame_orientations, metric_point
 from morphoscope import hermitian, morphism, symbol
 from morphoscope.morphism import geometry_stack
 from morphoscope.ratefit import N_AXES, shell_samples
-from morphoscope.structures import K_MINUS, K_PLUS
+from morphoscope.structures import STRUCTURES_MINUS, STRUCTURES_PLUS, structure_basis
 from morphoscope.symbol import CenterSample, center_sample, symbol_polynomial
 
-from test_morphism import (bits, field, pullback_diffeo, scenario_anisotropic, scenario_product,
-                           scenario_pullback_product, scenario_square)
+from test_morphism import (bits, field, pullback_diffeo, refuse_frames, scenario_anisotropic,
+                           scenario_product, scenario_pullback_product, scenario_square)
 
 
 def transported_structure(diffeo, x, base_matrix):
@@ -32,6 +33,29 @@ def transported_structure(diffeo, x, base_matrix):
     jac = np.array([[p.real_poly().diff(a).eval(x).real for a in range(4)]
                     for p in diffeo])
     return np.linalg.solve(jac, base_matrix @ jac)
+
+
+def best_compatible_structure(scenario, m, orientation=1):
+    """Oracle: minimize the pseudo holomorphy residual over compatible
+    structures.
+
+    The compatible structures of one orientation at m form a sphere in the
+    coordinates of the structure basis conjugated by any positively oriented
+    orthonormal frame; the residual is affine in those coordinates. Returns
+    (structure, fiber coordinates, residual). It never sees the 2-form of
+    the map, so it cross-checks the closed-form structures.
+    """
+    # the coordinate axes orthonormalized in index order, B = L^{-T} for the
+    # Cholesky factor g = L L^T
+    Binv = np.linalg.cholesky(metric_point(scenario.metric, m).g).T
+    B = np.linalg.inv(Binv)
+    jac = scenario.jacobian(m)
+    rho0 = (-TARGET_ROTATION @ jac).ravel()
+    basis = structure_basis(orientation * scenario.orientation)
+    cols = [(jac @ (B @ K @ Binv)).ravel() for K in basis]
+    u, res = minimize_affine_on_sphere(rho0, np.column_stack(cols))
+    J = B @ sum(u[a] * basis[a] for a in range(3)) @ Binv
+    return J, u, res
 
 
 def sample_points(scenario, count, seed):
@@ -124,7 +148,7 @@ def test_structure_transports_through_chart_changes():
                                name="pulled")
     for x in sample_points(pulled, 5, seed=71):
         J = field(hermitian_pair(pulled, x), 0, "j_plus")
-        expected = transported_structure(diffeo, x, K_PLUS)
+        expected = transported_structure(diffeo, x, STRUCTURES_PLUS[2])
         assert np.allclose(J, expected, atol=1e-9)
 
 
@@ -135,7 +159,7 @@ def test_reference_structure_of_product_map():
     data = symbol_polynomial(scenario_product(), np.zeros(4))
     ref = reference_field(data, orientation=1)
     assert data.order == 2
-    assert np.allclose(ref.matrix, K_PLUS, atol=1e-12)
+    assert np.allclose(ref.matrix, STRUCTURES_PLUS[2], atol=1e-12)
     assert np.allclose(ref.fiber, [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -149,8 +173,8 @@ def test_reference_structures_of_square_map_cover_both_orientations():
     data = symbol_polynomial(scenario_square(), np.zeros(4))
     plus = reference_field(data, orientation=1)
     minus = reference_field(data, orientation=-1)
-    assert np.allclose(plus.matrix, K_PLUS, atol=1e-12)
-    assert np.allclose(minus.matrix, K_MINUS, atol=1e-12)
+    assert np.allclose(plus.matrix, STRUCTURES_PLUS[2], atol=1e-12)
+    assert np.allclose(minus.matrix, STRUCTURES_MINUS[2], atol=1e-12)
 
 
 # ------------------------------------------------------------------ rates
@@ -298,3 +322,23 @@ def test_deviation_columns_equal_a_written_out_norm_loop_bitwise(monkeypatch, na
         sups = [max([0.0] + [written_out_deviation(scenario, y, J0) for y in shell])
                 for shell in sample.points]
         assert bits(isolated_extension(sample).sups) == bits(sups)
+
+
+@pytest.mark.parametrize("read, row", [(structure_deviation_rate, N_AXES),
+                                       (isolated_extension, 0)],
+                         ids=["deviation", "isolated"])
+def test_a_shell_row_outside_the_domain_raises_through_the_structures(monkeypatch, read, row):
+    # a sample stack built by the pass without raising, whose outer shell
+    # leaves the chart: the structures' column, seeded from the pass, raises
+    # the DomainError of the first such row the reader meets (the first
+    # seeded ray, or the first sample radius-major), with no frame built
+    sample = catalog_sample("z1z2")
+    radii = (4.0,) + sample.radii[1:]
+    outside = CenterSample(symbol=sample.symbol, seed=sample.seed, directions=sample.directions,
+                           radii=radii, points=shell_samples(sample.directions, radii)[1])
+    outside.stack = morphism.stack_pass(sample.symbol.chart.scenario, outside.points)
+    refuse_frames(monkeypatch)
+    with pytest.raises(DomainError) as info:
+        read(outside)
+    assert str(info.value) == outside.stack.failures.first[row][1]
+    assert str(info.value).endswith("leaves the chart domain (margin 0)")

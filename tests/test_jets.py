@@ -20,7 +20,7 @@ from morphoscope.geometry import covariant_derivative
 from morphoscope.morphism import fiber_mean_curvature, geometry_stack
 from morphoscope.weingarten import weingarten_matrix
 
-from test_morphism import derivative, dilation_sup, field
+from test_morphism import derivative, dilation_sup, field, frame_structures
 
 # stencil error and rounding of the oracle, relative to max(1, |value|)
 ORACLE_TOL = 1e-8
@@ -104,9 +104,15 @@ def test_j_plus_is_parallel_on_flat_and_pulled_back_flat_charts(name):
 @pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("name", CHARTS)
 def test_closed_form_structures_equal_the_frame_structures(name, orientation):
+    # the one rule of the stack, read alone and with its jet, against the
+    # standard structures carried by the splitting frames
     sc = scenario(name, orientation)
     stack = geometry_stack(sc, regular_points(sc))
-    (j_plus, _), (j_minus, _) = stack.structure_jets
-    frame_plus, frame_minus = stack.structures
-    assert np.max(np.abs(j_plus - frame_plus)) <= 1e-14
-    assert np.max(np.abs(j_minus - frame_minus)) <= 1e-14
+    (jet_plus, _), (jet_minus, _) = stack.structure_jets
+    j_plus, j_minus, _ = stack.structures
+    assert j_plus.tobytes() == jet_plus.tobytes() and j_minus.tobytes() == jet_minus.tobytes()
+    for i in range(len(j_plus)):
+        frame_plus, frame_minus = frame_structures(field(stack, i, "horizontal"),
+                                                   field(stack, i, "vertical"))
+        assert np.max(np.abs(j_plus[i] - frame_plus)) <= 1e-14
+        assert np.max(np.abs(j_minus[i] - frame_minus)) <= 1e-14

@@ -12,6 +12,7 @@ Frozen expected values are spelled out at their tests.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from functools import cached_property
 
@@ -32,7 +33,7 @@ from morphoscope.morphism import (
     splitting, tension_norm, validate_morphism,
 )
 from morphoscope.polynomials import Poly, evaluate
-from morphoscope.structures import K_MINUS, K_PLUS
+from morphoscope.structures import STRUCTURES_MINUS, STRUCTURES_PLUS
 
 from test_geometry import quadratic_bump_metric
 from test_polynomials import written_out_jets, written_out_metric
@@ -86,6 +87,17 @@ def count_geometry_builds(monkeypatch) -> list:
             if getattr(module, "stack_pass", None) is original:
                 monkeypatch.setattr(module, "stack_pass", counted)
     return builds
+
+
+def refuse_frames(monkeypatch) -> None:
+    """Make every frame construction of the geometry stack raise: the
+    Gram-Schmidt of the vertical frame and the orientation of the adapted
+    frame."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a splitting frame was built")
+
+    monkeypatch.setattr(morphism, "orthonormal_stack", refuse)
+    monkeypatch.setattr(morphism, "frame_orientations", refuse)
 
 
 SPLITTING = ("horizontal", "vertical", "vertical_projector", "horizontal_projector")
@@ -537,12 +549,33 @@ def test_a_geometry_reads_the_same_bits_alone_as_in_its_stack(name):
             assert bits(field(alone, 0, key)) == bits(field(geo, i, key)), key
 
 
+def levi_civita() -> np.ndarray:
+    """eps_ijkl as a (16, 16) matrix, rows ij and columns kl: the sign of
+    the permutation ijkl of 0123, by counting its inversions, or 0."""
+    eps = np.zeros((16, 16))
+    for p in itertools.permutations(range(4)):
+        inversions = sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4))
+        eps[4 * p[0] + p[1], 4 * p[2] + p[3]] = (-1.0) ** inversions
+    return eps
+
+
+def frame_structures(horizontal, vertical) -> tuple:
+    """(J+, J-) carried by an adapted frame: B K B^-1 for the basis B with
+    columns e1, e2, v1, v2 and the standard structures K of the two complex
+    chart coordinates."""
+    B = np.column_stack([*horizontal, *vertical])
+    Binv = np.linalg.inv(B)
+    return B @ STRUCTURES_PLUS[2] @ Binv, B @ STRUCTURES_MINUS[2] @ Binv
+
+
 def written_out_splitting(stack, i) -> dict:
     """The splitting and the structures at one regular row of a geometry
     stack, every step written out for the one point: two solves for the
     horizontal frame, one for the horizontal projector g^-1 A^T (A g^-1
-    A^T)^-1 A with A = dF, a Gram-Schmidt loop over the projected axes, the
-    orientation flip and one inverse of the adapted basis."""
+    A^T)^-1 A with A = dF, a Gram-Schmidt loop over the projected axes and
+    the orientation flip; J+ and J- are -g^-1 (w + s *w), s = +-o for the
+    scenario orientation o, for the unit 2-form w = A_1 ^ A_2 / sqrt(det A
+    g^-1 A^T) and (*w)_kl = 1/2 sqrt(det g) eps_ijkl w^ij."""
     jac, ginv, g = stack.jac[i], np.linalg.inv(stack.metric.g[i]), stack.metric.g[i]
     lam = float(np.sqrt(max(0.0, stack.squared_dilation[i])))
     graw = jac @ ginv @ jac.T
@@ -560,11 +593,14 @@ def written_out_splitting(stack, i) -> dict:
     v1, v2 = vectors[:2]
     if np.linalg.det(np.array([e1, e2, v1, v2]).T) * stack.scenario.orientation < 0:
         v2 = -v2
-    B = np.column_stack([e1, e2, v1, v2])
-    Binv = np.linalg.inv(B)
+    W = np.outer(jac[0], jac[1])
+    w = (W - W.T) / np.sqrt(np.linalg.det(graw))
+    w_up = ginv @ w @ ginv
+    star = 0.5 * np.sqrt(np.linalg.det(g)) * (w_up.reshape(1, 16) @ levi_civita()).reshape(4, 4)
+    o = stack.scenario.orientation
     return {"horizontal": np.array([e1, e2]), "vertical": np.array([v1, v2]),
             "vertical_projector": p_vert, "horizontal_projector": p_hor,
-            "j_plus": B @ K_PLUS @ Binv, "j_minus": B @ K_MINUS @ Binv}
+            "j_plus": -(ginv @ (w + o * star)), "j_minus": -(ginv @ (w - o * star))}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CHARTS))

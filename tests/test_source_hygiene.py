@@ -33,7 +33,6 @@ TESTS = sorted(p for p in Path(__file__).resolve().parent.glob("*.py")
 # public names (Class.method for a method) no command calls, each kept for
 # a stated reason
 UNUSED_KEPT = {
-    "best_compatible_structure": "reference implementation that tests compare against",
     "structure_from_fiber": "reference implementation that tests compare against",
     "fiber_mean_curvature": "certifies minimal singular fibres (ROADMAP item 4)",
     "isolated_extension": "certifies the isolated-center extension in rate (ROADMAP item 5)",

@@ -26,7 +26,8 @@ from morphoscope.geometry import Box, FlatMetric
 from morphoscope.runner import run_rate
 from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.structures import (
-    K_MINUS, K_PLUS, fiber_from_structure, structure_basis, structure_from_fiber,
+    STRUCTURES_MINUS, STRUCTURES_PLUS, fiber_from_structure, structure_basis,
+    structure_from_fiber,
 )
 from morphoscope.symbol import (
     center_sample, dilation_lower_rate, remainder_rates, symbol_polynomial,
@@ -67,10 +68,10 @@ def test_structure_bases_quaternion_relations():
 def test_standard_structures_frozen():
     expect_plus = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
                            dtype=float)
-    assert np.array_equal(K_PLUS, expect_plus)
+    assert np.array_equal(STRUCTURES_PLUS[2], expect_plus)
     expect_minus = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
                             dtype=float)
-    assert np.array_equal(K_MINUS, expect_minus)
+    assert np.array_equal(STRUCTURES_MINUS[2], expect_minus)
 
 
 def test_order_at_catalog_values():
@@ -99,7 +100,7 @@ def test_symbol_product_map_unique_positive_candidate():
     cand = data.candidates[0]
     assert cand.orientation == 1
     assert np.allclose(cand.fiber, [0.0, 0.0, 1.0], atol=1e-10)
-    assert np.allclose(cand.matrix, K_PLUS, atol=1e-10)
+    assert np.allclose(cand.matrix, STRUCTURES_PLUS[2], atol=1e-10)
     assert cand.residual < 1e-10
     assert cand.antiholomorphic_max < 1e-10
     assert set(cand.coefficients) == {(1, 1)}
@@ -117,8 +118,8 @@ def test_symbol_square_map_two_candidates():
         assert np.allclose(cand.fiber, [0.0, 0.0, 1.0], atol=1e-10)
         assert set(cand.coefficients) == {(2, 0)}
         assert cand.coefficients[(2, 0)] == pytest.approx(1.0 + 0j, abs=1e-12)
-    assert np.allclose(by_or[1].matrix, K_PLUS, atol=1e-10)
-    assert np.allclose(by_or[-1].matrix, K_MINUS, atol=1e-10)
+    assert np.allclose(by_or[1].matrix, STRUCTURES_PLUS[2], atol=1e-10)
+    assert np.allclose(by_or[-1].matrix, STRUCTURES_MINUS[2], atol=1e-10)
 
 
 def test_symbol_cubic_perturbation_keeps_candidate_and_remainder():

@@ -24,7 +24,8 @@ from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import Box, ChartMetric, FlatMetric, ProductSphereMetric
 from morphoscope.morphism import geometry_stack
 from morphoscope.polynomials import Poly
-from morphoscope.structures import K_MINUS, K_PLUS, fiber_from_structure, structure_from_fiber
+from morphoscope.structures import (STRUCTURES_MINUS, STRUCTURES_PLUS, fiber_from_structure,
+                                    structure_from_fiber)
 from morphoscope.twistor import (SurfacePatch, curvature_densities, fiber_coordinates,
                                  lift_stack, script_J_residual, surface_lift,
                                  vertical_energy_density)
@@ -176,10 +177,10 @@ def test_fiber_round_trip_both_classes():
 
 def test_fiber_anchor_and_class_rejection():
     metric = FlatMetric(Box.cube(2.0))
-    u = fiber_of(metric.matrix(np.zeros(4)), K_PLUS, 1)
+    u = fiber_of(metric.matrix(np.zeros(4)), STRUCTURES_PLUS[2], 1)
     assert np.allclose(u, [0.0, 0.0, 1.0], atol=1e-14)
     with pytest.raises(GeometryError):
-        fiber_of(metric.matrix(np.zeros(4)), K_MINUS, 1)
+        fiber_of(metric.matrix(np.zeros(4)), STRUCTURES_MINUS[2], 1)
     with pytest.raises(GeometryError):
         fiber_of(metric.matrix(np.zeros(4)), np.eye(4), 1)
 
@@ -209,7 +210,7 @@ def test_fiber_rotation_in_second_factor_plane():
 def test_plane_lift_is_constant_standard_structure():
     sc = flat_scenario()
     stack = lift_stack(sc, plane_patch(), [(0.3, -0.2), (-0.5, 0.1)], orientation=1)
-    assert np.allclose(stack.J, K_PLUS, atol=1e-12)
+    assert np.allclose(stack.J, STRUCTURES_PLUS[2], atol=1e-12)
     assert np.allclose(stack.fiber, [0.0, 0.0, 1.0], atol=1e-12)
     assert np.all(script_J_residual(stack) <= 1e-10)
     assert np.all(vertical_energy_density(stack).value <= 1e-12)
@@ -507,7 +508,8 @@ class OracleLift:
                 frame[3] = -frame[3]
         self.m, self.g, self.d, self.frame = m, mp.g, d, frame
         B = frame.T
-        self.J = B @ (K_PLUS if orientation == 1 else K_MINUS) @ np.linalg.inv(B)
+        K = STRUCTURES_PLUS[2] if orientation == 1 else STRUCTURES_MINUS[2]
+        self.J = B @ K @ np.linalg.inv(B)
         tw._check_structure(mp.g, self.J)
 
     @property
