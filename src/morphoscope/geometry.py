@@ -13,7 +13,6 @@ frame (e1, e2).
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +26,6 @@ from .polynomials import UPPER, Jet, Poly, evaluate, evaluate_orders, mirrored, 
 
 DEFAULT_FD_STEP = 1e-5
 FRAME_RANK_TOL = 1e-8
-ORIENTATION_DET_TOL = 1e-12
 MACHINE_EPS = float(np.finfo(float).eps)
 
 
@@ -438,8 +436,8 @@ def einstein_defect(mp: MetricPoint) -> float:
 def orthonormalize(g: np.ndarray, seeds: Sequence[np.ndarray],
                    complete: bool = False) -> np.ndarray:
     """Rows of a g-orthonormal frame built from the seeds in order, at one
-    point: the reference that orthonormal_stack is tested against, and a
-    layer of the benchmark tracer; no command calls it.
+    point: the tests' independent frame reference, and a layer of the
+    benchmark tracer; no command calls it.
 
     A seed is skipped when its residual after projection has a g-norm below
     FRAME_RANK_TOL times the seed's own g-norm, so the rule does not depend
@@ -482,61 +480,28 @@ def g_products(u: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ((u[:, None, :] @ g) @ v[:, :, None])[:, 0, 0]
 
 
-def orthonormal_stack(g: np.ndarray, seeds: np.ndarray, rank: int,
-                      sizes: np.ndarray) -> tuple:
-    """Gram-Schmidt over a stack of points, keeping the first `rank` rows.
+def first_seed(g: np.ndarray, seeds: np.ndarray, sizes: np.ndarray) -> tuple:
+    """The first seed of each point of a stack that orthonormalize's skip
+    rule keeps, divided by its g-norm.
 
     g is (n, 4, 4) and seeds is (n, s, 4). Each point's seeds are taken in
-    order, until the point has `rank` rows, under orthonormalize's skip
-    rule with the residual of seed k at point i measured against the
-    g-norm sizes[i, k]. Returns (frames, count): point i's rows are
-    frames[i, :count[i]], equal bit for bit to the rows the same steps give
-    for the point alone, and the rows past count[i] are zero.
+    order, with seed k at point i measured against the g-norm sizes[i, k].
+    Returns (vectors, kept): vectors[i] is point i's unit vector, equal bit
+    for bit to what the same steps give for the point alone, and zero where
+    kept[i] is False.
     """
     # contiguous rows, so each product runs through the same BLAS call as
     # for one point
     seeds = np.ascontiguousarray(seeds, dtype=float)
-    n = len(g)
-    frames = np.zeros((n, rank, 4))
-    count = np.zeros(n, dtype=int)
+    vectors = np.zeros((len(g), 4))
+    kept = np.zeros(len(g), dtype=bool)
     for k in range(seeds.shape[1]):
-        open_ = count < rank
-        if not open_.any():
-            break
         w = seeds[:, k]
-        for j in range(int(count.max())):
-            u = frames[:, j]
-            w = np.where((count > j)[:, None], w - g_products(w, g, u)[:, None] * u, w)
         norm = np.sqrt(np.maximum(0.0, g_products(w, g, w)))
-        take = np.flatnonzero(open_ & (norm > 0) & (norm >= FRAME_RANK_TOL * sizes[:, k]))
-        frames[take, count[take]] = w[take] / norm[take, None]
-        count[take] += 1
-    return frames, count
-
-
-def _orientation_failure(det: float, bound: float) -> str | None:
-    """Why a frame with this determinant has no orientation, or None.
-
-    The determinant is compared with Hadamard's bound, the product of the
-    row lengths, so the test does not depend on the scale of the metric.
-    """
-    if not math.isfinite(det):
-        return "frame determinant is not finite"
-    if abs(det) <= ORIENTATION_DET_TOL * bound:
-        return "frame determinant is numerically zero"
-    return None
-
-
-def frame_orientations(frames: np.ndarray) -> tuple:
-    """(signs, failures) of a stack of 4-frames, given as rows, against the
-    chart orientation; failures[i] is None, or why frame i has none."""
-    det = np.linalg.det(frames.swapaxes(-1, -2))
-    bound = np.prod(np.hypot.reduce(frames, axis=-1), axis=-1)
-    failures = [None] * len(det)
-    # the rows _orientation_failure rejects, flagged at once
-    for i in np.flatnonzero(~np.isfinite(det) | (np.abs(det) <= ORIENTATION_DET_TOL * bound)):
-        failures[i] = _orientation_failure(float(det[i]), float(bound[i]))
-    return np.where(det > 0, 1, -1), failures
+        take = ~kept & (norm > 0) & (norm >= FRAME_RANK_TOL * sizes[:, k])
+        vectors[take] = w[take] / norm[take, None]
+        kept |= take
+    return vectors, kept
 
 
 # ------------------------------------------------- covariant differentiation

@@ -5,7 +5,9 @@ of the differential drives everything: its larger eigenvalue is the squared
 pointwise dilation, its distance to a multiple of the identity tests
 horizontal conformality, and its inverse gives the vertical projector
 I - g^{-1} dF^T (dF g^{-1} dF^T)^{-1} dF onto ker dF. Frames are constructed
-deterministically so repeated runs and neighbouring points agree.
+deterministically so repeated runs and neighbouring points agree: the
+vertical frame is (v1, J+ v1), with v1 the first projected coordinate axis,
+so J+ alone fixes its orientation.
 
 All of it comes from one record, `GeometryStack`, the geometry of a stack
 of points built in one pass over the stack (`stack_pass`); a point alone
@@ -13,11 +15,12 @@ is the stack of one, and every reader takes a stack and its row indices.
 The tension, the splitting, the structures J+ and J- and the first jets of
 the vertical projector and of the structures are derived over the whole
 stack when they are first read. A point that fails a step of the pass, the
-splitting or the structures keeps its first failure in a failure column and
-leaves the other rows; `geometry_stack` raises the first failure of the
-pass, and `GeometryStack.check` that of a row. The jets are exact: the
-product rule over g, dg, the Christoffel symbols, dF and the Hessians of F,
-with no geometry built at any other point.
+structures or the splitting keeps its first failure in a failure column and
+leaves the other rows; the splitting's column extends that of the
+structures, which extends that of the pass. `geometry_stack` raises the
+first failure of the pass, and `GeometryStack.check` that of a row. The
+jets are exact: the product rule over g, dg, the Christoffel symbols, dF
+and the Hessians of F, with no geometry built at any other point.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ import numpy as np
 
 from .calculus import MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, GeometryError
-from .geometry import (FailureColumn, MetricPoint, frame_orientations, metric_rows,
-                       orthonormal_stack)
+from .geometry import FailureColumn, MetricPoint, first_seed, metric_rows
 from .structures import gram_jet, structure_jets
 
 EPS_CRITICAL = 1e-9
@@ -110,21 +112,20 @@ class GeometryStack:
 
         Horizontal rows (e1, e2), (n, 2, 4), map to the target frame (1, i)
         under the differential scaled by the dilation; vertical rows (v1, v2)
-        span the kernel, oriented so (e1, e2, v1, v2) is positive with
-        respect to the scenario orientation.
+        span the kernel, with v2 = J+ v1, so (e1, e2, v1, v2) is positive
+        with respect to the scenario orientation as J+ is.
 
         Each step runs once over the stack: one solve for e1 and e2, one
         for P_V = I - G A^T (A G A^T)^{-1} A (A = dF, G = g^{-1}, A G A^T =
-        `conformal`), as `projector_jet` differentiates it, a Gram-Schmidt
-        of the projected coordinate axes (orthonormal_stack) and the
-        orientation flip, with overflows non-finite and silent. A point that
-        fails a step does not stop the others: failures is the column of the
-        pass extended by the splitting's steps, and the rows of a failed
-        point hold no frame. The checks of the Gram matrix come first (see
-        gram_failures), before the frame.
+        `conformal`), as `projector_jet` differentiates it, and v1, the
+        first projected coordinate axis that keeps its rank, divided by its
+        g-norm (first_seed), with overflows non-finite and silent. A point
+        that fails a step does not stop the others: failures is the column
+        of the structures extended by the rank of v1, and the rows of a
+        failed point hold no frame.
         """
         points, g, G = self.metric.point, self.metric.g, self.metric.inverse
-        failures = self.gram_failures.copy()
+        failures = self.structures[-1].copy()
         with np.errstate(over="ignore", invalid="ignore"):
             graw = failures.neutral(self.conformal, np.eye(2))
             # e1 and e2 map to the target frame (1, 0) and (0, 1) under the
@@ -140,23 +141,26 @@ class GeometryStack:
             # against the axis's own g-norm, so the rank test does not
             # depend on the scale of the metric
             axes = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
-            vertical, count = orthonormal_stack(g, p_vert.swapaxes(-1, -2), 2, axes)
-            failures.reject(count < 2, DegenerateFrameError,
-                            lambda i: f"vertical frame construction lost rank at "
-                                      f"{points[i].tolist()}")
-            signs, reasons = frame_orientations(np.concatenate([horizontal, vertical], axis=1))
-        failures.reject(np.not_equal(reasons, None), DegenerateFrameError,
-                        lambda i: f"{reasons[i]} at {points[i].tolist()}")
-        vertical[signs * self.scenario.orientation < 0, 1] *= -1.0
+            v1, kept = first_seed(g, p_vert.swapaxes(-1, -2), axes)
+            vertical = np.stack([v1, (self.structure(1) @ v1[..., None])[..., 0]], axis=1)
+        failures.reject(~kept, DegenerateFrameError,
+                        lambda i: f"vertical frame construction lost rank at "
+                                  f"{points[i].tolist()}")
         return horizontal, vertical, p_vert, p_hor, failures
 
     @cached_property
-    def gram_failures(self) -> FailureColumn:
-        """The pass's column extended by the checks that the splitting and
-        the structures each make first on a copy, in order: a conformality
-        defect that overflows, a point that is not regular, and a Gram matrix
-        M = `conformal` with det M <= 0 or overflowing, which neither the
-        solves nor sqrt(det M) take."""
+    def structures(self) -> tuple:
+        """(J+, J-, failures) of every point, with no frame: -G (w +- o *w)
+        by structures.structure_jets for the unit horizontal 2-form w = dF1 ^
+        dF2 / |dF1 ^ dF2|_g and the orientation o, bit for bit the J of
+        `structure_jets`.
+
+        failures is the pass's column extended, in order, by a conformality
+        defect that overflows, a point that is not regular, a Gram matrix M
+        = `conformal` with det M <= 0 or overflowing, which neither the
+        splitting's solves nor sqrt(det M) take, and a J that is not finite;
+        a failed point reads the differential (I 0).
+        """
         points = self.metric.point
         failures = self.failures.copy()
         failures.reject(~np.isfinite(self.defect), GeometryError,
@@ -170,16 +174,6 @@ class GeometryStack:
                         lambda i: f"horizontal Gram matrix is singular at {points[i].tolist()}")
         failures.reject(det == np.inf, GeometryError,
                         lambda i: f"horizontal Gram determinant overflows at {points[i].tolist()}")
-        return failures
-
-    @cached_property
-    def structures(self) -> tuple:
-        """(J+, J-, failures) of every point, with no frame: -G (w +- o *w)
-        by structures.structure_jets for the unit horizontal 2-form w = dF1 ^
-        dF2 / |dF1 ^ dF2|_g and the orientation o, bit for bit the J of
-        `structure_jets`. failures extends a copy of gram_failures by a J
-        that is not finite; a failed point reads the differential (I 0)."""
-        points, failures = self.metric.point, self.gram_failures.copy()
         o = self.scenario.orientation
         J = structure_jets(failures.neutral(self.jac, np.eye(2, 4)), self.metric.g,
                            self.metric.inverse, (o, -o))
@@ -241,9 +235,8 @@ class GeometryStack:
 
     def check(self, index: int) -> None:
         """Raise the first failure of point `index`, of the pass, its
-        splitting or its structures, if it failed."""
+        structures or its splitting, if it failed."""
         self.splitting[-1].raise_first([index])
-        self.structures[-1].raise_first([index])
 
 
 def geometry_stack(scenario: MorphismScenario, points) -> GeometryStack:

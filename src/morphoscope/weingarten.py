@@ -1,12 +1,12 @@
 """Fiber shape coefficients and the derivative norms of the structure pair.
 
 Frame convention in this module: (e1, e2) spans the vertical plane with
-e1 = T the chosen unit vertical vector and e2 the positive rotation of T,
-while (e3, e4) spans the horizontal plane with e4 the positive rotation of
-e3. The four shape coefficients a, b, c, d are horizontal components of
-vertical covariant derivatives; every closed form below is a polynomial in
-them, so the pure functions are kept separate from the frame machinery for
-direct algebraic testing.
+e1 = T the chosen unit vertical vector and e2 = J+ T, while (e3, e4) spans
+the horizontal plane with e4 the positive rotation of e3. The four shape
+coefficients a, b, c, d are horizontal components of vertical covariant
+derivatives; every closed form below is a polynomial in them, so the pure
+functions are kept separate from the frame machinery for direct algebraic
+testing.
 
 The shapes are taken over regular rows of a geometry stack (`shape_stack`),
 and a `FiberShape` is a row of a shape stack; a point alone is the stack of
@@ -112,7 +112,7 @@ def shape_stack(stack: GeometryStack, index, angle: float) -> ShapeStack:
     stack.splitting[-1].raise_first(index)
     horizontal, vertical = (rows[index] for rows in stack.splitting[:2])
     T = ca * vertical[:, 0] + sa * vertical[:, 1]
-    e2 = ca * vertical[:, 1] - sa * vertical[:, 0]   # positive vertical rotation
+    e2 = ca * vertical[:, 1] - sa * vertical[:, 0]   # J+ T, as v2 = J+ v1
     e3, e4 = horizontal[:, 0], horizontal[:, 1]      # e4: positive rotation of e3
     dP = along(stack.projector_jet[index], T)
     dT, dE2 = ((dP @ v[..., None])[..., 0] for v in (T, e2))

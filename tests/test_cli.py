@@ -893,8 +893,9 @@ def test_a_nan_tension_fails_validate(tmp_path, capsys):
                                   ["twistor", "--patch", "plane"]],
                          ids=["analyze", "weingarten", "twistor"])
 def test_a_large_constant_metric_passes_every_check(tmp_path, argv):
-    # a g-orthonormal frame of 1e7 times the identity has determinant 1e-14,
-    # so the frame orientation test must scale with the frame
+    # a g-orthonormal frame of 1e7 times the identity has determinant 1e-14:
+    # no absolute bound may decide anything on it, and the frame (v1, J+ v1)
+    # is oriented by J+, with no determinant test
     cfg = catalog_configs()["proj"]
     cfg["metric"] = constant_metric(1e7, 3.0)
     path = tmp_path / "scaled.json"

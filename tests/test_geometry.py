@@ -11,8 +11,6 @@ Closed-form sphere values are frozen as literals.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +21,8 @@ from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DomainError, GeometryError
 from morphoscope.geometry import (
     DEFAULT_FD_STEP, Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric,
-    _orientation_failure, central_difference, central_nodes, christoffel, covariant_derivative,
-    curvature_data, frame_orientations, metric_point, orthonormalize,
+    central_difference, central_nodes, christoffel, covariant_derivative, curvature_data,
+    metric_point, orthonormalize,
 )
 from morphoscope.polynomials import Poly, evaluate
 
@@ -295,51 +293,6 @@ def test_orthonormalize_rejects_singular_metric():
     bad = constant_metric(np.diag([1.0, 1.0, 1.0, 0.0]), Box.cube(1.0))
     with pytest.raises(GeometryError):
         orthonormalize(metric_point(bad, np.zeros(4)).g, [], complete=True)
-
-
-def test_orientation_sign_and_degenerate_frame():
-    fr = np.eye(4)
-    swapped = np.eye(4)[[1, 0, 2, 3]]
-    degenerate = np.eye(4)
-    degenerate[3] = degenerate[2]
-    signs, failures = frame_orientations(np.array([fr, swapped, degenerate]))
-    assert signs[:2].tolist() == [1, -1]
-    assert failures == [None, None, "frame determinant is numerically zero"]
-
-
-@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
-def test_orientation_sign_does_not_depend_on_the_frame_scale(scale):
-    # an orthonormal frame of scale**-2 times the identity has determinant
-    # scale**4, far below any absolute bound at 1e-8
-    nearly = scale * np.eye(4)
-    nearly[3] = nearly[2] + 1e-14 * nearly[3]
-    frames = np.array([scale * np.eye(4), scale * np.eye(4)[[1, 0, 2, 3]], nearly,
-                       np.zeros((4, 4))])
-    signs, failures = frame_orientations(frames)
-    assert signs[:2].tolist() == [1, -1]
-    assert failures[:2] == [None, None]
-    assert all("numerically zero" in failure for failure in failures[2:])
-
-
-def test_orientations_match_the_row_rule_on_non_finite_frames():
-    # the stacked test flags exactly the rows the row rule rejects: a zero,
-    # inf or NaN determinant, a bound that overflows or is NaN
-    degenerate = np.eye(4)
-    degenerate[3] = degenerate[2]
-    infinite, nan = np.eye(4), np.eye(4)
-    infinite[0, 0], nan[1, 2] = np.inf, np.nan
-    frames = np.array([np.eye(4), np.eye(4)[[1, 0, 2, 3]], degenerate, np.zeros((4, 4)),
-                       infinite, -infinite, nan, np.full((4, 4), np.nan),
-                       1e100 * np.eye(4), np.diag([1e160, 1e160, 1e-160, 1e-160]),
-                       np.random.default_rng(2).standard_normal((4, 4))])
-    with np.errstate(over="ignore", invalid="ignore"):
-        signs, failures = frame_orientations(frames)
-        rows = [(float(np.linalg.det(f.T)), float(np.prod(np.hypot.reduce(f, axis=-1))))
-                for f in frames]
-    assert any(math.isnan(bound) for _, bound in rows)
-    assert signs.tolist() == [1 if det > 0 else -1 for det, _ in rows]
-    assert failures == [_orientation_failure(det, bound) for det, bound in rows]
-    assert failures[0] is None and None not in failures[2:-1]
 
 
 def test_covariant_derivative_of_transported_field_vanishes():

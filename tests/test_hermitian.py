@@ -17,13 +17,14 @@ from morphoscope.errors import DomainError, NonIsolatedCriticalError, SymbolErro
 from morphoscope.hermitian import (hermitian_pair, isolated_extension,
                                    pseudo_holomorphy_residual, reference_field,
                                    structure_deviation_rate)
-from morphoscope.geometry import frame_orientations, metric_point
+from morphoscope.geometry import metric_point
 from morphoscope import hermitian, morphism, symbol
 from morphoscope.morphism import geometry_stack
 from morphoscope.ratefit import N_AXES, shell_samples
 from morphoscope.structures import STRUCTURES_MINUS, STRUCTURES_PLUS, structure_basis
 from morphoscope.symbol import CenterSample, center_sample, symbol_polynomial
 
+from test_frame_orientation import frame_orientations
 from test_morphism import (bits, field, pullback_diffeo, refuse_frames, scenario_anisotropic,
                            scenario_product, scenario_pullback_product, scenario_square)
 

@@ -16,10 +16,11 @@ import pytest
 
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
-from morphoscope.geometry import covariant_derivative
+from morphoscope.geometry import covariant_derivative, orthonormalize
 from morphoscope.morphism import fiber_mean_curvature, geometry_stack
 from morphoscope.weingarten import weingarten_matrix
 
+from test_frame_orientation import frame_orientations
 from test_morphism import derivative, dilation_sup, field, frame_structures
 
 # stencil error and rounding of the oracle, relative to max(1, |value|)
@@ -42,6 +43,19 @@ def regular_points(sc, n=4, seed=7):
         if dilation_sup(sc, m) > 1e-3:
             points.append(m)
     return points
+
+
+def reference_vertical(g, horizontal, orientation):
+    """(v1, v2) of an adapted frame built without J: the coordinate axes
+    after e1 and e2, g-orthonormalized by geometry.orthonormalize, with v2
+    flipped where det(e1, e2, v1, v2) does not have the sign of the
+    orientation."""
+    vertical = orthonormalize(g, [*horizontal, *np.eye(4)])[2:]
+    (sign,), (failure,) = frame_orientations(np.concatenate([horizontal, vertical])[None])
+    assert failure is None
+    if sign * orientation < 0:
+        vertical[1] = -vertical[1]
+    return vertical
 
 
 def stencil_derivative(sc, field, m, X):
@@ -105,14 +119,15 @@ def test_j_plus_is_parallel_on_flat_and_pulled_back_flat_charts(name):
 @pytest.mark.parametrize("name", CHARTS)
 def test_closed_form_structures_equal_the_frame_structures(name, orientation):
     # the one rule of the stack, read alone and with its jet, against the
-    # standard structures carried by the splitting frames
+    # standard structures carried by an adapted frame built without J
     sc = scenario(name, orientation)
     stack = geometry_stack(sc, regular_points(sc))
     (jet_plus, _), (jet_minus, _) = stack.structure_jets
     j_plus, j_minus, _ = stack.structures
     assert j_plus.tobytes() == jet_plus.tobytes() and j_minus.tobytes() == jet_minus.tobytes()
     for i in range(len(j_plus)):
-        frame_plus, frame_minus = frame_structures(field(stack, i, "horizontal"),
-                                                   field(stack, i, "vertical"))
+        horizontal = field(stack, i, "horizontal")
+        frame_plus, frame_minus = frame_structures(
+            horizontal, reference_vertical(field(stack, i, "g"), horizontal, orientation))
         assert np.max(np.abs(j_plus[i] - frame_plus)) <= 1e-14
         assert np.max(np.abs(j_minus[i] - frame_minus)) <= 1e-14

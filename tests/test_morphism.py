@@ -12,6 +12,7 @@ Frozen expected values are spelled out at their tests.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import sys
 from functools import cached_property
@@ -91,13 +92,11 @@ def count_geometry_builds(monkeypatch) -> list:
 
 def refuse_frames(monkeypatch) -> None:
     """Make every frame construction of the geometry stack raise: the
-    Gram-Schmidt of the vertical frame and the orientation of the adapted
-    frame."""
+    choice of v1, from which the vertical frame (v1, J+ v1) is built."""
     def refuse(*args, **kwargs):
         raise AssertionError("a splitting frame was built")
 
-    monkeypatch.setattr(morphism, "orthonormal_stack", refuse)
-    monkeypatch.setattr(morphism, "frame_orientations", refuse)
+    monkeypatch.setattr(morphism, "first_seed", refuse)
 
 
 SPLITTING = ("horizontal", "vertical", "vertical_projector", "horizontal_projector")
@@ -225,9 +224,10 @@ def test_splitting_raises_on_critical_point():
         field(splitting(scenario_square(), np.zeros(4)), 0, "horizontal")
 
 
+@pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("factory", [scenario_product, scenario_pullback_product])
-def test_splitting_structural_properties(factory):
-    sc = factory()
+def test_splitting_structural_properties(factory, orientation):
+    sc = dataclasses.replace(factory(), orientation=orientation)
     rng = np.random.default_rng(17)
     half = 0.45 * (sc.domain.hi[0] - sc.domain.lo[0])
     checked = 0
@@ -253,10 +253,11 @@ def test_splitting_structural_properties(factory):
         assert np.max(np.abs(pv @ pv - pv)) < 1e-10
         assert np.max(np.abs(pv + field(sp, 0, "horizontal_projector") - np.eye(4))) < 1e-12
         assert np.max(np.abs((g @ pv) - (g @ pv).T)) < 1e-10
-        # orientation of the assembled frame is positive
+        # the assembled frame has the scenario orientation, because v2 is
+        # J+ v1, bit for bit
         frame = np.vstack([horizontal, vertical])
-        det = np.linalg.det(frame.T)
-        assert det > 0
+        assert np.linalg.det(frame.T) * orientation > 0
+        assert bits(vertical[1]) == bits(field(sp, 0, "j_plus") @ vertical[0])
         # horizontal vectors are g-orthogonal to vertical ones
         assert np.max(np.abs(horizontal @ g @ vertical.T)) < 1e-9
 
@@ -572,35 +573,31 @@ def written_out_splitting(stack, i) -> dict:
     """The splitting and the structures at one regular row of a geometry
     stack, every step written out for the one point: two solves for the
     horizontal frame, one for the horizontal projector g^-1 A^T (A g^-1
-    A^T)^-1 A with A = dF, a Gram-Schmidt loop over the projected axes and
-    the orientation flip; J+ and J- are -g^-1 (w + s *w), s = +-o for the
+    A^T)^-1 A with A = dF, and v1, the first projected axis that keeps its
+    rank, normalised; J+ and J- are -g^-1 (w + s *w), s = +-o for the
     scenario orientation o, for the unit 2-form w = A_1 ^ A_2 / sqrt(det A
-    g^-1 A^T) and (*w)_kl = 1/2 sqrt(det g) eps_ijkl w^ij."""
+    g^-1 A^T) and (*w)_kl = 1/2 sqrt(det g) eps_ijkl w^ij, and v2 = J+ v1."""
     jac, ginv, g = stack.jac[i], np.linalg.inv(stack.metric.g[i]), stack.metric.g[i]
     lam = float(np.sqrt(max(0.0, stack.squared_dilation[i])))
     graw = jac @ ginv @ jac.T
     e1, e2 = (ginv @ jac.T @ np.linalg.solve(graw, lam * eps) for eps in np.eye(2))
     p_hor = ginv @ jac.T @ np.linalg.solve(graw, jac)
     p_vert = np.eye(4) - p_hor
-    vectors = []
     for axis in np.eye(4):
         w = p_vert @ axis
-        for u in vectors:
-            w = w - (w @ g @ u) * u
         n = float(np.sqrt(max(0.0, w @ g @ w)))
         if n > 0 and n >= 1e-8 * np.sqrt(axis @ g @ axis):
-            vectors.append(w / n)
-    v1, v2 = vectors[:2]
-    if np.linalg.det(np.array([e1, e2, v1, v2]).T) * stack.scenario.orientation < 0:
-        v2 = -v2
+            v1 = w / n
+            break
     W = np.outer(jac[0], jac[1])
     w = (W - W.T) / np.sqrt(np.linalg.det(graw))
     w_up = ginv @ w @ ginv
     star = 0.5 * np.sqrt(np.linalg.det(g)) * (w_up.reshape(1, 16) @ levi_civita()).reshape(4, 4)
     o = stack.scenario.orientation
-    return {"horizontal": np.array([e1, e2]), "vertical": np.array([v1, v2]),
+    j_plus, j_minus = -(ginv @ (w + o * star)), -(ginv @ (w - o * star))
+    return {"horizontal": np.array([e1, e2]), "vertical": np.array([v1, j_plus @ v1]),
             "vertical_projector": p_vert, "horizontal_projector": p_hor,
-            "j_plus": -(ginv @ (w + o * star)), "j_minus": -(ginv @ (w - o * star))}
+            "j_plus": j_plus, "j_minus": j_minus}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CHARTS))

@@ -108,7 +108,7 @@ TRACED_ONLY = {
     "nabla_J_norms": "tracer-only shim (ROADMAP item 9)",
     "surface_lift": "the stack of one, a tracer-only shim (ROADMAP item 9)",
     "ordered_map": "the tracer's fan-out point, no longer called (ROADMAP items 1 and 9)",
-    "orthonormalize": "the scalar reference of orthonormal_stack, no longer called (ROADMAP item 1)",
+    "orthonormalize": "the tests' independent frame reference, no longer called (ROADMAP item 1)",
 }
 
 

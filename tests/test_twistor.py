@@ -31,6 +31,7 @@ from morphoscope.twistor import (SurfacePatch, curvature_densities, fiber_coordi
                                  vertical_energy_density)
 
 from conftest import METRIC_EVALUATIONS, metric_classes
+from test_frame_orientation import frame_orientations
 from test_geometry import constant_metric
 from test_morphism import pullback_diffeo
 from test_symbol import count_calls
@@ -501,7 +502,7 @@ class OracleLift:
         mp = geometry.metric_point(scenario.metric, m)
         with geometry.named_at(mp.point):
             frame = geometry.orthonormalize(mp.g, [d[:, 0], d[:, 1]], complete=True)
-            (sign,), (failure,) = geometry.frame_orientations(frame[None])
+            (sign,), (failure,) = frame_orientations(frame[None])
             if failure is not None:
                 raise DegenerateFrameError(failure)
             if sign * scenario.orientation < 0:
@@ -836,12 +837,12 @@ def test_only_the_record_reads_fiber_coordinates(tmp_path, monkeypatch, patch_na
     # the stack is built
     argv = twistor_command(tmp_path, patch_name)
     calls = {name: count_calls(monkeypatch, geometry, name)
-             for name in ("orthonormalize", "orthonormal_stack")}
+             for name in ("orthonormalize", "first_seed")}
     eigh = count_calls(monkeypatch, np.linalg, "eigh")
     checks = count_calls(monkeypatch, tw, "_check_structure")
     assert main(argv) == 0
     assert {name: len(log) for name, log in calls.items()} == {
-        "orthonormalize": 0, "orthonormal_stack": 0}
+        "orthonormalize": 0, "first_seed": 0}
     assert len(eigh) == 0
     rows_checked = [len(np.reshape(J, (-1, 4, 4))) for _, J in checks]
     assert rows_checked == [GRID_POINTS]
