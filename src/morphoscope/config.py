@@ -9,6 +9,7 @@ resolved configuration that gets fingerprinted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,7 +61,7 @@ def _number(value, path: str, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
     v = float(value)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         _fail(path, "must be finite")
     if positive and v <= 0:
         _fail(path, "must be positive")

@@ -4,7 +4,10 @@ The fingerprint covers the report body with the timestamp excluded, so a
 rerun with the same configuration and seed produces the same hash even
 though the file records when it was written. The file is the canonical
 text the fingerprint hashes, with the fingerprint, the worker count and the
-timestamp appended as its last keys, so a report is encoded once.
+timestamp appended as its last keys, so a report is encoded once. Each
+encoding is one pass of json.dumps: NumPy values become plain through its
+fallback, a float array checked for finiteness in one vectorised pass, and
+no Python walk copies the data first.
 
 Tabular records are `Columns`: each number is turned into text once, and
 the report's records and the CSV table are both written from those texts.
@@ -17,7 +20,6 @@ import datetime
 import hashlib
 import io
 import json
-import math
 from functools import cached_property
 from pathlib import Path
 
@@ -38,48 +40,34 @@ CONVENTIONS = {
 }
 
 
-def sanitize(obj):
-    """Convert nested report data to plain JSON types, strictly finite.
-
-    Python floats and strings, most of a report, are recognised by their
-    exact type, and a float array is checked in one vectorised pass and
-    converted by tolist(); everything else takes the isinstance chain.
-    """
-    kind = type(obj)
-    if kind is float:
-        if not math.isfinite(obj):
-            raise GeometryError("report values must be finite")
-        return obj
-    if kind is str:
-        return obj
-    if kind is np.ndarray and obj.dtype.kind == "f":
-        if not np.isfinite(obj).all():
+def _plain(obj):
+    """The plain JSON value of a NumPy value in a report, json.dumps's
+    fallback for what it cannot encode itself: a float array is checked for
+    finiteness in one vectorised pass and converted by tolist(), as is any
+    other array, whose items the encoder then takes in turn."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
             raise GeometryError("report values must be finite")
         return obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if not math.isfinite(v):
-            raise GeometryError("report values must be finite")
-        return v
-    # ahead of the integers, because bool is a subclass of int
-    if isinstance(obj, (bool, np.bool_)):
+    # ahead of the integers, as a bool_ is not an integer but reads as one
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
+    if isinstance(obj, np.floating):
+        return float(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _canonical(plain) -> str:
-    """Canonical JSON of already sanitized data: sorted keys, no spaces."""
-    return json.dumps(plain, sort_keys=True, separators=(",", ":"), allow_nan=False)
+def _canonical(obj) -> str:
+    """Canonical JSON of report data in one encoding pass: sorted keys, no
+    spaces, NumPy values plain (_plain), every float finite."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=_plain)
+    except ValueError as exc:
+        # the encoder's refusal of a float that is not finite
+        raise GeometryError("report values must be finite") from exc
 
 
 def _digest(text: str) -> str:
@@ -87,11 +75,11 @@ def _digest(text: str) -> str:
 
 
 def fingerprint(obj) -> str:
-    return _digest(_canonical(sanitize(obj)))
+    return _digest(_canonical(obj))
 
 
 def check(name: str, passed: bool, **evidence) -> dict:
-    """A verdict with its evidence, sanitized when the report is built."""
+    """A verdict with its evidence, made plain when the report is encoded."""
     return {"name": name, "verdict": "PASS" if passed else "FAIL",
             "evidence": evidence}
 
@@ -200,8 +188,8 @@ class Columns:
 def build_report(command: str, scenario_name: str, scenario_fingerprint: str,
                  checks: list, records, seed: int, workers: int,
                  rates: dict | None = None, extras: dict | None = None) -> tuple:
-    """(report, text): the report as plain data, and the text of its file,
-    the canonical JSON of the body the fingerprint hashes, with the
+    """(report, text): the report, its values as given, and the text of its
+    file, the canonical JSON of the body the fingerprint hashes, with the
     fingerprint, the worker count and the timestamp as its last keys.
     `records` is a list, or Columns, which the report keeps as they are."""
     body = {
@@ -217,10 +205,9 @@ def build_report(command: str, scenario_name: str, scenario_fingerprint: str,
         **(extras or {}),
     }
     columns = body.pop("records") if isinstance(records, Columns) else None
-    # the one sanitizing pass and one encoding of each top-level value,
-    # joined in key order as one encoding of the whole body writes them;
-    # tabular records are spliced in from their own texts
-    body = sanitize(body)
+    # one encoding of each top-level value, joined in key order as one
+    # encoding of the whole body writes them; tabular records are spliced
+    # in from their own texts
     fields = {key: _canonical({key: value})[1:-1] for key, value in body.items()}
     if columns is not None:
         fields["records"] = '"records":' + columns.json_text
@@ -261,6 +248,8 @@ def verdict_lines(checks: list) -> list:
         ev = c.get("evidence", {})
         parts = []
         for k, v in list(ev.items())[:4]:
+            if isinstance(v, (np.bool_, np.integer, np.floating)):
+                v = _plain(v)   # the value the report holds
             if isinstance(v, float):
                 parts.append(f"{k}={v:.6g}")
             elif isinstance(v, (int, str, bool)):

@@ -9,17 +9,20 @@ functions are kept separate from the frame machinery for direct algebraic
 testing.
 
 The shapes are taken over regular rows of a geometry stack (`shape_stack`),
-and a `FiberShape` is a row of a shape stack; a point alone is the stack of
-one. A scan builds no FiberShape: it reads the norm products and identity
-gaps of its samples as columns of the shape stack's coefficients. Every
-derivative is read from the exact first jets of the geometry
-stack, so a shape needs no geometry at any other point: a scan builds one
-geometry stack of its samples.
+which keeps their coefficients as one (n, 4) array, and a `FiberShape` is a
+row of a shape stack; a point alone is the stack of one. A scan builds no
+FiberShape and runs no loop over its samples: it reads the norm products
+and identity gaps as columns of that array (`product_columns`), bit for bit
+the scalar closed forms of each row, and takes the annulus maxima with
+Python's max. Every derivative is read from the exact first jets of the
+geometry stack, so a shape needs no geometry at any other point: a scan
+builds one geometry stack of its samples.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Tuple
@@ -82,6 +85,35 @@ def product_polar(r1: float, r2: float, theta: float, alpha: float) -> float:
                    + 4.0 * r1 ** 2 * r2 ** 2 * math.cos(theta - alpha) ** 2)
 
 
+def _squared(x: np.ndarray) -> np.ndarray:
+    """x ** 2 by libm's pow, as Python's float power takes it: x * x
+    differs from it in the last bit for some x."""
+    return np.float_power(x, 2)
+
+
+def product_columns(coefficients: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(products, identity gaps) of the rows (a, b, c, d) of an (n, 4) array.
+
+    Row i's product is that of its closed_norm_pair entries, and its gap
+    |product_identity - product_polar(polar_form)| / identity_scale; each
+    equals, bit for bit, the scalar forms of the row alone, so hypot, atan2
+    and cos are Python's own, mapped over the columns.
+    """
+    a, b, c, d = coefficients.T
+    products = (4.0 * (_squared(a - d) + _squared(b + c))
+                * (4.0 * (_squared(a + d) + _squared(b - c))))
+    s = a * a + b * b + c * c + d * d
+    expanded = 16.0 * (s * s - 4.0 * _squared(a * d - b * c))
+    # the columns again, as lists of floats for math's functions
+    a, b, c, d = coefficients.T.tolist()
+    r1, r2 = (np.array(list(map(math.hypot, x, y))) for x, y in ((a, c), (b, d)))
+    cosines = np.array(list(map(math.cos, map(operator.sub, map(math.atan2, c, a),
+                                              map(math.atan2, d, b)))))
+    polar = 16.0 * (_squared(_squared(r1) - _squared(r2))
+                    + 4.0 * _squared(r1) * _squared(r2) * _squared(cosines))
+    return products, np.abs(expanded - polar) / (16.0 * np.maximum(1.0, s * s))
+
+
 # -------------------------------------------------------------- coefficients
 
 
@@ -93,7 +125,12 @@ class ShapeStack:
     stack: GeometryStack
     index: np.ndarray        # the rows of the geometry stack, in order
     frames: np.ndarray       # (n, 4, 4) rows T, e2, e3, e4 of each adapted frame
-    coefficients: list       # (a, b, c, d) of each row
+    coefficient_array: np.ndarray   # (n, 4) a, b, c, d of each row
+
+    @cached_property
+    def coefficients(self) -> list:
+        """(a, b, c, d) of each row, a tuple of floats."""
+        return [tuple(row) for row in self.coefficient_array.tolist()]
 
 
 def shape_stack(stack: GeometryStack, index, angle: float) -> ShapeStack:
@@ -120,7 +157,7 @@ def shape_stack(stack: GeometryStack, index, angle: float) -> ShapeStack:
     coefficients = -np.stack([g_products(dT, g, e3), g_products(dT, g, e4),
                               g_products(dE2, g, e3), g_products(dE2, g, e4)], axis=1)
     return ShapeStack(stack=stack, index=index, frames=np.stack([T, e2, e3, e4], axis=1),
-                      coefficients=[tuple(row) for row in coefficients.tolist()])
+                      coefficient_array=coefficients)
 
 
 class FiberShape:
@@ -261,9 +298,10 @@ def product_bound_scan(scenario: MorphismScenario, center,
     The center must lie strictly inside the chart domain.
 
     The samples inside the domain are one stack of one pass, whose products
-    and identity gaps are read row by row from the coefficients of its shape
-    stack; a critical sample is skipped, and the first sample, radius-major,
-    that failed the pass or its splitting raises its failure.
+    and identity gaps are read as columns of the coefficients of its shape
+    stack (product_columns); a critical sample is skipped, and the first
+    sample, radius-major, that failed the pass or its splitting raises its
+    failure.
     """
     center = np.asarray(center, dtype=float)
     reach = scenario.domain.boundary_distance(center)
@@ -278,23 +316,21 @@ def product_bound_scan(scenario: MorphismScenario, center,
     inside = scenario.domain.contains(points)
     # the shell of each inside sample, radius-major as the samples
     shell_of = np.repeat(np.arange(len(radii)), points.shape[1])[inside.ravel()]
-    regular, products, identity_gap = np.zeros(0, dtype=int), [], 0.0
+    regular, products, gaps = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
     if inside.any():
         stack = stack_pass(scenario, points[inside])
         # a sample that failed the pass is regular, so the shape stack
         # raises it in order
         regular = np.flatnonzero(stack.regular)
     if regular.size:
-        for coefficients in shape_stack(stack, regular, angle).coefficients:
-            plus, minus = closed_norm_pair(*coefficients)
-            products.append(plus * minus)
-            identity_gap = max(identity_gap, abs(product_identity(*coefficients)
-                                                 - product_polar(*polar_form(*coefficients)))
-                               / identity_scale(*coefficients))
-    shells = shell_of[regular].tolist()
-    annulus_max = [max([0.0] + [v for v, k in zip(products, shells) if k == shell])
+        products, gaps = product_columns(shape_stack(stack, regular, angle).coefficient_array)
+    shells = shell_of[regular]
+    # Python's max from 0.0, as a running maximum over the samples: a NaN
+    # never wins
+    annulus_max = [max([0.0, *products[shells == shell].tolist()])
                    for shell in range(len(radii))]
-    skipped = [points.shape[1] - shells.count(shell) for shell in range(len(radii))]
+    identity_gap = max([0.0, *gaps.tolist()])
+    skipped = (points.shape[1] - np.bincount(shells, minlength=len(radii))).tolist()
     plateau = max(annulus_max[:3])
     bound = max(1.5 * plateau, PRODUCT_FLOOR)
     empty = tuple(r for r, miss in zip(radii, skipped) if miss == len(directions))

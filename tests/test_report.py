@@ -1,4 +1,8 @@
-"""The report layer: finite plain values, one encoding per report, tables."""
+"""The report layer: finite plain values, one encoding per report, tables.
+
+The one-pass encoding is checked against a written-out walk of the data,
+report_oracle.sanitize.
+"""
 
 import csv
 import hashlib
@@ -14,9 +18,13 @@ from morphoscope import cli, runner
 from morphoscope import report as report_module
 from morphoscope.catalog import catalog_configs
 from morphoscope.errors import GeometryError
-from morphoscope.report import Columns, check, sanitize, write_csv
+from morphoscope.report import (Columns, build_report, check, fingerprint,
+                                verdict_lines, write_csv)
 
+from report_oracle import dict_keys, sanitize
 from test_cli import read_report, run, write_config
+from test_columns import plain_rows
+from test_golden_fingerprints import BATTERY, run_case
 
 NON_FINITE = {
     "float": float("nan"),
@@ -42,10 +50,25 @@ TABLE_SHA256 = {
 }
 
 
+def encode_both(obj) -> tuple:
+    """(fingerprint of obj, obj as a report file holds it when it is the
+    evidence of a check)."""
+    _, text = build_report("probe", "probe", "sha256:0", [check("probe", True, value=obj)],
+                           records=[], seed=0, workers=1)
+    return fingerprint(obj), json.loads(text)["checks"][0]["evidence"]["value"]
+
+
 @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE)
-def test_non_finite_report_values_are_rejected(value):
+@pytest.mark.parametrize("route", ["fingerprint", "build_report"])
+def test_non_finite_report_values_are_rejected(value, route):
     with pytest.raises(GeometryError, match="report values must be finite"):
         sanitize({"checks": [{"evidence": {"value": value}}]})
+    with pytest.raises(GeometryError, match="report values must be finite"):
+        if route == "fingerprint":
+            fingerprint({"checks": [{"evidence": {"value": value}}]})
+        else:
+            build_report("probe", "probe", "sha256:0", [check("probe", True, value=value)],
+                         records=[], seed=0, workers=1)
 
 
 @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE)
@@ -59,21 +82,63 @@ def test_a_non_finite_report_value_exits_two(tmp_path, monkeypatch, capsys, valu
 
 
 def test_numpy_integers_and_booleans_stay_plain():
-    plain = sanitize([np.int64(3), np.bool_(True), np.array([1, 2], dtype=np.int32),
-                      np.array([[True, False]]), np.float64(0.5), np.array(2.5)])
-    assert plain == [3, True, [1, 2], [[True, False]], 0.5, 2.5]
+    values = [np.int64(3), np.bool_(True), np.array([1, 2], dtype=np.int32),
+              np.array([[True, False]]), np.float64(0.5), np.array(2.5), np.float32(0.25)]
+    digest, plain = encode_both(values)
+    assert plain == sanitize(values) == [3, True, [1, 2], [[True, False]], 0.5, 2.5, 0.25]
     assert [type(v) for v in plain[:2]] == [int, bool]
     assert [type(v) for v in plain[2] + plain[3][0]] == [int, int, bool, bool]
-    assert type(plain[4]) is float and type(plain[5]) is float
+    assert all(type(v) is float for v in plain[4:])
+    assert digest == fingerprint(plain)
 
 
 def test_object_arrays_recurse():
     array = np.array([np.float64(1.5), "a", np.int64(2), None, {"k": np.bool_(False)}],
                      dtype=object)
-    plain = sanitize(array)
-    assert plain == [1.5, "a", 2, None, {"k": False}]
+    digest, plain = encode_both(array)
+    assert plain == sanitize(array) == [1.5, "a", 2, None, {"k": False}]
     assert [type(v) for v in plain[:3]] == [float, str, int]
     assert plain[4]["k"] is False
+    assert digest == fingerprint(plain)
+
+
+def test_numpy_evidence_prints_as_its_plain_value():
+    evidence = {"certified": np.bool_(True), "count": np.int64(7),
+                "value": np.float32(0.1), "gap": np.float64(2.5e-17)}
+    checks = [check("probe", False, **evidence)]
+    assert verdict_lines(checks) == verdict_lines(sanitize(checks)) == [
+        "FAIL probe (certified=True, count=7, value=0.1, gap=2.5e-17)"]
+
+
+def built_reports(monkeypatch) -> list:
+    """(report, text) of each report build_report returns through the
+    runner, in order."""
+    built = []
+    build = runner.build_report
+
+    def keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "build_report", keep)
+    return built
+
+
+@pytest.mark.parametrize("case", sorted(BATTERY))
+def test_the_encoding_equals_that_of_the_plain_body(monkeypatch, case):
+    # the body as build_report keeps it, made plain by the written-out
+    # walk and encoded alone, is the text the fingerprint hashes; its keys
+    # are str, as a key of another type (a bool) is written otherwise
+    built = built_reports(monkeypatch)
+    run_case(*BATTERY[case])
+    ((report, text),) = built
+    body = {key: value for key, value in report.items()
+            if key not in ("fingerprint", "workers", "timestamp")}
+    if isinstance(body["records"], Columns):
+        body["records"] = plain_rows(body["records"])
+    assert all(type(key) is str for key in dict_keys(body))
+    canonical = text[:text.rindex(',"fingerprint":')] + "}"
+    assert canonical == report_module._canonical(sanitize(body))
 
 
 def counting_dumps(monkeypatch) -> list:
@@ -88,29 +153,17 @@ def counting_dumps(monkeypatch) -> list:
     return encoded
 
 
-def built_reports(monkeypatch) -> list:
-    """The reports build_report returns through the runner, in order."""
-    built = []
-    build = runner.build_report
-
-    def keep(*args, **kwargs):
-        report, text = build(*args, **kwargs)
-        built.append(report)
-        return report, text
-
-    monkeypatch.setattr(runner, "build_report", keep)
-    return built
-
-
 def assert_written_as_built(path, report):
     text = path.read_text()
     written = json.loads(text)
+    report = dict(report)
     if isinstance(report["records"], Columns):
         # tabular records stay columns in the report; tests/test_columns.py
         # compares their text with a row-by-row encoding
         assert written["records"] == json.loads(report["records"].json_text)
-        written["records"] = report["records"]
-    assert written == report
+        written["records"] = report["records"] = None
+    # the report keeps its values as given: the file holds them plain
+    assert written == sanitize(report)
     # the canonical body with its keys sorted, then the three run keys
     keys = list(json.loads(text))
     assert keys[-3:] == ["fingerprint", "workers", "timestamp"]
@@ -141,7 +194,7 @@ def test_a_validate_report_is_encoded_once(tmp_path, monkeypatch):
     labels = sorted({record["status"] for record in written["records"]})
     assert sorted(obj for obj in encoded[1:] if isinstance(obj, str)) == sorted(
         [*written["records"][0], *labels])
-    assert_written_as_built(tmp_path / "pullback_z1z2_validate.json", built[0])
+    assert_written_as_built(tmp_path / "pullback_z1z2_validate.json", built[0][0])
 
 
 def test_the_catalog_report_is_encoded_once(tmp_path, monkeypatch):
@@ -151,8 +204,8 @@ def test_the_catalog_report_is_encoded_once(tmp_path, monkeypatch):
     # the rest are the fingerprints of the listed configs and of the list
     assert sum(1 for obj in encoded if "records" in obj) == 1
     assert len(built) == 1
-    assert_written_as_built(tmp_path / "catalog.json", built[0])
-    assert read_report(tmp_path, "catalog")["records"] == built[0]["records"]
+    assert_written_as_built(tmp_path / "catalog.json", built[0][0])
+    assert read_report(tmp_path, "catalog")["records"] == built[0][0]["records"]
 
 
 @pytest.mark.parametrize("name,args", TABLE_SHA256, ids=[" ".join(k) for k in TABLE_SHA256])

@@ -6,6 +6,7 @@ implementation uses. Closed-form identities are property-tested as pure
 algebra before any geometry enters.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,8 +24,9 @@ from morphoscope.morphism import fiber_mean_curvature, geometry_stack, splitting
 from morphoscope.weingarten import (FiberShape, closed_norm_pair, commutator_matrix,
                                     fiber_shape, frame_component_sums,
                                     identity_scale, nabla_J_norms, polar_form,
-                                    product_bound_scan, product_identity,
-                                    product_polar, shape_stack, weingarten_matrix)
+                                    product_bound_scan, product_columns,
+                                    product_identity, product_polar, shape_stack,
+                                    weingarten_matrix)
 
 from test_morphism import (GOOD, NOT_SPD, count_geometry_builds, count_jets, derivative,
                            field, scenario_product, scenario_proj, scenario_pullback_product,
@@ -358,6 +360,88 @@ def test_scan_builds_no_stencil_for_a_skipped_sample(monkeypatch):
     scan = product_bound_scan(scenario_square(), np.zeros(4), n_directions=4)
     assert scan.skipped == (2, 4)
     assert sizes == [5]
+
+
+def seeded_coefficient_rows(n: int, seed: int = 7) -> np.ndarray:
+    """(n, 4) rows (a, b, c, d) of mixed signs and scales 1e-3 to 1e3, the
+    last all zero; among them are rows whose squares by pow, as Python's
+    float power takes them, and by x * x differ."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-3, 4, (n, 4))
+    rows[-1] = 0.0
+    return rows
+
+
+def scalar_product_and_gap(a, b, c, d) -> tuple:
+    """The product and the identity gap of one row, by the scalar forms."""
+    plus, minus = closed_norm_pair(a, b, c, d)
+    return plus * minus, (abs(product_identity(a, b, c, d)
+                              - product_polar(*polar_form(a, b, c, d)))
+                          / identity_scale(a, b, c, d))
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_product_columns_equal_the_scalar_forms_bitwise():
+    rows = seeded_coefficient_rows(2000)
+    products, gaps = product_columns(rows)
+    expected = np.array([scalar_product_and_gap(*row) for row in rows.tolist()])
+    assert bits(products) == bits(expected[:, 0])
+    assert bits(gaps) == bits(expected[:, 1])
+    assert products[-1] == gaps[-1] == 0.0
+    # squares by multiplication would move some products in the last bit
+    a, b, c, d = rows.T
+    multiplied = (4.0 * ((a - d) * (a - d) + (b + c) * (b + c))
+                  * (4.0 * ((a + d) * (a + d) + (b - c) * (b - c))))
+    assert bits(multiplied) != bits(expected[:, 0])
+
+
+def test_the_scan_reduces_its_rows_as_the_scalar_loop_bitwise(monkeypatch):
+    # shells of seeded regular samples, some replaced by critical (z1 = 0)
+    # and outside samples, one shell with no regular sample; the shape
+    # stack's coefficient rows are replaced by seeded rows, and the scan's
+    # maxima and skip counts are those of a loop over the rows by shells
+    rng = np.random.default_rng(11)
+    shells = rng.uniform(-1.0, 1.0, (4, 30, 4))
+    kind = rng.choice(["regular", "critical", "outside"], (4, 30), p=[0.6, 0.2, 0.2])
+    kind[2] = rng.choice(["critical", "outside"], 30)
+    shells[kind == "critical", :2] = 0.0
+    shells[kind == "outside", 0] = 2.0
+    regular_shell = [k for k, row in enumerate(kind) for label in row if label == "regular"]
+    rows = seeded_coefficient_rows(len(regular_shell))
+    built = weingarten.shape_stack
+
+    def seeded(stack, index, angle):
+        shapes = built(stack, index, angle)
+        assert len(index) == len(rows)
+        return dataclasses.replace(shapes, coefficient_array=rows)
+
+    monkeypatch.setattr(weingarten, "shape_stack", seeded)
+    monkeypatch.setattr(weingarten, "shell_samples",
+                        lambda directions, radii, center: ((0.4, 0.2, 0.1, 0.05), shells))
+    scan = product_bound_scan(scenario_square(), np.zeros(4), n_directions=30)
+
+    annulus_max, gap = [0.0] * 4, 0.0
+    for shell, row in zip(regular_shell, rows.tolist()):
+        product, row_gap = scalar_product_and_gap(*row)
+        annulus_max[shell] = max(annulus_max[shell], product)
+        gap = max(gap, row_gap)
+    assert bits(scan.annulus_max) == bits(annulus_max)
+    assert bits([scan.identity_gap]) == bits([gap])
+    assert scan.skipped == tuple(30 - regular_shell.count(k) for k in range(4))
+    assert scan.skipped[2] == 30 and scan.empty == (0.1,)
+
+
+def test_shape_stack_coefficients_are_the_rows_of_its_array():
+    geo = geometry_stack(scenario_pullback_product(),
+                         [[0.3, 0.1, 0.25, -0.2], [0.1, -0.2, 0.3, 0.15]])
+    shapes = shape_stack(geo, [1, 0], 0.3)
+    assert shapes.coefficient_array.shape == (2, 4)
+    assert shapes.coefficients == [tuple(row) for row in shapes.coefficient_array.tolist()]
+    assert all(type(v) is float for row in shapes.coefficients for v in row)
+    assert FiberShape(shapes, 1).coefficients == shapes.coefficients[1]
 
 
 def scan_error(scenario, shells, monkeypatch):
