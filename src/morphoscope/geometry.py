@@ -196,24 +196,13 @@ class MetricPoint:
     `metric_rows` checks the domain and the matrix of each point when it
     builds one, and sets the inverse. The derivatives, the Christoffel
     symbols, the square roots and the lowered curvature are derived on first
-    use, over the whole stack, and then kept; `at(i)` hands point i its rows
-    of dg, the inverse and the Christoffel symbols.
+    use, over the whole stack, and then kept; row i of each equals, bit for
+    bit, that of the record of point i alone.
     """
 
     metric: ChartMetric
     point: np.ndarray
     g: np.ndarray
-
-    def at(self, i: int) -> "MetricPoint":
-        """Point i of a stack, handed its rows of dg, inverse and gamma."""
-        mp = self._row(i)
-        mp.inverse, mp.gamma = self.inverse[i], self.gamma[i]
-        return mp
-
-    def _row(self, i: int) -> "MetricPoint":
-        mp = MetricPoint(self.metric, self.point[i], self.g[i])
-        mp.dg = self.dg[i]
-        return mp
 
     @cached_property
     def dg(self) -> np.ndarray:
@@ -278,12 +267,6 @@ class PulledPoint(MetricPoint):
     image: MetricPoint = None   # the base's record at Phi(point)
     jac: np.ndarray = None      # jac[..., i, a] = d_a Phi_i
     hess: np.ndarray = None     # hess[..., c, i, a] = d_c d_a Phi_i
-
-    def _row(self, i: int) -> "PulledPoint":
-        mp = PulledPoint(self.metric, self.point[i], self.g[i], self.image._row(i), self.jac[i],
-                         self.hess[i])
-        mp.dg, mp._jets = self.dg[i], tuple(x[i] for x in self._jets)
-        return mp
 
     @cached_property
     def _jets(self) -> tuple:
@@ -422,12 +405,13 @@ def curvature_data(metric: ChartMetric, m: Sequence[float]) -> MetricPoint:
     return metric_point(metric, m)
 
 
-def einstein_defect(mp: MetricPoint) -> float:
-    """Pointwise deviation of the Ricci tensor from a multiple of the metric."""
+def einstein_defect(mp: MetricPoint) -> np.ndarray:
+    """Pointwise deviation of the Ricci tensor from a multiple of the
+    metric, one value per row of a record (a 0-d array at a point)."""
     ginv = mp.inverse
-    ric = np.einsum("ip,ijkp->jk", ginv, mp.lowered)
-    scalar = float(np.einsum("jk,jk->", ginv, ric))
-    return float(np.max(np.abs(ric - 0.25 * scalar * mp.g)))
+    ric = np.einsum("...ip,...ijkp->...jk", ginv, mp.lowered)
+    scalar = np.einsum("...jk,...jk->...", ginv, ric)
+    return np.max(np.abs(ric - 0.25 * scalar[..., None, None] * mp.g), axis=(-2, -1))
 
 
 # ------------------------------------------------------------------ frames

@@ -24,7 +24,7 @@ from .symbol import (center_sample, dilation_lower_rate, remainder_rates,
                      symbol_polynomial)
 from .twistor import (curvature_densities, lift_stack, script_J_residual,
                       vertical_energy_density)
-from .weingarten import fiber_shape, identity_scale, product_bound_scan
+from .weingarten import product_bound_scan, shape_stack
 
 EINSTEIN_GATE = 1e-8
 # the rate table's label of a fit, where it differs from the fit's rates key
@@ -222,25 +222,26 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
                          point) -> Findings:
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
-    shape = fiber_shape(scenario, m, angle=config.analysis["angle"])
-    a, b, c, d = shape.coefficients
-    (plus_closed, minus_closed), (plus_direct, minus_direct) = shape.closed, shape.direct
-    scale = identity_scale(a, b, c, d)
-    gap = shape.identity_gap
+    # the point alone is the shape stack of one: its report is row 0 of the columns
+    shapes = shape_stack(geometry_stack(scenario, [m]), [0], config.analysis["angle"])
+    a, b, c, d = shapes.coefficient_array[0].tolist()
+    (plus_closed, minus_closed), (plus_direct, minus_direct) = (shapes.closed[0].tolist(),
+                                                                shapes.direct[0].tolist())
+    scale, gap = float(shapes.identity_scale[0]), float(shapes.identity_gap[0])
     rel_plus = abs(plus_closed - plus_direct) / max(1.0, plus_closed)
     rel_minus = abs(minus_closed - minus_direct) / max(1.0, minus_closed)
     record = {
-        "point": m, "vertical_unit": shape.T,
+        "point": m, "vertical_unit": shapes.frames[0, 0],
         "coefficients": {"a": a, "b": b, "c": c, "d": d},
-        "polar": dict(zip(("r1", "r2", "theta", "alpha"), shape.polar)),
-        "commutator": shape.commutator,
+        "polar": dict(zip(("r1", "r2", "theta", "alpha"), shapes.polar[0].tolist())),
+        "commutator": shapes.commutator[0],
         "norm_plus_closed": plus_closed,
         "norm_minus_closed": minus_closed,
         "norm_plus_direct": plus_direct,
         "norm_minus_direct": minus_direct,
-        "product": shape.product,
-        "product_expanded": shape.product_expanded,
-        "product_polar": shape.product_polar,
+        "product": float(shapes.product[0]),
+        "product_expanded": float(shapes.product_expanded[0]),
+        "product_polar": float(shapes.product_polar[0]),
     }
     checks = [
         check("product_identity", gap <= tol["identity_gap"],
@@ -250,12 +251,12 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
               rel_plus=rel_plus, rel_minus=rel_minus,
               tolerance=tol["direct_rel"]),
     ]
-    einstein = einstein_defect(shape.stack.metric.at(shape.index))
+    einstein = float(einstein_defect(shapes.stack.metric)[0])
     record["einstein_defect"] = einstein
     if einstein <= EINSTEIN_GATE:
         # the commutation identity for the shape product only holds on
         # Einstein charts, so the check is gated on the pointwise defect
-        cdef = float(np.linalg.norm(shape.commutator))
+        cdef = float(np.linalg.norm(shapes.commutator[0]))
         record["commutator_defect"] = cdef
         checks.append(check("einstein_commutation", cdef <= tol["commutator"],
                             commutator_defect=cdef, einstein_defect=einstein,

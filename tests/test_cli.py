@@ -25,6 +25,7 @@ from morphoscope.structures import STRUCTURES_PLUS
 from test_golden_fingerprints import BATTERY, GOLDEN, run_case
 from test_morphism import count_geometry_builds, count_jets, refuse_frames
 from test_symbol import count_calls, scaled_catalog_config
+from test_weingarten import count_columns
 
 
 def write_config(tmp_path, name):
@@ -580,6 +581,19 @@ def test_overflowing_differential_exits_two(tmp_path, capsys, half_width, comman
     assert not (tmp_path / f"{stem}.json").exists()
 
 
+def test_an_overflowing_conformality_defect_rejects_the_point(tmp_path, capsys):
+    # z1^3 z2^3 on the box of half-width 1e20: the point's differential is
+    # finite, but its conformality defect overflows, which names the point
+    # with no RuntimeWarning (an error under this suite's settings)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(flat_monomial_config(1e20, 3, 3)))
+    assert run(tmp_path, "weingarten", "--config", str(path),
+               "--point=3e19,-2e19,1e19,4e19") == 2
+    assert capsys.readouterr().err.rstrip().endswith(
+        "GeometryError: conformality defect overflows at [3e+19, -2e+19, 1e+19, 4e+19]")
+    assert not (tmp_path / "huge_weingarten_point.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command,i,j", [("symbol", 2, 2), ("rate", 0, 1)])
 def test_normal_chart_overflow_exits_two(tmp_path, capsys, command, i, j):
@@ -725,23 +739,54 @@ def test_scan_fails_an_annulus_without_certified_samples(tmp_path):
 
 @pytest.mark.parametrize("name", ["z1z2", "pullback_z1z2", "product_sphere"])
 def test_weingarten_point_reads_the_direct_norms_once(tmp_path, monkeypatch, name):
-    # the point alone, whose exact jets give every derivative; the direct
-    # norms take one frame_component_sums call per structure, J+ then J-
+    # the point alone, whose exact jets give every derivative; its shape
+    # stack derives the direct-norm column once, in one frame-component
+    # pass over J+ and J- together
     builds = count_geometry_builds(monkeypatch)
-    sums = count_calls(monkeypatch, weingarten, "frame_component_sums")
+    columns = count_columns(monkeypatch)
+    passes = count_calls(monkeypatch, weingarten, "frame_components")
     cfg = write_config(tmp_path, name)
     assert run(tmp_path, "weingarten", "--config", str(cfg), REGULAR_POINT) == 0
     assert len(builds) == 1
-    assert len(sums) == 2
+    assert columns.count("direct") == 1
+    assert len(passes) == 1
 
 
 def test_weingarten_scan_never_reads_the_direct_norms(tmp_path, monkeypatch):
-    sums = count_calls(monkeypatch, weingarten, "frame_component_sums")
+    columns = count_columns(monkeypatch)
+    passes = count_calls(monkeypatch, weingarten, "frame_components")
     jets = count_jets(monkeypatch)
     cfg = write_config(tmp_path, "pullback_z1z2")
     assert run(tmp_path, "weingarten", "--config", str(cfg), "--scan") == 0
-    assert sums == []
+    assert "direct" not in columns
+    assert passes == []
     assert jets == {"projector_jet": 1, "structure_jets": 0}
+
+
+@pytest.mark.parametrize("name", CRITICAL_CONFIGS)
+def test_weingarten_point_is_its_row_of_the_scan(tmp_path, monkeypatch, name):
+    # the point report at an inside regular sample of the scan, at the same
+    # angle, reads that sample's row of the scan's shape columns: the same
+    # product and identity gap, bit for bit
+    stacks = []
+    built = weingarten.shape_stack
+    monkeypatch.setattr(weingarten, "shape_stack",
+                        lambda *args: stacks.append(built(*args)) or stacks[-1])
+    cfg = write_config(tmp_path, name)
+    assert run(tmp_path, "weingarten", "--config", str(cfg), "--scan") == 0
+    (scan,) = stacks
+    for row in (0, len(scan.index) // 2, len(scan.index) - 1):
+        point = scan.stack.metric.point[scan.index[row]].tolist()
+        assert run(tmp_path, "weingarten", "--config", str(cfg),
+                   "--point=" + ",".join(map(repr, point))) == 0
+        report = read_report(tmp_path, f"{name}_weingarten_point")
+        identity = next(c for c in report["checks"] if c["name"] == "product_identity")
+        assert report["records"][0]["point"] == point
+        assert (np.float64(report["records"][0]["product"]).tobytes()
+                == scan.product[row].tobytes())
+        assert (np.float64(identity["evidence"]["identity_gap"]).tobytes()
+                == scan.identity_gap[row].tobytes())
+    assert len(stacks) == 1
 
 
 @pytest.mark.parametrize("args", [[REGULAR_POINT], ["--scan"]], ids=["point", "scan"])

@@ -22,7 +22,7 @@ from morphoscope.errors import DomainError, GeometryError
 from morphoscope.geometry import (
     DEFAULT_FD_STEP, Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric,
     central_difference, central_nodes, christoffel, covariant_derivative, curvature_data,
-    metric_point, orthonormalize,
+    einstein_defect, metric_point, orthonormalize,
 )
 from morphoscope.polynomials import Poly, evaluate
 
@@ -496,27 +496,44 @@ def test_a_point_of_a_metric_stack_equals_the_metric_at_that_point_bitwise(name)
     record = metric_point(metric, stack)
     assert record.g.shape == (6, 4, 4)
     for i, m in enumerate(stack):
-        row, alone = record.at(i), metric_point(metric, m)
-        assert row.point.tobytes() == m.tobytes()
+        alone = metric_point(metric, m)
+        assert record.point[i].tobytes() == m.tobytes()
         for key in ("g", "dg", "inverse", "gamma", "sqrt_pair", "lowered"):
-            assert (np.asarray(getattr(row, key)).tobytes()
-                    == np.asarray(getattr(alone, key)).tobytes()), (key, m.tolist())
+            stacked = np.asarray(getattr(record, key))
+            # the square roots are a pair of stacks
+            row = stacked[:, i] if key == "sqrt_pair" else stacked[i]
+            assert row.tobytes() == np.asarray(getattr(alone, key)).tobytes(), (key, m.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_METRICS))
+def test_the_einstein_defect_of_a_stack_is_that_of_each_point_alone_bitwise(name):
+    # one defect per row of a 40-row record, each the defect of the record
+    # of its point alone
+    metric = CATALOG_METRICS[name]
+    lo, hi = np.asarray(metric.domain.lo), np.asarray(metric.domain.hi)
+    margin = 0.05 * (hi - lo)
+    stack = np.random.default_rng(9).uniform(lo + margin, hi - margin, size=(40, 4))
+    defects = einstein_defect(metric_point(metric, stack))
+    assert defects.shape == (40,)
+    alone = [einstein_defect(metric_point(metric, m)) for m in stack]
+    assert all(np.shape(value) == () for value in alone)
+    assert defects.tobytes() == np.array(alone).tobytes()
 
 
 def test_a_point_of_a_stack_derives_nothing_again(metric_calls):
-    # at(i) hands over the stack's rows, so the point evaluates only the
-    # second derivatives its curvature needs; the pulled-back chart reads
-    # its base once at each image point and evaluates nothing of its own
+    # the curvature of a stack evaluates only the second derivatives, once
+    # at each point; the pulled-back chart reads its base once at each
+    # image point and evaluates nothing of its own
     metric = CATALOG_METRICS["pullback_z1z2"]
     stack = np.array([[0.1, -0.2, 0.05, 0.3], [-0.3, 0.1, 0.2, -0.1]])
     images = [(metric.base, *y) for y in evaluate(metric.diffeo, stack).real.tolist()]
     record = metric_point(metric, stack)
-    row = record.at(1)
+    record.gamma
     assert metric_calls["first_derivatives"] == images
-    assert row.lowered.shape == (4, 4, 4, 4)
+    assert record.lowered.shape == (2, 4, 4, 4, 4)
     assert metric_calls["matrix"] == images
     assert metric_calls["first_derivatives"] == images
-    assert metric_calls["second_derivatives"] == [images[1]]
+    assert metric_calls["second_derivatives"] == images
 
 
 def test_non_spd_metric_raises():

@@ -532,7 +532,7 @@ def test_point_geometries_equal_the_written_out_loop_bitwise(name, layout):
         assert bits(geometries.metric.point[i]) == bits(m)
         for key, value in expected.items():
             assert bits(field(geometries, i, key)) == bits(value), (key, m.tolist())
-        assert bits(geometries.metric.at(i).gamma) == bits(expected["gamma"])
+        assert bits(geometries.metric.gamma[i]) == bits(expected["gamma"])
 
 
 @pytest.mark.parametrize("name", ["pullback_z1z2", "product_sphere"])
@@ -708,8 +708,8 @@ def test_a_failing_stack_is_passed_once(monkeypatch, first, later):
 
 def test_a_stack_evaluates_the_metric_derivatives_once(metric_calls):
     # one first_derivatives pass over the stack, read from the base of the
-    # pulled-back chart at the image points; the curvature of one of its
-    # geometries then needs only that point's second derivatives
+    # pulled-back chart at the image points; the Einstein defects of its
+    # geometries then need only the second derivatives, once at each point
     scenario = ORACLE_CHARTS["pullback_z1z2"]
     points = validation_points(scenario, 5, seed=2)
     stack = geometry_stack(scenario, points)
@@ -719,9 +719,9 @@ def test_a_stack_evaluates_the_metric_derivatives_once(metric_calls):
     assert metric_calls["first_derivatives"] == images
     for log in metric_calls.values():
         log.clear()
-    einstein_defect(stack.metric.at(3))
+    assert einstein_defect(stack.metric).shape == (5,)
     assert metric_calls == {"matrix": [], "first_derivatives": [],
-                            "second_derivatives": [images[3]]}
+                            "second_derivatives": images}
 
 
 @pytest.mark.parametrize("name", ["pullback_z1z2", "product_sphere"])

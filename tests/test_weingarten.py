@@ -3,11 +3,13 @@
 Oracle for the coefficients: a finite-difference second fundamental form on
 an explicit parametrization of the fiber, expressed in the same frames the
 implementation uses. Closed-form identities are property-tested as pure
-algebra before any geometry enters.
+algebra on the scalar forms of shape_oracle before any geometry enters, and
+the shape stack's columns are checked against those forms bit for bit.
 """
 
 import dataclasses
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -21,12 +23,11 @@ from morphoscope.errors import ClassificationError, GeometryError
 from morphoscope.hermitian import hermitian_pair
 from morphoscope import morphism, weingarten
 from morphoscope.morphism import fiber_mean_curvature, geometry_stack, splitting
-from morphoscope.weingarten import (FiberShape, closed_norm_pair, commutator_matrix,
-                                    fiber_shape, frame_component_sums,
-                                    identity_scale, nabla_J_norms, polar_form,
-                                    product_bound_scan, product_columns,
-                                    product_identity, product_polar, shape_stack,
-                                    weingarten_matrix)
+from morphoscope.weingarten import (ShapeStack, frame_components, nabla_J_norms,
+                                    product_bound_scan, shape_stack, weingarten_matrix)
+
+from shape_oracle import (closed_norm_pair, commutator_matrix, identity_scale, polar_form,
+                          product_identity, product_polar)
 
 from test_morphism import (GOOD, NOT_SPD, count_geometry_builds, count_jets, derivative,
                            field, scenario_product, scenario_proj, scenario_pullback_product,
@@ -175,22 +176,29 @@ def test_weingarten_requires_regular_point():
 # ----------------------------------------------------------------- norms
 
 
+def norms_at(scenario, m, angle=0.0) -> tuple:
+    """(closed, direct): the squared norms of nabla_T J+ and nabla_T J- at
+    the point m, closed form and direct, as pairs of floats."""
+    norms = nabla_J_norms(scenario, m, angle)
+    return tuple(norms.closed[0].tolist()), tuple(norms.direct[0].tolist())
+
+
 def test_norms_closed_vs_direct_on_curved_fiber():
     sc = scenario_product()
     m = np.array([1.0, 0.0, 1.0, 0.0])
-    norms = nabla_J_norms(sc, m)
-    assert abs(norms.closed[0]) <= 1e-8
-    assert abs(norms.closed[1] - 8.0) <= 1e-6
-    assert norms.direct[0] <= 1e-6
-    assert abs(norms.direct[1] - 8.0) <= 1e-3 * 8.0
+    (closed_plus, closed_minus), (direct_plus, direct_minus) = norms_at(sc, m)
+    assert abs(closed_plus) <= 1e-8
+    assert abs(closed_minus - 8.0) <= 1e-6
+    assert direct_plus <= 1e-6
+    assert abs(direct_minus - 8.0) <= 1e-3 * 8.0
 
 
 def test_norms_closed_vs_direct_on_pullback():
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
-    norms = nabla_J_norms(sc, m)
-    assert norms.direct[0] <= max(1e-5, 5e-3 * max(1.0, norms.closed[0]))
-    assert abs(norms.direct[1] - norms.closed[1]) <= 5e-3 * max(1.0, norms.closed[1])
+    closed, direct = norms_at(sc, m)
+    assert direct[0] <= max(1e-5, 5e-3 * max(1.0, closed[0]))
+    assert abs(direct[1] - closed[1]) <= 5e-3 * max(1.0, closed[1])
 
 
 def test_commutator_vanishes_on_flat_and_pullback_charts():
@@ -212,13 +220,13 @@ def test_direct_norm_is_frame_gauge_invariant():
     dJ = derivative(geometry_stack(sc, [m]).structure_jets[1][1], T)
     e3, e4 = field(sp, 0, "horizontal")
     frame = np.array([T, field(pair, 0, "j_plus") @ T, e3, e4])
-    full_a, _ = frame_component_sums(dJ, g, frame)
+    full_a = float(np.sum(frame_components(dJ, g, frame) ** 2))
     phi = 0.7
     rot = np.array([math.cos(phi) * frame[0] + math.sin(phi) * frame[1],
                     -math.sin(phi) * frame[0] + math.cos(phi) * frame[1],
                     math.cos(phi) * frame[2] + math.sin(phi) * frame[3],
                     -math.sin(phi) * frame[2] + math.cos(phi) * frame[3]])
-    full_b, _ = frame_component_sums(dJ, g, rot)
+    full_b = float(np.sum(frame_components(dJ, g, rot) ** 2))
     assert abs(full_a - full_b) <= 1e-6 * max(1.0, full_a)
 
 
@@ -232,7 +240,10 @@ def test_mixed_components_carry_half_the_full_sum():
     e3, e4 = field(sp, 0, "horizontal")
     frame = np.array([T, field(pair, 0, "j_plus") @ T, e3, e4])
     dJ = derivative(geometry_stack(sc, [m]).structure_jets[1][1], T)
-    full, mixed = frame_component_sums(dJ, g, frame)
+    comp = frame_components(dJ, g, frame)
+    # full over all frame index pairs, mixed only over vertical rows against
+    # horizontal columns, frame order (T, e2, e3, e4)
+    full, mixed = float(np.sum(comp ** 2)), float(np.sum(comp[:2, 2:] ** 2))
     assert full > 1.0
     assert abs(full - 2.0 * mixed) <= 1e-6 * full
 
@@ -242,17 +253,17 @@ def test_mixed_components_carry_half_the_full_sum():
 
 def test_report_is_internally_consistent():
     sc = scenario_product()
-    shape = fiber_shape(sc, np.array([1.0, 0.0, 1.0, 0.0]))
-    a, b, c, d = shape.coefficients
-    r1, r2, theta, alpha = shape.polar
+    shape = nabla_J_norms(sc, np.array([1.0, 0.0, 1.0, 0.0]))
+    a, b, c, d = shape.coefficient_array[0].tolist()
+    r1, r2, theta, alpha = shape.polar[0].tolist()
     assert abs(r1 * math.cos(theta) - a) <= 1e-12
     assert abs(r2 * math.sin(alpha) - d) <= 1e-12
-    assert np.allclose(shape.commutator, commutator_matrix(a, b, c, d))
-    assert shape.product == shape.closed[0] * shape.closed[1]
+    assert np.allclose(shape.commutator[0], commutator_matrix(a, b, c, d))
+    assert shape.product[0] == shape.closed[0, 0] * shape.closed[0, 1]
     scale = identity_scale(a, b, c, d)
-    assert abs(shape.product_expanded - shape.product) <= 1e-10 * scale
-    assert abs(shape.product_expanded - shape.product_polar) <= 1e-10 * scale
-    assert shape.direct[0] is not None
+    assert abs(shape.product_expanded[0] - shape.product[0]) <= 1e-10 * scale
+    assert abs(shape.product_expanded[0] - shape.product_polar[0]) <= 1e-10 * scale
+    assert shape.direct.shape == (1, 2)
 
 
 def test_product_scan_flat_product_map():
@@ -275,7 +286,7 @@ def test_report_builds_each_stencil_geometry_once(monkeypatch):
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
     builds = count_geometry_builds(monkeypatch)
-    fiber_shape(sc, m, angle=0.3).direct
+    nabla_J_norms(sc, m, angle=0.3).direct
     # the point alone: the derivatives are read from its exact jets
     assert len(builds) == 1
 
@@ -289,7 +300,7 @@ def test_shape_and_mean_curvature_read_the_geometry_jets(monkeypatch, angle):
     builds = count_geometry_builds(monkeypatch)
     jets = count_jets(monkeypatch)
     geo = morphism.geometry_stack(sc, [m])
-    FiberShape(shape_stack(geo, [0], angle), 0).direct
+    shape_stack(geo, [0], angle).direct
     fiber_mean_curvature(geo)
     assert len(builds) == 1
     assert jets == {"projector_jet": 1, "structure_jets": 1}
@@ -331,18 +342,38 @@ def test_scan_builds_one_stack_per_scan(monkeypatch):
     assert jets == {"projector_jet": 1, "structure_jets": 0}
 
 
-def test_scan_builds_no_fiber_shape(monkeypatch):
-    # the products and identity gaps are read from the shape stack's
-    # coefficients, with no row object per sample
-    built = []
-    monkeypatch.setattr(weingarten, "FiberShape",
-                        lambda *args: built.append(args) or FiberShape(*args))
+def count_columns(monkeypatch) -> list:
+    """The name of each public ShapeStack column derived, in order: each
+    is derived once per stack, the first time it is read."""
+    derived = []
+    for name, column in list(vars(ShapeStack).items()):
+        if isinstance(column, cached_property) and not name.startswith("_"):
+            def counted(shapes, derive=column.func, name=name):
+                derived.append(name)
+                return derive(shapes)
+            wrapped = cached_property(counted)
+            wrapped.__set_name__(ShapeStack, name)
+            monkeypatch.setattr(ShapeStack, name, wrapped)
+    return derived
+
+
+def test_scan_derives_no_direct_norm_and_no_commutator(monkeypatch):
+    # a scan reads only the products and the identity gaps, so it derives
+    # neither the direct-norm nor the commutator column and builds no
+    # structure jet; a point derives both, once
+    columns = count_columns(monkeypatch)
+    jets = count_jets(monkeypatch)
     scan = product_bound_scan(scenario_pullback_product(), np.zeros(4),
                               n_directions=4, seed=2)
     assert scan.verdict == "PASS"
-    assert built == []
-    fiber_shape(scenario_pullback_product(), np.array([0.3, 0.1, 0.25, -0.2]))
-    assert len(built) == 1
+    assert sorted(columns) == sorted(["closed", "product", "product_expanded", "polar",
+                                      "product_polar", "identity_scale", "identity_gap"])
+    assert jets["structure_jets"] == 0
+    columns.clear()
+    shapes = nabla_J_norms(scenario_pullback_product(), np.array([0.3, 0.1, 0.25, -0.2]))
+    shapes.direct, shapes.commutator, shapes.direct, shapes.commutator
+    assert columns == ["direct", "commutator"]
+    assert jets["structure_jets"] == 1
 
 
 def test_scan_builds_no_stencil_for_a_skipped_sample(monkeypatch):
@@ -384,13 +415,29 @@ def bits(values) -> list:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
-def test_product_columns_equal_the_scalar_forms_bitwise():
+def coefficient_stack(rows: np.ndarray) -> ShapeStack:
+    """A shape stack of the given coefficient rows and no geometry, for its
+    closed-form columns."""
+    return ShapeStack(stack=None, index=None, frames=None, coefficient_array=rows)
+
+
+def test_shape_columns_equal_the_scalar_forms_bitwise():
     rows = seeded_coefficient_rows(2000)
-    products, gaps = product_columns(rows)
+    shapes = coefficient_stack(rows)
+    products, gaps = shapes.product, shapes.identity_gap
     expected = np.array([scalar_product_and_gap(*row) for row in rows.tolist()])
     assert bits(products) == bits(expected[:, 0])
     assert bits(gaps) == bits(expected[:, 1])
     assert products[-1] == gaps[-1] == 0.0
+    # every other column is its scalar form row by row
+    scalar = [(closed_norm_pair(*row), product_identity(*row), polar_form(*row),
+               product_polar(*polar_form(*row)), identity_scale(*row),
+               commutator_matrix(*row)) for row in rows.tolist()]
+    for k, column in enumerate((shapes.closed, shapes.product_expanded, shapes.polar,
+                                shapes.product_polar, shapes.identity_scale,
+                                shapes.commutator)):
+        assert column.shape[0] == len(rows)
+        assert bits(column) == bits([row[k] for row in scalar]), k
     # squares by multiplication would move some products in the last bit
     a, b, c, d = rows.T
     multiplied = (4.0 * ((a - d) * (a - d) + (b + c) * (b + c))
@@ -434,14 +481,22 @@ def test_the_scan_reduces_its_rows_as_the_scalar_loop_bitwise(monkeypatch):
     assert scan.skipped[2] == 30 and scan.empty == (0.1,)
 
 
-def test_shape_stack_coefficients_are_the_rows_of_its_array():
-    geo = geometry_stack(scenario_pullback_product(),
-                         [[0.3, 0.1, 0.25, -0.2], [0.1, -0.2, 0.3, 0.15]])
-    shapes = shape_stack(geo, [1, 0], 0.3)
+SHAPE_COLUMNS = ("coefficient_array", "frames", "closed", "product", "product_expanded",
+                 "polar", "product_polar", "identity_scale", "identity_gap", "commutator",
+                 "direct")
+
+
+def test_each_row_of_the_shape_columns_is_its_point_alone_bitwise():
+    # the rows of a two-row stack, taken out of order, and the stack of one
+    # of each point: a point's report is a row of any stack it is in
+    points = [[0.3, 0.1, 0.25, -0.2], [0.1, -0.2, 0.3, 0.15]]
+    shapes = shape_stack(geometry_stack(scenario_pullback_product(), points), [1, 0], 0.3)
     assert shapes.coefficient_array.shape == (2, 4)
-    assert shapes.coefficients == [tuple(row) for row in shapes.coefficient_array.tolist()]
-    assert all(type(v) is float for row in shapes.coefficients for v in row)
-    assert FiberShape(shapes, 1).coefficients == shapes.coefficients[1]
+    for row, m in enumerate(points[::-1]):
+        alone = nabla_J_norms(scenario_pullback_product(), np.array(m), 0.3)
+        for name in SHAPE_COLUMNS:
+            assert getattr(alone, name).shape[0] == 1, name
+            assert bits(getattr(shapes, name)[row]) == bits(getattr(alone, name)[0]), name
 
 
 def scan_error(scenario, shells, monkeypatch):
@@ -585,7 +640,7 @@ def test_scan_shapes_equal_a_per_sample_loop_bitwise(monkeypatch, name, angle):
                 coefficients.append(coeffs)
         annulus_max.append(max([0.0] + products))
         skipped.append(8 - len(products))
-    assert stacks[0].coefficients == coefficients
+    assert [tuple(row) for row in stacks[0].coefficient_array.tolist()] == coefficients
     assert scan.annulus_max == tuple(annulus_max)
     assert scan.identity_gap == gap
     assert scan.skipped == tuple(skipped)
@@ -594,22 +649,22 @@ def test_scan_shapes_equal_a_per_sample_loop_bitwise(monkeypatch, name, angle):
 def test_report_matches_the_standalone_functions_bitwise():
     sc = scenario_pullback_product()
     m = np.array([0.3, 0.1, 0.25, -0.2])
-    rep = fiber_shape(sc, m, angle=0.4)
-    assert np.array_equal(rep.commutator, commutator_matrix(
-        *weingarten_matrix(sc, m, angle=0.4)))
-    norms = nabla_J_norms(sc, m, angle=0.4)
-    assert norms.closed == rep.closed
-    assert norms.direct == rep.direct
-    assert rep.coefficients == weingarten_matrix(sc, m, angle=0.4)
+    rep = nabla_J_norms(sc, m, angle=0.4)
+    coefficients = weingarten_matrix(sc, m, angle=0.4)
+    assert rep.coefficient_array[0].tolist() == list(coefficients)
+    assert np.array_equal(rep.commutator[0], commutator_matrix(*coefficients))
+    plus, minus = closed_norm_pair(*coefficients)
+    assert rep.closed[0].tolist() == [plus, minus]
+    assert rep.product[0] == plus * minus
 
 
 def test_no_state_leaks_between_scenarios_at_one_point():
     m = np.array([0.3, 0.1, 0.25, -0.2])
     flat, pulled = scenario_product(), scenario_pullback_product()
-    first = fiber_shape(flat, m)
-    second = fiber_shape(pulled, m)
-    again = fiber_shape(flat, m)
-    assert first.coefficients != second.coefficients
-    assert second.coefficients == weingarten_matrix(pulled, m)
-    assert again.coefficients == first.coefficients
-    assert again.direct[1] == first.direct[1]
+    first = nabla_J_norms(flat, m)
+    second = nabla_J_norms(pulled, m)
+    again = nabla_J_norms(flat, m)
+    assert bits(first.coefficient_array) != bits(second.coefficient_array)
+    assert tuple(second.coefficient_array[0].tolist()) == weingarten_matrix(pulled, m)
+    assert bits(again.coefficient_array) == bits(first.coefficient_array)
+    assert bits(again.direct) == bits(first.direct)
