@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Box
-from .twistor import SurfacePatch
+from .geometry import Box, SurfacePatch
 
 # patch_grid samples PATCH_GRID_SIZE x PATCH_GRID_SIZE parameter points
 PATCH_GRID_SIZE = 3

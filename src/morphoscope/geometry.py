@@ -8,7 +8,8 @@ on the last axis. Curvature uses the convention
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
 
 so the unit round 2-sphere has <R(e1, e2)e2, e1> = +1 for an orthonormal
-frame (e1, e2).
+frame (e1, e2). A surface patch in a chart is a parametrization over a box
+of the parameter plane with its exact Jacobian and Hessian.
 """
 
 from __future__ import annotations
@@ -60,6 +61,30 @@ class Box:
     def boundary_distance(self, m: Sequence[float]) -> float:
         m = np.asarray(m, dtype=float)
         return float(min(np.min(m - self._lo), np.min(self._hi - m)))
+
+
+@dataclass
+class SurfacePatch:
+    """Parametrized surface in the chart with its exact (4, 2) Jacobian and
+    its exact (4, 2, 2) Hessian, hessian[i, a, b] = d_a d_b psi_i."""
+
+    psi: Callable
+    param_box: Box
+    jacobian: Callable
+    hessian: Callable
+    name: str = "patch"
+
+    def point(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        if not self.param_box.contains(p):
+            raise DomainError(f"parameter {p.tolist()} leaves the patch box")
+        return np.asarray(self.psi(p[0], p[1]), dtype=float)
+
+    def dpsi(self, p) -> np.ndarray:
+        return np.asarray(self.jacobian(*np.asarray(p, dtype=float)), dtype=float)
+
+    def d2psi(self, p) -> np.ndarray:
+        return np.asarray(self.hessian(*np.asarray(p, dtype=float)), dtype=float)
 
 
 class ChartMetric:

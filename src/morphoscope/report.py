@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GeometryError
-from .twistor import VERTICAL_ROTATION_SIGN
+from .structures import VERTICAL_ROTATION_SIGN
 
 VERSION = "0.1.0"
 

@@ -3,7 +3,9 @@
 Each scenario command returns its `Findings`, and `scenario_report` turns
 them into the report. All verdicts come with the numbers that produced
 them, and every sampling decision flows from the configured seed so reruns
-with the same config are byte-identical up to the timestamp.
+with the same config are byte-identical up to the timestamp. Each command
+imports the modules only it uses at its own head: a CLI process runs one
+command, and loads only the modules that command runs.
 """
 
 from __future__ import annotations
@@ -13,18 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import MorphismScenario
-from .catalog import CATALOG_PATCHES, catalog_configs, catalog_patch, patch_grid
 from .config import ScenarioConfig
 from .errors import ConfigError
 from .geometry import einstein_defect
-from .hermitian import pseudo_holomorphy_residual, structure_deviation_rate
 from .morphism import geometry_stack, validate_morphism
 from .report import Columns, build_report, check, fingerprint
-from .symbol import (center_sample, dilation_lower_rate, remainder_rates,
-                     symbol_polynomial)
-from .twistor import (curvature_densities, lift_stack, script_J_residual,
-                      vertical_energy_density)
-from .weingarten import product_bound_scan, shape_stack
 
 EINSTEIN_GATE = 1e-8
 # the rate table's label of a fit, where it differs from the fit's rates key
@@ -102,6 +97,8 @@ def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
 
 def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
                 point) -> Findings:
+    from .hermitian import pseudo_holomorphy_residual
+
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
     stack = geometry_stack(scenario, [m])
@@ -136,6 +133,8 @@ def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
 
 
 def run_symbol(config: ScenarioConfig, scenario: MorphismScenario) -> Findings:
+    from .symbol import symbol_polynomial
+
     records = []
     checks = []
     for idx, center in enumerate(_critical_centers(config, "symbol")):
@@ -167,6 +166,9 @@ def _certified_orientation(symbol) -> int:
 
 def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
              seed: int) -> Findings:
+    from .hermitian import structure_deviation_rate
+    from .symbol import center_sample, dilation_lower_rate, remainder_rates
+
     records = []
     checks = []
     rates = {}
@@ -220,6 +222,8 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
 
 def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
                          point) -> Findings:
+    from .weingarten import shape_stack
+
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
     # the point alone is the shape stack of one: its report is row 0 of the columns
@@ -266,6 +270,8 @@ def run_weingarten_point(config: ScenarioConfig, scenario: MorphismScenario,
 
 def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
                         point, seed: int) -> Findings:
+    from .weingarten import product_bound_scan
+
     tol = config.analysis["tolerances"]
     if point is not None:
         center = np.asarray(point, dtype=float)
@@ -298,6 +304,10 @@ def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
 
 def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
                 patch_name: str) -> Findings:
+    from .catalog import catalog_patch, patch_grid
+    from .twistor import (curvature_densities, lift_stack, script_J_residual,
+                          vertical_energy_density)
+
     tol = config.analysis["tolerances"]
     spec = catalog_patch(patch_name)
     patch = spec["patch"]
@@ -337,6 +347,8 @@ def run_twistor(config: ScenarioConfig, scenario: MorphismScenario,
 
 def run_catalog(seed: int, workers: int) -> tuple:
     """(report, file text) of the catalog listing, see report.build_report."""
+    from .catalog import CATALOG_PATCHES, catalog_configs
+
     entries = []
     for name, raw in sorted(catalog_configs().items()):
         cfg = ScenarioConfig.from_dict(raw)

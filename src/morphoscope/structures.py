@@ -42,6 +42,11 @@ _FORMS_MINUS = (
 STRUCTURES_PLUS = tuple(-omega for omega in _FORMS_PLUS)
 STRUCTURES_MINUS = tuple(-omega for omega in _FORMS_MINUS)
 
+# the sign by which a lifted structure field acts on vertical (fiber tangent)
+# endomorphisms, by composition; calibrated on the minimal catenoid, whose
+# lift residual is order one with the opposite sign
+VERTICAL_ROTATION_SIGN = -1
+
 # eps_ijkl = det(e_i, e_j, e_k, e_l) as a (16, 16) matrix, rows ij and columns kl
 LEVI_CIVITA = np.linalg.det(np.eye(4)[list(itertools.product(range(4), repeat=4))]).reshape(16, 16)
 

@@ -4,9 +4,9 @@ A surface patch lifts pointwise to the compatible structure that turns its
 oriented tangent plane into a complex line. The bundle's almost complex
 structure acts on horizontal vectors through the structure at the point and
 on vertical (fiber tangent) endomorphisms by composition with it; the global
-sign of the fiber action is a convention, fixed here by the constant below
-and pinned experimentally by the minimal catenoid regression test, which
-fails with the opposite sign.
+sign of the fiber action is a convention, fixed by
+`structures.VERTICAL_ROTATION_SIGN` and pinned experimentally by the minimal
+catenoid regression test, which fails with the opposite sign.
 
 Fiber tangent norms carry a factor 1/2 relative to the gauged Frobenius norm
 so that vertical speeds agree with the speed of the fiber-coordinate curve
@@ -34,41 +34,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .calculus import MorphismScenario
 from .errors import DegenerateFrameError, DomainError, GeometryError
-from .geometry import FRAME_RANK_TOL, Box, FailureColumn, MetricPoint, metric_rows
-from .structures import LEVI_CIVITA, fiber_from_structure, structure_jets
+from .geometry import FRAME_RANK_TOL, FailureColumn, MetricPoint, SurfacePatch, metric_rows
+from .structures import (LEVI_CIVITA, VERTICAL_ROTATION_SIGN, fiber_from_structure,
+                         structure_jets)
 
-VERTICAL_ROTATION_SIGN = -1
 PATCH_RANK_TOL = 1e-8
-
-
-@dataclass
-class SurfacePatch:
-    """Parametrized surface in the chart with its exact (4, 2) Jacobian and
-    its exact (4, 2, 2) Hessian, hessian[i, a, b] = d_a d_b psi_i."""
-
-    psi: Callable
-    param_box: Box
-    jacobian: Callable
-    hessian: Callable
-    name: str = "patch"
-
-    def point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if not self.param_box.contains(p):
-            raise DomainError(f"parameter {p.tolist()} leaves the patch box")
-        return np.asarray(self.psi(p[0], p[1]), dtype=float)
-
-    def dpsi(self, p) -> np.ndarray:
-        return np.asarray(self.jacobian(*np.asarray(p, dtype=float)), dtype=float)
-
-    def d2psi(self, p) -> np.ndarray:
-        return np.asarray(self.hessian(*np.asarray(p, dtype=float)), dtype=float)
 
 
 @dataclass

@@ -774,6 +774,8 @@ def test_weingarten_point_is_its_row_of_the_scan(tmp_path, monkeypatch, name):
                         lambda *args: stacks.append(built(*args)) or stacks[-1])
     cfg = write_config(tmp_path, name)
     assert run(tmp_path, "weingarten", "--config", str(cfg), "--scan") == 0
+    # only the scan's stack is recorded: each point report builds its own
+    monkeypatch.undo()
     (scan,) = stacks
     for row in (0, len(scan.index) // 2, len(scan.index) - 1):
         point = scan.stack.metric.point[scan.index[row]].tolist()

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from morphoscope import cli, runner
+from morphoscope import cli, runner, twistor
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
 from morphoscope.report import Columns
 
@@ -138,8 +138,8 @@ def test_a_nan_cell_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys, 
         monkeypatch.setattr(runner, "validate_morphism", poisoned(
             runner.validate_morphism, lambda found: found[0].dilation_sup))
     else:
-        monkeypatch.setattr(runner, "vertical_energy_density", poisoned(
-            runner.vertical_energy_density, lambda energy: energy.value))
+        monkeypatch.setattr(twistor, "vertical_energy_density", poisoned(
+            twistor.vertical_energy_density, lambda energy: energy.value))
     assert run_command(tmp_path, config, argv) == 2
     assert "report values must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
