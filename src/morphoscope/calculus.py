@@ -47,9 +47,6 @@ class MorphismScenario:
     def domain(self) -> Box:
         return self.metric.domain
 
-    def value(self, m: Sequence[float]) -> complex:
-        return self.component.eval(m)
-
     def jacobian(self, m) -> np.ndarray:
         """(..., 2, 4) differential at a point or over a stack of points."""
         return _components(evaluate(self.jet, m, 1)[..., 0, :], -2)

@@ -1,8 +1,9 @@
 """Built-in scenarios and surface patches.
 
-Every entry is stored as a plain configuration dict, so the catalog command
-can emit ready-to-edit configs and the fingerprint of a built-in equals the
-fingerprint of its serialized form read back from disk.
+Every scenario is stored as a plain configuration dict, so the catalog
+command can emit ready-to-edit configs and the fingerprint of a built-in
+equals the fingerprint of its serialized form read back from disk. Every
+patch is a SurfacePatch over a module-level jet.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from .geometry import Box, SurfacePatch
 
 # patch_grid samples PATCH_GRID_SIZE x PATCH_GRID_SIZE parameter points
 PATCH_GRID_SIZE = 3
-
-
-def _flat_hessian(s, t):
-    return np.zeros((4, 2, 2))
 
 
 def _cube(half):
@@ -92,132 +89,89 @@ def catalog_configs() -> dict:
 # ------------------------------------------------------------------ patches
 
 
-def _plane_patch():
-    return SurfacePatch(
-        psi=lambda s, t: np.array([s, t, 0.0, 0.0]),
-        param_box=Box((-1.0, -1.0), (1.0, 1.0)),
-        jacobian=lambda s, t: np.array([[1.0, 0.0], [0.0, 1.0],
-                                        [0.0, 0.0], [0.0, 0.0]]),
-        hessian=_flat_hessian, name="plane")
+def _plane_jet(s, t):
+    return np.array([s, t, 0.0, 0.0]), np.eye(4, 2), np.zeros((4, 2, 2))
 
 
-def _reciprocal_patch():
-    def psi(s, t):
-        w = 1.0 / complex(s, t)
-        return np.array([s, t, w.real, w.imag])
-
-    def jac(s, t):
-        dw = -1.0 / complex(s, t) ** 2
-        return np.array([[1.0, 0.0], [0.0, 1.0],
-                         [dw.real, -dw.imag], [dw.imag, dw.real]])
-
-    def hessian(s, t):
-        # d_s = w', d_t = i w' on the holomorphic w = 1/z, w'' = 2 / z^3
-        d2w = 2.0 / complex(s, t) ** 3
-        out = np.zeros((4, 2, 2))
-        out[2] = [[d2w.real, -d2w.imag], [-d2w.imag, -d2w.real]]
-        out[3] = [[d2w.imag, d2w.real], [d2w.real, -d2w.imag]]
-        return out
-
-    return SurfacePatch(psi=psi, param_box=Box((0.6, -0.6), (1.6, 0.6)),
-                        jacobian=jac, hessian=hessian, name="reciprocal")
+def _reciprocal_jet(s, t):
+    # the graph of the holomorphic w = 1/z: d_s = w', d_t = i w', with
+    # w' = -1 / z^2 and w'' = 2 / z^3
+    z = complex(s, t)
+    w, dw, d2w = 1.0 / z, -1.0 / z ** 2, 2.0 / z ** 3
+    hessian = np.zeros((4, 2, 2))
+    hessian[2] = [[d2w.real, -d2w.imag], [-d2w.imag, -d2w.real]]
+    hessian[3] = [[d2w.imag, d2w.real], [d2w.real, -d2w.imag]]
+    return (np.array([s, t, w.real, w.imag]),
+            np.array([[1.0, 0.0], [0.0, 1.0], [dw.real, -dw.imag], [dw.imag, dw.real]]),
+            hessian)
 
 
-def _catenoid_patch():
-    def psi(u, v):
-        return np.array([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), u, 0.0])
-
-    def jac(u, v):
-        return np.column_stack([
-            [np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), 1.0, 0.0],
-            [-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), 0.0, 0.0]])
-
-    def hessian(u, v):
-        out = np.zeros((4, 2, 2))
-        out[0] = [[np.cosh(u) * np.cos(v), -np.sinh(u) * np.sin(v)],
-                  [-np.sinh(u) * np.sin(v), -np.cosh(u) * np.cos(v)]]
-        out[1] = [[np.cosh(u) * np.sin(v), np.sinh(u) * np.cos(v)],
-                  [np.sinh(u) * np.cos(v), -np.cosh(u) * np.sin(v)]]
-        return out
-
-    return SurfacePatch(psi=psi, param_box=Box((-0.6, -0.6), (0.6, 0.6)),
-                        jacobian=jac, hessian=hessian, name="catenoid")
+def _catenoid_jet(u, v):
+    ch, sh, c, s = np.cosh(u), np.sinh(u), np.cos(v), np.sin(v)
+    hessian = np.zeros((4, 2, 2))
+    hessian[0] = [[ch * c, -sh * s], [-sh * s, -ch * c]]
+    hessian[1] = [[ch * s, sh * c], [sh * c, -ch * s]]
+    return (np.array([ch * c, ch * s, u, 0.0]),
+            np.array([[sh * c, -ch * s], [sh * s, ch * c], [1.0, 0.0], [0.0, 0.0]]),
+            hessian)
 
 
-def _bowl_patch():
+def _bowl_jet(s, t):
     # non-minimal control: graph of (s^2 + t^2)/2, the minimal graph
     # operator evaluates to 2 + s^2 + t^2 on it
-    def psi(s, t):
-        return np.array([s, t, 0.5 * (s * s + t * t), 0.0])
-
-    def jac(s, t):
-        return np.array([[1.0, 0.0], [0.0, 1.0], [s, t], [0.0, 0.0]])
-
-    def hessian(s, t):
-        out = np.zeros((4, 2, 2))
-        out[2] = np.eye(2)
-        return out
-
-    return SurfacePatch(psi=psi, param_box=Box((-1.0, -1.0), (1.0, 1.0)),
-                        jacobian=jac, hessian=hessian, name="bowl")
+    hessian = np.zeros((4, 2, 2))
+    hessian[2] = np.eye(2)
+    return (np.array([s, t, 0.5 * (s * s + t * t), 0.0]),
+            np.array([[1.0, 0.0], [0.0, 1.0], [s, t], [0.0, 0.0]]), hessian)
 
 
-def _sphere_factor_patch():
-    return SurfacePatch(
-        psi=lambda s, t: np.array([s, t, 0.1, -0.2]),
-        param_box=Box((0.6, -0.5), (1.5, 0.5)),
-        jacobian=lambda s, t: np.array([[1.0, 0.0], [0.0, 1.0],
-                                        [0.0, 0.0], [0.0, 0.0]]),
-        hessian=_flat_hessian, name="sphere_factor")
+def _sphere_factor_jet(s, t):
+    return np.array([s, t, 0.1, -0.2]), np.eye(4, 2), np.zeros((4, 2, 2))
 
 
-def _flat_factor_patch():
-    return SurfacePatch(
-        psi=lambda s, t: np.array([np.pi / 3, 0.2, s, t]),
-        param_box=Box((-0.8, -0.8), (0.8, 0.8)),
-        jacobian=lambda s, t: np.array([[0.0, 0.0], [0.0, 0.0],
-                                        [1.0, 0.0], [0.0, 1.0]]),
-        hessian=_flat_hessian, name="flat_factor")
+def _flat_factor_jet(s, t):
+    return np.array([np.pi / 3, 0.2, s, t]), np.eye(4, 2, -2), np.zeros((4, 2, 2))
 
 
 CATALOG_PATCHES = {
     "plane": {
-        "factory": _plane_patch, "classification": "minimal",
-        "scenario": "proj", "orientation": 1,
+        "patch": SurfacePatch(_plane_jet, Box((-1.0, -1.0), (1.0, 1.0)), "plane"),
+        "classification": "minimal", "scenario": "proj", "orientation": 1,
         "omega": {"tangent_abs": 0.0, "normal_abs": 0.0},
     },
     "reciprocal": {
-        "factory": _reciprocal_patch, "classification": "minimal",
-        "scenario": "proj", "orientation": 1, "omega": None,
+        "patch": SurfacePatch(_reciprocal_jet, Box((0.6, -0.6), (1.6, 0.6)), "reciprocal"),
+        "classification": "minimal", "scenario": "proj", "orientation": 1, "omega": None,
     },
     "catenoid": {
-        "factory": _catenoid_patch, "classification": "minimal",
-        "scenario": "proj", "orientation": 1, "omega": None,
+        "patch": SurfacePatch(_catenoid_jet, Box((-0.6, -0.6), (0.6, 0.6)), "catenoid"),
+        "classification": "minimal", "scenario": "proj", "orientation": 1, "omega": None,
     },
     "bowl": {
-        "factory": _bowl_patch, "classification": "control",
-        "scenario": "proj", "orientation": 1, "omega": None,
+        "patch": SurfacePatch(_bowl_jet, Box((-1.0, -1.0), (1.0, 1.0)), "bowl"),
+        "classification": "control", "scenario": "proj", "orientation": 1, "omega": None,
     },
     "sphere_factor": {
-        "factory": _sphere_factor_patch, "classification": "minimal",
-        "scenario": "product_sphere", "orientation": 1,
+        "patch": SurfacePatch(_sphere_factor_jet, Box((0.6, -0.5), (1.5, 0.5)),
+                              "sphere_factor"),
+        "classification": "minimal", "scenario": "product_sphere", "orientation": 1,
         "omega": {"tangent_abs": 1.0, "normal_abs": 0.0},
     },
     "flat_factor": {
-        "factory": _flat_factor_patch, "classification": "minimal",
-        "scenario": "product_sphere", "orientation": 1,
+        "patch": SurfacePatch(_flat_factor_jet, Box((-0.8, -0.8), (0.8, 0.8)), "flat_factor"),
+        "classification": "minimal", "scenario": "product_sphere", "orientation": 1,
         "omega": {"tangent_abs": 0.0, "normal_abs": 0.0},
     },
 }
 
 
 def catalog_patch(name: str) -> dict:
+    """A copy of the named patch's spec: the patch, its classification, its
+    scenario, its lift orientation and its expected curvature densities."""
     if name not in CATALOG_PATCHES:
         known = ", ".join(sorted(CATALOG_PATCHES))
         raise ConfigError(f"unknown patch {name!r}; known: {known}")
-    spec = dict(CATALOG_PATCHES[name])
-    spec["patch"] = spec.pop("factory")()
-    return spec
+    return dict(CATALOG_PATCHES[name])
 
 
 def patch_grid(patch: SurfacePatch) -> list:

@@ -114,6 +114,8 @@ def _poly_spec(data, path: str) -> list:
 
 
 def _metric_spec(data, path: str) -> dict:
+    if not isinstance(data, dict):
+        _fail(path, "expected an object with kind and box")
     kind = _require(data, "kind", path)
     out = {"kind": kind, "box": _box(_require(data, "box", path), f"{path}.box")}
     if kind == "flat":
@@ -155,6 +157,8 @@ def _poly_to_dict(spec):
 
 
 def _map_spec(data, path: str) -> dict:
+    if not isinstance(data, dict):
+        _fail(path, "expected an object with kind")
     kind = _require(data, "kind", path)
     if kind == "holomorphic":
         coeffs = _require(data, "coefficients", path)
@@ -184,6 +188,8 @@ def _map_spec(data, path: str) -> dict:
 
 
 def _diffeo_spec(data, path: str) -> dict:
+    if not isinstance(data, dict):
+        _fail(path, "expected an object with components and box")
     comps = _require(data, "components", path)
     if not isinstance(comps, list) or len(comps) != 4:
         _fail(f"{path}.components", "expected exactly four components")
@@ -275,7 +281,7 @@ class ScenarioConfig:
         metric = _metric_spec(_require(data, "metric", "config"), "config.metric")
         map_spec = _map_spec(_require(data, "map", "config"), "config.map")
         orientation = data.get("orientation", 1)
-        if orientation not in (1, -1):
+        if isinstance(orientation, bool) or orientation not in (1, -1):
             _fail("config.orientation", "must be 1 or -1")
         critical = data.get("critical_points", [])
         if not isinstance(critical, list):

@@ -9,7 +9,8 @@ on the last axis. Curvature uses the convention
 
 so the unit round 2-sphere has <R(e1, e2)e2, e1> = +1 for an orthonormal
 frame (e1, e2). A surface patch in a chart is a parametrization over a box
-of the parameter plane with its exact Jacobian and Hessian.
+of the parameter plane whose jet gives the point with its exact Jacobian
+and Hessian.
 """
 
 from __future__ import annotations
@@ -65,26 +66,15 @@ class Box:
 
 @dataclass
 class SurfacePatch:
-    """Parametrized surface in the chart with its exact (4, 2) Jacobian and
-    its exact (4, 2, 2) Hessian, hessian[i, a, b] = d_a d_b psi_i."""
+    """Parametrized surface in the chart over a box of the parameter plane.
 
-    psi: Callable
+    jet(s, t) returns, at one parameter point, psi (4,), its exact (4, 2)
+    Jacobian and its exact (4, 2, 2) Hessian, hessian[i, a, b] = d_a d_b psi_i.
+    """
+
+    jet: Callable
     param_box: Box
-    jacobian: Callable
-    hessian: Callable
     name: str = "patch"
-
-    def point(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if not self.param_box.contains(p):
-            raise DomainError(f"parameter {p.tolist()} leaves the patch box")
-        return np.asarray(self.psi(p[0], p[1]), dtype=float)
-
-    def dpsi(self, p) -> np.ndarray:
-        return np.asarray(self.jacobian(*np.asarray(p, dtype=float)), dtype=float)
-
-    def d2psi(self, p) -> np.ndarray:
-        return np.asarray(self.hessian(*np.asarray(p, dtype=float)), dtype=float)
 
 
 class ChartMetric:
@@ -200,15 +190,6 @@ class PullbackMetric(ChartMetric):
         image = self.base.record(values.real)
         return PulledPoint(self, m, mirrored(J.swapaxes(-1, -2) @ (image.g @ J)), image, J,
                            mirrored(second.real).swapaxes(-3, -2))
-
-    def matrix(self, m):
-        return self.record(np.asarray(m, dtype=float)).g
-
-    def first_derivatives(self, m):
-        return self.record(np.asarray(m, dtype=float)).dg
-
-    def second_derivatives(self, m):
-        return self.record(np.asarray(m, dtype=float)).d2g
 
 
 # ------------------------------------------------------------ metric point

@@ -13,21 +13,21 @@ so that vertical speeds agree with the speed of the fiber-coordinate curve
 on the unit 2-sphere; the squared norm 1/4 tr(V^T g V g^{-1}) is that of
 the gauged form g^{1/2} V g^{-1/2}, with no square root taken.
 
-Lifts are built over stacks of parameter points (`lift_stack`): the patch
-is evaluated point by point, and the rank test, the chart metric, the
-tangent coordinates, the lift and its checks run once per stack, keeping
-each row's first failure in a failure column; no frame is built. The lift
-is J = -g^{-1} (w + s *w) for the unit tangent 2-form w
-of the patch, taken with its jet along the parameter axes from
-`structures.structure_jets` of the rows d^T g and the patch Hessians, so
-the vertical derivatives, the covariant derivatives of the lift field along
-the chart images d X of parameter-plane directions X, are exact. The
-tangent coordinates come from the Cholesky factor of the induced metric
-d^T g d, the fiber coordinates from that of g, and the curvature densities
-from the unit tangent bivector and its Hodge dual. The readers (lift
-residual, vertical energy, curvature densities, fiber coordinates) take a
-stack and return one value per row. `surface_lift`, the lift at one point,
-is the stack of one.
+Lifts are built over stacks of parameter points (`lift_stack`): the
+patch's jet (the point, its Jacobian and its Hessian) is read once per
+parameter point, and the rank test, the chart metric, the tangent
+coordinates, the lift and its checks run once per stack, keeping each row's
+first failure in a failure column; no frame is built. The lift is
+J = -g^{-1} (w + s *w) for the unit tangent 2-form w of the patch, taken
+with its jet along the parameter axes from `structures.structure_jets` of
+the rows d^T g and the patch Hessians, so the vertical derivatives, the
+covariant derivatives of the lift field along the chart images d X of
+parameter-plane directions X, are exact. The tangent coordinates come from
+the Cholesky factor of the induced metric d^T g d, the fiber coordinates
+from that of g, and the curvature densities from the unit tangent bivector
+and its Hodge dual. The readers (lift residual, vertical energy, curvature
+densities, fiber coordinates) take a stack and return one value per row.
+`surface_lift`, the lift at one point, is the stack of one.
 """
 
 from __future__ import annotations
@@ -126,16 +126,17 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
                orientation: int = 1) -> LiftStack:
     """The lifts at a stack of parameter points, in order, built in one pass.
 
-    The patch, its differential and its Hessian are evaluated one parameter
-    point at a time; every other step runs once over the whole stack: the
-    box and rank tests, the chart metric with its checks and inverse
-    (metric_rows), the tangent coordinates (_tangent_coordinates), the lift
-    J with its jet and the checks of J. No frame is built. These checks
-    exclude the reader failures known; a reader that still fails on a
-    returned stack names its first failing row. Each row equals, bit for
-    bit, what the same steps give for its point alone. A point that fails a
-    step keeps its first failure in a failure column and reads neutral
-    values from then on; the stack raises the first point's failure.
+    The patch's jet, the point with its differential and its Hessian, is
+    read once at each parameter point; every other step runs once over the
+    whole stack: the box and rank tests, the chart metric with its checks
+    and inverse (metric_rows), the tangent coordinates
+    (_tangent_coordinates), the lift J with its jet and the checks of J.
+    No frame is built. These checks exclude the reader failures known; a
+    reader that still fails on a returned stack names its first failing
+    row. Each row equals, bit for bit, what the same steps give for its
+    point alone. A point that fails a step keeps its first failure in a
+    failure column and reads neutral values from then on; the stack raises
+    the first point's failure.
     """
     params = np.array(params, dtype=float).reshape(-1, 2)
     failures = FailureColumn(np.zeros(len(params), dtype=bool))
@@ -144,13 +145,12 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
                     lambda i: f"parameter {params[i].tolist()} leaves the patch box")
     # a parameter point outside the box is taken at its nearest point of the box
     inside = params if inside.all() else np.clip(params, patch.param_box.lo, patch.param_box.hi)
-    # the box test is done: psi is read at the checked or clipped points
-    points = np.array([patch.psi(p[0], p[1]) for p in inside], dtype=float)
-    d = np.array([patch.dpsi(p) for p in inside])
+    # the box test is done: the jet is read once at each checked or clipped point
+    points, d, hessians = (np.array(column, dtype=float)
+                           for column in zip(*(patch.jet(s, t) for s, t in inside)))
     failures.reject(np.linalg.svd(d, compute_uv=False)[:, -1] <= PATCH_RANK_TOL,
                     DegenerateFrameError,
                     lambda i: f"patch differential is rank deficient at {params[i].tolist()}")
-    hessians = np.array([patch.d2psi(p) for p in inside])
     mp = metric_rows(scenario.metric, points, failures)
     mp.dg = failures.neutral(mp.dg, 0.0)
     # the lift and its jet from the rows A = d^T g, whose derivatives

@@ -226,7 +226,7 @@ def test_criterion_7_metamorphic_invariance():
         for k in (0, 1):  # J+ then J-
             dj_pulled = along(at_y.structure_jets[k][1], direction[None])[0]
             dj_base = along(at_x.structure_jets[k][1], dx[None])[0]
-            gs_p, gis_p = spd_sqrt_pair(pulled.metric.matrix(y))
+            gs_p, gis_p = spd_sqrt_pair(pulled.metric.record(y).g)
             gs_b, gis_b = spd_sqrt_pair(base.metric.matrix(x))
             n_pulled = float(np.linalg.norm(gs_p @ dj_pulled @ gis_p))
             n_base = float(np.linalg.norm(gs_b @ dj_base @ gis_b))

@@ -26,29 +26,31 @@ def product_map_scenario(metric=None):
 
 
 def fd_jacobian(scenario, m, h=1e-6):
+    value = scenario.component.eval
     out = np.zeros((2, 4))
     for k in range(4):
         e = np.zeros(4)
         e[k] = h
-        d = (scenario.value(m + e) - scenario.value(m - e)) / (2 * h)
+        d = (value(m + e) - value(m - e)) / (2 * h)
         out[0, k] = d.real
         out[1, k] = d.imag
     return out
 
 
 def fd_hessians(scenario, m, h=1e-4):
+    value = scenario.component.eval
     out = np.zeros((2, 4, 4))
     basis = np.eye(4)
-    f0 = scenario.value(m)
+    f0 = value(m)
     for k in range(4):
-        d = (scenario.value(m + h * basis[k]) - 2 * f0 + scenario.value(m - h * basis[k])) / h ** 2
+        d = (value(m + h * basis[k]) - 2 * f0 + value(m - h * basis[k])) / h ** 2
         out[0, k, k], out[1, k, k] = d.real, d.imag
     for k in range(4):
         for l in range(k + 1, 4):
-            d = (scenario.value(m + h * (basis[k] + basis[l]))
-                 - scenario.value(m + h * (basis[k] - basis[l]))
-                 - scenario.value(m - h * (basis[k] - basis[l]))
-                 + scenario.value(m - h * (basis[k] + basis[l]))) / (4 * h ** 2)
+            d = (value(m + h * (basis[k] + basis[l]))
+                 - value(m + h * (basis[k] - basis[l]))
+                 - value(m - h * (basis[k] - basis[l]))
+                 + value(m - h * (basis[k] + basis[l]))) / (4 * h ** 2)
             out[0, k, l] = out[0, l, k] = d.real
             out[1, k, l] = out[1, l, k] = d.imag
     return out
@@ -59,7 +61,7 @@ def test_holomorphic_component_expansion():
     m = np.array([0.3, -0.7, 1.1, 0.4])
     w1 = complex(m[0], m[1])
     w2 = complex(m[2], m[3])
-    assert sc.value(m) == pytest.approx(w1 * w2, abs=1e-15)
+    assert sc.component.eval(m) == pytest.approx(w1 * w2, abs=1e-15)
 
 
 def test_jacobian_and_hessian_against_fd_oracle():
@@ -76,7 +78,7 @@ def test_real_scenario_components():
     x = [Poly.variable(k) for k in range(4)]
     sc = real_scenario("affine_stretch", x[0], 2.0 * x[1], FlatMetric(Box.cube(1.0)))
     m = np.array([0.2, 0.5, -0.1, 0.9])
-    assert sc.value(m) == pytest.approx(complex(0.2, 1.0), abs=1e-15)
+    assert sc.component.eval(m) == pytest.approx(complex(0.2, 1.0), abs=1e-15)
     assert np.allclose(sc.jacobian(m), [[1, 0, 0, 0], [0, 2, 0, 0]])
 
 
@@ -96,10 +98,10 @@ def test_pullback_scenario_matches_composition():
     for _ in range(4):
         m = rng.uniform(-0.7, 0.7, size=4)
         y = np.array([p.eval(m).real for p in phi])
-        assert sc.value(m) == pytest.approx(base.value(y), abs=1e-14)
+        assert sc.component.eval(m) == pytest.approx(base.component.eval(y), abs=1e-14)
         J = np.array([[phi[i].diff(a).eval(m).real for a in range(4)] for i in range(4)])
         assert np.max(np.abs(sc.jacobian(m) - base.jacobian(y) @ J)) < 1e-13
-        assert np.max(np.abs(sc.metric.matrix(m) - J.T @ base.metric.matrix(y) @ J)) < 1e-13
+        assert np.max(np.abs(sc.metric.record(m).g - J.T @ base.metric.matrix(y) @ J)) < 1e-13
 
 
 def test_normalized_scenario_flat_center_is_identity():
@@ -116,7 +118,7 @@ def test_normalized_scenario_kills_metric_and_christoffel():
     assert not chart.identity
     sc = chart.scenario
     origin = np.zeros(4)
-    assert np.max(np.abs(sc.metric.matrix(origin) - np.eye(4))) < 1e-12
+    assert np.max(np.abs(sc.metric.record(origin).g - np.eye(4))) < 1e-12
     assert np.max(np.abs(christoffel(sc.metric, origin))) < 1e-11
     # the chart map reproduces the center and the inverse metric root
     assert np.allclose(chart.to_original(origin), m0, atol=1e-14)
@@ -124,8 +126,9 @@ def test_normalized_scenario_kills_metric_and_christoffel():
     rng = np.random.default_rng(4)
     for _ in range(4):
         y = rng.uniform(-0.05, 0.05, size=4)
-        assert sc.value(y) == pytest.approx(base.value(chart.to_original(y)), abs=1e-13)
+        assert sc.component.eval(y) == pytest.approx(
+            base.component.eval(chart.to_original(y)), abs=1e-13)
     # metric at the origin being the identity makes lengths match euclidean
     v = np.array([0.3, -0.2, 0.1, 0.4])
-    g0 = sc.metric.matrix(origin)
+    g0 = sc.metric.record(origin).g
     assert v @ g0 @ v == pytest.approx(v @ v, abs=1e-12)

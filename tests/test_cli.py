@@ -318,6 +318,13 @@ def test_seed_changes_fingerprint_workers_do_not(tmp_path):
     (lambda c: c["map"]["coefficients"][0].update(i=7), "degree"),
     (lambda c: c["metric"]["box"].update(hi=[-2.0, 1.5, 1.5, 1.5]), "empty"),
     (lambda c: c["metric"].update(kind="hyperbolic"), "unknown metric kind"),
+    # a block that is not an object, and a boolean orientation
+    (lambda c: c.update(metric=5), "config.metric: expected an object"),
+    (lambda c: c.update(metric="kind"), "config.metric: expected an object"),
+    (lambda c: c.update(map=5), "config.map: expected an object"),
+    (lambda c: c.update(diffeo=5), "config.diffeo: expected an object"),
+    (lambda c: c.update(diffeo="components"), "config.diffeo: expected an object"),
+    (lambda c: c.update(orientation=True), "config.orientation: must be 1 or -1"),
 ])
 def test_malformed_configs_exit_two(tmp_path, capsys, mutate, fragment):
     config = {

@@ -261,7 +261,7 @@ def test_pullback_polynomial_metric_exact_and_invariant():
         m = rng.uniform(-0.4, 0.4, size=4)
         J = np.array([[phi[i].diff(a).eval(m).real for a in range(4)] for i in range(4)])
         y = np.array([phi[i].eval(m).real for i in range(4)])
-        assert np.max(np.abs(pulled.matrix(m) - J.T @ base.matrix(y) @ J)) < 1e-13
+        assert np.max(np.abs(pulled.record(m).g - J.T @ base.matrix(y) @ J)) < 1e-13
         # scalar invariance: sectional curvature of corresponding planes
         u, v = rng.standard_normal(4), rng.standard_normal(4)
         k_pull = pairing(curvature_data(pulled, m), u, v, v, u)

@@ -80,7 +80,7 @@ def test_pair_is_metric_compatible_square_root_of_minus_one(factory):
     sc = factory()
     for m in sample_points(sc, 6, seed=11):
         hp = hermitian_pair(sc, m)
-        g = sc.metric.matrix(m)
+        g = sc.metric.record(m).g
         for J in (field(hp, 0, "j_plus"), field(hp, 0, "j_minus")):
             assert np.allclose(J @ J, -np.eye(4), atol=1e-9)
             assert np.allclose(J.T @ g @ J, g, atol=1e-9)

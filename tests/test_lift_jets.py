@@ -35,8 +35,8 @@ for perm in itertools.permutations(range(4)):
 
 def closed_form_lift(scenario, patch, p, sign):
     """-g^{-1} (w + sign *w) at p, for the unit tangent 2-form w of the patch."""
-    d = patch.dpsi(p)
-    g = scenario.metric.matrix(patch.point(p))
+    m, d, _ = patch.jet(*p)
+    g = scenario.metric.record(m).g
     ginv = np.linalg.inv(g)
     a, b = g @ d[:, 0], g @ d[:, 1]
     w = (np.outer(a, b) - np.outer(b, a)) / np.sqrt(np.linalg.det(d.T @ g @ d))

@@ -239,7 +239,7 @@ def test_splitting_structural_properties(factory, orientation):
         sp = splitting(sc, m)
         horizontal, vertical = field(sp, 0, "horizontal"), field(sp, 0, "vertical")
         dilation = sp.dilation[0]
-        g = sc.metric.matrix(m)
+        g = sc.metric.record(m).g
         jac = sc.jacobian(m)
         # vertical frame spans the kernel and is g-orthonormal
         assert np.max(np.abs(jac @ vertical.T)) < 1e-10
@@ -468,7 +468,8 @@ def written_out_geometry(scenario, m) -> dict:
     elif isinstance(metric, PullbackMetric):
         # the pullback at the one point, which test_polynomials checks
         # against the symbolic and the written-out chain rules
-        g, dg = metric.matrix(m), metric.first_derivatives(m)
+        record = metric.record(m)
+        g, dg = record.g, record.dg
     else:
         g, dg, _ = written_out_metric(metric, m)
     jac, hess = written_out_jets(scenario, m)

@@ -176,10 +176,11 @@ def test_pullback_matches_the_symbolic_reference(name):
     metric = PULLBACK_CHARTS[name]
     reference = symbolic_metric(metric)
     points = chart_points(metric, 6, seed=7)
-    for method in ("matrix", "first_derivatives", "second_derivatives"):
-        got, expected = getattr(metric, method)(points), getattr(reference, method)(points)
+    record, expected_record = metric.record(points), reference.record(points)
+    for key in ("g", "dg", "d2g"):
+        got, expected = getattr(record, key), getattr(expected_record, key)
         assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= SYMBOLIC_TOL, method
+        assert np.max(np.abs(got - expected)) <= SYMBOLIC_TOL, key
 
 
 def written_out_chain_rule(base, phi, m):
@@ -214,10 +215,11 @@ def test_sphere_pullback_equals_the_written_out_chain_rule():
         # the matrix is J^T (G J), made symmetric from its upper triangle
         J = np.array([[p.diff(a).eval(m).real for a in range(4)] for p in SPHERE_DIFFEO])
         product = J.T @ (SPHERE_BASE.matrix(np.array([p.eval(m).real for p in SPHERE_DIFFEO])) @ J)
-        assert np.array_equal(pulled.matrix(m), np.triu(product) + np.triu(product, 1).T)
-        assert np.max(np.abs(pulled.matrix(m) - g)) < 1e-12
-        assert np.max(np.abs(pulled.first_derivatives(m) - dg)) < 1e-12
-        assert np.max(np.abs(pulled.second_derivatives(m) - d2g)) < 1e-12
+        record = pulled.record(m)
+        assert np.array_equal(record.g, np.triu(product) + np.triu(product, 1).T)
+        assert np.max(np.abs(record.g - g)) < 1e-12
+        assert np.max(np.abs(record.dg - dg)) < 1e-12
+        assert np.max(np.abs(record.d2g - d2g)) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(PULLBACK_CHARTS))
@@ -225,10 +227,10 @@ def test_a_pullback_stack_equals_its_points_alone_bitwise(name):
     metric = PULLBACK_CHARTS[name]
     points = chart_points(metric, 5, seed=8)
     stack = metric_point(metric, points)
-    matrices = metric.matrix(points)
+    matrices = metric.record(points).g
     for i, m in enumerate(points):
         alone = metric_point(metric, m)
-        assert matrices[i].tobytes() == metric.matrix(m).tobytes()
+        assert matrices[i].tobytes() == metric.record(m).g.tobytes()
         for key in ("g", "dg", "d2g"):
             assert getattr(stack, key)[i].tobytes() == getattr(alone, key).tobytes(), key
 
@@ -251,7 +253,7 @@ def test_no_polynomial_product_forms_a_pullback(monkeypatch):
     for base, phi in zip(bases, diffeos):
         metric = PullbackMetric(base, phi, Box.cube(0.3))
         assert metric_point(metric, m).gamma.shape == (4, 4, 4)
-        assert metric.second_derivatives(m).shape == (4, 4, 4, 4)
+        assert metric.record(m).d2g.shape == (4, 4, 4, 4)
     assert products == []
 
 

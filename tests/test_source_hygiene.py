@@ -7,7 +7,10 @@ function and class, and every public method and property of a class, is
 used: referenced in the sources outside its own definition, wrapped by the
 benchmark's tracer, or kept on purpose (UNUSED_KEPT); a traced definition
 with no reference is listed with the ROADMAP item that retires it
-(TRACED_ONLY).
+(TRACED_ONLY). Every module-level function and every method, private ones
+included, is entered when the golden battery runs, or is listed with the
+reason it is not (TRACED_ONLY, UNUSED_KEPT and UNREACHED_KEPT): a match by
+bare name cannot tell two definitions of one name apart, a run can.
 Every defaulted parameter of a public module-level function is set by some
 call in the sources. Every module-level constant is read in the sources.
 Every dataclass field and every attribute a method sets on self is read as
@@ -17,12 +20,19 @@ with its own type and message.
 """
 
 import ast
+import contextlib
+import io
 import re
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from morphoscope import cli
+
+from test_golden_fingerprints import BATTERY, run_case
 from test_tracer_targets import TRACER
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "morphoscope").glob("*.py"))
@@ -167,6 +177,77 @@ def test_kept_names_still_exist():
     defined = {name for _, name, _ in public_definitions()}
     defined |= {f"{cls}.{name}" for _, cls, name, _ in public_methods()}
     assert set(UNUSED_KEPT) <= defined
+
+
+# definitions (Class.method for a method) that the golden battery never
+# enters, beyond TRACED_ONLY and UNUSED_KEPT, each for a stated reason
+UNREACHED_KEPT = {
+    "christoffel": "traced; the Christoffel term of covariant_derivative",
+    "ChartMetric.matrix_checked": "traced (ROADMAP item 1 retires it)",
+    "splitting": "tracer-only shim, named like GeometryStack.splitting (ROADMAP item 9)",
+    "tension_norm": "tracer-only shim, named like GeometryStack.tension_norm "
+                    "(ROADMAP item 9)",
+    "central_nodes": "the stencil of covariant_derivative, the tests' Richardson reference",
+    "central_difference": "the stencil of covariant_derivative, the tests' Richardson "
+                          "reference",
+    "ChartMetric.require_inside": "the domain check of covariant_derivative",
+    "NormalChart.to_original": "reached only through isolated_extension (ROADMAP item 5)",
+    "NonIsolatedCriticalError.__init__": "raised only by isolated_extension (ROADMAP item 5)",
+    "_fail": "config's error paths; every config of the battery is valid",
+    "_form": "runs once, when structures is imported",
+    "Poly.__repr__": "a debugging aid; no report prints a polynomial",
+}
+
+
+def all_definitions():
+    """(module, qualified name) of every module-level function and every
+    method of a module-level class, private ones included."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield path.stem, node.name
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        yield path.stem, f"{node.name}.{sub.name}"
+
+
+def entered_by_the_battery() -> set:
+    """(module, qualified name) of every package function that a run of the
+    golden battery, in this process, enters."""
+    root = str(SOURCES[0].parent)
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(root):
+            entered.add((Path(code.co_filename).stem, code.co_qualname))
+
+    # a parser built by an earlier test would hide the parser's builder
+    cli._parser.cache_clear()
+    previous = sys.getprofile(), threading.getprofile()
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for case in sorted(BATTERY):
+                run_case(*BATTERY[case])
+    finally:
+        sys.setprofile(previous[0])
+        threading.setprofile(previous[1])
+    return entered
+
+
+def test_every_definition_is_reached_by_the_battery():
+    kept = set(TRACED_ONLY) | set(UNUSED_KEPT) | set(UNREACHED_KEPT)
+    entered = entered_by_the_battery()
+    unreached = [f"{module}.{name}" for module, name in all_definitions()
+                 if (module, name) not in entered and name not in kept]
+    assert unreached == []
+    # and every name listed for it is still defined and still unreached
+    defined = {name for _, name in all_definitions()}
+    assert set(UNREACHED_KEPT) <= defined
+    assert not {name for _, name in entered} & set(UNREACHED_KEPT)
 
 
 # defaulted parameters no source call sets, each kept for a stated reason

@@ -46,118 +46,95 @@ def flat_scenario(half=3.0):
     return holomorphic_scenario("flat", {(1, 0): 1.0}, FlatMetric(Box.cube(half)))
 
 
-def flat_hessian(s, t):
-    return np.zeros((4, 2, 2))
+def flat_jet(psi, jacobian):
+    """The jet of a patch with a vanishing Hessian, from psi(s, t) and
+    jacobian(s, t)."""
+    return lambda s, t: (psi(s, t), jacobian(s, t), np.zeros((4, 2, 2)))
 
 
 def plane_patch():
-    return SurfacePatch(
-        psi=lambda s, t: np.array([s, t, 0.0, 0.0]),
-        param_box=Box((-1.0, -1.0), (1.0, 1.0)),
-        jacobian=lambda s, t: np.array([[1.0, 0.0], [0.0, 1.0],
-                                        [0.0, 0.0], [0.0, 0.0]]),
-        hessian=flat_hessian, name="plane")
+    return SurfacePatch(flat_jet(lambda s, t: np.array([s, t, 0.0, 0.0]),
+                                 lambda s, t: np.array([[1.0, 0.0], [0.0, 1.0],
+                                                        [0.0, 0.0], [0.0, 0.0]])),
+                        Box((-1.0, -1.0), (1.0, 1.0)), "plane")
 
 
 def reciprocal_patch():
-    def psi(s, t):
+    def jet(s, t):
         w = 1.0 / complex(s, t)
-        return np.array([s, t, w.real, w.imag])
-
-    def jac(s, t):
         dw = -1.0 / complex(s, t) ** 2
-        return np.array([[1.0, 0.0], [0.0, 1.0],
-                         [dw.real, -dw.imag], [dw.imag, dw.real]])
-
-    def hessian(s, t):
         d2w = 2.0 / complex(s, t) ** 3
-        return np.array([np.zeros((2, 2)), np.zeros((2, 2)),
-                         [[d2w.real, -d2w.imag], [-d2w.imag, -d2w.real]],
-                         [[d2w.imag, d2w.real], [d2w.real, -d2w.imag]]])
+        return (np.array([s, t, w.real, w.imag]),
+                np.array([[1.0, 0.0], [0.0, 1.0], [dw.real, -dw.imag], [dw.imag, dw.real]]),
+                np.array([np.zeros((2, 2)), np.zeros((2, 2)),
+                          [[d2w.real, -d2w.imag], [-d2w.imag, -d2w.real]],
+                          [[d2w.imag, d2w.real], [d2w.real, -d2w.imag]]]))
 
-    return SurfacePatch(psi=psi, param_box=Box((0.5, -0.8), (2.0, 0.8)),
-                        jacobian=jac, hessian=hessian, name="reciprocal")
+    return SurfacePatch(jet, Box((0.5, -0.8), (2.0, 0.8)), "reciprocal")
 
 
 def catenoid_patch():
-    def psi(u, v):
-        return np.array([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), u, 0.0])
-
-    def jac(u, v):
-        return np.column_stack([
-            [np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), 1.0, 0.0],
-            [-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), 0.0, 0.0]])
-
-    def hessian(u, v):
+    def jet(u, v):
         cc, cs = np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v)
         sc, ss = np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v)
-        return np.array([[[cc, -ss], [-ss, -cc]], [[cs, sc], [sc, -cs]],
-                         np.zeros((2, 2)), np.zeros((2, 2))])
+        return (np.array([cc, cs, u, 0.0]),
+                np.column_stack([[sc, ss, 1.0, 0.0], [-cs, cc, 0.0, 0.0]]),
+                np.array([[[cc, -ss], [-ss, -cc]], [[cs, sc], [sc, -cs]],
+                          np.zeros((2, 2)), np.zeros((2, 2))]))
 
-    return SurfacePatch(psi=psi, param_box=Box((-0.6, -0.6), (0.6, 0.6)),
-                        jacobian=jac, hessian=hessian, name="catenoid")
+    return SurfacePatch(jet, Box((-0.6, -0.6), (0.6, 0.6)), "catenoid")
 
 
 def bowl_patch():
     # graph of f(s, t) = (s^2 + t^2) / 2 over the first complex axis; the
     # minimal graph equation (1+f_t^2) f_ss - 2 f_s f_t f_st + (1+f_s^2) f_tt
     # evaluates to 2 + s^2 + t^2, so the surface is nowhere minimal
-    def psi(s, t):
-        return np.array([s, t, 0.5 * (s * s + t * t), 0.0])
+    def jet(s, t):
+        return (np.array([s, t, 0.5 * (s * s + t * t), 0.0]),
+                np.array([[1.0, 0.0], [0.0, 1.0], [s, t], [0.0, 0.0]]),
+                np.array([np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))]))
 
-    def jac(s, t):
-        return np.array([[1.0, 0.0], [0.0, 1.0], [s, t], [0.0, 0.0]])
-
-    def hessian(s, t):
-        return np.array([np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))])
-
-    return SurfacePatch(psi=psi, param_box=Box((-1.0, -1.0), (1.0, 1.0)),
-                        jacobian=jac, hessian=hessian, name="bowl")
+    return SurfacePatch(jet, Box((-1.0, -1.0), (1.0, 1.0)), "bowl")
 
 
 def quadratic_patch():
     """A quadratic graph over the first complex axis, curved in both normal
     directions."""
-    def psi(s, t):
-        return np.array([s, t, 0.1 * s * s - 0.05 * t, 0.2 * t * t + 0.1 * s])
+    def jet(s, t):
+        return (np.array([s, t, 0.1 * s * s - 0.05 * t, 0.2 * t * t + 0.1 * s]),
+                np.array([[1.0, 0.0], [0.0, 1.0], [0.2 * s, -0.05], [0.1, 0.4 * t]]),
+                np.array([np.zeros((2, 2)), np.zeros((2, 2)),
+                          np.diag([0.2, 0.0]), np.diag([0.0, 0.4])]))
 
-    def jac(s, t):
-        return np.array([[1.0, 0.0], [0.0, 1.0],
-                         [0.2 * s, -0.05], [0.1, 0.4 * t]])
-
-    def hessian(s, t):
-        return np.array([np.zeros((2, 2)), np.zeros((2, 2)),
-                         np.diag([0.2, 0.0]), np.diag([0.0, 0.4])])
-
-    return SurfacePatch(psi=psi, param_box=Box((-0.4, -0.4), (0.4, 0.4)),
-                        jacobian=jac, hessian=hessian, name="quadratic")
+    return SurfacePatch(jet, Box((-0.4, -0.4), (0.4, 0.4)), "quadratic")
 
 
 def pulled_back_patch(patch, components):
     """Phi o psi for the polynomial map Phi with the given components, its
-    Jacobian and Hessian by the chain rule."""
+    Jacobian and Hessian by the chain rule from the jet of psi."""
     d1 = [[c.diff(k) for k in range(4)] for c in components]
     d2 = [[[p.diff(l) for l in range(4)] for p in row] for row in d1]
 
-    def phi(y):
-        return np.array([c.eval(y).real for c in components])
+    def jet(s, t):
+        y, dy, d2y = patch.jet(s, t)
+        dphi = np.array([[p.eval(y).real for p in row] for row in d1])
+        d2phi = np.array([[[p.eval(y).real for p in col] for col in row] for row in d2])
+        return (np.array([c.eval(y).real for c in components]), dphi @ dy,
+                np.einsum("ikl,ka,lb->iab", d2phi, dy, dy) + np.einsum("ik,kab->iab", dphi, d2y))
 
-    def dphi(y):
-        return np.array([[p.eval(y).real for p in row] for row in d1])
+    return SurfacePatch(jet, patch.param_box, f"{patch.name}-pulled-back")
 
-    def d2phi(y):
-        return np.array([[[p.eval(y).real for p in col] for col in row] for row in d2])
 
-    def jac(s, t):
-        return dphi(patch.psi(s, t)) @ patch.jacobian(s, t)
+def count_jets(monkeypatch, patch) -> list:
+    """The parameter points at which the patch's jet is read, one per call."""
+    calls, jet = [], patch.jet
 
-    def hessian(s, t):
-        y, dy = patch.psi(s, t), patch.jacobian(s, t)
-        return (np.einsum("ikl,ka,lb->iab", d2phi(y), dy, dy)
-                + np.einsum("ik,kab->iab", dphi(y), patch.hessian(s, t)))
+    def counted(s, t):
+        calls.append((s, t))
+        return jet(s, t)
 
-    return SurfacePatch(psi=lambda s, t: phi(patch.psi(s, t)), param_box=patch.param_box,
-                        jacobian=jac, hessian=hessian, name=f"{patch.name}-pulled-back")
+    monkeypatch.setattr(patch, "jet", counted)
+    return calls
 
 
 # ------------------------------------------------------- fiber coordinates
@@ -280,13 +257,10 @@ def test_antipody_under_parameter_swap():
     patch = reciprocal_patch()
 
     def swapped(s, t):
-        return patch.point((t, s))
+        psi, d, hessian = patch.jet(t, s)
+        return psi, d[:, ::-1], hessian[:, ::-1, ::-1]
 
-    patch_swapped = SurfacePatch(psi=swapped,
-                                 param_box=Box((-0.8, 0.5), (0.8, 2.0)),
-                                 jacobian=lambda s, t: patch.dpsi((t, s))[:, ::-1],
-                                 hessian=lambda s, t: patch.d2psi((t, s))[:, ::-1, ::-1],
-                                 name="reciprocal-swapped")
+    patch_swapped = SurfacePatch(swapped, Box((-0.8, 0.5), (0.8, 2.0)), "reciprocal-swapped")
     a = lift_stack(sc, patch, [(1.1, 0.2)], orientation=1).fiber
     b = lift_stack(sc, patch_swapped, [(0.2, 1.1)], orientation=1).fiber
     assert np.linalg.norm(a + b) < 1e-10
@@ -298,13 +272,11 @@ def test_antipody_under_parameter_swap():
 def test_curvature_densities_product_metric():
     box = Box((0.35, -3.0, -1.0, -1.0), (np.pi - 0.35, 3.0, 1.0, 1.0))
     sphere_patch = SurfacePatch(
-        psi=lambda s, t: np.array([s, t, 0.1, -0.2]),
-        param_box=Box((0.5, -0.5), (1.5, 0.5)),
-        jacobian=lambda s, t: np.eye(4, 2), hessian=flat_hessian, name="sphere-factor")
+        flat_jet(lambda s, t: np.array([s, t, 0.1, -0.2]), lambda s, t: np.eye(4, 2)),
+        Box((0.5, -0.5), (1.5, 0.5)), "sphere-factor")
     flat_patch = SurfacePatch(
-        psi=lambda s, t: np.array([np.pi / 3, 0.2, s, t]),
-        param_box=Box((-0.5, -0.5), (0.5, 0.5)),
-        jacobian=lambda s, t: np.eye(4, 2, -2), hessian=flat_hessian, name="flat-factor")
+        flat_jet(lambda s, t: np.array([np.pi / 3, 0.2, s, t]), lambda s, t: np.eye(4, 2, -2)),
+        Box((-0.5, -0.5), (0.5, 0.5)), "flat-factor")
     for radius in (1.0, 2.0):
         sc = holomorphic_scenario(
             "ps", {(1, 0): 1.0}, ProductSphereMetric(radius, box))
@@ -318,18 +290,13 @@ def test_curvature_densities_product_metric():
 def tilted_patch():
     """A patch on the product sphere chart that mixes the sphere and flat
     factors, so its normal curvature density is far from zero."""
-    def psi(s, t):
-        return np.array([1.0 + s + 0.2 * t * t, 0.2 + 0.5 * t, 0.3 * s, t - 0.1 * s * s])
+    def jet(s, t):
+        return (np.array([1.0 + s + 0.2 * t * t, 0.2 + 0.5 * t, 0.3 * s, t - 0.1 * s * s]),
+                np.array([[1.0, 0.4 * t], [0.0, 0.5], [0.3, 0.0], [-0.2 * s, 1.0]]),
+                np.array([np.diag([0.0, 0.4]), np.zeros((2, 2)), np.zeros((2, 2)),
+                          np.diag([-0.2, 0.0])]))
 
-    def jac(s, t):
-        return np.array([[1.0, 0.4 * t], [0.0, 0.5], [0.3, 0.0], [-0.2 * s, 1.0]])
-
-    def hessian(s, t):
-        return np.array([np.diag([0.0, 0.4]), np.zeros((2, 2)), np.zeros((2, 2)),
-                         np.diag([-0.2, 0.0])])
-
-    return SurfacePatch(psi=psi, param_box=Box((-0.3, -0.3), (0.3, 0.3)), jacobian=jac,
-                        hessian=hessian, name="tilted")
+    return SurfacePatch(jet, Box((-0.3, -0.3), (0.3, 0.3)), "tilted")
 
 
 @pytest.mark.parametrize("tag", [1, -1])
@@ -405,11 +372,9 @@ def test_energy_and_residual_invariant_under_chart_isometry():
 def test_rank_deficient_patch_rejected():
     sc = flat_scenario()
     patch = SurfacePatch(
-        psi=lambda s, t: np.array([s, s, 0.0, 0.0]),
-        param_box=Box((-1.0, -1.0), (1.0, 1.0)),
-        jacobian=lambda s, t: np.array([[1.0, 1.0], [1.0, 1.0],
-                                        [0.0, 0.0], [0.0, 0.0]]),
-        hessian=flat_hessian)
+        flat_jet(lambda s, t: np.array([s, s, 0.0, 0.0]),
+                 lambda s, t: np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])),
+        Box((-1.0, -1.0), (1.0, 1.0)))
     with pytest.raises(DegenerateFrameError):
         surface_lift(sc, patch, (0.1, 0.1))
 
@@ -426,12 +391,6 @@ def test_rejected_chart_metric_names_the_point(bad):
         lift_stack(sc, plane_patch(), [(0.25, -0.5)])
 
 
-def test_parameter_box_guard():
-    patch = plane_patch()
-    with pytest.raises(DomainError):
-        patch.point((1.5, 0.0))
-
-
 def test_finite_difference_jacobian_agrees_with_exact():
     # every patch carries a hand-written Jacobian, which must be the
     # derivative of its psi: a Richardson difference of psi agrees with it
@@ -444,9 +403,9 @@ def test_finite_difference_jacobian_agrees_with_exact():
         for p in points:
             fd = np.column_stack([
                 geometry.central_difference(
-                    [patch.point(q) for q in geometry.central_nodes(p, e, h)], h)
+                    [patch.jet(*q)[0] for q in geometry.central_nodes(p, e, h)], h)
                 for e in np.eye(2)])
-            assert np.max(np.abs(patch.dpsi(p) - fd)) < 1e-9, patch.name
+            assert np.max(np.abs(patch.jet(*p)[1] - fd)) < 1e-9, patch.name
 
 
 def hessian_cases():
@@ -474,9 +433,9 @@ def test_patch_hessians_agree_with_differences_of_the_jacobian():
         for p in points:
             fd = np.stack([
                 geometry.central_difference(
-                    [patch.dpsi(q) for q in geometry.central_nodes(p, e, h)], h)
+                    [patch.jet(*q)[1] for q in geometry.central_nodes(p, e, h)], h)
                 for e in np.eye(2)], axis=-1)
-            hessian = patch.d2psi(p)
+            hessian = patch.jet(*p)[2]
             assert hessian.shape == (4, 2, 2)
             assert np.array_equal(hessian, hessian.swapaxes(-1, -2)), patch.name
             assert np.max(np.abs(hessian - fd)) < 1e-9, patch.name
@@ -487,18 +446,18 @@ def test_patch_hessians_agree_with_differences_of_the_jacobian():
 
 class OracleLift:
     """The steps of a lift at one parameter point, written out point by
-    point: the patch, its rank test and Hessian, the metric, the adapted
+    point: the box test, the patch's jet, its rank test, the metric, the adapted
     frame by the scalar Gram-Schmidt, its orientation, and the frame-built
     lift B K B^{-1}, which the closed-form lift equals to rounding."""
 
     def __init__(self, scenario, patch, p, orientation=1):
-        m = patch.point(p)
-        d = patch.dpsi(p)
+        p = np.asarray(p, dtype=float)
+        if not patch.param_box.contains(p):
+            raise DomainError(f"parameter {p.tolist()} leaves the patch box")
+        m, d, _ = patch.jet(*p)
         sv = np.linalg.svd(d, compute_uv=False)
         if sv[-1] <= tw.PATCH_RANK_TOL:
-            raise DegenerateFrameError(
-                f"patch differential is rank deficient at {np.asarray(p).tolist()}")
-        patch.d2psi(p)
+            raise DegenerateFrameError(f"patch differential is rank deficient at {p.tolist()}")
         mp = geometry.metric_point(scenario.metric, m)
         with geometry.named_at(mp.point):
             frame = geometry.orthonormalize(mp.g, [d[:, 0], d[:, 1]], complete=True)
@@ -668,9 +627,8 @@ def flat_plane(rank_deficient_beyond=np.inf):
         return np.array([[1.0, 0.0], [0.0, float(s <= rank_deficient_beyond)],
                          [0.0, 0.0], [0.0, 0.0]])
 
-    return SurfacePatch(psi=lambda s, t: np.array([s, t, 0.0, 0.0]),
-                        param_box=Box((-1.0, -1.0), (1.0, 1.0)), jacobian=jac,
-                        hessian=flat_hessian)
+    return SurfacePatch(flat_jet(lambda s, t: np.array([s, t, 0.0, 0.0]), jac),
+                        Box((-1.0, -1.0), (1.0, 1.0)))
 
 
 def sheared_plane(at, rank_deficient_at=None):
@@ -684,9 +642,8 @@ def sheared_plane(at, rank_deficient_at=None):
             return np.array([[2.0 ** 30, 2.0 ** 30], [0.0, 2.0 ** -20], [0.0, 0.0], [0.0, 0.0]])
         return np.eye(4, 2) * [1.0, float((s, t) != rank_deficient_at)]
 
-    return SurfacePatch(psi=lambda s, t: np.array([s, t, 0.0, 0.0]),
-                        param_box=Box((-1.0, -1.0), (1.0, 1.0)), jacobian=jac,
-                        hessian=flat_hessian, name="plane")
+    return SurfacePatch(flat_jet(lambda s, t: np.array([s, t, 0.0, 0.0]), jac),
+                        Box((-1.0, -1.0), (1.0, 1.0)), "plane")
 
 
 def test_a_point_at_the_edge_of_the_box_or_of_the_rank_is_lifted():
@@ -739,13 +696,12 @@ def test_an_error_of_another_type_propagates_unchanged():
     sc = flat_scenario()
     plane = flat_plane(rank_deficient_beyond=0.6)
 
-    def psi(s, t):
+    def jet(s, t):
         if s > 0.8:
             raise ValueError(f"psi undefined at s = {s}")
-        return plane.psi(s, t)
+        return plane.jet(s, t)
 
-    patch = SurfacePatch(psi=psi, param_box=plane.param_box, jacobian=plane.jacobian,
-                         hessian=plane.hessian)
+    patch = SurfacePatch(jet, plane.param_box)
     params = [np.array([0.1, 0.0]), np.array([0.7, 0.0]), np.array([0.9, 0.0])]
     assert raised(oracle_loop, sc, patch, params) == (
         DegenerateFrameError, "patch differential is rank deficient at [0.7, 0.0]")
@@ -759,16 +715,16 @@ def test_an_error_of_another_type_propagates_unchanged():
                          ids=["rank", "box"])
 def test_a_failing_lift_stack_is_passed_once(monkeypatch, bad, error):
     # the bad middle row keeps its failure in the column and the stack is
-    # not passed again: one chart metric for the stack, and the patch
-    # differential once per row
+    # not passed again: one chart metric for the stack, and the patch's jet
+    # once per row
     sc = flat_scenario()
     patch = flat_plane(rank_deficient_beyond=0.6)
     params = [np.array([0.1, -0.2]), np.array(bad), np.array([0.2, -0.2])]
     metrics = count_calls(monkeypatch, tw, "metric_rows")
-    dpsi = count_calls(monkeypatch, SurfacePatch, "dpsi")
+    jets = count_jets(monkeypatch, patch)
     assert raised(lift_stack, sc, patch, params)[0] is error
     assert len(metrics) == 1
-    assert len(dpsi) == len(params)
+    assert len(jets) == len(params)
 
 
 def test_a_degenerate_induced_metric_mid_stack_exits_two(tmp_path, monkeypatch, capsys):
@@ -783,7 +739,7 @@ def test_a_degenerate_induced_metric_mid_stack_exits_two(tmp_path, monkeypatch, 
     assert expected == (DegenerateFrameError, "induced metric is numerically degenerate "
                         f"at {[*middle, 0.0, 0.0]}")
     assert raised(lift_stack, sc, patch, grid) == expected
-    monkeypatch.setitem(CATALOG_PATCHES["plane"], "factory", lambda: patch)
+    monkeypatch.setitem(CATALOG_PATCHES["plane"], "patch", patch)
     assert main(twistor_command(tmp_path, "plane")) == 2
     assert capsys.readouterr().err == f"error: DegenerateFrameError: {expected[1]}\n"
     assert not list(tmp_path.glob("*.csv"))
@@ -812,16 +768,15 @@ def test_lift_geometry_call_budget(tmp_path, monkeypatch, metric_calls, patch_na
     argv = twistor_command(tmp_path, patch_name)
     stacks = count_calls(monkeypatch, tw, "lift_stack")
     lifts = count_calls(monkeypatch, tw, "surface_lift")
-    dpsi = count_calls(monkeypatch, SurfacePatch, "dpsi")
-    d2psi = count_calls(monkeypatch, SurfacePatch, "d2psi")
+    jets = count_jets(monkeypatch, CATALOG_PATCHES[patch_name]["patch"])
     logs = {name: [count_calls(monkeypatch, cls, name)
                    for cls in metric_classes() if name in vars(cls)]
             for name in METRIC_EVALUATIONS}
     assert main(argv) == 0
     assert (len(stacks), len(lifts)) == (1, 0)
     assert len(stacks[0][2]) == GRID_POINTS
-    # the patch callables take one parameter point at a time
-    assert (len(dpsi), len(d2psi)) == (GRID_POINTS, GRID_POINTS)
+    # the patch's jet is read once at each parameter point
+    assert len(jets) == GRID_POINTS
     calls = {name: sum(map(len, log)) for name, log in logs.items()}
     assert calls == {"matrix": 1, "first_derivatives": 1, "second_derivatives": 1}, calls
     points = {k: len(log) for k, log in metric_calls.items()}
@@ -877,13 +832,13 @@ class Homothetic(ChartMetric):
         self.base, self.c = base, c
 
     def matrix(self, m):
-        return self.c * self.base.matrix(m)
+        return self.c * self.base.record(m).g
 
     def first_derivatives(self, m):
-        return self.c * self.base.first_derivatives(m)
+        return self.c * self.base.record(m).dg
 
     def second_derivatives(self, m):
-        return self.c * self.base.second_derivatives(m)
+        return self.c * self.base.record(m).d2g
 
 
 @pytest.mark.parametrize("tag", [1, -1])
