@@ -188,7 +188,8 @@ class PullbackMetric(ChartMetric):
         values, J, second = evaluate_orders(self.diffeo, m, range(3))
         J = np.ascontiguousarray(J.real)
         image = self.base.record(values.real)
-        return PulledPoint(self, m, mirrored(J.swapaxes(-1, -2) @ (image.g @ J)), image, J,
+        GJ = image.g @ J
+        return PulledPoint(self, m, mirrored(J.swapaxes(-1, -2) @ GJ), image, J, GJ,
                            mirrored(second.real).swapaxes(-3, -2))
 
 
@@ -272,27 +273,27 @@ class PulledPoint(MetricPoint):
 
     image: MetricPoint = None   # the base's record at Phi(point)
     jac: np.ndarray = None      # jac[..., i, a] = d_a Phi_i
+    gj: np.ndarray = None       # G J, the image metric times jac
     hess: np.ndarray = None     # hess[..., c, i, a] = d_c d_a Phi_i
 
     @cached_property
-    def _jets(self) -> tuple:
-        """(G J, D): D[..., c] = d_c (G o Phi)."""
+    def _dG(self) -> np.ndarray:
+        """D[..., c] = d_c (G o Phi)."""
         J, dG = self.jac, self.image.dg
-        D = (J.swapaxes(-1, -2) @ dG.reshape(J.shape[:-2] + (4, 16))).reshape(dG.shape)
-        return self.image.g @ J, D
+        return (J.swapaxes(-1, -2) @ dG.reshape(J.shape[:-2] + (4, 16))).reshape(dG.shape)
 
     @cached_property
     def dg(self) -> np.ndarray:
         # d_c g = M_c + M_c^T + J^T D_c J with M_c = H_c^T G J
-        (GJ, D), H, J = self._jets, self.hess, self.jac[..., None, :, :]
-        M = H.swapaxes(-1, -2) @ GJ[..., None, :, :]
+        D, H, J = self._dG, self.hess, self.jac[..., None, :, :]
+        M = H.swapaxes(-1, -2) @ self.gj[..., None, :, :]
         return mirrored(M + M.swapaxes(-1, -2) + J.swapaxes(-1, -2) @ (D @ J))
 
     @cached_property
     def d2g(self) -> np.ndarray:
         # d_c d_d g = N + N^T + J^T D_cd J with D_cd = d_c d_d (G o Phi), N =
         # T_cd^T G J + H_c^T (G H_d + D_d J) + H_d^T D_c J and T_cd = d_c d_d dPhi
-        (GJ, D), H = self._jets, self.hess
+        D, H = self._dG, self.hess
         G, dG, d2G = self.image.g, self.image.dg, self.image.d2g
         shape, J = self.jac.shape[:-2], self.jac[..., None, :, :]
         JT, HT = J.swapaxes(-1, -2), H.swapaxes(-1, -2)[..., :, None, :, :]
@@ -300,7 +301,7 @@ class PulledPoint(MetricPoint):
         N = HT @ (G[..., None, :, :] @ H)[..., None, :, :, :] + P + P.swapaxes(-3, -4)
         # T[..., i, c, a, b] = d_c d_a d_b Phi_i, read from a <= b
         T = mirrored(np.moveaxis(evaluate(self.metric.diffeo, self.point, 3).real, -1, -3))
-        N += np.moveaxis(T, -4, -1) @ GJ[..., None, None, :, :]
+        N += np.moveaxis(T, -4, -1) @ self.gj[..., None, None, :, :]
         Dcd = (JT @ (JT[..., 0, :, :] @ d2G.reshape(shape + (4, 64))).reshape(shape + (4, 4, 16))
                + H.swapaxes(-1, -2) @ dG.reshape(shape + (1, 4, 16))).reshape(d2G.shape)
         return mirrored(N + N.swapaxes(-1, -2) + JT[..., None, :, :] @ Dcd @ J[..., None, :, :])

@@ -42,16 +42,15 @@ def pseudo_holomorphy_residual(jac: np.ndarray, J: np.ndarray) -> float:
 def reference_field(data: SymbolData, orientation: int) -> SymbolCandidate:
     """The symbol's constant reference structure for the requested orientation.
 
-    Raises SymbolError when the leading symbol admits no compatible structure
-    of that orientation. If several exist the one with the smallest residual
-    (ties broken by fiber coordinates) is chosen deterministically.
+    A nonconstant symbol admits at most one compatible structure per
+    orientation, so this is the symbol's only candidate of that orientation.
+    Raises SymbolError when the leading symbol admits none.
     """
-    matches = [c for c in data.candidates if c.orientation == orientation]
-    if not matches:
-        raise SymbolError(
-            f"leading symbol admits no compatible structure with orientation {orientation:+d}")
-    matches.sort(key=lambda c: (c.residual, tuple(np.round(c.fiber, 12))))
-    return matches[0]
+    for cand in data.candidates:
+        if cand.orientation == orientation:
+            return cand
+    raise SymbolError(
+        f"leading symbol admits no compatible structure with orientation {orientation:+d}")
 
 
 # ------------------------------------------------------------------ rates
@@ -105,12 +104,11 @@ def _regular_rays(sample: CenterSample):
 class DeviationRates:
     """Decay of the structure deviation and of the reference metric defects."""
 
-    radii: tuple
     deviation_fit: RateFit
     metric_orth_fit: RateFit
     metric_skew_fit: RateFit
     substitutions: tuple
-    verdict: str
+    passed: bool
 
 
 def structure_deviation_rate(sample: CenterSample, orientation: int = 1) -> DeviationRates:
@@ -146,19 +144,17 @@ def structure_deviation_rate(sample: CenterSample, orientation: int = 1) -> Devi
     ok = (deviation_fit.meets_lower_slope(0.9)
           and orth_fit.meets_lower_slope(1.9)
           and skew_fit.meets_lower_slope(1.9))
-    return DeviationRates(radii=radii, deviation_fit=deviation_fit,
-                          metric_orth_fit=orth_fit, metric_skew_fit=skew_fit,
-                          substitutions=subs, verdict="PASS" if ok else "FAIL")
+    return DeviationRates(deviation_fit=deviation_fit, metric_orth_fit=orth_fit,
+                          metric_skew_fit=skew_fit, substitutions=subs, passed=ok)
 
 
 @dataclass
 class IsolatedExtension:
-    """Shell sups of the structure deviation around an isolated center."""
+    """Shell sups of the structure deviation around an isolated center,
+    held as the values of their fit."""
 
-    radii: tuple
-    sups: tuple
     fit: RateFit
-    verdict: str
+    passed: bool
 
 
 def isolated_extension(sample: CenterSample, orientation: int = 1) -> IsolatedExtension:
@@ -185,5 +181,4 @@ def isolated_extension(sample: CenterSample, orientation: int = 1) -> IsolatedEx
     fit = fit_rate(sample.radii, sups)
     monotone = all(sups[i + 1] <= sups[i] * 1.05 for i in range(len(sups) - 1))
     ok = fit.zero_branch or (fit.meets_lower_slope(0.9) and monotone)
-    return IsolatedExtension(radii=sample.radii, sups=tuple(sups), fit=fit,
-                             verdict="PASS" if ok else "FAIL")
+    return IsolatedExtension(fit=fit, passed=ok)

@@ -195,15 +195,6 @@ class Poly:
     def chop(self, tol: float) -> "Poly":
         return Poly({e: c for e, c in self.coeffs.items() if abs(c) > tol})
 
-    def __repr__(self) -> str:  # debugging aid only
-        if not self.coeffs:
-            return "Poly(0)"
-        parts = []
-        for e, c in sorted(self.coeffs.items()):
-            mono = "".join(f"x{k + 1}^{e[k]}" for k in range(NVARS) if e[k])
-            parts.append(f"({c:.6g}){mono or ''}")
-        return "Poly(" + " + ".join(parts) + ")"
-
 
 class Jet(tuple):
     """A family of polynomials and its derivatives of a range of orders, the

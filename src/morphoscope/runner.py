@@ -199,17 +199,17 @@ def run_rate(config: ScenarioConfig, scenario: MorphismScenario,
             "excluded_directions": dilation.excluded_directions,
         })
         checks.extend([
-            check(f"structure_deviation[{idx}]", deviation.verdict == "PASS",
+            check(f"structure_deviation[{idx}]", deviation.passed,
                   slope=deviation.deviation_fit.slope,
                   zero_branch=deviation.deviation_fit.zero_branch,
                   orth_slope=deviation.metric_orth_fit.slope,
                   skew_slope=deviation.metric_skew_fit.slope,
                   **({"orientation": orientation} if orientation != 1 else {})),
-            check(f"remainder_decay[{idx}]", remainder.verdict == "PASS",
+            check(f"remainder_decay[{idx}]", remainder.passed,
                   order=sample.symbol.order,
                   value_slope=remainder.value_fit.slope,
                   differential_slope=remainder.differential_fit.slope),
-            check(f"dilation_lower[{idx}]", dilation.verdict == "PASS",
+            check(f"dilation_lower[{idx}]", dilation.passed,
                   slope=dilation.fit.slope,
                   envelope_constant=dilation.envelope_constant),
         ])
@@ -289,7 +289,7 @@ def run_weingarten_scan(config: ScenarioConfig, scenario: MorphismScenario,
     # with no certified sample the identity gap is never measured
     unmeasured = empty if len(scan.empty) == len(scan.radii) else {}
     checks = [
-        check("product_bounded", scan.verdict == "PASS",
+        check("product_bounded", scan.passed,
               plateau=scan.plateau, bound=scan.bound,
               worst_annulus=max(scan.annulus_max), **empty),
         check("product_identity",

@@ -171,10 +171,12 @@ def symbol_polynomial(scenario: MorphismScenario, m0) -> SymbolData:
     """Extract the leading symbol and its compatible constant structures.
 
     Per orientation the holomorphy system of the symbol is solved on the
-    sphere of fiber coordinates, a second solution is sought along a
-    one-dimensional null space of R, and each solution is certified by the
-    two conjugate Wirtinger derivatives of the symbol in its adapted frame;
-    the holomorphic coefficients are derived only when read.
+    sphere of fiber coordinates. Its matrix R has orthogonal columns of one
+    length, so the system has at most one solution: two structures of one
+    orientation differ by an invertible matrix, and a symbol holomorphic for
+    both would be constant. The minimiser is certified by the two conjugate
+    Wirtinger derivatives of the symbol in its adapted frame; the
+    holomorphic coefficients are derived only when read.
     """
     m0 = np.asarray(m0, dtype=float)
     chart = normalized_scenario(scenario, m0)
@@ -197,29 +199,10 @@ def symbol_polynomial(scenario: MorphismScenario, m0) -> SymbolData:
         u, res = minimize_affine_on_sphere(rho0, R)
         if res > CANDIDATE_RESIDUAL_REL * max(scale, 1e-300):
             continue
-        sols = [u]
-        # a rank-deficient system may admit a second sphere solution along
-        # the null direction of R; a larger null space means a continuum
-        sv = np.linalg.svd(R, compute_uv=False)
-        null_dim = int(np.sum(sv < 1e-10 * max(sv[0], 1e-300)))
-        if null_dim >= 2:
-            raise SymbolError("continuum of compatible structures for the symbol")
-        if null_dim == 1:
-            _, _, vt = np.linalg.svd(R)
-            w = vt[-1]
-            shift = -2.0 * float(u @ w)
-            if abs(shift) > 1e-8:
-                u2 = u + shift * w
-                u2 /= np.linalg.norm(u2)
-                res2 = float(np.linalg.norm(rho0 + R @ u2))
-                if res2 <= CANDIDATE_RESIDUAL_REL * max(scale, 1e-300):
-                    sols.append(u2)
-        for usol in sols:
-            J = sum(usol[a] * basis[a] for a in range(3))
-            cand = _certify_candidate(P0, J, orientation, k, usol,
-                                      res / max(scale, 1e-300))
-            if cand.antiholomorphic_max <= ANTIHOLO_REL:
-                candidates.append(cand)
+        J = sum(u[a] * basis[a] for a in range(3))
+        cand = _certify_candidate(P0, J, orientation, k, u, res / max(scale, 1e-300))
+        if cand.antiholomorphic_max <= ANTIHOLO_REL:
+            candidates.append(cand)
     return SymbolData(center=m0, order=k, chart=chart, homogeneous=P0,
                       remainder=remainder, candidates=tuple(candidates))
 
@@ -264,10 +247,9 @@ def center_sample(scenario: MorphismScenario, m0, radii: Sequence[float] | None 
 class RemainderRates:
     """Decay fits for the symbol remainder and its differential."""
 
-    radii: tuple
     value_fit: RateFit
     differential_fit: RateFit
-    verdict: str
+    passed: bool
 
 
 def remainder_rates(sample: CenterSample) -> RemainderRates:
@@ -283,22 +265,20 @@ def remainder_rates(sample: CenterSample) -> RemainderRates:
     value_fit = fit_rate(sample.radii, vals)
     differential_fit = fit_rate(sample.radii, dvals)
     ok = value_fit.meets_lower_slope(k + 0.9) and differential_fit.meets_lower_slope(k - 0.1)
-    return RemainderRates(radii=sample.radii, value_fit=value_fit,
-                          differential_fit=differential_fit,
-                          verdict="PASS" if ok else "FAIL")
+    return RemainderRates(value_fit=value_fit, differential_fit=differential_fit, passed=ok)
 
 
 @dataclass
 class DilationLowerRate:
-    """Lower dilation envelope lambda(m) >= C |m|^{k-1} around a center."""
+    """Lower dilation envelope lambda(m) >= C |m|^{k-1} around a center.
 
-    order: int
-    radii: tuple
-    values: tuple             # min over admissible directions of the dilation
+    The fit's values are the minima of the dilation over the admissible
+    directions, one per radius."""
+
     fit: RateFit
     envelope_constant: float  # min_i values_i / radii_i^{k-1}
     excluded_directions: tuple
-    verdict: str
+    passed: bool
 
 
 def dilation_lower_rate(sample: CenterSample) -> DilationLowerRate:
@@ -320,7 +300,5 @@ def dilation_lower_rate(sample: CenterSample) -> DilationLowerRate:
     fit = fit_rate(radii, values)
     envelope = float(min(v / r ** (k - 1) for v, r in zip(values, radii)))
     ok = fit.meets_upper_slope(k - 1 + 0.1) and envelope > 1e-12
-    return DilationLowerRate(order=k, radii=radii, values=values, fit=fit,
-                             envelope_constant=envelope,
-                             excluded_directions=tuple(dirs[excluded]),
-                             verdict="PASS" if ok else "FAIL")
+    return DilationLowerRate(fit=fit, envelope_constant=envelope,
+                             excluded_directions=tuple(dirs[excluded]), passed=ok)

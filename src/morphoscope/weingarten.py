@@ -217,7 +217,7 @@ class ProductScan:
     plateau: float
     bound: float
     identity_gap: float       # worst |product - product_polar| over the scan
-    verdict: str
+    passed: bool
 
 
 def product_bound_scan(scenario: MorphismScenario, center,
@@ -273,5 +273,4 @@ def product_bound_scan(scenario: MorphismScenario, center,
     ok = all(v <= bound for v in annulus_max) and not empty
     return ProductScan(center=center, radii=radii, annulus_max=tuple(annulus_max),
                        skipped=tuple(skipped), empty=empty, plateau=plateau,
-                       bound=bound, identity_gap=identity_gap,
-                       verdict="PASS" if ok else "FAIL")
+                       bound=bound, identity_gap=identity_gap, passed=ok)

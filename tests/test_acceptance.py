@@ -117,7 +117,7 @@ def test_criterion_4_dilation_lower_bound():
     radii = (1e-1, 1e-2, 1e-3)
     zero = np.zeros(4)
     prod = dilation_lower_rate(center_sample(_scenario("z1z2"), zero, radii=radii))
-    ratios = [v / r for v, r in zip(prod.values, radii)]
+    ratios = [v / r for v, r in zip(prod.fit.values, radii)]
     assert all(0.999 <= q <= 1.001 for q in ratios)
 
     # the +x1 axis leads the sample's directions
@@ -160,7 +160,7 @@ def test_criterion_5_shape_identities():
 
     scan = product_bound_scan(_scenario("pullback_z1z2"), np.zeros(4),
                               radii=np.geomspace(1e-1, 1e-3, 7))
-    assert scan.verdict == "PASS"
+    assert scan.passed
     assert min(scan.radii) <= 1e-3 and max(scan.radii) >= 1e-1
     _verdict("criterion 5 shape identities: algebra gap "
              f"{worst:.2e}, closed-vs-direct {worst_rel:.2e}, commutator "

@@ -310,6 +310,18 @@ def test_seed_changes_fingerprint_workers_do_not(tmp_path):
     assert reports[0]["fingerprint"] == reports[2]["fingerprint"]
 
 
+# the real component x1 and the flat polynomial metric table, with the
+# entry (0, 1) raised by `skew` alone when skew is nonzero
+X1 = [{"exponents": [1, 0, 0, 0], "value": 1.0}]
+
+
+def polynomial_table(skew: float = 0.0) -> list:
+    table = [[[{"exponents": [0, 0, 0, 0], "value": float(i == j)}] for j in range(4)]
+             for i in range(4)]
+    table[0][1] = [{"exponents": [0, 0, 0, 0], "value": skew}]
+    return table
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda c: c["analysis"].update(radii=[0.1, 0.2, 0.05]),
      "strictly decreasing"),
@@ -325,6 +337,46 @@ def test_seed_changes_fingerprint_workers_do_not(tmp_path):
     (lambda c: c.update(diffeo=5), "config.diffeo: expected an object"),
     (lambda c: c.update(diffeo="components"), "config.diffeo: expected an object"),
     (lambda c: c.update(orientation=True), "config.orientation: must be 1 or -1"),
+    # the analysis block
+    (lambda c: c.update(analysis=5), "config.analysis: expected an object"),
+    (lambda c: c["analysis"].update(bogus=1), "config.analysis.bogus: unknown analysis parameter"),
+    (lambda c: c["analysis"].update(tolerances=5),
+     "config.analysis.tolerances: expected an object of named tolerances"),
+    (lambda c: c["analysis"].update(tolerances={"bogus": 1e-3}),
+     "config.analysis.tolerances.bogus: unknown tolerance name"),
+    (lambda c: c["analysis"].update(tolerances={"defect": 0.0}),
+     "config.analysis.tolerances.defect: must be positive"),
+    (lambda c: c["analysis"].update(tolerances={"defect": True}),
+     "config.analysis.tolerances.defect: expected a number"),
+    # JSON reads 1e400 as infinity, as it reads the Infinity written here
+    (lambda c: c["analysis"].update(angle=float("1e400")),
+     "config.analysis.angle: must be finite"),
+    (lambda c: c["analysis"].update(n_directions=3),
+     "config.analysis.n_directions: must be at least 4"),
+    (lambda c: c["analysis"].update(radii=[0.1, 0.05]),
+     "config.analysis.radii: expected a list of at least three radii"),
+    # the schema of the config itself
+    (lambda c: [c], "config: top level must be an object"),
+    (lambda c: c.update(extra=1), "config.extra: unknown field"),
+    (lambda c: c.update(critical_points=5), "config.critical_points: expected a list of points"),
+    (lambda c: c.update(critical_points=[[0.0, 0.0, 0.0]]),
+     "config.critical_points[0]: expected a list of 4 numbers"),
+    (lambda c: c.update(map={"kind": "real", "components": [X1]}),
+     "config.map.components: expected exactly two components"),
+    (lambda c: c.update(map={"kind": "real", "components": [
+        [{"exponents": [1, 0, 0], "value": 1.0}], X1]}),
+     "config.map.components[0][0].exponents: expected four integers"),
+    (lambda c: c.update(map={"kind": "real", "components": [
+        [{"exponents": [7, 0, 0, 0], "value": 1.0}], X1]}),
+     "config.map.components[0][0].exponents: total degree exceeds 6"),
+    # metric blocks
+    (lambda c: c.update(metric={"kind": "product_sphere", "radius": 1.0,
+                                "box": {"lo": [-0.5] * 4, "hi": [0.5] * 4}}),
+     "config.metric.box: polar coordinate must stay inside (0, pi)"),
+    (lambda c: c["metric"].update(kind="polynomial", entries=polynomial_table()[:3]),
+     "config.metric.entries: expected a 4x4 table of polynomials"),
+    (lambda c: c["metric"].update(kind="polynomial", entries=polynomial_table(skew=0.5)),
+     "config.metric.entries[1][0]: metric table must be symmetric"),
 ])
 def test_malformed_configs_exit_two(tmp_path, capsys, mutate, fragment):
     config = {
@@ -335,9 +387,10 @@ def test_malformed_configs_exit_two(tmp_path, capsys, mutate, fragment):
                 "coefficients": [{"i": 1, "j": 1, "re": 1.0, "im": 0.0}]},
         "analysis": {},
     }
-    mutate(config)
+    # a mutation that returns a list writes that list in place of the config
+    replaced = mutate(config)
     path = tmp_path / "probe.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(replaced if isinstance(replaced, list) else config))
     assert run(tmp_path, "validate", "--config", str(path)) == 2
     assert fragment in capsys.readouterr().err
 
@@ -361,15 +414,22 @@ def test_invalid_overrides_exit_two(tmp_path, capsys, argv, fragment):
     assert [p.name for p in tmp_path.glob("*.json")] == ["z1z2.json"]
 
 
-def test_missing_arguments_exit_two(tmp_path, capsys):
+@pytest.mark.parametrize("argv, fragment", [
+    (["analyze", "--config", "CONFIG"], "--point"),
+    (["validate"], "--config"),
+    (["twistor", "--config", "CONFIG", "--patch", "moebius"], "unknown patch"),
+    (["analyze", "--config", "CONFIG", "--point", "0.1,0.2,0.3"],
+     "--point expects four comma-separated numbers"),
+    (["analyze", "--config", "CONFIG", "--point", "0.1,0.2,x,0.3"],
+     "--point: could not convert string to float"),
+    (["weingarten", "--config", "CONFIG"], "weingarten requires --point or --scan"),
+    (["twistor", "--config", "CONFIG"], "twistor requires --patch"),
+], ids=["analyze-point", "validate-config", "twistor-unknown-patch", "point-three-numbers",
+        "point-not-a-number", "weingarten-point-or-scan", "twistor-patch"])
+def test_missing_arguments_exit_two(tmp_path, capsys, argv, fragment):
     cfg = write_config(tmp_path, "z1z2")
-    assert run(tmp_path, "analyze", "--config", str(cfg)) == 2
-    assert "--point" in capsys.readouterr().err
-    assert run(tmp_path, "validate") == 2
-    assert "--config" in capsys.readouterr().err
-    assert run(tmp_path, "twistor", "--config", str(cfg),
-               "--patch", "moebius") == 2
-    assert "unknown patch" in capsys.readouterr().err
+    assert run(tmp_path, *(str(cfg) if a == "CONFIG" else a for a in argv)) == 2
+    assert fragment in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["a\0b", "ABSOLUTE", "sub/dir", "sub\\dir", ".", ".."],

@@ -195,7 +195,6 @@ UNREACHED_KEPT = {
     "NonIsolatedCriticalError.__init__": "raised only by isolated_extension (ROADMAP item 5)",
     "_fail": "config's error paths; every config of the battery is valid",
     "_form": "runs once, when structures is imported",
-    "Poly.__repr__": "a debugging aid; no report prints a polynomial",
 }
 
 

@@ -9,16 +9,20 @@ one candidate per orientation).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphoscope import calculus, symbol
 from morphoscope._linalg import minimize_affine_on_sphere
-from morphoscope.calculus import holomorphic_scenario, pullback_scenario, real_scenario
+from morphoscope.calculus import (
+    MorphismScenario, holomorphic_scenario, pullback_scenario, real_scenario,
+)
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import SymbolError, UnsupportedOrderError
@@ -171,20 +175,21 @@ def test_remainder_rates_zero_branch_and_cubic():
     rr0 = remainder_rates(center_sample(scenario_product(), np.zeros(4)))
     assert rr0.value_fit.zero_branch
     assert rr0.differential_fit.zero_branch
-    assert rr0.verdict == "PASS"
+    assert rr0.passed
 
     rr = remainder_rates(center_sample(scenario_cubic(), np.zeros(4)))
-    assert rr.verdict == "PASS"
+    assert rr.passed
     assert rr.value_fit.slope == pytest.approx(3.0, abs=0.05)
     assert rr.differential_fit.slope == pytest.approx(2.0, abs=0.05)
 
 
 def test_dilation_lower_rate_product_map_exact_linear():
-    out = dilation_lower_rate(center_sample(scenario_product(), np.zeros(4)))
-    assert out.order == 2
-    assert out.verdict == "PASS"
+    sample = center_sample(scenario_product(), np.zeros(4))
+    out = dilation_lower_rate(sample)
+    assert sample.symbol.order == 2
+    assert out.passed
     assert out.excluded_directions == ()
-    for r, v in zip(out.radii, out.values):
+    for r, v in zip(out.fit.radii, out.fit.values):
         assert v / r == pytest.approx(1.0, abs=1e-12)
     assert out.fit.slope == pytest.approx(1.0, abs=1e-6)
     assert out.envelope_constant == pytest.approx(1.0, abs=1e-12)
@@ -193,7 +198,7 @@ def test_dilation_lower_rate_product_map_exact_linear():
 def test_dilation_lower_rate_square_map_excludes_critical_rays():
     sample = center_sample(scenario_square(), np.zeros(4), seed=3)
     out = dilation_lower_rate(sample)
-    assert out.verdict == "PASS"
+    assert out.passed
     # the plane spanned by the second complex coordinate is critical:
     # all four of its signed axes must be excluded
     assert len(out.excluded_directions) == 4
@@ -354,6 +359,67 @@ def test_symbol_solve_is_bit_equal_to_the_polynomial_route():
             u_ref, res_ref = reference_sphere_solve(want[0], want[1])
             assert np.array_equal(u, u_ref)
             assert res == res_ref
+
+
+def assert_holomorphy_system_is_conformal(P0, orientation):
+    """R^T R = scale^2 I for the holomorphy system of the symbol P0, to
+    1e-13 relative: R has full rank, so the symbol admits at most one
+    compatible structure of the orientation."""
+    rho0, R, scale = symbol._holomorphy_system([P0.diff(j) for j in range(4)],
+                                               structure_basis(orientation))
+    assert scale > 0
+    assert np.max(np.abs(R.T @ R - scale ** 2 * np.eye(3))) <= 1e-13 * scale ** 2
+
+
+def candidate_orientations(data) -> list:
+    return sorted(c.orientation for c in data.candidates)
+
+
+@st.composite
+def homogeneous_symbols(draw) -> Poly:
+    """A nonconstant homogeneous symbol of order 1 to 6 with coefficient
+    moduli from 1e-6 to 1e6: holomorphic in (w1, w2) or in (w1, conj w2),
+    so at least one orientation admits a structure, or a sparse mix of
+    monomials in the real coordinates, which usually admits none."""
+    degree = draw(st.integers(1, symbol.MAX_JET_ORDER))
+    coefficient = st.builds(lambda log_modulus, phase: 10.0 ** log_modulus * cmath.exp(1j * phase),
+                            st.floats(-6.0, 6.0), st.floats(0.0, 2.0 * math.pi))
+    kind = draw(st.sampled_from(["plus", "minus", "mixed"]))
+    if kind == "mixed":
+        monomials = [e for e in itertools.product(range(degree + 1), repeat=4)
+                     if sum(e) == degree]
+        return Poly(draw(st.dictionaries(st.sampled_from(monomials), coefficient,
+                                         min_size=1, max_size=4)))
+    terms = draw(st.dictionaries(st.integers(0, degree), coefficient, min_size=1))
+    P0 = from_complex_pair({(a, degree - a): c for a, c in terms.items()})
+    if kind == "plus":
+        return P0
+    x = [Poly.variable(k) for k in range(4)]
+    return P0.compose([x[0], x[1], x[2], -x[3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(P0=homogeneous_symbols())
+def test_random_symbols_have_a_conformal_system_and_one_structure_per_orientation(P0):
+    for orientation in (1, -1):
+        assert_holomorphy_system_is_conformal(P0, orientation)
+    data = symbol_polynomial(MorphismScenario("random", FlatMetric(Box.cube(1.5)), P0),
+                             np.zeros(4))
+    orientations = candidate_orientations(data)
+    assert len(orientations) == len(set(orientations))
+
+
+@pytest.mark.parametrize("name", ["pullback_z1z2", "z1sq", "z1z2", "z1z2_cubic"])
+def test_catalog_centers_have_a_conformal_system_and_one_structure_per_orientation(name):
+    config = ScenarioConfig.from_dict(catalog_configs()[name])
+    scenario = build_scenario(config)
+    for center in config.critical_points:
+        data = symbol_polynomial(scenario, center)
+        for orientation in (1, -1):
+            assert_holomorphy_system_is_conformal(
+                data.homogeneous, orientation * data.chart.scenario.orientation)
+        orientations = candidate_orientations(data)
+        assert orientations and len(orientations) == len(set(orientations))
 
 
 def test_certifying_a_candidate_takes_two_wirtinger_derivatives(monkeypatch):

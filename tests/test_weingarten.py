@@ -268,14 +268,14 @@ def test_report_is_internally_consistent():
 
 def test_product_scan_flat_product_map():
     scan = product_bound_scan(scenario_product(), np.zeros(4))
-    assert scan.verdict == "PASS"
+    assert scan.passed
     assert all(v <= 1e-8 for v in scan.annulus_max)
     assert scan.identity_gap <= 1e-10
 
 
 def test_product_scan_pullback():
     scan = product_bound_scan(scenario_pullback_product(), np.zeros(4))
-    assert scan.verdict == "PASS"
+    assert scan.passed
     assert scan.identity_gap <= 1e-10
 
 
@@ -365,7 +365,7 @@ def test_scan_derives_no_direct_norm_and_no_commutator(monkeypatch):
     jets = count_jets(monkeypatch)
     scan = product_bound_scan(scenario_pullback_product(), np.zeros(4),
                               n_directions=4, seed=2)
-    assert scan.verdict == "PASS"
+    assert scan.passed
     assert sorted(columns) == sorted(["closed", "product", "product_expanded", "polar",
                                       "product_polar", "identity_scale", "identity_gap"])
     assert jets["structure_jets"] == 0
