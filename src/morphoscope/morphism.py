@@ -102,8 +102,9 @@ class GeometryStack:
     @cached_property
     def tension_norm(self) -> np.ndarray:
         tau = self.tension
-        # a NaN tension stays NaN, so validate_morphism rejects it
-        return np.sqrt((tau[:, None, :] @ tau[..., None])[:, 0, 0])
+        # an overflowing or NaN norm is silent, and validate_morphism rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.sqrt((tau[:, None, :] @ tau[..., None])[:, 0, 0])
 
     @cached_property
     def splitting(self) -> tuple:

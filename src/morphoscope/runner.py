@@ -84,13 +84,15 @@ def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
         "defect": stack.defect,
         "tension": stack.tension_norm,
     }, spread={"point": ("x1", "x2", "x3", "x4")})
+    # with no regular sample neither maximum is measured
+    unmeasured = {} if stack.regular.any() else {"n_regular": 0}
     checks = [
-        check("hwc_defect", max_defect <= tol["defect"],
+        check("hwc_defect", max_defect <= tol["defect"] and not unmeasured,
               max_defect=max_defect, tolerance=tol["defect"],
-              n_points=len(points)),
-        check("tension", max_tension <= tol["tension"],
+              n_points=len(points), **unmeasured),
+        check("tension", max_tension <= tol["tension"] and not unmeasured,
               max_tension=max_tension, tolerance=tol["tension"],
-              n_points=len(points)),
+              n_points=len(points), **unmeasured),
     ]
     return Findings(checks, records, table=records)
 

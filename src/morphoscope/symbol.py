@@ -4,10 +4,10 @@ All work happens in the second order normal chart at the center, where the
 metric is the identity with vanishing Christoffel symbols, so constant
 matrices are honest candidate structures and Euclidean radii are comparable
 to distance. The leading symbol is the lowest order homogeneous part of the
-recentred map; candidate structures making it holomorphic are found per
-orientation by constrained least squares over the unit sphere of fiber
-coordinates (the holomorphy condition is affine in those coordinates), then
-certified by coefficient vanishing in adapted complex coordinates.
+recentred map; the structure making it holomorphic is found per orientation
+by least squares over the unit sphere of fiber coordinates, in closed form
+(the holomorphy condition is affine and conformal in them), then certified
+by coefficient vanishing in adapted complex coordinates.
 """
 
 from __future__ import annotations
@@ -170,11 +170,13 @@ def _certify_candidate(P0: Poly, J: np.ndarray, orientation: int, order: int,
 def symbol_polynomial(scenario: MorphismScenario, m0) -> SymbolData:
     """Extract the leading symbol and its compatible constant structures.
 
-    Per orientation the holomorphy system of the symbol is solved on the
-    sphere of fiber coordinates. Its matrix R has orthogonal columns of one
-    length, so the system has at most one solution: two structures of one
-    orientation differ by an invertible matrix, and a symbol holomorphic for
-    both would be constant. The minimiser is certified by the two conjugate
+    Per orientation the holomorphy system rho0 + R u of the symbol is
+    solved on the sphere of fiber coordinates. R^T R = scale^2 I, so the
+    minimiser is u = -R^T rho0 / ||R^T rho0||, or the first axis, which its
+    residual rejects, when R^T rho0 = 0. So a symbol has at most one
+    structure per orientation, as it must: two differ by an invertible
+    matrix, and a symbol holomorphic for both would be constant. The
+    minimiser is certified by the two conjugate
     Wirtinger derivatives of the symbol in its adapted frame; the
     holomorphic coefficients are derived only when read.
     """

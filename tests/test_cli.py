@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morphoscope import cli, runner, structures, weingarten
+from morphoscope import _linalg, cli, runner, structures, weingarten
 from morphoscope import report as report_module
 from morphoscope.calculus import MorphismScenario
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
@@ -123,22 +123,60 @@ def test_one_parser_serves_every_call(tmp_path):
         "z1z2 weingarten --point=0.5,0.2,0.1,-0.2"]["fingerprint"]
 
 
+# the failing control of validate: a linear map that is not horizontally
+# conformal on a flat chart
+ANISO = {
+    "name": "aniso",
+    "metric": {"kind": "flat", "box": {"lo": [-1.5] * 4, "hi": [1.5] * 4}},
+    "map": {"kind": "real",
+            "components": [[{"exponents": [1, 0, 0, 0], "value": 1.0}],
+                           [{"exponents": [0, 1, 0, 0], "value": 2.0}]]},
+}
+
+
 def test_validate_negative_control(tmp_path):
-    config = {
-        "name": "aniso",
-        "metric": {"kind": "flat",
-                   "box": {"lo": [-1.5] * 4, "hi": [1.5] * 4}},
-        "map": {"kind": "real",
-                "components": [[{"exponents": [1, 0, 0, 0], "value": 1.0}],
-                               [{"exponents": [0, 1, 0, 0], "value": 2.0}]]},
-    }
     path = tmp_path / "aniso.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(ANISO))
     assert run(tmp_path, "validate", "--config", str(path)) == 1
     report = read_report(tmp_path, "aniso_validate")
     defect = {c["name"]: c for c in report["checks"]}["hwc_defect"]
     assert defect["verdict"] == "FAIL"
     assert abs(defect["evidence"]["max_defect"] - 2.1213203435596424) < 1e-6
+
+
+def scaled_aniso(factor) -> dict:
+    cfg = json.loads(json.dumps(ANISO))
+    for component in cfg["map"]["components"]:
+        for term in component:
+            term["value"] *= factor
+    return cfg
+
+
+@pytest.mark.parametrize("config", [
+    scaled_catalog_config("z1z2", 1e-10), scaled_catalog_config("z1z2", 1e-150),
+    scaled_aniso(1e-10)], ids=["z1z2-1e-10", "z1z2-1e-150", "aniso-1e-10"])
+def test_validate_without_a_regular_sample_fails(tmp_path, config):
+    # every sampled dilation is below the critical threshold, so neither
+    # maximum is taken over any point: both checks fail and say so
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(config))
+    assert run(tmp_path, "validate", "--config", str(path)) == 1
+    report = read_report(tmp_path, f"{config['name']}_validate")
+    assert all(record["status"] == "critical" for record in report["records"])
+    for item in report["checks"]:
+        assert item["verdict"] == "FAIL"
+        assert item["evidence"]["n_regular"] == 0
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e250])
+def test_an_overflowing_tension_exits_two_without_a_warning(tmp_path, capsys, factor):
+    # the squared tension of 1e200 pullback_z1z2 overflows; the norm is
+    # infinite and silent, and validate names the point
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scaled_catalog_config("pullback_z1z2", factor)))
+    assert run(tmp_path, "validate", "--config", str(path)) == 2
+    assert "GeometryError: conformality defect or tension is not finite at" in (
+        capsys.readouterr().err)
 
 
 def test_analyze_regular_point(tmp_path):
@@ -1060,6 +1098,26 @@ def test_rate_builds_no_frames(monkeypatch, name):
     # gives its golden report with every frame construction refused
     refuse_frames(monkeypatch)
     case = f"{name} rate"
+    pinned = json.loads(GOLDEN.read_text())[case]
+    assert pinned["exit"] == 0
+    assert run_case(*BATTERY[case]) == pinned
+
+
+@pytest.mark.parametrize("command", ["symbol", "rate"])
+@pytest.mark.parametrize("name", CRITICAL_CONFIGS)
+def test_the_symbol_solve_takes_no_eigendecomposition(monkeypatch, name, command):
+    # the leading symbol is solved in closed form: with every
+    # eigendecomposition refused but the 4 x 4 ones of the normal chart's
+    # metric square root, symbol and rate give their golden reports
+    eigh = _linalg.np.linalg.eigh
+
+    def metric_only(a, *args, **kwargs):
+        if np.shape(a)[-2:] != (4, 4):
+            raise AssertionError("the symbol solve took an eigendecomposition")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(_linalg.np.linalg, "eigh", metric_only)
+    case = f"{name} {command}"
     pinned = json.loads(GOLDEN.read_text())[case]
     assert pinned["exit"] == 0
     assert run_case(*BATTERY[case]) == pinned

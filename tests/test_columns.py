@@ -19,17 +19,9 @@ from morphoscope import cli, runner, twistor
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
 from morphoscope.report import Columns
 
-from test_cli import main
+from test_cli import ANISO, main
 
 CRITICAL_CONFIGS = ("z1z2", "z1sq", "z1z2_cubic", "pullback_z1z2")
-
-ANISO = {
-    "name": "aniso",
-    "metric": {"kind": "flat", "box": {"lo": [-1.5] * 4, "hi": [1.5] * 4}},
-    "map": {"kind": "real",
-            "components": [[{"exponents": [1, 0, 0, 0], "value": 1.0}],
-                           [{"exponents": [0, 1, 0, 0], "value": 2.0}]]},
-}
 
 # (key spread into columns, its column names, keys left out) of each
 # command whose records are its table

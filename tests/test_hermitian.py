@@ -2,14 +2,16 @@
 
 The independent oracle for the closed-form structures is the affine sphere
 minimizer of the pseudo holomorphy residual, written out here, which never
-sees the map's 2-form or the kernel splitting; for pullback scenarios a
-second oracle transports the flat structure through the exact chart change.
+sees the map's 2-form or the kernel splitting. Its system is not conformal
+in general, so it solves through the general secular solver
+reference_sphere_solve of test_symbol.py, the only copy of that solver. For
+pullback scenarios a second oracle transports the flat structure through the
+exact chart change.
 """
 
 import numpy as np
 import pytest
 
-from morphoscope._linalg import minimize_affine_on_sphere
 from morphoscope.calculus import TARGET_ROTATION, pullback_scenario
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
@@ -27,6 +29,7 @@ from morphoscope.symbol import CenterSample, center_sample, symbol_polynomial
 from test_frame_orientation import frame_orientations
 from test_morphism import (bits, field, pullback_diffeo, refuse_frames, scenario_anisotropic,
                            scenario_product, scenario_pullback_product, scenario_square)
+from test_symbol import reference_sphere_solve
 
 
 def transported_structure(diffeo, x, base_matrix):
@@ -54,7 +57,7 @@ def best_compatible_structure(scenario, m, orientation=1):
     rho0 = (-TARGET_ROTATION @ jac).ravel()
     basis = structure_basis(orientation * scenario.orientation)
     cols = [(jac @ (B @ K @ Binv)).ravel() for K in basis]
-    u, res = minimize_affine_on_sphere(rho0, np.column_stack(cols))
+    u, res = reference_sphere_solve(rho0, np.column_stack(cols))
     J = B @ sum(u[a] * basis[a] for a in range(3)) @ Binv
     return J, u, res
 

@@ -10,9 +10,11 @@ one candidate per orientation).
 from __future__ import annotations
 
 import cmath
+import decimal
 import itertools
 import math
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -281,8 +283,13 @@ def reference_holomorphy_system(p_diffs, basis):
 
 
 def reference_sphere_solve(rho0, R):
-    """The sphere solve with its secular function on numpy arrays, after the
-    same power-of-two step: the reference of _linalg.minimize_affine_on_sphere."""
+    """Minimize ||rho0 + R u|| over unit vectors u for any R, through the
+    trust-region secular equation in the eigenbasis of R^T R, after the
+    power-of-two step of _linalg.minimize_affine_on_sphere: the general
+    solver, which the closed form of the package agrees with on the
+    holomorphy system (R^T R = scale^2 I) and which the structure oracle of
+    test_hermitian.py solves with. The hard case (right-hand side orthogonal
+    to the bottom eigenspace) pads the solution with a bottom eigenvector."""
     top = float(np.max(np.abs(R), initial=0.0))
     shift = math.frexp(top)[1] - 1 if 0.0 < top < math.inf else 0
     R, rho0 = np.ldexp(R, -shift), np.ldexp(rho0, -shift)
@@ -341,9 +348,8 @@ def random_symbol(rng, degree) -> Poly:
     return Poly({monomials[i]: scale * complex(*rng.standard_normal(2)) for i in chosen})
 
 
-def test_symbol_solve_is_bit_equal_to_the_polynomial_route():
-    # rho0, R, scale, u and the residual match the term-by-term system and
-    # the array secular function exactly, zero signs aside
+def test_holomorphy_system_is_bit_equal_to_the_polynomial_route():
+    # rho0, R and scale match the term-by-term system exactly, zero signs aside
     rng = np.random.default_rng(20261019)
     for _ in range(120):
         P0 = random_symbol(rng, int(rng.integers(2, 7)))
@@ -355,10 +361,70 @@ def test_symbol_solve_is_bit_equal_to_the_polynomial_route():
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
             assert got[1].flags["C_CONTIGUOUS"]
-            u, res = minimize_affine_on_sphere(got[0], got[1])
-            u_ref, res_ref = reference_sphere_solve(want[0], want[1])
-            assert np.array_equal(u, u_ref)
-            assert res == res_ref
+
+
+def exact_sphere_solve(rho0, R, u):
+    """(-b / ||b||, ||b||, ||rho0 + R u||) for b = R^T rho0, evaluated in
+    50-digit decimal from the exact values of the floats, at the given u."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        r = [Decimal(x) for x in rho0.tolist()]
+        M = [[Decimal(x) for x in row] for row in R.tolist()]
+        b = [sum((row[a] * r_k for row, r_k in zip(M, r)), Decimal(0)) for a in range(3)]
+        norm_b = sum(x * x for x in b).sqrt()
+        u_exact = [-x / norm_b for x in b] if norm_b else None
+        residual = sum((r_k + sum(row[a] * Decimal(u_a) for a, u_a in enumerate(u.tolist())))
+                       ** 2 for row, r_k in zip(M, r)).sqrt()
+    return u_exact, norm_b, residual
+
+
+# the rounding bounds of the closed-form solve, in units of 2^-52: u is
+# within 2 of them of -b/||b||, times the condition scale^2 / ||b|| of the
+# direction of b (1 for a holomorphic symbol, where b = -scale^2 u), and the
+# residual within 2 of them times scale of the exact ||rho0 + R u||
+SOLVE_ULPS = 2.0
+
+
+def test_symbol_solve_is_the_closed_form_to_the_rounding_floor():
+    # on the symbols of the bit test above: u and the residual agree with a
+    # 50-digit evaluation of -b/||b|| and ||rho0 + R u||, and the residual
+    # with the general secular solver's to 1e-15 scale
+    rng = np.random.default_rng(20261019)
+    eps = 2.0 ** -52
+    for _ in range(120):
+        P0 = random_symbol(rng, int(rng.integers(2, 7)))
+        p_diffs = [P0.diff(j) for j in range(4)]
+        for orientation in (1, -1):
+            rho0, R, scale = symbol._holomorphy_system(p_diffs, structure_basis(orientation))
+            u, res = minimize_affine_on_sphere(rho0, R)
+            u_exact, norm_b, res_exact = exact_sphere_solve(rho0, R, u)
+            if u_exact is None:
+                assert u.tolist() == [1.0, 0.0, 0.0]
+            else:
+                condition = scale ** 2 / float(norm_b)
+                assert max(abs(float(Decimal(a) - e)) for a, e in zip(u.tolist(), u_exact)) <= (
+                    SOLVE_ULPS * eps * condition)
+            assert abs(float(Decimal(res) - res_exact)) <= SOLVE_ULPS * eps * scale
+            assert abs(res - reference_sphere_solve(rho0, R)[1]) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("P0", [
+    Poly.variable(0) * Poly.variable(2),
+    Poly.variable(0) * Poly.variable(0) + Poly.variable(1) * Poly.variable(1),
+], ids=["x1x3", "abs_w1_squared"])
+def test_a_vanishing_right_hand_side_gives_the_first_axis_and_no_candidate(P0):
+    # R^T rho0 = 0 in both orientations: every unit u is a minimiser, the
+    # first axis is returned, and the residual sqrt(||rho0||^2 + scale^2)
+    # rejects it
+    for orientation in (1, -1):
+        rho0, R, scale = symbol._holomorphy_system([P0.diff(j) for j in range(4)],
+                                                   structure_basis(orientation))
+        assert not np.any(R.T @ rho0)
+        u, res = minimize_affine_on_sphere(rho0, R)
+        assert u.tolist() == [1.0, 0.0, 0.0]
+        assert res >= scale
+    data = symbol_polynomial(MorphismScenario("flat", FlatMetric(Box.cube(1.5)), P0),
+                             np.zeros(4))
+    assert data.candidates == ()
 
 
 def assert_holomorphy_system_is_conformal(P0, orientation):
