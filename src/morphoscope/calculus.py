@@ -79,8 +79,8 @@ def holomorphic_scenario(name: str, w_coeffs: Dict[Tuple[int, int], complex],
 def real_scenario(name: str, first: Poly, second: Poly, metric: ChartMetric,
                   orientation: int = 1) -> MorphismScenario:
     """Scenario from two real polynomial components."""
-    component = first.real_poly() + Poly({e: 1j * c for e, c in second.real_poly().coeffs.items()})
-    return MorphismScenario(name=name, metric=metric, component=component,
+    return MorphismScenario(name=name, metric=metric,
+                            component=first.real_poly() + 1j * second.real_poly(),
                             orientation=orientation)
 
 
@@ -167,10 +167,7 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
         if spread <= 0.95 * reach:
             break
         rho *= 0.9
-    metric = PullbackMetric(scenario.metric, chart_map, Box.cube(rho))
-    new_scenario = MorphismScenario(
-        name=f"{scenario.name}#normal", metric=metric,
-        component=scenario.component.compose(chart_map), orientation=scenario.orientation)
+    normal = pullback_scenario(scenario, chart_map, Box.cube(rho), f"{scenario.name}#normal")
     # the chart map is the pulled-back metric's jet, compiled once
-    return NormalChart(center=m0, chart_map=metric.diffeo,
-                       scenario=new_scenario, identity=False)
+    return NormalChart(center=m0, chart_map=normal.metric.diffeo,
+                       scenario=normal, identity=False)

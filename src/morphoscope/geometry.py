@@ -385,15 +385,23 @@ class FailureColumn:
 
 def metric_rows(metric: ChartMetric, m: np.ndarray, failures: FailureColumn) -> MetricPoint:
     """The metric record of a point or an (n, 4) stack m with its inverse, no
-    point raising. A point outside the domain, or whose matrix fails a check
-    of spd_failures, records its first failure in the column; the record
-    takes a point outside at its nearest point of the domain, and a failed
-    point reads the identity as g and as its inverse."""
+    point raising. A point outside the domain, a point that a pullback, at
+    any of its levels, maps outside its base's domain, or a point whose
+    matrix fails a check of spd_failures, records its first failure in the
+    column; the record takes a point outside at its nearest point of the
+    domain, and a failed point reads the identity as g and as its inverse."""
     domain, points = metric.domain, m.reshape(-1, 4)
     inside = domain.contains(points)
     failures.reject(~inside, DomainError,
                     lambda i: f"point {points[i].tolist()} leaves the chart domain (margin 0)")
     mp = metric.record(m if inside.all() else np.clip(m, domain.lo, domain.hi))
+    level = mp
+    while isinstance(level, PulledPoint):
+        image = level.image.point.reshape(-1, 4)
+        failures.reject(~level.metric.base.domain.contains(image), DomainError,
+                        lambda i: f"point {points[i].tolist()} maps to {image[i].tolist()}, "
+                                  "which leaves the base chart domain")
+        level = level.image
     for rows, reason in spd_failures(mp.g.reshape(-1, 4, 4)):
         failures.reject(rows, GeometryError,
                         lambda i: f"chart metric {reason} at {points[i].tolist()}")

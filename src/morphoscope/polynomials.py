@@ -349,21 +349,9 @@ def mirrored(a: np.ndarray) -> np.ndarray:
 
 
 def from_complex_pair(coeffs_w: Mapping[Tuple[int, int], complex]) -> Poly:
-    """Expand sum c_{ab} w1^a w2^b with w1 = x1 + i x2, w2 = x3 + i x4."""
+    """Expand sum c_{ab} w1^a w2^b with w1 = x1 + i x2, w2 = x3 + i x4, by
+    substituting w1 and w2 for the first and the third variable."""
     w1 = Poly({(1, 0, 0, 0): 1.0 + 0j, (0, 1, 0, 0): 1j})
     w2 = Poly({(0, 0, 1, 0): 1.0 + 0j, (0, 0, 0, 1): 1j})
-    maxa = max((a for a, _ in coeffs_w), default=0)
-    maxb = max((b for _, b in coeffs_w), default=0)
-    pow1 = [Poly.constant(1.0)]
-    for _ in range(maxa):
-        pow1.append(pow1[-1] * w1)
-    pow2 = [Poly.constant(1.0)]
-    for _ in range(maxb):
-        pow2.append(pow2[-1] * w2)
-    total = Poly.zero()
-    for (a, b), c in sorted(coeffs_w.items()):
-        if c == 0:
-            continue
-        total = total + pow1[a] * pow2[b] * c
-    return total
-
+    pair = Poly({(a, 0, b, 0): c for (a, b), c in coeffs_w.items()})
+    return pair.compose([w1, Poly.zero(), w2, Poly.zero()])

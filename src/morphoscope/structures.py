@@ -59,13 +59,6 @@ def structure_basis(orientation: int) -> tuple:
     raise ValueError("orientation must be +1 or -1")
 
 
-def structure_from_fiber(u, orientation: int) -> np.ndarray:
-    """Unit fiber coordinates to a constant compatible structure."""
-    u = np.asarray(u, dtype=float)
-    basis = structure_basis(orientation)
-    return u[0] * basis[0] + u[1] * basis[1] + u[2] * basis[2]
-
-
 def fiber_from_structure(J: np.ndarray, orientation: int) -> np.ndarray:
     """Project a flat-compatible structure, or each of a stack, onto the
     basis; ||J_i||_F^2 = 4."""

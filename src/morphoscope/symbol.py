@@ -31,23 +31,25 @@ COEFF_CHOP_REL = 1e-12
 CANDIDATE_RESIDUAL_REL = 1e-8
 ANTIHOLO_REL = 1e-10
 MAX_JET_ORDER = 6
+# the exponents of the four coordinates y_c, each alone to the first power
+LINEAR = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _recentred_difference(scenario: MorphismScenario) -> Poly:
     """The map minus its value at the chart origin, small coefficients chopped."""
     component = scenario.component
-    diff = component - Poly.constant(component.eval(np.zeros(4)))
+    diff = component - component.coeffs.get((0, 0, 0, 0), 0j)
     scale = diff.max_abs_coeff()
     if scale == 0.0:
         raise SymbolError("map is constant near the center")
     return diff.chop(COEFF_CHOP_REL * scale)
 
 
-def _wirtinger_pair(p: Poly, axis: int) -> Tuple[Poly, Poly]:
-    """(holomorphic, antiholomorphic) derivative in complex pair `axis`."""
-    a, b = (0, 1) if axis == 0 else (2, 3)
-    d_re, d_im = p.diff(a), p.diff(b)
-    return 0.5 * (d_re - 1j * d_im), 0.5 * (d_re + 1j * d_im)
+def _wirtinger(p: Poly, axis: int, conjugate: bool) -> Poly:
+    """The holomorphic derivative in complex pair `axis`, or the
+    antiholomorphic one when `conjugate`."""
+    d_re, d_im = p.diff(2 * axis), p.diff(2 * axis + 1)
+    return 0.5 * (d_re + 1j * d_im) if conjugate else 0.5 * (d_re - 1j * d_im)
 
 
 def _adapted_frame(J: np.ndarray) -> np.ndarray:
@@ -92,11 +94,10 @@ class SymbolCandidate:
             b = self.order - a
             work = self.adapted
             for _ in range(a):
-                work, _ = _wirtinger_pair(work, 0)
+                work = _wirtinger(work, 0, conjugate=False)
             for _ in range(b):
-                work, _ = _wirtinger_pair(work, 1)
-            c = work.eval(np.zeros(4))
-            c /= float(math.factorial(a) * math.factorial(b))
+                work = _wirtinger(work, 1, conjugate=False)
+            c = work.coeffs.get((0, 0, 0, 0), 0j) / float(math.factorial(a) * math.factorial(b))
             if abs(c) > 1e-12 * scale:
                 coeffs[(a, b)] = c
         return coeffs
@@ -154,14 +155,12 @@ def _certify_candidate(P0: Poly, J: np.ndarray, orientation: int, order: int,
     the symbol in the adapted frame of J relative to its largest coefficient
     there: two derivatives, one per complex direction."""
     frame = _adapted_frame(J)
-    y = [Poly.variable(k) for k in range(4)]
-    rows = [sum((frame[i, c] * y[c] for c in range(4)), Poly.zero()) for i in range(4)]
-    tilted = P0.compose(rows)
+    # row i of the frame is the linear polynomial sum_c frame[i, c] y_c
+    tilted = P0.compose([Poly(dict(zip(LINEAR, row))) for row in frame])
     scale = max(tilted.max_abs_coeff(), 1e-300)
     anti = 0.0
     for axis in (0, 1):
-        _, dbar = _wirtinger_pair(tilted, axis)
-        anti = max(anti, dbar.max_abs_coeff() / scale)
+        anti = max(anti, _wirtinger(tilted, axis, conjugate=True).max_abs_coeff() / scale)
     return SymbolCandidate(orientation=orientation, fiber=fiber, matrix=J,
                            residual=residual, antiholomorphic_max=anti,
                            adapted=tilted, order=order)

@@ -16,7 +16,7 @@ from morphoscope import report as report_module
 from morphoscope.calculus import MorphismScenario
 from morphoscope.catalog import CATALOG_PATCHES, catalog_configs
 from morphoscope.cli import main
-from morphoscope.config import ScenarioConfig, build_scenario
+from morphoscope.config import MAX_SAMPLES, ScenarioConfig, build_scenario
 from morphoscope.morphism import geometry_stack
 from morphoscope.polynomials import Poly
 from morphoscope.report import fingerprint
@@ -415,8 +415,25 @@ def polynomial_table(skew: float = 0.0) -> list:
      "config.metric.entries: expected a 4x4 table of polynomials"),
     (lambda c: c["metric"].update(kind="polynomial", entries=polynomial_table(skew=0.5)),
      "config.metric.entries[1][0]: metric table must be symmetric"),
+    # sample counts past the cap, and boxes whose width overflows
+    (lambda c: c["analysis"].update(n_points=MAX_SAMPLES + 1),
+     f"config.analysis.n_points: must be at most {MAX_SAMPLES}"),
+    (lambda c: c["analysis"].update(n_points=10 ** 15),
+     f"config.analysis.n_points: must be at most {MAX_SAMPLES}"),
+    (lambda c: c["analysis"].update(n_directions=MAX_SAMPLES + 1),
+     f"config.analysis.n_directions: must be at most {MAX_SAMPLES}"),
+    (lambda c: c["analysis"].update(n_directions=10 ** 15),
+     f"config.analysis.n_directions: must be at most {MAX_SAMPLES}"),
+    (lambda c: c["metric"].update(box={"lo": [-1e308] * 4, "hi": [1e308] * 4}),
+     "config.metric.box.hi[0]: box width hi - lo overflows"),
+    (lambda c: c.update(diffeo=linear_diffeo(1.0, 0.0, {"lo": [-1e308] * 4, "hi": [1e308] * 4})),
+     "config.diffeo.box.hi[0]: box width hi - lo overflows"),
 ])
-def test_malformed_configs_exit_two(tmp_path, capsys, mutate, fragment):
+def test_malformed_configs_exit_two(tmp_path, capsys, monkeypatch, mutate, fragment):
+    # each is rejected as the config is read: no scenario is built, so no
+    # sample array is allocated
+    monkeypatch.setattr(cli, "build_scenario",
+                        lambda config: pytest.fail("the config was accepted"))
     config = {
         "name": "probe",
         "metric": {"kind": "flat",
@@ -431,6 +448,48 @@ def test_malformed_configs_exit_two(tmp_path, capsys, mutate, fragment):
     path.write_text(json.dumps(replaced if isinstance(replaced, list) else config))
     assert run(tmp_path, "validate", "--config", str(path)) == 2
     assert fragment in capsys.readouterr().err
+
+
+def linear_diffeo(scale, shift, box):
+    """The diffeo (scale x1 + shift, x2, x3, x4) on a box."""
+    first = [x1(scale)] + ([{"exponents": [0, 0, 0, 0], "value": shift}] if shift else [])
+    rest = [[{"exponents": [int(k == c) for k in range(4)], "value": 1.0}] for c in (1, 2, 3)]
+    return {"components": [first, *rest], "box": box}
+
+
+def pole_crossing_sphere():
+    # the image of x1 in [0.36, 0.64] is the polar angle in [-0.14, 0.14],
+    # across the pole and out of the base box [0.35, pi - 0.35]
+    config = catalog_configs()["product_sphere"]
+    config["diffeo"] = linear_diffeo(1.0, -0.5, {"lo": [0.36, -1.0, -0.5, -0.5],
+                                                 "hi": [0.64, 1.0, 0.5, 0.5]})
+    return config
+
+
+def stretched_z1z2():
+    # the image of the cube 0.5 has x1 in [-5, 5], out of the base cube 1.5
+    config = catalog_configs()["z1z2"]
+    config["diffeo"] = linear_diffeo(10.0, 0.0, cube(0.5))
+    return config
+
+
+@pytest.mark.parametrize("config, argv", [
+    (pole_crossing_sphere, ["validate"]),
+    (pole_crossing_sphere, ["analyze", "--point=0.4,0.1,0.1,0.1"]),
+    (pole_crossing_sphere, ["weingarten", "--point=0.4,0.1,0.1,0.1"]),
+    (stretched_z1z2, ["validate"]),
+    (stretched_z1z2, ["analyze", "--point=0.3,0.1,0.1,0.1"]),
+    (stretched_z1z2, ["weingarten", "--point=0.3,0.1,0.1,0.1"]),
+    (stretched_z1z2, ["twistor", "--patch", "plane"]),
+], ids=["sphere-validate", "sphere-analyze", "sphere-weingarten", "stretched-validate",
+        "stretched-analyze", "stretched-weingarten", "stretched-twistor"])
+def test_a_pullback_image_outside_its_base_exits_two(tmp_path, capsys, config, argv):
+    # the point is in the pulled-back box, its image is not in the base's
+    path = tmp_path / "pulled.json"
+    path.write_text(json.dumps(config()))
+    assert run(tmp_path, *argv, "--config", str(path)) == 2
+    assert re.search(r"DomainError: point \[.*\] maps to \[.*\], which leaves the base "
+                     r"chart domain", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -987,12 +1046,14 @@ def test_pointwise_commands_run_no_decomposition(tmp_path, monkeypatch, name, ar
 @pytest.mark.parametrize("name", ["z1z2", "z1sq"])
 def test_symbol_composes_once_per_candidate(tmp_path, monkeypatch, name):
     # a flat chart needs no normal chart, and the map at the origin is
-    # recentred as it is: the only compositions certify the candidates
+    # recentred as it is: beyond the one expansion of the map in the two
+    # complex coordinates, when the scenario is built, the only
+    # compositions certify the candidates
     composes = count_calls(monkeypatch, Poly, "compose")
     cfg = write_config(tmp_path, name)
     assert run(tmp_path, "symbol", "--config", str(cfg)) == 0
     (certified,) = read_report(tmp_path, f"{name}_symbol")["checks"]
-    assert len(composes) == certified["evidence"]["n_candidates"]
+    assert len(composes) == 1 + certified["evidence"]["n_candidates"]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11, 12345])

@@ -20,9 +20,9 @@ from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DomainError, GeometryError
 from morphoscope.geometry import (
-    DEFAULT_FD_STEP, Box, FlatMetric, PolynomialMetric, ProductSphereMetric, PullbackMetric,
-    central_difference, central_nodes, christoffel, covariant_derivative, curvature_data,
-    einstein_defect, metric_point, orthonormalize,
+    DEFAULT_FD_STEP, Box, FailureColumn, FlatMetric, PolynomialMetric, ProductSphereMetric,
+    PullbackMetric, central_difference, central_nodes, christoffel, covariant_derivative,
+    curvature_data, einstein_defect, metric_point, metric_rows, orthonormalize,
 )
 from morphoscope.polynomials import Poly, evaluate
 
@@ -481,6 +481,27 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         covariant_derivative(metric, lambda x: x, np.array([1.0, 1.0, 1.0, 1.0]),
                              np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def test_each_pullback_level_rejects_a_row_whose_image_leaves_its_base():
+    # (x1 + 1/2, x2, x3, x4) into the pullback by (2 x1, x2, x3, x4) of the
+    # flat cube 1, each on the cube 1: the first row leaves the middle
+    # chart, the second only the flat base, two levels down
+    x = [Poly.variable(k) for k in range(4)]
+    middle = PullbackMetric(FlatMetric(Box.cube(1.0)), [2.0 * x[0], *x[1:]], Box.cube(1.0))
+    metric = PullbackMetric(middle, [x[0] + 0.5, *x[1:]], Box.cube(1.0))
+    m = np.array([[0.75, 0.0, 0.0, 0.0], [0.25, 0.0, 0.0, 0.0], [-0.75, 0.0, 0.0, 0.0]])
+    failures = FailureColumn(np.zeros(3, dtype=bool))
+    metric_rows(metric, m, failures)
+    assert failures.failed.tolist() == [True, True, False]
+    assert [failures.first[i] for i in (0, 1)] == [
+        (DomainError, "point [0.75, 0.0, 0.0, 0.0] maps to [1.25, 0.0, 0.0, 0.0], "
+                      "which leaves the base chart domain"),
+        (DomainError, "point [0.25, 0.0, 0.0, 0.0] maps to [1.5, 0.0, 0.0, 0.0], "
+                      "which leaves the base chart domain")]
+    with pytest.raises(DomainError, match=r"^point \[0\.25, "):
+        metric_point(metric, m[1])
+    assert metric_point(metric, m[2]).g.tolist() == np.diag([4.0, 1.0, 1.0, 1.0]).tolist()
 
 
 CATALOG_METRICS = {name: build_scenario(ScenarioConfig.from_dict(raw)).metric

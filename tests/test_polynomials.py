@@ -11,6 +11,10 @@ A pulled-back metric is checked against two references kept here: the
 symbolic expansion dPhi^T (g o Phi) dPhi into a polynomial metric (whose
 flat-base entries must equal the sum over i of d_a Phi_i d_b Phi_i
 coefficient for coefficient), and the chain rule written out in loops.
+
+A map given in the complex coordinates w1 = x1 + i x2, w2 = x3 + i x4 is
+expanded by one composition; its values are checked against the sum
+c_ab w1^a w2^b taken directly in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphoscope import geometry, polynomials, symbol
 from morphoscope.calculus import MorphismScenario, normalized_scenario
@@ -500,3 +505,27 @@ def test_an_empty_table_and_an_empty_stack():
     assert evaluate(table, np.zeros((0, 4)), 2).shape == (0, 2, 4, 4)
     assert evaluate(table, np.ones(4), 1).tolist() == [[0j] * 4] * 2
     assert table.terms.starts == [0, 1, 1, 1]
+
+
+FINITE = st.floats(-2.0, 2.0, allow_nan=False)
+COMPLEX_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda ab: sum(ab) <= 6),
+    st.builds(complex, FINITE, FINITE), min_size=1, max_size=6)
+# the expansion evaluated at x and the direct complex sum at x differ by at
+# most this many units of 2^-52 of sum |c_ab| (|x1| + |x2|)^a (|x3| + |x4|)^b,
+# the size of the largest sum either can round, plus as many of the smallest
+# normal float for products that underflow; the worst of 15,000 seeded
+# random maps of up to six terms, at five points each, is 3.3 units
+EXPANSION_ULPS = 32
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=COMPLEX_TERMS, x=st.lists(FINITE, min_size=4, max_size=4))
+def test_a_complex_pair_expands_to_its_direct_sum(terms, x):
+    w1, w2 = complex(x[0], x[1]), complex(x[2], x[3])
+    direct = sum(c * w1 ** a * w2 ** b for (a, b), c in terms.items())
+    size = sum(abs(c) * (abs(x[0]) + abs(x[1])) ** a * (abs(x[2]) + abs(x[3])) ** b
+               for (a, b), c in terms.items())
+    info = np.finfo(float)
+    bound = EXPANSION_ULPS * (float(info.eps) * size + float(info.tiny))
+    assert abs(from_complex_pair(terms).eval(x) - direct) <= bound

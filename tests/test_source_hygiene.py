@@ -43,7 +43,6 @@ TESTS = sorted(p for p in Path(__file__).resolve().parent.glob("*.py")
 # public names (Class.method for a method) no command calls, each kept for
 # a stated reason
 UNUSED_KEPT = {
-    "structure_from_fiber": "reference implementation that tests compare against",
     "fiber_mean_curvature": "certifies minimal singular fibres (ROADMAP item 4)",
     "isolated_extension": "certifies the isolated-center extension in rate (ROADMAP item 5)",
     "SymbolCandidate.coefficients": "the symbol's holomorphic coefficients, which tests "
@@ -195,6 +194,7 @@ UNREACHED_KEPT = {
     "NonIsolatedCriticalError.__init__": "raised only by isolated_extension (ROADMAP item 5)",
     "_fail": "config's error paths; every config of the battery is valid",
     "_form": "runs once, when structures is imported",
+    "Poly.eval": "traced; the tests' bitwise reference for evaluate_orders",
 }
 
 

@@ -33,12 +33,12 @@ from morphoscope.runner import run_rate
 from morphoscope.polynomials import Poly, from_complex_pair
 from morphoscope.structures import (
     STRUCTURES_MINUS, STRUCTURES_PLUS, fiber_from_structure, structure_basis,
-    structure_from_fiber,
 )
 from morphoscope.symbol import (
     center_sample, dilation_lower_rate, remainder_rates, symbol_polynomial,
 )
 
+from structure_oracle import structure_from_fiber
 from test_morphism import pullback_diffeo, scenario_product, scenario_square
 
 
@@ -491,7 +491,7 @@ def test_catalog_centers_have_a_conformal_system_and_one_structure_per_orientati
 def test_certifying_a_candidate_takes_two_wirtinger_derivatives(monkeypatch):
     # the conjugate derivatives in both complex directions certify; the
     # holomorphic coefficients are derived once, on their first read
-    calls = count_calls(monkeypatch, symbol, "_wirtinger_pair")
+    calls = count_calls(monkeypatch, symbol, "_wirtinger")
     data = symbol_polynomial(scenario_square(), np.zeros(4))
     assert len(data.candidates) == 2
     assert len(calls) == 2 * len(data.candidates)

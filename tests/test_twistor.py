@@ -24,13 +24,13 @@ from morphoscope.errors import DegenerateFrameError, DomainError, GeometryError
 from morphoscope.geometry import Box, ChartMetric, FlatMetric, ProductSphereMetric
 from morphoscope.morphism import geometry_stack
 from morphoscope.polynomials import Poly
-from morphoscope.structures import (STRUCTURES_MINUS, STRUCTURES_PLUS, fiber_from_structure,
-                                    structure_from_fiber)
+from morphoscope.structures import STRUCTURES_MINUS, STRUCTURES_PLUS, fiber_from_structure
 from morphoscope.twistor import (SurfacePatch, curvature_densities, fiber_coordinates,
                                  lift_stack, script_J_residual, surface_lift,
                                  vertical_energy_density)
 
 from conftest import METRIC_EVALUATIONS, metric_classes
+from structure_oracle import structure_from_fiber
 from test_frame_orientation import frame_orientations
 from test_geometry import constant_metric
 from test_morphism import pullback_diffeo
