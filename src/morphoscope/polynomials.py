@@ -2,7 +2,8 @@
 
 Everything downstream that needs derivatives of maps or metrics to machine
 precision (pullbacks, normal charts, symbol remainders) runs on this
-representation: a dict from exponent 4-tuples to complex coefficients.
+representation: a dict from exponent 4-tuples to coefficients in the ring
+`Poly.coerce` names, complex for every chart; a subclass names an exact one.
 Real-valued polynomials are stored with zero imaginary parts; callers take
 the real part where realness is guaranteed by construction.
 
@@ -43,18 +44,27 @@ _MIRRORED = np.array([[NVARS * min(i, j) + max(i, j) for j in range(NVARS)]
 
 
 class Poly:
-    """Polynomial in four variables with complex coefficients."""
+    """Polynomial in four variables with coefficients in the ring `coerce`;
+    every operation returns its own class, so a subclass keeps its ring."""
 
     __slots__ = ("coeffs",)
+    coerce = complex
 
     def __init__(self, coeffs: Mapping[Exponents, complex] | None = None):
+        zero = self.coerce(0)
         data: Dict[Exponents, complex] = {}
         if coeffs:
             for exp, c in coeffs.items():
-                c = complex(c)
+                c = self.coerce(c)
                 if c != 0:
-                    data[exp] = data.get(exp, 0j) + c
+                    data[exp] = data.get(exp, zero) + c
         self.coeffs = {e: c for e, c in data.items() if c != 0}
+
+    def _new(self, coeffs: Dict[Exponents, complex]) -> "Poly":
+        """This class on coefficients already in its ring, taken as they are."""
+        p = object.__new__(type(self))
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -62,64 +72,55 @@ class Poly:
 
     @classmethod
     def constant(cls, c: complex) -> "Poly":
-        return cls({_ZERO_EXP: complex(c)})
+        return cls({_ZERO_EXP: c})
 
     @classmethod
     def variable(cls, k: int) -> "Poly":
         exp = [0, 0, 0, 0]
         exp[k] = 1
-        return cls({tuple(exp): 1.0 + 0j})
+        return cls({tuple(exp): 1})
 
     # ------------------------------------------------------------------ basic
 
     def __add__(self, other: "Poly | complex") -> "Poly":
         if not isinstance(other, Poly):
-            other = Poly.constant(other)
+            other = self.constant(other)
+        zero = self.coerce(0)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, 0j) + c
+            s = out.get(e, zero) + c
             if s == 0:
                 out.pop(e, None)
             else:
                 out[e] = s
-        p = Poly.__new__(Poly)
-        p.coeffs = out
-        return p
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return p
+        return self._new({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Poly | complex") -> "Poly":
         if not isinstance(other, Poly):
-            other = Poly.constant(other)
+            other = self.constant(other)
         return self + (-other)
 
     def __mul__(self, other: "Poly | complex") -> "Poly":
         if not isinstance(other, Poly):
-            c = complex(other)
-            if c == 0:
-                return Poly.zero()
-            p = Poly.__new__(Poly)
-            p.coeffs = {e: v * c for e, v in self.coeffs.items()}
-            return p
+            c = self.coerce(other)
+            return self._new({e: v * c for e, v in self.coeffs.items()} if c != 0 else {})
+        zero = self.coerce(0)
         out: Dict[Exponents, complex] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                s = out.get(e, 0j) + c1 * c2
-                out[e] = s
-        p = Poly.__new__(Poly)
-        p.coeffs = {e: c for e, c in out.items() if c != 0}
-        return p
+                out[e] = out.get(e, zero) + c1 * c2
+        return self._new({e: c for e, c in out.items() if c != 0})
 
     __rmul__ = __mul__
 
     def real_poly(self) -> "Poly":
-        return Poly({e: complex(c.real) for e, c in self.coeffs.items()})
+        return type(self)({e: c.real for e, c in self.coeffs.items()})
 
     # ------------------------------------------------------------- calculus
 
@@ -132,13 +133,11 @@ class Poly:
             elist = list(e)
             elist[k] = n - 1
             out[tuple(elist)] = c * n
-        p = Poly.__new__(Poly)
-        p.coeffs = out
-        return p
+        return self._new(out)
 
     def eval(self, point: Sequence[float]) -> complex:
         x0, x1, x2, x3 = point[0], point[1], point[2], point[3]
-        total = 0j
+        total = self.coerce(0)
         # sorted iteration keeps float accumulation order independent of
         # construction history, which the report fingerprints rely on
         for e, c in sorted(self.coeffs.items()):
@@ -165,13 +164,13 @@ class Poly:
                 maxdeg[k] = max(maxdeg[k], e[k])
         powers = []
         for k in range(NVARS):
-            pk = [Poly.constant(1.0)]
+            pk = [self.constant(1)]
             for _ in range(maxdeg[k]):
                 pk.append(pk[-1] * components[k])
             powers.append(pk)
-        total = Poly.zero()
+        total = self.zero()
         for e, c in sorted(self.coeffs.items()):
-            term = Poly.constant(c)
+            term = self.constant(c)
             for k in range(NVARS):
                 if e[k]:
                     term = term * powers[k][e[k]]
@@ -181,7 +180,7 @@ class Poly:
     # --------------------------------------------------------------- slicing
 
     def homogeneous_part(self, n: int) -> "Poly":
-        return Poly({e: c for e, c in self.coeffs.items() if sum(e) == n})
+        return type(self)({e: c for e, c in self.coeffs.items() if sum(e) == n})
 
     def lowest_order(self) -> int:
         """Smallest total degree with a nonzero coefficient, or -1."""
@@ -193,7 +192,7 @@ class Poly:
         return max(abs(c) for c in self.coeffs.values())
 
     def chop(self, tol: float) -> "Poly":
-        return Poly({e: c for e, c in self.coeffs.items() if abs(c) > tol})
+        return type(self)({e: c for e, c in self.coeffs.items() if abs(c) > tol})
 
 
 class Jet(tuple):

@@ -15,11 +15,18 @@ coefficient for coefficient), and the chain rule written out in loops.
 A map given in the complex coordinates w1 = x1 + i x2, w2 = x3 + i x4 is
 expanded by one composition; its values are checked against the sum
 c_ab w1^a w2^b taken directly in complex arithmetic.
+
+The same Poly runs over the rationals: an ExactPoly (tests/exact_poly.py)
+keeps its class through every operation, composes, differentiates and
+evaluates as Fraction arithmetic written out by hand does, and satisfies
+the substitution and chain rules with equality; the catalog diffeo
+converted to it gives back its config coefficients exactly.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -36,6 +43,7 @@ from morphoscope.geometry import (
 )
 from morphoscope.polynomials import UPPER, Jet, Poly, evaluate, from_complex_pair, symmetric
 
+from exact_poly import ExactPoly, exact, exact_spec
 from test_geometry import quadratic_bump_metric
 
 
@@ -529,3 +537,73 @@ def test_a_complex_pair_expands_to_its_direct_sum(terms, x):
     info = np.finfo(float)
     bound = EXPANSION_ULPS * (float(info.eps) * size + float(info.tiny))
     assert abs(from_complex_pair(terms).eval(x) - direct) <= bound
+
+
+def exact_sample():
+    """1/2 x1^2 x2 + 3 x3 x4 - 1/4, and the components x1 + x2/2, 2 x1 x3,
+    x4 - 1/8 and x1 to substitute in it."""
+    p = ExactPoly({(2, 1, 0, 0): 0.5, (0, 0, 1, 1): 3, (0, 0, 0, 0): -0.25})
+    x = [ExactPoly.variable(k) for k in range(4)]
+    return p, [x[0] + 0.5 * x[1], 2 * x[0] * x[2], x[3] - 0.125, x[0]]
+
+
+def test_an_exact_poly_composes_differentiates_and_evaluates_as_written_out():
+    p, q = exact_sample()
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    # 1/2 (x1 + x2/2)^2 (2 x1 x3) + 3 (x4 - 1/8) x1 - 1/4, expanded
+    assert p.compose(q).coeffs == {(3, 0, 1, 0): 1, (2, 1, 1, 0): 1, (1, 2, 1, 0): quarter,
+                                   (1, 0, 0, 1): 3, (1, 0, 0, 0): Fraction(-3, 8),
+                                   (0, 0, 0, 0): -quarter}
+    assert [p.diff(k).coeffs for k in range(4)] == [
+        {(1, 1, 0, 0): 1}, {(2, 0, 0, 0): half}, {(0, 0, 0, 1): 3}, {(0, 0, 1, 0): 3}]
+    x1, x2, x3, x4 = x = [half, Fraction(-3, 4), Fraction(5, 8), Fraction(2)]
+    assert p.eval(x) == half * x1 ** 2 * x2 + 3 * x3 * x4 - quarter == Fraction(109, 32)
+    assert p.compose(q).eval(x) == (x1 ** 3 * x3 + x1 ** 2 * x2 * x3 + quarter * x1 * x2 ** 2 * x3
+                                    + 3 * x1 * x4 - Fraction(3, 8) * x1 - quarter)
+    assert p.diff(0).eval(x) == x1 * x2
+
+
+def test_every_operation_keeps_the_exact_class_and_ring():
+    p, q = exact_sample()
+    results = [p + q[0], p + 1, 1 + p, p - q[0], p - 1, -p, 3 * p, p * 3, p * q[1],
+               p.diff(0), p.compose(q), p.real_poly(), p.homogeneous_part(3), p.chop(0.3),
+               ExactPoly.zero(), ExactPoly.constant(0.75)]
+    for r in results:
+        assert type(r) is ExactPoly
+        assert all(type(c) is Fraction for c in r.coeffs.values())
+    assert type(p.eval([1, 2, 3, 4])) is Fraction
+    assert (0.5 * ExactPoly.variable(0)).coeffs == {(1, 0, 0, 0): Fraction(1, 2)}
+    assert p.chop(0.3).coeffs == {(2, 1, 0, 0): Fraction(1, 2), (0, 0, 1, 1): 3}
+
+
+def test_exact_gives_back_the_catalog_diffeo_coefficients():
+    spec = catalog_configs()["pullback_z1z2"]["diffeo"]["components"]
+    diffeo = [exact(phi) for phi in catalog_pullback().metric.diffeo]
+    assert [phi.coeffs for phi in diffeo] == [exact_spec(s).coeffs for s in spec]
+    assert diffeo[0].coeffs == {(1, 0, 0, 0): 1, (0, 2, 0, 0): Fraction(0.1)}
+
+
+def test_exact_conversions_are_exact_and_real():
+    repeated = [{"exponents": [1, 0, 0, 0], "value": 0.1},
+                {"exponents": [1, 0, 0, 0], "value": 0.2}]
+    assert exact_spec(repeated).coeffs == {(1, 0, 0, 0): Fraction(0.1) + Fraction(0.2)}
+    assert Fraction(0.1) + Fraction(0.2) != Fraction(0.1 + 0.2)
+    with pytest.raises(ValueError):
+        exact(Poly({(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 0.5j}))
+
+
+DYADIC = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8]))
+EXACT_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4).filter(lambda e: sum(e) <= 2),
+    DYADIC, max_size=3).map(ExactPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=EXACT_POLYS, q=st.lists(EXACT_POLYS, min_size=4, max_size=4),
+       x=st.lists(DYADIC, min_size=4, max_size=4))
+def test_exact_composition_obeys_substitution_and_the_chain_rule(p, q, x):
+    composed = p.compose(q)
+    assert composed.eval(x) == p.eval([qj.eval(x) for qj in q])
+    for k in range(4):
+        chain = sum((p.diff(j).compose(q) * q[j].diff(k) for j in range(4)), ExactPoly())
+        assert composed.diff(k).coeffs == chain.coeffs
