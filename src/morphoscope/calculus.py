@@ -111,7 +111,6 @@ class NormalChart:
     chart already has both properties at the center.
     """
 
-    center: np.ndarray
     chart_map: Jet
     scenario: MorphismScenario
     identity: bool
@@ -129,8 +128,7 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
              and np.max(np.abs(gamma0)) < 1e-15)
     if ident:
         chart_map = Jet((Poly.variable(k) for k in range(4)), range(1))
-        return NormalChart(center=m0, chart_map=chart_map,
-                           scenario=scenario, identity=True)
+        return NormalChart(chart_map=chart_map, scenario=scenario, identity=True)
     A, Ainv = mp.sqrt_pair
     # Christoffel symbols after the linear change y = A (x - m0)
     gamma_z = np.einsum("ck,ia,jb,kij->cab", A, Ainv, Ainv, gamma0)
@@ -169,5 +167,4 @@ def normalized_scenario(scenario: MorphismScenario, m0) -> NormalChart:
         rho *= 0.9
     normal = pullback_scenario(scenario, chart_map, Box.cube(rho), f"{scenario.name}#normal")
     # the chart map is the pulled-back metric's jet, compiled once
-    return NormalChart(center=m0, chart_map=normal.metric.diffeo,
-                       scenario=normal, identity=False)
+    return NormalChart(chart_map=normal.metric.diffeo, scenario=normal, identity=False)

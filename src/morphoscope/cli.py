@@ -48,8 +48,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--fd-step", type=float, default=None,
                    help="override the finite difference step; validated, but no "
                         "command reads it")
-    p.add_argument("--workers", type=int, default=None,
-                   help="override the worker count")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker count; no result depends on it")
     return p
 
 
@@ -93,11 +93,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out_dir = Path(args.out)
     table = None
-    overrides = {"seed": args.seed, "fd_step": args.fd_step, "workers": args.workers}
+    overrides = {"seed": args.seed, "fd_step": args.fd_step}
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers: must be at least 1")
         if args.command == "catalog":
             analysis = with_overrides(DEFAULT_ANALYSIS, overrides)
-            report, text = runner.run_catalog(analysis["seed"], analysis["workers"])
+            report, text = runner.run_catalog(analysis["seed"], args.workers)
             stem = "catalog"
         else:
             if args.config is None:
@@ -105,11 +107,10 @@ def main(argv=None) -> int:
             config = ScenarioConfig.from_file(args.config)
             config.analysis = with_overrides(config.analysis, overrides)
             seed = config.analysis["seed"]
-            workers = config.analysis["workers"]
             scenario = build_scenario(config)
             found = _dispatch(args, config, scenario, seed)
             report, text = runner.scenario_report(args.command, config, found,
-                                                  seed, workers)
+                                                  seed, args.workers)
             table = found.table
             if table is not None:
                 table.cells  # rendered here, so a value it rejects leaves no file

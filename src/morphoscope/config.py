@@ -46,7 +46,6 @@ DEFAULT_ANALYSIS = {
     "seed": 0,
     "n_points": 100,
     "n_directions": 16,
-    "workers": 1,
     "radii": None,
     "scan_radii": None,
     "fd_step": None,
@@ -216,8 +215,6 @@ def _analysis_value(key: str, value, path: str):
         return _integer(value, path, minimum=1, maximum=MAX_SAMPLES)
     if key == "n_directions":
         return _integer(value, path, minimum=4, maximum=MAX_SAMPLES)
-    if key == "workers":
-        return _integer(value, path, minimum=1)
     if key in ("radii", "scan_radii"):
         if value is None:
             return None
@@ -324,12 +321,7 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def to_canonical(self) -> dict:
-        """Resolved configuration dict; equal configs hash identically.
-
-        The worker count is execution plumbing with no effect on any result,
-        so it is left out of the canonical form.
-        """
-        analysis = {k: v for k, v in self.analysis.items() if k != "workers"}
+        """Resolved configuration dict; equal configs hash identically."""
         return {
             "name": self.name,
             "metric": self.metric,
@@ -337,7 +329,7 @@ class ScenarioConfig:
             "diffeo": self.diffeo,
             "orientation": self.orientation,
             "critical_points": self.critical_points,
-            "analysis": analysis,
+            "analysis": self.analysis,
         }
 
 

@@ -46,9 +46,9 @@ class Box:
         object.__setattr__(self, "_hi", np.asarray(self.hi))
 
     @classmethod
-    def cube(cls, half: float, center: Sequence[float] = (0.0, 0.0, 0.0, 0.0)) -> "Box":
-        c = np.asarray(center, dtype=float)
-        return cls(tuple(c - half), tuple(c + half))
+    def cube(cls, half: float) -> "Box":
+        """The cube of half-width half about the origin."""
+        return cls(tuple(np.zeros(4) - half), tuple(np.zeros(4) + half))
 
     def contains(self, m):
         """Whether m lies in the box; one bool per point for a stack."""

@@ -107,7 +107,6 @@ class SymbolCandidate:
 class SymbolData:
     """Leading symbol at a center together with its candidate structures."""
 
-    center: np.ndarray
     order: int
     chart: NormalChart
     homogeneous: Poly            # order-k part in normalized coordinates
@@ -204,8 +203,8 @@ def symbol_polynomial(scenario: MorphismScenario, m0) -> SymbolData:
         cand = _certify_candidate(P0, J, orientation, k, u, res / max(scale, 1e-300))
         if cand.antiholomorphic_max <= ANTIHOLO_REL:
             candidates.append(cand)
-    return SymbolData(center=m0, order=k, chart=chart, homogeneous=P0,
-                      remainder=remainder, candidates=tuple(candidates))
+    return SymbolData(order=k, chart=chart, homogeneous=P0, remainder=remainder,
+                      candidates=tuple(candidates))
 
 
 # ------------------------------------------------------------------- rates

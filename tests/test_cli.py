@@ -428,6 +428,9 @@ def polynomial_table(skew: float = 0.0) -> list:
      "config.metric.box.hi[0]: box width hi - lo overflows"),
     (lambda c: c.update(diffeo=linear_diffeo(1.0, 0.0, {"lo": [-1e308] * 4, "hi": [1e308] * 4})),
      "config.diffeo.box.hi[0]: box width hi - lo overflows"),
+    # the worker count is set by --workers alone
+    (lambda c: c["analysis"].update(workers=1),
+     "config.analysis.workers: unknown analysis parameter"),
 ])
 def test_malformed_configs_exit_two(tmp_path, capsys, monkeypatch, mutate, fragment):
     # each is rejected as the config is read: no scenario is built, so no

@@ -11,16 +11,20 @@ with no reference is listed with the ROADMAP item that retires it
 included, is entered when the golden battery runs, or is listed with the
 reason it is not (TRACED_ONLY, UNUSED_KEPT and UNREACHED_KEPT): a match by
 bare name cannot tell two definitions of one name apart, a run can.
-Every defaulted parameter of a public module-level function is set by some
-call in the sources. Every module-level constant is read in the sources.
-Every dataclass field and every attribute a method sets on self is read as
-an attribute in the sources or the tests. No handler catches Exception,
-BaseException or everything: an error that is not the package's propagates
-with its own type and message.
+Every defaulted parameter of a public module-level function or public
+method is set by some call in the sources, a method's by a call of its name.
+Every module-level constant is read in the sources. Every dataclass field is
+read on an instance of its own class when the golden battery runs, or named
+by a test or by a definition the battery need not enter; every attribute a
+method sets on self is read as an attribute in the sources or the tests.
+No handler catches Exception, BaseException or everything: an error that is
+not the package's propagates with its own type and message.
 """
 
 import ast
 import contextlib
+import functools
+import importlib
 import io
 import re
 import sys
@@ -199,23 +203,36 @@ UNREACHED_KEPT = {
 
 
 def all_definitions():
-    """(module, qualified name) of every module-level function and every
-    method of a module-level class, private ones included."""
+    """(module, qualified name, syntax tree) of every module-level function
+    and every method of a module-level class, private ones included."""
     for path in SOURCES:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
-                yield path.stem, node.name
+                yield path.stem, node.name, node
             elif isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef):
-                        yield path.stem, f"{node.name}.{sub.name}"
+                        yield path.stem, f"{node.name}.{sub.name}", sub
 
 
-def entered_by_the_battery() -> set:
-    """(module, qualified name) of every package function that a run of the
-    golden battery, in this process, enters."""
+def recording(cls, read: set):
+    """A __getattribute__ for cls that adds (type, name) of each read to read."""
+    original = cls.__getattribute__
+
+    def getattribute(self, name):
+        read.add((type(self), name))
+        return original(self, name)
+    return getattribute
+
+
+@functools.cache
+def battery_run() -> tuple:
+    """(entered, read) of a run of the golden battery in this process:
+    (module, qualified name) of every package function it enters, and
+    (type, attribute name) of every attribute it reads on an instance of a
+    dataclass of the sources."""
     root = str(SOURCES[0].parent)
-    entered = set()
+    entered, read = set(), set()
 
     def profile(frame, event, arg):
         code = frame.f_code
@@ -224,7 +241,11 @@ def entered_by_the_battery() -> set:
 
     # a parser built by an earlier test would hide the parser's builder
     cli._parser.cache_clear()
+    classes = [cls for cls, _ in source_dataclasses()]
+    own = [cls.__dict__.get("__getattribute__") for cls in classes]
     previous = sys.getprofile(), threading.getprofile()
+    for cls in classes:
+        cls.__getattribute__ = recording(cls, read)
     sys.setprofile(profile)
     threading.setprofile(profile)
     try:
@@ -234,17 +255,22 @@ def entered_by_the_battery() -> set:
     finally:
         sys.setprofile(previous[0])
         threading.setprofile(previous[1])
-    return entered
+        for cls, method in zip(classes, own):
+            if method is None:
+                del cls.__getattribute__
+            else:
+                cls.__getattribute__ = method
+    return entered, read
 
 
 def test_every_definition_is_reached_by_the_battery():
     kept = set(TRACED_ONLY) | set(UNUSED_KEPT) | set(UNREACHED_KEPT)
-    entered = entered_by_the_battery()
-    unreached = [f"{module}.{name}" for module, name in all_definitions()
+    entered, _ = battery_run()
+    unreached = [f"{module}.{name}" for module, name, _ in all_definitions()
                  if (module, name) not in entered and name not in kept]
     assert unreached == []
     # and every name listed for it is still defined and still unreached
-    defined = {name for _, name in all_definitions()}
+    defined = {name for _, name, _ in all_definitions()}
     assert set(UNREACHED_KEPT) <= defined
     assert not {name for _, name in entered} & set(UNREACHED_KEPT)
 
@@ -278,36 +304,49 @@ def sets_parameter(call: ast.Call, position: int | None, name: str) -> bool:
             or any(isinstance(arg, ast.Starred) for arg in call.args))
 
 
-def defaulted_parameters(node: ast.FunctionDef):
-    """(position or None, name) of every parameter with a default."""
+def defaulted_parameters(node: ast.FunctionDef, shift: int):
+    """(position or None, name) of every parameter with a default, the
+    position counted after the first shift parameters."""
     positional = node.args.posonlyargs + node.args.args
     first = len(positional) - len(node.args.defaults)
     for k, arg in enumerate(positional[first:], start=first):
-        yield k, arg.arg
+        yield k - shift, arg.arg
     for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
         if default is not None:
             yield None, arg.arg
+
+
+def public_callables():
+    """(module, name, node, shift) of every public module-level function and
+    every public method (Class.method), where shift counts the leading
+    parameters a call does not pass: self or cls, none for a static method."""
+    for module, name, node in public_definitions():
+        if isinstance(node, ast.FunctionDef):
+            yield module, name, node, 0
+    for module, cls, name, node in public_methods():
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        yield module, f"{cls}.{name}", node, 0 if static else 1
 
 
 def test_every_defaulted_parameter_is_set():
     traced = {(module, target) for _, module, target in TRACER.FUNCTIONS
               if target is not None}
     calls = source_calls()
+    # a method is matched by the calls of its own name
     unset = [f"{module}.{name}({param})"
-             for module, name, node in public_definitions()
-             if isinstance(node, ast.FunctionDef) and (module, name) not in traced
-             and name not in UNUSED_KEPT
-             for position, param in defaulted_parameters(node)
+             for module, name, node, shift in public_callables()
+             if (module, name) not in traced and name not in UNUSED_KEPT
+             for position, param in defaulted_parameters(node, shift)
              if (name, param) not in DEFAULTS_KEPT
              and not any(sets_parameter(call, position, param)
-                         for call in calls.get(name, []))]
+                         for call in calls.get(name.split(".")[-1], []))]
     assert unset == []
 
 
 def test_kept_defaults_still_exist():
-    defined = {(name, param) for _, name, node in public_definitions()
-               if isinstance(node, ast.FunctionDef)
-               for _, param in defaulted_parameters(node)}
+    defined = {(name, param) for _, name, node, shift in public_callables()
+               for _, param in defaulted_parameters(node, shift)}
     assert set(DEFAULTS_KEPT) <= defined
 
 
@@ -344,15 +383,22 @@ def is_dataclass(decorator) -> bool:
             or isinstance(target, ast.Attribute) and target.attr == "dataclass")
 
 
-def dataclass_fields():
-    """(class, field) of every field a dataclass in the sources declares."""
+def source_dataclasses():
+    """(class, syntax tree) of every dataclass the sources define at module level."""
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text())):
+        module = importlib.import_module(f"morphoscope.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and any(map(is_dataclass,
                                                           node.decorator_list)):
-                for stmt in node.body:
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                        yield node.name, stmt.target.id
+                yield getattr(module, node.name), node
+
+
+def dataclass_fields():
+    """(class, field) of every field a dataclass in the sources declares."""
+    for cls, node in source_dataclasses():
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield cls, stmt.target.id
 
 
 def instance_attributes():
@@ -367,13 +413,28 @@ def instance_attributes():
                         yield node.name, sub.attr
 
 
+def loaded_attributes(nodes) -> set:
+    """Names of the attributes read under any of nodes."""
+    return {sub.attr for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
 def test_every_dataclass_field_is_read():
-    read = {node.attr for path in SOURCES + TESTS
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = sorted({f"{cls}.{name}" for cls, name in [*dataclass_fields(),
-                                                         *instance_attributes()]
-                     if name not in read})
+    # a field is read on an instance of its own class when the battery runs,
+    # or named by a test or by a definition the battery need not enter; an
+    # attribute set on self is read when the sources or the tests name it
+    _, read = battery_run()
+    kept = set(TRACED_ONLY) | set(UNUSED_KEPT) | set(UNREACHED_KEPT)
+    named = loaded_attributes([*(ast.parse(path.read_text()) for path in TESTS),
+                               *(node for _, name, node in all_definitions()
+                                 if name in kept)])
+    everywhere = loaded_attributes(ast.parse(path.read_text()) for path in SOURCES + TESTS)
+    unread = sorted({*(f"{cls.__name__}.{name}" for cls, name in dataclass_fields()
+                       if name not in named
+                       and not any(attr == name and issubclass(kind, cls)
+                                   for kind, attr in read)),
+                     *(f"{cls}.{name}" for cls, name in instance_attributes()
+                       if name not in everywhere)})
     assert unread == []
 
 
