@@ -49,20 +49,13 @@ class MorphismScenario:
 
     def jacobian(self, m) -> np.ndarray:
         """(..., 2, 4) differential at a point or over a stack of points."""
-        return _components(evaluate(self.jet, m, 1)[..., 0, :], -2)
+        c = evaluate(self.jet, m, 1)[..., 0, :]
+        return np.stack([c.real, c.imag], axis=-2)
 
     def hessians(self, m) -> np.ndarray:
         """(..., 2, 4, 4) Hessians of the two components, d_k d_l read from k <= l."""
-        return _components(mirrored(evaluate(self.jet, m, 2)[..., 0, :, :]), -3)
-
-
-def _components(c: np.ndarray, axis: int) -> np.ndarray:
-    """The real and the imaginary part of c, a complex array whose last axis
-    is contiguous, stacked on a new axis at `axis`."""
-    parts = c.view(float).reshape(c.shape + (2,))
-    for k in range(-1, axis, -1):
-        parts = parts.swapaxes(k, k - 1)
-    return np.ascontiguousarray(parts)
+        c = mirrored(evaluate(self.jet, m, 2)[..., 0, :, :])
+        return np.stack([c.real, c.imag], axis=-3)
 
 
 # ----------------------------------------------------------- constructors

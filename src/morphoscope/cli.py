@@ -82,11 +82,10 @@ def _dispatch(args, config, scenario, seed) -> runner.Findings:
             raise ConfigError("weingarten requires --point or --scan")
         return runner.run_weingarten_point(config, scenario,
                                            _parse_point(args.point))
-    if args.command == "twistor":
-        if args.patch is None:
-            raise ConfigError("twistor requires --patch")
-        return runner.run_twistor(config, scenario, args.patch)
-    raise ConfigError(f"unknown command {args.command!r}")
+    # twistor: the parser's choices admit no other command
+    if args.patch is None:
+        raise ConfigError("twistor requires --patch")
+    return runner.run_twistor(config, scenario, args.patch)
 
 
 def main(argv=None) -> int:

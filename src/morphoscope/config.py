@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -281,8 +281,7 @@ class ScenarioConfig:
             _fail("config.name", "expected a nonempty string")
         if name in (".", "..") or any(c in name for c in "/\\\0"):
             _fail("config.name", "must be a plain file stem: no '/', '\\', NUL, '.' or '..'")
-        known = {"name", "metric", "map", "diffeo", "orientation",
-                 "critical_points", "analysis"}
+        known = {f.name for f in fields(cls)}
         for key in data:
             if key not in known:
                 _fail(f"config.{key}", "unknown field")
@@ -322,15 +321,7 @@ class ScenarioConfig:
 
     def to_canonical(self) -> dict:
         """Resolved configuration dict; equal configs hash identically."""
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "map": self.map,
-            "diffeo": self.diffeo,
-            "orientation": self.orientation,
-            "critical_points": self.critical_points,
-            "analysis": self.analysis,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _build_poly(spec) -> Poly:

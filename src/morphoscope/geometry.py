@@ -83,13 +83,6 @@ class ChartMetric:
     def __init__(self, domain: Box):
         self.domain = domain
 
-    def require_inside(self, m) -> None:
-        """Raise DomainError naming the first point of m outside the domain."""
-        inside = self.domain.contains(m)
-        if not np.all(inside):
-            point = np.asarray(m).reshape(-1, 4)[np.argmin(inside)]
-            raise DomainError(f"point {point.tolist()} leaves the chart domain (margin 0)")
-
     def matrix_checked(self, m) -> np.ndarray:
         return metric_point(self, m).g
 
@@ -547,7 +540,7 @@ def covariant_derivative(metric: ChartMetric, field: Callable[[np.ndarray], np.n
     h = DEFAULT_FD_STEP * max(1.0, float(np.max(np.abs(m)))) if step is None else step
     t = h / max(1.0, norm)
     nodes = central_nodes(m, X, t)
-    metric.require_inside(np.array(nodes))
+    metric_point(metric, np.array(nodes))
     partial = central_difference([field(x) for x in nodes], t)
     value = np.asarray(field(m), dtype=float)
     gamma = christoffel(metric, m)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import TARGET_ROTATION, MorphismScenario
+from .calculus import MorphismScenario
 from .errors import ClassificationError, NonIsolatedCriticalError, SymbolError
 from .morphism import GeometryStack, geometry_stack
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
@@ -28,12 +28,6 @@ MAX_DIRECTION_SUBSTITUTIONS = 25
 def hermitian_pair(scenario: MorphismScenario, m) -> GeometryStack:
     """The stack of one point m, read for J+ and J-."""
     return geometry_stack(scenario, [m])
-
-
-def pseudo_holomorphy_residual(jac: np.ndarray, J: np.ndarray) -> float:
-    """How far J is from intertwining the differential `jac` at a point with
-    the target rotation."""
-    return float(np.linalg.norm(jac @ J - TARGET_ROTATION @ jac, ord="fro"))
 
 
 # ------------------------------------------------------------- references

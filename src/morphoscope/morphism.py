@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import MorphismScenario
+from .calculus import TARGET_ROTATION, MorphismScenario
 from .errors import ClassificationError, DegenerateFrameError, GeometryError
 from .geometry import FailureColumn, MetricPoint, first_seed, metric_rows
 from .structures import gram_jet, structure_jets
@@ -238,6 +238,12 @@ class GeometryStack:
         """Raise the first failure of point `index`, of the pass, its
         structures or its splitting, if it failed."""
         self.splitting[-1].raise_first([index])
+
+
+def pseudo_holomorphy_residual(jac: np.ndarray, J: np.ndarray) -> float:
+    """How far J is from intertwining the differential `jac` at a point with
+    the target rotation."""
+    return float(np.linalg.norm(jac @ J - TARGET_ROTATION @ jac, ord="fro"))
 
 
 def geometry_stack(scenario: MorphismScenario, points) -> GeometryStack:

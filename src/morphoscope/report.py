@@ -6,8 +6,8 @@ though the file records when it was written. The file is the canonical
 text the fingerprint hashes, with the fingerprint, the worker count and the
 timestamp appended as its last keys, so a report is encoded once. Each
 encoding is one pass of json.dumps: NumPy values become plain through its
-fallback, a float array checked for finiteness in one vectorised pass, and
-no Python walk copies the data first.
+fallback, the encoder rejects a float that is not finite, and no Python
+walk copies the data first.
 
 Tabular records are `Columns`: each number is turned into text once, and
 the report's records and the CSV table are both written from those texts.
@@ -42,12 +42,10 @@ CONVENTIONS = {
 
 def _plain(obj):
     """The plain JSON value of a NumPy value in a report, json.dumps's
-    fallback for what it cannot encode itself: a float array is checked for
-    finiteness in one vectorised pass and converted by tolist(), as is any
-    other array, whose items the encoder then takes in turn."""
+    fallback for what it cannot encode itself: an array is converted by
+    tolist(), whose items the encoder then takes in turn, a float that is
+    not finite among them rejected (see _canonical)."""
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
-            raise GeometryError("report values must be finite")
         return obj.tolist()
     # ahead of the integers, as a bool_ is not an integer but reads as one
     if isinstance(obj, np.bool_):

@@ -18,7 +18,7 @@ from .calculus import MorphismScenario
 from .config import ScenarioConfig
 from .errors import ConfigError
 from .geometry import einstein_defect
-from .morphism import geometry_stack, validate_morphism
+from .morphism import geometry_stack, pseudo_holomorphy_residual, validate_morphism
 from .report import Columns, build_report, check, fingerprint
 
 EINSTEIN_GATE = 1e-8
@@ -99,8 +99,6 @@ def run_validate(config: ScenarioConfig, scenario: MorphismScenario,
 
 def run_analyze(config: ScenarioConfig, scenario: MorphismScenario,
                 point) -> Findings:
-    from .hermitian import pseudo_holomorphy_residual
-
     tol = config.analysis["tolerances"]
     m = np.asarray(point, dtype=float)
     stack = geometry_stack(scenario, [m])

@@ -22,7 +22,7 @@ import numpy as np
 from ._linalg import minimize_affine_on_sphere
 from .calculus import MorphismScenario, NormalChart, normalized_scenario
 from .errors import SymbolError, UnsupportedOrderError
-from .morphism import EPS_CRITICAL, GeometryStack, geometry_stack
+from .morphism import GeometryStack, geometry_stack
 from .polynomials import Jet, Poly, evaluate_orders
 from .ratefit import N_AXES, RateFit, fit_rate, seeded_directions, shell_samples
 from .structures import structure_basis
@@ -293,7 +293,7 @@ def dilation_lower_rate(sample: CenterSample) -> DilationLowerRate:
     radii = sample.radii
     # columns are directions: a ray is excluded as a whole
     table = sample.stack.dilation_sup.reshape(len(radii), len(dirs))
-    excluded = (table < EPS_CRITICAL).all(axis=0)
+    excluded = (~sample.stack.regular).reshape(table.shape).all(axis=0)
     if excluded.all():
         raise SymbolError("every sampled direction is critical; no dilation envelope")
     values = tuple(table[:, ~excluded].min(axis=1).tolist())

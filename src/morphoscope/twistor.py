@@ -128,8 +128,8 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
 
     The patch's jet, the point with its differential and its Hessian, is
     read once at each parameter point; every other step runs once over the
-    whole stack: the box and rank tests, the chart metric with its checks
-    and inverse (metric_rows), the tangent coordinates
+    whole stack: the box, finiteness and rank tests, the chart metric with
+    its checks and inverse (metric_rows), the tangent coordinates
     (_tangent_coordinates), the lift J with its jet and the checks of J.
     No frame is built. These checks exclude the reader failures known; a
     reader that still fails on a returned stack names its first failing
@@ -148,6 +148,11 @@ def lift_stack(scenario: MorphismScenario, patch: SurfacePatch, params,
     # the box test is done: the jet is read once at each checked or clipped point
     points, d, hessians = (np.array(column, dtype=float)
                            for column in zip(*(patch.jet(s, t) for s, t in inside)))
+    if not np.isfinite(d).all():
+        # the rank test's SVD takes no differential that is not finite
+        failures.reject(~np.isfinite(d).all(axis=(1, 2)), GeometryError,
+                        lambda i: f"patch differential is not finite at {params[i].tolist()}")
+        d = failures.neutral(d, np.eye(4, 2))
     failures.reject(np.linalg.svd(d, compute_uv=False)[:, -1] <= PATCH_RANK_TOL,
                     DegenerateFrameError,
                     lambda i: f"patch differential is rank deficient at {params[i].tolist()}")

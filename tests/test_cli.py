@@ -431,6 +431,27 @@ def polynomial_table(skew: float = 0.0) -> list:
     # the worker count is set by --workers alone
     (lambda c: c["analysis"].update(workers=1),
      "config.analysis.workers: unknown analysis parameter"),
+    # one case for each rule no other test reaches
+    (lambda c: c["analysis"].update(n_points=1.5),
+     "config.analysis.n_points: expected an integer"),
+    (lambda c: c["metric"].update(box=5), "config.metric.box: expected an object with lo and hi"),
+    (lambda c: c.update(diffeo={"components": [X1], "box": cube(1.0)}),
+     "config.diffeo.components: expected exactly four components"),
+    (lambda c: c.update(name=""), "config.name: expected a nonempty string"),
+    (lambda c: c["map"].update(kind="meromorphic"),
+     "config.map.kind: unknown map kind 'meromorphic'"),
+    (lambda c: c["map"].update(coefficients=[]),
+     "config.map.coefficients: expected a nonempty list"),
+    (lambda c: c["map"].update(coefficients=[5]),
+     "config.map.coefficients[0]: expected an object with i, j, re, im"),
+    (lambda c: c.update(diffeo={"components": [[5], X1, X1, X1], "box": cube(1.0)}),
+     "config.diffeo.components[0][0]: expected an object with exponents and value"),
+    (lambda c: c.update(diffeo={"components": [[], X1, X1, X1], "box": cube(1.0)}),
+     "config.diffeo.components[0]: expected a nonempty list of monomials"),
+    (lambda c: c["metric"].update(kind="polynomial",
+                                  entries=[row if i != 1 else row[:3]
+                                           for i, row in enumerate(polynomial_table())]),
+     "config.metric.entries[1]: expected four polynomial cells"),
 ])
 def test_malformed_configs_exit_two(tmp_path, capsys, monkeypatch, mutate, fragment):
     # each is rejected as the config is read: no scenario is built, so no
@@ -530,6 +551,43 @@ def test_missing_arguments_exit_two(tmp_path, capsys, argv, fragment):
     cfg = write_config(tmp_path, "z1z2")
     assert run(tmp_path, *(str(cfg) if a == "CONFIG" else a for a in argv)) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["symbol"], ["rate"], ["weingarten", "--scan"]],
+                         ids=["symbol", "rate", "weingarten-scan"])
+def test_a_center_command_without_centers_exits_two(tmp_path, capsys, command):
+    # the catalog's proj config lists no critical point
+    cfg = write_config(tmp_path, "proj")
+    assert run(tmp_path, *command, "--config", str(cfg)) == 2
+    assert (f"config.critical_points: {' '.join(command)} needs at least one center"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["symbol", "rate"])
+def test_a_center_on_the_box_face_exits_two(tmp_path, capsys, command):
+    config = catalog_configs()["z1z2"]
+    config["critical_points"] = [[1.5, 0.0, 0.0, 0.0]]
+    path = tmp_path / "face.json"
+    path.write_text(json.dumps(config))
+    assert run(tmp_path, command, "--config", str(path)) == 2
+    assert ("DomainError: normal chart center sits on the domain boundary"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("tolerances, code", [(None, 1), ({"defect": 3.0}, 0)],
+                         ids=["default", "override"])
+def test_a_tolerance_override_reaches_its_check(tmp_path, tolerances, code):
+    # the control's defect, 2.12132, fails the default tolerance and passes 3.0
+    config = json.loads(json.dumps(ANISO))
+    if tolerances is not None:
+        config["analysis"] = {"tolerances": tolerances}
+    path = tmp_path / "aniso.json"
+    path.write_text(json.dumps(config))
+    assert run(tmp_path, "validate", "--config", str(path)) == code
+    checks = read_report(tmp_path, "aniso_validate")["checks"]
+    defect = {c["name"]: c for c in checks}["hwc_defect"]
+    assert defect["verdict"] == ("PASS" if code == 0 else "FAIL")
+    assert defect["evidence"]["tolerance"] == (3.0 if tolerances else 1e-8)
 
 
 @pytest.mark.parametrize("name", ["a\0b", "ABSOLUTE", "sub/dir", "sub\\dir", ".", ".."],

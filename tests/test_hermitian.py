@@ -16,12 +16,11 @@ from morphoscope.calculus import TARGET_ROTATION, pullback_scenario
 from morphoscope.catalog import catalog_configs
 from morphoscope.config import ScenarioConfig, build_scenario
 from morphoscope.errors import DomainError, NonIsolatedCriticalError, SymbolError
-from morphoscope.hermitian import (hermitian_pair, isolated_extension,
-                                   pseudo_holomorphy_residual, reference_field,
+from morphoscope.hermitian import (hermitian_pair, isolated_extension, reference_field,
                                    structure_deviation_rate)
 from morphoscope.geometry import metric_point
 from morphoscope import hermitian, morphism, symbol
-from morphoscope.morphism import geometry_stack
+from morphoscope.morphism import geometry_stack, pseudo_holomorphy_residual
 from morphoscope.ratefit import N_AXES, shell_samples
 from morphoscope.structures import STRUCTURES_MINUS, STRUCTURES_PLUS, structure_basis
 from morphoscope.symbol import CenterSample, center_sample, symbol_polynomial

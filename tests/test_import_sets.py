@@ -29,7 +29,7 @@ POINT = "--point=0.5,0.2,0.1,-0.2"
 # each command's modules beyond CORE
 CASES = {
     "validate": (["validate"], set()),
-    "analyze": (["analyze", POINT], {"hermitian", "symbol", "ratefit"}),
+    "analyze": (["analyze", POINT], set()),
     "symbol": (["symbol"], {"symbol", "ratefit"}),
     "rate": (["rate"], {"hermitian", "symbol", "ratefit"}),
     "weingarten point": (["weingarten", POINT], {"weingarten", "ratefit"}),

@@ -193,7 +193,6 @@ UNREACHED_KEPT = {
     "central_nodes": "the stencil of covariant_derivative, the tests' Richardson reference",
     "central_difference": "the stencil of covariant_derivative, the tests' Richardson "
                           "reference",
-    "ChartMetric.require_inside": "the domain check of covariant_derivative",
     "NormalChart.to_original": "reached only through isolated_extension (ROADMAP item 5)",
     "NonIsolatedCriticalError.__init__": "raised only by isolated_extension (ROADMAP item 5)",
     "_fail": "config's error paths; every config of the battery is valid",

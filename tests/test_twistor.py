@@ -710,6 +710,28 @@ def test_an_error_of_another_type_propagates_unchanged():
             ValueError, "psi undefined at s = 0.9")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_differential_that_is_not_finite_is_rejected_in_stack_order(value):
+    # the rank test's SVD takes no such differential: its row is rejected
+    # with the package's error, in stack order, and reads the neutral one
+    sc = flat_scenario()
+    plane = flat_plane()
+
+    def jet(s, t):
+        point, d, hessian = plane.jet(s, t)
+        return point, np.where(s > 0.6, value, d), hessian
+
+    patch = SurfacePatch(jet, plane.param_box)
+    good, bad, outside = np.array([0.1, 0.0]), np.array([0.7, 0.0]), np.array([1.5, 0.0])
+    for params in ([bad], [good, bad, good], [good, bad, outside]):
+        assert raised(lift_stack, sc, patch, params) == (
+            GeometryError, "patch differential is not finite at [0.7, 0.0]")
+    # an earlier point outside the box, whose clipped point's differential
+    # is not finite either, still raises first
+    assert raised(lift_stack, sc, patch, [good, outside, bad]) == (
+        DomainError, "parameter [1.5, 0.0] leaves the patch box")
+
+
 @pytest.mark.parametrize("bad, error", [((0.7, 0.0), DegenerateFrameError),
                                         ((1.5, 0.0), DomainError)],
                          ids=["rank", "box"])
